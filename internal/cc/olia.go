@@ -77,15 +77,18 @@ func (p *OliaPath) rate() float64 {
 	return l * l / p.srtt.Seconds()
 }
 
-// alpha computes α_r for path p given the current path set.
+// alpha computes α_r for path p given the current path set. It runs
+// once per acked packet, so it counts set sizes and p's membership
+// instead of collecting the sets.
 func (o *Olia) alpha(p *OliaPath) float64 {
-	live := o.Paths()
-	if len(live) < 2 {
-		return 0
-	}
-	// Find the set of best paths (max ℓ²/rtt) and max-window paths.
+	live := 0
+	// Find the best loss-free rate (max ℓ²/rtt) and the max window.
 	bestRate, maxW := 0.0, 0
-	for _, q := range live {
+	for _, q := range o.paths {
+		if q.closed {
+			continue
+		}
+		live++
 		if r := q.rate(); r > bestRate {
 			bestRate = r
 		}
@@ -93,28 +96,34 @@ func (o *Olia) alpha(p *OliaPath) float64 {
 			maxW = q.cwnd
 		}
 	}
-	var collected, maxWPaths []*OliaPath
-	for _, q := range live {
+	if live < 2 {
+		return 0
+	}
+	// collected: best paths that do not hold the max window.
+	collected, maxWPaths := 0, 0
+	pCollected, pMaxW := false, false
+	for _, q := range o.paths {
+		if q.closed {
+			continue
+		}
 		isBest := q.rate() >= bestRate*(1-1e-9)
 		hasMaxW := q.cwnd == maxW
 		if isBest && !hasMaxW {
-			collected = append(collected, q)
+			collected++
+			pCollected = pCollected || q == p
 		}
 		if hasMaxW {
-			maxWPaths = append(maxWPaths, q)
+			maxWPaths++
+			pMaxW = pMaxW || q == p
 		}
 	}
-	n := float64(len(live))
-	if len(collected) > 0 {
-		for _, q := range collected {
-			if q == p {
-				return 1 / (n * float64(len(collected)))
-			}
+	n := float64(live)
+	if collected > 0 {
+		if pCollected {
+			return 1 / (n * float64(collected))
 		}
-		for _, q := range maxWPaths {
-			if q == p {
-				return -1 / (n * float64(len(maxWPaths)))
-			}
+		if pMaxW {
+			return -1 / (n * float64(maxWPaths))
 		}
 	}
 	return 0
@@ -149,7 +158,10 @@ func (p *OliaPath) OnPacketAcked(bytes int, rtt time.Duration) {
 		rttSec = 1e-3
 	}
 	sum := 0.0
-	for _, q := range p.o.Paths() {
+	for _, q := range p.o.paths {
+		if q.closed {
+			continue
+		}
 		qr := q.srtt.Seconds()
 		if qr <= 0 {
 			qr = 1e-3

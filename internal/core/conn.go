@@ -76,6 +76,22 @@ type Conn struct {
 	sending     bool // trySend re-entrancy guard
 	sendPending bool
 
+	// Per-packet scratch, so the steady-state packet path allocates
+	// nothing (DESIGN.md, "Buffer and scratch ownership"). rxPkt and
+	// rxScratch hold the wire-mode packet being handled, for the length
+	// of one HandleDatagram. txFrames and txDupFrames are the frame
+	// lists of the wire-mode packet being built: it is serialized
+	// before sendPacket returns and nothing keeps the list (struct mode
+	// hands the list itself to the peer, so it allocates one per
+	// packet). candidates and duplicates are the scheduler's path lists,
+	// valid until the next schedule call.
+	rxPkt       wire.Packet
+	rxScratch   wire.DecodeScratch
+	txFrames    []wire.Frame
+	txDupFrames []wire.Frame
+	candidates  []*Path
+	duplicates  []*Path
+
 	closed   bool
 	closeErr error
 
@@ -91,6 +107,9 @@ type Conn struct {
 	onStreamOpen    func(*Stream)
 	onClosed        func(error)
 	onPathsFrame    func(*wire.PathsFrame)
+	// acceptedBy is the Listener that created this (server-side)
+	// connection and forgets it again once it has closed.
+	acceptedBy *Listener
 
 	Stats ConnStats
 }
@@ -123,6 +142,12 @@ func newConn(net DatagramSender, role Role, connID wire.ConnectionID, cfg Config
 	}
 	if cfg.CC == CCLia {
 		c.lia = cc.NewLia(mss())
+	}
+	if cfg.WireSerialization {
+		// Room for any ordinary packet; a longer frame list just
+		// allocates that once.
+		c.txFrames = make([]wire.Frame, 0, 16)
+		c.txDupFrames = make([]wire.Frame, 0, 16)
 	}
 	c.timer = sim.NewTimer(c.clock, c.onTimer)
 	return c
@@ -392,13 +417,14 @@ func (c *Conn) HandleDatagram(dg netem.Datagram) {
 		if !hdr.Handshake {
 			sealer = c.sealRecv
 		}
-		// Frames borrow raw; every payload-carrying frame is copied out
-		// by its handler before HandleDatagram returns, so the buffer
-		// can rejoin the encode pool afterwards (also on the corrupted-
-		// packet early return below).
+		// The decode borrows raw — the payload is opened in place and
+		// frames alias it — and parses into connection-owned scratch.
+		// Every handler consumes its frame before HandleDatagram
+		// returns, so the buffer can rejoin the encode pool afterwards
+		// (also on the corrupted-packet early return below).
 		defer wire.PutPacketBuf(raw)
-		pkt, err = wire.DecodeBorrowed(raw, largest, sealer)
-		if err != nil {
+		pkt = &c.rxPkt
+		if err := wire.DecodeInto(pkt, &c.rxScratch, raw, largest, sealer); err != nil {
 			c.corruptDrops++
 			return
 		}
@@ -582,6 +608,14 @@ func (c *Conn) handleStreamFrame(f *wire.StreamFrame) {
 			c.onStreamOpen(s)
 		}
 	}
+	// Check the stream window before reassembly sees the frame: the
+	// receive buffer is sized by the offsets it is handed, and a hostile
+	// offset must cost the peer its connection, not us the memory.
+	end := f.Offset + uint64(f.Len())
+	if end > s.fc.RecvLimit() {
+		c.closeWithError(fmt.Errorf("core: flow control violated on stream %d", f.StreamID))
+		return
+	}
 	finBefore := s.recv.FinReceived()
 	newBytes, err := s.recv.OnFrame(f)
 	if err != nil {
@@ -590,7 +624,8 @@ func (c *Conn) handleStreamFrame(f *wire.StreamFrame) {
 	}
 	if newBytes > 0 {
 		c.connRecvTotal += newBytes
-		if !s.fc.OnReceive(f.Offset+uint64(f.Len())) || !c.connFC.OnReceive(c.connRecvTotal) {
+		s.fc.OnReceive(end)
+		if !c.connFC.OnReceive(c.connRecvTotal) {
 			c.closeWithError(fmt.Errorf("core: flow control violated on stream %d", f.StreamID))
 			return
 		}
@@ -642,12 +677,22 @@ func (c *Conn) handleRemoteClose(f *wire.ConnectionCloseFrame) {
 	if c.closed {
 		return
 	}
-	c.closed = true
 	c.closeErr = fmt.Errorf("core: closed by peer: %d %s", f.ErrorCode, f.Reason)
 	c.trace(trace.Event{Type: trace.ConnClosed, Detail: "by peer"})
+	c.finishClose()
+}
+
+// finishClose is the common tail of every way a connection ends: stop
+// the timer, tell the application (closeErr is nil for a local Close),
+// then let the accepting listener forget the connection.
+func (c *Conn) finishClose() {
+	c.closed = true
 	c.timer.Stop()
 	if c.onClosed != nil {
 		c.onClosed(c.closeErr)
+	}
+	if c.acceptedBy != nil {
+		c.acceptedBy.forget(c)
 	}
 }
 
@@ -663,24 +708,16 @@ func (c *Conn) Close() {
 			c.sendPacketOn(p, []wire.Frame{frame}, false)
 		}
 	}
-	c.closed = true
-	c.timer.Stop()
-	if c.onClosed != nil {
-		c.onClosed(nil)
-	}
+	c.finishClose()
 }
 
 func (c *Conn) closeWithError(err error) {
 	if c.closed {
 		return
 	}
-	c.closed = true
 	c.closeErr = err
 	c.trace(trace.Event{Type: trace.ConnClosed, Detail: err.Error()})
-	c.timer.Stop()
-	if c.onClosed != nil {
-		c.onClosed(err)
-	}
+	c.finishClose()
 }
 
 // Err returns the close reason, if any.

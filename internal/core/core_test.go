@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -8,6 +10,7 @@ import (
 	"mpquic/internal/core"
 	"mpquic/internal/netem"
 	"mpquic/internal/sim"
+	"mpquic/internal/wire"
 )
 
 // harness bundles one client/server pair over the Fig. 2 topology.
@@ -15,6 +18,7 @@ type harness struct {
 	clock    *sim.Clock
 	tp       *netem.TwoPathNet
 	listener *core.Listener
+	accepted []*core.Conn
 	client   *core.Conn
 }
 
@@ -32,6 +36,9 @@ func newHarness(t *testing.T, clientCfg, serverCfg core.Config, specs [2]netem.P
 	tp := netem.NewTwoPath(clock, sim.NewRand(42), specs)
 	h := &harness{clock: clock, tp: tp}
 	h.listener = core.Listen(tp.Net, serverCfg, tp.ServerAddrs[:])
+	// Remember accepted connections: one that has closed (a long run
+	// idles the server out) is no longer in Listener.Conns.
+	h.listener.OnConnection(func(c *core.Conn) { h.accepted = append(h.accepted, c) })
 	locals := tp.ClientAddrs[:]
 	remotes := tp.ServerAddrs[:]
 	if !clientCfg.Multipath {
@@ -50,11 +57,10 @@ func (h *harness) run(t *testing.T, until time.Duration) {
 
 func (h *harness) serverConn(t *testing.T) *core.Conn {
 	t.Helper()
-	conns := h.listener.Conns()
-	if len(conns) != 1 {
-		t.Fatalf("server has %d conns", len(conns))
+	if len(h.accepted) != 1 {
+		t.Fatalf("server accepted %d conns", len(h.accepted))
 	}
-	return conns[0]
+	return h.accepted[0]
 }
 
 func TestHandshakeCompletesInOneRTT(t *testing.T) {
@@ -374,5 +380,155 @@ func TestRoundRobinSchedulerCompletes(t *testing.T) {
 	h.run(t, 60*time.Second)
 	if res == nil {
 		t.Fatal("round-robin download did not finish")
+	}
+}
+
+// TestForgedPacketDeliversNothing: a protected packet is opened in
+// place, inside the datagram buffer. When the tag does not verify the
+// buffer's contents are unspecified, so nothing of it may reach a frame
+// handler: the datagram is dropped whole and counted, no stream byte is
+// delivered by it, and retransmission completes the transfer with the
+// sender's bytes only.
+func TestForgedPacketDeliversNothing(t *testing.T) {
+	cfg := core.DefaultSinglePathConfig()
+	cfg.WireSerialization = true
+	cfg.EnableCrypto = true
+	h := newHarness(t, cfg, cfg, symSpecs(10, 20*time.Millisecond))
+	apps.NewGetServer(h.listener)
+
+	// Tamper with every 7th protected datagram on its way to the
+	// client, one bit each, walking through the packet.
+	stream := func() *core.Stream { return h.client.StreamByID(core.FirstClientStream) }
+	seen, forged := 0, uint64(0)
+	h.tp.Net.Register(h.tp.ClientAddrs[0], netem.HandlerFunc(func(dg netem.Datagram) {
+		hdr, hdrLen, err := wire.ParseHeader(dg.Raw, wire.InvalidPacketNumber)
+		if err != nil || hdr.Handshake {
+			h.client.HandleDatagram(dg)
+			return
+		}
+		seen++
+		if seen%7 != 0 {
+			h.client.HandleDatagram(dg)
+			return
+		}
+		bit := (seen * 131) % ((len(dg.Raw) - hdrLen) * 8)
+		dg.Raw[hdrLen+bit/8] ^= 1 << (bit % 8)
+		var before uint64
+		if s := stream(); s != nil {
+			before = s.BytesReceived()
+		}
+		drops := h.client.CorruptDrops()
+		h.client.HandleDatagram(dg)
+		forged++
+		if got := h.client.CorruptDrops(); got != drops+1 {
+			t.Errorf("forged packet %d: CorruptDrops %d -> %d, want +1", seen, drops, got)
+		}
+		if s := stream(); s != nil && s.BytesReceived() != before {
+			t.Errorf("forged packet %d delivered %d stream bytes", seen, s.BytesReceived()-before)
+		}
+	}))
+
+	const size = 256 << 10
+	var got []byte
+	h.client.OnHandshakeComplete(func() {
+		s := h.client.OpenStream()
+		s.OnData(func() {
+			if n := s.Readable(); n > 0 {
+				_, data := s.Read(n)
+				got = append(got, data...)
+			}
+		})
+		s.Write([]byte(apps.FormatGet(size)))
+		s.Close()
+	})
+	h.run(t, 30*time.Second)
+	if forged == 0 {
+		t.Fatal("no packet was forged")
+	}
+	if s := stream(); s == nil || !s.Finished() {
+		t.Fatal("transfer did not complete despite retransmission")
+	}
+	// Synthetic payload serializes as 0xAA filler.
+	if len(got) != size || bytes.Count(got, []byte{0xAA}) != size {
+		t.Fatalf("read %d bytes, %d of them the sender's", len(got), bytes.Count(got, []byte{0xAA}))
+	}
+	if h.client.CorruptDrops() != forged {
+		t.Fatalf("CorruptDrops = %d, forged %d", h.client.CorruptDrops(), forged)
+	}
+}
+
+// TestListenerForgetsClosedConnections: a listener must not keep the
+// connections it has served — a long-running server would grow without
+// bound — and a packet arriving for a connection that is gone must not
+// bring it back. 200 sequential dial/GET/close cycles against one
+// listener leave it empty, with a live heap no larger than after the
+// tenth.
+func TestListenerForgetsClosedConnections(t *testing.T) {
+	cfg := core.DefaultConfig()
+	clock := sim.NewClock()
+	clock.Limit = 50_000_000
+	tp := netem.NewTwoPath(clock, sim.NewRand(42), symSpecs(50, 10*time.Millisecond))
+	lis := core.Listen(tp.Net, cfg, tp.ServerAddrs[:])
+	apps.NewGetServer(lis)
+	accepted := 0
+	lis.OnConnection(func(*core.Conn) { accepted++ })
+
+	heapAfterGC := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var heapAt10 uint64
+	for i := 1; i <= 200; i++ {
+		client := core.Dial(tp.Net, cfg, core.NewConnID(uint64(i)), tp.ClientAddrs[:], tp.ServerAddrs[:])
+		done := false
+		apps.NewGetClient(client, 64<<10, func() time.Duration { return clock.Now().Duration() },
+			func(apps.GetResult) { done = true })
+		until := clock.Now().Add(5 * time.Second)
+		if err := clock.RunUntil(until); err != nil {
+			t.Fatal(err)
+		}
+		if !done {
+			t.Fatalf("cycle %d: GET did not finish", i)
+		}
+		if n := len(lis.Conns()); n != 1 {
+			t.Fatalf("cycle %d: %d open server connections during the transfer, want 1", i, n)
+		}
+		client.Close()
+		if err := clock.RunUntil(clock.Now().Add(time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(lis.Conns()); n != 0 {
+			t.Fatalf("cycle %d: listener still holds %d connections after close", i, n)
+		}
+		if i == 10 {
+			heapAt10 = heapAfterGC()
+		}
+	}
+	if accepted != 200 {
+		t.Fatalf("accepted %d connections, want 200 (a stray packet resurrected one?)", accepted)
+	}
+	if heap := heapAfterGC(); heap > 2*heapAt10 {
+		t.Fatalf("live heap grew from %d B after 10 cycles to %d B after 200", heapAt10, heap)
+	}
+}
+
+// TestStrayPacketDoesNotCreateConnection: only a handshake packet may
+// open a connection.
+func TestStrayPacketDoesNotCreateConnection(t *testing.T) {
+	cfg := core.DefaultSinglePathConfig()
+	h := newHarness(t, cfg, cfg, symSpecs(10, 20*time.Millisecond))
+	stray := &wire.Packet{
+		Header: wire.Header{ConnID: 0x5eed, PacketNumber: 1},
+		Frames: []wire.Frame{&wire.PingFrame{}},
+	}
+	h.listener.HandleDatagram(netem.Datagram{From: h.tp.ClientAddrs[0], To: h.tp.ServerAddrs[0], Size: stray.EncodedSize(), Payload: stray})
+	h.listener.HandleDatagram(core.RawDatagram(h.tp.ClientAddrs[0], h.tp.ServerAddrs[0], stray.Encode(nil)))
+	if len(h.accepted) != 0 || len(h.listener.Conns()) != 0 {
+		t.Fatalf("stray packets created %d connections", len(h.accepted))
+	}
+	if got := h.listener.StrayDrops(); got != 2 {
+		t.Fatalf("StrayDrops = %d, want 2", got)
 	}
 }

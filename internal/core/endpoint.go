@@ -55,9 +55,13 @@ type Listener struct {
 	onConn []func(*Conn)
 
 	// corruptDrops counts datagrams dropped before any connection saw
-	// them (unparsable header / unknown payload kind); see
-	// Conn.CorruptDrops for the per-connection counterpart.
+	// them (unparsable header / unknown payload kind), plus the drops of
+	// connections that have since closed; see Conn.CorruptDrops for the
+	// per-connection counterpart.
 	corruptDrops uint64
+	// strayDrops counts well-formed non-handshake packets for a
+	// Connection ID the listener does not (or no longer) know.
+	strayDrops uint64
 }
 
 // Listen registers a server on the given addresses. nw is any
@@ -82,14 +86,16 @@ func Listen(nw DatagramSender, cfg Config, addrs []netem.Addr) *Listener {
 }
 
 // OnConnection registers a new-connection callback, invoked when the
-// first packet of an unknown Connection ID arrives. Callbacks
+// first handshake packet of an unknown Connection ID arrives. Callbacks
 // compose: each registered callback runs, in registration order, so
 // an application server (apps.NewGetServer) and an observer (e.g.
 // mpq-live's connection-close tracking) can both hook the listener.
 func (l *Listener) OnConnection(fn func(*Conn)) { l.onConn = append(l.onConn, fn) }
 
-// Conns returns the accepted connections, sorted by Connection ID so
-// the order is deterministic (map iteration order must not leak).
+// Conns returns the accepted connections that are still open, sorted by
+// Connection ID so the order is deterministic (map iteration order must
+// not leak). A connection leaves the listener once it has closed and
+// its OnClosed callback has run.
 func (l *Listener) Conns() []*Conn {
 	ids := make([]wire.ConnectionID, 0, len(l.conns))
 	for id := range l.conns {
@@ -104,34 +110,62 @@ func (l *Listener) Conns() []*Conn {
 }
 
 // HandleDatagram implements netem.Handler: dispatch by Connection ID.
+// Only a handshake packet may create a connection: anything else for an
+// unknown Connection ID is a stray — typically a late retransmission
+// to a connection that already closed, which must not resurrect it —
+// and is dropped and counted.
 func (l *Listener) HandleDatagram(dg netem.Datagram) {
-	var cid wire.ConnectionID
+	var hdr wire.Header
 	if dg.Raw != nil {
-		hdr, _, err := wire.ParseHeader(dg.Raw, wire.InvalidPacketNumber)
+		var err error
+		hdr, _, err = wire.ParseHeader(dg.Raw, wire.InvalidPacketNumber)
 		if err != nil {
 			l.corruptDrops++
 			return
 		}
-		cid = hdr.ConnID
 	} else if pl, ok := dg.Payload.(*wire.Packet); ok {
-		cid = pl.Header.ConnID
+		hdr = pl.Header
 	} else {
 		l.corruptDrops++
 		return
 	}
-	c, ok := l.conns[cid]
+	c, ok := l.conns[hdr.ConnID]
 	if !ok {
-		c = newConn(l.nw, RoleServer, cid, l.cfg, l.addrs, []netem.Addr{dg.From})
-		l.conns[cid] = c
-		for _, fn := range l.onConn {
-			fn(c)
+		if !hdr.Handshake {
+			l.strayDrops++
+			wire.PutPacketBuf(dg.Raw)
+			return
 		}
+		c = l.accept(hdr.ConnID, dg.From)
 	}
 	c.HandleDatagram(dg)
 }
 
+// accept creates the server side of a new connection.
+func (l *Listener) accept(cid wire.ConnectionID, from netem.Addr) *Conn {
+	c := newConn(l.nw, RoleServer, cid, l.cfg, l.addrs, []netem.Addr{from})
+	c.acceptedBy = l
+	l.conns[cid] = c
+	for _, fn := range l.onConn {
+		fn(c)
+	}
+	return c
+}
+
+// forget drops a connection that has closed and whose application has
+// been told — or a long-running server keeps every connection it ever
+// served. Its drop count lives on in the listener's.
+func (l *Listener) forget(c *Conn) {
+	delete(l.conns, c.connID)
+	l.corruptDrops += c.corruptDrops
+}
+
+// StrayDrops reports how many well-formed non-handshake packets the
+// listener dropped because their Connection ID was unknown.
+func (l *Listener) StrayDrops() uint64 { return l.strayDrops }
+
 // CorruptDrops sums the undecodable-ingress drops across the listener
-// itself and every accepted connection.
+// itself and every connection it accepted, open or since closed.
 func (l *Listener) CorruptDrops() uint64 {
 	total := l.corruptDrops
 	for _, c := range l.Conns() {

@@ -46,6 +46,8 @@ type Path struct {
 	// (per-path WINDOW_UPDATE copies, PATHS frames, acks ride along
 	// separately).
 	ctrl []wire.Frame
+	// ackFrame is the wire-mode ACK scratch (see Conn.buildAck).
+	ackFrame wire.AckFrame
 
 	// Stats
 	SentPackets  uint64

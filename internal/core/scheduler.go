@@ -16,6 +16,8 @@ import "mpquic/internal/wire"
 //     probe RTT: traffic scheduled on a measured path is duplicated
 //     onto them, so a brand-new path carries data in its very first
 //     packet without risking head-of-line blocking.
+//
+// Both results are connection-owned scratch, valid until the next call.
 func (c *Conn) schedule() (primary *Path, duplicates []*Path) {
 	candidates := c.schedulable()
 	if len(candidates) == 0 {
@@ -34,11 +36,13 @@ func (c *Conn) schedule() (primary *Path, duplicates []*Path) {
 			return primary, nil
 		}
 		// Duplicate onto unmeasured paths with window space.
+		duplicates = c.duplicates[:0]
 		for _, p := range candidates {
 			if p != primary && !p.est.HasSample() && p.cwndAvailable(wire.MaxPacketSize) {
 				duplicates = append(duplicates, p)
 			}
 		}
+		c.duplicates = duplicates
 		return primary, duplicates
 	}
 }
@@ -46,23 +50,26 @@ func (c *Conn) schedule() (primary *Path, duplicates []*Path) {
 // schedulable returns the paths the scheduler may use: open, and not
 // (locally or remotely) marked potentially failed — unless every path
 // is marked, in which case all open paths are candidates (there is
-// nothing better to try, §4.3).
+// nothing better to try, §4.3). The list is connection-owned scratch,
+// valid until the next call.
+//
+//mpq:noescape
 func (c *Conn) schedulable() []*Path {
-	var healthy, all []*Path
+	out := c.candidates[:0]
 	for _, pid := range c.pathOrder {
-		p := c.paths[pid]
-		if !p.open {
-			continue
-		}
-		all = append(all, p)
-		if !p.potentiallyFailed && !p.remotePF {
-			healthy = append(healthy, p)
+		if p := c.paths[pid]; p.open && !p.potentiallyFailed && !p.remotePF {
+			out = append(out, p)
 		}
 	}
-	if len(healthy) > 0 {
-		return healthy
+	if len(out) == 0 {
+		for _, pid := range c.pathOrder {
+			if p := c.paths[pid]; p.open {
+				out = append(out, p)
+			}
+		}
 	}
-	return all
+	c.candidates = out
+	return out
 }
 
 // scheduleLowestRTT picks the measured path with the lowest smoothed

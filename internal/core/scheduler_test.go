@@ -161,3 +161,32 @@ func TestScheduleBLESTWaitsInsteadOfBlocking(t *testing.T) {
 		t.Fatal("BLEST refused a safe slow path")
 	}
 }
+
+// TestScheduleAllocFree pins the scheduler's per-packet cost: the
+// candidate and duplicate lists are connection-owned scratch, so a
+// decision allocates nothing — neither with both paths measured, nor
+// while an unmeasured path collects duplicates, nor with every path
+// potentially failed (the fallback list).
+func TestScheduleAllocFree(t *testing.T) {
+	c := newTestConn(t, DefaultConfig())
+	p0, p1 := c.paths[0], c.paths[1]
+	feedRTT(p0, 50*time.Millisecond)
+	check := func(name string, wantDups int) {
+		t.Helper()
+		c.schedule() // size the scratch
+		allocs := testing.AllocsPerRun(100, func() {
+			primary, dups := c.schedule()
+			if primary == nil || len(dups) != wantDups {
+				t.Fatalf("%s: primary %v, %d duplicates", name, primary, len(dups))
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("%s: schedule allocates %.1f/op, want 0", name, allocs)
+		}
+	}
+	check("one unmeasured path", 1)
+	feedRTT(p1, 20*time.Millisecond)
+	check("both measured", 0)
+	p0.potentiallyFailed, p1.remotePF = true, true
+	check("all potentially failed", 0)
+}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"mpquic/internal/netem"
 	"mpquic/internal/recovery"
 	"mpquic/internal/trace"
@@ -160,9 +162,9 @@ func (c *Conn) sendPathCtrl(ackedOn *pathSet) {
 		}
 		for len(p.ctrl) > 0 {
 			budget := wire.MaxPacketSize - c.headerSize(p, false) - wire.AEADOverhead
-			var frames []wire.Frame
+			frames := c.frameList(c.txFrames)
 			if p.ackMgr.ShouldSendAck(now) {
-				if ack := p.ackMgr.BuildAck(now); ack != nil && ack.EncodedSize() <= budget {
+				if ack := c.buildAck(p, now); ack != nil && ack.EncodedSize() <= budget {
 					frames = append(frames, ack)
 					budget -= ack.EncodedSize()
 					ackedOn.add(p.ID)
@@ -200,7 +202,7 @@ func (c *Conn) sendHandshake() {
 		// Bundle the ack of the CHLO so the client gets an immediate
 		// RTT sample.
 		if p0.ackMgr.ShouldSendAck(c.now()) {
-			if ack := p0.ackMgr.BuildAck(c.now()); ack != nil {
+			if ack := c.buildAck(p0, c.now()); ack != nil {
 				frames = append([]wire.Frame{ack}, frames...)
 			}
 		}
@@ -240,16 +242,43 @@ func (c *Conn) sendData(ackedOn *pathSet) {
 		if hasData {
 			for _, dup := range duplicates {
 				c.Stats.DuplicatedPackets++
-				c.sendPacket(dup, dupFrames(frames), false, true)
+				c.sendPacket(dup, c.dupFrames(frames), false, true)
 			}
 		}
 	}
 }
 
+// frameList returns an empty frame list for the next outgoing packet.
+// In wire mode that is the given connection-owned scratch: the packet
+// is serialized before sendPacket returns and nothing keeps the list.
+// Struct mode hands the list itself to the peer, so each packet gets a
+// fresh one.
+func (c *Conn) frameList(scratch []wire.Frame) []wire.Frame {
+	if c.cfg.WireSerialization {
+		return scratch[:0]
+	}
+	return make([]wire.Frame, 0, 4)
+}
+
+// buildAck builds path p's pending ACK, or nil when nothing was
+// received yet. In wire mode the frame is the path's scratch, valid
+// until the path's next ACK is built — by then it has been serialized,
+// and recovery keeps no ACK frames. Struct mode gives the peer the
+// frame itself, so it gets a fresh one.
+func (c *Conn) buildAck(p *Path, now time.Duration) *wire.AckFrame {
+	if !c.cfg.WireSerialization {
+		return p.ackMgr.BuildAck(now)
+	}
+	if !p.ackMgr.BuildAckInto(&p.ackFrame, now) {
+		return nil
+	}
+	return &p.ackFrame
+}
+
 // dupFrames strips non-duplicable frames (ACKs belong to the original
 // path's context) from a duplicated packet.
-func dupFrames(frames []wire.Frame) []wire.Frame {
-	out := make([]wire.Frame, 0, len(frames))
+func (c *Conn) dupFrames(frames []wire.Frame) []wire.Frame {
+	out := c.frameList(c.txDupFrames)
 	for _, f := range frames {
 		if _, isAck := f.(*wire.AckFrame); isAck {
 			continue
@@ -298,9 +327,9 @@ func (c *Conn) hasSendableData() bool {
 func (c *Conn) packFrames(p *Path, ackedOn *pathSet) (frames []wire.Frame, hasData bool) {
 	budget := wire.MaxPacketSize - c.headerSize(p, false) - wire.AEADOverhead
 	now := c.now()
-	frames = make([]wire.Frame, 0, 4)
+	frames = c.frameList(c.txFrames)
 	if p.ackMgr.ShouldSendAck(now) {
-		if ack := p.ackMgr.BuildAck(now); ack != nil && ack.EncodedSize() <= budget {
+		if ack := c.buildAck(p, now); ack != nil && ack.EncodedSize() <= budget {
 			frames = append(frames, ack)
 			budget -= ack.EncodedSize()
 			ackedOn.add(p.ID)
@@ -356,8 +385,8 @@ func (c *Conn) sendPureAcks(ackedOn *pathSet) {
 		if !p.open || ackedOn.has(p.ID) || !p.ackMgr.ShouldSendAck(now) {
 			continue
 		}
-		if ack := p.ackMgr.BuildAck(now); ack != nil {
-			c.sendPacket(p, []wire.Frame{ack}, false, true)
+		if ack := c.buildAck(p, now); ack != nil {
+			c.sendPacket(p, append(c.frameList(c.txFrames), ack), false, true)
 		}
 	}
 }
@@ -381,7 +410,9 @@ func (c *Conn) sendPacket(p *Path, frames []wire.Frame, handshake, track bool) {
 		return
 	}
 	pn := p.space.NextPacketNumber()
-	pkt := &wire.Packet{
+	// pkt stays on the stack in wire mode; only struct mode, which
+	// hands the packet itself to the network, boxes a copy below.
+	pkt := wire.Packet{
 		Header: wire.Header{
 			ConnID:       c.connID,
 			Multipath:    c.cfg.Multipath,
@@ -396,13 +427,7 @@ func (c *Conn) sendPacket(p *Path, frames []wire.Frame, handshake, track bool) {
 	retransmittable := pkt.IsRetransmittable()
 	now := c.now()
 	if track && retransmittable {
-		p.space.OnPacketSent(&recovery.SentPacket{
-			PN:              pn,
-			Frames:          frames,
-			Size:            size,
-			SentTime:        now,
-			Retransmittable: true,
-		})
+		p.space.RecordSent(pn, frames, size, now)
 		p.cc.OnPacketSent(size)
 		p.lastRetransmittableSent = now
 	}
@@ -420,7 +445,8 @@ func (c *Conn) sendPacket(p *Path, frames []wire.Frame, handshake, track bool) {
 		}
 		dg.Raw = pkt.EncodeTo(wire.GetPacketBuf(), sealer)
 	} else {
-		dg.Payload = pkt
+		boxed := pkt
+		dg.Payload = &boxed
 	}
 	c.net.Send(dg)
 }

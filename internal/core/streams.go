@@ -48,7 +48,9 @@ func (s *Stream) Close() {
 func (s *Stream) Readable() uint64 { return s.recv.Readable() }
 
 // Read consumes up to n readable bytes, freeing flow-control credit.
-// data is nil for synthetic payloads.
+// data is nil for synthetic payloads; otherwise it aliases the
+// stream's reassembly window and is valid only until the connection
+// handles its next datagram: consume or copy it before returning.
 func (s *Stream) Read(n uint64) (uint64, []byte) {
 	consumed, data := s.recv.Read(n)
 	if consumed > 0 {

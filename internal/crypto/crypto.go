@@ -48,10 +48,15 @@ func DeriveKeys(secret []byte, label string) Keys {
 }
 
 // Sealer is an AEAD bound to one direction of a connection. It
-// implements wire.Sealer.
+// implements wire.Sealer. A Sealer is single-owner state, like the
+// connection it belongs to: calls must not overlap.
 type Sealer struct {
 	aead cipher.AEAD
 	iv   [ivSize]byte
+	// nonce is per-call scratch. A local array would escape through
+	// the cipher.AEAD interface call and cost one allocation per
+	// packet; the Sealer is on the heap anyway.
+	nonce [ivSize]byte
 	// MultipathNonce controls whether the Path ID participates in the
 	// nonce. Disabling it (single-path mode, or the insecure strawman
 	// the paper warns about) makes nonces collide across paths; the
@@ -73,32 +78,42 @@ func NewSealer(k Keys, multipathNonce bool) (*Sealer, error) {
 	return s, nil
 }
 
-// nonce builds the per-packet nonce: IV ⊕ (PathID<<56 ‖ PacketNumber)
-// over the low 8 bytes of the 12-byte IV.
-func (s *Sealer) nonce(path wire.PathID, pn wire.PacketNumber) [ivSize]byte {
-	n := s.iv
-	var x [8]byte
+// setNonce builds the per-packet nonce into s.nonce: IV ⊕
+// (PathID<<56 ‖ PacketNumber) over the low 8 bytes of the 12-byte IV.
+func (s *Sealer) setNonce(path wire.PathID, pn wire.PacketNumber) {
+	s.nonce = s.iv
 	v := uint64(pn)
 	if s.MultipathNonce {
 		v |= uint64(path) << 56
 	}
-	binary.BigEndian.PutUint64(x[:], v)
-	for i := 0; i < 8; i++ {
-		n[ivSize-8+i] ^= x[i]
-	}
-	return n
+	lo := s.nonce[ivSize-8:]
+	binary.BigEndian.PutUint64(lo, binary.BigEndian.Uint64(lo)^v)
 }
 
 // Seal implements wire.Sealer.
 func (s *Sealer) Seal(path wire.PathID, pn wire.PacketNumber, header, plaintext []byte) []byte {
-	n := s.nonce(path, pn)
-	return s.aead.Seal(nil, n[:], plaintext, header)
+	return s.SealTo(nil, path, pn, header, plaintext)
 }
 
 // Open implements wire.Sealer.
 func (s *Sealer) Open(path wire.PathID, pn wire.PacketNumber, header, ciphertext []byte) ([]byte, error) {
-	n := s.nonce(path, pn)
-	pt, err := s.aead.Open(nil, n[:], ciphertext, header)
+	return s.OpenTo(nil, path, pn, header, ciphertext)
+}
+
+// SealTo implements wire.Sealer.
+//
+//mpq:noescape
+func (s *Sealer) SealTo(dst []byte, path wire.PathID, pn wire.PacketNumber, header, plaintext []byte) []byte {
+	s.setNonce(path, pn)
+	return s.aead.Seal(dst, s.nonce[:], plaintext, header)
+}
+
+// OpenTo implements wire.Sealer.
+//
+//mpq:noescape
+func (s *Sealer) OpenTo(dst []byte, path wire.PathID, pn wire.PacketNumber, header, ciphertext []byte) ([]byte, error) {
+	s.setNonce(path, pn)
+	pt, err := s.aead.Open(dst, s.nonce[:], ciphertext, header)
 	if err != nil {
 		return nil, ErrDecrypt
 	}
@@ -108,6 +123,7 @@ func (s *Sealer) Open(path wire.PathID, pn wire.PacketNumber, header, ciphertext
 // NonceFor exposes the nonce computation for tests proving the
 // cross-path uniqueness property.
 func (s *Sealer) NonceFor(path wire.PathID, pn wire.PacketNumber) []byte {
-	n := s.nonce(path, pn)
+	s.setNonce(path, pn)
+	n := s.nonce
 	return n[:]
 }

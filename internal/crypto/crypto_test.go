@@ -203,3 +203,100 @@ func TestSealedPacketThroughWireCodec(t *testing.T) {
 		}
 	}
 }
+
+// sealedDataPacket returns a sealed packet and the length of its
+// cleartext public header.
+func sealedDataPacket(t *testing.T, seal *Sealer) (b []byte, hdrLen int) {
+	t.Helper()
+	p := &wire.Packet{
+		Header: wire.Header{ConnID: 5, Multipath: true, PathID: 1, PacketNumber: 9},
+		Frames: []wire.Frame{
+			&wire.AckFrame{PathID: 1, Ranges: []wire.AckRange{{Smallest: 2, Largest: 7}}},
+			&wire.StreamFrame{StreamID: 3, Offset: 40, Data: []byte("secret payload")},
+		},
+	}
+	b = p.Encode(seal)
+	_, hdrLen, err := wire.ParseHeader(b, wire.InvalidPacketNumber)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b, hdrLen
+}
+
+// TestDecodeLeavesSealedInputUntouched pins the split between the two
+// decoders: only the borrowing ones (DecodeBorrowed, DecodeInto) may
+// open a payload in place. wire.Decode must leave its input as it found
+// it — callers decode the same sealed bytes again.
+func TestDecodeLeavesSealedInputUntouched(t *testing.T) {
+	seal, open := handshakeSealers(t)
+	b, hdrLen := sealedDataPacket(t, seal)
+	orig := append([]byte(nil), b...)
+	for i := 0; i < 2; i++ {
+		p, err := wire.Decode(b, wire.InvalidPacketNumber, open)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b, orig) {
+			t.Fatalf("Decode #%d modified its input", i+1)
+		}
+		if sf := p.Frames[1].(*wire.StreamFrame); string(sf.Data) != "secret payload" {
+			t.Fatalf("payload %q", sf.Data)
+		}
+	}
+	// The borrowing decode does open in place: the payload region now
+	// holds the plaintext frames, and its frames alias the buffer.
+	var (
+		p       wire.Packet
+		scratch wire.DecodeScratch
+	)
+	if err := wire.DecodeInto(&p, &scratch, b, wire.InvalidPacketNumber, open); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(b[hdrLen:], orig[hdrLen:]) {
+		t.Fatal("DecodeInto left the ciphertext in place: it did not open in place")
+	}
+	if !bytes.Equal(b[:hdrLen], orig[:hdrLen]) {
+		t.Fatal("DecodeInto modified the public header")
+	}
+	sf := p.Frames[1].(*wire.StreamFrame)
+	if string(sf.Data) != "secret payload" || !bytes.Contains(b, sf.Data) {
+		t.Fatalf("in-place payload %q", sf.Data)
+	}
+}
+
+// TestInPlaceOpenRejectsEveryBitFlip: the in-place open is the same
+// AEAD as Open — every single-bit forgery of header or payload that
+// Open rejects, the in-place open rejects too, and a rejected packet
+// yields no frames.
+func TestInPlaceOpenRejectsEveryBitFlip(t *testing.T) {
+	seal, open := handshakeSealers(t)
+	b, hdrLen := sealedDataPacket(t, seal)
+	var (
+		p       wire.Packet
+		scratch wire.DecodeScratch
+	)
+	forged := make([]byte, len(b))
+	// Skip the flag byte: flipping its bits changes the header layout,
+	// which is ParseHeader's business, not the AEAD's.
+	for bit := 8; bit < len(b)*8; bit++ {
+		copy(forged, b)
+		forged[bit/8] ^= 1 << (bit % 8)
+		hdr, n, err := wire.ParseHeader(forged, wire.InvalidPacketNumber)
+		if err != nil || n != hdrLen {
+			t.Fatalf("bit %d: header no longer parses alike", bit)
+		}
+		_, errOpen := open.Open(hdr.PathID, hdr.PacketNumber, forged[:n], forged[n:])
+		errInPlace := wire.DecodeInto(&p, &scratch, forged, wire.InvalidPacketNumber, open)
+		if errOpen == nil || errInPlace == nil {
+			t.Fatalf("bit %d: forgery accepted (Open err=%v, in-place err=%v)", bit, errOpen, errInPlace)
+		}
+		if len(p.Frames) != 0 {
+			t.Fatalf("bit %d: rejected packet still carries %d frames", bit, len(p.Frames))
+		}
+	}
+	// The untouched packet still opens.
+	copy(forged, b)
+	if err := wire.DecodeInto(&p, &scratch, forged, wire.InvalidPacketNumber, open); err != nil || len(p.Frames) != 2 {
+		t.Fatalf("genuine packet: err=%v frames=%d", err, len(p.Frames))
+	}
+}

@@ -347,6 +347,7 @@ func RunWithOpts(sc Scenario, proto Protocol, size uint64, startPath int, seed u
 		cfg.Tracer = tracer
 		lis := core.Listen(tp.Net, cfg, tp.ServerAddrs[:nPaths])
 		apps.NewGetServer(lis)
+		server := acceptedConn(lis)
 		client := core.Dial(tp.Net, cfg, core.NewConnID(seed), tp.ClientAddrs[:nPaths], tp.ServerAddrs[:nPaths])
 		apps.NewGetClient(client, size, now, func(r apps.GetResult) {
 			el := r.Elapsed()
@@ -359,16 +360,10 @@ func RunWithOpts(sc Scenario, proto Protocol, size uint64, startPath int, seed u
 			}
 			return 0
 		}
-		collect = func() RunMetrics {
-			var server *core.Conn
-			if conns := lis.Conns(); len(conns) > 0 {
-				server = conns[0]
-			}
-			return quicMetrics(client, server)
-		}
+		collect = func() RunMetrics { return quicMetrics(client, server()) }
 		sample = func(rec *trace.SeriesRecorder) {
-			if conns := lis.Conns(); len(conns) > 0 {
-				conns[0].SampleInto(rec)
+			if c := server(); c != nil {
+				c.SampleInto(rec)
 			}
 		}
 	case ProtoTCP:
@@ -492,6 +487,7 @@ func RunMPQUICVariant(sc Scenario, cfg core.Config, size uint64, startPath int, 
 	}
 	lis := core.Listen(tp.Net, cfg, tp.ServerAddrs[:nPaths])
 	apps.NewGetServer(lis)
+	server := acceptedConn(lis)
 	client := core.Dial(tp.Net, cfg, core.NewConnID(seed), tp.ClientAddrs[:nPaths], tp.ServerAddrs[:nPaths])
 	var done *time.Duration
 	now := func() time.Duration { return clock.Now().Duration() }
@@ -502,11 +498,7 @@ func RunMPQUICVariant(sc Scenario, cfg core.Config, size uint64, startPath int, 
 	})
 	err := clock.RunUntil(sim.Time(deadline))
 	res := RunResult{}
-	var server *core.Conn
-	if conns := lis.Conns(); len(conns) > 0 {
-		server = conns[0]
-	}
-	res.Metrics = quicMetrics(client, server)
+	res.Metrics = quicMetrics(client, server())
 	if done != nil && err == nil {
 		res.Completed = true
 		res.Elapsed = *done
@@ -520,6 +512,20 @@ func RunMPQUICVariant(sc Scenario, cfg core.Config, size uint64, startPath int, 
 	}
 	res.GoodputBps = float64(res.BytesRecvd) * 8 / deadline.Seconds()
 	return res
+}
+
+// acceptedConn returns a getter for the run's server-side connection
+// (nil until the listener has accepted it). A run that fails may end
+// after the server idled out, and a closed connection is no longer in
+// Listener.Conns — the metrics of such a run still come from it.
+func acceptedConn(lis *core.Listener) func() *core.Conn {
+	var server *core.Conn
+	lis.OnConnection(func(c *core.Conn) {
+		if server == nil {
+			server = c
+		}
+	})
+	return func() *core.Conn { return server }
 }
 
 // RunMedian runs reps seeded repetitions and returns the median-elapsed

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"mpquic/internal/core"
+	"mpquic/internal/crypto"
 	"mpquic/internal/netem"
 	"mpquic/internal/sim"
 	"mpquic/internal/wire"
@@ -61,9 +62,25 @@ func fuzzIngressSeeds() [][]byte {
 	}).Encode(nil)
 	flipped := append([]byte(nil), chlo...)
 	flipped[len(flipped)/2] ^= 0x40
+	// One datagram delivering a stream the hostile way: out of order,
+	// duplicated, partially overlapping, and past a FIN — what the
+	// sliding reassembly window (stream.RecvStream) has to absorb.
+	payload := make([]byte, 600)
+	reordered := (&wire.Packet{
+		Header: wire.Header{ConnID: 7, PacketNumber: 3},
+		Frames: []wire.Frame{
+			&wire.StreamFrame{StreamID: 3, Offset: 400, Data: payload[:200]},
+			&wire.StreamFrame{StreamID: 3, Offset: 0, Data: payload[:100]},
+			&wire.StreamFrame{StreamID: 3, Offset: 50, Data: payload[:400]},
+			&wire.StreamFrame{StreamID: 3, Offset: 400, Data: payload[:200], Fin: true},
+			&wire.StreamFrame{StreamID: 3, Offset: 0, Data: payload[:100]},
+			&wire.StreamFrame{StreamID: 3, Offset: 590, Data: payload[:20]},
+		},
+	}).Encode(nil)
 	seeds := [][]byte{
 		chlo,
 		data,
+		reordered,
 		chlo[:len(chlo)/2],
 		data[:1],
 		flipped,
@@ -77,21 +94,33 @@ func FuzzLiveIngress(f *testing.F) {
 	for _, s := range fuzzIngressSeeds() {
 		f.Add(s)
 	}
+	// A CHLO the server accepts (the seed's four-byte one is refused).
+	chlo := (&wire.Packet{
+		Header: wire.Header{ConnID: 7, Handshake: true, PacketNumber: 1},
+		Frames: []wire.Frame{&wire.HandshakeFrame{Message: wire.HandshakeCHLO, Payload: crypto.NewClientHandshake(1).CHLO()}},
+	}).Encode(nil)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		d, s, lis := fuzzIngressDriver()
 		if len(in) > ingressBufCap {
 			in = in[:ingressBufCap]
 		}
+		from := netip.MustParseAddrPort("127.0.0.1:5000")
+		// Open connection 7 first: only a handshake packet creates a
+		// connection, and the input should reach the frame handlers of
+		// an established one, not stop at the listener's door.
+		hello := append(make([]byte, 0, ingressBufCap), chlo...)
+		if err := d.ingest(packetIn{s: s, from: from, buf: hello}); err != nil || len(lis.Conns()) != 1 {
+			t.Fatalf("set-up CHLO: err=%v, %d connections", err, len(lis.Conns()))
+		}
 		// Ring-shaped buffer, exactly as readOne hands them over.
 		buf := append(make([]byte, 0, ingressBufCap), in...)
-		from := netip.MustParseAddrPort("127.0.0.1:5000")
 
 		before := lis.CorruptDrops()
 		if err := d.ingest(packetIn{s: s, from: from, buf: buf}); err != nil {
 			t.Fatalf("ingest returned a driver-fatal error for arbitrary input: %v", err)
 		}
-		if d.Stats.PacketsIn != 1 {
-			t.Fatalf("PacketsIn = %d, want 1", d.Stats.PacketsIn)
+		if d.Stats.PacketsIn != 2 {
+			t.Fatalf("PacketsIn = %d, want 2", d.Stats.PacketsIn)
 		}
 		// The corruption contract: a datagram whose header does not
 		// parse must be dropped *and counted*, never lost silently.

@@ -1,10 +1,17 @@
 package perf
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
+	"mpquic/internal/cc"
+	"mpquic/internal/core"
+	"mpquic/internal/crypto"
+	"mpquic/internal/expdesign"
+	"mpquic/internal/netem"
 	"mpquic/internal/sim"
+	"mpquic/internal/stream"
 	"mpquic/internal/wire"
 )
 
@@ -26,8 +33,9 @@ func TestPacketEncodeAllocFree(t *testing.T) {
 func TestPacketDecodeAllocBudget(t *testing.T) {
 	pkt := SamplePacket(make([]byte, SamplePayloadLen()))
 	enc := pkt.Encode(nil)
-	// Borrow-mode decode still allocates the Packet, the frame structs
-	// and the pre-sized Frames/Ranges slices — but no payload copies.
+	// The allocating wrapper: a fresh Packet, the frame structs and the
+	// pre-sized Frames/Ranges slices — but no payload copies. The
+	// connection's own decode is DecodeInto, budgeted at zero below.
 	const budget = 6
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := wire.DecodeBorrowed(enc, 9_999, nil); err != nil {
@@ -59,5 +67,167 @@ func TestClockScheduleRunAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state Clock.At+Run allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// dataPacket is the steady-state shape of a transfer in flight, and
+// what the zero budgets below are about: an ACK with a few ranges plus
+// a full-MTU stream frame. (SamplePacket's WINDOW_UPDATE is a rare
+// control frame; those may allocate.)
+func dataPacket() *wire.Packet {
+	pkt := SamplePacket(nil)
+	sf := pkt.Frames[2].(*wire.StreamFrame)
+	pkt.Frames = []wire.Frame{pkt.Frames[0], sf}
+	sf.Data = make([]byte, sf.MaxStreamDataLen(wire.MaxPacketSize-(pkt.EncodedSize()-sf.EncodedSize())))
+	return pkt
+}
+
+// testSealers returns a sealing and an opening Sealer over one key.
+func testSealers(t *testing.T) (seal, open wire.Sealer) {
+	t.Helper()
+	k := crypto.DeriveKeys([]byte("alloc budget"), "s2c")
+	s, err := crypto.NewSealer(k, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := crypto.NewSealer(k, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, o
+}
+
+func TestDecodeIntoAllocFree(t *testing.T) {
+	enc := dataPacket().Encode(nil)
+	var (
+		pkt     wire.Packet
+		scratch wire.DecodeScratch
+	)
+	decode := func() {
+		if err := wire.DecodeInto(&pkt, &scratch, enc, 9_999, nil); err != nil {
+			t.Fatal(err)
+		}
+		if len(pkt.Frames) != 2 {
+			t.Fatalf("decoded %d frames", len(pkt.Frames))
+		}
+	}
+	decode() // size the Frames slice, the arena and the ACK ranges
+	if allocs := testing.AllocsPerRun(100, decode); allocs > 0 {
+		t.Errorf("steady-state DecodeInto allocates %.1f/op, want 0", allocs)
+	}
+}
+
+func TestSealOpenInPlaceAllocFree(t *testing.T) {
+	seal, open := testSealers(t)
+	pkt := dataPacket()
+	sealed := pkt.Encode(seal)
+	allocs := testing.AllocsPerRun(100, func() {
+		buf := pkt.EncodeTo(wire.GetPacketBuf(), seal)
+		wire.PutPacketBuf(buf)
+	})
+	if allocs > 0 {
+		t.Errorf("pooled encode + in-place seal allocates %.1f/op, want 0", allocs)
+	}
+
+	var (
+		rx      wire.Packet
+		scratch wire.DecodeScratch
+	)
+	dgram := make([]byte, len(sealed))
+	decode := func() {
+		copy(dgram, sealed) // the in-place open consumes the datagram
+		if err := wire.DecodeInto(&rx, &scratch, dgram, 9_999, open); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	if allocs := testing.AllocsPerRun(100, decode); allocs > 0 {
+		t.Errorf("in-place open + DecodeInto allocates %.1f/op, want 0", allocs)
+	}
+}
+
+func TestTimerResetAllocFree(t *testing.T) {
+	c := sim.NewClock()
+	tm := sim.NewTimer(c, func() {})
+	at := sim.Time(0)
+	rearm := func() {
+		// Re-arm a few times, then let the clock discard the cancelled
+		// events and fire the live one — a connection's timer life.
+		for i := 0; i < 8; i++ {
+			at += sim.Time(time.Millisecond)
+			tm.Reset(at)
+		}
+		if err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rearm() // fill the clock's event free list
+	if allocs := testing.AllocsPerRun(100, rearm); allocs > 0 {
+		t.Errorf("Timer.Reset allocates %.1f per 8 re-arms, want 0", allocs)
+	}
+}
+
+func TestIntervalSetEditsAllocFree(t *testing.T) {
+	var s stream.IntervalSet
+	edit := func() {
+		for i := uint64(0); i < 32; i++ {
+			s.Add(i*10, i*10+4) // disjoint: inserts
+		}
+		s.Add(0, 100)      // merges ten intervals
+		s.Remove(40, 60)   // splits one in two
+		s.Remove(500, 600) // overlaps nothing
+		s.Remove(0, 1<<20)
+	}
+	edit() // grow the backing array once
+	if allocs := testing.AllocsPerRun(100, edit); allocs > 0 {
+		t.Errorf("IntervalSet.Add/Remove allocate %.1f/op once capacity exists, want 0", allocs)
+	}
+}
+
+func TestOliaOnPacketAckedAllocFree(t *testing.T) {
+	o := cc.NewOlia(wire.MaxPacketSize)
+	p0, p1 := o.AddPath(), o.AddPath()
+	p0.OnCongestionEvent() // leave slow start: the coupled increase runs
+	p1.OnCongestionEvent()
+	allocs := testing.AllocsPerRun(100, func() {
+		p0.OnPacketAcked(wire.MaxPacketSize, 20*time.Millisecond)
+		p1.OnPacketAcked(wire.MaxPacketSize, 40*time.Millisecond)
+	})
+	if allocs > 0 {
+		t.Errorf("Olia OnPacketAcked allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestWireCryptoTransferAllocBudget is the end-to-end gate over all of
+// the above: a whole two-path MPQUIC download with wire serialization
+// and AEAD on — the live packet path minus the kernel — costed in heap
+// allocations per data packet the server sent. Before the
+// allocation-free packet path this read 46; it now reads about 3
+// (handshake, timers and a STREAM frame per packet remain). The budget
+// leaves room for noise, not for a per-packet allocation site coming
+// back.
+func TestWireCryptoTransferAllocBudget(t *testing.T) {
+	const budget = 10
+	sc := expdesign.Scenario{
+		Class: "perf",
+		Paths: [2]netem.PathSpec{
+			{CapacityMbps: 20, RTT: 20 * time.Millisecond, QueueDelay: 50 * time.Millisecond},
+			{CapacityMbps: 10, RTT: 40 * time.Millisecond, QueueDelay: 50 * time.Millisecond},
+		},
+	}
+	cfg := core.DefaultConfig()
+	cfg.WireSerialization = true
+	cfg.EnableCrypto = true
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := expdesign.RunMPQUICVariant(sc, cfg, 8<<20, 0, 7)
+	runtime.ReadMemStats(&after)
+	if !res.Completed || res.Metrics.PacketsSent == 0 {
+		t.Fatalf("transfer did not complete: %+v", res)
+	}
+	perPkt := float64(after.Mallocs-before.Mallocs) / float64(res.Metrics.PacketsSent)
+	t.Logf("%.2f mallocs per server data packet (%d packets)", perPkt, res.Metrics.PacketsSent)
+	if perPkt > budget {
+		t.Errorf("wire+AEAD transfer allocates %.2f/packet, budget %d", perPkt, budget)
 	}
 }

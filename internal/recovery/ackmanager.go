@@ -106,10 +106,24 @@ func (a *AckManager) AckDeadline() time.Duration {
 func (a *AckManager) HasACKablePackets() bool { return a.hasReceived }
 
 // BuildAck constructs the ACK frame and resets ack policy state. It
-// returns nil when nothing has been received yet.
+// returns nil when nothing has been received yet. The frame is freshly
+// allocated and the caller's to keep; a sender that serializes the
+// frame before building the next one should use BuildAckInto.
 func (a *AckManager) BuildAck(now time.Duration) *wire.AckFrame {
 	if !a.hasReceived {
 		return nil
+	}
+	f := new(wire.AckFrame)
+	a.BuildAckInto(f, now)
+	return f
+}
+
+// BuildAckInto is BuildAck filling the caller's frame, reusing the
+// capacity of f.Ranges. It reports false, leaving f alone, when nothing
+// has been received yet.
+func (a *AckManager) BuildAckInto(f *wire.AckFrame, now time.Duration) bool {
+	if !a.hasReceived {
+		return false
 	}
 	ivs := a.received.Intervals()
 	// Convert ascending [start,end) intervals to descending closed
@@ -119,7 +133,10 @@ func (a *AckManager) BuildAck(now time.Duration) *wire.AckFrame {
 	if keep > wire.MaxAckRanges {
 		keep = wire.MaxAckRanges
 	}
-	ranges := make([]wire.AckRange, 0, keep)
+	ranges := f.Ranges[:0]
+	if cap(ranges) < keep {
+		ranges = make([]wire.AckRange, 0, keep)
+	}
 	for i := n - 1; i >= n-keep; i-- {
 		ranges = append(ranges, wire.AckRange{
 			Smallest: wire.PacketNumber(ivs[i].Start),
@@ -133,5 +150,6 @@ func (a *AckManager) BuildAck(now time.Duration) *wire.AckFrame {
 	a.ackQueued = false
 	a.ackDeadline = 0
 	a.unackedRetransmittable = 0
-	return &wire.AckFrame{PathID: a.pathID, Ranges: ranges, AckDelay: delay}
+	*f = wire.AckFrame{PathID: a.pathID, Ranges: ranges, AckDelay: delay}
+	return true
 }

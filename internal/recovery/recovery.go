@@ -26,9 +26,17 @@ const (
 	timeThresholdDen = 8
 )
 
+// sentInlineFrames is how many retransmittable frames a SentPacket
+// recorded through RecordSent holds without a separate allocation; a
+// data packet carries one or two.
+const sentInlineFrames = 4
+
 // SentPacket records one in-flight packet.
 type SentPacket struct {
-	PN     wire.PacketNumber
+	PN wire.PacketNumber
+	// Frames are consulted when the packet is acked or lost. Packets
+	// recorded through RecordSent keep only retransmittable frames —
+	// the others are never looked at again.
 	Frames []wire.Frame
 	// Size is the congestion-controlled size (full datagram bytes).
 	Size int
@@ -42,14 +50,42 @@ type SentPacket struct {
 	Reinjected bool
 
 	acked, lost bool
+	// owned marks a packet the Space allocated (RecordSent) and may
+	// therefore recycle; caller-built packets are left to the GC.
+	owned  bool
+	inline [sentInlineFrames]wire.Frame // backs Frames of owned packets
 }
 
 // Space tracks the sent half of one packet-number space.
+//
+// The slices a Space returns — AckResult.NewlyAcked and Lost, the
+// OnLossTimer and OnRTO results, Outstanding — are scratch the Space
+// owns, valid until the next call of the method that produced them
+// (OnAck, OnLossTimer and OnRTO share theirs); callers consume them on
+// the spot. The settled SentPackets they point to stay intact at least
+// until the next OnAck, OnLossTimer or OnRTO, which is when packets
+// the Space allocated itself become eligible for reuse.
 type Space struct {
 	est *rtt.Estimator
 
-	packets []*SentPacket // PN-ordered; head-trimmed as packets settle
-	index   map[wire.PacketNumber]*SentPacket
+	// packets[head:] is the PN-ordered history; settled packets are
+	// trimmed from its front by advancing head, and the live part is
+	// moved down when the dead prefix outgrows it, so the backing array
+	// is reused instead of walked through.
+	packets []*SentPacket
+	head    int
+
+	// free holds recycled owned packets. retired holds the ones trimmed
+	// since the last OnAck/OnLossTimer/OnRTO began: that call's result
+	// still points at them, so they join free only when the next one
+	// begins.
+	free    []*SentPacket
+	retired []*SentPacket
+
+	// Result scratch, see the type comment.
+	ackedScratch []*SentPacket
+	lostScratch  []*SentPacket
+	outScratch   []*SentPacket
 
 	nextPN        wire.PacketNumber
 	largestAcked  wire.PacketNumber
@@ -82,7 +118,6 @@ type Stats struct {
 func NewSpace(est *rtt.Estimator) *Space {
 	return &Space{
 		est:          est,
-		index:        make(map[wire.PacketNumber]*SentPacket),
 		largestAcked: wire.InvalidPacketNumber,
 	}
 }
@@ -114,11 +149,10 @@ func (s *Space) RTT() *rtt.Estimator { return s.est }
 // OnPacketSent records a transmission. The PN must come from
 // NextPacketNumber (strictly increasing).
 func (s *Space) OnPacketSent(sp *SentPacket) {
-	if len(s.packets) > 0 && sp.PN <= s.packets[len(s.packets)-1].PN {
+	if len(s.packets) > s.head && sp.PN <= s.packets[len(s.packets)-1].PN {
 		panic("recovery: non-monotonic packet number")
 	}
 	s.packets = append(s.packets, sp)
-	s.index[sp.PN] = sp
 	s.bytesInFlight += sp.Size
 	if sp.Retransmittable {
 		s.retransmittableInFlight++
@@ -127,7 +161,40 @@ func (s *Space) OnPacketSent(sp *SentPacket) {
 	s.Stats.BytesSent += uint64(sp.Size)
 }
 
-// AckResult reports the outcome of processing one ACK frame.
+// RecordSent is OnPacketSent for a connection's send path: it records
+// a retransmittable transmission in a SentPacket recycled from the
+// space's free list. Only the retransmittable frames are kept, in
+// storage the SentPacket itself carries; the frames slice is not
+// retained, so the caller may reuse it at once.
+func (s *Space) RecordSent(pn wire.PacketNumber, frames []wire.Frame, size int, now time.Duration) {
+	var sp *SentPacket
+	if n := len(s.free); n > 0 {
+		sp = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	} else {
+		sp = new(SentPacket)
+	}
+	*sp = SentPacket{PN: pn, Size: size, SentTime: now, Retransmittable: true, owned: true}
+	sp.Frames = sp.inline[:0]
+	for _, f := range frames {
+		if f.Retransmittable() {
+			sp.Frames = append(sp.Frames, f)
+		}
+	}
+	s.OnPacketSent(sp)
+}
+
+// reclaim opens a result-producing call: the packets retired under the
+// previous result are now unreferenced and may be handed out again.
+func (s *Space) reclaim() {
+	s.free = append(s.free, s.retired...)
+	clear(s.retired)
+	s.retired = s.retired[:0]
+}
+
+// AckResult reports the outcome of processing one ACK frame. NewlyAcked
+// and Lost are Space-owned scratch (see Space).
 type AckResult struct {
 	NewlyAcked []*SentPacket
 	Lost       []*SentPacket
@@ -149,11 +216,13 @@ func (s *Space) OnAck(ack *wire.AckFrame, now time.Duration) AckResult {
 	if largest == wire.InvalidPacketNumber {
 		return res
 	}
+	s.reclaim()
 	if s.largestAcked == wire.InvalidPacketNumber || largest > s.largestAcked {
 		s.largestAcked = largest
 	}
 	// Collect newly acked packets.
-	for _, sp := range s.packets {
+	res.NewlyAcked = s.ackedScratch[:0]
+	for _, sp := range s.packets[s.head:] {
 		if sp.acked || sp.lost {
 			continue
 		}
@@ -176,6 +245,7 @@ func (s *Space) OnAck(ack *wire.AckFrame, now time.Duration) AckResult {
 			}
 		}
 	}
+	s.ackedScratch = res.NewlyAcked
 	if len(res.NewlyAcked) > 0 {
 		s.est.ResetBackoff()
 	}
@@ -210,10 +280,10 @@ func (s *Space) detectLost(now time.Duration) []*SentPacket {
 	if s.largestAcked == wire.InvalidPacketNumber {
 		return nil
 	}
-	var lost []*SentPacket
+	lost := s.lostScratch[:0]
 	s.lossTime = 0
 	threshold := s.timeThreshold()
-	for _, sp := range s.packets {
+	for _, sp := range s.packets[s.head:] {
 		if sp.acked || sp.lost {
 			continue
 		}
@@ -234,6 +304,7 @@ func (s *Space) detectLost(now time.Duration) []*SentPacket {
 			s.lossTime = sp.SentTime + threshold
 		}
 	}
+	s.lostScratch = lost
 	return lost
 }
 
@@ -254,6 +325,7 @@ func (s *Space) LossTime() time.Duration { return s.lossTime }
 // OnLossTimer re-runs time-threshold detection (the early-retransmit
 // timer fired). The caller applies a congestion event if reported.
 func (s *Space) OnLossTimer(now time.Duration) ([]*SentPacket, bool) {
+	s.reclaim()
 	lost := s.detectLost(now)
 	s.trim()
 	if len(lost) == 0 {
@@ -266,8 +338,9 @@ func (s *Space) OnLossTimer(now time.Duration) ([]*SentPacket, bool) {
 // go-back behavior after a retransmission timeout — and backs off the
 // estimator. The caller must invoke the congestion controller's OnRTO.
 func (s *Space) OnRTO(now time.Duration) []*SentPacket {
-	var lost []*SentPacket
-	for _, sp := range s.packets {
+	s.reclaim()
+	lost := s.lostScratch[:0]
+	for _, sp := range s.packets[s.head:] {
 		if sp.acked || sp.lost {
 			continue
 		}
@@ -277,6 +350,7 @@ func (s *Space) OnRTO(now time.Duration) []*SentPacket {
 		s.Stats.BytesLost += uint64(sp.Size)
 		lost = append(lost, sp)
 	}
+	s.lostScratch = lost
 	s.trim()
 	s.est.Backoff()
 	s.Stats.RTOCount++
@@ -289,35 +363,54 @@ func (s *Space) settle(sp *SentPacket) {
 	if sp.Retransmittable {
 		s.retransmittableInFlight--
 	}
-	delete(s.index, sp.PN)
+}
+
+// retire drops the history's reference to a settled packet and queues
+// it for recycling if the Space owns it.
+func (s *Space) retire(i int) {
+	if sp := s.packets[i]; sp.owned {
+		s.retired = append(s.retired, sp)
+	}
+	s.packets[i] = nil
 }
 
 // trim drops settled packets from the head of the history.
 func (s *Space) trim() {
-	i := 0
-	for i < len(s.packets) && (s.packets[i].acked || s.packets[i].lost) {
-		i++
+	for s.head < len(s.packets) && (s.packets[s.head].acked || s.packets[s.head].lost) {
+		s.retire(s.head)
+		s.head++
 	}
-	if i > 0 {
-		s.packets = s.packets[i:]
-	}
+	live := s.packets[s.head:]
 	// Compact interior garbage occasionally.
-	if len(s.packets) > 64 {
+	if len(live) > 64 {
 		settled := 0
-		for _, sp := range s.packets {
+		for _, sp := range live {
 			if sp.acked || sp.lost {
 				settled++
 			}
 		}
-		if settled > len(s.packets)/2 {
-			kept := s.packets[:0]
-			for _, sp := range s.packets {
-				if !sp.acked && !sp.lost {
-					kept = append(kept, sp)
+		if settled > len(live)/2 {
+			kept := s.head
+			for i := s.head; i < len(s.packets); i++ {
+				if sp := s.packets[i]; sp.acked || sp.lost {
+					s.retire(i)
+				} else {
+					s.packets[kept] = sp
+					kept++
 				}
 			}
-			s.packets = kept
+			clear(s.packets[kept:])
+			s.packets = s.packets[:kept]
+			live = s.packets[s.head:]
 		}
+	}
+	// Reuse the dead prefix once it is at least as long as what lives
+	// (amortized O(1) per packet).
+	if s.head > 0 && s.head >= len(live) {
+		n := copy(s.packets, live)
+		clear(s.packets[n:])
+		s.packets = s.packets[:n]
+		s.head = 0
 	}
 }
 
@@ -325,7 +418,7 @@ func (s *Space) trim() {
 // packet; ok is false when nothing is outstanding. RTO timers anchored
 // here cannot be deferred by further transmissions on the same path.
 func (s *Space) OldestUnackedSentTime() (time.Duration, bool) {
-	for _, sp := range s.packets {
+	for _, sp := range s.packets[s.head:] {
 		if !sp.acked && !sp.lost {
 			return sp.SentTime, true
 		}
@@ -333,13 +426,15 @@ func (s *Space) OldestUnackedSentTime() (time.Duration, bool) {
 	return 0, false
 }
 
-// Outstanding returns the unsettled packets (oldest first).
+// Outstanding returns the unsettled packets (oldest first) in
+// Space-owned scratch, valid until the next Outstanding call.
 func (s *Space) Outstanding() []*SentPacket {
-	var out []*SentPacket
-	for _, sp := range s.packets {
+	out := s.outScratch[:0]
+	for _, sp := range s.packets[s.head:] {
 		if !sp.acked && !sp.lost {
 			out = append(out, sp)
 		}
 	}
+	s.outScratch = out
 	return out
 }

@@ -59,10 +59,15 @@ type Event struct {
 // At reports the deadline of the event.
 func (e *Event) At() Time { return e.at }
 
-// Cancel prevents the event from running. Cancelling an already-cancelled
-// pending event is a no-op; see the pooling note on Event for handles to
-// already-executed events.
-func (e *Event) Cancel() { e.dead = true }
+// Cancel prevents the event from running and drops its callback, so a
+// cancelled far-future event (an idle timeout two minutes out) stops
+// pinning whatever the callback captured while it waits in the heap.
+// Cancelling an already-cancelled pending event is a no-op; see the
+// pooling note on Event for handles to already-executed events.
+func (e *Event) Cancel() {
+	e.dead = true
+	e.fn = nil
+}
 
 // Cancelled reports whether Cancel was called.
 func (e *Event) Cancelled() bool { return e.dead }
@@ -377,18 +382,25 @@ type Timer struct {
 	clock *Clock
 	ev    *Event
 	fn    func()
+	// fireFn is the method value t.fire, bound once: evaluating it in
+	// Reset would allocate a closure per re-arm.
+	fireFn func()
 }
 
 // NewTimer returns an unarmed timer that runs fn when it fires.
 func NewTimer(c *Clock, fn func()) *Timer {
-	return &Timer{clock: c, fn: fn}
+	t := &Timer{clock: c, fn: fn}
+	t.fireFn = t.fire
+	return t
 }
 
 // Reset (re)arms the timer to fire at absolute time at, replacing any
 // previously armed deadline.
+//
+//mpq:noescape
 func (t *Timer) Reset(at Time) {
 	t.Stop()
-	t.ev = t.clock.At(at, t.fire)
+	t.ev = t.clock.At(at, t.fireFn)
 }
 
 // ResetAfter (re)arms the timer to fire d from now.

@@ -42,49 +42,83 @@ func (s *IntervalSet) Size() uint64 {
 // Intervals returns the underlying sorted intervals (do not mutate).
 func (s *IntervalSet) Intervals() []Interval { return s.ivs }
 
-// Add inserts [start, end), coalescing with neighbors.
+// Add inserts [start, end), coalescing with neighbors. The set is
+// edited in place: once the backing array has room, Add allocates
+// nothing.
+//
+//mpq:noescape
 func (s *IntervalSet) Add(start, end uint64) {
 	if start >= end {
 		return
 	}
-	// Find insertion point: first interval with End >= start.
-	i := 0
-	for i < len(s.ivs) && s.ivs[i].End < start {
-		i++
-	}
+	// [i, j) are the intervals the new one touches or overlaps: i is
+	// the first with End >= start (binary search — the ACK manager's
+	// set holds up to hundreds of intervals and mostly grows at the
+	// tail), j the first past i with Start > end.
+	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].End >= start })
 	j := i
-	newIv := Interval{start, end}
 	for j < len(s.ivs) && s.ivs[j].Start <= end {
-		if s.ivs[j].Start < newIv.Start {
-			newIv.Start = s.ivs[j].Start
-		}
-		if s.ivs[j].End > newIv.End {
-			newIv.End = s.ivs[j].End
-		}
 		j++
 	}
-	s.ivs = append(s.ivs[:i], append([]Interval{newIv}, s.ivs[j:]...)...)
+	if i == j {
+		// Touches nothing: open a slot at i.
+		s.ivs = append(s.ivs, Interval{})
+		copy(s.ivs[i+1:], s.ivs[i:])
+		s.ivs[i] = Interval{start, end}
+		return
+	}
+	// Merge [i, j) into one interval at i and close the gap.
+	if s.ivs[i].Start < start {
+		start = s.ivs[i].Start
+	}
+	if s.ivs[j-1].End > end {
+		end = s.ivs[j-1].End
+	}
+	s.ivs[i] = Interval{start, end}
+	s.ivs = append(s.ivs[:i+1], s.ivs[j:]...)
 }
 
-// Remove deletes [start, end) from the set, splitting as needed.
+// Remove deletes [start, end) from the set, splitting as needed. Like
+// Add it edits the set in place; only a split that finds the backing
+// array full allocates.
 func (s *IntervalSet) Remove(start, end uint64) {
 	if start >= end {
 		return
 	}
-	var out []Interval
-	for _, iv := range s.ivs {
-		if iv.End <= start || iv.Start >= end {
-			out = append(out, iv)
-			continue
-		}
-		if iv.Start < start {
-			out = append(out, Interval{iv.Start, start})
-		}
-		if iv.End > end {
-			out = append(out, Interval{end, iv.End})
-		}
+	// [i, j) are the intervals overlapping [start, end).
+	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].End > start })
+	j := i
+	for j < len(s.ivs) && s.ivs[j].Start < end {
+		j++
 	}
-	s.ivs = out
+	if i == j {
+		return
+	}
+	// At most two remnants survive: the part of the first overlapped
+	// interval below start and the part of the last one above end.
+	left, right := s.ivs[i], s.ivs[j-1]
+	k := i
+	if left.Start < start {
+		k++
+	}
+	if right.End > end {
+		k++
+	}
+	// Resize the overlapped span [i, j) to the k-i remnants.
+	switch {
+	case k > j: // one interval split in two: open one slot
+		s.ivs = append(s.ivs, Interval{})
+		copy(s.ivs[k:], s.ivs[j:])
+	case k < j:
+		s.ivs = append(s.ivs[:k], s.ivs[j:]...)
+	}
+	if left.Start < start {
+		s.ivs[i] = Interval{left.Start, start}
+		i++
+	}
+	if right.End > end {
+		s.ivs[i] = Interval{end, right.End}
+	}
 }
 
 // Contains reports whether every byte of [start, end) is in the set.

@@ -13,9 +13,13 @@ import (
 type RecvStream struct {
 	id       wire.StreamID
 	received IntervalSet
-	// buf holds real-mode bytes, indexed by absolute offset. nil until
-	// real data arrives.
+	// buf is a sliding window over the real-mode bytes: buf[i] is
+	// stream offset base+i, with base <= readOffset, so memory is
+	// bounded by the span between the read offset and the highest
+	// offset received (at most the flow-control window), not by the
+	// length of the stream. nil until real data arrives.
 	buf        []byte
+	base       uint64
 	readOffset uint64
 	finOffset  uint64
 	hasFin     bool
@@ -50,34 +54,51 @@ func (r *RecvStream) OnFrame(f *wire.StreamFrame) (newBytes uint64, err error) {
 	before := r.received.Size()
 	r.received.Add(f.Offset, end)
 	newBytes = r.received.Size() - before
-	if f.Data != nil {
-		if uint64(len(r.buf)) < end {
-			if uint64(cap(r.buf)) >= end {
-				r.buf = r.buf[:end]
-			} else {
-				// Grow geometrically: extending by one frame at a time
-				// would reallocate and copy the whole reassembly buffer
-				// per packet — O(n²) over a transfer, and the dominant
-				// cost of a fast live-mode download. When the stream
-				// length is already known (FIN seen), size to it exactly.
-				newCap := uint64(cap(r.buf)) * 2
-				if newCap < end {
-					newCap = end
-				}
-				if newCap < 16<<10 {
-					newCap = 16 << 10
-				}
-				if r.hasFin && r.finOffset >= end && newCap > r.finOffset {
-					newCap = r.finOffset
-				}
-				grown := make([]byte, end, newCap)
-				copy(grown, r.buf)
-				r.buf = grown
-			}
+	if f.Data != nil && end > r.readOffset {
+		r.reserve(end)
+		// Bytes below base were read already; a late duplicate
+		// straddling base contributes only its tail.
+		from := f.Offset
+		if from < r.base {
+			from = r.base
 		}
-		copy(r.buf[f.Offset:end], f.Data)
+		copy(r.buf[from-r.base:end-r.base], f.Data[from-f.Offset:])
 	}
 	return newBytes, nil
+}
+
+// minRecvBuf is the smallest reassembly buffer allocated.
+const minRecvBuf = 16 << 10
+
+// reserve makes buf cover stream offsets up to end. When the frame does
+// not fit, the unread bytes first slide to the front of the buffer;
+// only when the unread span itself (read offset to end) exceeds the
+// capacity does the buffer grow — to twice that span, so that a buffer
+// at its steady size slides rarely, and never past the stream length
+// once the FIN is known.
+func (r *RecvStream) reserve(end uint64) {
+	if end-r.base <= uint64(cap(r.buf)) {
+		if end-r.base > uint64(len(r.buf)) {
+			r.buf = r.buf[:end-r.base]
+		}
+		return
+	}
+	// Drop the consumed prefix.
+	unread := r.buf[min(r.readOffset-r.base, uint64(len(r.buf))):]
+	r.base = r.readOffset
+	need := end - r.base
+	if need <= uint64(cap(r.buf)) {
+		n := copy(r.buf[:cap(r.buf)], unread)
+		r.buf = r.buf[:max(uint64(n), need)]
+		return
+	}
+	newCap := max(2*need, minRecvBuf)
+	if r.hasFin && newCap > r.finOffset-r.base {
+		newCap = r.finOffset - r.base
+	}
+	grown := make([]byte, need, newCap)
+	copy(grown, unread)
+	r.buf = grown
 }
 
 // Readable reports contiguous bytes available past the read offset.
@@ -86,7 +107,9 @@ func (r *RecvStream) Readable() uint64 {
 }
 
 // Read consumes up to n contiguous bytes and returns how many were
-// consumed plus the real-mode bytes (nil in synthetic mode).
+// consumed plus the real-mode bytes (nil in synthetic mode). data
+// aliases the reassembly window and is valid until the next OnFrame,
+// which may slide or replace it: consume or copy it first.
 func (r *RecvStream) Read(n uint64) (consumed uint64, data []byte) {
 	avail := r.Readable()
 	if n > avail {
@@ -95,8 +118,8 @@ func (r *RecvStream) Read(n uint64) (consumed uint64, data []byte) {
 	if n == 0 {
 		return 0, nil
 	}
-	if r.buf != nil && uint64(len(r.buf)) >= r.readOffset+n {
-		data = r.buf[r.readOffset : r.readOffset+n]
+	if at := r.readOffset - r.base; r.buf != nil && uint64(len(r.buf)) >= at+n {
+		data = r.buf[at : at+n]
 	}
 	r.readOffset += n
 	return n, data

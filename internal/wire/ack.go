@@ -114,67 +114,71 @@ func (f *AckFrame) Append(b []byte) []byte {
 	return b
 }
 
-func parseAckFrame(b []byte) (Frame, int, error) {
+// parseAckFrame decodes the ACK frame at the front of b into f,
+// reusing the capacity of f.Ranges, and returns the bytes consumed.
+func parseAckFrame(f *AckFrame, b []byte) (int, error) {
 	if len(b) < 2 {
-		return nil, 0, frameErr("ACK", ErrTruncated)
+		return 0, frameErr("ACK", ErrTruncated)
 	}
-	f := &AckFrame{PathID: PathID(b[1])}
+	f.PathID = PathID(b[1])
 	off := 2
 	largest, n, err := ConsumeVarint(b[off:])
 	if err != nil {
-		return nil, 0, frameErr("ACK", err)
+		return 0, frameErr("ACK", err)
 	}
 	off += n
 	delayUS, n, err := ConsumeVarint(b[off:])
 	if err != nil {
-		return nil, 0, frameErr("ACK", err)
+		return 0, frameErr("ACK", err)
 	}
 	off += n
 	if delayUS > maxDurationUS {
-		return nil, 0, frameErr("ACK", errDurationRange)
+		return 0, frameErr("ACK", errDurationRange)
 	}
 	f.AckDelay = time.Duration(delayUS) * time.Microsecond
 	extra, n, err := ConsumeVarint(b[off:])
 	if err != nil {
-		return nil, 0, frameErr("ACK", err)
+		return 0, frameErr("ACK", err)
 	}
 	off += n
 	if extra >= MaxAckRanges {
-		return nil, 0, fmt.Errorf("wire: ACK frame with %d ranges", extra+1)
+		return 0, fmt.Errorf("wire: ACK frame with %d ranges", extra+1)
 	}
 	firstLen, n, err := ConsumeVarint(b[off:])
 	if err != nil {
-		return nil, 0, frameErr("ACK", err)
+		return 0, frameErr("ACK", err)
 	}
 	off += n
 	if firstLen > largest {
-		return nil, 0, fmt.Errorf("wire: ACK first range underflows")
+		return 0, fmt.Errorf("wire: ACK first range underflows")
 	}
 	cur := AckRange{Smallest: PacketNumber(largest - firstLen), Largest: PacketNumber(largest)}
-	f.Ranges = make([]AckRange, 0, extra+1)
-	f.Ranges = append(f.Ranges, cur)
+	if uint64(cap(f.Ranges)) <= extra {
+		f.Ranges = make([]AckRange, 0, extra+1)
+	}
+	f.Ranges = append(f.Ranges[:0], cur)
 	for i := uint64(0); i < extra; i++ {
 		gap, n, err := ConsumeVarint(b[off:])
 		if err != nil {
-			return nil, 0, frameErr("ACK", err)
+			return 0, frameErr("ACK", err)
 		}
 		off += n
 		length, n, err := ConsumeVarint(b[off:])
 		if err != nil {
-			return nil, 0, frameErr("ACK", err)
+			return 0, frameErr("ACK", err)
 		}
 		off += n
 		if uint64(cur.Smallest) < gap+2+length {
-			return nil, 0, fmt.Errorf("wire: ACK range underflows")
+			return 0, fmt.Errorf("wire: ACK range underflows")
 		}
 		largestNext := uint64(cur.Smallest) - gap - 2
 		cur = AckRange{Smallest: PacketNumber(largestNext - length), Largest: PacketNumber(largestNext)}
 		f.Ranges = append(f.Ranges, cur)
 	}
 	if err := f.Validate(); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	return f, off, nil
+	return off, nil
 }
 
 // BuildAckRanges converts a set of received packet numbers (any order,

@@ -270,21 +270,33 @@ func (f *HandshakeFrame) Append(b []byte) []byte {
 // ParseFrame decodes the frame at the front of b, returning it and the
 // bytes consumed. Payload-carrying frames copy their bytes out of b.
 func ParseFrame(b []byte) (Frame, int, error) {
-	return parseFrame(b, false)
+	return parseFrame(nil, b, false)
 }
 
 // parseFrame decodes one frame. With borrow set, STREAM and HANDSHAKE
-// payloads alias b (see DecodeBorrowed).
-func parseFrame(b []byte, borrow bool) (Frame, int, error) {
+// payloads alias b (see DecodeBorrowed). STREAM and ACK frames — the
+// steady-state traffic — are taken from scratch (fresh when scratch is
+// nil); the rare control frames are always freshly allocated.
+func parseFrame(scratch *DecodeScratch, b []byte, borrow bool) (Frame, int, error) {
 	if len(b) == 0 {
 		return nil, 0, ErrTruncated
 	}
 	t := b[0]
 	switch {
 	case t&byte(TypeStream) != 0:
-		return parseStreamFrame(b, borrow)
+		f := scratch.streamFrame()
+		n, err := parseStreamFrame(f, b, borrow)
+		if err != nil {
+			return nil, 0, err
+		}
+		return f, n, nil
 	case t&byte(TypeAck) != 0:
-		return parseAckFrame(b)
+		f := scratch.ackFrame()
+		n, err := parseAckFrame(f, b)
+		if err != nil {
+			return nil, 0, err
+		}
+		return f, n, nil
 	}
 	switch FrameType(t) {
 	case TypePadding:
@@ -403,27 +415,29 @@ func parseFrame(b []byte, borrow bool) (Frame, int, error) {
 	}
 }
 
-func parseStreamFrame(b []byte, borrow bool) (Frame, int, error) {
+// parseStreamFrame decodes the STREAM frame at the front of b into f
+// and returns the bytes consumed.
+func parseStreamFrame(f *StreamFrame, b []byte, borrow bool) (int, error) {
 	fin := b[0]&0x01 != 0
 	off := 1
 	sid, n, err := ConsumeVarint(b[off:])
 	if err != nil {
-		return nil, 0, frameErr("STREAM", err)
+		return 0, frameErr("STREAM", err)
 	}
 	off += n
 	offset, n, err := ConsumeVarint(b[off:])
 	if err != nil {
-		return nil, 0, frameErr("STREAM", err)
+		return 0, frameErr("STREAM", err)
 	}
 	off += n
 	l, n, err := ConsumeVarint(b[off:])
 	if err != nil {
-		return nil, 0, frameErr("STREAM", err)
+		return 0, frameErr("STREAM", err)
 	}
 	off += n
 	data, n, err := consumeBytes(b[off:], int(l))
 	if err != nil {
-		return nil, 0, frameErr("STREAM", err)
+		return 0, frameErr("STREAM", err)
 	}
 	off += n
 	if !borrow {
@@ -431,5 +445,6 @@ func parseStreamFrame(b []byte, borrow bool) (Frame, int, error) {
 		copy(cp, data)
 		data = cp
 	}
-	return &StreamFrame{StreamID: StreamID(sid), Offset: offset, Data: data, Fin: fin}, off, nil
+	*f = StreamFrame{StreamID: StreamID(sid), Offset: offset, Data: data, Fin: fin}
+	return off, nil
 }

@@ -1,6 +1,6 @@
 package wire
 
-import "fmt"
+import "errors"
 
 // Overhead constants for byte accounting. The emulator charges each
 // datagram the transport framing a real deployment would pay.
@@ -72,6 +72,16 @@ type Sealer interface {
 	Seal(path PathID, pn PacketNumber, header, plaintext []byte) []byte
 	// Open reverses Seal, failing on any forgery.
 	Open(path PathID, pn PacketNumber, header, ciphertext []byte) ([]byte, error)
+	// SealTo is Seal appending the ciphertext to dst, in the manner of
+	// cipher.AEAD: Seal is SealTo with a nil dst. To seal a payload
+	// over itself pass plaintext[:0] (or any slice ending where
+	// plaintext starts) with AEADOverhead bytes of spare capacity
+	// behind the plaintext; header must not overlap the output.
+	SealTo(dst []byte, path PathID, pn PacketNumber, header, plaintext []byte) []byte
+	// OpenTo is Open appending the plaintext to dst; ciphertext[:0]
+	// decrypts in place. On a forgery it returns an error and the
+	// contents of the output region are unspecified.
+	OpenTo(dst []byte, path PathID, pn PacketNumber, header, ciphertext []byte) ([]byte, error)
 }
 
 // Encode serializes the packet into a freshly allocated buffer. A nil
@@ -104,63 +114,142 @@ func (p *Packet) EncodeTo(buf []byte, sealer Sealer) []byte {
 		}
 		return buf
 	}
-	sealed := sealer.Seal(p.Header.PathID, p.Header.PacketNumber, buf[start:hdrEnd], buf[hdrEnd:])
-	return append(buf[:hdrEnd], sealed...)
+	// Seal the frames over themselves: the ciphertext lands where the
+	// plaintext was and the tag behind it (pooled buffers have room).
+	return sealer.SealTo(buf[:hdrEnd], p.Header.PathID, p.Header.PacketNumber, buf[start:hdrEnd], buf[hdrEnd:])
 }
 
 // Decode parses a serialized packet. largestReceived expands the
 // truncated packet number (pass InvalidPacketNumber on fresh paths). A
 // nil sealer expects the cleartext-with-filler format Encode(nil)
-// produces. Parsed frames own their payload bytes: b may be reused
-// freely after Decode returns.
+// produces. Parsed frames own their payload bytes and b is left
+// untouched (a sealed payload is opened into fresh memory): b may be
+// reused freely after Decode returns.
 func Decode(b []byte, largestReceived PacketNumber, sealer Sealer) (*Packet, error) {
-	return decode(b, largestReceived, sealer, false)
-}
-
-// DecodeBorrowed parses like Decode, but STREAM and HANDSHAKE frame
-// payloads alias b instead of being copied. The caller must fully
-// consume the frames (or copy what it keeps) before reusing or pooling
-// b. This is the receive hot path: the stream layer copies data into
-// its reassembly buffer immediately, so the borrow never outlives the
-// datagram delivery. (The *Packet itself is allocated inside decode,
-// which is not annotated; the gate pins this wrapper's own frame —
-// notably that b stays on the stack.)
-//
-//mpq:noescape
-func DecodeBorrowed(b []byte, largestReceived PacketNumber, sealer Sealer) (*Packet, error) {
-	return decode(b, largestReceived, sealer, true)
-}
-
-func decode(b []byte, largestReceived PacketNumber, sealer Sealer, borrow bool) (*Packet, error) {
-	hdr, hdrLen, err := ParseHeader(b, largestReceived)
-	if err != nil {
+	p := &Packet{Frames: make([]Frame, 0, 4)}
+	if err := decodeInto(p, nil, b, largestReceived, sealer, false); err != nil {
 		return nil, err
 	}
-	p := &Packet{Header: hdr, Frames: make([]Frame, 0, 4)}
+	return p, nil
+}
+
+// DecodeBorrowed parses like Decode into a fresh Packet, but borrows b
+// the way DecodeInto does: a sealed payload is opened in place,
+// overwriting b, and STREAM and HANDSHAKE frame payloads alias b
+// instead of being copied. The caller must own b and fully consume the
+// frames (or copy what it keeps) before reusing or pooling it.
+func DecodeBorrowed(b []byte, largestReceived PacketNumber, sealer Sealer) (*Packet, error) {
+	p := &Packet{Frames: make([]Frame, 0, 4)}
+	if err := decodeInto(p, nil, b, largestReceived, sealer, true); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// DecodeScratch is the frame storage DecodeInto parses into: an arena
+// of STREAM and ACK frame values — ACK frames keep the capacity of
+// their Ranges — reused from one packet to the next. The zero value is
+// ready to use.
+type DecodeScratch struct {
+	streams  []StreamFrame
+	acks     []AckFrame
+	nStreams int
+	nAcks    int
+}
+
+// reset makes the whole arena available again.
+func (s *DecodeScratch) reset() {
+	if s != nil {
+		s.nStreams, s.nAcks = 0, 0
+	}
+}
+
+// streamFrame returns the next free STREAM frame of the arena, or a
+// fresh one on a nil scratch. Growing the arena moves it, which is
+// harmless: frames already handed out stay valid in the old array, and
+// the next packet starts over in the new one.
+func (s *DecodeScratch) streamFrame() *StreamFrame {
+	if s == nil {
+		return new(StreamFrame)
+	}
+	if s.nStreams == len(s.streams) {
+		s.streams = append(s.streams, StreamFrame{})
+	}
+	s.nStreams++
+	return &s.streams[s.nStreams-1]
+}
+
+// ackFrame is streamFrame for ACK frames.
+func (s *DecodeScratch) ackFrame() *AckFrame {
+	if s == nil {
+		return new(AckFrame)
+	}
+	if s.nAcks == len(s.acks) {
+		s.acks = append(s.acks, AckFrame{})
+	}
+	s.nAcks++
+	return &s.acks[s.nAcks-1]
+}
+
+// DecodeInto is the receive hot path: it parses b into p, reusing the
+// backing array of p.Frames and taking STREAM and ACK frames from
+// scratch, so a connection that keeps one Packet and one DecodeScratch
+// decodes its steady-state traffic without allocating. Like
+// DecodeBorrowed it borrows b: a sealed payload is opened in place and
+// frame payloads alias b. p, its frames and scratch are valid until the
+// next DecodeInto on the same p or scratch, and no longer than b; on
+// error p holds no frames.
+//
+//mpq:noescape
+func DecodeInto(p *Packet, scratch *DecodeScratch, b []byte, largestReceived PacketNumber, sealer Sealer) error {
+	return decodeInto(p, scratch, b, largestReceived, sealer, true)
+}
+
+// errZeroLengthFrame guards the frame loop against a parser that
+// consumes nothing.
+var errZeroLengthFrame = errors.New("wire: zero-length frame parse")
+
+// decodeInto is the one packet parser behind Decode, DecodeBorrowed
+// and DecodeInto. Only borrow mode may write to b.
+//
+//mpq:noescape
+func decodeInto(p *Packet, scratch *DecodeScratch, b []byte, largestReceived PacketNumber, sealer Sealer, borrow bool) error {
+	scratch.reset()
+	*p = Packet{Frames: p.Frames[:0]}
+	hdr, hdrLen, err := ParseHeader(b, largestReceived)
+	if err != nil {
+		return err
+	}
 	payload := b[hdrLen:]
 	if !hdr.Handshake {
 		if sealer != nil {
-			payload, err = sealer.Open(hdr.PathID, hdr.PacketNumber, b[:hdrLen], payload)
+			var dst []byte
+			if borrow {
+				dst = payload[:0]
+			}
+			payload, err = sealer.OpenTo(dst, hdr.PathID, hdr.PacketNumber, b[:hdrLen], payload)
 			if err != nil {
-				return nil, err
+				return err
 			}
 		} else {
 			if len(payload) < AEADOverhead {
-				return nil, ErrTruncated
+				return ErrTruncated
 			}
 			payload = payload[:len(payload)-AEADOverhead]
 		}
 	}
 	for len(payload) > 0 {
-		f, n, err := parseFrame(payload, borrow)
-		if err != nil {
-			return nil, err
+		f, n, err := parseFrame(scratch, payload, borrow)
+		if err == nil && n == 0 {
+			err = errZeroLengthFrame
 		}
-		if n == 0 {
-			return nil, fmt.Errorf("wire: zero-length frame parse")
+		if err != nil {
+			p.Frames = p.Frames[:0]
+			return err
 		}
 		p.Frames = append(p.Frames, f)
 		payload = payload[n:]
 	}
-	return p, nil
+	p.Header = hdr
+	return nil
 }

@@ -11,9 +11,15 @@
 # to the PR 7 pre-fast-lane baseline; runs are null when the
 # environment denies UDP.
 #
-#   scripts/bench.sh            # full run, writes BENCH_PR8.json
-#   scripts/bench.sh -smoke     # CI-sized sanity pass, no file output
+#   scripts/bench.sh            # full run, JSON on stdout
+#   scripts/bench.sh -smoke     # CI-sized sanity pass, no JSON
 #   scripts/bench.sh -o F.json  # full run, write to F.json
+#
+# There is no default output file: a run that names none prints its
+# JSON to standard output (progress goes to standard error), so a stale
+# trajectory file is never overwritten by accident. The repository
+# benchmark proper — workloads, end-to-end metrics, noise-aware
+# comparison — is bench/run.sh (see BENCHMARK.json, bench/README.md).
 #
 # The emitted JSON carries a "baseline" block: the same benchmarks
 # measured at the commit before the PR 3 hot-path pass (8e0e2f0, struct
@@ -23,7 +29,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-out=BENCH_PR8.json
+out=
 mode=full
 while [ $# -gt 0 ]; do
     case "$1" in
@@ -45,6 +51,10 @@ fi
 
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
+
+# Progress and benchmark output go to stderr; stdout carries only the
+# JSON of a full run without -o.
+exec 3>&1 1>&2
 
 echo "== micro benchmarks (-benchtime=$microtime)"
 go test ./internal/perf -run '^$' -bench "$micro" -benchmem -benchtime "$microtime" | tee -a "$tmp"
@@ -129,7 +139,7 @@ results=$(awk '
     sep = ",\n"
 }' "$tmp")
 
-{
+emit_json() {
     printf '{\n'
     printf '  "go": "%s",\n' "$(go version | awk '{print $3}')"
     printf '  "benchtime": {"micro": "%s", "grid": "%s"},\n' "$microtime" "$gridtime"
@@ -169,6 +179,11 @@ EOF
     printf '%s\n' "$results"
     printf '  ]\n'
     printf '}\n'
-} > "$out"
+}
 
-echo "wrote $out"
+if [ -n "$out" ]; then
+    emit_json > "$out"
+    echo "wrote $out"
+else
+    emit_json >&3
+fi

@@ -52,6 +52,12 @@ fi
 echo "== go test"
 go test ./...
 
+# bench/ is a module of its own (replace mpquic => ../), so the root
+# ./... patterns above never compile it: without this step a change to
+# an internal/* API could break the benchmark harness unnoticed.
+echo "== bench module (go vet, go test)"
+(cd bench && go vet . && go test .)
+
 # The root package hosts the grid benchmarks; every internal package
 # is seconds-fast even under the race detector.
 echo "== go test -race (internal packages)"
