@@ -1,7 +1,7 @@
 # Convenience targets; see scripts/check.sh for the pre-commit gate and
-# scripts/bench.sh for the perf harness.
+# bench/run.sh (BENCHMARK.json) for the repository benchmark.
 
-.PHONY: build test vet escape doclint fuzz-smoke bench bench-smoke live-smoke chaos-smoke check
+.PHONY: build test vet escape doclint fuzz-smoke bench live-smoke chaos-smoke check
 
 build:
 	go build ./...
@@ -25,11 +25,11 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz='^FuzzLiveIngress$$' -fuzztime=30s ./internal/live
 	go test -run='^$$' -fuzz='^FuzzRecvStream$$' -fuzztime=30s ./internal/stream
 
+# Every BENCHMARK.json workload once, end-to-end metrics (about 20 s each).
 bench:
-	sh scripts/bench.sh
-
-bench-smoke:
-	sh scripts/bench.sh -smoke
+	for w in sim_grid_bulk sim_grid_lossy sim_wire_crypto live_loopback_2p live_large_1p; do \
+		bash bench/run.sh --workload $$w || exit 1; \
+	done
 
 live-smoke:
 	sh scripts/live_smoke.sh

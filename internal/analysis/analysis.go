@@ -14,13 +14,12 @@
 //	walltime     no wall-clock reads outside the perf harness
 //	globalrand   no math/rand or crypto/rand; use the seeded sim PRNG
 //	maporder     no map-iteration order leaking into schedules/results
-//	poolsafety   no use of pooled packet buffers after PutPacketBuf,
-//	             no DecodeBorrowed aliases escaping the handler
+//	poolsafety   no use of a pooled packet buffer, or of any slice of
+//	             it, after PutPacketBuf; no DecodeBorrowed aliases
+//	             escaping the handler
 //	eventhandle  no *sim.Event handles held outside sim.Timer
 //	confine      //mpq:confined members touched only from their
 //	             goroutine domain, rooted at //mpq:entry functions
-//	ringsafety   //mpq:ring buffers recycled exactly once per trip,
-//	             never escaping the ingress iteration
 //	blocking     run-loop-domain code never blocks outside the
 //	             //mpq:waitpoint
 //	annotation   every //mpq: directive is well-formed and anchored
@@ -93,7 +92,7 @@ type Diagnostic struct {
 func All() []*Analyzer {
 	return []*Analyzer{
 		Walltime, GlobalRand, MapOrder, PoolSafety, EventHandle,
-		Confine, RingSafety, Blocking, Annotation,
+		Confine, Blocking, Annotation,
 	}
 }
 

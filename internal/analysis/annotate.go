@@ -9,7 +9,7 @@ import (
 
 // The live fast lane's invariants are declared in the source with
 // //mpq: directives, the same way //mpqvet:allow already audits
-// suppressions. Six directives exist:
+// suppressions. Five directives exist:
 //
 //	//mpq:confined <domain>   on a struct field (or package var): only
 //	                          code in that goroutine domain may touch
@@ -24,8 +24,6 @@ import (
 //	//mpq:crossing            on a field/var/func: a sanctioned
 //	                          cross-domain touch point (a channel, an
 //	                          atomic, a lock-free signal).
-//	//mpq:ring                on a channel field/var: a buffer ring
-//	                          whose element lifecycle ringsafety checks.
 //	//mpq:noescape            on a func/method: the mpq-escape gate
 //	                          fails the build if the compiler reports
 //	                          anything in its body escaping to the heap.
@@ -90,15 +88,13 @@ type lineKey struct {
 }
 
 // annotations is the package-wide index of //mpq: directives the
-// confine, ringsafety and blocking analyzers consume.
+// confine and blocking analyzers consume.
 type annotations struct {
 	// fieldDomain maps a confined struct field (or package var) to its
 	// goroutine domain name.
 	fieldDomain map[types.Object]string
 	// crossing holds fields/vars/funcs sanctioned for any-domain use.
 	crossing map[types.Object]bool
-	// ring holds channel fields/vars that are buffer rings.
-	ring map[types.Object]bool
 	// funcDomain maps a //mpq:confined function to its domain: body
 	// runs there, and callers must already be there.
 	funcDomain map[*types.Func]string
@@ -120,7 +116,6 @@ func collectAnnotations(pass *Pass) *annotations {
 	ann := &annotations{
 		fieldDomain: make(map[types.Object]string),
 		crossing:    make(map[types.Object]bool),
-		ring:        make(map[types.Object]bool),
 		funcDomain:  make(map[*types.Func]string),
 		funcEntry:   make(map[*types.Func]string),
 		noescape:    make(map[*types.Func]bool),
@@ -213,8 +208,6 @@ func applyMemberDirectives(ann *annotations, obj types.Object, ds []mpqDirective
 			}
 		case "crossing":
 			ann.crossing[obj] = true
-		case "ring":
-			ann.ring[obj] = true
 		}
 	}
 }

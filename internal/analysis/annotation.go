@@ -3,17 +3,16 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 )
 
 // Annotation validates the //mpq: directives themselves, mirroring the
 // malformed-//mpqvet:allow rule: a directive that is misspelled, has
-// the wrong number of arguments, sits on the wrong kind of declaration,
-// or marks a non-channel as a ring would otherwise be silently ignored
-// by the consuming analyzers — the most dangerous failure mode for an
-// annotation-driven checker.
+// the wrong number of arguments or sits on the wrong kind of
+// declaration would otherwise be silently ignored by the consuming
+// analyzers — the most dangerous failure mode for an annotation-driven
+// checker.
 var Annotation = &Analyzer{
 	Name: "annotation",
 	Doc: "validate //mpq: directives: known name, right arity, legal anchor " +
@@ -44,7 +43,6 @@ var mpqDirectiveSpecs = map[string]mpqDirectiveSpec{
 	"confined":  {argc: 1, onFunc: true, onField: true, usage: "//mpq:confined <domain> on a func, struct field or package var"},
 	"entry":     {argc: 1, onFunc: true, usage: "//mpq:entry <domain> on a func"},
 	"crossing":  {argc: 0, onFunc: true, onField: true, usage: "//mpq:crossing on a func, struct field or package var"},
-	"ring":      {argc: 0, onField: true, usage: "//mpq:ring on a channel-typed struct field or package var"},
 	"noescape":  {argc: 0, onFunc: true, usage: "//mpq:noescape on a func"},
 	"waitpoint": {argc: 0, onFree: true, usage: "//mpq:waitpoint on (or above) a statement inside a function body"},
 }
@@ -54,14 +52,14 @@ func runAnnotation(pass *Pass) (any, error) {
 		if isTestFile(pass.Fset.Position(f.Pos()).Filename) {
 			continue
 		}
-		anchors, members := classifyAnchors(pass, f)
+		anchors := classifyAnchors(f)
 		for _, cg := range f.Comments {
 			kind, seen := anchors[cg]
 			if !seen {
 				kind = anchorFree
 			}
 			for _, d := range groupDirectives(cg) {
-				checkDirective(pass, d, kind, members[cg])
+				checkDirective(pass, d, kind)
 			}
 		}
 	}
@@ -69,20 +67,12 @@ func runAnnotation(pass *Pass) (any, error) {
 }
 
 // classifyAnchors maps each doc/line comment group of f to the kind of
-// declaration it documents, and member anchors to their objects (for
-// the ring type check).
-func classifyAnchors(pass *Pass, f *ast.File) (map[*ast.CommentGroup]anchorKind, map[*ast.CommentGroup][]types.Object) {
+// declaration it documents.
+func classifyAnchors(f *ast.File) map[*ast.CommentGroup]anchorKind {
 	anchors := make(map[*ast.CommentGroup]anchorKind)
-	members := make(map[*ast.CommentGroup][]types.Object)
-	memberAnchor := func(cg *ast.CommentGroup, names []*ast.Ident) {
-		if cg == nil {
-			return
-		}
-		anchors[cg] = anchorMember
-		for _, name := range names {
-			if obj := pass.TypesInfo.Defs[name]; obj != nil {
-				members[cg] = append(members[cg], obj)
-			}
+	memberAnchor := func(cg *ast.CommentGroup) {
+		if cg != nil {
+			anchors[cg] = anchorMember
 		}
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -93,18 +83,16 @@ func classifyAnchors(pass *Pass, f *ast.File) (map[*ast.CommentGroup]anchorKind,
 			}
 		case *ast.StructType:
 			for _, field := range n.Fields.List {
-				memberAnchor(field.Doc, field.Names)
-				memberAnchor(field.Comment, field.Names)
+				memberAnchor(field.Doc)
+				memberAnchor(field.Comment)
 			}
 		case *ast.GenDecl:
 			if n.Tok == token.VAR {
 				for _, spec := range n.Specs {
 					if vs, ok := spec.(*ast.ValueSpec); ok {
-						memberAnchor(vs.Doc, vs.Names)
-						memberAnchor(vs.Comment, vs.Names)
-						if n.Doc != nil {
-							memberAnchor(n.Doc, vs.Names)
-						}
+						memberAnchor(vs.Doc)
+						memberAnchor(vs.Comment)
+						memberAnchor(n.Doc)
 					}
 				}
 			} else if n.Doc != nil {
@@ -113,11 +101,11 @@ func classifyAnchors(pass *Pass, f *ast.File) (map[*ast.CommentGroup]anchorKind,
 		}
 		return true
 	})
-	return anchors, members
+	return anchors
 }
 
 // checkDirective validates one parsed directive against its anchor.
-func checkDirective(pass *Pass, d mpqDirective, kind anchorKind, objs []types.Object) {
+func checkDirective(pass *Pass, d mpqDirective, kind anchorKind) {
 	spec, known := mpqDirectiveSpecs[d.name]
 	if !known {
 		if d.name == "" {
@@ -138,14 +126,6 @@ func checkDirective(pass *Pass, d mpqDirective, kind anchorKind, objs []types.Ob
 	if !legal {
 		pass.Reportf(d.pos, "//mpq:%s is misplaced here (it would be silently ignored); usage: %s",
 			d.name, spec.usage)
-		return
-	}
-	if d.name == "ring" {
-		for _, obj := range objs {
-			if _, isChan := obj.Type().Underlying().(*types.Chan); !isChan {
-				pass.Reportf(d.pos, "//mpq:ring on %s, which is not a channel; a ring is a free-list channel", obj.Name())
-			}
-		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 // TestLiveInvariantsPinned proves the live-lane analyzers cannot
 // silently regress into passing everything: each of confine,
-// ringsafety and blocking must flag the deliberately broken driver
+// poolsafety and blocking must flag the deliberately broken driver
 // loop in testdata/src/livebroken. A zero count from any of them means
 // the analyzer stopped seeing the very bugs it was built for.
 func TestLiveInvariantsPinned(t *testing.T) {
@@ -18,7 +18,7 @@ func TestLiveInvariantsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range []*analysis.Analyzer{analysis.Confine, analysis.RingSafety, analysis.Blocking} {
+	for _, a := range []*analysis.Analyzer{analysis.Confine, analysis.PoolSafety, analysis.Blocking} {
 		diags, err := analysis.RunAnalyzers(pkg, []*analysis.Analyzer{a})
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name, err)

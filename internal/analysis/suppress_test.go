@@ -81,7 +81,7 @@ func TestStaleAllowFails(t *testing.T) {
 func TestSuiteRegistry(t *testing.T) {
 	want := []string{
 		"walltime", "globalrand", "maporder", "poolsafety", "eventhandle",
-		"confine", "ringsafety", "blocking", "annotation",
+		"confine", "blocking", "annotation",
 	}
 	all := analysis.All()
 	if len(all) != len(want) {

@@ -4,9 +4,7 @@
 package annotation
 
 type state struct {
-	//mpq:ring // want `//mpq:ring on n, which is not a channel`
-	n int
-	//mpq:ring // the clean case: a channel field
+	//mpq:crossing // the clean case: a channel field
 	free chan []byte
 	//mpq:confined run-loop // the clean member form, with a rationale
 	counter int

@@ -420,9 +420,7 @@ func (c *Conn) HandleDatagram(dg netem.Datagram) {
 		// The decode borrows raw — the payload is opened in place and
 		// frames alias it — and parses into connection-owned scratch.
 		// Every handler consumes its frame before HandleDatagram
-		// returns, so the buffer can rejoin the encode pool afterwards
-		// (also on the corrupted-packet early return below).
-		defer wire.PutPacketBuf(raw)
+		// returns; the carrier that delivered raw recycles it then.
 		pkt = &c.rxPkt
 		if err := wire.DecodeInto(pkt, &c.rxScratch, raw, largest, sealer); err != nil {
 			c.corruptDrops++

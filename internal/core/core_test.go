@@ -135,6 +135,15 @@ func TestSinglePathDownloadGoodput(t *testing.T) {
 	if gp < 5 || gp > 20 {
 		t.Fatalf("goodput %.1f Mbps out of range", gp)
 	}
+	// The paper's baseline shape: one path although both endpoints
+	// have two interfaces, and CUBIC on it.
+	paths := h.client.Paths()
+	if len(paths) != 1 || len(h.serverConn(t).Paths()) != 1 {
+		t.Fatalf("single-path config opened %d client / %d server paths", len(paths), len(h.serverConn(t).Paths()))
+	}
+	if name := paths[0].CC().Name(); name != "cubic" {
+		t.Fatalf("baseline must run CUBIC, got %s", name)
+	}
 }
 
 func TestMultipathAggregatesBandwidth(t *testing.T) {

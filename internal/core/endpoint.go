@@ -133,7 +133,6 @@ func (l *Listener) HandleDatagram(dg netem.Datagram) {
 	if !ok {
 		if !hdr.Handshake {
 			l.strayDrops++
-			wire.PutPacketBuf(dg.Raw)
 			return
 		}
 		c = l.accept(hdr.ConnID, dg.From)

@@ -42,10 +42,10 @@ var _ DatagramSender = (*netem.Network)(nil)
 // real datagram pays. The live driver uses it to inject packets read
 // from a UDP socket into HandleDatagram.
 //
-// Buffer ownership transfers to the receiving endpoint: when b came
-// from wire.GetPacketBuf, the endpoint returns it to the pool after
-// the frames are consumed (corrupted packets may instead be dropped to
-// the garbage collector, which PutPacketBuf tolerates).
+// HandleDatagram only borrows b: the endpoint decodes in place and
+// consumes every frame before it returns, and never recycles. Whoever
+// delivered the datagram (netem.Network, live.Driver) owns b and hands
+// it back with wire.PutPacketBuf once the handler returned.
 func RawDatagram(from, to netem.Addr, b []byte) netem.Datagram {
 	return netem.Datagram{
 		From: from,
@@ -53,14 +53,4 @@ func RawDatagram(from, to netem.Addr, b []byte) netem.Datagram {
 		Size: len(b) + wire.UDPIPv4Overhead,
 		Raw:  b,
 	}
-}
-
-// RawBytes returns the serialized packet bytes of a wire-serialization
-// datagram, or (nil, false) for a struct-mode datagram. Egress
-// drivers that move real bytes (internal/live) use it to unwrap what
-// Config.WireSerialization encoded; the returned slice aliases the
-// pooled encode buffer, so the caller owns returning it via
-// wire.PutPacketBuf once written out.
-func RawBytes(dg netem.Datagram) ([]byte, bool) {
-	return dg.Raw, dg.Raw != nil
 }

@@ -303,6 +303,26 @@ func Run(sc Scenario, proto Protocol, size uint64, startPath int, seed uint64) R
 // RunWithOpts is Run with observability instruments attached (see
 // RunOpts). With a zero opts it is exactly Run.
 func RunWithOpts(sc Scenario, proto Protocol, size uint64, startPath int, seed uint64, opts RunOpts) RunResult {
+	cfg := core.DefaultSinglePathConfig()
+	if proto == ProtoMPQUIC {
+		cfg = core.DefaultConfig()
+	}
+	return run(sc, proto, cfg, size, startPath, seed, opts)
+}
+
+// RunMPQUICVariant runs one MPQUIC download with a custom engine
+// configuration — the hook the ablation benchmarks use to toggle the
+// §3 design choices (scheduler kind, duplication, congestion-control
+// coupling, WINDOW_UPDATE broadcast). A cfg with Multipath off runs
+// single-path, under the multipath deadline.
+func RunMPQUICVariant(sc Scenario, cfg core.Config, size uint64, startPath int, seed uint64) RunResult {
+	return run(sc, ProtoMPQUIC, cfg, size, startPath, seed, RunOpts{})
+}
+
+// run is the one run body. cfg is the engine configuration of the
+// ProtoQUIC/ProtoMPQUIC case (ignored by the TCP stacks); its Tracer
+// is kept unless opts arms one.
+func run(sc Scenario, proto Protocol, cfg core.Config, size uint64, startPath int, seed uint64, opts RunOpts) RunResult {
 	clock := sim.NewClock()
 	clock.Limit = 400_000_000
 	specs := orderedSpecs(sc, startPath)
@@ -337,14 +357,14 @@ func RunWithOpts(sc Scenario, proto Protocol, size uint64, startPath int, seed u
 
 	switch proto {
 	case ProtoQUIC, ProtoMPQUIC:
-		cfg := core.DefaultSinglePathConfig()
 		nPaths := 1
-		if proto == ProtoMPQUIC {
-			cfg = core.DefaultConfig()
+		if cfg.Multipath {
 			nPaths = 2
 		}
 		cfg.HandshakeSeed = seed
-		cfg.Tracer = tracer
+		if tracer != nil {
+			cfg.Tracer = tracer
+		}
 		lis := core.Listen(tp.Net, cfg, tp.ServerAddrs[:nPaths])
 		apps.NewGetServer(lis)
 		server := acceptedConn(lis)
@@ -465,52 +485,6 @@ func RunWithOpts(sc Scenario, proto Protocol, size uint64, startPath int, seed u
 			opts.FlightDump(opts.rep, anomaly, fr)
 		}
 	}
-	return res
-}
-
-// RunMPQUICVariant runs one MPQUIC download with a custom engine
-// configuration — the hook the ablation benchmarks use to toggle the
-// §3 design choices (scheduler kind, duplication, congestion-control
-// coupling, WINDOW_UPDATE broadcast).
-func RunMPQUICVariant(sc Scenario, cfg core.Config, size uint64, startPath int, seed uint64) RunResult {
-	clock := sim.NewClock()
-	clock.Limit = 400_000_000
-	specs := orderedSpecs(sc, startPath)
-	rng := sim.NewRand(seed)
-	tp := netem.NewTwoPath(clock, rng, specs)
-	applyDynamics(clock, rng, tp, sc, startPath)
-	deadline := deadlineFor(sc, ProtoMPQUIC, size, startPath)
-	cfg.HandshakeSeed = seed
-	nPaths := 2
-	if !cfg.Multipath {
-		nPaths = 1
-	}
-	lis := core.Listen(tp.Net, cfg, tp.ServerAddrs[:nPaths])
-	apps.NewGetServer(lis)
-	server := acceptedConn(lis)
-	client := core.Dial(tp.Net, cfg, core.NewConnID(seed), tp.ClientAddrs[:nPaths], tp.ServerAddrs[:nPaths])
-	var done *time.Duration
-	now := func() time.Duration { return clock.Now().Duration() }
-	apps.NewGetClient(client, size, now, func(r apps.GetResult) {
-		el := r.Elapsed()
-		done = &el
-		clock.Stop()
-	})
-	err := clock.RunUntil(sim.Time(deadline))
-	res := RunResult{}
-	res.Metrics = quicMetrics(client, server())
-	if done != nil && err == nil {
-		res.Completed = true
-		res.Elapsed = *done
-		res.BytesRecvd = size
-		res.GoodputBps = float64(size) * 8 / res.Elapsed.Seconds()
-		return res
-	}
-	res.Elapsed = deadline
-	if s := client.StreamByID(core.FirstClientStream); s != nil {
-		res.BytesRecvd = s.BytesReceived()
-	}
-	res.GoodputBps = float64(res.BytesRecvd) * 8 / deadline.Seconds()
 	return res
 }
 

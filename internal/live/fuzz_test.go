@@ -4,7 +4,7 @@ package live
 // datagram takes from a reader goroutine into the protocol: ingest →
 // handler HandleDatagram → wire decode. The properties under test are
 // the live driver's corruption contract (fault.go): no input may panic
-// the stack, every ring buffer is recycled, and any datagram whose
+// the stack, every pooled buffer is recycled, and any datagram whose
 // header does not even parse is counted as a corrupt drop rather than
 // vanishing. Runs socket-free — the driver under test is a literal with
 // a synthetic path slot, so the fuzzer needs no UDP permissions.
@@ -22,14 +22,13 @@ import (
 )
 
 // fuzzIngressDriver builds a minimal socket-less driver whose ingest
-// path is fully functional: ring, batch scratch, clock and a registered
+// path is fully functional: batch scratch, clock and a registered
 // listener handler, but no binder and no reader goroutines.
 func fuzzIngressDriver() (*Driver, *pathSocket, *core.Listener) {
 	d := &Driver{
 		clock:      sim.NewClock(),
 		handlers:   make(map[netem.Addr]netem.Handler),
 		recvCh:     make(chan packetIn, 4),
-		freeCh:     make(chan []byte, 4),
 		wakeCh:     make(chan struct{}, 1),
 		closeCh:    make(chan struct{}),
 		inBatch:    make([]packetIn, 0, 4),
@@ -101,19 +100,21 @@ func FuzzLiveIngress(f *testing.F) {
 	}).Encode(nil)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		d, s, lis := fuzzIngressDriver()
-		if len(in) > ingressBufCap {
-			in = in[:ingressBufCap]
-		}
 		from := netip.MustParseAddrPort("127.0.0.1:5000")
 		// Open connection 7 first: only a handshake packet creates a
 		// connection, and the input should reach the frame handlers of
 		// an established one, not stop at the listener's door.
-		hello := append(make([]byte, 0, ingressBufCap), chlo...)
+		hello := append(wire.GetPacketBuf(), chlo...)
 		if err := d.ingest(packetIn{s: s, from: from, buf: hello}); err != nil || len(lis.Conns()) != 1 {
 			t.Fatalf("set-up CHLO: err=%v, %d connections", err, len(lis.Conns()))
 		}
-		// Ring-shaped buffer, exactly as readOne hands them over.
-		buf := append(make([]byte, 0, ingressBufCap), in...)
+		// A pooled buffer, exactly as readOne hands them over: a read
+		// keeps what fits.
+		buf := wire.GetPacketBuf()
+		if len(in) > cap(buf) {
+			in = in[:cap(buf)]
+		}
+		buf = append(buf, in...)
 
 		before := lis.CorruptDrops()
 		if err := d.ingest(packetIn{s: s, from: from, buf: buf}); err != nil {
@@ -134,9 +135,7 @@ func FuzzLiveIngress(f *testing.F) {
 		// Any response the handler queued is discarded here — there is
 		// no socket — but the buffers must still return to the pool.
 		for i := range d.egress {
-			if b, ok := core.RawBytes(d.egress[i]); ok {
-				wire.PutPacketBuf(b)
-			}
+			wire.PutPacketBuf(d.egress[i].Raw)
 		}
 	})
 }

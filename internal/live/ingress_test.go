@@ -1,6 +1,7 @@
 package live_test
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"os"
@@ -8,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"mpquic/internal/core"
 	"mpquic/internal/live"
 	"mpquic/internal/netem"
+	"mpquic/internal/trace"
 )
 
 // Adversarial ingress tests: packet bursts, kernel receive-queue
@@ -168,5 +171,64 @@ func TestDownloadCancel(t *testing.T) {
 	}
 	if el := time.Since(start); el > 5*time.Second {
 		t.Fatalf("cancellation took %v, want prompt wake-up", el)
+	}
+}
+
+// junkInjector fires on every n-th packet the connection receives, up
+// to max times: a way to do something mid-transfer from inside the run
+// loop, with no sleeping goroutine to race the transfer.
+type junkInjector struct {
+	every, max  int
+	seen, fired int
+	fire        func()
+}
+
+func (j *junkInjector) Trace(ev trace.Event) {
+	if ev.Type != trace.PacketReceived {
+		return
+	}
+	if j.seen++; j.seen%j.every == 0 && j.fired < j.max {
+		j.fired++
+		j.fire()
+	}
+}
+
+// Ingress buffers are one MTU (the wire pool's 1500 bytes), so a read
+// keeps at most that much of a datagram. No peer sends more than
+// wire.MaxPacketSize; a 2000-byte datagram is junk, and what is left of
+// it must be dropped and counted like any other undecodable packet
+// while the transfer around it completes untouched.
+func TestOversizedJunkMidTransferDroppedAndCounted(t *testing.T) {
+	server := startGetServer(t, 1)
+	client := newDriver(t, 1)
+	dst, err := net.ResolveUDPAddr("udp", string(client.LocalAddrs()[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stranger, err := net.DialUDP("udp", nil, dst)
+	if err != nil {
+		t.Skipf("UDP sender unavailable: %v", err)
+	}
+	defer stranger.Close()
+
+	junk := bytes.Repeat([]byte{0xff}, 2000)
+	inj := &junkInjector{every: 100, max: 5, fire: func() { stranger.Write(junk) }}
+	cfg := liveConfig(1)
+	cfg.Tracer = inj
+	conn := core.Dial(client, cfg, core.NewConnID(90), client.LocalAddrs(), server.LocalAddrs())
+
+	const size = 4 << 20
+	res, err := live.Download(client, conn, size, 30*time.Second)
+	if err != nil {
+		t.Fatalf("oversized junk killed the transfer: %v", err)
+	}
+	if inj.fired == 0 {
+		t.Fatal("no junk was injected during the transfer")
+	}
+	if got := client.Stats.CorruptDrops; got == 0 || got > uint64(inj.fired) {
+		t.Fatalf("CorruptDrops = %d after %d junk datagrams, want 1..%d", got, inj.fired, inj.fired)
+	}
+	if s := conn.StreamByID(core.FirstClientStream); res.Size != size || s == nil || s.BytesReceived() != size {
+		t.Fatalf("transfer delivered Size=%d, stream %v; want exactly %d bytes", res.Size, s, size)
 	}
 }

@@ -36,18 +36,20 @@
 // wall-derived timestamps of events it causes) to the granularity;
 // packet arrivals wake the loop immediately and are never delayed.
 //
-// # The ingress buffer ring
+// # Packet buffers
 //
-// Each datagram travels in a driver-owned buffer drawn from a fixed
-// ring (a buffered free-list channel). The buffers are deliberately
-// sized differently from wire.GetPacketBuf's pool, so the endpoint's
-// unconditional wire.PutPacketBuf after consuming the frames is a
-// documented no-op (see wire.PutPacketBuf) and ownership stays with
-// the driver: the loop returns each buffer to the ring as soon as
-// HandleDatagram returns (handlers consume frames synchronously — the
-// contract core.RawDatagram documents). Steady-state ingress therefore
-// performs zero allocations per packet, pinned by
-// internal/perf's live-loop allocation tests.
+// Every datagram, in either direction, travels in a wire.GetPacketBuf
+// buffer with one owner at a time, and the driver is the only code
+// here that calls wire.PutPacketBuf. Ingress: a reader draws a buffer,
+// reads into it and passes it to the loop with the channel send; the
+// loop recycles it as soon as HandleDatagram returns (handlers borrow
+// and consume frames synchronously — the contract core.RawDatagram
+// documents). Egress: the encoder's buffer becomes the driver's at
+// Send and is recycled after the socket write. Reads truncate at the
+// buffer's 1500 bytes; no peer sends more than wire.MaxPacketSize, so
+// a longer datagram is junk and fails to decode like any other.
+// Steady state performs zero allocations per packet in both
+// directions, pinned by internal/perf's live-loop allocation tests.
 //
 // # What determinism guarantees do NOT hold
 //
@@ -105,16 +107,8 @@ const DefaultCoalesce = time.Millisecond
 // between a burst and loss; the OS clamps to its own limits.
 const DefaultSocketBuffer = 1 << 22
 
-// ingressBufCap is the capacity of ring buffers carrying received
-// datagrams. It intentionally differs from the wire pool's 1500-byte
-// buffers: wire.PutPacketBuf ignores foreign capacities, so the
-// endpoint's put after consuming the frames is a no-op and the driver
-// keeps ownership for ring recycling.
-const ingressBufCap = 2048
-
 // recvQueueLen bounds datagrams in flight between the reader
-// goroutines and the driver loop; the ring holds slightly more
-// buffers so a full queue still recycles allocation-free.
+// goroutines and the driver loop.
 const recvQueueLen = 1024
 
 // ingressBatchCap bounds how many queued datagrams one clock step
@@ -141,8 +135,8 @@ func WithSocketBuffer(b int) Option {
 
 // packetIn is one message crossing from a reader goroutine into the
 // driver loop: a received datagram (kind == evData) or a socket health
-// transition (see fault.go). For datagrams, buf is ring-backed;
-// ownership transfers with the message and returns to the ring once
+// transition (see fault.go). For datagrams, buf is a wire pool buffer;
+// ownership transfers with the message, and the loop recycles it once
 // the handler consumed it. For events, buf is nil and err carries the
 // cause where one exists.
 type packetIn struct {
@@ -210,9 +204,8 @@ type Stats struct {
 // goroutine calling Run then owns all protocol state until Run
 // returns. Close and Wake may be called from any goroutine. That
 // discipline is machine-checked: fields below carry //mpq:confined
-// and //mpq:crossing annotations that mpq-vet's confine, ringsafety
-// and blocking analyzers enforce (see DESIGN.md, "Live concurrency
-// invariants").
+// and //mpq:crossing annotations that mpq-vet's confine and blocking
+// analyzers enforce (see DESIGN.md, "Live concurrency invariants").
 type Driver struct {
 	//mpq:confined run-loop
 	clock  *sim.Clock
@@ -248,10 +241,6 @@ type Driver struct {
 
 	//mpq:crossing
 	recvCh chan packetIn
-	// freeCh is the ingress buffer ring.
-	//mpq:crossing
-	//mpq:ring
-	freeCh chan []byte
 	//mpq:crossing
 	wakeCh chan struct{}
 	//mpq:crossing
@@ -291,7 +280,6 @@ func NewDriver(localAddrs []string, opts ...Option) (*Driver, error) {
 		rebindMax:  DefaultRebindMax,
 		rebindBase: DefaultRebindBackoff,
 		recvCh:     make(chan packetIn, recvQueueLen),
-		freeCh:     make(chan []byte, recvQueueLen+64),
 		wakeCh:     make(chan struct{}, 1),
 		closeCh:    make(chan struct{}),
 		inBatch:    make([]packetIn, 0, ingressBatchCap),
@@ -362,31 +350,6 @@ func (d *Driver) Wake() {
 	}
 }
 
-// getIngressBuf takes a buffer from the ring, falling back to the
-// allocator only while the ring is still filling.
-func (d *Driver) getIngressBuf() []byte {
-	select {
-	case b := <-d.freeCh:
-		return b
-	default:
-		return make([]byte, ingressBufCap)
-	}
-}
-
-// putIngressBuf returns a consumed buffer to the ring (dropping it to
-// the garbage collector if the ring is full).
-//
-//mpq:noescape
-func (d *Driver) putIngressBuf(b []byte) {
-	if cap(b) != ingressBufCap {
-		return
-	}
-	select {
-	case d.freeCh <- b[:ingressBufCap]:
-	default:
-	}
-}
-
 // addrName interns the netem.Addr string identity of a source address,
 // so steady-state ingress does not allocate per packet. Driver
 // goroutine only. (The cold miss path allocates inside ap.String();
@@ -453,9 +416,9 @@ const (
 
 // readOne performs one blocking read and hands the datagram to the
 // driver loop. Buffer ownership transfers with the channel send; every
-// other exit recycles the buffer back to the ring.
+// other exit recycles the buffer.
 func (d *Driver) readOne(s *pathSocket, conn UDPConn) (readStatus, error) {
-	buf := d.getIngressBuf()
+	buf := wire.GetPacketBuf()
 	b := buf[:cap(buf)]
 	n, from, err := conn.ReadFromUDPAddrPort(b)
 	if err == nil {
@@ -469,7 +432,7 @@ func (d *Driver) readOne(s *pathSocket, conn UDPConn) (readStatus, error) {
 			// Shutdown mid-handoff: fall through to the recycle.
 		}
 	}
-	d.putIngressBuf(b)
+	wire.PutPacketBuf(b)
 	switch {
 	case err == nil || d.closing():
 		return readClosed, err
@@ -600,7 +563,7 @@ drain:
 	}
 	d.inBatch = batch[:0] // retain the scratch backing array
 	if err := d.advance(); err != nil {
-		recycleFrom(d, batch, 0)
+		recycleBatch(batch)
 		return err
 	}
 	d.Stats.IngressBatches++
@@ -613,23 +576,16 @@ drain:
 			// A socket health transition riding the ingress crossing;
 			// fold it into stats/traces/PF state (fault.go).
 			d.handleSockEvent(p.s, p.kind, p.err)
-			*p = packetIn{}
-			continue
-		}
-		h := d.handlers[p.s.local]
-		if h == nil {
+		} else if h := d.handlers[p.s.local]; h == nil {
 			d.Stats.NoHandler++
-			d.putIngressBuf(p.buf)
-			*p = packetIn{}
-			continue
+		} else {
+			d.Stats.PacketsIn++
+			d.Stats.BytesIn += uint64(len(p.buf))
+			// The handler borrows the buffer and consumes the frames
+			// synchronously (see core.RawDatagram).
+			h.HandleDatagram(core.RawDatagram(d.addrName(p.from), p.s.local, p.buf))
 		}
-		d.Stats.PacketsIn++
-		d.Stats.BytesIn += uint64(len(p.buf))
-		// The handler consumes the frames synchronously (see
-		// core.RawDatagram); its wire.PutPacketBuf is a no-op on ring
-		// buffers, so the buffer returns to the ring right here.
-		h.HandleDatagram(core.RawDatagram(d.addrName(p.from), p.s.local, p.buf))
-		d.putIngressBuf(p.buf)
+		wire.PutPacketBuf(p.buf) // nil for a socket event
 		*p = packetIn{}
 	}
 	if d.fatal != nil {
@@ -640,15 +596,13 @@ drain:
 	return nil
 }
 
-// recycleFrom returns the unprocessed tail of a batch to the ring
-// (error exits only).
+// recycleBatch returns the buffers of a batch that will not be
+// injected to the pool (error exits only).
 //
 //mpq:noescape
-func recycleFrom(d *Driver, batch []packetIn, from int) {
-	for i := from; i < len(batch); i++ {
-		if batch[i].buf != nil {
-			d.putIngressBuf(batch[i].buf)
-		}
+func recycleBatch(batch []packetIn) {
+	for i := range batch {
+		wire.PutPacketBuf(batch[i].buf)
 		batch[i] = packetIn{}
 	}
 }
@@ -704,13 +658,11 @@ func (d *Driver) flush() error {
 			// Fatal misconfiguration already detected: the rest of the
 			// batch is discarded unsent, counted so the loss is visible.
 			d.Stats.EgressDiscards++
-			if b, ok := core.RawBytes(dg); ok {
-				wire.PutPacketBuf(b)
-			}
+			wire.PutPacketBuf(dg.Raw)
 			continue
 		}
-		b, ok := core.RawBytes(dg)
-		if !ok {
+		b := dg.Raw
+		if b == nil {
 			firstErr = structModeErr(dg)
 			continue
 		}

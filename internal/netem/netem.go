@@ -17,6 +17,7 @@ import (
 
 	"mpquic/internal/sim"
 	"mpquic/internal/trace"
+	"mpquic/internal/wire"
 )
 
 // Addr identifies an interface endpoint, e.g. "10.0.1.1:443" or
@@ -42,7 +43,9 @@ type Datagram struct {
 	// mode; Payload is nil then. A plain field rather than a Payload
 	// implementation so the per-packet hot paths never pay an
 	// interface-boxing allocation (a slice does not fit an interface
-	// word; see core.RawDatagram).
+	// word; see core.RawDatagram). From Send on, the carrier owns the
+	// buffer; a Handler may read and decode it in place but must not
+	// keep or recycle it.
 	Raw []byte
 }
 
@@ -411,11 +414,17 @@ func (n *Network) ConnectAsym(a, b Addr, ab, ba LinkConfig) (*Link, *Link) {
 	return fwd, rev
 }
 
+// deliverTo is the sink of every link the network builds, and the one
+// place the simulator recycles a packet buffer: the network owns
+// dg.Raw from Send on, handlers only borrow it, and it rejoins the
+// wire pool once the handler returned (or nobody listens). A datagram
+// a link drops, or Send cannot route, goes to the garbage collector.
 func (n *Network) deliverTo(addr Addr) func(dg Datagram) {
 	return func(dg Datagram) {
 		if h, ok := n.handlers[addr]; ok {
 			h.HandleDatagram(dg)
 		}
+		wire.PutPacketBuf(dg.Raw)
 	}
 }
 

@@ -231,3 +231,60 @@ func TestWireCryptoTransferAllocBudget(t *testing.T) {
 		t.Errorf("wire+AEAD transfer allocates %.2f/packet, budget %d", perPkt, budget)
 	}
 }
+
+// TestUnconsumedDatagramRecyclesAllocFree pins the buffer-ownership
+// rule on the exits where no frame is ever consumed: the carrier, not
+// the handler, hands the buffer back, so a pooled datagram that meets
+// a closed connection, a listener that cannot parse its header, or no
+// handler at all still returns to the pool. A handler that was
+// expected to recycle would leak one 1500-byte buffer per datagram
+// here.
+func TestUnconsumedDatagramRecyclesAllocFree(t *testing.T) {
+	clock := sim.NewClock()
+	nw := netem.New(clock, sim.NewRand(1))
+	link := netem.LinkConfig{RateMbps: 1000, Delay: time.Millisecond, QueueDelay: time.Second}
+	nw.Connect("c:1", "s:443", link)
+	nw.Connect("c:1", "nobody:9", link)
+
+	cfg := core.DefaultSinglePathConfig()
+	cfg.WireSerialization = true
+	lis := core.Listen(nw, cfg, []netem.Addr{"s:443"})
+	closed := core.Dial(nw, cfg, 5, []netem.Addr{"c:1"}, []netem.Addr{"s:443"})
+	closed.Close()
+	if err := clock.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !closed.Closed() || len(lis.Conns()) != 0 {
+		t.Fatalf("set-up: closed=%v, %d server connections left", closed.Closed(), len(lis.Conns()))
+	}
+
+	pkt := dataPacket()
+	for _, tc := range []struct {
+		name     string
+		from, to netem.Addr
+		corrupt  bool
+	}{
+		{"closed connection", "s:443", "c:1", false},
+		{"corrupt header", "c:1", "s:443", true},
+		{"no handler", "c:1", "nobody:9", false},
+	} {
+		send := func() {
+			buf := pkt.EncodeTo(wire.GetPacketBuf(), nil)
+			if tc.corrupt {
+				buf = buf[:1] // the flags byte promises a header that is not there
+			}
+			nw.Send(core.RawDatagram(tc.from, tc.to, buf))
+			if err := clock.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		drops := lis.CorruptDrops()
+		allocs := testing.AllocsPerRun(100, send)
+		if allocs > 0 {
+			t.Errorf("%s: %.1f allocs per datagram, want 0 (the buffer did not return to the pool)", tc.name, allocs)
+		}
+		if tc.corrupt && lis.CorruptDrops() != drops+101 {
+			t.Errorf("%s: CorruptDrops %d -> %d over 101 datagrams", tc.name, drops, lis.CorruptDrops())
+		}
+	}
+}

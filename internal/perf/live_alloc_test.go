@@ -12,10 +12,10 @@ import (
 
 // Allocation parity for the live fast lane: the batched UDP driver
 // must move packets with the same zero-garbage discipline the sim hot
-// path has. Egress draws 1500-byte buffers from the wire pool and
-// returns them after the socket write; ingress rides the driver's
-// buffer ring. Steady state on both sides is allocation-free — this
-// test pins it end to end across two real loopback sockets.
+// path has. Both directions draw 1500-byte buffers from the wire pool:
+// egress returns them after the socket write, ingress after the
+// handler. Steady state on both sides is allocation-free — this test
+// pins it end to end across two real loopback sockets.
 
 // nullHandler consumes datagrams without touching them: the driver's
 // per-packet overhead measured in isolation from protocol work.
@@ -43,7 +43,7 @@ func TestLiveDriverAllocPerPacketSteadyState(t *testing.T) {
 	receiver.Register(rxAddr, &nullHandler{})
 
 	// The receiver loop runs in server mode: ingest batches recycle
-	// ring buffers as fast as the reader draws them, which is the
+	// pool buffers as fast as the reader draws them, which is the
 	// steady state whose allocation count we are pinning. Its work is
 	// included in the measurement (AllocsPerRun counts all
 	// goroutines).
@@ -59,8 +59,8 @@ func TestLiveDriverAllocPerPacketSteadyState(t *testing.T) {
 		}
 	}
 
-	// Warm-up: intern the remote lookup, fill the receiver's buffer
-	// ring, and let the wire pool reach steady state.
+	// Warm-up: intern the remote lookup and let the wire pool reach
+	// steady state.
 	for i := 0; i < 512; i++ {
 		sendOne()
 	}

@@ -1,19 +1,12 @@
-// Package perf is the repository's performance harness: micro
-// benchmarks for the per-packet hot paths (sim event loop, wire
-// encode/decode, netem link transit) and a macro benchmark that grinds
-// the smoke scenario grid and reports scenarios per second.
+// Package perf holds the allocation-budget tests that pin the
+// per-packet hot paths (wire encode/decode, in-place AEAD, sim timers,
+// interval edits, OLIA, the live driver loop, a whole wire+AEAD
+// transfer) and the one sanctioned wall clock for tooling (Stopwatch).
+// The speed of the same paths is measured by the repository benchmark
+// (bench/, BENCHMARK.json), not here.
 //
-// scripts/bench.sh runs the harness and records the numbers in a
-// BENCH_*.json trajectory file, so every PR can compare its hot-path
-// cost against the previous one:
-//
-//	go test -bench=. -benchmem ./internal/perf   # micro benches
-//	scripts/bench.sh                             # full harness + JSON
-//	scripts/bench.sh -smoke                      # CI-sized subset
-//
-// The fixtures below are shared between the benchmarks and the
-// allocation-budget tests in the wire and sim packages, so the
-// budgeted operation is exactly the benchmarked one.
+// The fixtures below are shared by those tests, so every budget is set
+// on the same representative packet.
 package perf
 
 import (

@@ -20,11 +20,15 @@ func GetPacketBuf() []byte {
 	return packetBufPool.Get().(*[packetBufCap]byte)[:0]
 }
 
-// PutPacketBuf returns a GetPacketBuf buffer to the pool. The caller
-// must not touch b (or anything aliasing it, e.g. frames from
-// DecodeBorrowed) afterwards. Buffers that did not come from
-// GetPacketBuf are ignored, so callers may hand back any packet buffer
-// unconditionally.
+// PutPacketBuf returns a GetPacketBuf buffer to the pool. Only the
+// buffer's current owner may call it, once: the encoder until the
+// datagram is sent, then whatever carries it (netem.Network,
+// live.Driver), after the handler or the socket write returned.
+// Nothing may touch b (or anything aliasing it, e.g. frames decoded
+// in place) afterwards. A slice of any other capacity did not come
+// from GetPacketBuf and is left to the garbage collector.
+//
+//mpq:noescape
 func PutPacketBuf(b []byte) {
 	if cap(b) != packetBufCap {
 		return

@@ -54,9 +54,11 @@ go test ./...
 
 # bench/ is a module of its own (replace mpquic => ../), so the root
 # ./... patterns above never compile it: without this step a change to
-# an internal/* API could break the benchmark harness unnoticed.
-echo "== bench module (go vet, go test)"
-(cd bench && go vet . && go test .)
+# an internal/* API could break the benchmark harness unnoticed. The
+# analyzers run there too: bench/ holds the only wire.DecodeBorrowed
+# caller, the code poolsafety's escape rule guards.
+echo "== bench module (go vet, mpq-vet, mpq-escape, go test)"
+(cd bench && go vet . && go run mpquic/cmd/mpq-vet . && go run mpquic/cmd/mpq-escape . && go test .)
 
 # The root package hosts the grid benchmarks; every internal package
 # is seconds-fast even under the race detector.
