@@ -75,6 +75,13 @@ type Conn struct {
 
 	sending     bool // trySend re-entrancy guard
 	sendPending bool
+	// deferring is set while HandleDatagram handles a datagram whose
+	// carrier announced another in the same clock step
+	// (netem.Datagram.More): trySend and resetTimer then only set held.
+	// held says a send or timer reset is owed; the next trySend pays it —
+	// HandleDatagram calls one on the first datagram without More.
+	deferring bool
+	held      bool
 
 	// Per-packet scratch, so the steady-state packet path allocates
 	// nothing (DESIGN.md, "Buffer and scratch ownership"). rxPkt and
@@ -394,11 +401,34 @@ func (c *Conn) havePathFor(local, remote netem.Addr) bool {
 
 // --- receiving ---
 
-// HandleDatagram implements netem.Handler.
+// HandleDatagram implements netem.Handler. Under dg.More the datagram
+// is consumed in full but the reaction — whatever trySend would emit,
+// and the timer re-arm — waits for the step's last datagram, so a batch
+// handed over at one instant is answered once (one ACK per path), not
+// once per datagram. Any datagram without More pays what is owed,
+// including one receive drops.
 func (c *Conn) HandleDatagram(dg netem.Datagram) {
 	if c.closed {
 		return
 	}
+	c.deferring = dg.More
+	c.receive(dg)
+	c.deferring = false
+	if !dg.More {
+		c.release()
+	}
+}
+
+// release performs the send and timer reset that datagrams delivered
+// under More left owing, if any (trySend ends by resetting the timer).
+func (c *Conn) release() {
+	if c.held {
+		c.trySend()
+	}
+}
+
+// receive decodes one ingress datagram and handles its frames.
+func (c *Conn) receive(dg netem.Datagram) {
 	var pkt *wire.Packet
 	if raw := dg.Raw; raw != nil {
 		// Identify the path first to pick the right PN context.
@@ -854,6 +884,10 @@ func (c *Conn) queuePathsFrame() {
 // resetTimer re-arms the connection timer to the earliest deadline.
 func (c *Conn) resetTimer() {
 	if c.closed {
+		return
+	}
+	if c.deferring {
+		c.held = true
 		return
 	}
 	deadline := time.Duration(1<<62 - 1)

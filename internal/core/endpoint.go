@@ -53,6 +53,11 @@ type Listener struct {
 	addrs  []netem.Addr
 	conns  map[wire.ConnectionID]*Conn
 	onConn []func(*Conn)
+	// holding lists the connections that were left owing a send by a
+	// datagram delivered under More (netem.Datagram.More). The carrier
+	// sees one handler, the listener, so the step's last datagram may
+	// belong to another connection, or to none: release pays them all.
+	holding []*Conn
 
 	// corruptDrops counts datagrams dropped before any connection saw
 	// them (unparsable header / unknown payload kind), plus the drops of
@@ -115,6 +120,23 @@ func (l *Listener) Conns() []*Conn {
 // to a connection that already closed, which must not resurrect it —
 // and is dropped and counted.
 func (l *Listener) HandleDatagram(dg netem.Datagram) {
+	l.dispatch(dg)
+	if !dg.More {
+		l.release()
+	}
+}
+
+// release lets every connection left holding react, once the carrier
+// delivered the listener's last datagram of the clock step.
+func (l *Listener) release() {
+	for i, c := range l.holding {
+		l.holding[i] = nil
+		c.release()
+	}
+	l.holding = l.holding[:0]
+}
+
+func (l *Listener) dispatch(dg netem.Datagram) {
 	var hdr wire.Header
 	if dg.Raw != nil {
 		var err error
@@ -137,7 +159,11 @@ func (l *Listener) HandleDatagram(dg netem.Datagram) {
 		}
 		c = l.accept(hdr.ConnID, dg.From)
 	}
+	owed := c.held
 	c.HandleDatagram(dg)
+	if c.held && !owed {
+		l.holding = append(l.holding, c)
+	}
 }
 
 // accept creates the server side of a new connection.

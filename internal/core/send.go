@@ -12,11 +12,18 @@ import (
 // trySend drains everything currently sendable: handshake messages,
 // scheduled data packets (with duplication), and pending pure ACKs. It
 // is the single transmission entry point and is re-entrancy safe —
-// nested calls (from stream callbacks) just flag another pass.
+// nested calls (from stream callbacks) just flag another pass. While
+// HandleDatagram is deferring (see Conn.deferring) it only notes that a
+// send is owed.
 func (c *Conn) trySend() {
 	if c.closed {
 		return
 	}
+	if c.deferring {
+		c.held = true
+		return
+	}
+	c.held = false
 	if c.sending {
 		c.sendPending = true
 		return
@@ -154,22 +161,13 @@ func (c *Conn) sendPathCtrl(ackedOn *pathSet) {
 	if !c.handshakeComplete {
 		return
 	}
-	now := c.now()
 	for _, pid := range c.pathOrder {
 		p := c.paths[pid]
 		if !p.open {
 			continue
 		}
 		for len(p.ctrl) > 0 {
-			budget := wire.MaxPacketSize - c.headerSize(p, false) - wire.AEADOverhead
-			frames := c.frameList(c.txFrames)
-			if p.ackMgr.ShouldSendAck(now) {
-				if ack := c.buildAck(p, now); ack != nil && ack.EncodedSize() <= budget {
-					frames = append(frames, ack)
-					budget -= ack.EncodedSize()
-					ackedOn.add(p.ID)
-				}
-			}
+			frames, budget := c.startPacket(p, ackedOn)
 			for len(p.ctrl) > 0 && p.ctrl[0].EncodedSize() <= budget {
 				f := p.ctrl[0]
 				p.ctrl = p.ctrl[1:]
@@ -275,6 +273,26 @@ func (c *Conn) buildAck(p *Path, now time.Duration) *wire.AckFrame {
 	return &p.ackFrame
 }
 
+// startPacket starts the frame list of a protected packet on path p:
+// the path's ACK when one is due and fits, noted in ackedOn. It returns
+// the list and the payload budget left. The ACK frame's size is
+// O(ranges) to compute — up to wire.MaxAckRanges after losses — so it
+// is computed once.
+func (c *Conn) startPacket(p *Path, ackedOn *pathSet) ([]wire.Frame, int) {
+	budget := wire.MaxPacketSize - c.headerSize(p, false) - wire.AEADOverhead
+	frames := c.frameList(c.txFrames)
+	if now := c.now(); p.ackMgr.ShouldSendAck(now) {
+		if ack := c.buildAck(p, now); ack != nil {
+			if size := ack.EncodedSize(); size <= budget {
+				frames = append(frames, ack)
+				budget -= size
+				ackedOn.add(p.ID)
+			}
+		}
+	}
+	return frames, budget
+}
+
 // dupFrames strips non-duplicable frames (ACKs belong to the original
 // path's context) from a duplicated packet.
 func (c *Conn) dupFrames(frames []wire.Frame) []wire.Frame {
@@ -325,16 +343,7 @@ func (c *Conn) hasSendableData() bool {
 // path's pending ACK, path-pinned control frames, floating control
 // frames, then stream data under flow control.
 func (c *Conn) packFrames(p *Path, ackedOn *pathSet) (frames []wire.Frame, hasData bool) {
-	budget := wire.MaxPacketSize - c.headerSize(p, false) - wire.AEADOverhead
-	now := c.now()
-	frames = c.frameList(c.txFrames)
-	if p.ackMgr.ShouldSendAck(now) {
-		if ack := c.buildAck(p, now); ack != nil && ack.EncodedSize() <= budget {
-			frames = append(frames, ack)
-			budget -= ack.EncodedSize()
-			ackedOn.add(p.ID)
-		}
-	}
+	frames, budget := c.startPacket(p, ackedOn)
 	// Path-pinned control frames (WINDOW_UPDATE broadcast copies,
 	// PATHS frames).
 	for len(p.ctrl) > 0 && p.ctrl[0].EncodedSize() <= budget {

@@ -46,6 +46,9 @@ var _ DatagramSender = (*netem.Network)(nil)
 // consumes every frame before it returns, and never recycles. Whoever
 // delivered the datagram (netem.Network, live.Driver) owns b and hands
 // it back with wire.PutPacketBuf once the handler returned.
+//
+// More is left false; a carrier injecting a batch at one instant sets
+// it on all but each handler's last datagram (see netem.Datagram.More).
 func RawDatagram(from, to netem.Addr, b []byte) netem.Datagram {
 	return netem.Datagram{
 		From: from,

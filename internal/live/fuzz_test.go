@@ -32,6 +32,8 @@ func fuzzIngressDriver() (*Driver, *pathSocket, *core.Listener) {
 		wakeCh:     make(chan struct{}, 1),
 		closeCh:    make(chan struct{}),
 		inBatch:    make([]packetIn, 0, 4),
+		deliveries: make([]delivery, 4),
+		lastFor:    make([]netem.Handler, 0, 1),
 		addrNames:  make(map[netip.AddrPort]netem.Addr),
 		sockFailed: make([]bool, 1),
 		writeFails: make([]int, 1),

@@ -23,7 +23,15 @@
 //  3. on wake-up, drain every datagram the readers have queued into
 //     one batch, advance the sim clock once to wall-elapsed time with
 //     Clock.RunUntil (firing every due protocol timer), and inject the
-//     whole batch via netem.Handler.HandleDatagram;
+//     whole batch via netem.Handler.HandleDatagram. The batch arrives
+//     at one sim instant, so every datagram but the last one for each
+//     distinct handler carries netem.Datagram.More: the handler consumes
+//     it in full and holds its reaction (sends, timer re-arm) for the
+//     one that follows. An endpoint thus answers a burst once — one ACK
+//     per path per step — instead of once per datagram. Only the driver
+//     sets More, only from the batch it actually drained, and every
+//     handler's last datagram of a step carries More=false, whatever
+//     that datagram turns out to be;
 //  4. flush all egress datagrams queued during the step to their
 //     sockets in one pass.
 //
@@ -79,6 +87,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"reflect"
 	"sync"
 	"time"
 
@@ -145,6 +154,14 @@ type packetIn struct {
 	buf  []byte
 	kind sockEventKind
 	err  error
+}
+
+// delivery is ingest's note on one slot of its batch: the handler the
+// datagram goes to (nil for a socket event, or when nobody listens) and
+// whether a later datagram of the same batch goes to that handler too.
+type delivery struct {
+	h    netem.Handler
+	more bool
 }
 
 // Stats counts driver-level activity (socket I/O, not protocol state;
@@ -252,6 +269,13 @@ type Driver struct {
 
 	//mpq:confined run-loop
 	inBatch []packetIn
+	// deliveries[i] goes with inBatch[i]; lastFor collects the handlers
+	// whose last datagram of the batch has been found (at most one per
+	// socket). Both are ingest's scratch.
+	//mpq:confined run-loop
+	deliveries []delivery
+	//mpq:confined run-loop
+	lastFor []netem.Handler
 	//mpq:confined run-loop
 	addrNames map[netip.AddrPort]netem.Addr
 
@@ -283,6 +307,7 @@ func NewDriver(localAddrs []string, opts ...Option) (*Driver, error) {
 		wakeCh:     make(chan struct{}, 1),
 		closeCh:    make(chan struct{}),
 		inBatch:    make([]packetIn, 0, ingressBatchCap),
+		deliveries: make([]delivery, ingressBatchCap),
 		addrNames:  make(map[netip.AddrPort]netem.Addr),
 	}
 	for _, o := range opts {
@@ -294,6 +319,7 @@ func NewDriver(localAddrs []string, opts ...Option) (*Driver, error) {
 	}
 	d.binder = binder
 	d.sockFailed = make([]bool, len(binder.socks))
+	d.lastFor = make([]netem.Handler, 0, len(binder.socks))
 	d.writeFails = make([]int, len(binder.socks))
 	for _, s := range binder.socks {
 		d.readers.Add(1)
@@ -318,12 +344,23 @@ func (d *Driver) Binder() *PathBinder { return d.binder }
 func (d *Driver) LocalAddrs() []netem.Addr { return d.binder.Locals() }
 
 // Register implements core.DatagramSender: ingress datagrams arriving
-// on the socket bound to addr are dispatched to h.
+// on the socket bound to addr are dispatched to h, from the next clock
+// step on when called from inside one. Addresses registered with the
+// same h share one reaction per step (see netem.Datagram.More); a
+// handler of a type that cannot be compared, such as netem.HandlerFunc,
+// counts as a distinct handler at each address.
 //
 //mpq:confined run-loop
 func (d *Driver) Register(addr netem.Addr, h netem.Handler) {
+	if h != nil && !reflect.TypeOf(h).Comparable() {
+		h = &boxedHandler{h}
+	}
 	d.handlers[addr] = h
 }
+
+// boxedHandler gives a handler value that cannot be compared an
+// identity, so the loop can tell handlers apart with ==.
+type boxedHandler struct{ netem.Handler }
 
 // Send implements core.DatagramSender: the datagram is queued and
 // flushed to its socket when the current event batch finishes (egress
@@ -547,7 +584,7 @@ func (d *Driver) quantize(dl time.Duration) time.Duration {
 // ingest drains every datagram already queued by the readers into one
 // batch, advances the clock once, and injects the whole batch — the
 // batched-ingress half of the fast lane: one wake-up, one clock step,
-// one egress flush for the entire burst.
+// one reaction per handler, one egress flush for the entire burst.
 //
 //mpq:noescape
 func (d *Driver) ingest(first packetIn) error {
@@ -570,20 +607,46 @@ drain:
 	if n := uint64(len(batch)); n > d.Stats.MaxBatch {
 		d.Stats.MaxBatch = n
 	}
+	// Walking backwards, the first datagram met for a handler is its
+	// last of this step; every earlier one is followed by More.
+	to := d.deliveries[:len(batch)]
+	last := d.lastFor[:0]
+	for i := len(batch) - 1; i >= 0; i-- {
+		to[i] = delivery{}
+		if batch[i].kind != evData {
+			continue
+		}
+		h := d.handlers[batch[i].s.local]
+		if h == nil {
+			continue
+		}
+		to[i].h = h
+		for _, seen := range last {
+			if seen == h {
+				to[i].more = true
+				break
+			}
+		}
+		if !to[i].more {
+			last = append(last, h)
+		}
+	}
 	for i := range batch {
 		p := &batch[i]
 		if p.kind != evData {
 			// A socket health transition riding the ingress crossing;
 			// fold it into stats/traces/PF state (fault.go).
 			d.handleSockEvent(p.s, p.kind, p.err)
-		} else if h := d.handlers[p.s.local]; h == nil {
+		} else if to[i].h == nil {
 			d.Stats.NoHandler++
 		} else {
 			d.Stats.PacketsIn++
 			d.Stats.BytesIn += uint64(len(p.buf))
 			// The handler borrows the buffer and consumes the frames
 			// synchronously (see core.RawDatagram).
-			h.HandleDatagram(core.RawDatagram(d.addrName(p.from), p.s.local, p.buf))
+			dg := core.RawDatagram(d.addrName(p.from), p.s.local, p.buf)
+			dg.More = to[i].more
+			to[i].h.HandleDatagram(dg)
 		}
 		wire.PutPacketBuf(p.buf) // nil for a socket event
 		*p = packetIn{}

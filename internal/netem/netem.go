@@ -47,6 +47,19 @@ type Datagram struct {
 	// buffer; a Handler may read and decode it in place but must not
 	// keep or recycle it.
 	Raw []byte
+	// More is a carrier's hint to the Handler it delivers to: another
+	// datagram for this same Handler follows in this same clock step, so
+	// the reaction to this one can wait for it. Only a carrier that hands
+	// over a whole batch at one instant may set it (live.Driver, from the
+	// batch it actually drained), and it must deliver every Handler's
+	// last datagram of the step with More false. Network never sets it.
+	// Under More a Handler still consumes the datagram in full — frames,
+	// acknowledgment processing, application callbacks — and may hold
+	// back only what the next datagram would redo: sending, and
+	// re-arming its timer. The first datagram without More, whatever
+	// becomes of it (corrupt, duplicate, not the Handler's), releases
+	// what was held. Senders leave it false.
+	More bool
 }
 
 // Handler receives datagrams addressed to a registered address.
@@ -419,8 +432,11 @@ func (n *Network) ConnectAsym(a, b Addr, ab, ba LinkConfig) (*Link, *Link) {
 // dg.Raw from Send on, handlers only borrow it, and it rejoins the
 // wire pool once the handler returned (or nobody listens). A datagram
 // a link drops, or Send cannot route, goes to the garbage collector.
+// Each delivery is an event of its own, so no datagram leaves here with
+// More set — not even one a handler forwarded as it received it.
 func (n *Network) deliverTo(addr Addr) func(dg Datagram) {
 	return func(dg Datagram) {
+		dg.More = false
 		if h, ok := n.handlers[addr]; ok {
 			h.HandleDatagram(dg)
 		}

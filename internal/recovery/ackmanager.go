@@ -23,7 +23,12 @@ const (
 type AckManager struct {
 	pathID wire.PathID
 
-	received        stream.IntervalSet // PNs as [pn, pn+1) intervals
+	// received holds PNs as [pn, pn+1) intervals: at most
+	// wire.MaxAckRanges of them, the newest — all an ACK frame can report.
+	// PNs below floor belonged to intervals (or the gaps between them)
+	// forgotten to keep that bound, and count as already received.
+	received        stream.IntervalSet
+	floor           wire.PacketNumber
 	largestReceived wire.PacketNumber
 	largestRecvTime time.Duration
 	hasReceived     bool
@@ -45,9 +50,10 @@ func (a *AckManager) LargestReceived() (wire.PacketNumber, bool) {
 	return a.largestReceived, a.hasReceived
 }
 
-// IsDuplicate reports whether pn was already received.
+// IsDuplicate reports whether pn was already received, or is too old
+// to tell (see the received field).
 func (a *AckManager) IsDuplicate(pn wire.PacketNumber) bool {
-	return a.received.Contains(uint64(pn), uint64(pn)+1)
+	return pn < a.floor || a.received.Contains(uint64(pn), uint64(pn)+1)
 }
 
 // OnPacketReceived records an incoming packet and updates ack policy
@@ -57,6 +63,14 @@ func (a *AckManager) OnPacketReceived(pn wire.PacketNumber, retransmittable bool
 		return false
 	}
 	a.received.Add(uint64(pn), uint64(pn)+1)
+	// One packet opens at most one interval, so forgetting the oldest
+	// restores the bound. Without it every loss would add an interval for
+	// the life of the connection, and a peer sending every other PN
+	// would grow the set without limit.
+	if ivs := a.received.Intervals(); len(ivs) > wire.MaxAckRanges {
+		a.floor = wire.PacketNumber(ivs[0].End)
+		a.received.Remove(0, ivs[0].End)
+	}
 	if !a.hasReceived || pn > a.largestReceived {
 		a.largestReceived = pn
 		a.largestRecvTime = now
@@ -125,19 +139,14 @@ func (a *AckManager) BuildAckInto(f *wire.AckFrame, now time.Duration) bool {
 	if !a.hasReceived {
 		return false
 	}
+	// Convert ascending [start,end) intervals (at most MaxAckRanges, see
+	// OnPacketReceived) to descending closed AckRanges.
 	ivs := a.received.Intervals()
-	// Convert ascending [start,end) intervals to descending closed
-	// AckRanges, keeping only the newest MaxAckRanges.
-	n := len(ivs)
-	keep := n
-	if keep > wire.MaxAckRanges {
-		keep = wire.MaxAckRanges
-	}
 	ranges := f.Ranges[:0]
-	if cap(ranges) < keep {
-		ranges = make([]wire.AckRange, 0, keep)
+	if cap(ranges) < len(ivs) {
+		ranges = make([]wire.AckRange, 0, len(ivs))
 	}
-	for i := n - 1; i >= n-keep; i-- {
+	for i := len(ivs) - 1; i >= 0; i-- {
 		ranges = append(ranges, wire.AckRange{
 			Smallest: wire.PacketNumber(ivs[i].Start),
 			Largest:  wire.PacketNumber(ivs[i].End - 1),

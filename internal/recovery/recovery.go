@@ -74,6 +74,9 @@ type Space struct {
 	// is reused instead of walked through.
 	packets []*SentPacket
 	head    int
+	// settled counts the acked-or-lost packets still in packets[head:],
+	// so trim decides whether to compact without recounting the window.
+	settled int
 
 	// free holds recycled owned packets. retired holds the ones trimmed
 	// since the last OnAck/OnLossTimer/OnRTO began: that call's result
@@ -357,8 +360,10 @@ func (s *Space) OnRTO(now time.Duration) []*SentPacket {
 	return lost
 }
 
-// settle removes a packet from in-flight accounting.
+// settle removes a packet from in-flight accounting. The caller has
+// just marked it acked or lost; it stays in the history until trim.
 func (s *Space) settle(sp *SentPacket) {
+	s.settled++
 	s.bytesInFlight -= sp.Size
 	if sp.Retransmittable {
 		s.retransmittableInFlight--
@@ -379,30 +384,24 @@ func (s *Space) trim() {
 	for s.head < len(s.packets) && (s.packets[s.head].acked || s.packets[s.head].lost) {
 		s.retire(s.head)
 		s.head++
+		s.settled--
 	}
 	live := s.packets[s.head:]
 	// Compact interior garbage occasionally.
-	if len(live) > 64 {
-		settled := 0
-		for _, sp := range live {
-			if sp.acked || sp.lost {
-				settled++
+	if len(live) > 64 && s.settled > len(live)/2 {
+		kept := s.head
+		for i := s.head; i < len(s.packets); i++ {
+			if sp := s.packets[i]; sp.acked || sp.lost {
+				s.retire(i)
+			} else {
+				s.packets[kept] = sp
+				kept++
 			}
 		}
-		if settled > len(live)/2 {
-			kept := s.head
-			for i := s.head; i < len(s.packets); i++ {
-				if sp := s.packets[i]; sp.acked || sp.lost {
-					s.retire(i)
-				} else {
-					s.packets[kept] = sp
-					kept++
-				}
-			}
-			clear(s.packets[kept:])
-			s.packets = s.packets[:kept]
-			live = s.packets[s.head:]
-		}
+		clear(s.packets[kept:])
+		s.packets = s.packets[:kept]
+		s.settled = 0
+		live = s.packets[s.head:]
 	}
 	// Reuse the dead prefix once it is at least as long as what lives
 	// (amortized O(1) per packet).

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"mpquic/internal/perf"
 	"mpquic/internal/rtt"
 	"mpquic/internal/wire"
 )
@@ -278,6 +279,32 @@ func TestAckManagerCapsRangesAt256(t *testing.T) {
 	if err := ack.Validate(); err != nil {
 		t.Fatal(err)
 	}
+
+	// The manager itself keeps no more than a frame can report, however
+	// long a peer goes on sending every other packet number. What it
+	// forgot counts as received; a late packet above that is still
+	// taken, without growing the set.
+	for i := 600; i < 200_000; i += 2 {
+		a.OnPacketReceived(wire.PacketNumber(i), true, 0)
+	}
+	if n := len(a.received.Intervals()); n > wire.MaxAckRanges {
+		t.Fatalf("%d intervals kept after 100k alternating packet numbers, want <= %d", n, wire.MaxAckRanges)
+	}
+	if ack := a.BuildAck(time.Millisecond); len(ack.Ranges) != wire.MaxAckRanges || ack.LargestAcked() != 199_998 {
+		t.Fatalf("%d ranges, largest %d", len(ack.Ranges), ack.LargestAcked())
+	}
+	oldest := wire.PacketNumber(a.received.Intervals()[0].Start)
+	for _, pn := range []wire.PacketNumber{0, 1, oldest - 3, oldest - 2} {
+		if !a.IsDuplicate(pn) || a.OnPacketReceived(pn, true, 0) {
+			t.Fatalf("packet %d, forgotten below the oldest interval kept (%d), taken as new", pn, oldest)
+		}
+	}
+	if !a.IsDuplicate(oldest) || a.IsDuplicate(oldest+1) || !a.OnPacketReceived(oldest+1, true, 0) {
+		t.Fatalf("duplicate detection wrong around the oldest interval kept (%d)", oldest)
+	}
+	if n := len(a.received.Intervals()); n > wire.MaxAckRanges {
+		t.Fatalf("%d intervals after late packets", n)
+	}
 }
 
 func TestAckManagerLargestReceived(t *testing.T) {
@@ -353,5 +380,114 @@ func TestTrimCompactsInteriorGarbage(t *testing.T) {
 	}
 	if s.BytesInFlight() != 1900 {
 		t.Fatalf("in flight %d", s.BytesInFlight())
+	}
+}
+
+// recount is what trim computed on every call before Space kept the
+// count: the settled packets still in the history.
+func recount(s *Space) int {
+	n := 0
+	for _, sp := range s.packets[s.head:] {
+		if sp.acked || sp.lost {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSettledCountMatchesRecount drives random send / ack / loss-timer
+// / RTO sequences — sparse acks that leave interior garbage, bursts
+// that trigger compaction and prefix reuse — and checks after every
+// call that the running count is what a recount finds, so trim compacts
+// at exactly the moments it did when it recounted.
+func TestSettledCountMatchesRecount(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		rnd := seed * 0x9e3779b97f4a7c15
+		next := func(n int) int {
+			rnd ^= rnd << 13
+			rnd ^= rnd >> 7
+			rnd ^= rnd << 17
+			return int(rnd % uint64(n))
+		}
+		s := newSpace()
+		now := time.Duration(0)
+		check := func(op string) {
+			t.Helper()
+			if got, want := s.settled, recount(s); got != want {
+				t.Fatalf("seed %d after %s: settled = %d, recount = %d (head %d, len %d)",
+					seed, op, got, want, s.head, len(s.packets))
+			}
+		}
+		for step := 0; step < 3000; step++ {
+			now += time.Duration(next(2000)) * time.Microsecond
+			switch op := next(20); {
+			case op < 10:
+				for i := next(40); i >= 0; i-- {
+					if next(2) == 0 {
+						sent(s, 1000, now)
+					} else {
+						s.RecordSent(s.NextPacketNumber(), nil, 1000, now)
+					}
+				}
+				check("send")
+			case op < 18:
+				out := s.Outstanding()
+				if len(out) == 0 {
+					continue
+				}
+				// A few ranges anywhere in the outstanding window.
+				var pns []wire.PacketNumber
+				for r := next(3); r >= 0; r-- {
+					at := next(len(out))
+					for i := at; i < len(out) && i < at+1+next(30); i++ {
+						pns = append(pns, out[i].PN)
+					}
+				}
+				s.OnAck(ackOf(pns...), now)
+				check("ack")
+			case op < 19:
+				s.OnLossTimer(now)
+				check("loss timer")
+			default:
+				s.OnRTO(now)
+				check("RTO")
+			}
+		}
+	}
+}
+
+// TestOnAckCostIndependentOfWindow: acknowledging one packet costs the
+// same whether 64 or 8192 others are outstanding. A trim that recounts
+// the window on every ACK reads about 100x here.
+func TestOnAckCostIndependentOfWindow(t *testing.T) {
+	if testing.Short() || perf.RaceEnabled {
+		t.Skip("timing comparison")
+	}
+	perAck := func(window int) time.Duration {
+		best := time.Duration(1 << 62)
+		for rep := 0; rep < 5; rep++ {
+			s := newSpace()
+			for i := 0; i < window; i++ {
+				s.RecordSent(s.NextPacketNumber(), nil, 1000, 0)
+			}
+			ack := &wire.AckFrame{Ranges: make([]wire.AckRange, 1)}
+			const acks = 20000
+			start := time.Now()
+			for i := 0; i < acks; i++ {
+				oldest := s.LargestSent() - wire.PacketNumber(window)
+				ack.Ranges[0] = wire.AckRange{Smallest: oldest, Largest: oldest}
+				s.OnAck(ack, time.Millisecond)
+				s.RecordSent(s.NextPacketNumber(), nil, 1000, 0)
+			}
+			if d := time.Since(start) / acks; d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	small, large := perAck(64), perAck(8192)
+	t.Logf("per ACK: %v at 64 outstanding, %v at 8192", small, large)
+	if large > 4*small {
+		t.Fatalf("per-ACK cost grows with the window: %v at 64 outstanding, %v at 8192", small, large)
 	}
 }

@@ -2,6 +2,9 @@ package stream
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"sync"
 
 	"mpquic/internal/wire"
 )
@@ -70,12 +73,56 @@ func (r *RecvStream) OnFrame(f *wire.StreamFrame) (newBytes uint64, err error) {
 // minRecvBuf is the smallest reassembly buffer allocated.
 const minRecvBuf = 16 << 10
 
+// windowPools recycles reassembly windows: class k holds buffers of
+// capacity minRecvBuf<<k, the only capacities reserve grows to while
+// the stream's length is unknown. A window that is outgrown is dead the
+// moment its bytes are copied out — Read's slices are valid only until
+// the next OnFrame, and growing happens inside one — so it goes back at
+// once and the next stream climbing the same ladder, on this connection
+// or a later one, takes it instead of allocating. (A stream's last
+// window is never known to be dead and is left to the collector.)
+var windowPools [51]sync.Pool // a class for every capacity a uint64 holds
+
+// windowClass returns the smallest class whose capacity is at least n.
+func windowClass(n uint64) int {
+	if n <= minRecvBuf {
+		return 0
+	}
+	return bits.Len64((n - 1) / minRecvBuf)
+}
+
+// getWindow returns a zeroed buffer of length n from the smallest class
+// that leaves half of n as headroom, so that a window at its steady
+// size slides rarely: the capacity is at least 1.5n and less than 3n.
+// When that is more than limit, the rest of a stream whose length is
+// known, the buffer has capacity limit and comes from no class.
+func getWindow(n, limit uint64) []byte {
+	k := windowClass(n + n/2)
+	size := uint64(minRecvBuf) << k
+	if size > limit {
+		return make([]byte, n, limit)
+	}
+	if p, ok := windowPools[k].Get().(*[]byte); ok {
+		b := (*p)[:size]
+		clear(b) // as a fresh one would be: no stream sees another's bytes
+		return b[:n]
+	}
+	return make([]byte, n, size)
+}
+
+// putWindow recycles an outgrown window, unless it came from no class.
+func putWindow(b []byte) {
+	if k := windowClass(uint64(cap(b))); uint64(cap(b)) == uint64(minRecvBuf)<<k {
+		windowPools[k].Put(&b)
+	}
+}
+
 // reserve makes buf cover stream offsets up to end. When the frame does
 // not fit, the unread bytes first slide to the front of the buffer;
 // only when the unread span itself (read offset to end) exceeds the
-// capacity does the buffer grow — to twice that span, so that a buffer
-// at its steady size slides rarely, and never past the stream length
-// once the FIN is known.
+// capacity does the buffer grow — to the pooled window class above one
+// and a half times that span, never past the stream length once the
+// FIN is known — and the window it outgrew is recycled.
 func (r *RecvStream) reserve(end uint64) {
 	if end-r.base <= uint64(cap(r.buf)) {
 		if end-r.base > uint64(len(r.buf)) {
@@ -92,12 +139,13 @@ func (r *RecvStream) reserve(end uint64) {
 		r.buf = r.buf[:max(uint64(n), need)]
 		return
 	}
-	newCap := max(2*need, minRecvBuf)
-	if r.hasFin && newCap > r.finOffset-r.base {
-		newCap = r.finOffset - r.base
+	limit := uint64(math.MaxUint64)
+	if r.hasFin {
+		limit = r.finOffset - r.base
 	}
-	grown := make([]byte, need, newCap)
+	grown := getWindow(need, limit)
 	copy(grown, unread)
+	putWindow(r.buf)
 	r.buf = grown
 }
 

@@ -65,4 +65,10 @@ echo "== bench module (go vet, mpq-vet, mpq-escape, go test)"
 echo "== go test -race (internal packages)"
 go test -race ./internal/...
 
+# Live ingress batches — and so which datagrams carry
+# netem.Datagram.More — take their shape from the Go scheduler; the two
+# packages that depend on it run under several P counts.
+echo "== go test -race -cpu 1,2,4 (core, live)"
+go test -race -cpu 1,2,4 ./internal/core ./internal/live
+
 echo "ok"
