@@ -725,7 +725,14 @@ func (c *Conn) finishClose() {
 }
 
 // Close terminates the connection, notifying the peer on every path.
+// Called from a callback while HandleDatagram is deferring, it first
+// sends what is owed — data written in the same callback, ACKs — as it
+// would have left before the close without the hint.
 func (c *Conn) Close() {
+	if c.held {
+		c.deferring = false
+		c.trySend()
+	}
 	if c.closed {
 		return
 	}

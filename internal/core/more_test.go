@@ -282,3 +282,56 @@ func TestListenerReleasesConnectionsLeftHolding(t *testing.T) {
 		})
 	}
 }
+
+// TestCloseUnderMoreSendsWhatIsOwedFirst: an application that answers a
+// request and closes the connection in one callback, on a datagram
+// delivered under More, still gets its answer out ahead of the
+// CONNECTION_CLOSE — the close does not wait for, or discard, the held
+// send.
+func TestCloseUnderMoreSendsWhatIsOwedFirst(t *testing.T) {
+	cfg := core.DefaultSinglePathConfig()
+	net := newBatchNet()
+	lis := core.Listen(net, cfg, moreServerAddrs[:1])
+	lis.OnConnection(func(c *core.Conn) {
+		c.OnStreamOpen(func(s *core.Stream) {
+			s.OnData(func() {
+				s.Read(s.Readable())
+				s.WriteSynthetic(3000)
+				c.Close()
+			})
+		})
+	})
+	a := core.Dial(net, cfg, 0xa, []netem.Addr{"a0"}, moreServerAddrs[:1])
+	net.settle(t, func() bool { return a.HandshakeComplete() })
+	apps.NewGetClient(a, 3000, net.now, func(apps.GetResult) {})
+	for _, dg := range net.take() {
+		net.deliver(dg, true)
+	}
+	var streamBytes, closesAt []int
+	out := net.take()
+	for i, dg := range out {
+		for _, f := range packetOf(t, dg).Frames {
+			switch f := f.(type) {
+			case *wire.StreamFrame:
+				streamBytes = append(streamBytes, f.Len())
+			case *wire.ConnectionCloseFrame:
+				closesAt = append(closesAt, i)
+			}
+		}
+	}
+	sum := 0
+	for _, n := range streamBytes {
+		sum += n
+	}
+	if sum != 3000 || len(closesAt) != 1 || closesAt[0] != len(out)-1 {
+		t.Fatalf("under More: STREAM frames %v, CONNECTION_CLOSE in packets %v of %d; want 3000 bytes, then one close", streamBytes, closesAt, len(out))
+	}
+	if len(lis.Conns()) != 0 {
+		t.Fatal("listener kept the closed connection")
+	}
+	// The batch's last datagram finds nothing left to release.
+	net.deliver(core.RawDatagram("x", moreServerAddrs[0], []byte{0xff}), false)
+	if len(net.queue) != 0 {
+		t.Fatalf("%d packets left after the close", len(net.queue))
+	}
+}

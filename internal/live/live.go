@@ -87,7 +87,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"reflect"
 	"sync"
 	"time"
 
@@ -346,21 +345,15 @@ func (d *Driver) LocalAddrs() []netem.Addr { return d.binder.Locals() }
 // Register implements core.DatagramSender: ingress datagrams arriving
 // on the socket bound to addr are dispatched to h, from the next clock
 // step on when called from inside one. Addresses registered with the
-// same h share one reaction per step (see netem.Datagram.More); a
-// handler of a type that cannot be compared, such as netem.HandlerFunc,
-// counts as a distinct handler at each address.
+// same h share one reaction per step (see netem.Datagram.More). The
+// loop tells handlers apart with ==, so h must be of a comparable type
+// (a pointer, as core's endpoints are): wrap a netem.HandlerFunc in a
+// struct registered by pointer.
 //
 //mpq:confined run-loop
 func (d *Driver) Register(addr netem.Addr, h netem.Handler) {
-	if h != nil && !reflect.TypeOf(h).Comparable() {
-		h = &boxedHandler{h}
-	}
 	d.handlers[addr] = h
 }
-
-// boxedHandler gives a handler value that cannot be compared an
-// identity, so the loop can tell handlers apart with ==.
-type boxedHandler struct{ netem.Handler }
 
 // Send implements core.DatagramSender: the datagram is queued and
 // flushed to its socket when the current event batch finishes (egress

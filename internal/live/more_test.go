@@ -126,49 +126,28 @@ func TestBatchMarksMoreOnAllButTheLastDatagram(t *testing.T) {
 }
 
 // Distinct handlers are told apart: each gets its own last datagram in
-// every step it takes part in. A handler value that cannot be compared
-// — the same netem.HandlerFunc on both sockets — counts as one handler
-// per address.
+// every step it takes part in.
 func TestBatchMarksMorePerHandler(t *testing.T) {
 	const each = 200
-	run := func(t *testing.T, d *live.Driver, logs [2]*moreLog) {
-		blastAt(t, d, 0, each, make([]byte, 100))
-		blastAt(t, d, 1, each, make([]byte, 100))
-		awaitPending(t, d, 2*each*9/10)
-		if err := d.Run(func() bool { return len(logs[0].seen)+len(logs[1].seen) >= 2*each*9/10 }); err != nil {
-			t.Fatal(err)
-		}
-		for i, l := range logs {
-			if len(l.seen) == 0 {
-				t.Fatalf("socket %d delivered nothing", i)
-			}
-			checkMoreContract(t, string(d.LocalAddrs()[i]), l.seen)
-		}
-		if d.Stats.MaxBatch < 2 {
-			t.Fatal("no step injected more than one datagram")
-		}
+	d := newDriverOpts(t, 2)
+	logs := [2]*moreLog{{d: d}, {d: d}}
+	d.Register(d.LocalAddrs()[0], logs[0])
+	d.Register(d.LocalAddrs()[1], logs[1])
+	blastAt(t, d, 0, each, make([]byte, 100))
+	blastAt(t, d, 1, each, make([]byte, 100))
+	awaitPending(t, d, 2*each*9/10)
+	if err := d.Run(func() bool { return len(logs[0].seen)+len(logs[1].seen) >= 2*each*9/10 }); err != nil {
+		t.Fatal(err)
 	}
-	t.Run("two handlers", func(t *testing.T) {
-		d := newDriverOpts(t, 2)
-		logs := [2]*moreLog{{d: d}, {d: d}}
-		d.Register(d.LocalAddrs()[0], logs[0])
-		d.Register(d.LocalAddrs()[1], logs[1])
-		run(t, d, logs)
-	})
-	t.Run("one HandlerFunc", func(t *testing.T) {
-		d := newDriverOpts(t, 2)
-		logs := [2]*moreLog{{d: d}, {d: d}}
-		fn := netem.HandlerFunc(func(dg netem.Datagram) {
-			if dg.To == d.LocalAddrs()[0] {
-				logs[0].HandleDatagram(dg)
-			} else {
-				logs[1].HandleDatagram(dg)
-			}
-		})
-		d.Register(d.LocalAddrs()[0], fn)
-		d.Register(d.LocalAddrs()[1], fn)
-		run(t, d, logs)
-	})
+	for i, l := range logs {
+		if len(l.seen) == 0 {
+			t.Fatalf("socket %d delivered nothing", i)
+		}
+		checkMoreContract(t, string(d.LocalAddrs()[i]), l.seen)
+	}
+	if d.Stats.MaxBatch < 2 {
+		t.Fatal("no step injected more than one datagram")
+	}
 }
 
 // A full batch of data packets on two paths, waiting in the reader

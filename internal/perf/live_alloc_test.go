@@ -106,10 +106,16 @@ func TestLiveDriverAllocPerPacketSteadyState(t *testing.T) {
 	// The budget is zero; the slack absorbs sync.Pool refills after a
 	// GC inside the measured window and the receiver goroutines'
 	// scheduling noise, not a per-packet cost (a real per-packet
-	// allocation reads as >= 1.0 here). Under -race the pool drops
-	// buffers on purpose and the budget does not apply.
-	if perPacket > 0.25 && !RaceEnabled {
-		t.Errorf("live driver allocates %.2f/packet in steady state, want 0 (slack 0.25)", perPacket)
+	// allocation reads as >= 1.0 here). Under -race sync.Pool drops a
+	// quarter of what is put back, on purpose, so a quarter of the
+	// packets allocate their buffer anew: the slack widens to cover
+	// that and still stays below one real allocation per packet.
+	slack := 0.25
+	if RaceEnabled {
+		slack = 0.75
+	}
+	if perPacket > slack {
+		t.Errorf("live driver allocates %.2f/packet in steady state, want 0 (slack %.2f)", perPacket, slack)
 	}
 	// The budget has to cover both lanes of ingest: the plain datagram
 	// and the one followed by More.

@@ -74,14 +74,14 @@ func (r *RecvStream) OnFrame(f *wire.StreamFrame) (newBytes uint64, err error) {
 const minRecvBuf = 16 << 10
 
 // windowPools recycles reassembly windows: class k holds buffers of
-// capacity minRecvBuf<<k, the only capacities reserve grows to while
-// the stream's length is unknown. A window that is outgrown is dead the
-// moment its bytes are copied out — Read's slices are valid only until
-// the next OnFrame, and growing happens inside one — so it goes back at
-// once and the next stream climbing the same ladder, on this connection
-// or a later one, takes it instead of allocating. (A stream's last
-// window is never known to be dead and is left to the collector.)
-var windowPools [51]sync.Pool // a class for every capacity a uint64 holds
+// capacity minRecvBuf<<k, the capacities reserve grows to. A window that
+// is outgrown is dead the moment its bytes are copied out — Read's
+// slices are valid only until the next OnFrame, and growing happens
+// inside one — so it goes back at once and the next stream climbing the
+// same ladder, on this connection or a later one, takes it instead of
+// allocating. (A stream's last window is never known to be dead and is
+// left to the collector.)
+var windowPools [11]sync.Pool // 16 KiB to 16 MiB, the default flow-control window
 
 // windowClass returns the smallest class whose capacity is at least n.
 func windowClass(n uint64) int {
@@ -92,27 +92,26 @@ func windowClass(n uint64) int {
 }
 
 // getWindow returns a zeroed buffer of length n from the smallest class
-// that leaves half of n as headroom, so that a window at its steady
-// size slides rarely: the capacity is at least 1.5n and less than 3n.
-// When that is more than limit, the rest of a stream whose length is
-// known, the buffer has capacity limit and comes from no class.
+// that holds it: the capacity is at least n and less than 2n. When that
+// is more than limit, the rest of a stream whose length is known, or
+// when n is beyond the largest class, the buffer comes from no class and
+// has capacity 2n or limit, whichever is less.
 func getWindow(n, limit uint64) []byte {
-	k := windowClass(n + n/2)
-	size := uint64(minRecvBuf) << k
-	if size > limit {
-		return make([]byte, n, limit)
+	k := windowClass(n)
+	if k >= len(windowPools) || minRecvBuf<<k > limit {
+		return make([]byte, n, min(2*n, limit))
 	}
 	if p, ok := windowPools[k].Get().(*[]byte); ok {
-		b := (*p)[:size]
+		b := (*p)[:minRecvBuf<<k]
 		clear(b) // as a fresh one would be: no stream sees another's bytes
 		return b[:n]
 	}
-	return make([]byte, n, size)
+	return make([]byte, n, minRecvBuf<<k)
 }
 
 // putWindow recycles an outgrown window, unless it came from no class.
 func putWindow(b []byte) {
-	if k := windowClass(uint64(cap(b))); uint64(cap(b)) == uint64(minRecvBuf)<<k {
+	if k := windowClass(uint64(cap(b))); k < len(windowPools) && cap(b) == minRecvBuf<<k {
 		windowPools[k].Put(&b)
 	}
 }
@@ -120,9 +119,9 @@ func putWindow(b []byte) {
 // reserve makes buf cover stream offsets up to end. When the frame does
 // not fit, the unread bytes first slide to the front of the buffer;
 // only when the unread span itself (read offset to end) exceeds the
-// capacity does the buffer grow — to the pooled window class above one
-// and a half times that span, never past the stream length once the
-// FIN is known — and the window it outgrew is recycled.
+// capacity does the buffer grow — to the pooled window class that holds
+// that span, less than twice it and never past the stream length once
+// the FIN is known — and the window it outgrew is recycled.
 func (r *RecvStream) reserve(end uint64) {
 	if end-r.base <= uint64(cap(r.buf)) {
 		if end-r.base > uint64(len(r.buf)) {

@@ -103,8 +103,8 @@ func runRecvOps(ops []byte) error {
 				step, r.Readable(), m.readable(), r.BytesReceived(), m.received, r.FinReceived(), m.hasFin,
 				r.ReadOffset(), m.readOffset, r.Complete(), m.complete())
 		}
-		if limit := max(3*maxSpan, minRecvBuf); uint64(cap(r.buf)) > limit {
-			return fmt.Errorf("%s: cap(buf) = %d exceeds three times the largest unread span %d", step, cap(r.buf), maxSpan)
+		if limit := max(2*maxSpan, minRecvBuf); uint64(cap(r.buf)) > limit {
+			return fmt.Errorf("%s: cap(buf) = %d exceeds twice the largest unread span %d", step, cap(r.buf), maxSpan)
 		}
 		return nil
 	}
