@@ -1,7 +1,7 @@
 # Convenience targets; see scripts/check.sh for the pre-commit gate and
 # bench/run.sh (BENCHMARK.json) for the repository benchmark.
 
-.PHONY: build test vet escape doclint fuzz-smoke bench live-smoke chaos-smoke check
+.PHONY: build test vet escape doclint fuzz-smoke bench sim-signature live-smoke chaos-smoke check
 
 build:
 	go build ./...
@@ -24,12 +24,19 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz='^FuzzDecodeBorrowed$$' -fuzztime=30s ./internal/wire
 	go test -run='^$$' -fuzz='^FuzzLiveIngress$$' -fuzztime=30s ./internal/live
 	go test -run='^$$' -fuzz='^FuzzRecvStream$$' -fuzztime=30s ./internal/stream
+	go test -run='^$$' -fuzz='^FuzzClockOps$$' -fuzztime=30s ./internal/sim
 
 # Every BENCHMARK.json workload once, end-to-end metrics (about 20 s each).
 bench:
 	for w in sim_grid_bulk sim_grid_lossy sim_wire_crypto live_loopback_2p live_large_1p; do \
 		bash bench/run.sh --workload $$w || exit 1; \
 	done
+
+# What the three sim_* workloads do in simulated terms (packets, losses,
+# RTOs, queue drops, transfer time) at seeds 0 and 5, to diff against
+# the same table from another checkout.
+sim-signature:
+	sh scripts/sim-signature.sh 0 5
 
 live-smoke:
 	sh scripts/live_smoke.sh

@@ -100,3 +100,34 @@ func TestDownloadMethodCompletes(t *testing.T) {
 		t.Fatalf("unexpected result: %+v", res)
 	}
 }
+
+// Download stops the clock in its completion callback, inside a
+// deadline-long RunUntil window. The clock must stay at the stop
+// instant: a second Download on the same Network then continues from
+// there (it used to find the clock at the first one's 24 h deadline and
+// fail with "time went backwards" on the first pending event).
+func TestSequentialDownloadsShareOneClock(t *testing.T) {
+	net := mpquic.NewTwoPathNetwork(twoPathSpec(1))
+	server := net.Listen(mpquic.DefaultConfig())
+	net.ServeGet(server)
+	client := net.Dial(mpquic.DefaultConfig(), 42)
+
+	first, err := net.Download(client, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := net.Now(); got != first.Finish {
+		t.Fatalf("clock at %v after the first download, want its completion instant %v", got, first.Finish)
+	}
+	second, err := net.Download(client, 1<<20)
+	if err != nil {
+		t.Fatalf("second download: %v", err)
+	}
+	if second.Size != 1<<20 || second.Start != first.Finish {
+		t.Fatalf("second download %+v did not start where the first ended (%v)", second, first.Finish)
+	}
+	// No time passes between the two, so the clock reads their sum.
+	if got, want := net.Now(), first.Elapsed()+second.Elapsed(); got != want {
+		t.Fatalf("clock at %v after both downloads, want %v", got, want)
+	}
+}

@@ -40,8 +40,12 @@ type Conn struct {
 	net    DatagramSender
 	connID wire.ConnectionID
 
-	paths           map[wire.PathID]*Path
-	pathOrder       []wire.PathID
+	// paths holds every path in creation order — the order the
+	// scheduler's tie-breaks, PATHS frames and the golden artifacts
+	// depend on. Paths are never removed and MaxPaths bounds the list,
+	// so by-ID lookup (Conn.path) is a scan: a handful of compares,
+	// cheaper than hashing, on a list every per-packet loop walks anyway.
+	paths           []*Path
 	nextLocalPathID wire.PathID
 	rrNext          int // round-robin scheduler cursor
 
@@ -63,9 +67,11 @@ type Conn struct {
 
 	connFC        *stream.FlowController
 	connRecvTotal uint64
-	streams       map[wire.StreamID]*Stream
-	streamOrder   []wire.StreamID
-	nextStreamID  wire.StreamID
+	// streams holds every stream in creation order, local and
+	// peer-opened interleaved as they appeared; Conn.stream finds one
+	// by ID the way Conn.path does.
+	streams      []*Stream
+	nextStreamID wire.StreamID
 
 	ctrl []wire.Frame // control frames the scheduler may route anywhere
 
@@ -129,11 +135,9 @@ func newConn(net DatagramSender, role Role, connID wire.ConnectionID, cfg Config
 		clock:       net.Clock(),
 		net:         net,
 		connID:      connID,
-		paths:       make(map[wire.PathID]*Path),
 		localAddrs:  localAddrs,
 		remoteAddrs: remoteAddrs,
 		connFC:      stream.NewFlowController(cfg.ConnWindow),
-		streams:     make(map[wire.StreamID]*Stream),
 	}
 	c.startTime = c.now()
 	c.lastRecvTime = c.now()
@@ -187,16 +191,22 @@ func (c *Conn) HandshakeComplete() bool { return c.handshakeComplete }
 func (c *Conn) Closed() bool { return c.closed }
 
 // Paths returns the open paths in creation order.
-func (c *Conn) Paths() []*Path {
-	out := make([]*Path, 0, len(c.pathOrder))
-	for _, id := range c.pathOrder {
-		out = append(out, c.paths[id])
-	}
-	return out
-}
+func (c *Conn) Paths() []*Path { return append([]*Path(nil), c.paths...) }
 
 // PathByID returns a path or nil.
-func (c *Conn) PathByID(id wire.PathID) *Path { return c.paths[id] }
+func (c *Conn) PathByID(id wire.PathID) *Path { return c.path(id) }
+
+// path returns the path with the given ID, or nil.
+//
+//mpq:noescape
+func (c *Conn) path(id wire.PathID) *Path {
+	for _, p := range c.paths {
+		if p.ID == id {
+			return p
+		}
+	}
+	return nil
+}
 
 // SampleInto appends one PathSample per path (creation order) to rec,
 // stamped with the current simulated time. Sampling only reads state —
@@ -205,8 +215,7 @@ func (c *Conn) PathByID(id wire.PathID) *Path { return c.paths[id] }
 // runs.
 func (c *Conn) SampleInto(rec *trace.SeriesRecorder) {
 	now := c.now()
-	for _, id := range c.pathOrder {
-		p := c.paths[id]
+	for _, p := range c.paths {
 		rec.Add(trace.PathSample{
 			T:          now,
 			Path:       uint8(p.ID),
@@ -265,8 +274,7 @@ func (c *Conn) newController() (cc.Controller, *cc.OliaPath) {
 func (c *Conn) addPath(id wire.PathID, local, remote netem.Addr) *Path {
 	ctrl, oliaPath := c.newController()
 	p := newPath(id, local, remote, rtt.New(rtt.DefaultQUIC()), ctrl, oliaPath)
-	c.paths[id] = p
-	c.pathOrder = append(c.pathOrder, id)
+	c.paths = append(c.paths, p)
 	c.Stats.PathsOpened++
 	c.trace(trace.Event{Type: trace.PathOpened, Path: uint8(id), Detail: string(local) + "->" + string(remote)})
 	return p
@@ -373,7 +381,7 @@ func (c *Conn) completeHandshake() {
 // openAdditionalPaths pairs local interface i with known remote
 // address i and opens a path when both exist.
 func (c *Conn) openAdditionalPaths() {
-	for i := 1; i < len(c.localAddrs) && len(c.pathOrder) < c.cfg.MaxPaths; i++ {
+	for i := 1; i < len(c.localAddrs) && len(c.paths) < c.cfg.MaxPaths; i++ {
 		if i >= len(c.remoteAddrs) {
 			break
 		}
@@ -438,7 +446,7 @@ func (c *Conn) receive(dg netem.Datagram) {
 			return // corrupted: a real stack drops silently
 		}
 		largest := wire.InvalidPacketNumber
-		if p, ok := c.paths[hdr.PathID]; ok {
+		if p := c.path(hdr.PathID); p != nil {
 			if l, has := p.ackMgr.LargestReceived(); has {
 				largest = l
 			}
@@ -472,10 +480,10 @@ func (c *Conn) receive(dg netem.Datagram) {
 	if !pkt.Header.Multipath {
 		pathID = 0
 	}
-	p, ok := c.paths[pathID]
-	if !ok {
+	p := c.path(pathID)
+	if p == nil {
 		// Peer-initiated path: adopt addresses from the datagram.
-		if len(c.pathOrder) >= c.cfg.MaxPaths && c.cfg.MaxPaths > 0 {
+		if len(c.paths) >= c.cfg.MaxPaths && c.cfg.MaxPaths > 0 {
 			return
 		}
 		p = c.addPath(pathID, dg.To, dg.From)
@@ -537,11 +545,10 @@ func (c *Conn) handleFrame(p *Path, f wire.Frame) {
 func (c *Conn) handleAck(recvPath *Path, ack *wire.AckFrame) {
 	target := recvPath
 	if c.cfg.Multipath {
-		tp, ok := c.paths[ack.PathID]
-		if !ok {
+		target = c.path(ack.PathID)
+		if target == nil {
 			return
 		}
-		target = tp
 	}
 	res := target.space.OnAck(ack, c.now())
 	srtt := target.est.SmoothedRTT()
@@ -581,7 +588,7 @@ func (c *Conn) onFramesAcked(frames []wire.Frame) {
 	for _, f := range frames {
 		switch fr := f.(type) {
 		case *wire.StreamFrame:
-			if s, ok := c.streams[fr.StreamID]; ok {
+			if s := c.stream(fr.StreamID); s != nil {
 				s.send.OnFrameAcked(fr.Offset, fr.Len(), fr.Fin)
 				if s.onAcked != nil && s.AllAcked() {
 					s.onAcked()
@@ -605,7 +612,7 @@ func (c *Conn) requeueFrames(frames []wire.Frame) {
 	for _, f := range frames {
 		switch fr := f.(type) {
 		case *wire.StreamFrame:
-			if s, ok := c.streams[fr.StreamID]; ok {
+			if s := c.stream(fr.StreamID); s != nil {
 				s.send.OnFrameLost(fr.Offset, fr.Len(), fr.Fin)
 				c.Stats.Retransmissions++
 			}
@@ -629,9 +636,9 @@ func (c *Conn) requeueFrames(frames []wire.Frame) {
 }
 
 func (c *Conn) handleStreamFrame(f *wire.StreamFrame) {
-	s, existed := c.streams[f.StreamID]
-	if !existed {
-		s = c.getOrCreateStream(f.StreamID)
+	s := c.stream(f.StreamID)
+	if s == nil {
+		s = c.newStream(f.StreamID)
 		if c.onStreamOpen != nil {
 			c.onStreamOpen(s)
 		}
@@ -669,7 +676,7 @@ func (c *Conn) handleWindowUpdate(f *wire.WindowUpdateFrame) {
 	grew := false
 	if f.StreamID == 0 {
 		grew = c.connFC.UpdateSendLimit(f.Offset)
-	} else if s, ok := c.streams[f.StreamID]; ok {
+	} else if s := c.stream(f.StreamID); s != nil {
 		grew = s.fc.UpdateSendLimit(f.Offset)
 	}
 	if grew {
@@ -692,7 +699,7 @@ func (c *Conn) handleAddAddress(f *wire.AddAddressFrame) {
 
 func (c *Conn) handlePathsFrame(f *wire.PathsFrame) {
 	for _, info := range f.Paths {
-		if p, ok := c.paths[info.PathID]; ok {
+		if p := c.path(info.PathID); p != nil {
 			p.remotePF = info.PotentiallyFailed
 		}
 	}
@@ -737,8 +744,7 @@ func (c *Conn) Close() {
 		return
 	}
 	frame := &wire.ConnectionCloseFrame{ErrorCode: 0, Reason: "done"}
-	for _, pid := range c.pathOrder {
-		p := c.paths[pid]
+	for _, p := range c.paths {
 		if p.open {
 			c.sendPacketOn(p, []wire.Frame{frame}, false)
 		}
@@ -769,8 +775,7 @@ func (c *Conn) onTimer() {
 		c.closeWithError(fmt.Errorf("core: idle timeout after %v", c.cfg.IdleTimeout))
 		return
 	}
-	for _, pid := range c.pathOrder {
-		p := c.paths[pid]
+	for _, p := range c.paths {
 		if !p.open {
 			continue
 		}
@@ -818,7 +823,7 @@ func (c *Conn) onPathRTO(p *Path) {
 		c.Stats.PacketsLost++
 		c.requeueFrames(sp.Frames)
 	}
-	if c.cfg.Multipath && len(c.pathOrder) > 1 {
+	if c.cfg.Multipath && len(c.paths) > 1 {
 		p.potentiallyFailed = true
 		c.trace(trace.Event{Type: trace.PathFailed, Path: uint8(p.ID)})
 		if c.cfg.PathsFrameOnFailure {
@@ -845,12 +850,11 @@ func (c *Conn) CorruptDrops() uint64 { return c.corruptDrops }
 // Returns the number of paths newly marked. Safe to call repeatedly;
 // already-PF paths are skipped.
 func (c *Conn) FailPathsOn(local netem.Addr) int {
-	if c.closed || !c.cfg.Multipath || len(c.pathOrder) < 2 {
+	if c.closed || !c.cfg.Multipath || len(c.paths) < 2 {
 		return 0
 	}
 	n := 0
-	for _, pid := range c.pathOrder {
-		p := c.paths[pid]
+	for _, p := range c.paths {
 		if p.Local != local || !p.open || p.potentiallyFailed {
 			continue
 		}
@@ -872,16 +876,14 @@ func (c *Conn) FailPathsOn(local netem.Addr) int {
 // flags, smoothed RTTs) on every non-PF path.
 func (c *Conn) queuePathsFrame() {
 	f := &wire.PathsFrame{}
-	for _, pid := range c.pathOrder {
-		p := c.paths[pid]
+	for _, p := range c.paths {
 		f.Paths = append(f.Paths, wire.PathInfo{
 			PathID:            p.ID,
 			PotentiallyFailed: p.potentiallyFailed,
 			SRTT:              p.est.SmoothedRTT(),
 		})
 	}
-	for _, pid := range c.pathOrder {
-		p := c.paths[pid]
+	for _, p := range c.paths {
 		if p.open && !p.potentiallyFailed {
 			p.queueCtrl(f)
 		}
@@ -899,8 +901,7 @@ func (c *Conn) resetTimer() {
 	}
 	deadline := time.Duration(1<<62 - 1)
 	now := c.now()
-	for _, pid := range c.pathOrder {
-		p := c.paths[pid]
+	for _, p := range c.paths {
 		if !p.open {
 			continue
 		}

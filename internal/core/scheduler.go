@@ -56,14 +56,14 @@ func (c *Conn) schedule() (primary *Path, duplicates []*Path) {
 //mpq:noescape
 func (c *Conn) schedulable() []*Path {
 	out := c.candidates[:0]
-	for _, pid := range c.pathOrder {
-		if p := c.paths[pid]; p.open && !p.potentiallyFailed && !p.remotePF {
+	for _, p := range c.paths {
+		if p.open && !p.potentiallyFailed && !p.remotePF {
 			out = append(out, p)
 		}
 	}
 	if len(out) == 0 {
-		for _, pid := range c.pathOrder {
-			if p := c.paths[pid]; p.open {
+		for _, p := range c.paths {
+			if p.open {
 				out = append(out, p)
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -189,4 +190,123 @@ func TestScheduleAllocFree(t *testing.T) {
 	check("both measured", 0)
 	p0.potentiallyFailed, p1.remotePF = true, true
 	check("all potentially failed", 0)
+}
+
+// Paths and streams are walked in creation order — never in ID order,
+// never in map order. The scheduler's tie-breaks (the first of two
+// equally good paths wins), the PATHS frame layout, which stream fills
+// a packet first, and so every golden artifact depend on it. Locally
+// created and peer-created entries interleave as they appeared.
+func TestPathsAndStreamsKeepCreationOrder(t *testing.T) {
+	clock := sim.NewClock()
+	nw := netem.New(clock, sim.NewRand(1))
+	c := newConn(nw, RoleClient, 1, DefaultConfig(), []netem.Addr{"a0"}, []netem.Addr{"b0"})
+	c.handshakeComplete = true
+	c.addPath(0, "a0", "b0")
+	c.addPath(3, "a3", "b3") // IDs do not arrive sorted
+	c.addPath(2, "a2", "b2")
+	var opened []wire.StreamID
+	c.OnStreamOpen(func(s *Stream) { opened = append(opened, s.ID()) })
+	peerOpens := func(id wire.StreamID) { c.handleStreamFrame(&wire.StreamFrame{StreamID: id}) }
+	s3 := c.OpenStream()
+	peerOpens(8)
+	s5 := c.OpenStream()
+	peerOpens(2)
+	peerOpens(8) // known: must not be added twice
+	if s3.ID() != 3 || s5.ID() != 5 {
+		t.Fatalf("local streams got IDs %d and %d, want 3 and 5", s3.ID(), s5.ID())
+	}
+
+	pathIDs := func(ps []*Path) (ids []wire.PathID) {
+		for _, p := range ps {
+			ids = append(ids, p.ID)
+		}
+		return ids
+	}
+	if got := pathIDs(c.Paths()); !slices.Equal(got, []wire.PathID{0, 3, 2}) {
+		t.Errorf("Paths() in order %v, want creation order [0 3 2]", got)
+	}
+	var streamIDs []wire.StreamID
+	for _, s := range c.streams {
+		streamIDs = append(streamIDs, s.id)
+	}
+	if !slices.Equal(streamIDs, []wire.StreamID{3, 8, 5, 2}) {
+		t.Errorf("streams in order %v, want creation order [3 8 5 2]", streamIDs)
+	}
+	if !slices.Equal(opened, []wire.StreamID{8, 2}) {
+		t.Errorf("OnStreamOpen fired for %v, want once each for 8 and 2", opened)
+	}
+	for _, id := range []wire.PathID{0, 3, 2} {
+		if p := c.PathByID(id); p == nil || p.ID != id {
+			t.Errorf("PathByID(%d) = %v", id, p)
+		}
+	}
+	for _, id := range streamIDs {
+		if s := c.StreamByID(id); s == nil || s.ID() != id {
+			t.Errorf("StreamByID(%d) = %v", id, s)
+		}
+	}
+	if c.PathByID(1) != nil || c.StreamByID(4) != nil {
+		t.Error("lookup of an unknown ID returned something")
+	}
+	// Paths hands out a copy, not the connection's list.
+	c.Paths()[0] = nil
+	if c.paths[0] == nil {
+		t.Error("Paths() exposed the connection's own slice")
+	}
+
+	// What the peer and the wire see follows the same order.
+	c.queuePathsFrame()
+	pf := c.paths[0].ctrl[0].(*wire.PathsFrame)
+	var advertised []wire.PathID
+	for _, info := range pf.Paths {
+		advertised = append(advertised, info.PathID)
+	}
+	if !slices.Equal(advertised, []wire.PathID{0, 3, 2}) {
+		t.Errorf("PATHS frame lists %v, want [0 3 2]", advertised)
+	}
+	for _, s := range c.streams {
+		s.send.WriteSynthetic(10)
+	}
+	var acked pathSet
+	frames, _ := c.packFrames(c.paths[1], &acked)
+	var packed []wire.StreamID
+	for _, f := range frames {
+		if sf, ok := f.(*wire.StreamFrame); ok {
+			packed = append(packed, sf.StreamID)
+		}
+	}
+	if !slices.Equal(packed, []wire.StreamID{3, 8, 5, 2}) {
+		t.Errorf("packet carries streams %v, want [3 8 5 2]", packed)
+	}
+}
+
+// TestPerPacketLoopsAllocFree pins the loops every receive and every
+// send runs over all paths and streams: re-arming the connection timer
+// and asking whether anything is sendable walk the lists and allocate
+// nothing.
+func TestPerPacketLoopsAllocFree(t *testing.T) {
+	c := newTestConn(t, DefaultConfig())
+	p0, p1 := c.paths[0], c.paths[1]
+	feedRTT(p0, 50*time.Millisecond)
+	feedRTT(p1, 20*time.Millisecond)
+	c.fillCwnd(p0) // an RTO deadline to find
+	s := c.OpenStream()
+	c.OpenStream()
+	s.send.WriteSynthetic(1 << 20)
+
+	c.resetTimer()
+	if !c.timer.Armed() {
+		t.Fatal("resetTimer found no deadline")
+	}
+	if allocs := testing.AllocsPerRun(100, c.resetTimer); allocs > 0 {
+		t.Errorf("resetTimer allocates %.1f/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if !c.hasSendableData() {
+			t.Fatal("a stream with unsent data is not sendable")
+		}
+	}); allocs > 0 {
+		t.Errorf("hasSendableData allocates %.1f/op, want 0", allocs)
+	}
 }

@@ -67,8 +67,7 @@ func (c *Conn) sendTailReinjection() {
 	if !c.cfg.TailReinjection || !c.handshakeComplete || !c.dataIdle() {
 		return
 	}
-	for _, pid := range c.pathOrder {
-		p := c.paths[pid]
+	for _, p := range c.paths {
 		if !p.open || p.potentiallyFailed || p.remotePF {
 			continue
 		}
@@ -92,8 +91,8 @@ func (c *Conn) sendTailReinjection() {
 // been handed to the network — the transfer is in its completion tail,
 // where duplicates cannot delay first-time transmissions.
 func (c *Conn) dataIdle() bool {
-	for _, sid := range c.streamOrder {
-		if c.streams[sid].send.HasData() {
+	for _, s := range c.streams {
+		if s.send.HasData() {
 			return false
 		}
 	}
@@ -106,8 +105,7 @@ func (c *Conn) dataIdle() bool {
 // they are meant to rescue, so only faster paths qualify as targets.
 func (c *Conn) oldestReinjectable(target *Path) *recovery.SentPacket {
 	var oldest *recovery.SentPacket
-	for _, pid := range c.pathOrder {
-		q := c.paths[pid]
+	for _, q := range c.paths {
 		if q == target || !q.open {
 			continue
 		}
@@ -161,8 +159,7 @@ func (c *Conn) sendPathCtrl(ackedOn *pathSet) {
 	if !c.handshakeComplete {
 		return
 	}
-	for _, pid := range c.pathOrder {
-		p := c.paths[pid]
+	for _, p := range c.paths {
 		if !p.open {
 			continue
 		}
@@ -182,8 +179,8 @@ func (c *Conn) sendPathCtrl(ackedOn *pathSet) {
 // sendHandshake emits pending CHLO/SHLO messages on path 0, padded to
 // a full packet as Google QUIC pads its client hello.
 func (c *Conn) sendHandshake() {
-	p0, ok := c.paths[0]
-	if !ok {
+	p0 := c.path(0)
+	if p0 == nil {
 		return
 	}
 	if c.chloPending && c.role == RoleClient {
@@ -312,14 +309,13 @@ func (c *Conn) hasSendableData() bool {
 	if len(c.ctrl) > 0 {
 		return true
 	}
-	for _, pid := range c.pathOrder {
-		if len(c.paths[pid].ctrl) > 0 {
+	for _, p := range c.paths {
+		if len(p.ctrl) > 0 {
 			return true
 		}
 	}
 	connAllow := c.connFC.SendAllowance()
-	for _, sid := range c.streamOrder {
-		s := c.streams[sid]
+	for _, s := range c.streams {
 		if s.send.HasRetransmission() {
 			return true
 		}
@@ -361,8 +357,7 @@ func (c *Conn) packFrames(p *Path, ackedOn *pathSet) (frames []wire.Frame, hasDa
 		budget -= f.EncodedSize()
 	}
 	// Stream data.
-	for _, sid := range c.streamOrder {
-		s := c.streams[sid]
+	for _, s := range c.streams {
 		for budget > 24 && s.send.HasData() {
 			allow := c.connFC.SendAllowance()
 			if sa := s.fc.SendAllowance(); sa < allow {
@@ -389,8 +384,7 @@ func (c *Conn) packFrames(p *Path, ackedOn *pathSet) (frames []wire.Frame, hasDa
 // and are not retransmittable.
 func (c *Conn) sendPureAcks(ackedOn *pathSet) {
 	now := c.now()
-	for _, pid := range c.pathOrder {
-		p := c.paths[pid]
+	for _, p := range c.paths {
 		if !p.open || ackedOn.has(p.ID) || !p.ackMgr.ShouldSendAck(now) {
 			continue
 		}

@@ -89,18 +89,30 @@ func (s *Stream) OnAcked(fn func()) { s.onAcked = fn }
 func (c *Conn) OpenStream() *Stream {
 	id := c.nextStreamID
 	c.nextStreamID += 2
-	return c.getOrCreateStream(id)
+	if s := c.stream(id); s != nil {
+		return s // the peer used the ID first
+	}
+	return c.newStream(id)
 }
 
 // StreamByID returns an existing stream, or nil.
-func (c *Conn) StreamByID(id wire.StreamID) *Stream {
-	return c.streams[id]
+func (c *Conn) StreamByID(id wire.StreamID) *Stream { return c.stream(id) }
+
+// stream returns the stream with the given ID, or nil.
+//
+//mpq:noescape
+func (c *Conn) stream(id wire.StreamID) *Stream {
+	for _, s := range c.streams {
+		if s.id == id {
+			return s
+		}
+	}
+	return nil
 }
 
-func (c *Conn) getOrCreateStream(id wire.StreamID) *Stream {
-	if s, ok := c.streams[id]; ok {
-		return s
-	}
+// newStream creates and registers the stream with the given ID, which
+// the caller has checked does not exist yet.
+func (c *Conn) newStream(id wire.StreamID) *Stream {
 	s := &Stream{
 		conn: c,
 		id:   id,
@@ -108,8 +120,7 @@ func (c *Conn) getOrCreateStream(id wire.StreamID) *Stream {
 		recv: stream.NewRecvStream(id),
 		fc:   stream.NewFlowController(c.cfg.StreamWindow),
 	}
-	c.streams[id] = s
-	c.streamOrder = append(c.streamOrder, id)
+	c.streams = append(c.streams, s)
 	return s
 }
 
@@ -130,8 +141,7 @@ func (c *Conn) maybeQueueWindowUpdates(s *Stream) {
 		return
 	}
 	if c.cfg.Multipath && c.cfg.WindowUpdateAllPaths {
-		for _, pid := range c.pathOrder {
-			p := c.paths[pid]
+		for _, p := range c.paths {
 			if p.open {
 				for _, f := range frames {
 					p.queueCtrl(f)

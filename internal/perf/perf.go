@@ -1,7 +1,9 @@
 // Package perf holds the allocation-budget tests that pin the
 // per-packet hot paths (wire encode/decode, in-place AEAD, sim timers,
 // interval edits, OLIA, the live driver loop, a whole wire+AEAD
-// transfer) and the one sanctioned wall clock for tooling (Stopwatch).
+// transfer), the event-queue occupancy test (the clock's queues follow
+// the packets in flight, not timer re-arms or transfer length) and the
+// one sanctioned wall clock for tooling (Stopwatch).
 // The speed of the same paths is measured by the repository benchmark
 // (bench/, BENCHMARK.json), not here.
 //

@@ -12,6 +12,16 @@
 // sift-up/sift-down (no container/heap interface dispatch), and events
 // scheduled for the current instant bypass the heap through a FIFO
 // append-only queue.
+//
+// The heap holds live events. Every event knows its heap slot, so a
+// Timer owns at most one slot however often it is re-armed: Reset
+// re-keys the pending event in place and re-sifts it, Stop takes it out.
+// The (deadline, sequence) key a re-armed event ends up with is the one
+// a freshly scheduled event would have got, so execution order does not
+// depend on whether an event was moved or replaced. The one dead entry
+// the queues can still hold is an event cancelled through a plain
+// Event.Cancel (or a Timer event caught in the same-instant queue),
+// which waits to be discarded when it reaches the head.
 package sim
 
 import (
@@ -48,11 +58,18 @@ const Never = Time(math.MaxInt64)
 // An *Event handle is therefore only valid until the event fires;
 // Cancel, Cancelled and At must not be called on a handle whose event
 // already ran. Timer follows this discipline (it drops its handle when
-// the timer fires) and is the safe way to hold re-armable deadlines.
+// the timer fires) and is the safe way — and, outside this package, the
+// only allowed way — to hold re-armable deadlines: it moves and removes
+// its pending event inside the heap, where a cancelled plain event stays
+// queued until its turn comes.
 type Event struct {
-	at   Time
-	seq  uint64 // tie-break: FIFO among events with equal deadlines
-	fn   func()
+	at  Time
+	seq uint64 // tie-break: FIFO among events with equal deadlines
+	fn  func()
+	// idx is the event's slot in Clock.heap, or -1 while it is anywhere
+	// else: in the same-instant queue, executing, or on the free list.
+	// The sift helpers keep it current on every move.
+	idx  int
 	dead bool // cancelled
 }
 
@@ -62,6 +79,9 @@ func (e *Event) At() Time { return e.at }
 // Cancel prevents the event from running and drops its callback, so a
 // cancelled far-future event (an idle timeout two minutes out) stops
 // pinning whatever the callback captured while it waits in the heap.
+// The entry itself stays queued until it reaches the head — an Event
+// has no way back to its Clock; a deadline that is cancelled or moved
+// often belongs in a Timer, whose Stop and Reset leave nothing behind.
 // Cancelling an already-cancelled pending event is a no-op; see the
 // pooling note on Event for handles to already-executed events.
 func (e *Event) Cancel() {
@@ -99,6 +119,10 @@ type Clock struct {
 	// Processed counts executed (non-cancelled) events, for tests and
 	// runaway detection.
 	Processed uint64
+	// Discarded counts cancelled events thrown away on reaching the head
+	// of a queue: work the loop did for nothing. Stopped and re-armed
+	// Timers add none unless their event sat in the same-instant queue.
+	Discarded uint64
 	// Limit aborts Run with an error when more than Limit events execute.
 	// Zero means no limit.
 	Limit uint64
@@ -119,7 +143,7 @@ func (c *Clock) alloc(at Time, fn func()) *Event {
 		c.free = c.free[:n-1]
 		e.at, e.fn, e.dead = at, fn, false
 	} else {
-		e = &Event{at: at, fn: fn}
+		e = &Event{at: at, fn: fn, idx: -1}
 	}
 	e.seq = c.seq
 	c.seq++
@@ -161,45 +185,45 @@ func (c *Clock) After(d time.Duration, fn func()) *Event {
 // Stop makes Run return after the currently executing event finishes.
 func (c *Clock) Stop() { c.stopped = true }
 
-// Pending reports the number of scheduled (possibly cancelled) events.
+// Pending reports the number of queued events: every live one, plus the
+// plainly cancelled ones (Event.Cancel) that have not reached the head
+// yet. A Timer contributes one while armed and none while stopped,
+// however often it was re-armed.
 func (c *Clock) Pending() int { return len(c.heap) + len(c.nowQ) - c.nowHead }
 
 // --- inlined binary heap on []*Event ---
+//
+// siftUp and siftDown place an event whose slot i is a hole (the slice
+// element at i is stale) and record every move in Event.idx.
 
+// siftUp moves e from slot i toward the root while it sorts before its
+// parent, stores it and returns the slot it ended in.
+//
 //mpq:noescape
-func (c *Clock) heapPush(e *Event) {
-	c.heap = append(c.heap, e)
-	// Sift up.
+func (c *Clock) siftUp(i int, e *Event) int {
 	h := c.heap
-	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !eventLess(e, h[parent]) {
+		p := h[parent]
+		if !eventLess(e, p) {
 			break
 		}
-		h[i] = h[parent]
+		h[i] = p
+		p.idx = i
 		i = parent
 	}
 	h[i] = e
+	e.idx = i
+	return i
 }
 
-// heapPop removes and returns the heap minimum. The caller guarantees
-// the heap is non-empty.
+// siftDown moves e from slot i toward the leaves while a child sorts
+// before it, and stores it.
 //
 //mpq:noescape
-func (c *Clock) heapPop() *Event {
+func (c *Clock) siftDown(i int, e *Event) {
 	h := c.heap
-	top := h[0]
-	n := len(h) - 1
-	e := h[n]
-	h[n] = nil
-	c.heap = h[:n]
-	if n == 0 {
-		return top
-	}
-	// Sift e down from the root.
-	h = c.heap
-	i := 0
+	n := len(h)
 	for {
 		child := 2*i + 1
 		if child >= n {
@@ -208,15 +232,59 @@ func (c *Clock) heapPop() *Event {
 		if r := child + 1; r < n && eventLess(h[r], h[child]) {
 			child = r
 		}
-		if !eventLess(h[child], e) {
+		ch := h[child]
+		if !eventLess(ch, e) {
 			break
 		}
-		h[i] = h[child]
+		h[i] = ch
+		ch.idx = i
 		i = child
 	}
 	h[i] = e
-	return top
+	e.idx = i
 }
+
+//mpq:noescape
+func (c *Clock) heapPush(e *Event) {
+	c.heap = append(c.heap, e)
+	c.siftUp(len(c.heap)-1, e)
+}
+
+// heapFix restores heap order after the event in slot i changed its key.
+//
+//mpq:noescape
+func (c *Clock) heapFix(i int) {
+	e := c.heap[i]
+	if c.siftUp(i, e) == i {
+		c.siftDown(i, e)
+	}
+}
+
+// heapRemove takes the event in slot i out of the heap and returns it.
+// The caller guarantees the slot exists.
+//
+//mpq:noescape
+func (c *Clock) heapRemove(i int) *Event {
+	h := c.heap
+	e := h[i]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	c.heap = h[:n]
+	e.idx = -1
+	if i < n {
+		// last fills the hole, wherever it then belongs.
+		h[i] = last
+		c.heapFix(i)
+	}
+	return e
+}
+
+// heapPop removes and returns the heap minimum. The caller guarantees
+// the heap is non-empty.
+//
+//mpq:noescape
+func (c *Clock) heapPop() *Event { return c.heapRemove(0) }
 
 // peek returns the earliest scheduled event (possibly cancelled) without
 // removing it, or nil.
@@ -271,6 +339,7 @@ func (c *Clock) popNext(deadline Time) *Event {
 			e = qn
 		}
 		if e.dead {
+			c.Discarded++
 			c.release(e)
 			continue
 		}
@@ -288,7 +357,10 @@ func (c *Clock) popNext(deadline Time) *Event {
 // Handle contract: NextDeadline discards cancelled events it finds at
 // the head of the queue and recycles their storage, so any retained
 // *Event handle to a cancelled event becomes invalid once NextDeadline
-// (or any Run variant) is called. Only sim.Timer holds handles safely.
+// (or any Run variant) is called. Only sim.Timer holds handles safely
+// (the eventhandle analyzer enforces it). Stopped and re-armed Timers
+// leave no cancelled entry behind, so what is skipped here is only what
+// a plain Event.Cancel left.
 func (c *Clock) NextDeadline() Time {
 	for {
 		e := c.peek()
@@ -309,6 +381,7 @@ func (c *Clock) NextDeadline() Time {
 		} else {
 			c.heapPop()
 		}
+		c.Discarded++
 		c.release(e)
 	}
 }
@@ -349,7 +422,10 @@ func (c *Clock) Run() error {
 }
 
 // RunUntil executes events with deadlines <= deadline, then advances the
-// clock to exactly deadline. It returns any Run error.
+// clock to exactly deadline. It returns any Run error. If Stop ended the
+// window early the clock stays at the instant of the stopping event:
+// events may still be pending between there and deadline, and a later
+// Run or RunUntil continues with them.
 //
 // RunUntil is the deadline-bounded stepping entry point (Run runs to
 // exhaustion): callers may invoke it repeatedly with increasing
@@ -370,7 +446,7 @@ func (c *Clock) RunUntil(deadline Time) error {
 	}
 	c.running = true
 	err := c.run(deadline)
-	if err == nil && c.now < deadline {
+	if err == nil && !c.stopped && c.now < deadline {
 		c.now = deadline
 	}
 	return err
@@ -395,12 +471,26 @@ func NewTimer(c *Clock, fn func()) *Timer {
 }
 
 // Reset (re)arms the timer to fire at absolute time at, replacing any
-// previously armed deadline.
+// previously armed deadline. A pending event that waits in the heap is
+// re-keyed in place: it takes the new deadline and the next scheduling
+// sequence — exactly the key a newly scheduled event would get, so the
+// firing order among equal deadlines is that of the Reset calls — and is
+// re-sifted; the timer keeps its one heap slot. Only a pending event in
+// the same-instant queue, or a deadline that is not in the future (which
+// belongs in that queue), is cancelled and scheduled anew.
 //
 //mpq:noescape
 func (t *Timer) Reset(at Time) {
+	c := t.clock
+	if e := t.ev; e != nil && e.idx >= 0 && at > c.now {
+		e.at = at
+		e.seq = c.seq
+		c.seq++
+		c.heapFix(e.idx)
+		return
+	}
 	t.Stop()
-	t.ev = t.clock.At(at, t.fireFn)
+	t.ev = c.At(at, t.fireFn)
 }
 
 // ResetAfter (re)arms the timer to fire d from now.
@@ -412,13 +502,22 @@ func (t *Timer) fire() {
 }
 
 // Stop disarms the timer. It reports whether a pending firing was
-// prevented.
+// prevented. The pending event leaves the heap and is recycled at once;
+// one waiting in the same-instant queue is cancelled and discarded when
+// the queue reaches it, within the current instant.
+//
+//mpq:noescape
 func (t *Timer) Stop() bool {
-	if t.ev == nil {
+	e := t.ev
+	if e == nil {
 		return false
 	}
-	t.ev.Cancel()
 	t.ev = nil
+	if e.idx >= 0 {
+		t.clock.release(t.clock.heapRemove(e.idx))
+	} else {
+		e.Cancel()
+	}
 	return true
 }
 

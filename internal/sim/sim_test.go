@@ -106,6 +106,30 @@ func TestClockStop(t *testing.T) {
 	}
 }
 
+// Stop inside a RunUntil window leaves the clock at the stopping event,
+// not at the window's deadline: events are still pending in between,
+// and the next Run must find them in its future. (RunUntil used to jump
+// to the deadline regardless, and the next Run failed with "time went
+// backwards".)
+func TestRunUntilStopKeepsClockAtStopInstant(t *testing.T) {
+	c := NewClock()
+	var fired []Time
+	c.After(2*time.Millisecond, func() { fired = append(fired, c.Now()); c.Stop() })
+	c.After(5*time.Millisecond, func() { fired = append(fired, c.Now()) })
+	if err := c.RunUntil(Time(time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	if c.Now() != Time(2*time.Millisecond) || len(fired) != 1 {
+		t.Fatalf("after Stop: now=%v fired=%v, want the clock at 2ms with one event run", c.Now(), fired)
+	}
+	if err := c.Run(); err != nil {
+		t.Fatalf("Run after a stopped RunUntil: %v", err)
+	}
+	if len(fired) != 2 || fired[1] != Time(5*time.Millisecond) || c.Now() != Time(5*time.Millisecond) {
+		t.Fatalf("after Run: now=%v fired=%v, want the 5ms event run at 5ms", c.Now(), fired)
+	}
+}
+
 func TestClockLimit(t *testing.T) {
 	c := NewClock()
 	c.Limit = 10
@@ -432,7 +456,7 @@ func TestRunUntilTimerHandleContract(t *testing.T) {
 	if fires != 1 {
 		t.Fatalf("cancelled timer fired: fires=%d", fires)
 	}
-	// NextDeadline must have discarded the cancelled event.
+	// Stop took the event out of the heap; nothing is left to discard.
 	if c.Pending() != 0 {
 		t.Fatalf("Pending = %d after drain, want 0", c.Pending())
 	}
