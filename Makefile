@@ -1,7 +1,7 @@
 # Convenience targets; see scripts/check.sh for the pre-commit gate and
 # bench/run.sh (BENCHMARK.json) for the repository benchmark.
 
-.PHONY: build test vet escape doclint fuzz-smoke bench sim-signature live-smoke chaos-smoke check
+.PHONY: build test vet escape doclint fuzz-smoke bench sim-signature grid-signature live-smoke chaos-smoke check
 
 build:
 	go build ./...
@@ -37,6 +37,12 @@ bench:
 # the same table from another checkout.
 sim-signature:
 	sh scripts/sim-signature.sh 0 5
+
+# sha256 of the eight grid artifacts all four stacks write (MPTCP
+# included, which sim-signature never runs), to diff against the same
+# table from another checkout.
+grid-signature:
+	sh scripts/grid-signature.sh 40
 
 live-smoke:
 	sh scripts/live_smoke.sh

@@ -29,9 +29,15 @@ var goldenSmokeGrids = []struct {
 		"f7cd940412d0c3dfb2f433c9cd81422520dd1c378d6a7a02d7a687a5f12e47e8"},
 	{"dyn-bursty-smoke", BurstyLossGrid, 4,
 		"de81a86d09501ef3773f874eee9247dbc9f8a5b6e3d155e6eaa6e05c2270b04a"},
+	// The two lossy classes pin SACK/FACK/RTO recovery, at small and at
+	// large windows, for all four stacks.
+	{"low-bdp-losses-smoke", LowBDPLosses, 4,
+		"f46e7ca53b1249c2885f5e48e15b6fddf70ca210bd0020b28b615e24debfb993"},
+	{"high-bdp-losses-smoke", HighBDPLosses, 4,
+		"ab429cbb745f312679c201f51a1b7ce1d6af2327a37247bf64e63a12c4020058"},
 }
 
-// TestSmokeGridGoldenArtifacts runs the two smoke grids twice each and
+// TestSmokeGridGoldenArtifacts runs the smoke grids twice each and
 // asserts (a) the two runs are byte-identical — same-seed determinism,
 // on every platform — and (b) on amd64, that the bytes hash to the
 // committed baseline, pinning today's artifacts to the pre-existing
