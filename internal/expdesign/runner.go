@@ -114,52 +114,63 @@ func quicMetrics(client, server *core.Conn) RunMetrics {
 	return m
 }
 
-// tcpMetrics snapshots a TCP client/server pair.
-func tcpMetrics(client, server *tcpsim.Conn) RunMetrics {
-	m := RunMetrics{Handshake: client.Stats.EstablishedAt}
-	if server == nil {
-		return m
-	}
-	m.PacketsSent = server.Stats.SegmentsSent
-	m.PacketsLost = server.Stats.SegmentsLost
-	m.Retransmissions = server.Stats.Retransmits
-	m.RTOs = server.Stats.RTOCount
-	m.Paths = []PathMetrics{{
-		BytesSent:   server.Stats.BytesSent,
-		BytesRecvd:  client.BytesReceived(),
-		PacketsSent: server.Stats.SegmentsSent,
-		Retransmits: server.Stats.Retransmits,
-		FinalCwnd:   server.Cwnd(),
-		SRTT:        server.RTT().SmoothedRTT(),
-	}}
-	return m
-}
-
-// mptcpMetrics snapshots an MPTCP client/server pair, one PathMetrics
-// entry per server subflow.
-func mptcpMetrics(client, server *mptcpsim.Conn) RunMetrics {
-	m := RunMetrics{Handshake: client.Stats.EstablishedAt}
-	if server == nil {
-		return m
-	}
-	m.RTOs = server.Stats.RTOs
-	for _, sf := range server.Subflows() {
-		m.PacketsSent += sf.SentSegments
-		m.PacketsLost += sf.SegmentsLost
-		m.Retransmissions += sf.Retransmits
+// flowMetrics snapshots a TCP or MPTCP client/server pair, one
+// PathMetrics entry per server flow (plain TCP has one). server is nil
+// when the listener never accepted the connection.
+func flowMetrics(client, server []*tcpsim.Flow) RunMetrics {
+	m := RunMetrics{Handshake: client[0].Stats.EstablishedAt}
+	for _, sf := range server {
+		m.PacketsSent += sf.Stats.SegmentsSent
+		m.PacketsLost += sf.Stats.SegmentsLost
+		m.Retransmissions += sf.Stats.Retransmits
+		m.RTOs += sf.Stats.RTOCount
 		pm := PathMetrics{
-			BytesSent:   sf.SentBytes,
-			PacketsSent: sf.SentSegments,
-			Retransmits: sf.Retransmits,
+			BytesSent:   sf.Stats.BytesSent,
+			PacketsSent: sf.Stats.SegmentsSent,
+			Retransmits: sf.Stats.Retransmits,
 			FinalCwnd:   sf.Cwnd(),
 			SRTT:        sf.RTT().SmoothedRTT(),
 		}
-		if csf := client.SubflowByID(sf.ID); csf != nil {
-			pm.BytesRecvd = csf.BytesReceived()
+		for _, cf := range client {
+			if cf.ID == sf.ID {
+				pm.BytesRecvd = cf.BytesReceived()
+			}
 		}
 		m.Paths = append(m.Paths, pm)
 	}
 	return m
+}
+
+// tcpConn is what a run needs of a TCP or MPTCP connection.
+type tcpConn interface {
+	tcpsim.GetConn
+	BytesReceived() uint64
+	SampleInto(rec *trace.SeriesRecorder)
+	Flows() []*tcpsim.Flow
+}
+
+// tcpGet arms a size-byte GET between client and the connection lis
+// will accept for it, and returns the run's three probes: bytes the
+// client received, the end-of-run metrics, and the sender-side sampler.
+func tcpGet[C tcpConn](lis interface {
+	OnConnection(func(C))
+	Conns() []C
+}, client C, size uint64, now func() time.Duration, finish func(time.Duration)) (func() uint64, func() RunMetrics, func(*trace.SeriesRecorder)) {
+	tcpsim.ServeGet(lis, size)
+	tcpsim.GetOverTCP(client, size, now, func(r tcpsim.GetResult) { finish(r.Elapsed()) })
+	collect := func() RunMetrics {
+		var server []*tcpsim.Flow
+		if conns := lis.Conns(); len(conns) > 0 {
+			server = conns[0].Flows()
+		}
+		return flowMetrics(client.Flows(), server)
+	}
+	sample := func(rec *trace.SeriesRecorder) {
+		if conns := lis.Conns(); len(conns) > 0 {
+			conns[0].SampleInto(rec)
+		}
+	}
+	return client.BytesReceived, collect, sample
 }
 
 // effectiveRateBps estimates the rate a loss-limited reliable transfer
@@ -354,6 +365,10 @@ func run(sc Scenario, proto Protocol, cfg core.Config, size uint64, startPath in
 		sample   func(rec *trace.SeriesRecorder)
 	)
 	now := func() time.Duration { return clock.Now().Duration() }
+	finish := func(elapsed time.Duration) {
+		done = &elapsed
+		clock.Stop()
+	}
 
 	switch proto {
 	case ProtoQUIC, ProtoMPQUIC:
@@ -369,11 +384,7 @@ func run(sc Scenario, proto Protocol, cfg core.Config, size uint64, startPath in
 		apps.NewGetServer(lis)
 		server := acceptedConn(lis)
 		client := core.Dial(tp.Net, cfg, core.NewConnID(seed), tp.ClientAddrs[:nPaths], tp.ServerAddrs[:nPaths])
-		apps.NewGetClient(client, size, now, func(r apps.GetResult) {
-			el := r.Elapsed()
-			done = &el
-			clock.Stop()
-		})
+		apps.NewGetClient(client, size, now, func(r apps.GetResult) { finish(r.Elapsed()) })
 		received = func() uint64 {
 			if s := client.StreamByID(core.FirstClientStream); s != nil {
 				return s.BytesReceived()
@@ -390,50 +401,14 @@ func run(sc Scenario, proto Protocol, cfg core.Config, size uint64, startPath in
 		cfg := tcpsim.DefaultConfig()
 		cfg.Tracer = tracer
 		lis := tcpsim.ListenTCP(tp.Net, cfg, tp.ServerAddrs[0])
-		tcpsim.ServeGet(lis, size)
 		client := tcpsim.DialTCP(tp.Net, cfg, tp.ClientAddrs[0], tp.ServerAddrs[0])
-		tcpsim.GetOverTCP(client, size, now, func(r tcpsim.GetResult) {
-			el := r.Elapsed()
-			done = &el
-			clock.Stop()
-		})
-		received = client.BytesReceived
-		collect = func() RunMetrics {
-			var server *tcpsim.Conn
-			if conns := lis.Conns(); len(conns) > 0 {
-				server = conns[0]
-			}
-			return tcpMetrics(client, server)
-		}
-		sample = func(rec *trace.SeriesRecorder) {
-			if conns := lis.Conns(); len(conns) > 0 {
-				conns[0].SampleInto(rec)
-			}
-		}
+		received, collect, sample = tcpGet(lis, client, size, now, finish)
 	case ProtoMPTCP:
 		cfg := mptcpsim.DefaultConfig()
 		cfg.Tracer = tracer
 		lis := mptcpsim.ListenMPTCP(tp.Net, cfg, tp.ServerAddrs[:])
-		mptcpsim.ServeGet(lis, size)
 		client := mptcpsim.DialMPTCP(tp.Net, cfg, uint32(seed)|1, tp.ClientAddrs[:], tp.ServerAddrs[:])
-		mptcpsim.GetOverMPTCP(client, size, now, func(r mptcpsim.GetResult) {
-			el := r.Elapsed()
-			done = &el
-			clock.Stop()
-		})
-		received = client.BytesReceived
-		collect = func() RunMetrics {
-			var server *mptcpsim.Conn
-			if conns := lis.Conns(); len(conns) > 0 {
-				server = conns[0]
-			}
-			return mptcpMetrics(client, server)
-		}
-		sample = func(rec *trace.SeriesRecorder) {
-			if conns := lis.Conns(); len(conns) > 0 {
-				conns[0].SampleInto(rec)
-			}
-		}
+		received, collect, sample = tcpGet(lis, client, size, now, finish)
 	}
 
 	// The sampler is a recurring sim-clock timer polling the accepted

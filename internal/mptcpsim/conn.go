@@ -7,7 +7,6 @@ import (
 
 	"mpquic/internal/cc"
 	"mpquic/internal/netem"
-	"mpquic/internal/rtt"
 	"mpquic/internal/sim"
 	"mpquic/internal/stream"
 	"mpquic/internal/tcpsim"
@@ -42,10 +41,8 @@ func DefaultConfig() Config {
 
 // Stats aggregates connection counters.
 type Stats struct {
-	EstablishedAt time.Duration
 	Reinjections  uint64
 	Penalizations uint64
-	RTOs          uint64
 }
 
 // dataChunk queues connection-level data for (re)injection.
@@ -75,7 +72,6 @@ type Conn struct {
 	dataNxt       uint64
 	finQueued     bool
 	finAssigned   bool
-	finAcked      bool
 	dataAcked     uint64 // peer's cumulative data ack
 	peerDataLimit uint64 // dataAck + window high-water mark
 	reinjectQueue []dataChunk
@@ -133,18 +129,8 @@ func (c *Conn) trace(ev trace.Event) {
 // state; attaching a sampler never changes a run's schedule or
 // results.
 func (c *Conn) SampleInto(rec *trace.SeriesRecorder) {
-	now := c.now()
 	for _, sf := range c.subflows {
-		rec.Add(trace.PathSample{
-			T:          now,
-			Path:       sf.ID,
-			Cwnd:       sf.cc.Cwnd(),
-			SRTT:       sf.est.SmoothedRTT(),
-			InFlight:   sf.bytesInFlight,
-			BytesSent:  sf.SentBytes,
-			BytesAcked: sf.cumAcked,
-			SlowStart:  sf.cc.InSlowStart(),
-		})
+		sf.SampleInto(rec)
 	}
 }
 
@@ -160,10 +146,7 @@ func DialMPTCP(nw *netem.Network, cfg Config, token uint32, locals, remotes []ne
 	for _, a := range locals {
 		nw.Register(a, c)
 	}
-	sf := c.addSubflow(0, locals[0], remotes[0])
-	sf.state = sfSynSent
-	c.sendHandshakeSeg(sf, &tcpsim.Segment{SYN: true})
-	sf.hsTimer.ResetAfter(sf.est.RTO())
+	c.addSubflow(0, locals[0], remotes[0]).Connect()
 	return c
 }
 
@@ -232,20 +215,26 @@ func (c *Conn) HandleDatagram(dg netem.Datagram) {
 	c.handleSegment(dg, seg)
 }
 
-// addSubflow creates subflow state.
+// addSubflow creates subflow state. TLS runs on the initial subflow
+// only; joined subflows (and a non-TLS initial one) make a plain 3WHS.
 func (c *Conn) addSubflow(id uint8, local, remote netem.Addr) *Subflow {
-	sf := &Subflow{
-		conn:   c,
-		ID:     id,
-		Local:  local,
-		Remote: remote,
-		est:    rtt.New(rtt.DefaultTCP()),
-		cc:     c.olia.AddPath(),
-	}
-	sf.cc.SetMaxCwnd(int(c.cfg.RecvWindow))
-	sf.hsTimer = sim.NewTimer(c.clock, func() { c.onSubflowHsTimeout(sf) })
+	path := c.olia.AddPath()
+	path.SetMaxCwnd(int(c.cfg.RecvWindow))
+	sf := &Subflow{Flow: tcpsim.NewFlow(c.nw, id, local, remote, path, id == 0 && c.cfg.TLS,
+		func(seg *tcpsim.Segment) {
+			c.stamp(seg, id)
+			seg.Join = seg.SYN && id != 0
+			seg.Window = c.advertisedWindow()
+		})}
 	c.subflows = append(c.subflows, sf)
 	return sf
+}
+
+// stamp marks seg as a segment of this connection's subflow id.
+func (c *Conn) stamp(seg *tcpsim.Segment, id uint8) {
+	seg.MP = true
+	seg.Token = c.token
+	seg.SubflowID = id
 }
 
 // SubflowByID returns a subflow or nil.
@@ -260,6 +249,15 @@ func (c *Conn) SubflowByID(id uint8) *Subflow {
 
 // Subflows returns all subflows.
 func (c *Conn) Subflows() []*Subflow { return c.subflows }
+
+// Flows returns the subflows' TCP flows, in creation order.
+func (c *Conn) Flows() []*tcpsim.Flow {
+	out := make([]*tcpsim.Flow, len(c.subflows))
+	for i, sf := range c.subflows {
+		out[i] = sf.Flow
+	}
+	return out
+}
 
 // Established reports whether the secure handshake completed.
 func (c *Conn) Established() bool { return c.established }
@@ -284,7 +282,7 @@ func (c *Conn) OnData(fn func()) { c.onData = fn }
 // OnClosed registers the close callback.
 func (c *Conn) OnClosed(fn func(error)) { c.onClosed = fn }
 
-// --- application API (mirrors tcpsim) ---
+// --- application API ---
 
 // WriteSynthetic queues n connection-level stream bytes.
 func (c *Conn) WriteSynthetic(n uint64) {
@@ -305,7 +303,7 @@ func (c *Conn) Readable() uint64 {
 
 // Read consumes up to n bytes, opening the shared receive window.
 // Reopening a (near-)zero window advertises it immediately on every
-// established subflow, mirroring the TCP zero-window update.
+// established subflow, as TCP's zero-window update does.
 func (c *Conn) Read(n uint64) uint64 {
 	avail := c.Readable()
 	if n > avail {
@@ -314,7 +312,7 @@ func (c *Conn) Read(n uint64) uint64 {
 	c.consumed += n
 	if n > 0 && c.established && c.lastAdvWnd < MSS && c.advertisedWindow() >= MSS {
 		for _, sf := range c.subflows {
-			if sf.state == sfEstablished {
+			if sf.Established() {
 				c.sendAck(sf)
 			}
 		}
@@ -341,7 +339,7 @@ func (c *Conn) closeWith(err error) {
 	c.closeErr = err
 	c.timer.Stop()
 	for _, sf := range c.subflows {
-		sf.hsTimer.Stop()
+		sf.StopHandshake()
 	}
 	detail := ""
 	if err != nil {

@@ -11,8 +11,8 @@ import (
 
 func TestMPTCPCoarseRTTGranularity(t *testing.T) {
 	h := newMPHarness(t, DefaultConfig(), symSpecs(10, 33*time.Millisecond))
-	ServeGet(h.lis, 1<<20)
-	GetOverMPTCP(h.client, 1<<20, func() time.Duration { return h.clock.Now().Duration() }, nil)
+	tcpsim.ServeGet(h.lis, 1<<20)
+	tcpsim.GetOverTCP(h.client, 1<<20, func() time.Duration { return h.clock.Now().Duration() }, nil)
 	h.run(t, 60*time.Second)
 	for _, sf := range h.lis.Conns()[0].Subflows() {
 		if sf.RTT().SmoothedRTT() == 0 {
@@ -48,10 +48,10 @@ func TestMPTCPSegmentsCarryDSS(t *testing.T) {
 	_ = tap
 	lis := ListenMPTCP(tp.Net, DefaultConfig(), tp.ServerAddrs[:])
 	client := DialMPTCP(tp.Net, DefaultConfig(), 0xbeef, tp.ClientAddrs[:], tp.ServerAddrs[:])
-	ServeGet(lis, 256<<10)
-	var res *GetResult
-	GetOverMPTCP(client, 256<<10, func() time.Duration { return clock.Now().Duration() },
-		func(r GetResult) { res = &r })
+	tcpsim.ServeGet(lis, 256<<10)
+	var res *tcpsim.GetResult
+	tcpsim.GetOverTCP(client, 256<<10, func() time.Duration { return clock.Now().Duration() },
+		func(r tcpsim.GetResult) { res = &r })
 	clock.RunUntil(sim.Time(30 * time.Second))
 	if res == nil {
 		t.Fatal("transfer failed")
@@ -70,10 +70,10 @@ func TestMPTCPDataLevelReorderingAcrossSubflows(t *testing.T) {
 		{CapacityMbps: 10, RTT: 200 * time.Millisecond, QueueDelay: 100 * time.Millisecond},
 	}
 	h := newMPHarness(t, DefaultConfig(), specs)
-	ServeGet(h.lis, 2<<20)
-	var res *GetResult
-	GetOverMPTCP(h.client, 2<<20, func() time.Duration { return h.clock.Now().Duration() },
-		func(r GetResult) { res = &r })
+	tcpsim.ServeGet(h.lis, 2<<20)
+	var res *tcpsim.GetResult
+	tcpsim.GetOverTCP(h.client, 2<<20, func() time.Duration { return h.clock.Now().Duration() },
+		func(r tcpsim.GetResult) { res = &r })
 	h.run(t, 120*time.Second)
 	if res == nil {
 		t.Fatal("transfer failed")
@@ -100,10 +100,10 @@ func TestMPTCPSACKBlocksBounded(t *testing.T) {
 	// the wire via a tap at the client side.
 	lis := ListenMPTCP(tp.Net, DefaultConfig(), tp.ServerAddrs[:])
 	client := DialMPTCP(tp.Net, DefaultConfig(), 0xcafe, tp.ClientAddrs[:], tp.ServerAddrs[:])
-	ServeGet(lis, 1<<20)
-	var res *GetResult
-	GetOverMPTCP(client, 1<<20, func() time.Duration { return clock.Now().Duration() },
-		func(r GetResult) { res = &r })
+	tcpsim.ServeGet(lis, 1<<20)
+	var res *tcpsim.GetResult
+	tcpsim.GetOverTCP(client, 1<<20, func() time.Duration { return clock.Now().Duration() },
+		func(r tcpsim.GetResult) { res = &r })
 	clock.RunUntil(sim.Time(300 * time.Second))
 	if res == nil {
 		t.Fatal("transfer failed under loss")
@@ -137,7 +137,7 @@ func TestMPTCPTokenDemux(t *testing.T) {
 	clock := sim.NewClock()
 	tp := netem.NewTwoPath(clock, sim.NewRand(8), symSpecs(10, 20*time.Millisecond))
 	lis := ListenMPTCP(tp.Net, DefaultConfig(), tp.ServerAddrs[:])
-	ServeGet(lis, 64<<10)
+	tcpsim.ServeGet(lis, 64<<10)
 	// Second client needs its own source addresses.
 	extraLocal := [2]netem.Addr{"10.0.1.2:1000", "10.0.2.2:1000"}
 	for i := 0; i < 2; i++ {
@@ -150,8 +150,8 @@ func TestMPTCPTokenDemux(t *testing.T) {
 	c2 := DialMPTCP(tp.Net, DefaultConfig(), 0x02, extraLocal[:], tp.ServerAddrs[:])
 	done := 0
 	for _, c := range []*Conn{c1, c2} {
-		GetOverMPTCP(c, 64<<10, func() time.Duration { return clock.Now().Duration() },
-			func(GetResult) { done++ })
+		tcpsim.GetOverTCP(c, 64<<10, func() time.Duration { return clock.Now().Duration() },
+			func(tcpsim.GetResult) { done++ })
 	}
 	clock.RunUntil(sim.Time(30 * time.Second))
 	if done != 2 {

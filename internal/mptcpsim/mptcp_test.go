@@ -6,6 +6,7 @@ import (
 
 	"mpquic/internal/netem"
 	"mpquic/internal/sim"
+	"mpquic/internal/tcpsim"
 )
 
 type mpHarness struct {
@@ -60,17 +61,17 @@ func TestMPTCPEstablishesAndJoins(t *testing.T) {
 	if !sf1.Established() {
 		t.Fatal("join did not complete")
 	}
-	if join := sf1.EstablishedAt - estAt; join < 40*time.Millisecond || join > 60*time.Millisecond {
+	if join := sf1.Stats.EstablishedAt - estAt; join < 40*time.Millisecond || join > 60*time.Millisecond {
 		t.Fatalf("join took %v, want ~1 RTT", join)
 	}
 }
 
 func TestMPTCPTransferCompletes(t *testing.T) {
 	h := newMPHarness(t, DefaultConfig(), symSpecs(10, 30*time.Millisecond))
-	ServeGet(h.lis, 2<<20)
-	var res *GetResult
-	GetOverMPTCP(h.client, 2<<20, func() time.Duration { return h.clock.Now().Duration() },
-		func(r GetResult) { res = &r })
+	tcpsim.ServeGet(h.lis, 2<<20)
+	var res *tcpsim.GetResult
+	tcpsim.GetOverTCP(h.client, 2<<20, func() time.Duration { return h.clock.Now().Duration() },
+		func(r tcpsim.GetResult) { res = &r })
 	h.run(t, 120*time.Second)
 	if res == nil {
 		t.Fatal("download did not finish")
@@ -84,10 +85,10 @@ func TestMPTCPAggregatesBandwidth(t *testing.T) {
 	size := uint64(4 << 20)
 	// Multipath run.
 	h := newMPHarness(t, DefaultConfig(), symSpecs(10, 30*time.Millisecond))
-	ServeGet(h.lis, size)
-	var mpRes *GetResult
-	GetOverMPTCP(h.client, size, func() time.Duration { return h.clock.Now().Duration() },
-		func(r GetResult) { mpRes = &r })
+	tcpsim.ServeGet(h.lis, size)
+	var mpRes *tcpsim.GetResult
+	tcpsim.GetOverTCP(h.client, size, func() time.Duration { return h.clock.Now().Duration() },
+		func(r tcpsim.GetResult) { mpRes = &r })
 	h.run(t, 120*time.Second)
 	if mpRes == nil {
 		t.Fatal("mptcp did not finish")
@@ -110,10 +111,10 @@ func TestMPTCPSurvivesRandomLoss(t *testing.T) {
 	specs[0].LossRate = 0.02
 	specs[1].LossRate = 0.02
 	h := newMPHarness(t, DefaultConfig(), specs)
-	ServeGet(h.lis, 1<<20)
-	var res *GetResult
-	GetOverMPTCP(h.client, 1<<20, func() time.Duration { return h.clock.Now().Duration() },
-		func(r GetResult) { res = &r })
+	tcpsim.ServeGet(h.lis, 1<<20)
+	var res *tcpsim.GetResult
+	tcpsim.GetOverTCP(h.client, 1<<20, func() time.Duration { return h.clock.Now().Duration() },
+		func(r tcpsim.GetResult) { res = &r })
 	h.run(t, 300*time.Second)
 	if res == nil {
 		t.Fatal("did not survive loss")
@@ -126,10 +127,10 @@ func TestMPTCPHandoverViaPotentiallyFailed(t *testing.T) {
 		{CapacityMbps: 10, RTT: 25 * time.Millisecond, QueueDelay: 50 * time.Millisecond},
 	}
 	h := newMPHarness(t, DefaultConfig(), specs)
-	ServeGet(h.lis, 8<<20)
-	var res *GetResult
-	GetOverMPTCP(h.client, 8<<20, func() time.Duration { return h.clock.Now().Duration() },
-		func(r GetResult) { res = &r })
+	tcpsim.ServeGet(h.lis, 8<<20)
+	var res *tcpsim.GetResult
+	tcpsim.GetOverTCP(h.client, 8<<20, func() time.Duration { return h.clock.Now().Duration() },
+		func(r tcpsim.GetResult) { res = &r })
 	// Kill path 0 mid-transfer.
 	h.clock.At(sim.Time(2*time.Second), func() { h.tp.KillPath(0) })
 	h.run(t, 300*time.Second)
@@ -155,10 +156,10 @@ func TestMPTCPReceiveWindowSharedAcrossSubflows(t *testing.T) {
 		{CapacityMbps: 50, RTT: 200 * time.Millisecond, QueueDelay: 200 * time.Millisecond},
 	}
 	h := newMPHarness(t, cfg, specs)
-	ServeGet(h.lis, 2<<20)
-	var res *GetResult
-	GetOverMPTCP(h.client, 2<<20, func() time.Duration { return h.clock.Now().Duration() },
-		func(r GetResult) { res = &r })
+	tcpsim.ServeGet(h.lis, 2<<20)
+	var res *tcpsim.GetResult
+	tcpsim.GetOverTCP(h.client, 2<<20, func() time.Duration { return h.clock.Now().Duration() },
+		func(r tcpsim.GetResult) { res = &r })
 	h.run(t, 300*time.Second)
 	if res == nil {
 		t.Fatal("did not finish")
@@ -178,10 +179,10 @@ func TestMPTCPORPTriggersOnWindowStall(t *testing.T) {
 		{CapacityMbps: 0.5, RTT: 300 * time.Millisecond, QueueDelay: 500 * time.Millisecond},
 	}
 	h := newMPHarness(t, cfg, specs)
-	ServeGet(h.lis, 4<<20)
-	var res *GetResult
-	GetOverMPTCP(h.client, 4<<20, func() time.Duration { return h.clock.Now().Duration() },
-		func(r GetResult) { res = &r })
+	tcpsim.ServeGet(h.lis, 4<<20)
+	var res *tcpsim.GetResult
+	tcpsim.GetOverTCP(h.client, 4<<20, func() time.Duration { return h.clock.Now().Duration() },
+		func(r tcpsim.GetResult) { res = &r })
 	h.run(t, 600*time.Second)
 	if res == nil {
 		t.Fatal("did not finish")
@@ -204,10 +205,10 @@ func TestMPTCPORPAblationDisabled(t *testing.T) {
 		{CapacityMbps: 0.5, RTT: 300 * time.Millisecond, QueueDelay: 500 * time.Millisecond},
 	}
 	h := newMPHarness(t, cfg, specs)
-	ServeGet(h.lis, 2<<20)
-	var res *GetResult
-	GetOverMPTCP(h.client, 2<<20, func() time.Duration { return h.clock.Now().Duration() },
-		func(r GetResult) { res = &r })
+	tcpsim.ServeGet(h.lis, 2<<20)
+	var res *tcpsim.GetResult
+	tcpsim.GetOverTCP(h.client, 2<<20, func() time.Duration { return h.clock.Now().Duration() },
+		func(r tcpsim.GetResult) { res = &r })
 	h.run(t, 900*time.Second)
 	if res == nil {
 		t.Fatal("did not finish without ORP")
@@ -222,10 +223,10 @@ func TestMPTCPSingleSubflowDegeneratesToTCP(t *testing.T) {
 	tp := netem.NewTwoPath(clock, sim.NewRand(3), symSpecs(10, 30*time.Millisecond))
 	lis := ListenMPTCP(tp.Net, DefaultConfig(), tp.ServerAddrs[:1])
 	client := DialMPTCP(tp.Net, DefaultConfig(), 0x77, tp.ClientAddrs[:1], tp.ServerAddrs[:1])
-	ServeGet(lis, 1<<20)
-	var res *GetResult
-	GetOverMPTCP(client, 1<<20, func() time.Duration { return clock.Now().Duration() },
-		func(r GetResult) { res = &r })
+	tcpsim.ServeGet(lis, 1<<20)
+	var res *tcpsim.GetResult
+	tcpsim.GetOverTCP(client, 1<<20, func() time.Duration { return clock.Now().Duration() },
+		func(r tcpsim.GetResult) { res = &r })
 	clock.RunUntil(sim.Time(60 * time.Second))
 	if res == nil {
 		t.Fatal("single-subflow transfer failed")

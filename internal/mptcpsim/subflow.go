@@ -21,52 +21,15 @@ package mptcpsim
 import (
 	"time"
 
-	"mpquic/internal/cc"
-	"mpquic/internal/netem"
-	"mpquic/internal/rtt"
-	"mpquic/internal/sim"
-	"mpquic/internal/stream"
 	"mpquic/internal/tcpsim"
 )
 
-// MSS mirrors the TCP model's segment payload size.
+// MSS is the TCP model's segment payload size.
 const MSS = tcpsim.MSS
 
-// headerBase mirrors tcpsim's per-segment header cost (+DSS accounted
-// in Segment.WireSize).
-const headerBase = 52 + 20
-
-// dupThresh is the FACK-style loss threshold.
-const dupThresh = 3
-
-// sfState tracks subflow establishment.
-type sfState int
-
-const (
-	sfIdle sfState = iota
-	sfSynSent
-	sfSynReceived
-	sfTLSClientHello
-	sfTLSServerDone
-	sfTLSClientFin
-	sfEstablished
-)
-
-// sfRecord is one transmitted segment on a subflow, carrying the DSS
-// mapping so lost data can be reinjected at the connection level.
-type sfRecord struct {
-	txSeq     uint64
-	sfStart   uint64 // subflow sequence range
-	sfEnd     uint64
-	dataStart uint64 // connection-level range
-	dataEnd   uint64
-	dataFin   bool
-	isRtx     bool
-	reinject  bool // this transmission was an ORP/PF reinjection
-	sentTime  time.Duration
-	wireSize  int
-	settled   bool
-}
+// fullSegment is the wire size of a full data segment: the TCP model's
+// headers plus the DSS option every MPTCP segment carries.
+var fullSegment = (&tcpsim.Segment{Len: MSS, MP: true}).WireSize()
 
 // rtxChunk queues an in-subflow retransmission with its mapping.
 type rtxChunk struct {
@@ -75,111 +38,44 @@ type rtxChunk struct {
 	dataFin            bool
 }
 
-// Subflow is one TCP subflow of an MPTCP connection.
+// Subflow is one TCP subflow of an MPTCP connection: a TCP flow whose
+// bytes carry a DSS mapping into the connection's stream. The mapping
+// rides in each of the flow's send records (tcpsim.Record's Data
+// fields), so lost data can be reinjected at the connection level.
 type Subflow struct {
-	conn   *Conn
-	ID     uint8
-	Local  netem.Addr
-	Remote netem.Addr
+	*tcpsim.Flow
 
-	state    sfState
-	hsTimer  *sim.Timer
-	hsSentAt time.Duration
-
-	est *rtt.Estimator
-	cc  *cc.OliaPath
-
-	// Sender state (subflow sequence space).
-	sndNxt        uint64
-	records       []*sfRecord
-	liveRtx       int // live retransmission records (out of seq order)
-	nextTxSeq     uint64
-	highestAckTx  uint64
-	hasAckTx      bool
-	bytesInFlight int
-	cumAcked      uint64
-	sacked        stream.IntervalSet
-	rtxQueue      []rtxChunk
-	cutbackTx     uint64
-	hasCutback    bool
-	lastSent      time.Duration
-	lastProgress  time.Duration // last ack progress (restarts the RTO)
-	lastPenalty   time.Duration
-
-	// Receiver state (subflow sequence space, for subflow acks).
-	received    stream.IntervalSet
-	unackedSegs int
-	ackQueued   bool
-	ackDeadline time.Duration
+	rtxQueue    []rtxChunk
+	lastPenalty time.Duration
 
 	// potentiallyFailed is Linux MPTCP's PF state: RTO with no
 	// activity since the last transmission (§4.3).
 	potentiallyFailed bool
 
 	// Stats
-	SentSegments  uint64
-	SentBytes     uint64
 	DataBytesSent uint64
-	// SegmentsLost counts segments declared lost on this subflow (FACK
-	// threshold or RTO) and requeued for in-subflow retransmission.
-	SegmentsLost  uint64
-	Retransmits   uint64
 	Reinjections  uint64
-	RTOCount      uint64
-	EstablishedAt time.Duration
 }
-
-// Established reports whether the subflow finished its handshake.
-func (sf *Subflow) Established() bool { return sf.state == sfEstablished }
 
 // PotentiallyFailed reports the PF state.
 func (sf *Subflow) PotentiallyFailed() bool { return sf.potentiallyFailed }
 
-// RTT exposes the (coarse) estimator.
-func (sf *Subflow) RTT() *rtt.Estimator { return sf.est }
-
-// Cwnd reports the subflow's congestion window in bytes.
-func (sf *Subflow) Cwnd() int { return sf.cc.Cwnd() }
-
-// BytesReceived reports distinct subflow-sequence bytes received on
-// this subflow — the per-path share of the incoming byte stream.
-func (sf *Subflow) BytesReceived() uint64 { return sf.received.Size() }
-
 // cwndAvailable reports whether a full segment fits the window.
-func (sf *Subflow) cwndAvailable() bool {
-	return sf.bytesInFlight+MSS+headerBase <= sf.cc.Cwnd()
-}
-
-// hasAppetite reports whether the subflow could transmit something.
-func (sf *Subflow) hasAppetite() bool {
-	return sf.state == sfEstablished && sf.cwndAvailable()
-}
-
-// idle reports no in-flight data (ORP precondition).
-func (sf *Subflow) idle() bool { return sf.bytesInFlight == 0 }
-
-// rtoBase anchors the retransmission timer at the later of the last
-// transmission and the last acknowledgment progress.
-func (sf *Subflow) rtoBase() time.Duration {
-	if sf.lastProgress > sf.lastSent {
-		return sf.lastProgress
-	}
-	return sf.lastSent
-}
+func (sf *Subflow) cwndAvailable() bool { return sf.HasWindow(fullSegment) }
 
 // requeueLocal puts a lost record back onto this subflow's rtx queue —
 // MPTCP must retransmit in-sequence on the same subflow (§3: "MPTCP is
 // forced to (re)transmit data in sequence over each path").
-func (sf *Subflow) requeueLocal(r *sfRecord) {
+func (sf *Subflow) requeueLocal(r *tcpsim.Record) {
 	// Skip parts already data-acked at the connection level: the
 	// receiver has them (possibly via a reinjection elsewhere), but
 	// subflow-level sequence integrity still demands a resend if the
 	// gap blocks the subflow ack stream — Linux fills such holes too,
 	// so we resend the full range.
 	sf.rtxQueue = append(sf.rtxQueue, rtxChunk{
-		sfStart: r.sfStart, sfEnd: r.sfEnd,
-		dataStart: r.dataStart, dataEnd: r.dataEnd,
-		dataFin: r.dataFin,
+		sfStart: r.SeqStart, sfEnd: r.SeqEnd,
+		dataStart: r.DataStart, dataEnd: r.DataEnd,
+		dataFin: r.DataFin,
 	})
-	sf.Retransmits++
+	sf.Stats.Retransmits++
 }

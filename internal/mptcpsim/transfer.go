@@ -2,127 +2,17 @@ package mptcpsim
 
 import (
 	"sort"
-	"time"
 
 	"mpquic/internal/netem"
-	"mpquic/internal/sim"
-	"mpquic/internal/stream"
 	"mpquic/internal/tcpsim"
 	"mpquic/internal/trace"
 )
 
-// --- handshake ---
-
-func (c *Conn) sendHandshakeSeg(sf *Subflow, seg *tcpsim.Segment) {
-	seg.MP = true
-	seg.Token = c.token
-	seg.SubflowID = sf.ID
-	if seg.SYN && sf.ID != 0 {
-		seg.Join = true
-	}
-	seg.Window = c.advertisedWindow()
-	sf.hsSentAt = c.now()
-	c.transmit(sf, seg)
-}
-
-func (c *Conn) onSubflowHsTimeout(sf *Subflow) {
-	if c.closed || sf.state == sfEstablished {
-		return
-	}
-	sf.est.Backoff()
-	switch sf.state {
-	case sfSynSent:
-		c.sendHandshakeSeg(sf, &tcpsim.Segment{SYN: true})
-	case sfSynReceived:
-		c.sendHandshakeSeg(sf, &tcpsim.Segment{SYN: true, ACK: true})
-	case sfTLSClientHello:
-		c.sendHandshakeSeg(sf, &tcpsim.Segment{ACK: true, Ctl: tcpsim.CtlTLSClient1})
-	case sfTLSServerDone:
-		c.sendHandshakeSeg(sf, &tcpsim.Segment{ACK: true, Ctl: tcpsim.CtlTLSServer1})
-	case sfTLSClientFin:
-		c.sendHandshakeSeg(sf, &tcpsim.Segment{ACK: true, Ctl: tcpsim.CtlTLSClient2})
-	}
-	sf.hsTimer.ResetAfter(sf.est.RTO())
-}
-
-// handleSubflowHandshake advances the subflow handshake; reports
-// whether the segment was purely a handshake message.
-func (c *Conn) handleSubflowHandshake(sf *Subflow, seg *tcpsim.Segment) bool {
-	switch {
-	case seg.SYN && seg.ACK:
-		if sf.state != sfSynSent {
-			return true
-		}
-		sf.est.Update(c.now()-sf.hsSentAt, 0)
-		if sf.ID == 0 && c.cfg.TLS {
-			sf.state = sfTLSClientHello
-			c.sendHandshakeSeg(sf, &tcpsim.Segment{ACK: true, Ctl: tcpsim.CtlTLSClient1})
-			sf.hsTimer.ResetAfter(sf.est.RTO())
-		} else {
-			// Joined subflows (and non-TLS initial): plain 3WHS.
-			c.sendHandshakeSeg(sf, &tcpsim.Segment{ACK: true})
-			c.subflowEstablished(sf)
-		}
-		return true
-	case seg.SYN:
-		if sf.state == sfIdle {
-			sf.state = sfSynReceived
-		}
-		c.sendHandshakeSeg(sf, &tcpsim.Segment{SYN: true, ACK: true})
-		sf.hsTimer.ResetAfter(sf.est.RTO())
-		return true
-	}
-	switch seg.Ctl {
-	case tcpsim.CtlTLSClient1:
-		if sf.state == sfSynReceived || sf.state == sfTLSServerDone {
-			sf.state = sfTLSServerDone
-			c.sendHandshakeSeg(sf, &tcpsim.Segment{ACK: true, Ctl: tcpsim.CtlTLSServer1})
-			sf.hsTimer.ResetAfter(sf.est.RTO())
-		}
-		return true
-	case tcpsim.CtlTLSServer1:
-		if sf.state == sfTLSClientHello {
-			sf.state = sfTLSClientFin
-			sf.est.Update(c.now()-sf.hsSentAt, 0)
-			c.sendHandshakeSeg(sf, &tcpsim.Segment{ACK: true, Ctl: tcpsim.CtlTLSClient2})
-			sf.hsTimer.ResetAfter(sf.est.RTO())
-		}
-		return true
-	case tcpsim.CtlTLSClient2:
-		if sf.state == sfTLSServerDone {
-			c.sendHandshakeSeg(sf, &tcpsim.Segment{ACK: true, Ctl: tcpsim.CtlTLSServer2})
-			c.subflowEstablished(sf)
-		} else if sf.state == sfEstablished {
-			c.sendHandshakeSeg(sf, &tcpsim.Segment{ACK: true, Ctl: tcpsim.CtlTLSServer2})
-		}
-		return true
-	case tcpsim.CtlTLSServer2:
-		if sf.state == sfTLSClientFin {
-			sf.est.Update(c.now()-sf.hsSentAt, 0)
-			c.subflowEstablished(sf)
-		}
-		return true
-	}
-	if sf.state == sfSynReceived {
-		// Bare ACK (or data) completes the server-side 3WHS.
-		c.subflowEstablished(sf)
-		return seg.Len == 0 && !seg.ACK
-	}
-	return false
-}
-
+// subflowEstablished runs once a subflow's handshake finished.
 func (c *Conn) subflowEstablished(sf *Subflow) {
-	if sf.state == sfEstablished {
-		return
-	}
-	sf.state = sfEstablished
-	sf.hsTimer.Stop()
-	sf.est.ResetBackoff()
-	sf.EstablishedAt = c.now()
 	c.trace(trace.Event{Type: trace.PathOpened, Path: sf.ID})
 	if sf.ID == 0 && !c.established {
 		c.established = true
-		c.Stats.EstablishedAt = c.now()
 		c.trace(trace.Event{Type: trace.HandshakeDone})
 		if c.isClient {
 			c.startJoins()
@@ -143,10 +33,7 @@ func (c *Conn) startJoins() {
 		n = len(c.remotes)
 	}
 	for i := 1; i < n; i++ {
-		sf := c.addSubflow(uint8(i), c.locals[i], c.remotes[i])
-		sf.state = sfSynSent
-		c.sendHandshakeSeg(sf, &tcpsim.Segment{SYN: true})
-		sf.hsTimer.ResetAfter(sf.est.RTO())
+		c.addSubflow(uint8(i), c.locals[i], c.remotes[i]).Connect()
 	}
 }
 
@@ -175,13 +62,32 @@ func (c *Conn) handleSegment(dg netem.Datagram, seg *tcpsim.Segment) {
 		c.pruneReinjectQueue()
 	}
 
-	if sf.state != sfEstablished || seg.SYN || seg.Ctl != tcpsim.CtlNone {
-		if c.handleSubflowHandshake(sf, seg) {
+	if !sf.Established() || seg.SYN || seg.Ctl != tcpsim.CtlNone {
+		consumed, done := sf.Handshake(seg)
+		// Any further segment (the bare ACK, or data) completes the
+		// server-side 3WHS, and goes on to the ack and payload paths
+		// unless it is empty.
+		if !consumed && sf.Accept() {
+			done = true
+			consumed = seg.Len == 0 && !seg.ACK
+		}
+		if done {
+			c.subflowEstablished(sf)
+		}
+		if consumed {
 			return
 		}
 	}
 	if seg.ACK {
-		c.processSubflowAck(sf, seg)
+		progress, lost := sf.OnAck(seg)
+		if progress && sf.potentiallyFailed {
+			sf.potentiallyFailed = false // data acked: path works (§4.3)
+			c.trace(trace.Event{Type: trace.PathRecovered, Path: sf.ID})
+		}
+		for _, r := range lost {
+			c.trace(trace.Event{Type: trace.PacketLost, Path: sf.ID, PN: r.TxSeq, Size: r.WireSize})
+			sf.requeueLocal(r)
+		}
 	}
 	if seg.Len > 0 || seg.DataFin {
 		c.processPayload(sf, seg)
@@ -190,143 +96,14 @@ func (c *Conn) handleSegment(dg netem.Datagram, seg *tcpsim.Segment) {
 	c.armTimer()
 }
 
-func (c *Conn) processSubflowAck(sf *Subflow, seg *tcpsim.Segment) {
-	if seg.AckNum > sf.cumAcked {
-		sf.cumAcked = seg.AckNum
-	}
-	for _, b := range seg.SACK {
-		sf.sacked.Add(b.Start, b.End)
-	}
-	sf.sacked.Remove(0, sf.cumAcked)
-	maxCover := sf.cumAcked
-	if ivs := sf.sacked.Intervals(); len(ivs) > 0 {
-		if end := ivs[len(ivs)-1].End; end > maxCover {
-			maxCover = end
-		}
-	}
-	var ackedBytes int
-	progress := false
-	rtxLeft := sf.liveRtx
-	for _, r := range sf.records {
-		if r.settled {
-			continue
-		}
-		if r.isRtx {
-			rtxLeft--
-		}
-		if r.sfStart >= maxCover {
-			if rtxLeft <= 0 && !r.isRtx {
-				break // fresh records are in sequence order
-			}
-			continue // beyond everything acknowledged
-		}
-		covered := r.sfEnd <= sf.cumAcked ||
-			(r.sfStart < r.sfEnd && sf.sacked.Contains(r.sfStart, r.sfEnd))
-		if !covered {
-			continue
-		}
-		r.settled = true
-		progress = true
-		if r.isRtx {
-			sf.liveRtx--
-		}
-		sf.bytesInFlight -= r.wireSize
-		ackedBytes += int(r.sfEnd - r.sfStart)
-		if r.dataFin {
-			c.finAcked = true
-		}
-		if !sf.hasAckTx || r.txSeq > sf.highestAckTx {
-			sf.highestAckTx = r.txSeq
-			sf.hasAckTx = true
-			if !r.isRtx {
-				// Karn: only fresh transmissions yield samples.
-				sf.est.Update(c.now()-r.sentTime, 0)
-			}
-		}
-	}
-	if progress {
-		sf.est.ResetBackoff()
-		sf.lastProgress = c.now()
-		sf.cc.OnPacketAcked(ackedBytes, sf.est.SmoothedRTT())
-		if sf.potentiallyFailed {
-			sf.potentiallyFailed = false // data acked: path works (§4.3)
-			c.trace(trace.Event{Type: trace.PathRecovered, Path: sf.ID})
-		}
-	}
-	// FACK loss detection.
-	var lost []*sfRecord
-	if sf.hasAckTx {
-		for _, r := range sf.records {
-			if r.txSeq+dupThresh > sf.highestAckTx {
-				break // records are in transmission order
-			}
-			if r.settled {
-				continue
-			}
-			r.settled = true
-			if r.isRtx {
-				sf.liveRtx--
-			}
-			sf.bytesInFlight -= r.wireSize
-			lost = append(lost, r)
-		}
-	}
-	if len(lost) > 0 {
-		sf.SegmentsLost += uint64(len(lost))
-		var largestTx uint64
-		for _, r := range lost {
-			if r.txSeq > largestTx {
-				largestTx = r.txSeq
-			}
-			c.trace(trace.Event{Type: trace.PacketLost, Path: sf.ID, PN: r.txSeq, Size: r.wireSize})
-			sf.requeueLocal(r)
-		}
-		if !sf.hasCutback || largestTx >= sf.cutbackTx {
-			sf.cutbackTx = sf.nextTxSeq
-			sf.hasCutback = true
-			sf.cc.OnCongestionEvent()
-		}
-	}
-	c.trimRecords(sf)
-}
-
-func (c *Conn) trimRecords(sf *Subflow) {
-	i := 0
-	for i < len(sf.records) && sf.records[i].settled {
-		i++
-	}
-	if i > 0 {
-		sf.records = sf.records[i:]
-	}
-	if len(sf.records) > 64 {
-		n := 0
-		for _, r := range sf.records {
-			if r.settled {
-				n++
-			}
-		}
-		if n > len(sf.records)/2 {
-			kept := sf.records[:0]
-			for _, r := range sf.records {
-				if !r.settled {
-					kept = append(kept, r)
-				}
-			}
-			sf.records = kept
-		}
-	}
-}
-
 func (c *Conn) processPayload(sf *Subflow, seg *tcpsim.Segment) {
 	newBytes := uint64(0)
-	if seg.Len > 0 {
-		if !seg.DataFinOnly {
-			before := c.dataReceived.Size()
-			c.dataReceived.Add(seg.DataSeq, seg.DataSeq+uint64(seg.Len))
-			newBytes = c.dataReceived.Size() - before
-		}
-		sf.received.Add(seg.Seq, seg.End())
+	if seg.Len > 0 && !seg.DataFinOnly {
+		before := c.dataReceived.Size()
+		c.dataReceived.Add(seg.DataSeq, seg.DataSeq+uint64(seg.Len))
+		newBytes = c.dataReceived.Size() - before
 	}
+	sf.Receive(seg, seg.DataFin)
 	if seg.DataFin {
 		c.dataFinRecvd = true
 		if seg.DataFinOnly {
@@ -335,20 +112,10 @@ func (c *Conn) processPayload(sf *Subflow, seg *tcpsim.Segment) {
 			c.dataFinSeq = seg.DataSeq + uint64(seg.Len)
 		}
 	}
-	sf.unackedSegs++
-	outOfOrder := false
-	if ivs := sf.received.Intervals(); len(ivs) > 0 {
-		outOfOrder = sf.received.FirstMissingFrom(0) < ivs[len(ivs)-1].End
-	}
-	if sf.unackedSegs >= 2 || outOfOrder || seg.DataFin {
-		sf.ackQueued = true
-	} else if sf.ackDeadline == 0 {
-		sf.ackDeadline = c.now() + 25*time.Millisecond
-	}
 	if c.onData != nil && (newBytes > 0 || seg.DataFin) {
 		c.onData()
 	}
-	if sf.ackQueued {
+	if sf.AckQueued() {
 		c.sendAck(sf)
 	}
 }
@@ -366,40 +133,17 @@ func (c *Conn) advertisedWindow() uint64 {
 }
 
 func (c *Conn) ackFields(sf *Subflow, seg *tcpsim.Segment) {
-	seg.ACK = true
-	seg.MP = true
-	seg.Token = c.token
-	seg.SubflowID = sf.ID
-	seg.AckNum = sf.received.FirstMissingFrom(0)
+	sf.FillAck(seg)
+	c.stamp(seg, sf.ID)
 	seg.DataAck = c.dataCumAck()
 	seg.Window = c.advertisedWindow()
 	c.lastAdvWnd = seg.Window
-	seg.SACK = sfBuildSACK(sf.received.Intervals(), seg.AckNum)
-	sf.ackQueued = false
-	sf.ackDeadline = 0
-	sf.unackedSegs = 0
-}
-
-// sfBuildSACK mirrors tcpsim's 3-block SACK limit.
-func sfBuildSACK(ivs []stream.Interval, cum uint64) []tcpsim.SACKBlock {
-	var blocks []tcpsim.SACKBlock
-	for i := len(ivs) - 1; i >= 0 && len(blocks) < tcpsim.MaxSACKBlocks; i-- {
-		if ivs[i].End <= cum {
-			continue
-		}
-		start := ivs[i].Start
-		if start < cum {
-			start = cum
-		}
-		blocks = append(blocks, tcpsim.SACKBlock{Start: start, End: ivs[i].End})
-	}
-	return blocks
 }
 
 func (c *Conn) sendAck(sf *Subflow) {
 	seg := &tcpsim.Segment{}
 	c.ackFields(sf, seg)
-	c.transmit(sf, seg)
+	sf.Transmit(seg)
 }
 
 // --- sending ---
@@ -409,7 +153,7 @@ func (c *Conn) sendAck(sf *Subflow) {
 func (c *Conn) eligible() []*Subflow {
 	var healthy, all []*Subflow
 	for _, sf := range c.subflows {
-		if sf.state != sfEstablished {
+		if !sf.Established() {
 			continue
 		}
 		all = append(all, sf)
@@ -431,7 +175,7 @@ func (c *Conn) bestSubflow() *Subflow {
 		if !sf.cwndAvailable() {
 			continue
 		}
-		if best == nil || sf.est.SmoothedRTT() < best.est.SmoothedRTT() {
+		if best == nil || sf.RTT().SmoothedRTT() < best.RTT().SmoothedRTT() {
 			best = sf
 		}
 	}
@@ -448,7 +192,7 @@ func (c *Conn) trySend() {
 		//    (sequence integrity).
 		els := c.eligible()
 		sort.Slice(els, func(i, j int) bool {
-			return els[i].est.SmoothedRTT() < els[j].est.SmoothedRTT()
+			return els[i].RTT().SmoothedRTT() < els[j].RTT().SmoothedRTT()
 		})
 		for _, sf := range els {
 			for len(sf.rtxQueue) > 0 && sf.cwndAvailable() {
@@ -474,8 +218,7 @@ func (c *Conn) trySend() {
 			if n == 0 && ch.dataFin {
 				n = 1 // bare DATA_FIN carrier
 			}
-			c.sendMapped(sf, sf.sndNxt, sf.sndNxt+n, ch.start, ch.end, ch.dataFin, false, true)
-			sf.sndNxt += n
+			c.sendMapped(sf, sf.SndNxt(), sf.SndNxt()+n, ch.start, ch.end, ch.dataFin, false, true)
 			sent = true
 		}
 		// 3. New data on the best subflow.
@@ -495,8 +238,7 @@ func (c *Conn) trySend() {
 				n = room
 			}
 			fin := c.finQueued && c.dataNxt+n == c.writeOffset
-			c.sendMapped(sf, sf.sndNxt, sf.sndNxt+n, c.dataNxt, c.dataNxt+n, fin, false, false)
-			sf.sndNxt += n
+			c.sendMapped(sf, sf.SndNxt(), sf.SndNxt()+n, c.dataNxt, c.dataNxt+n, fin, false, false)
 			c.dataNxt += n
 			if fin {
 				c.finAssigned = true
@@ -506,8 +248,7 @@ func (c *Conn) trySend() {
 		// 4. Bare DATA_FIN.
 		if c.finQueued && !c.finAssigned && c.dataNxt == c.writeOffset {
 			if sf := c.bestSubflow(); sf != nil {
-				c.sendMapped(sf, sf.sndNxt, sf.sndNxt+1, c.writeOffset, c.writeOffset, true, false, false)
-				sf.sndNxt++
+				c.sendMapped(sf, sf.SndNxt(), sf.SndNxt()+1, c.writeOffset, c.writeOffset, true, false, false)
 				c.finAssigned = true
 				sent = true
 			}
@@ -519,7 +260,7 @@ func (c *Conn) trySend() {
 	c.maybeORP()
 	// Flush owed acknowledgments.
 	for _, sf := range c.subflows {
-		if sf.state == sfEstablished && sf.ackQueued {
+		if sf.Established() && sf.AckQueued() {
 			c.sendAck(sf)
 		}
 	}
@@ -543,19 +284,19 @@ func (c *Conn) maybeORP() {
 		return // one reinjection per stall point
 	}
 	idle := c.bestSubflow()
-	if idle == nil || !idle.idle() {
+	if idle == nil || idle.InFlight() > 0 {
 		return
 	}
 	// Find the owner of the oldest un-data-acked chunk.
 	var owner *Subflow
 	var chunk dataChunk
 	for _, sf := range c.subflows {
-		for _, r := range sf.records {
-			if r.settled || r.dataEnd <= c.dataAcked || r.dataStart > c.dataAcked {
+		for _, r := range sf.Records() {
+			if r.Settled || r.DataEnd <= c.dataAcked || r.DataStart > c.dataAcked {
 				continue
 			}
 			owner = sf
-			chunk = dataChunk{start: r.dataStart, end: r.dataEnd, dataFin: r.dataFin}
+			chunk = dataChunk{start: r.DataStart, end: r.DataEnd, dataFin: r.DataFin}
 			break
 		}
 		if owner != nil {
@@ -566,15 +307,14 @@ func (c *Conn) maybeORP() {
 		return
 	}
 	n := chunk.end - chunk.start
-	c.sendMapped(idle, idle.sndNxt, idle.sndNxt+n, chunk.start, chunk.end, chunk.dataFin, false, true)
-	idle.sndNxt += n
+	c.sendMapped(idle, idle.SndNxt(), idle.SndNxt()+n, chunk.start, chunk.end, chunk.dataFin, false, true)
 	c.lastORPAt = c.dataAcked
 	c.orpArmed = true
 	c.Stats.Reinjections++
 	// Penalize the slow owner at most once per its RTT.
 	now := c.now()
-	if now-owner.lastPenalty >= owner.est.SmoothedRTT() {
-		owner.cc.OnCongestionEvent()
+	if now-owner.lastPenalty >= owner.RTT().SmoothedRTT() {
+		owner.CC().OnCongestionEvent()
 		owner.lastPenalty = now
 		c.Stats.Penalizations++
 	}
@@ -596,40 +336,13 @@ func (c *Conn) sendMapped(sf *Subflow, sfStart, sfEnd, dataStart, dataEnd uint64
 		seg.DataSeq = dataEnd
 	}
 	c.ackFields(sf, seg)
-	if isRtx {
-		sf.liveRtx++
-		sf.Retransmits++
-	}
-	rec := &sfRecord{
-		txSeq:     sf.nextTxSeq,
-		sfStart:   sfStart,
-		sfEnd:     sfEnd,
-		dataStart: dataStart,
-		dataEnd:   dataEnd,
-		dataFin:   dataFin,
-		isRtx:     isRtx,
-		reinject:  isReinject,
-		sentTime:  c.now(),
-		wireSize:  seg.WireSize(),
-	}
-	sf.nextTxSeq++
-	sf.records = append(sf.records, rec)
-	sf.bytesInFlight += rec.wireSize
-	sf.lastSent = c.now()
+	rec := sf.Sent(sfStart, sfEnd, isRtx, seg.WireSize())
+	rec.DataStart, rec.DataEnd, rec.DataFin = dataStart, dataEnd, dataFin
 	sf.DataBytesSent += dataEnd - dataStart
 	if isReinject {
 		sf.Reinjections++
 	}
-	c.transmit(sf, seg)
-}
-
-func (c *Conn) transmit(sf *Subflow, seg *tcpsim.Segment) {
-	seg.MP = true
-	seg.Token = c.token
-	seg.SubflowID = sf.ID
-	sf.SentSegments++
-	sf.SentBytes += uint64(seg.WireSize())
-	c.nw.Send(netem.Datagram{From: sf.Local, To: sf.Remote, Size: seg.WireSize(), Payload: seg})
+	sf.Transmit(seg)
 }
 
 func (c *Conn) pruneReinjectQueue() {
@@ -649,19 +362,18 @@ func (c *Conn) onTimer() {
 	if c.closed {
 		return
 	}
-	now := c.now()
-	if c.cfg.IdleTimeout > 0 && now-c.lastRecvTime >= c.cfg.IdleTimeout {
+	if c.cfg.IdleTimeout > 0 && c.now()-c.lastRecvTime >= c.cfg.IdleTimeout {
 		c.closeWith(errIdle)
 		return
 	}
 	for _, sf := range c.subflows {
-		if sf.state != sfEstablished {
+		if !sf.Established() {
 			continue
 		}
-		if sf.ackDeadline != 0 && now >= sf.ackDeadline {
+		if sf.AckDue() {
 			c.sendAck(sf)
 		}
-		if sf.bytesInFlight > 0 && now-sf.rtoBase() >= sf.est.RTO() {
+		if sf.RTOExpired() {
 			c.onSubflowRTO(sf)
 		}
 	}
@@ -674,30 +386,15 @@ func (c *Conn) onTimer() {
 // connection level so other subflows can carry it — the Linux MPTCP
 // handover behavior the paper compares against (§4.3).
 func (c *Conn) onSubflowRTO(sf *Subflow) {
-	sf.RTOCount++
-	c.Stats.RTOs++
-	for _, r := range sf.records {
-		if r.settled {
-			continue
-		}
-		r.settled = true
-		sf.SegmentsLost++
-		c.trace(trace.Event{Type: trace.PacketLost, Path: sf.ID, PN: r.txSeq, Size: r.wireSize})
-		if r.isRtx {
-			sf.liveRtx--
-		}
-		sf.bytesInFlight -= r.wireSize
+	for _, r := range sf.OnRTO() {
+		c.trace(trace.Event{Type: trace.PacketLost, Path: sf.ID, PN: r.TxSeq, Size: r.WireSize})
 		sf.requeueLocal(r)
-		if r.dataEnd > c.dataAcked || r.dataFin {
-			c.reinjectQueue = append(c.reinjectQueue, dataChunk{start: r.dataStart, end: r.dataEnd, dataFin: r.dataFin})
+		if r.DataEnd > c.dataAcked || r.DataFin {
+			c.reinjectQueue = append(c.reinjectQueue, dataChunk{start: r.DataStart, end: r.DataEnd, dataFin: r.DataFin})
 			c.Stats.Reinjections++
 		}
 	}
-	c.trimRecords(sf)
-	sf.est.Backoff()
-	sf.cc.OnRTO()
-	sf.hasCutback = false
-	c.trace(trace.Event{Type: trace.RTOFired, Path: sf.ID, Cwnd: sf.cc.Cwnd()})
+	c.trace(trace.Event{Type: trace.RTOFired, Path: sf.ID, Cwnd: sf.Cwnd()})
 	if len(c.eligible()) > 1 {
 		sf.potentiallyFailed = true
 		c.trace(trace.Event{Type: trace.PathFailed, Path: sf.ID})
@@ -708,31 +405,14 @@ func (c *Conn) armTimer() {
 	if c.closed {
 		return
 	}
-	deadline := time.Duration(1<<62 - 1)
+	deadline := tcpsim.Never
 	for _, sf := range c.subflows {
-		if sf.state != sfEstablished {
-			continue
-		}
-		if sf.bytesInFlight > 0 {
-			if d := sf.rtoBase() + sf.est.RTO(); d < deadline {
-				deadline = d
-			}
-		}
-		if sf.ackDeadline != 0 && sf.ackDeadline < deadline {
-			deadline = sf.ackDeadline
+		if sf.Established() {
+			deadline = min(deadline, sf.Deadline())
 		}
 	}
 	if c.cfg.IdleTimeout > 0 {
-		if d := c.lastRecvTime + c.cfg.IdleTimeout; d < deadline {
-			deadline = d
-		}
+		deadline = min(deadline, c.lastRecvTime+c.cfg.IdleTimeout)
 	}
-	if deadline == time.Duration(1<<62-1) {
-		c.timer.Stop()
-		return
-	}
-	if deadline < c.now() {
-		deadline = c.now()
-	}
-	c.timer.Reset(sim.Time(deadline))
+	tcpsim.ArmTimer(c.timer, c.clock, deadline)
 }

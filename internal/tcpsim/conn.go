@@ -6,7 +6,6 @@ import (
 
 	"mpquic/internal/cc"
 	"mpquic/internal/netem"
-	"mpquic/internal/rtt"
 	"mpquic/internal/sim"
 	"mpquic/internal/stream"
 	"mpquic/internal/trace"
@@ -34,97 +33,27 @@ func DefaultConfig() Config {
 	return Config{RecvWindow: 16 << 20, TLS: true, IdleTimeout: 120 * time.Second}
 }
 
-// handshake states.
-type hsState int
-
-const (
-	hsIdle hsState = iota
-	hsSynSent
-	hsSynReceived
-	hsTLSClientHello // client sent flight 1, awaiting server flight 1
-	hsTLSServerDone  // server sent flight 1, awaiting client flight 2
-	hsTLSClientFin   // client sent flight 2, awaiting server flight 2
-	hsEstablished    // secure, app data may flow
-)
-
-// dupThresh is the FACK-style reordering threshold (the dup-ack
-// analog): a segment is lost once 3 later transmissions are acked.
-const dupThresh = 3
-
-// sendRecord tracks one transmitted segment for loss detection.
-type sendRecord struct {
-	txSeq    uint64 // transmission order
-	seqStart uint64
-	seqEnd   uint64
-	fin      bool
-	isRtx    bool
-	sentTime time.Duration
-	wireSize int
-	settled  bool
-}
-
-// Stats counts per-connection activity.
-type Stats struct {
-	SegmentsSent uint64
-	SegmentsRcvd uint64
-	BytesSent    uint64
-	// SegmentsLost counts segments declared lost (FACK threshold or
-	// RTO) and returned to the retransmission queue.
-	SegmentsLost   uint64
-	Retransmits    uint64
-	RTOCount       uint64
-	FastRetransmit uint64
-	EstablishedAt  time.Duration
-}
-
 // Conn is one endpoint of an emulated TCP connection carrying a single
 // application byte stream in each direction.
 type Conn struct {
-	cfg      Config
-	clock    *sim.Clock
-	net      *netem.Network
-	local    netem.Addr
-	remote   netem.Addr
-	isClient bool
+	// Flow is the connection's one TCP flow; the byte stream below
+	// lives directly in its sequence space (seq starts at 0 after the
+	// handshake).
+	*Flow
+	cfg Config
 
-	state    hsState
-	hsTimer  *sim.Timer
-	hsSentAt time.Duration // when the current handshake flight left
-	est      *rtt.Estimator
-	cc       cc.Controller
-	ccIsOwn  bool
-
-	// --- send side (byte stream, seq starts at 0 after handshake) ---
-	sndNxt        uint64
-	writeOffset   uint64 // bytes the app wrote
-	finQueued     bool
-	finSentSeq    uint64
-	finAcked      bool
-	records       []*sendRecord
-	liveRtx       int // live retransmission records (out of seq order)
-	nextTxSeq     uint64
-	highestAckTx  uint64 // highest txSeq acked/sacked (FACK)
-	hasAckTx      bool
-	bytesInFlight int
-	cumAcked      uint64 // peer's cumulative ack (sndUna)
-	sacked        stream.IntervalSet
-	rtxQueue      stream.IntervalSet
-	peerLimit     uint64 // cumAck+window high-water mark
-	lastRtxSent   time.Duration
-	lastProgress  time.Duration // last ack progress (restarts the RTO)
-	cutbackTx     uint64
-	hasCutback    bool
-	rtoTimer      *sim.Timer
+	// --- send side ---
+	writeOffset uint64 // bytes the app wrote
+	finQueued   bool
+	rtxQueue    stream.IntervalSet
+	peerLimit   uint64 // cumAck+window high-water mark
+	rtoTimer    *sim.Timer
 
 	// --- receive side ---
-	received     stream.IntervalSet
 	consumed     uint64
 	lastAdvWnd   uint64 // last advertised window (zero-window reopen)
 	finRecvSeq   uint64
 	finRecvd     bool
-	unackedSegs  int
-	ackQueued    bool
-	ackDeadline  time.Duration
 	lastRecvTime time.Duration
 
 	closed   bool
@@ -133,30 +62,18 @@ type Conn struct {
 	onEstablished func()
 	onData        func()
 	onClosed      func(error)
-
-	Stats Stats
 }
 
-func newTCPConn(nw *netem.Network, cfg Config, local, remote netem.Addr, isClient bool) *Conn {
-	c := &Conn{
-		cfg:      cfg,
-		clock:    nw.Clock(),
-		net:      nw,
-		local:    local,
-		remote:   remote,
-		isClient: isClient,
-		est:      rtt.New(rtt.DefaultTCP()),
-	}
-	cub := cc.NewCubic(MSS, c.now)
+func newTCPConn(nw *netem.Network, cfg Config, local, remote netem.Addr) *Conn {
+	clock := nw.Clock()
+	cub := cc.NewCubic(MSS, func() time.Duration { return clock.Now().Duration() })
 	cub.SetMaxCwnd(int(cfg.RecvWindow))
-	c.cc = cub
-	c.hsTimer = sim.NewTimer(c.clock, c.onHandshakeTimeout)
-	c.rtoTimer = sim.NewTimer(c.clock, c.onRTO)
+	c := &Conn{cfg: cfg}
+	c.Flow = NewFlow(nw, 0, local, remote, cub, cfg.TLS, func(seg *Segment) { seg.Window = cfg.RecvWindow })
+	c.rtoTimer = sim.NewTimer(clock, c.onRTO)
 	c.lastRecvTime = c.now()
 	return c
 }
-
-func (c *Conn) now() time.Duration { return c.clock.Now().Duration() }
 
 // trace emits ev when tracing is enabled, stamping the current time.
 func (c *Conn) trace(ev trace.Event) {
@@ -167,30 +84,11 @@ func (c *Conn) trace(ev trace.Event) {
 	c.cfg.Tracer.Trace(ev)
 }
 
-// SampleInto appends one PathSample (path 0 — TCP is a single flow) to
-// rec, stamped with the current simulated time. Sampling only reads
-// state; attaching a sampler never changes a run's schedule or
-// results.
-func (c *Conn) SampleInto(rec *trace.SeriesRecorder) {
-	rec.Add(trace.PathSample{
-		T:          c.now(),
-		Path:       0,
-		Cwnd:       c.cc.Cwnd(),
-		SRTT:       c.est.SmoothedRTT(),
-		InFlight:   c.bytesInFlight,
-		BytesSent:  c.Stats.BytesSent,
-		BytesAcked: c.cumAcked,
-		SlowStart:  c.cc.InSlowStart(),
-	})
-}
-
 // DialTCP starts a client connection (SYN goes out immediately).
 func DialTCP(nw *netem.Network, cfg Config, local, remote netem.Addr) *Conn {
-	c := newTCPConn(nw, cfg, local, remote, true)
+	c := newTCPConn(nw, cfg, local, remote)
 	nw.Register(local, c)
-	c.state = hsSynSent
-	c.sendSegment(&Segment{SYN: true, Window: cfg.RecvWindow})
-	c.hsTimer.ResetAfter(c.est.RTO())
+	c.Connect()
 	return c
 }
 
@@ -240,8 +138,7 @@ func (l *Listener) HandleDatagram(dg netem.Datagram) {
 		if !seg.SYN {
 			return // stray segment for a dead connection
 		}
-		c = newTCPConn(l.nw, l.cfg, l.addr, dg.From, false)
-		c.state = hsSynReceived
+		c = newTCPConn(l.nw, l.cfg, l.addr, dg.From)
 		l.conns[dg.From] = c
 		if l.onConn != nil {
 			l.onConn(c)
@@ -250,10 +147,13 @@ func (l *Listener) HandleDatagram(dg netem.Datagram) {
 	c.HandleDatagram(dg)
 }
 
+// Flows returns the connection's flows: plain TCP has one.
+func (c *Conn) Flows() []*Flow { return []*Flow{c.Flow} }
+
 // OnEstablished registers the secure-handshake-complete callback.
 func (c *Conn) OnEstablished(fn func()) {
 	c.onEstablished = fn
-	if c.state == hsEstablished {
+	if c.Established() {
 		fn()
 	}
 }
@@ -264,20 +164,11 @@ func (c *Conn) OnData(fn func()) { c.onData = fn }
 // OnClosed registers the close callback.
 func (c *Conn) OnClosed(fn func(error)) { c.onClosed = fn }
 
-// Established reports whether application data may flow.
-func (c *Conn) Established() bool { return c.state == hsEstablished }
-
 // Closed reports connection termination.
 func (c *Conn) Closed() bool { return c.closed }
 
 // Err returns the close reason, if any.
 func (c *Conn) Err() error { return c.closeErr }
-
-// RTT exposes the estimator (coarse, Karn-limited).
-func (c *Conn) RTT() *rtt.Estimator { return c.est }
-
-// Cwnd reports the congestion window in bytes.
-func (c *Conn) Cwnd() int { return c.cc.Cwnd() }
 
 // --- application API ---
 
@@ -308,14 +199,11 @@ func (c *Conn) Read(n uint64) uint64 {
 		n = avail
 	}
 	c.consumed += n
-	if n > 0 && c.state == hsEstablished && c.lastAdvWnd < MSS && c.advertisedWindow() >= MSS {
+	if n > 0 && c.Established() && c.lastAdvWnd < MSS && c.advertisedWindow() >= MSS {
 		c.sendAck()
 	}
 	return n
 }
-
-// BytesReceived reports distinct received bytes.
-func (c *Conn) BytesReceived() uint64 { return c.received.Size() }
 
 // FinReceived reports whether the peer's FIN arrived (in order).
 func (c *Conn) FinReceived() bool {
@@ -327,5 +215,5 @@ func (c *Conn) Finished() bool { return c.FinReceived() && c.consumed == c.finRe
 
 // AllAcked reports whether everything written (and FIN) was acked.
 func (c *Conn) AllAcked() bool {
-	return c.finQueued && c.finAcked && c.cumAcked >= c.writeOffset
+	return c.finQueued && c.FinAcked() && c.cumAcked >= c.writeOffset
 }

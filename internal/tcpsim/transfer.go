@@ -2,113 +2,14 @@ package tcpsim
 
 import (
 	"fmt"
-	"time"
 
 	"mpquic/internal/netem"
-	"mpquic/internal/sim"
 	"mpquic/internal/stream"
 	"mpquic/internal/trace"
 )
 
-// --- handshake ---
-
-func (c *Conn) onHandshakeTimeout() {
-	if c.closed || c.state == hsEstablished {
-		return
-	}
-	c.est.Backoff()
-	switch c.state {
-	case hsSynSent:
-		c.sendSegment(&Segment{SYN: true, Window: c.cfg.RecvWindow})
-	case hsSynReceived:
-		c.sendSegment(&Segment{SYN: true, ACK: true, Window: c.cfg.RecvWindow})
-	case hsTLSClientHello:
-		c.sendSegment(&Segment{ACK: true, Ctl: CtlTLSClient1, Window: c.cfg.RecvWindow})
-	case hsTLSServerDone:
-		c.sendSegment(&Segment{ACK: true, Ctl: CtlTLSServer1, Window: c.cfg.RecvWindow})
-	case hsTLSClientFin:
-		c.sendSegment(&Segment{ACK: true, Ctl: CtlTLSClient2, Window: c.cfg.RecvWindow})
-	}
-	c.hsTimer.ResetAfter(c.est.RTO())
-}
-
-// handleHandshake advances the connection-setup state machine. It
-// reports whether the segment was purely a handshake message.
-func (c *Conn) handleHandshake(seg *Segment, sentAt time.Duration) bool {
-	switch {
-	case seg.SYN && seg.ACK: // client got SYN-ACK
-		if c.state != hsSynSent {
-			return true
-		}
-		c.est.Update(c.now()-sentAt, 0)
-		if c.cfg.TLS {
-			c.state = hsTLSClientHello
-			c.sendSegment(&Segment{ACK: true, Ctl: CtlTLSClient1, Window: c.cfg.RecvWindow})
-			c.hsTimer.ResetAfter(c.est.RTO())
-		} else {
-			c.sendSegment(&Segment{ACK: true, Window: c.cfg.RecvWindow})
-			c.becomeEstablished()
-		}
-		return true
-	case seg.SYN: // server got SYN (or a retransmitted SYN)
-		c.sendSegment(&Segment{SYN: true, ACK: true, Window: c.cfg.RecvWindow})
-		c.hsTimer.ResetAfter(c.est.RTO())
-		return true
-	}
-	switch seg.Ctl {
-	case CtlTLSClient1: // server
-		if c.state == hsSynReceived || c.state == hsTLSServerDone {
-			c.state = hsTLSServerDone
-			c.sendSegment(&Segment{ACK: true, Ctl: CtlTLSServer1, Window: c.cfg.RecvWindow})
-			c.hsTimer.ResetAfter(c.est.RTO())
-		}
-		return true
-	case CtlTLSServer1: // client
-		if c.state == hsTLSClientHello {
-			c.state = hsTLSClientFin
-			c.est.Update(c.now()-sentAt, 0)
-			c.sendSegment(&Segment{ACK: true, Ctl: CtlTLSClient2, Window: c.cfg.RecvWindow})
-			c.hsTimer.ResetAfter(c.est.RTO())
-		}
-		return true
-	case CtlTLSClient2: // server
-		if c.state == hsTLSServerDone {
-			c.sendSegment(&Segment{ACK: true, Ctl: CtlTLSServer2, Window: c.cfg.RecvWindow})
-			c.becomeEstablished()
-		} else if c.state == hsEstablished {
-			// Client flight was retransmitted: our final flight got
-			// lost; resend it.
-			c.sendSegment(&Segment{ACK: true, Ctl: CtlTLSServer2, Window: c.cfg.RecvWindow})
-		}
-		return true
-	case CtlTLSServer2: // client
-		if c.state == hsTLSClientFin {
-			c.est.Update(c.now()-sentAt, 0)
-			c.becomeEstablished()
-		}
-		return true
-	}
-	// Server completing the non-TLS 3WHS on the client's bare ACK.
-	if c.state == hsSynReceived && seg.ACK && !c.cfg.TLS {
-		c.becomeEstablished()
-		return seg.Len == 0 && !seg.FIN
-	}
-	if c.state == hsSynReceived && (seg.Len > 0 || seg.FIN) {
-		// Data implies the handshake completed at the peer.
-		c.becomeEstablished()
-		return false
-	}
-	return false
-}
-
-func (c *Conn) becomeEstablished() {
-	if c.state == hsEstablished {
-		return
-	}
-	c.state = hsEstablished
-	c.hsTimer.Stop()
-	c.est.ResetBackoff()
-	c.Stats.EstablishedAt = c.now()
+// established runs once the flow's handshake finished.
+func (c *Conn) established() {
 	c.trace(trace.Event{Type: trace.HandshakeDone})
 	if c.onEstablished != nil {
 		c.onEstablished()
@@ -128,7 +29,6 @@ func (c *Conn) HandleDatagram(dg netem.Datagram) {
 		return
 	}
 	c.lastRecvTime = c.now()
-	c.Stats.SegmentsRcvd++
 
 	// Track the peer's receive window from every segment, including
 	// handshake flights (the SYN-ACK carries the first window).
@@ -136,12 +36,20 @@ func (c *Conn) HandleDatagram(dg netem.Datagram) {
 		c.peerLimit = lim
 	}
 
-	if c.state != hsEstablished || seg.SYN || seg.Ctl != CtlNone {
-		// sentAt approximation for handshake RTT samples: stop-and-
-		// wait flights measure from the last (re)send; we use the RTO
-		// timer's arm time via est — simpler: measure from when we
-		// sent our outstanding flight (tracked by hsSentAt).
-		if c.handleHandshake(seg, c.hsSentAt) {
+	if !c.Established() || seg.SYN || seg.Ctl != CtlNone {
+		consumed, done := c.Handshake(seg)
+		// The server completes the 3WHS on the client's bare ACK — its
+		// own segment without TLS, which answers it with a flight — or
+		// on data, which implies the handshake completed at the peer.
+		bareAck := seg.ACK && !c.cfg.TLS
+		if !consumed && (bareAck || seg.Len > 0 || seg.FIN) && c.Accept() {
+			done = true
+			consumed = bareAck && seg.Len == 0 && !seg.FIN
+		}
+		if done {
+			c.established()
+		}
+		if consumed {
 			return
 		}
 	}
@@ -163,152 +71,23 @@ func (c *Conn) processAck(seg *Segment) {
 	if lim := seg.AckNum + seg.Window; lim > c.peerLimit {
 		c.peerLimit = lim
 	}
-	if seg.AckNum > c.cumAcked {
-		c.cumAcked = seg.AckNum
-	}
-	for _, b := range seg.SACK {
-		c.sacked.Add(b.Start, b.End)
-	}
-	// The scoreboard below the cumulative ack is dead weight; pruning
-	// it keeps Contains cheap on long transfers.
-	c.sacked.Remove(0, c.cumAcked)
-	maxCover := c.cumAcked
-	if ivs := c.sacked.Intervals(); len(ivs) > 0 {
-		if end := ivs[len(ivs)-1].End; end > maxCover {
-			maxCover = end
-		}
-	}
-	// Settle records and collect RTT samples / cc credit. Fresh-data
-	// records are in increasing seqStart order, so once past maxCover
-	// only out-of-order retransmission records can still match.
-	var newlyAckedBytes int
-	progress := false
-	rtxLeft := c.liveRtx
-	for _, r := range c.records {
-		if r.settled {
-			continue
-		}
-		if r.isRtx {
-			rtxLeft--
-		}
-		if r.seqStart >= maxCover {
-			if rtxLeft <= 0 && !r.isRtx {
-				break // nothing later can be covered
-			}
-			continue // beyond everything acknowledged: cannot be covered
-		}
-		var covered bool
-		if r.fin {
-			// The FIN consumes one sequence number past the data.
-			covered = c.cumAcked >= r.seqEnd+1
-			if covered {
-				c.finAcked = true
-			}
-		} else {
-			covered = r.seqEnd <= c.cumAcked ||
-				(r.seqStart < r.seqEnd && c.sacked.Contains(r.seqStart, r.seqEnd))
-		}
-		if !covered {
-			continue
-		}
-		r.settled = true
-		progress = true
-		if r.isRtx {
-			c.liveRtx--
-		}
-		c.bytesInFlight -= r.wireSize
-		newlyAckedBytes += int(r.seqEnd - r.seqStart)
-		if r.txSeq > c.highestAckTx || !c.hasAckTx {
-			c.highestAckTx = r.txSeq
-			c.hasAckTx = true
-			// Karn's algorithm: never sample retransmissions.
-			if !r.isRtx {
-				c.est.Update(c.now()-r.sentTime, 0)
-			}
-		}
-	}
-	if progress {
-		c.est.ResetBackoff()
-		c.lastProgress = c.now() // ack progress restarts the RTO timer
-		c.cc.OnPacketAcked(newlyAckedBytes, c.est.SmoothedRTT())
-	}
-	// FACK loss detection: lost when dupThresh later transmissions
-	// are acked.
-	var lostRecords []*sendRecord
-	if c.hasAckTx {
-		for _, r := range c.records {
-			if r.txSeq+dupThresh > c.highestAckTx {
-				break // records are in transmission order
-			}
-			if r.settled {
-				continue
-			}
-			r.settled = true
-			if r.isRtx {
-				c.liveRtx--
-			}
-			c.bytesInFlight -= r.wireSize
-			lostRecords = append(lostRecords, r)
-		}
-	}
-	if len(lostRecords) > 0 {
-		c.Stats.FastRetransmit++
-		c.Stats.SegmentsLost += uint64(len(lostRecords))
-		var largestTx uint64
-		for _, r := range lostRecords {
-			largestTx = max(largestTx, r.txSeq)
-			c.trace(trace.Event{Type: trace.PacketLost, PN: r.txSeq, Size: r.wireSize})
-			c.requeueRecord(r)
-		}
-		if !c.hasCutback || largestTx >= c.cutbackTx {
-			c.cutbackTx = c.nextTxSeq
-			c.hasCutback = true
-			c.cc.OnCongestionEvent()
-		}
-	}
-	c.trimRecords()
+	_, lost := c.OnAck(seg)
+	c.requeue(lost)
 }
 
-// requeueRecord returns a lost record's unacked bytes to the rtx queue.
-func (c *Conn) requeueRecord(r *sendRecord) {
-	var missing stream.IntervalSet
-	missing.Add(r.seqStart, r.seqEnd)
-	missing.Remove(0, c.cumAcked)
-	for _, iv := range c.sacked.Intervals() {
-		missing.Remove(iv.Start, iv.End)
-	}
-	for _, iv := range missing.Intervals() {
-		c.rtxQueue.Add(iv.Start, iv.End)
-	}
-	if r.fin && !c.finAcked {
-		// FIN will be re-attached to the final segment.
-		c.finSentSeq = c.writeOffset
-	}
-}
-
-func (c *Conn) trimRecords() {
-	i := 0
-	for i < len(c.records) && c.records[i].settled {
-		i++
-	}
-	if i > 0 {
-		c.records = c.records[i:]
-	}
-	if len(c.records) > 64 {
-		n := 0
-		for _, r := range c.records {
-			if r.settled {
-				n++
-			}
+// requeue returns lost records' unacked bytes to the rtx queue. A lost
+// FIN needs no entry: trySend re-attaches it to the final segment.
+func (c *Conn) requeue(lost []*Record) {
+	for _, r := range lost {
+		c.trace(trace.Event{Type: trace.PacketLost, PN: r.TxSeq, Size: r.WireSize})
+		var missing stream.IntervalSet
+		missing.Add(r.SeqStart, r.SeqEnd)
+		missing.Remove(0, c.cumAcked)
+		for _, iv := range c.sacked.Intervals() {
+			missing.Remove(iv.Start, iv.End)
 		}
-		if n > len(c.records)/2 {
-			kept := c.records[:0]
-			for _, r := range c.records {
-				if !r.settled {
-					kept = append(kept, r)
-				}
-			}
-			c.records = kept
+		for _, iv := range missing.Intervals() {
+			c.rtxQueue.Add(iv.Start, iv.End)
 		}
 	}
 }
@@ -316,28 +95,15 @@ func (c *Conn) trimRecords() {
 // processPayload ingests data and schedules acknowledgments.
 func (c *Conn) processPayload(seg *Segment) {
 	before := c.received.Size()
-	if seg.Len > 0 {
-		c.received.Add(seg.Seq, seg.End())
-	}
+	c.Receive(seg, seg.FIN)
 	if seg.FIN {
 		c.finRecvd = true
 		c.finRecvSeq = seg.End()
 	}
-	newBytes := c.received.Size() - before
-	c.unackedSegs++
-	outOfOrder := false
-	if ivs := c.received.Intervals(); len(ivs) > 0 {
-		outOfOrder = c.received.FirstMissingFrom(0) < ivs[len(ivs)-1].End
-	}
-	if c.unackedSegs >= 2 || outOfOrder || seg.FIN {
-		c.ackQueued = true
-	} else if c.ackDeadline == 0 {
-		c.ackDeadline = c.now() + 25*time.Millisecond
-	}
-	if c.onData != nil && (newBytes > 0 || seg.FIN) {
+	if c.onData != nil && (c.received.Size() > before || seg.FIN) {
 		c.onData()
 	}
-	if c.ackQueued {
+	if c.AckQueued() {
 		c.sendAck()
 	}
 }
@@ -357,47 +123,35 @@ func (c *Conn) advertisedWindow() uint64 {
 }
 
 func (c *Conn) ackFields(seg *Segment) {
-	seg.ACK = true
-	seg.AckNum = c.cumAckNum()
+	c.FillAck(seg)
 	if c.finRecvd && seg.AckNum >= c.finRecvSeq {
 		seg.AckNum = c.finRecvSeq + 1 // ack the FIN
 	}
 	seg.Window = c.advertisedWindow()
 	c.lastAdvWnd = seg.Window
-	seg.SACK = buildSACK(c.received.Intervals(), c.cumAckNum())
-	c.ackQueued = false
-	c.ackDeadline = 0
-	c.unackedSegs = 0
 }
 
 func (c *Conn) sendAck() {
 	seg := &Segment{}
 	c.ackFields(seg)
-	c.sendSegment(seg)
+	c.Transmit(seg)
 }
 
 // trySend transmits retransmissions first (in sequence, as TCP must),
 // then new data, bounded by the congestion window and the peer's
 // receive window.
 func (c *Conn) trySend() {
-	if c.closed || c.state != hsEstablished {
+	if c.closed || !c.Established() {
 		return
 	}
-	for {
-		if c.bytesInFlight+MSS+headerBase > c.cc.Cwnd() {
-			break
-		}
+	for c.HasWindow(MSS + headerBase) {
 		var seg *Segment
-		var rec *sendRecord
+		var rec *Record
 		if !c.rtxQueue.Empty() {
 			iv := c.rtxQueue.Pop(MSS)
 			seg = &Segment{Seq: iv.Start, Len: int(iv.Len()), EchoRTX: true}
-			rec = c.makeRecord(iv.Start, iv.End, true)
-			c.Stats.Retransmits++
-			if c.finQueued && iv.End == c.writeOffset {
-				seg.FIN = true
-				rec.fin = true
-			}
+			rec = c.Sent(iv.Start, iv.End, true, seg.Len+headerBase)
+			seg.FIN = c.finQueued && iv.End == c.writeOffset
 		} else if c.sndNxt < c.writeOffset && c.sndNxt < c.peerLimit {
 			n := c.writeOffset - c.sndNxt
 			if n > MSS {
@@ -407,115 +161,46 @@ func (c *Conn) trySend() {
 				n = room
 			}
 			seg = &Segment{Seq: c.sndNxt, Len: int(n)}
-			rec = c.makeRecord(c.sndNxt, c.sndNxt+n, false)
-			c.sndNxt += n
-			if c.finQueued && c.sndNxt == c.writeOffset {
-				seg.FIN = true
-				rec.fin = true
-				c.finSentSeq = c.writeOffset
-			}
-		} else if c.finQueued && c.sndNxt == c.writeOffset && !c.finAcked && !c.finInFlight() {
+			rec = c.Sent(c.sndNxt, c.sndNxt+n, false, seg.Len+headerBase)
+			seg.FIN = c.finQueued && c.sndNxt == c.writeOffset
+		} else if c.finQueued && c.sndNxt == c.writeOffset && !c.FinAcked() && !c.finInFlight() {
 			seg = &Segment{Seq: c.sndNxt, FIN: true}
-			rec = c.makeRecord(c.sndNxt, c.sndNxt, false)
-			rec.fin = true
-			c.finSentSeq = c.writeOffset
+			rec = c.Sent(c.sndNxt, c.sndNxt, false, headerBase)
 		} else {
 			break
 		}
+		rec.Fin = seg.FIN
 		c.ackFields(seg) // piggyback ack+window on every data segment
-		c.records = append(c.records, rec)
-		c.bytesInFlight += rec.wireSize
-		c.lastRtxSent = c.now()
-		c.sendSegment(seg)
+		c.Transmit(seg)
 	}
 	c.armTimers()
 }
 
 func (c *Conn) finInFlight() bool {
 	for _, r := range c.records {
-		if !r.settled && r.fin {
+		if !r.Settled && r.Fin {
 			return true
 		}
 	}
 	return false
 }
 
-func (c *Conn) makeRecord(start, end uint64, isRtx bool) *sendRecord {
-	if isRtx {
-		c.liveRtx++
-	}
-	r := &sendRecord{
-		txSeq:    c.nextTxSeq,
-		seqStart: start,
-		seqEnd:   end,
-		isRtx:    isRtx,
-		sentTime: c.now(),
-		wireSize: int(end-start) + headerBase,
-	}
-	c.nextTxSeq++
-	return r
-}
-
-// rtoBase is the anchor of the retransmission timer: the later of the
-// last transmission and the last acknowledgment progress (Linux
-// restarts the RTO on every ACK that advances SND.UNA).
-func (c *Conn) rtoBase() time.Duration {
-	if c.lastProgress > c.lastRtxSent {
-		return c.lastProgress
-	}
-	return c.lastRtxSent
-}
-
-// hsSentAtSet stamps the current handshake flight's departure for RTT
-// samples (stop-and-wait, so one timestamp suffices).
-func (c *Conn) hsSentAtSet() { c.hsSentAt = c.now() }
-
-func (c *Conn) sendSegment(seg *Segment) {
-	if seg.SYN || seg.Ctl != CtlNone {
-		c.hsSentAtSet()
-	}
-	c.Stats.SegmentsSent++
-	c.Stats.BytesSent += uint64(seg.WireSize())
-	c.net.Send(netem.Datagram{From: c.local, To: c.remote, Size: seg.WireSize(), Payload: seg})
-}
-
 // --- timers ---
 
 func (c *Conn) onRTO() {
-	if c.closed || c.state != hsEstablished {
+	if c.closed || !c.Established() {
 		return
 	}
-	now := c.now()
-	if c.cfg.IdleTimeout > 0 && now-c.lastRecvTime >= c.cfg.IdleTimeout {
+	if c.cfg.IdleTimeout > 0 && c.now()-c.lastRecvTime >= c.cfg.IdleTimeout {
 		c.closeWith(errIdle)
 		return
 	}
-	// Delayed-ack deadline?
-	if c.ackDeadline != 0 && now >= c.ackDeadline {
+	if c.AckDue() {
 		c.sendAck()
 	}
-	// Retransmission timeout: go-back — everything outstanding is
-	// requeued in sequence, window collapses.
-	if c.bytesInFlight > 0 && now-c.rtoBase() >= c.est.RTO() {
-		c.Stats.RTOCount++
-		for _, r := range c.records {
-			if r.settled {
-				continue
-			}
-			r.settled = true
-			c.Stats.SegmentsLost++
-			c.trace(trace.Event{Type: trace.PacketLost, PN: r.txSeq, Size: r.wireSize})
-			if r.isRtx {
-				c.liveRtx--
-			}
-			c.bytesInFlight -= r.wireSize
-			c.requeueRecord(r)
-		}
-		c.trimRecords()
-		c.est.Backoff()
-		c.cc.OnRTO()
-		c.hasCutback = false
-		c.trace(trace.Event{Type: trace.RTOFired, Cwnd: c.cc.Cwnd()})
+	if c.RTOExpired() {
+		c.requeue(c.OnRTO())
+		c.trace(trace.Event{Type: trace.RTOFired, Cwnd: c.Cwnd()})
 		c.trySend()
 	}
 	c.armTimers()
@@ -525,28 +210,11 @@ func (c *Conn) armTimers() {
 	if c.closed {
 		return
 	}
-	deadline := time.Duration(1<<62 - 1)
-	if c.bytesInFlight > 0 {
-		if d := c.rtoBase() + c.est.RTO(); d < deadline {
-			deadline = d
-		}
-	}
-	if c.ackDeadline != 0 && c.ackDeadline < deadline {
-		deadline = c.ackDeadline
-	}
+	deadline := c.Deadline()
 	if c.cfg.IdleTimeout > 0 {
-		if d := c.lastRecvTime + c.cfg.IdleTimeout; d < deadline {
-			deadline = d
-		}
+		deadline = min(deadline, c.lastRecvTime+c.cfg.IdleTimeout)
 	}
-	if deadline == time.Duration(1<<62-1) {
-		c.rtoTimer.Stop()
-		return
-	}
-	if deadline < c.now() {
-		deadline = c.now()
-	}
-	c.rtoTimer.Reset(sim.Time(deadline))
+	ArmTimer(c.rtoTimer, c.clock, deadline)
 }
 
 var errIdle = fmt.Errorf("tcpsim: idle timeout")
@@ -557,7 +225,7 @@ func (c *Conn) closeWith(err error) {
 	}
 	c.closed = true
 	c.closeErr = err
-	c.hsTimer.Stop()
+	c.StopHandshake()
 	c.rtoTimer.Stop()
 	detail := ""
 	if err != nil {
