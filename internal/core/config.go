@@ -129,10 +129,6 @@ type Config struct {
 	// dual-stack server use case of §3).
 	AdvertiseAddresses bool
 
-	// MaxOffer bounds a server push; zero means unlimited.
-	// (Reserved for applications.)
-	MaxOffer uint64
-
 	// IdleTimeout closes the connection after this long without
 	// receiving anything. Zero disables.
 	IdleTimeout time.Duration

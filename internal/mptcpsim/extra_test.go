@@ -161,3 +161,28 @@ func TestMPTCPTokenDemux(t *testing.T) {
 		t.Fatalf("listener demuxed %d connections", len(lis.Conns()))
 	}
 }
+
+// The counterpart of tcpsim's TestTCPDupAcksDoNotInflateWindowAccounting
+// for every subflow: after a complete transfer without random loss
+// everything settles, retransmissions included.
+func TestMPTCPSubflowAccountingSettles(t *testing.T) {
+	h := newMPHarness(t, DefaultConfig(), symSpecs(10, 20*time.Millisecond))
+	tcpsim.ServeGet(h.lis, 512<<10)
+	var res *tcpsim.GetResult
+	tcpsim.GetOverTCP(h.client, 512<<10, func() time.Duration { return h.clock.Now().Duration() },
+		func(r tcpsim.GetResult) { res = &r })
+	h.run(t, 30*time.Second)
+	if res == nil {
+		t.Fatal("transfer failed")
+	}
+	for _, sf := range h.lis.Conns()[0].Subflows() {
+		if sf.InFlight() != 0 {
+			t.Fatalf("subflow %d: in-flight accounting leaked: %d", sf.ID, sf.InFlight())
+		}
+		for _, r := range sf.Records() {
+			if !r.Settled {
+				t.Fatalf("subflow %d: record tx %d (rtx=%v) never settled", sf.ID, r.TxSeq, r.IsRtx)
+			}
+		}
+	}
+}

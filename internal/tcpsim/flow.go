@@ -490,31 +490,16 @@ func (f *Flow) OnRTO() []*Record {
 	return f.lost
 }
 
+// trimRecords drops the settled head of the scoreboard. Nothing
+// settled lingers behind it for long: a record sent after the highest
+// acked transmission is never settled, and FACK marking settles every
+// record dupThresh or more transmissions before it.
 func (f *Flow) trimRecords() {
 	i := 0
 	for i < len(f.records) && f.records[i].Settled {
 		i++
 	}
-	if i > 0 {
-		f.records = f.records[i:]
-	}
-	if len(f.records) > 64 {
-		n := 0
-		for _, r := range f.records {
-			if r.Settled {
-				n++
-			}
-		}
-		if n > len(f.records)/2 {
-			kept := f.records[:0]
-			for _, r := range f.records {
-				if !r.Settled {
-					kept = append(kept, r)
-				}
-			}
-			f.records = kept
-		}
-	}
+	f.records = f.records[i:]
 }
 
 // --- receive side ---
