@@ -16,6 +16,11 @@
 //     transmission is marked potentially failed and avoided, with its
 //     outstanding data reinjected on the remaining subflows;
 //   - OLIA coupled congestion control across subflows.
+//
+// A subflow is an ordinary TCP flow, as in Linux: handshake, loss
+// recovery, RTT sampling and acknowledgment policy are tcpsim.Flow's,
+// shared with the single-path baseline. This package adds only what
+// is MPTCP's.
 package mptcpsim
 
 import (
@@ -77,5 +82,7 @@ func (sf *Subflow) requeueLocal(r *tcpsim.Record) {
 		dataStart: r.DataStart, dataEnd: r.DataEnd,
 		dataFin: r.DataFin,
 	})
+	// Counted when queued and again by Flow.Sent when the chunk leaves;
+	// the grid artifacts' per-path retransmits pin the double count.
 	sf.Stats.Retransmits++
 }

@@ -49,9 +49,9 @@ const dupThresh = 3
 // Never is the Deadline of a flow that is waiting for nothing.
 const Never = time.Duration(1<<62 - 1)
 
-// Record tracks one transmitted segment for loss detection. The bools
-// sit together so the struct stays in the 64-byte allocation class a
-// plain TCP record had before it carried the DSS mapping.
+// Record tracks one transmitted segment for loss detection. One is
+// allocated per segment: the bools sit together to keep it in the
+// 64-byte size class (TestRecordStaysInTCPSizeClass).
 type Record struct {
 	TxSeq    uint64 // transmission order
 	SeqStart uint64

@@ -8,6 +8,8 @@
 //
 // The model is segment-based over the same netem substrate as the QUIC
 // stacks, with byte-accurate header accounting (IPv4 + TCP + options).
+// Flow is the machine of one TCP flow; Conn puts a byte stream on one,
+// and mptcpsim builds its subflows on the same type.
 package tcpsim
 
 import (

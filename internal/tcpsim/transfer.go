@@ -54,9 +54,10 @@ func (c *Conn) HandleDatagram(dg netem.Datagram) {
 		}
 	}
 
-	// ACK processing (every data/ack segment carries AckNum+Window).
+	// ACK processing: cumulative ack, SACK blocks, loss detection.
 	if seg.ACK {
-		c.processAck(seg)
+		_, lost := c.OnAck(seg)
+		c.requeue(lost)
 	}
 	// Payload processing.
 	if seg.Len > 0 || seg.FIN {
@@ -64,15 +65,6 @@ func (c *Conn) HandleDatagram(dg netem.Datagram) {
 	}
 	c.trySend()
 	c.armTimers()
-}
-
-// processAck handles cumulative ack, SACK blocks, loss detection.
-func (c *Conn) processAck(seg *Segment) {
-	if lim := seg.AckNum + seg.Window; lim > c.peerLimit {
-		c.peerLimit = lim
-	}
-	_, lost := c.OnAck(seg)
-	c.requeue(lost)
 }
 
 // requeue returns lost records' unacked bytes to the rtx queue. A lost
