@@ -1,7 +1,7 @@
 # Convenience targets; see scripts/check.sh for the pre-commit gate and
 # bench/run.sh (BENCHMARK.json) for the repository benchmark.
 
-.PHONY: build test vet escape doclint fuzz-smoke bench sim-signature grid-signature live-smoke chaos-smoke check
+.PHONY: build test vet doclint fuzz-smoke bench sim-signature grid-signature live-smoke chaos-smoke check
 
 build:
 	go build ./...
@@ -12,9 +12,6 @@ test:
 vet:
 	go vet ./...
 	go run ./cmd/mpq-vet ./...
-
-escape:
-	go run ./cmd/mpq-escape ./...
 
 doclint:
 	go run ./scripts/doclint.go

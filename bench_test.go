@@ -234,7 +234,6 @@ func BenchmarkAblationDuplication(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := core.DefaultConfig()
 		withDup, _ = runVariant(b, cfg)
-		cfg.DuplicateOnNewPath = false
 		cfg.Scheduler = core.SchedLowestRTTNoDup
 		noDup, _ = runVariant(b, cfg)
 	}

@@ -33,7 +33,6 @@ func main() {
 
 	noDup := base
 	noDup.Scheduler = mpquic.SchedLowestRTTNoDup
-	noDup.DuplicateOnNewPath = false
 
 	rr := base
 	rr.Scheduler = mpquic.SchedRoundRobin

@@ -15,8 +15,7 @@
 //	globalrand   no math/rand or crypto/rand; use the seeded sim PRNG
 //	maporder     no map-iteration order leaking into schedules/results
 //	poolsafety   no use of a pooled packet buffer, or of any slice of
-//	             it, after PutPacketBuf; no DecodeBorrowed aliases
-//	             escaping the handler
+//	             it, after PutPacketBuf
 //	eventhandle  no *sim.Event handles held outside sim.Timer
 //	confine      //mpq:confined members touched only from their
 //	             goroutine domain, rooted at //mpq:entry functions
@@ -25,55 +24,39 @@
 //	annotation   every //mpq: directive is well-formed and anchored
 //	             where its analyzer will actually see it
 //
-// The //mpq:noescape directive is consumed by a separate
-// compiler-assisted gate (escape.go, cmd/mpq-escape) rather than an
-// Analyzer, since it needs `go build -gcflags=-m` output.
+// The //mpq:noescape directive is consumed by the compiler-assisted
+// escape gate (escape.go) rather than an Analyzer, since it needs
+// `go build -gcflags=-m` output; cmd/mpq-vet runs it over the packages
+// the analyzers just saw.
 //
-// A finding is suppressed by an explicit, audited annotation on the
-// offending line (or the line above):
-//
-//	//mpqvet:allow <analyzer> <reason>
-//
-// The reason is mandatory; a bare allow is itself an error, and so is
-// a stale allow that no longer matches any diagnostic. The
-// cmd/mpq-vet driver runs every analyzer over a package pattern and
-// exits non-zero on any unsuppressed diagnostic.
+// There is no suppression mechanism: a finding is fixed, or the rule
+// is changed in review. cmd/mpq-vet exits non-zero on any diagnostic.
 package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 )
 
 // An Analyzer describes one invariant check. It is the stdlib
 // counterpart of golang.org/x/tools/go/analysis.Analyzer.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //mpqvet:allow annotations. It must be a valid identifier.
+	// Name identifies the analyzer in diagnostics.
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
 	// Run applies the analyzer to one package and reports findings
-	// through pass.Report. The return value is reserved for future
-	// fact passing and is currently always (nil, nil).
-	Run func(pass *Pass) (any, error)
+	// through pass.Report.
+	Run func(pass *Pass)
 }
 
-// A Pass presents one type-checked package to an Analyzer.
+// A Pass presents one loaded package (its non-test files, in file-name
+// order) to an Analyzer.
 type Pass struct {
+	*Package
 	Analyzer *Analyzer
-	Fset     *token.FileSet
-	// Files holds the package's non-test syntax trees, in file-name
-	// order (deterministic across runs).
-	Files []*ast.File
-	// PkgPath is the package's import path ("mpquic/internal/sim").
-	PkgPath   string
-	Pkg       *types.Package
-	TypesInfo *types.Info
-	Report    func(Diagnostic)
+	Report   func(Diagnostic)
 }
 
 // Reportf reports a finding at pos.
@@ -88,6 +71,11 @@ type Diagnostic struct {
 	Message  string
 }
 
+// Format renders a diagnostic for terminal output.
+func (d Diagnostic) Format(fset *token.FileSet) string {
+	return fmt.Sprintf("%s: %s: %s", fset.Position(d.Pos), d.Analyzer, d.Message)
+}
+
 // All returns the mpq-vet analyzer suite in a fixed order.
 func All() []*Analyzer {
 	return []*Analyzer{
@@ -96,38 +84,13 @@ func All() []*Analyzer {
 	}
 }
 
-// ByName returns the named analyzer, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
 // RunAnalyzers applies each analyzer to pkg and returns the combined
-// unsuppressed diagnostics sorted by file position, plus any errors
-// raised for malformed //mpqvet:allow annotations.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+// diagnostics sorted by file position.
+func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
-	ran := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
-		ran[a.Name] = true
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			PkgPath:   pkg.PkgPath,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			Report:    func(d Diagnostic) { diags = append(diags, d) },
-		}
-		if _, err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %s: %w", pkg.PkgPath, a.Name, err)
-		}
+		a.Run(&Pass{Package: pkg, Analyzer: a, Report: func(d Diagnostic) { diags = append(diags, d) }})
 	}
-	diags, err := filterSuppressed(pkg, diags, ran)
 	sort.SliceStable(diags, func(i, j int) bool {
 		pi, pj := pkg.Fset.Position(diags[i].Pos), pkg.Fset.Position(diags[j].Pos)
 		if pi.Filename != pj.Filename {
@@ -138,5 +101,5 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 		return diags[i].Analyzer < diags[j].Analyzer
 	})
-	return diags, err
+	return diags
 }

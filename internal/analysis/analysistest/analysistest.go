@@ -10,13 +10,10 @@
 //
 // Several expectations on one line are written as several quoted
 // regexps: `// want "a" "b"`. Both double-quoted and backquoted forms
-// are accepted. Suppressions (//mpqvet:allow ...) are applied before
-// matching, so a line carrying a valid allow and no want comment
-// asserts the suppression works.
+// are accepted.
 package analysistest
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -34,21 +31,14 @@ var wantRe = regexp.MustCompile("`([^`]*)`|\"([^\"]*)\"")
 // // want expectations through t.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
-	root, err := moduleRoot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := ModuleRoot(t)
 	for _, pkg := range pkgs {
 		dir := filepath.Join(testdata, "src", pkg)
 		loaded, err := analysis.LoadFromDir(root, dir, pkg)
 		if err != nil {
 			t.Fatalf("%s: %v", pkg, err)
 		}
-		diags, err := analysis.RunAnalyzers(loaded, []*analysis.Analyzer{a})
-		if err != nil {
-			t.Errorf("%s: %v", pkg, err)
-		}
-		check(t, loaded, diags)
+		check(t, loaded, analysis.RunAnalyzers(loaded, []*analysis.Analyzer{a}))
 	}
 }
 
@@ -118,19 +108,20 @@ func check(t *testing.T, pkg *analysis.Package, diags []analysis.Diagnostic) {
 	}
 }
 
-// moduleRoot walks up from the working directory to the go.mod.
-func moduleRoot() (string, error) {
+// ModuleRoot walks up from the working directory to the go.mod.
+func ModuleRoot(t *testing.T) string {
+	t.Helper()
 	dir, err := os.Getwd()
 	if err != nil {
-		return "", err
+		t.Fatal(err)
 	}
 	for {
 		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
+			return dir
 		}
 		parent := filepath.Dir(dir)
 		if parent == dir {
-			return "", fmt.Errorf("no go.mod above %s", dir)
+			t.Fatalf("no go.mod above %s", dir)
 		}
 		dir = parent
 	}

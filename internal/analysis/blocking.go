@@ -45,36 +45,26 @@ var udpIfaceReadMethods = []string{
 	"ReadFromUDP", "ReadFromUDPAddrPort", "ReadMsgUDP", "ReadMsgUDPAddrPort",
 }
 
-func runBlocking(pass *Pass) (any, error) {
-	g := buildDomainGraph(pass)
+func runBlocking(pass *Pass) {
+	g := pass.domainGraph()
 	if len(g.ann.funcEntry) == 0 && len(g.ann.funcDomain) == 0 {
-		return nil, nil // no declared domains, nothing to police
+		return // no declared domains, nothing to police
 	}
 	for _, u := range g.units {
-		if !u.domains[runLoopDomain] {
-			continue
+		if u.domains[runLoopDomain] {
+			checkBlocking(pass, g, u)
 		}
-		checkBlocking(pass, g, u)
 	}
-	return nil, nil
 }
 
 // checkBlocking walks one run-loop unit. Select statements are handled
-// as a whole (their comm clauses are not re-flagged individually), and
-// detached go-literals are skipped.
+// as a whole (their comm clauses are not re-flagged individually).
 func checkBlocking(pass *Pass, g *domainGraph, u *domainUnit) {
-	skip := make(map[ast.Node]bool, len(u.detached))
-	for _, lit := range u.detached {
-		skip[lit] = true
-	}
-	info := pass.TypesInfo
+	info := pass.Info
 	// inSelectComm holds the channel operations that are a select's
 	// comm clauses; they are judged via the select, not on their own.
 	inSelectComm := make(map[ast.Node]bool)
-	ast.Inspect(u.body, func(n ast.Node) bool {
-		if n == nil || skip[n] {
-			return n == nil
-		}
+	u.walk(func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectStmt:
 			hasDefault := false
@@ -131,7 +121,7 @@ func markCommOps(comm ast.Stmt, set map[ast.Node]bool) {
 
 // checkBlockingCall flags the call-shaped blockers.
 func checkBlockingCall(pass *Pass, g *domainGraph, call *ast.CallExpr) {
-	info := pass.TypesInfo
+	info := pass.Info
 	if g.ann.onWaitpoint(pass.Fset, call.Pos()) {
 		return
 	}

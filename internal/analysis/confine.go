@@ -27,8 +27,8 @@ const runLoopDomain = "run-loop"
 // socket readLoop roots reader) and flow down the intra-package call
 // graph. Exported functions without an annotation root the implicit
 // any-goroutine domain, as do `go`-launched function literals.
-// `//mpq:crossing` marks the sanctioned cross-domain touch points
-// (channels, atomics, sync primitives).
+// Unannotated members (channels, atomics, sync primitives) are the
+// cross-domain touch points and are not policed.
 var Confine = &Analyzer{
 	Name: "confine",
 	Doc: "forbid access to //mpq:confined members from code reachable outside " +
@@ -54,24 +54,29 @@ type domainGraph struct {
 	byFn  map[*types.Func]*domainUnit
 }
 
+// domainGraph returns pkg's call-graph-with-domains, built on first
+// use and shared by confine and blocking.
+func (pkg *Package) domainGraph() *domainGraph {
+	if pkg.graph == nil {
+		pkg.graph = buildDomainGraph(pkg)
+	}
+	return pkg.graph
+}
+
 // buildDomainGraph constructs the units, seeds their domains, and
 // propagates domains down intra-package call edges to a fixpoint.
-func buildDomainGraph(pass *Pass) *domainGraph {
-	ann := collectAnnotations(pass)
-	g := &domainGraph{ann: ann, byFn: make(map[*types.Func]*domainUnit)}
+func buildDomainGraph(pkg *Package) *domainGraph {
+	g := &domainGraph{ann: pkg.annotations(), byFn: make(map[*types.Func]*domainUnit)}
 
 	// Pass 1: one unit per declared function, plus one per go-launched
 	// literal (those run on their own fresh goroutine: any-domain).
-	for _, f := range pass.Files {
-		if isTestFile(pass.Fset.Position(f.Pos()).Filename) {
-			continue
-		}
+	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+			obj, _ := pkg.Info.Defs[fd.Name].(*types.Func)
 			if obj == nil {
 				continue
 			}
@@ -119,7 +124,7 @@ func buildDomainGraph(pass *Pass) *domainGraph {
 	// annotated (the spawned goroutine has no caller discipline).
 	edges := make(map[*types.Func][]*types.Func)
 	for _, u := range g.units {
-		callees := g.calleesOf(pass, u)
+		callees := g.calleesOf(pkg, u)
 		if u.fn != nil {
 			edges[u.fn] = callees.called
 		} else {
@@ -176,19 +181,29 @@ type calleeSet struct {
 	spawned []*types.Func
 }
 
-// calleesOf collects the same-package functions a unit calls or
-// references, excluding the bodies of its detached literals.
-func (g *domainGraph) calleesOf(pass *Pass, u *domainUnit) calleeSet {
-	var out calleeSet
-	skip := make(map[ast.Node]bool, len(u.detached))
-	for _, lit := range u.detached {
-		skip[lit] = true
-	}
-	goCalls := make(map[ast.Expr]bool)
+// walk visits the unit's own code in ast.Inspect order: its body minus
+// the go-launched literals, which are units of their own. visit is
+// never handed nil.
+func (u *domainUnit) walk(visit func(ast.Node) bool) {
 	ast.Inspect(u.body, func(n ast.Node) bool {
-		if skip[n] {
+		if n == nil {
 			return false
 		}
+		for _, lit := range u.detached {
+			if n == ast.Node(lit) {
+				return false
+			}
+		}
+		return visit(n)
+	})
+}
+
+// calleesOf collects the same-package functions a unit calls or
+// references.
+func (g *domainGraph) calleesOf(pkg *Package, u *domainUnit) calleeSet {
+	var out calleeSet
+	goCalls := make(map[ast.Expr]bool)
+	u.walk(func(n ast.Node) bool {
 		if gs, ok := n.(*ast.GoStmt); ok {
 			goCalls[gs.Call.Fun] = true
 		}
@@ -201,8 +216,8 @@ func (g *domainGraph) calleesOf(pass *Pass, u *domainUnit) calleeSet {
 		default:
 			return true
 		}
-		fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
-		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != pass.PkgPath {
+		fn, ok := pkg.Info.Uses[id].(*types.Func)
+		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != pkg.PkgPath {
 			return true
 		}
 		if g.byFn[fn] == nil {
@@ -254,15 +269,14 @@ func domainsOutside(set map[string]bool, want string) []string {
 	return out
 }
 
-func runConfine(pass *Pass) (any, error) {
-	g := buildDomainGraph(pass)
+func runConfine(pass *Pass) {
+	g := pass.domainGraph()
 	if len(g.ann.fieldDomain) == 0 && len(g.ann.funcDomain) == 0 {
-		return nil, nil // nothing confined in this package
+		return // nothing confined in this package
 	}
 	for _, u := range g.units {
 		g.checkUnit(pass, u)
 	}
-	return nil, nil
 }
 
 // checkUnit flags accesses to confined members from a unit whose
@@ -274,52 +288,40 @@ func (g *domainGraph) checkUnit(pass *Pass, u *domainUnit) {
 	if len(u.domains) == 0 {
 		return
 	}
-	skip := make(map[ast.Node]bool, len(u.detached))
-	for _, lit := range u.detached {
-		skip[lit] = true
-	}
-	info := pass.TypesInfo
-	ast.Inspect(u.body, func(n ast.Node) bool {
-		if skip[n] {
-			return false
-		}
-		// Composite-literal keys (struct construction) are exempt: the
-		// value is not yet shared when it is being built.
-		if kv, ok := n.(*ast.KeyValueExpr); ok {
-			if id, ok := kv.Key.(*ast.Ident); ok {
-				if _, isField := info.Uses[id].(*types.Var); isField {
-					ast.Inspect(kv.Value, func(m ast.Node) bool { return g.checkNode(pass, u, m, skip) })
-					return false
+	// Composite-literal field keys (struct construction) are exempt:
+	// the value is not yet shared when it is being built.
+	literalKey := make(map[*ast.Ident]bool)
+	u.walk(func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.KeyValueExpr:
+			if id, ok := n.Key.(*ast.Ident); ok {
+				if v, ok := pass.Info.Uses[id].(*types.Var); ok && v.IsField() {
+					literalKey[id] = true
 				}
 			}
+		case *ast.Ident:
+			if !literalKey[n] {
+				g.checkIdent(pass, u, n)
+			}
 		}
-		return g.checkNode(pass, u, n, skip)
+		return true
 	})
 }
 
-// checkNode applies the confinement rules to one node; it returns
-// whether the walk should descend.
-func (g *domainGraph) checkNode(pass *Pass, u *domainUnit, n ast.Node, skip map[ast.Node]bool) bool {
-	if n == nil || skip[n] {
-		return n != nil && !skip[n]
-	}
-	id, ok := n.(*ast.Ident)
-	if !ok {
-		return true
-	}
-	info := pass.TypesInfo
-	obj := info.Uses[id]
+// checkIdent applies the confinement rules to one identifier use.
+func (g *domainGraph) checkIdent(pass *Pass, u *domainUnit, id *ast.Ident) {
+	obj := pass.Info.Uses[id]
 	if obj == nil {
-		return true
+		return
 	}
 	if dom, confined := g.ann.fieldDomain[obj]; confined {
 		if outside := domainsOutside(u.domains, dom); len(outside) > 0 {
 			pass.Reportf(id.Pos(),
 				"confined member %s (domain %s) is accessed from code reachable outside its domain (%s); "+
-					"cross with a //mpq:crossing channel or move the access into the %s domain",
+					"cross with a channel or an atomic, or move the access into the %s domain",
 				id.Name, dom, strings.Join(outside, ", "), dom)
 		}
-		return true
+		return
 	}
 	if fn, isFn := obj.(*types.Func); isFn {
 		if dom := g.ann.funcDomain[fn]; dom != "" {
@@ -330,5 +332,4 @@ func (g *domainGraph) checkNode(pass *Pass, u *domainUnit, n ast.Node, skip map[
 			}
 		}
 	}
-	return true
 }

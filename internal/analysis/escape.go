@@ -4,9 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -33,7 +30,7 @@ import (
 // NoescapeFunc is one //mpq:noescape-annotated function: its name and
 // the body's source-line range the gate polices.
 type NoescapeFunc struct {
-	Name      string // package-qualified, e.g. "live.(*Driver).ingest"
+	Name      string // types.Func.FullName, e.g. "(*mpquic/internal/live.Driver).ingest"
 	File      string // absolute path
 	StartLine int
 	EndLine   int
@@ -68,19 +65,20 @@ type EscapeReport struct {
 // escapeDiagRe matches one compiler diagnostic line: path:line:col: msg.
 var escapeDiagRe = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): (.*)$`)
 
-// CheckEscapes runs the gate over the module at root for the given
-// package patterns (default ./...). It returns an error only for
-// infrastructure failures (the build itself failing, unreadable
-// sources); violations are data, not errors.
-func CheckEscapes(root string, patterns ...string) (*EscapeReport, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
+// CheckEscapes runs the gate over pkgs, the result of Load(root,
+// patterns...): the //mpq:noescape functions come from each package's
+// directive index, the verdicts from one `go build -gcflags=-m` over
+// the same patterns. It returns an error only for infrastructure
+// failures (the build itself failing); violations are data, not
+// errors.
+func CheckEscapes(root string, pkgs []*Package, patterns ...string) (*EscapeReport, error) {
+	report := &EscapeReport{}
+	for _, pkg := range pkgs {
+		report.Funcs = append(report.Funcs, pkg.annotations().noescape...)
 	}
-	funcs, err := collectNoescapeFuncs(root, patterns)
-	if err != nil {
-		return nil, err
+	if len(report.Funcs) == 0 {
+		return report, nil // nothing annotated, nothing to build
 	}
-	report := &EscapeReport{Funcs: funcs}
 
 	args := append([]string{"build", "-gcflags=-m"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -111,7 +109,7 @@ func CheckEscapes(root string, patterns ...string) (*EscapeReport, error) {
 		file = filepath.Clean(file)
 		line, _ := strconv.Atoi(m[2])
 		col, _ := strconv.Atoi(m[3])
-		for _, fn := range funcs {
+		for _, fn := range report.Funcs {
 			if fn.File == file && fn.StartLine <= line && line <= fn.EndLine {
 				report.Violations = append(report.Violations, EscapeViolation{
 					Func: fn, File: file, Line: line, Col: col, Message: msg,
@@ -140,82 +138,4 @@ func CheckEscapes(root string, patterns ...string) (*EscapeReport, error) {
 		return a.Col < b.Col
 	})
 	return report, nil
-}
-
-// collectNoescapeFuncs parses (syntax-only) every non-test file of the
-// packages matching patterns and records the //mpq:noescape functions'
-// body line ranges.
-func collectNoescapeFuncs(root string, patterns []string) ([]NoescapeFunc, error) {
-	listed, err := goList(root, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	var funcs []NoescapeFunc
-	for _, p := range listed {
-		if p.DepOnly || p.Standard {
-			continue
-		}
-		for _, name := range p.GoFiles {
-			path := filepath.Join(p.Dir, name)
-			fset := token.NewFileSet()
-			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-			if err != nil {
-				return nil, err
-			}
-			pkgName := f.Name.Name
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil || fd.Doc == nil {
-					continue
-				}
-				noescape := false
-				for _, d := range groupDirectives(fd.Doc) {
-					if d.name == "noescape" {
-						noescape = true
-					}
-				}
-				if !noescape {
-					continue
-				}
-				funcs = append(funcs, NoescapeFunc{
-					Name:      pkgName + "." + funcDisplayName(fd),
-					File:      filepath.Clean(path),
-					StartLine: fset.Position(fd.Body.Lbrace).Line,
-					EndLine:   fset.Position(fd.Body.Rbrace).Line,
-				})
-			}
-		}
-	}
-	sort.Slice(funcs, func(i, j int) bool {
-		if funcs[i].File != funcs[j].File {
-			return funcs[i].File < funcs[j].File
-		}
-		return funcs[i].StartLine < funcs[j].StartLine
-	})
-	return funcs, nil
-}
-
-// funcDisplayName renders a FuncDecl name with its receiver, matching
-// the compiler's "(*Driver).ingest" style.
-func funcDisplayName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	recv := fd.Recv.List[0].Type
-	var b strings.Builder
-	switch t := recv.(type) {
-	case *ast.StarExpr:
-		b.WriteString("(*")
-		if id, ok := t.X.(*ast.Ident); ok {
-			b.WriteString(id.Name)
-		}
-		b.WriteString(")")
-	case *ast.Ident:
-		b.WriteString(t.Name)
-	default:
-		b.WriteString("(?)")
-	}
-	b.WriteString(".")
-	b.WriteString(fd.Name.Name)
-	return b.String()
 }

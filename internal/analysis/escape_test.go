@@ -7,7 +7,30 @@ import (
 	"testing"
 
 	"mpquic/internal/analysis"
+	"mpquic/internal/analysis/analysistest"
 )
+
+// escapeGate loads the module at dir and runs the gate over it, the two
+// steps cmd/mpq-vet performs; an unparseable toolchain skips.
+func escapeGate(t *testing.T, dir string) *analysis.EscapeReport {
+	t.Helper()
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := analysis.Load(dir, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := analysis.CheckEscapes(dir, pkgs, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Skipped != "" {
+		t.Skipf("toolchain output not parseable: %s", report.Skipped)
+	}
+	return report
+}
 
 // writeModule lays out a throwaway module the gate can build.
 func writeModule(t *testing.T, files map[string]string) string {
@@ -23,39 +46,10 @@ func writeModule(t *testing.T, files map[string]string) string {
 
 // TestEscapeGateFailsOnEscapingNoescapeFunc is the gate's own
 // regression test: a //mpq:noescape function whose local demonstrably
-// escapes must produce a violation — otherwise the gate is decorative.
+// escapes must produce a violation attributed to it and to nothing
+// else — otherwise the gate is decorative.
 func TestEscapeGateFailsOnEscapingNoescapeFunc(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"go.mod": "module escapetest\n\ngo 1.24\n",
-		"leak.go": `package escapetest
-
-var sink *int
-
-// leak's local must be heap-allocated: its address outlives the call.
-//
-//mpq:noescape
-func leak() *int {
-	x := 42
-	return &x
-}
-
-// fine has nothing escaping.
-//
-//mpq:noescape
-func fine(a, b int) int {
-	return a + b
-}
-
-func keep() { sink = leak() }
-`,
-	})
-	report, err := analysis.CheckEscapes(dir, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Skipped != "" {
-		t.Skipf("toolchain output not parseable: %s", report.Skipped)
-	}
+	report := escapeGate(t, filepath.Join("testdata", "src", "escapebroken"))
 	if len(report.Funcs) != 2 {
 		t.Fatalf("found %d //mpq:noescape funcs, want 2: %+v", len(report.Funcs), report.Funcs)
 	}
@@ -93,13 +87,7 @@ func sum(xs []int) int {
 var result = sum([]int{1, 2, 3})
 `,
 	})
-	report, err := analysis.CheckEscapes(dir, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Skipped != "" {
-		t.Skipf("toolchain output not parseable: %s", report.Skipped)
-	}
+	report := escapeGate(t, dir)
 	if len(report.Violations) != 0 {
 		t.Errorf("clean module reported violations: %v", report.Violations)
 	}
@@ -115,13 +103,9 @@ func TestEscapeGateOnRepo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping whole-module escape analysis")
 	}
-	root := moduleRoot(t)
-	report, err := analysis.CheckEscapes(root, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Skipped != "" {
-		t.Skipf("toolchain output not parseable: %s", report.Skipped)
+	report := escapeGate(t, analysistest.ModuleRoot(t))
+	for _, fn := range report.Funcs {
+		t.Logf("%s:%d-%d: %s", fn.File, fn.StartLine, fn.EndLine, fn.Name)
 	}
 	if len(report.Funcs) == 0 {
 		t.Fatal("no //mpq:noescape functions found in the module; the hot-path annotations are gone")

@@ -21,16 +21,13 @@ var EventHandle = &Analyzer{
 	Run: runEventHandle,
 }
 
-func runEventHandle(pass *Pass) (any, error) {
+func runEventHandle(pass *Pass) {
 	if pass.PkgPath == simPkgPath {
-		return nil, nil // the pool implementation and Timer live here
+		return // the pool implementation and Timer live here
 	}
-	info := pass.TypesInfo
+	info := pass.Info
 	isEvent := func(t types.Type) bool { return namedFromPkg(t, simPkgPath, "Event") }
 	for _, f := range pass.Files {
-		if isTestFile(pass.Fset.Position(f.Pos()).Filename) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.StructType:
@@ -74,5 +71,22 @@ func runEventHandle(pass *Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
+}
+
+// isEscapingLValue reports whether assigning to lhs stores the value
+// beyond function-local lifetime: a struct field or index expression,
+// or a package-level variable.
+func isEscapingLValue(info *types.Info, lhs ast.Expr) bool {
+	switch l := ast.Unparen(lhs).(type) {
+	case *ast.SelectorExpr, *ast.IndexExpr:
+		return true
+	case *ast.StarExpr:
+		return true // *p = ev writes through a pointer of unknown origin
+	case *ast.Ident:
+		obj := identObj(info, l)
+		if v, ok := obj.(*types.Var); ok {
+			return v.Parent() == v.Pkg().Scope() // package-level var
+		}
+	}
+	return false
 }

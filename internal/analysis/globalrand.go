@@ -25,11 +25,8 @@ var GlobalRand = &Analyzer{
 	Run: runGlobalRand,
 }
 
-func runGlobalRand(pass *Pass) (any, error) {
+func runGlobalRand(pass *Pass) {
 	for _, f := range pass.Files {
-		if isTestFile(pass.Fset.Position(f.Pos()).Filename) {
-			continue
-		}
 		for _, imp := range f.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {
@@ -40,5 +37,4 @@ func runGlobalRand(pass *Pass) (any, error) {
 			}
 		}
 	}
-	return nil, nil
 }

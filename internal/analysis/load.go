@@ -15,16 +15,22 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 )
 
-// A Package is one loaded, type-checked package ready for analysis.
+// A Package is one loaded, type-checked package ready for analysis:
+// its non-test files, in file-name order (deterministic across runs).
 type Package struct {
-	PkgPath string
+	PkgPath string // import path ("mpquic/internal/sim")
 	Dir     string
 	Fset    *token.FileSet
 	Files   []*ast.File
 	Types   *types.Package
 	Info    *types.Info
+
+	// Built on first use, once per load (annotate.go, confine.go).
+	ann   *annotations
+	graph *domainGraph
 }
 
 // listedPkg is the subset of `go list -json` output the loader needs.
@@ -169,10 +175,11 @@ func Load(root string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadFromDir type-checks the single package in dir under the given
-// import path, resolving its imports (standard library or module
-// packages) through the module at root. This is how the analysistest
-// harness loads testdata packages, which live outside the module.
+// LoadFromDir type-checks the non-test files of the single package in
+// dir under the given import path, resolving its imports (standard
+// library or module packages) through the module at root. This is how
+// the analysistest harness loads testdata packages, which live outside
+// the module.
 func LoadFromDir(root, dir, pkgPath string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -180,7 +187,7 @@ func LoadFromDir(root, dir, pkgPath string) (*Package, error) {
 	}
 	var names []string
 	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".go" {
+		if !e.IsDir() && filepath.Ext(e.Name()) == ".go" && !strings.HasSuffix(e.Name(), "_test.go") {
 			names = append(names, filepath.Join(dir, e.Name()))
 		}
 	}

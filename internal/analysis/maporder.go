@@ -21,16 +21,12 @@ var MapOrder = &Analyzer{
 	Run: runMapOrder,
 }
 
-func runMapOrder(pass *Pass) (any, error) {
+func runMapOrder(pass *Pass) {
 	for _, f := range pass.Files {
-		if isTestFile(pass.Fset.Position(f.Pos()).Filename) {
-			continue
-		}
 		funcBodies(f, func(fn ast.Node, body *ast.BlockStmt) {
 			checkMapRanges(pass, fn, body)
 		})
 	}
-	return nil, nil
 }
 
 // checkMapRanges inspects one function body. Nested function literals
@@ -45,7 +41,7 @@ func checkMapRanges(pass *Pass, fn ast.Node, body *ast.BlockStmt) {
 		if !ok {
 			return true
 		}
-		t := pass.TypesInfo.TypeOf(rng.X)
+		t := pass.Info.TypeOf(rng.X)
 		if t == nil {
 			return true
 		}
@@ -63,7 +59,7 @@ func checkMapRanges(pass *Pass, fn ast.Node, body *ast.BlockStmt) {
 // returns "" when the body is order-insensitive (or the sanctioned
 // collect-keys-then-sort idiom).
 func orderLeak(pass *Pass, fn ast.Node, rng *ast.RangeStmt) string {
-	info := pass.TypesInfo
+	info := pass.Info
 	if isKeyCollectThenSort(pass, fn, rng) {
 		return ""
 	}
@@ -171,7 +167,7 @@ func floatAccumulation(info *types.Info, as *ast.AssignStmt, rng *ast.RangeStmt)
 // destination slice must later be passed to a sort in the same
 // function.
 func isKeyCollectThenSort(pass *Pass, fn ast.Node, rng *ast.RangeStmt) bool {
-	info := pass.TypesInfo
+	info := pass.Info
 	if len(rng.Body.List) != 1 {
 		return false
 	}

@@ -4,7 +4,7 @@
 package annotation
 
 type state struct {
-	//mpq:crossing // the clean case: a channel field
+	//mpq:crossing // want `unknown //mpq: directive "crossing"`
 	free chan []byte
 	//mpq:confined run-loop // the clean member form, with a rationale
 	counter int
@@ -38,6 +38,13 @@ func cleanNoescape() {}
 //mpq:entry run-loop
 func cleanEntry() {}
 
-//mpqvet:allow annotation demonstrating suppression of the validator itself
-//mpq:bogus
-var suppressed int
+//mpq:bogus // want `unknown //mpq: directive "bogus"`
+var bogus int
+
+// One doc comment over a var block is judged once, not once per spec.
+//
+//mpq:noescape // want `//mpq:noescape is misplaced here`
+var (
+	blockA int
+	blockB int
+)

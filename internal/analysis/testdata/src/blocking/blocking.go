@@ -55,7 +55,6 @@ func (l *loop) handle(v int) {
 	l.poll()
 	l.readSock(make([]byte, 16))
 	l.readIface(make([]byte, 16))
-	l.drainOnExit()
 }
 
 // poll is the sanctioned non-blocking pattern: select with default.
@@ -78,11 +77,6 @@ func (l *loop) readSock(b []byte) {
 // how the fault-tolerant driver actually holds its sockets.
 func (l *loop) readIface(b []byte) {
 	l.isock.ReadFromUDPAddrPort(b) // want `blocking socket read in run-loop code`
-}
-
-// drainOnExit demonstrates the audited escape hatch.
-func (l *loop) drainOnExit() {
-	l.wg.Wait() //mpqvet:allow blocking shutdown path runs after the loop has exited
 }
 
 // Idle blocks freely: it is not in the run-loop domain.

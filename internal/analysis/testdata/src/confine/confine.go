@@ -6,8 +6,7 @@ package confine
 type loop struct {
 	//mpq:confined run-loop
 	state int
-	//mpq:crossing
-	wake chan struct{}
+	wake  chan struct{} // unannotated: a crossing
 }
 
 // New builds the loop; composite-literal construction is exempt (the
@@ -76,11 +75,6 @@ func (l *loop) Step() { l.state++ }
 // Outside calls the confined function from the any-goroutine domain.
 func (l *loop) Outside() {
 	l.Step() // want `confined function Step \(domain run-loop\) is called from code reachable outside its domain \(any goroutine\)`
-}
-
-// Suppressed demonstrates the audited escape hatch.
-func (l *loop) Suppressed() {
-	l.state++ //mpqvet:allow confine test-only poke before the loop starts
 }
 
 //mpq:confined run-loop

@@ -53,11 +53,3 @@ func timerUse(c *sim.Clock, h *goodHolder) {
 	h.timer = sim.NewTimer(c, func() {})
 	h.timer.ResetAfter(time.Millisecond)
 }
-
-// allowed demonstrates an audited suppression: the return-type
-// finding fires at the signature, so the annotation sits there.
-//
-//mpqvet:allow eventhandle exemplar suppression for the analyzer tests
-func allowed(c *sim.Clock) *sim.Event {
-	return c.After(time.Millisecond, func() {})
-}

@@ -1,12 +1,11 @@
 // Package globalrand exercises the globalrand analyzer: any import of
-// math/rand, math/rand/v2 or crypto/rand is flagged at the import,
-// and //mpqvet:allow suppresses a finding.
+// math/rand, math/rand/v2 or crypto/rand is flagged at the import.
 package globalrand
 
 import (
 	crand "crypto/rand"   // want `crypto/rand is nondeterministic`
 	"math/rand"           // want `math/rand's global state breaks same-seed reproduction`
-	randv2 "math/rand/v2" //mpqvet:allow globalrand exemplar suppression for the analyzer tests
+	randv2 "math/rand/v2" // want `math/rand/v2 auto-seeds per process`
 
 	"mpquic/internal/sim"
 )

@@ -14,9 +14,8 @@ import (
 
 type driver struct {
 	//mpq:confined run-loop
-	stats int
-	mu    sync.Mutex
-	//mpq:crossing
+	stats  int
+	mu     sync.Mutex
 	recvCh chan []byte
 }
 

@@ -83,13 +83,3 @@ func loopLocal(m map[string][]int) int {
 	}
 	return n
 }
-
-// allowed demonstrates an audited suppression.
-func allowed(m map[string]float64) float64 {
-	var total float64
-	//mpqvet:allow maporder exemplar suppression for the analyzer tests
-	for _, v := range m {
-		total += v
-	}
-	return total
-}

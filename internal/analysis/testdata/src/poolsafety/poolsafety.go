@@ -1,14 +1,9 @@
-// Package poolsafety exercises the poolsafety analyzer: pooled
-// buffers must not be touched after PutPacketBuf, and DecodeBorrowed
-// results must not escape the enclosing handler.
+// Package poolsafety exercises the poolsafety analyzer: a pooled
+// buffer, and every slice of it, must not be touched after
+// PutPacketBuf.
 package poolsafety
 
-import (
-	"time"
-
-	"mpquic/internal/sim"
-	"mpquic/internal/wire"
-)
+import "mpquic/internal/wire"
 
 func useAfterPut() byte {
 	buf := wire.GetPacketBuf()
@@ -80,62 +75,4 @@ func twoBuffers() int {
 	n := len(b)
 	wire.PutPacketBuf(b)
 	return n
-}
-
-var lastPkt *wire.Packet
-
-type holder struct{ pkt *wire.Packet }
-
-func borrowReturn(b []byte) *wire.Packet {
-	pkt, err := wire.DecodeBorrowed(b, wire.InvalidPacketNumber, nil)
-	if err != nil {
-		return nil
-	}
-	return pkt // want `returning pkt lets a DecodeBorrowed alias outlive the handler`
-}
-
-func borrowStoreField(h *holder, b []byte) {
-	pkt, _ := wire.DecodeBorrowed(b, wire.InvalidPacketNumber, nil)
-	h.pkt = pkt // want `storing pkt in a field/map/global`
-}
-
-func borrowStoreGlobal(b []byte) {
-	pkt, _ := wire.DecodeBorrowed(b, wire.InvalidPacketNumber, nil)
-	lastPkt = pkt // want `storing pkt in a field/map/global`
-}
-
-func borrowStoreMap(m map[int]*wire.Packet, b []byte) {
-	pkt, _ := wire.DecodeBorrowed(b, wire.InvalidPacketNumber, nil)
-	m[0] = pkt // want `storing pkt in a field/map/global`
-}
-
-func borrowScheduled(c *sim.Clock, b []byte) {
-	pkt, _ := wire.DecodeBorrowed(b, wire.InvalidPacketNumber, nil)
-	c.After(time.Millisecond, func() { // want `a scheduled closure captures pkt`
-		_ = pkt.Frames
-	})
-}
-
-func borrowDeferred(b []byte) {
-	pkt, _ := wire.DecodeBorrowed(b, wire.InvalidPacketNumber, nil)
-	defer func() { // want `a deferred closure captures pkt`
-		_ = pkt.Frames
-	}()
-}
-
-// borrowSynchronous is the sanctioned pattern: the packet is fully
-// consumed before the handler returns, and only scalars escape.
-func borrowSynchronous(b []byte) int {
-	pkt, err := wire.DecodeBorrowed(b, wire.InvalidPacketNumber, nil)
-	if err != nil {
-		return 0
-	}
-	return len(pkt.Frames)
-}
-
-// allowed demonstrates an audited suppression.
-func allowed(b []byte) *wire.Packet {
-	pkt, _ := wire.DecodeBorrowed(b, wire.InvalidPacketNumber, nil)
-	//mpqvet:allow poolsafety exemplar suppression for the analyzer tests
-	return pkt
 }

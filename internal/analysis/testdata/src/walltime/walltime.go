@@ -1,6 +1,5 @@
 // Package walltime exercises the walltime analyzer: wall-clock reads
-// are flagged, pure time conversions are not, and //mpqvet:allow
-// suppresses a finding.
+// are flagged, pure time conversions are not.
 package walltime
 
 import "time"
@@ -30,15 +29,4 @@ func okDuration() time.Duration {
 	d := 5 * time.Millisecond
 	_ = time.Date(2017, time.December, 12, 0, 0, 0, 0, time.UTC)
 	return d
-}
-
-// allowed demonstrates an audited suppression: no finding is reported.
-func allowed() time.Time {
-	//mpqvet:allow walltime exemplar suppression for the analyzer tests
-	return time.Now()
-}
-
-// allowedInline demonstrates the trailing-comment form.
-func allowedInline() time.Time {
-	return time.Now() //mpqvet:allow walltime exemplar trailing suppression
 }

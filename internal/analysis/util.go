@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // Well-known package paths the analyzers reason about.
@@ -159,11 +158,6 @@ func funcBodies(f *ast.File, visit func(ast.Node, *ast.BlockStmt)) {
 		}
 		return true
 	})
-}
-
-// isTestFile reports whether the position's file is a _test.go file.
-func isTestFile(filename string) bool {
-	return strings.HasSuffix(filename, "_test.go")
 }
 
 // declaredWithin reports whether obj's declaration lies inside node's

@@ -44,14 +44,11 @@ var Walltime = &Analyzer{
 	Run: runWalltime,
 }
 
-func runWalltime(pass *Pass) (any, error) {
+func runWalltime(pass *Pass) {
 	if walltimeAllowedPkgs[pass.PkgPath] {
-		return nil, nil
+		return
 	}
 	for _, f := range pass.Files {
-		if isTestFile(pass.Fset.Position(f.Pos()).Filename) {
-			continue // the test timing harness may read real time
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -61,12 +58,11 @@ func runWalltime(pass *Pass) (any, error) {
 			if !ok {
 				return true
 			}
-			if fn := sel.Sel.Name; walltimeBanned[fn] && pkgFunc(pass.TypesInfo, call, "time", fn) {
+			if fn := sel.Sel.Name; walltimeBanned[fn] && pkgFunc(pass.Info, call, "time", fn) {
 				pass.Reportf(call.Pos(),
 					"time.%s reads the wall clock; use the virtual sim.Clock (or perf.Stopwatch in tooling)", fn)
 			}
 			return true
 		})
 	}
-	return nil, nil
 }

@@ -19,16 +19,13 @@ func TestWalltime(t *testing.T) {
 // the exemption really is absent — wall-clock-reading code placed
 // under faultnet's import path still fires.
 func TestFaultnetWalltimeClean(t *testing.T) {
-	root := moduleRoot(t)
+	root := analysistest.ModuleRoot(t)
 
 	real, err := analysis.LoadFromDir(root, filepath.Join(root, "internal", "faultnet"), "mpquic/internal/faultnet")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.RunAnalyzers(real, []*analysis.Analyzer{analysis.Walltime})
-	if err != nil {
-		t.Fatal(err)
-	}
+	diags := analysis.RunAnalyzers(real, []*analysis.Analyzer{analysis.Walltime})
 	if len(diags) != 0 {
 		t.Errorf("internal/faultnet produced %d walltime findings, want 0 (it must stay clock-injected): %v", len(diags), diags)
 	}
@@ -37,10 +34,7 @@ func TestFaultnetWalltimeClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err = analysis.RunAnalyzers(fixture, []*analysis.Analyzer{analysis.Walltime})
-	if err != nil {
-		t.Fatal(err)
-	}
+	diags = analysis.RunAnalyzers(fixture, []*analysis.Analyzer{analysis.Walltime})
 	if len(diags) != 2 {
 		t.Errorf("faultnet's import path is exempt from walltime (%d findings, want 2); it must not be allowlisted", len(diags))
 	}
@@ -52,7 +46,7 @@ func TestFaultnetWalltimeClean(t *testing.T) {
 // not accidental, and that adding internal/live to it did not widen
 // the exemption anywhere else — a core-like path still fires.
 func TestWalltimeAllowlist(t *testing.T) {
-	root := moduleRoot(t)
+	root := analysistest.ModuleRoot(t)
 	dir := filepath.Join("testdata", "src", "perfpkg")
 
 	allowed := []string{"mpquic/internal/perf", "mpquic/internal/live"}
@@ -61,10 +55,7 @@ func TestWalltimeAllowlist(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		diags, err := analysis.RunAnalyzers(as, []*analysis.Analyzer{analysis.Walltime})
-		if err != nil {
-			t.Fatal(err)
-		}
+		diags := analysis.RunAnalyzers(as, []*analysis.Analyzer{analysis.Walltime})
 		if len(diags) != 0 {
 			t.Errorf("allowlisted %s produced %d findings, want 0: %v", path, len(diags), diags)
 		}
@@ -78,10 +69,7 @@ func TestWalltimeAllowlist(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		diags, err := analysis.RunAnalyzers(as, []*analysis.Analyzer{analysis.Walltime})
-		if err != nil {
-			t.Fatal(err)
-		}
+		diags := analysis.RunAnalyzers(as, []*analysis.Analyzer{analysis.Walltime})
 		if len(diags) != 2 {
 			t.Errorf("non-allowlisted %s produced %d findings, want 2: %v", path, len(diags), diags)
 		}

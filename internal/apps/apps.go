@@ -6,6 +6,7 @@
 package apps
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -131,3 +132,41 @@ func (g *GetClient) Result() *GetResult { return g.result }
 
 // Done reports completion.
 func (g *GetClient) Done() bool { return g.result != nil }
+
+// ErrTimeout is how a GET ends when its driver's deadline passes with
+// the transfer incomplete and the connection still up (e.g. every path
+// died mid-run). Both backends return it.
+var ErrTimeout = errors.New("mpquic: transfer deadline exceeded")
+
+// AbortError is how a GET ends when the connection terminates before
+// the transfer completes: the peer closed or aborted it, an idle
+// timeout fired, or a protocol error tore it down. Err carries the
+// connection's close reason; match with errors.As on either backend.
+type AbortError struct{ Err error }
+
+func (e *AbortError) Error() string {
+	if e.Err == nil {
+		return "mpquic: connection aborted"
+	}
+	return "mpquic: connection aborted: " + e.Err.Error()
+}
+
+// Unwrap exposes the close reason to errors.Is / errors.As chains.
+func (e *AbortError) Unwrap() error { return e.Err }
+
+// Outcome reports how the GET ended, for a driver (virtual clock or
+// live loop) that has stopped driving it: the result if it finished,
+// *AbortError if the connection closed first, ErrTimeout otherwise.
+func (g *GetClient) Outcome() (GetResult, error) {
+	if g.result != nil {
+		return *g.result, nil
+	}
+	if g.conn.Closed() {
+		cerr := g.conn.Err()
+		if cerr == nil {
+			cerr = errors.New("connection closed")
+		}
+		return GetResult{}, &AbortError{Err: cerr}
+	}
+	return GetResult{}, ErrTimeout
+}

@@ -105,9 +105,6 @@ type Config struct {
 	StreamWindow uint64
 	ConnWindow   uint64
 
-	// DuplicateOnNewPath enables the scheduler's duplication phase for
-	// paths without an RTT estimate (§3). Ablation switch.
-	DuplicateOnNewPath bool
 	// WindowUpdateAllPaths broadcasts WINDOW_UPDATE frames on every
 	// active path (§3). Ablation switch.
 	WindowUpdateAllPaths bool
@@ -164,7 +161,6 @@ func DefaultConfig() Config {
 		CC:                   CCOlia,
 		StreamWindow:         16 << 20,
 		ConnWindow:           16 << 20,
-		DuplicateOnNewPath:   true,
 		WindowUpdateAllPaths: true,
 		PathsFrameOnFailure:  true,
 		IdleTimeout:          120 * time.Second,
@@ -179,7 +175,6 @@ func DefaultSinglePathConfig() Config {
 	c.Multipath = false
 	c.MaxPaths = 1
 	c.CC = CCCubic
-	c.DuplicateOnNewPath = false
 	c.WindowUpdateAllPaths = false
 	c.PathsFrameOnFailure = false
 	return c

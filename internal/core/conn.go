@@ -22,7 +22,6 @@ type ConnStats struct {
 	BytesSent          uint64
 	BytesReceived      uint64
 	DuplicatedPackets  uint64
-	PathsOpened        int
 	RTOs               uint64
 	PacketsLost        uint64
 	// Retransmissions counts stream frames whose data was requeued
@@ -248,34 +247,32 @@ func (c *Conn) OnClosed(fn func(error)) { c.onClosed = fn }
 func (c *Conn) OnPathsFrame(fn func(*wire.PathsFrame)) { c.onPathsFrame = fn }
 
 // newController builds a per-path congestion controller.
-func (c *Conn) newController() (cc.Controller, *cc.OliaPath) {
+func (c *Conn) newController() cc.Controller {
 	maxCwnd := int(c.cfg.ConnWindow)
 	switch c.cfg.CC {
 	case CCOlia:
 		p := c.olia.AddPath()
 		p.SetMaxCwnd(maxCwnd)
-		return p, p
+		return p
 	case CCLia:
 		p := c.lia.AddPath()
 		p.SetMaxCwnd(maxCwnd)
-		return p, nil
+		return p
 	case CCReno:
 		r := cc.NewReno(mss())
 		r.SetMaxCwnd(maxCwnd)
-		return r, nil
+		return r
 	default:
 		cub := cc.NewCubic(mss(), c.now)
 		cub.SetMaxCwnd(maxCwnd)
-		return cub, nil
+		return cub
 	}
 }
 
 // addPath creates and registers a path.
 func (c *Conn) addPath(id wire.PathID, local, remote netem.Addr) *Path {
-	ctrl, oliaPath := c.newController()
-	p := newPath(id, local, remote, rtt.New(rtt.DefaultQUIC()), ctrl, oliaPath)
+	p := newPath(id, local, remote, rtt.New(rtt.DefaultQUIC()), c.newController())
 	c.paths = append(c.paths, p)
-	c.Stats.PathsOpened++
 	c.trace(trace.Event{Type: trace.PathOpened, Path: uint8(id), Detail: string(local) + "->" + string(remote)})
 	return p
 }
@@ -492,7 +489,6 @@ func (c *Conn) receive(dg netem.Datagram) {
 		// NAT rebinding: keep path state, update the remote (§3).
 		p.Remote = dg.From
 	}
-	p.lastActivity = now
 	p.RecvPackets++
 	p.RecvBytes += uint64(dg.Size)
 	c.Stats.PacketsReceived++
@@ -745,9 +741,7 @@ func (c *Conn) Close() {
 	}
 	frame := &wire.ConnectionCloseFrame{ErrorCode: 0, Reason: "done"}
 	for _, p := range c.paths {
-		if p.open {
-			c.sendPacketOn(p, []wire.Frame{frame}, false)
-		}
+		c.sendPacketOn(p, []wire.Frame{frame}, false)
 	}
 	c.finishClose()
 }
@@ -776,9 +770,6 @@ func (c *Conn) onTimer() {
 		return
 	}
 	for _, p := range c.paths {
-		if !p.open {
-			continue
-		}
 		// Early-retransmit (time threshold) losses.
 		if lt := p.space.LossTime(); lt != 0 && lt <= now {
 			lost, event := p.space.OnLossTimer(now)
@@ -855,7 +846,7 @@ func (c *Conn) FailPathsOn(local netem.Addr) int {
 	}
 	n := 0
 	for _, p := range c.paths {
-		if p.Local != local || !p.open || p.potentiallyFailed {
+		if p.Local != local || p.potentiallyFailed {
 			continue
 		}
 		p.potentiallyFailed = true
@@ -884,7 +875,7 @@ func (c *Conn) queuePathsFrame() {
 		})
 	}
 	for _, p := range c.paths {
-		if p.open && !p.potentiallyFailed {
+		if !p.potentiallyFailed {
 			p.queueCtrl(f)
 		}
 	}
@@ -902,9 +893,6 @@ func (c *Conn) resetTimer() {
 	deadline := time.Duration(1<<62 - 1)
 	now := c.now()
 	for _, p := range c.paths {
-		if !p.open {
-			continue
-		}
 		if lt := p.space.LossTime(); lt != 0 && lt < deadline {
 			deadline = lt
 		}

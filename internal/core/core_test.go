@@ -213,7 +213,6 @@ func TestSchedulerDuplicatesOnFreshPath(t *testing.T) {
 	}
 	// Ablation: with duplication disabled, no duplicates.
 	mp2 := core.DefaultConfig()
-	mp2.DuplicateOnNewPath = false
 	mp2.Scheduler = core.SchedLowestRTTNoDup
 	h2 := newHarness(t, mp2, mp2, symSpecs(10, 30*time.Millisecond))
 	apps.NewGetServer(h2.listener)

@@ -21,7 +21,7 @@ func TestPerPathPacketNumberSpaces(t *testing.T) {
 	h.run(t, 30*time.Second)
 	srv := h.serverConn(t)
 	for _, p := range srv.Paths() {
-		sent := p.Space().Stats.PacketsSent
+		sent := p.SentPackets
 		largest := p.Space().LargestSent()
 		// If spaces were shared, per-path largest PN would exceed the
 		// per-path sent count.

@@ -22,7 +22,6 @@ type Path struct {
 	ackMgr *recovery.AckManager
 	est    *rtt.Estimator
 	cc     cc.Controller
-	olia   *cc.OliaPath // non-nil when cc is an OLIA member
 
 	// potentiallyFailed is the paper's PF state (§4.3): set after an
 	// RTO fires with no network activity since the last transmission,
@@ -38,10 +37,7 @@ type Path struct {
 	// does not fire spurious timeouts while acks are still arriving.
 	lastRetransmittableSent time.Duration
 	lastAckProgress         time.Duration
-	// lastActivity is the last receive time on this path.
-	lastActivity time.Duration
 
-	open bool
 	// ctrl queues frames that must leave on this specific path
 	// (per-path WINDOW_UPDATE copies, PATHS frames, acks ride along
 	// separately).
@@ -58,7 +54,7 @@ type Path struct {
 	AckedBytes   uint64
 }
 
-func newPath(id wire.PathID, local, remote netem.Addr, est *rtt.Estimator, ctrl cc.Controller, oliaPath *cc.OliaPath) *Path {
+func newPath(id wire.PathID, local, remote netem.Addr, est *rtt.Estimator, ctrl cc.Controller) *Path {
 	return &Path{
 		ID:     id,
 		Local:  local,
@@ -67,8 +63,6 @@ func newPath(id wire.PathID, local, remote netem.Addr, est *rtt.Estimator, ctrl 
 		ackMgr: recovery.NewAckManager(id),
 		est:    est,
 		cc:     ctrl,
-		olia:   oliaPath,
-		open:   true,
 	}
 }
 
@@ -86,9 +80,6 @@ func (p *Path) PotentiallyFailed() bool { return p.potentiallyFailed }
 
 // RemotePF reports whether the peer flagged this path as failed.
 func (p *Path) RemotePF() bool { return p.remotePF }
-
-// Usable reports whether the scheduler may consider the path at all.
-func (p *Path) Usable() bool { return p.open }
 
 // cwndAvailable reports whether size more bytes fit the window.
 func (p *Path) cwndAvailable(size int) bool {

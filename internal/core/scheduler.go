@@ -32,8 +32,8 @@ func (c *Conn) schedule() (primary *Path, duplicates []*Path) {
 		return c.scheduleBLEST(candidates), nil
 	default:
 		primary = c.scheduleLowestRTT(candidates)
-		if primary == nil || !c.cfg.DuplicateOnNewPath {
-			return primary, nil
+		if primary == nil {
+			return nil, nil
 		}
 		// Duplicate onto unmeasured paths with window space.
 		duplicates = c.duplicates[:0]
@@ -47,9 +47,9 @@ func (c *Conn) schedule() (primary *Path, duplicates []*Path) {
 	}
 }
 
-// schedulable returns the paths the scheduler may use: open, and not
+// schedulable returns the paths the scheduler may use: those not
 // (locally or remotely) marked potentially failed — unless every path
-// is marked, in which case all open paths are candidates (there is
+// is marked, in which case all paths are candidates (there is
 // nothing better to try, §4.3). The list is connection-owned scratch,
 // valid until the next call.
 //
@@ -57,16 +57,12 @@ func (c *Conn) schedule() (primary *Path, duplicates []*Path) {
 func (c *Conn) schedulable() []*Path {
 	out := c.candidates[:0]
 	for _, p := range c.paths {
-		if p.open && !p.potentiallyFailed && !p.remotePF {
+		if !p.potentiallyFailed && !p.remotePF {
 			out = append(out, p)
 		}
 	}
 	if len(out) == 0 {
-		for _, p := range c.paths {
-			if p.open {
-				out = append(out, p)
-			}
-		}
+		out = append(out, c.paths...)
 	}
 	c.candidates = out
 	return out

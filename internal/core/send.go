@@ -68,7 +68,7 @@ func (c *Conn) sendTailReinjection() {
 		return
 	}
 	for _, p := range c.paths {
-		if !p.open || p.potentiallyFailed || p.remotePF {
+		if p.potentiallyFailed || p.remotePF {
 			continue
 		}
 		for p.cwndAvailable(wire.MaxPacketSize) {
@@ -106,7 +106,7 @@ func (c *Conn) dataIdle() bool {
 func (c *Conn) oldestReinjectable(target *Path) *recovery.SentPacket {
 	var oldest *recovery.SentPacket
 	for _, q := range c.paths {
-		if q == target || !q.open {
+		if q == target {
 			continue
 		}
 		if q.est.HasSample() && target.est.HasSample() &&
@@ -160,9 +160,6 @@ func (c *Conn) sendPathCtrl(ackedOn *pathSet) {
 		return
 	}
 	for _, p := range c.paths {
-		if !p.open {
-			continue
-		}
 		for len(p.ctrl) > 0 {
 			frames, budget := c.startPacket(p, ackedOn)
 			for len(p.ctrl) > 0 && p.ctrl[0].EncodedSize() <= budget {
@@ -385,7 +382,7 @@ func (c *Conn) packFrames(p *Path, ackedOn *pathSet) (frames []wire.Frame, hasDa
 func (c *Conn) sendPureAcks(ackedOn *pathSet) {
 	now := c.now()
 	for _, p := range c.paths {
-		if !p.open || ackedOn.has(p.ID) || !p.ackMgr.ShouldSendAck(now) {
+		if ackedOn.has(p.ID) || !p.ackMgr.ShouldSendAck(now) {
 			continue
 		}
 		if ack := c.buildAck(p, now); ack != nil {

@@ -142,10 +142,8 @@ func (c *Conn) maybeQueueWindowUpdates(s *Stream) {
 	}
 	if c.cfg.Multipath && c.cfg.WindowUpdateAllPaths {
 		for _, p := range c.paths {
-			if p.open {
-				for _, f := range frames {
-					p.queueCtrl(f)
-				}
+			for _, f := range frames {
+				p.queueCtrl(f)
 			}
 		}
 	} else {

@@ -21,8 +21,8 @@ type connBox struct{ c UDPConn }
 // binder's socks slice and byLocal map immutable after construction.
 type pathSocket struct {
 	// conn is the active socket, swapped atomically by the owning
-	// reader's rebind ladder and read by the run loop's flush.
-	//mpq:crossing
+	// reader's rebind ladder and read by the run loop's flush: a
+	// crossing between the two domains.
 	conn  atomic.Pointer[connBox]
 	idx   int            // path index (bind order): names the socket in traces and fault scripts
 	local netem.Addr     // the actually-bound "ip:port", the path identity

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"mpquic/internal/apps"
 	"mpquic/internal/core"
 	"mpquic/internal/faultnet"
 	"mpquic/internal/live"
@@ -258,7 +259,7 @@ func TestHandshakeUnderBlackhole(t *testing.T) {
 	conn := dialOn(t, client, server, 1, 45)
 
 	_, err := live.Download(client, conn, 1<<20, 500*time.Millisecond)
-	if !errors.Is(err, live.ErrTimeout) {
+	if !errors.Is(err, apps.ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 	if client.Stats.PathsFailedLive != 0 {

@@ -9,35 +9,15 @@ import (
 	"mpquic/internal/core"
 )
 
-// ErrTimeout is returned by Download when the transfer does not
-// complete before its wall deadline.
-var ErrTimeout = errors.New("live: transfer deadline exceeded")
-
 // ErrCanceled is returned by DownloadWith when the Cancel channel
 // fires before the transfer completes. Callers holding the context
 // that produced the channel wrap this into their own typed error.
 var ErrCanceled = errors.New("live: download canceled")
 
-// AbortError is returned by Download when the connection terminates
-// before the transfer completes — the peer closed or aborted it, an
-// idle timeout fired, or a protocol error tore it down. Err carries
-// the connection's close reason.
-type AbortError struct{ Err error }
-
-func (e *AbortError) Error() string {
-	if e.Err == nil {
-		return "live: connection aborted"
-	}
-	return "live: connection aborted: " + e.Err.Error()
-}
-
-// Unwrap exposes the close reason to errors.Is / errors.As chains.
-func (e *AbortError) Unwrap() error { return e.Err }
-
 // DownloadOpts tunes DownloadWith.
 type DownloadOpts struct {
 	// Deadline bounds the transfer in wall time (<= 0 means no
-	// deadline); exceeding it returns ErrTimeout.
+	// deadline); exceeding it returns apps.ErrTimeout.
 	Deadline time.Duration
 	// Cancel aborts the transfer when it becomes readable (typically a
 	// context's Done channel); DownloadWith then returns ErrCanceled.
@@ -49,8 +29,8 @@ type DownloadOpts struct {
 // completion, and returns the result. Timestamps inside the result
 // are sim times, i.e. wall-derived durations since the driver's
 // epoch. deadline bounds the transfer in wall time (<= 0 means no
-// deadline); exceeding it returns ErrTimeout, and a connection that
-// dies first returns *AbortError.
+// deadline); exceeding it returns apps.ErrTimeout, and a connection
+// that dies first returns *apps.AbortError.
 func Download(d *Driver, client *core.Conn, size uint64, deadline time.Duration) (apps.GetResult, error) {
 	return DownloadWith(d, client, size, DownloadOpts{Deadline: deadline})
 }
@@ -62,9 +42,8 @@ func Download(d *Driver, client *core.Conn, size uint64, deadline time.Duration)
 //
 //mpq:entry run-loop
 func DownloadWith(d *Driver, client *core.Conn, size uint64, opts DownloadOpts) (apps.GetResult, error) {
-	var res *apps.GetResult
 	now := func() time.Duration { return d.clock.Now().Duration() }
-	apps.NewGetClient(client, size, now, func(r apps.GetResult) { res = &r })
+	get := apps.NewGetClient(client, size, now, nil)
 	timedOut := false
 	if opts.Deadline > 0 {
 		// The deadline is a plain sim event: wall deadlines and
@@ -85,23 +64,13 @@ func DownloadWith(d *Driver, client *core.Conn, size uint64, opts DownloadOpts) 
 		}()
 	}
 	err := d.Run(func() bool {
-		return res != nil || timedOut || client.Closed() || canceled.Load()
+		return get.Done() || timedOut || client.Closed() || canceled.Load()
 	})
 	if err != nil {
 		return apps.GetResult{}, err
 	}
-	if res != nil {
-		return *res, nil
-	}
-	if canceled.Load() {
+	if !get.Done() && canceled.Load() {
 		return apps.GetResult{}, ErrCanceled
 	}
-	if client.Closed() {
-		cerr := client.Err()
-		if cerr == nil {
-			cerr = errors.New("live: connection closed")
-		}
-		return apps.GetResult{}, &AbortError{Err: cerr}
-	}
-	return apps.GetResult{}, ErrTimeout
+	return get.Outcome()
 }

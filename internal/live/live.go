@@ -219,9 +219,11 @@ type Stats struct {
 // Setup (NewDriver, Dial/Listen, Register) happens before Run; the
 // goroutine calling Run then owns all protocol state until Run
 // returns. Close and Wake may be called from any goroutine. That
-// discipline is machine-checked: fields below carry //mpq:confined
-// and //mpq:crossing annotations that mpq-vet's confine and blocking
-// analyzers enforce (see DESIGN.md, "Live concurrency invariants").
+// discipline is machine-checked: the run loop's fields below carry
+// //mpq:confined annotations that mpq-vet's confine and blocking
+// analyzers enforce (see DESIGN.md, "Live concurrency invariants");
+// the unannotated ones are the crossings — immutable after setup, or
+// a channel, a sync primitive, an atomic.
 type Driver struct {
 	//mpq:confined run-loop
 	clock  *sim.Clock
@@ -235,12 +237,9 @@ type Driver struct {
 	sockBuf  int
 
 	// Fault-tolerance knobs, immutable after NewDriver; the reader
-	// goroutines' rebind ladders read them, hence crossing.
-	//mpq:crossing
-	wrap SocketWrapper
-	//mpq:crossing
-	rebindMax int
-	//mpq:crossing
+	// goroutines' rebind ladders read them, hence not confined.
+	wrap       SocketWrapper
+	rebindMax  int
 	rebindBase time.Duration
 
 	//mpq:confined run-loop
@@ -255,15 +254,11 @@ type Driver struct {
 	//mpq:confined run-loop
 	writeFails []int
 
-	//mpq:crossing
-	recvCh chan packetIn
-	//mpq:crossing
-	wakeCh chan struct{}
-	//mpq:crossing
+	// Crossings: how reader goroutines, Wake and Close reach the loop.
+	recvCh  chan packetIn
+	wakeCh  chan struct{}
 	closeCh chan struct{}
-	//mpq:crossing
 	closeMu sync.Once
-	//mpq:crossing
 	readers sync.WaitGroup
 
 	//mpq:confined run-loop

@@ -175,7 +175,7 @@ func TestClientRestart(t *testing.T) {
 
 // TestServerAbortTypedError runs against a server that closes the
 // connection instead of serving: the client's Download must surface a
-// typed *live.AbortError carrying the close reason.
+// typed *apps.AbortError carrying the close reason.
 func TestServerAbortTypedError(t *testing.T) {
 	sd := newDriver(t, 1)
 	lis := core.Listen(sd, liveConfig(1), sd.LocalAddrs())
@@ -186,9 +186,9 @@ func TestServerAbortTypedError(t *testing.T) {
 
 	client, conn := dial(t, sd, 1, 20)
 	_, err := live.Download(client, conn, 1<<20, 10*time.Second)
-	var abort *live.AbortError
+	var abort *apps.AbortError
 	if !errors.As(err, &abort) {
-		t.Fatalf("err = %v (%T), want *live.AbortError", err, err)
+		t.Fatalf("err = %v (%T), want *apps.AbortError", err, err)
 	}
 	if abort.Err == nil || !strings.Contains(abort.Err.Error(), "closed by peer") {
 		t.Fatalf("abort reason = %v, want peer close", abort.Err)
@@ -208,7 +208,7 @@ func TestDeadline(t *testing.T) {
 	conn := core.Dial(client, liveConfig(1), core.NewConnID(21), client.LocalAddrs(), []netem.Addr{addr})
 	start := time.Now()
 	_, err := live.Download(client, conn, 1<<20, 300*time.Millisecond)
-	if !errors.Is(err, live.ErrTimeout) {
+	if !errors.Is(err, apps.ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 	if el := time.Since(start); el < 250*time.Millisecond || el > 5*time.Second {

@@ -100,21 +100,6 @@ type Space struct {
 	// Congestion-event filtering: one decrease per window.
 	largestSentAtLastCutback wire.PacketNumber
 	hasCutback               bool
-
-	// Stats for traces and experiments.
-	Stats Stats
-}
-
-// Stats counts per-space recovery activity.
-type Stats struct {
-	PacketsSent   uint64
-	PacketsAcked  uint64
-	PacketsLost   uint64
-	BytesSent     uint64
-	BytesAcked    uint64
-	BytesLost     uint64
-	RTOCount      uint64
-	CongestionCut uint64
 }
 
 // NewSpace builds a space feeding RTT samples into est.
@@ -160,8 +145,6 @@ func (s *Space) OnPacketSent(sp *SentPacket) {
 	if sp.Retransmittable {
 		s.retransmittableInFlight++
 	}
-	s.Stats.PacketsSent++
-	s.Stats.BytesSent += uint64(sp.Size)
 }
 
 // RecordSent is OnPacketSent for a connection's send path: it records
@@ -235,8 +218,6 @@ func (s *Space) OnAck(ack *wire.AckFrame, now time.Duration) AckResult {
 		if ack.Acks(sp.PN) {
 			sp.acked = true
 			s.settle(sp)
-			s.Stats.PacketsAcked++
-			s.Stats.BytesAcked += uint64(sp.Size)
 			res.NewlyAcked = append(res.NewlyAcked, sp)
 			if sp.PN == largest {
 				sample := now - sp.SentTime
@@ -272,7 +253,6 @@ func (s *Space) registerCongestion(lost []*SentPacket) bool {
 	if !s.hasCutback || largestLost >= s.largestSentAtLastCutback {
 		s.largestSentAtLastCutback = s.nextPN
 		s.hasCutback = true
-		s.Stats.CongestionCut++
 		return true
 	}
 	return false
@@ -298,8 +278,6 @@ func (s *Space) detectLost(now time.Duration) []*SentPacket {
 		if pnLost || timeLost {
 			sp.lost = true
 			s.settle(sp)
-			s.Stats.PacketsLost++
-			s.Stats.BytesLost += uint64(sp.Size)
 			lost = append(lost, sp)
 			continue
 		}
@@ -349,14 +327,11 @@ func (s *Space) OnRTO(now time.Duration) []*SentPacket {
 		}
 		sp.lost = true
 		s.settle(sp)
-		s.Stats.PacketsLost++
-		s.Stats.BytesLost += uint64(sp.Size)
 		lost = append(lost, sp)
 	}
 	s.lostScratch = lost
 	s.trim()
 	s.est.Backoff()
-	s.Stats.RTOCount++
 	return lost
 }
 

@@ -139,8 +139,13 @@ func TestRTODeclaresAllOutstandingLost(t *testing.T) {
 	if s.RTT().RTO() != 2*rtoBefore {
 		t.Fatalf("no backoff: %v", s.RTT().RTO())
 	}
-	if s.Stats.RTOCount != 1 {
-		t.Fatal("stats")
+	for i, sp := range lost {
+		if sp.PN != wire.PacketNumber(i) {
+			t.Fatalf("OnRTO returned packet %d at index %d, want send order", sp.PN, i)
+		}
+	}
+	if again := s.OnRTO(time.Second); len(again) != 0 {
+		t.Fatalf("second RTO re-declared %d already-lost packets", len(again))
 	}
 }
 

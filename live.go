@@ -127,13 +127,7 @@ func (n *LiveNetwork) ServeGet(l *Listener) { apps.NewGetServer(l) }
 
 // Serve drives the server loop until Close (returns ErrClosed) or a
 // socket error. Call after Listen+ServeGet.
-func (n *LiveNetwork) Serve() error {
-	err := n.d.Run(nil)
-	if errors.Is(err, live.ErrClosed) {
-		return ErrClosed
-	}
-	return err
-}
+func (n *LiveNetwork) Serve() error { return n.d.Run(nil) }
 
 // Dial opens a client connection toward remote path addresses, one
 // per bound local socket (remotes[i] pairs with local socket i as
@@ -157,8 +151,8 @@ func (n *LiveNetwork) Download(client *Conn, size uint64) (GetResult, error) {
 
 // DownloadWith is Download with explicit options. Opts.Ctx
 // cancellation is honored mid-transfer: the loop wakes and returns
-// Ctx.Err(). Errors surface as the unified facade types — ErrTimeout,
-// *AbortError, ErrClosed — the same as the emulated backend.
+// Ctx.Err(). Errors are the ones the emulated backend returns —
+// ErrTimeout, *AbortError, ErrClosed.
 func (n *LiveNetwork) DownloadWith(client *Conn, size uint64, opts DownloadOpts) (GetResult, error) {
 	deadline := opts.Deadline
 	if deadline <= 0 {
@@ -172,21 +166,8 @@ func (n *LiveNetwork) DownloadWith(client *Conn, size uint64, opts DownloadOpts)
 		lopts.Cancel = opts.Ctx.Done()
 	}
 	res, err := live.DownloadWith(n.d, client, size, lopts)
-	switch {
-	case err == nil:
-	case errors.Is(err, live.ErrTimeout):
-		err = ErrTimeout // the facade's timeout error, same as Network
-	case errors.Is(err, live.ErrClosed):
-		err = ErrClosed
-	case errors.Is(err, live.ErrCanceled):
-		if opts.Ctx != nil && opts.Ctx.Err() != nil {
-			err = opts.Ctx.Err()
-		}
-	default:
-		var la *live.AbortError
-		if errors.As(err, &la) {
-			err = &AbortError{Err: la.Err}
-		}
+	if errors.Is(err, live.ErrCanceled) {
+		err = opts.Ctx.Err() // only a fired Ctx.Done() cancels
 	}
 	return res, err
 }

@@ -42,13 +42,13 @@ package mpquic
 
 import (
 	"context"
-	"errors"
 	"io"
 	"sync"
 	"time"
 
 	"mpquic/internal/apps"
 	"mpquic/internal/core"
+	"mpquic/internal/live"
 	"mpquic/internal/netem"
 	"mpquic/internal/sim"
 	"mpquic/internal/trace"
@@ -110,30 +110,20 @@ const DefaultDownloadDeadline = 24 * time.Hour
 // ErrTimeout is returned by Download and DownloadWith — on either
 // backend — when the transfer does not complete before its deadline
 // (e.g. every path died mid-run).
-var ErrTimeout = errors.New("mpquic: transfer deadline exceeded")
+var ErrTimeout = apps.ErrTimeout
 
 // ErrClosed is returned by Serve — on either backend — when the
 // fabric is closed: the clean way to stop a server. Both *Network and
 // *LiveNetwork surface it, so callers match it with errors.Is
 // regardless of the backend behind the Fabric.
-var ErrClosed = errors.New("mpquic: fabric closed")
+var ErrClosed = live.ErrClosed
 
 // AbortError is returned by Download and DownloadWith — on either
 // backend — when the connection terminates before the transfer
 // completes: the peer closed or aborted it, an idle timeout fired, or
 // a protocol error tore it down. Err carries the connection's close
 // reason; match with errors.As regardless of the backend.
-type AbortError struct{ Err error }
-
-func (e *AbortError) Error() string {
-	if e.Err == nil {
-		return "mpquic: connection aborted"
-	}
-	return "mpquic: connection aborted: " + e.Err.Error()
-}
-
-// Unwrap exposes the close reason to errors.Is / errors.As chains.
-func (e *AbortError) Unwrap() error { return e.Err }
+type AbortError = apps.AbortError
 
 // Fabric is the backend-independent face of a network that can run
 // MPQUIC endpoints: the emulated *Network (virtual time, deterministic)
@@ -342,26 +332,12 @@ func (n *Network) DownloadWith(client *Conn, size uint64, opts DownloadOpts) (Ge
 	if deadline <= 0 {
 		deadline = DefaultDownloadDeadline
 	}
-	var out *GetResult
 	now := func() time.Duration { return n.clock.Now().Duration() }
-	apps.NewGetClient(client, size, now, func(r apps.GetResult) {
-		out = &r
-		n.clock.Stop()
-	})
+	get := apps.NewGetClient(client, size, now, func(apps.GetResult) { n.clock.Stop() })
 	if err := n.clock.RunUntil(n.clock.Now().Add(deadline)); err != nil {
 		return GetResult{}, err
 	}
-	if out != nil {
-		return *out, nil
-	}
-	if client.Closed() {
-		cerr := client.Err()
-		if cerr == nil {
-			cerr = errors.New("mpquic: connection closed")
-		}
-		return GetResult{}, &AbortError{Err: cerr}
-	}
-	return GetResult{}, ErrTimeout
+	return get.Outcome()
 }
 
 // ReqRespClient drives the §4.3 request train; see apps.ReqRespClient.

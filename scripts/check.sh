@@ -20,15 +20,13 @@ fi
 echo "== go vet"
 go vet ./...
 
-echo "== mpq-vet"
+# One load, both gates: the analyzers, then the escape gate replaying
+# `go build -gcflags=-m` to verify every //mpq:noescape function
+# compiles allocation-free. The gate exits 0 but prints a loud SKIPPED
+# line if the toolchain output is unparseable — grep for it so a
+# silent skip cannot masquerade as a pass.
+echo "== mpq-vet (analyzers + escape gate)"
 go run ./cmd/mpq-vet ./...
-
-# The escape gate replays `go build -gcflags=-m` and verifies every
-# //mpq:noescape function compiles allocation-free. It exits 0 but
-# prints a loud SKIPPED line if the toolchain output is unparseable —
-# grep for it so a silent skip cannot masquerade as a pass.
-echo "== mpq-escape"
-go run ./cmd/mpq-escape ./...
 
 echo "== doclint"
 go run ./scripts/doclint.go
@@ -55,10 +53,9 @@ go test ./...
 # bench/ is a module of its own (replace mpquic => ../), so the root
 # ./... patterns above never compile it: without this step a change to
 # an internal/* API could break the benchmark harness unnoticed. The
-# analyzers run there too: bench/ holds the only wire.DecodeBorrowed
-# caller, the code poolsafety's escape rule guards.
-echo "== bench module (go vet, mpq-vet, mpq-escape, go test)"
-(cd bench && go vet . && go run mpquic/cmd/mpq-vet . && go run mpquic/cmd/mpq-escape . && go test .)
+# analyzers run there too.
+echo "== bench module (go vet, mpq-vet, go test)"
+(cd bench && go vet . && go run mpquic/cmd/mpq-vet . && go test .)
 
 # The root package hosts the grid benchmarks; every internal package
 # is seconds-fast even under the race detector.
