@@ -1,19 +1,23 @@
 // Package cc implements the congestion controllers the paper compares:
 // NewReno (as a reference), CUBIC (used by both single-path TCP and
-// QUIC, §4.1), and the OLIA coupled multipath controller (used by both
-// MPTCP and MPQUIC, §3 Congestion Control).
+// QUIC, §4.1), and the coupled multipath controllers OLIA (used by both
+// MPTCP and MPQUIC, §3 Congestion Control) and LIA, its predecessor.
 //
-// Controllers are window-based and byte-counted. Pacing, in-flight
-// accounting and once-per-window congestion-event filtering are the
-// transport's job; controllers only maintain the window.
+// All four are one byte-counted window — the unexported window type:
+// slow start, the MinWindowPackets floor, the send-buffer clamp,
+// multiplicative decrease and RTO collapse — and differ only in how
+// they grow it in congestion avoidance, which is all that Reno, Cubic,
+// OliaPath and LiaPath add to it. In-flight accounting and
+// once-per-window congestion-event filtering are the transport's job;
+// controllers only maintain the window. Nothing paces: a pacer would
+// derive its rate from window's cwnd and the path's RTT, so it belongs
+// in window, behind Controller.
 package cc
 
 import "time"
 
 // Controller is a per-path congestion controller.
 type Controller interface {
-	// OnPacketSent informs the controller bytes left the sender.
-	OnPacketSent(bytes int)
 	// OnPacketAcked credits newly acknowledged bytes. rtt is the
 	// path's current smoothed RTT (used by coupled controllers).
 	OnPacketAcked(bytes int, rtt time.Duration)
@@ -27,8 +31,6 @@ type Controller interface {
 	Cwnd() int
 	// InSlowStart reports whether the controller is in slow start.
 	InSlowStart() bool
-	// Name identifies the algorithm for traces.
-	Name() string
 }
 
 // Default window constants (in MSS units), matching quic-go and Linux.
@@ -39,19 +41,17 @@ const (
 	MinWindowPackets = 2
 )
 
-// Reno is byte-counted NewReno: slow start doubling, AIMD congestion
-// avoidance, half-window decrease.
-type Reno struct {
+// window is the state and the rules every controller shares. Each
+// controller embeds one and adds its increase rule.
+type window struct {
 	mss      int
 	cwnd     int
 	ssthresh int
-	acked    int // bytes accumulated toward the next CA increase
 	maxCwnd  int
 }
 
-// NewReno returns a NewReno controller for the given MSS.
-func NewReno(mss int) *Reno {
-	return &Reno{
+func newWindow(mss int) window {
+	return window{
 		mss:      mss,
 		cwnd:     InitialWindowPackets * mss,
 		ssthresh: 1 << 30,
@@ -59,43 +59,78 @@ func NewReno(mss int) *Reno {
 	}
 }
 
-// SetMaxCwnd clamps the window (emulating sendbuf limits).
-func (r *Reno) SetMaxCwnd(b int) { r.maxCwnd = b }
+// Cwnd reports the congestion window in bytes.
+func (w *window) Cwnd() int { return w.cwnd }
 
-func (r *Reno) Name() string           { return "reno" }
-func (r *Reno) Cwnd() int              { return r.cwnd }
-func (r *Reno) InSlowStart() bool      { return r.cwnd < r.ssthresh }
-func (r *Reno) OnPacketSent(bytes int) {}
+// InSlowStart reports whether the window is below ssthresh.
+func (w *window) InSlowStart() bool { return w.cwnd < w.ssthresh }
+
+// SetMaxCwnd clamps the window (emulating sendbuf limits). It takes
+// effect on the next ACK.
+func (w *window) SetMaxCwnd(b int) { w.maxCwnd = b }
+
+func (w *window) floor() int { return MinWindowPackets * w.mss }
+
+// add moves the window by delta bytes (OLIA's can be negative) and
+// holds it between the floor and the clamp.
+func (w *window) add(delta int) {
+	w.cwnd = min(max(w.cwnd+delta, w.floor()), w.maxCwnd)
+}
+
+// slowStart credits acked bytes one for one while the window is below
+// ssthresh, and reports whether it did; if not, the caller's
+// congestion-avoidance rule applies.
+func (w *window) slowStart(bytes int) bool {
+	if !w.InSlowStart() {
+		return false
+	}
+	w.add(bytes)
+	return true
+}
+
+// decreaseTo is the multiplicative decrease: the window drops to the
+// given size and congestion avoidance starts there.
+func (w *window) decreaseTo(cwnd int) {
+	w.cwnd = max(cwnd, w.floor())
+	w.ssthresh = w.cwnd
+}
+
+// collapse is the RTO response: back to the minimum window, slow start
+// up to the given threshold.
+func (w *window) collapse(ssthresh int) {
+	w.ssthresh = max(ssthresh, w.floor())
+	w.cwnd = w.floor()
+}
+
+// Reno is byte-counted NewReno: slow start doubling, AIMD congestion
+// avoidance, half-window decrease.
+type Reno struct {
+	window
+	acked int // bytes accumulated toward the next CA increase
+}
+
+// NewReno returns a NewReno controller for the given MSS.
+func NewReno(mss int) *Reno { return &Reno{window: newWindow(mss)} }
 
 func (r *Reno) OnPacketAcked(bytes int, _ time.Duration) {
-	if r.InSlowStart() {
-		r.cwnd += bytes
-	} else {
-		r.acked += bytes
-		if r.acked >= r.cwnd {
-			r.acked -= r.cwnd
-			r.cwnd += r.mss
-		}
+	if r.slowStart(bytes) {
+		return
 	}
-	if r.cwnd > r.maxCwnd {
-		r.cwnd = r.maxCwnd
+	inc := 0
+	r.acked += bytes
+	if r.acked >= r.cwnd {
+		r.acked -= r.cwnd
+		inc = r.mss
 	}
+	r.add(inc)
 }
 
 func (r *Reno) OnCongestionEvent() {
-	r.cwnd /= 2
-	if r.cwnd < MinWindowPackets*r.mss {
-		r.cwnd = MinWindowPackets * r.mss
-	}
-	r.ssthresh = r.cwnd
+	r.decreaseTo(r.cwnd / 2)
 	r.acked = 0
 }
 
 func (r *Reno) OnRTO() {
-	r.ssthresh = r.cwnd / 2
-	if r.ssthresh < MinWindowPackets*r.mss {
-		r.ssthresh = MinWindowPackets * r.mss
-	}
-	r.cwnd = MinWindowPackets * r.mss
+	r.collapse(r.cwnd / 2)
 	r.acked = 0
 }

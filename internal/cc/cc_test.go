@@ -207,19 +207,6 @@ func TestOliaSlowStartStillDoubles(t *testing.T) {
 	}
 }
 
-func TestOliaClosedPathLeavesCoupling(t *testing.T) {
-	o := NewOlia(mss)
-	p1 := o.AddPath()
-	p2 := o.AddPath()
-	if len(o.Paths()) != 2 {
-		t.Fatal("want 2 paths")
-	}
-	p2.Close()
-	if len(o.Paths()) != 1 || o.Paths()[0] != p1 {
-		t.Fatal("close did not remove path")
-	}
-}
-
 func TestOliaAlphaFavorsBestUnderusedPath(t *testing.T) {
 	o := NewOlia(mss)
 	p1 := o.AddPath()

@@ -16,47 +16,24 @@ const (
 // TCP and QUIC in the evaluation (§4.1: "we use CUBIC congestion
 // control with the two single path protocols").
 type Cubic struct {
-	mss int
+	window
 	now func() time.Duration // virtual-time source
 
-	cwnd     int
-	ssthresh int
-	maxCwnd  int
-
 	// Cubic epoch state.
-	epochStart   time.Duration // zero = no epoch
-	wMax         float64       // window before the last decrease (bytes)
-	k            float64       // time to reach wMax again (seconds)
-	ackedInEpoch float64       // bytes, for the TCP-friendly region
-	cwndTCP      float64       // Reno-friendly estimate (bytes)
+	epochStart time.Duration // zero = no epoch
+	wMax       float64       // window before the last decrease (bytes)
+	k          float64       // time to reach wMax again (seconds)
+	cwndTCP    float64       // Reno-friendly estimate (bytes)
 }
 
 // NewCubic builds a CUBIC controller. now supplies monotonic virtual
 // time (the simulation clock).
 func NewCubic(mss int, now func() time.Duration) *Cubic {
-	return &Cubic{
-		mss:      mss,
-		now:      now,
-		cwnd:     InitialWindowPackets * mss,
-		ssthresh: 1 << 30,
-		maxCwnd:  1 << 30,
-	}
+	return &Cubic{window: newWindow(mss), now: now}
 }
 
-// SetMaxCwnd clamps the window.
-func (c *Cubic) SetMaxCwnd(b int) { c.maxCwnd = b }
-
-func (c *Cubic) Name() string           { return "cubic" }
-func (c *Cubic) Cwnd() int              { return c.cwnd }
-func (c *Cubic) InSlowStart() bool      { return c.cwnd < c.ssthresh }
-func (c *Cubic) OnPacketSent(bytes int) {}
-
 func (c *Cubic) OnPacketAcked(bytes int, rtt time.Duration) {
-	if c.InSlowStart() {
-		c.cwnd += bytes
-		if c.cwnd > c.maxCwnd {
-			c.cwnd = c.maxCwnd
-		}
+	if c.slowStart(bytes) {
 		return
 	}
 	now := c.now()
@@ -70,10 +47,8 @@ func (c *Cubic) OnPacketAcked(bytes int, rtt time.Duration) {
 			c.k = 0
 			c.wMax = float64(c.cwnd)
 		}
-		c.ackedInEpoch = 0
 		c.cwndTCP = float64(c.cwnd)
 	}
-	c.ackedInEpoch += float64(bytes)
 	t := (now - c.epochStart).Seconds() + rtt.Seconds()
 	// W_cubic(t) in bytes.
 	wCubic := (cubicC*math.Pow(t-c.k, 3) + c.wMax/float64(c.mss)) * float64(c.mss)
@@ -83,18 +58,16 @@ func (c *Cubic) OnPacketAcked(bytes int, rtt time.Duration) {
 	if c.cwndTCP > target {
 		target = c.cwndTCP
 	}
+	inc := 0.0
 	if target > float64(c.cwnd) {
 		// Approach the target at most one MSS per cwnd/mss acks, as
 		// real implementations do, by increasing proportionally.
-		inc := (target - float64(c.cwnd)) / float64(c.cwnd) * float64(bytes)
+		inc = (target - float64(c.cwnd)) / float64(c.cwnd) * float64(bytes)
 		if inc > float64(bytes) {
 			inc = float64(bytes) // never faster than slow start
 		}
-		c.cwnd += int(inc)
 	}
-	if c.cwnd > c.maxCwnd {
-		c.cwnd = c.maxCwnd
-	}
+	c.add(int(inc))
 }
 
 func (c *Cubic) OnCongestionEvent() {
@@ -107,19 +80,11 @@ func (c *Cubic) OnCongestionEvent() {
 	} else {
 		c.wMax = w
 	}
-	c.cwnd = int(w * cubicBeta)
-	if c.cwnd < MinWindowPackets*c.mss {
-		c.cwnd = MinWindowPackets * c.mss
-	}
-	c.ssthresh = c.cwnd
+	c.decreaseTo(int(w * cubicBeta))
 }
 
 func (c *Cubic) OnRTO() {
 	c.epochStart = 0
 	c.wMax = float64(c.cwnd)
-	c.ssthresh = int(float64(c.cwnd) * cubicBeta)
-	if c.ssthresh < MinWindowPackets*c.mss {
-		c.ssthresh = MinWindowPackets * c.mss
-	}
-	c.cwnd = MinWindowPackets * c.mss
+	c.collapse(int(float64(c.cwnd) * cubicBeta))
 }

@@ -28,52 +28,29 @@ func NewLia(mss int) *Lia { return &Lia{mss: mss} }
 
 // LiaPath is the per-path controller; it implements Controller.
 type LiaPath struct {
-	l        *Lia
-	cwnd     int
-	ssthresh int
-	maxCwnd  int
-	srtt     time.Duration
-	acked    float64 // fractional window growth accumulator (bytes)
-	closed   bool
+	window
+	l     *Lia
+	srtt  time.Duration // last positive sample, so never zero
+	acked float64       // fractional window growth accumulator (bytes)
 }
 
 // AddPath registers a new path.
 func (l *Lia) AddPath() *LiaPath {
 	p := &LiaPath{
-		l:        l,
-		cwnd:     InitialWindowPackets * l.mss,
-		ssthresh: 1 << 30,
-		maxCwnd:  1 << 30,
-		srtt:     100 * time.Millisecond,
+		window: newWindow(l.mss),
+		l:      l,
+		srtt:   100 * time.Millisecond, // placeholder until sampled
 	}
 	l.paths = append(l.paths, p)
 	return p
 }
 
-// Paths returns live members.
-func (l *Lia) Paths() []*LiaPath {
-	var out []*LiaPath
-	for _, p := range l.paths {
-		if !p.closed {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // alpha computes RFC 6356's aggressiveness factor.
 func (l *Lia) alpha() float64 {
-	live := l.Paths()
-	if len(live) == 0 {
-		return 1
-	}
 	var total, best, denom float64
-	for _, p := range live {
+	for _, p := range l.paths {
 		w := float64(p.cwnd) / float64(l.mss)
 		rtt := p.srtt.Seconds()
-		if rtt <= 0 {
-			rtt = 1e-3
-		}
 		total += w
 		if v := w / (rtt * rtt); v > best {
 			best = v
@@ -86,31 +63,16 @@ func (l *Lia) alpha() float64 {
 	return total * best / (denom * denom)
 }
 
-// SetMaxCwnd clamps the window.
-func (p *LiaPath) SetMaxCwnd(b int) { p.maxCwnd = b }
-
-// Close removes the path from coupling.
-func (p *LiaPath) Close() { p.closed = true }
-
-func (p *LiaPath) Name() string           { return "lia" }
-func (p *LiaPath) Cwnd() int              { return p.cwnd }
-func (p *LiaPath) InSlowStart() bool      { return p.cwnd < p.ssthresh }
-func (p *LiaPath) OnPacketSent(bytes int) {}
-
 func (p *LiaPath) OnPacketAcked(bytes int, rtt time.Duration) {
 	if rtt > 0 {
 		p.srtt = rtt
 	}
-	if p.InSlowStart() {
-		p.cwnd += bytes
-		if p.cwnd > p.maxCwnd {
-			p.cwnd = p.maxCwnd
-		}
+	if p.slowStart(bytes) {
 		return
 	}
-	mss := float64(p.l.mss)
+	mss := float64(p.mss)
 	var total float64
-	for _, q := range p.l.Paths() {
+	for _, q := range p.l.paths {
 		total += float64(q.cwnd)
 	}
 	if total <= 0 || p.cwnd <= 0 {
@@ -122,33 +84,19 @@ func (p *LiaPath) OnPacketAcked(bytes int, rtt time.Duration) {
 	if uncoupled < inc {
 		inc = uncoupled
 	}
+	// Whole bytes move the window; the fraction carries over.
 	p.acked += inc
-	if p.acked >= 1 {
-		p.cwnd += int(p.acked)
-		p.acked -= float64(int(p.acked))
-	}
-	if p.cwnd < MinWindowPackets*p.l.mss {
-		p.cwnd = MinWindowPackets * p.l.mss
-	}
-	if p.cwnd > p.maxCwnd {
-		p.cwnd = p.maxCwnd
-	}
+	whole := int(p.acked)
+	p.acked -= float64(whole)
+	p.add(whole)
 }
 
 func (p *LiaPath) OnCongestionEvent() {
-	p.cwnd /= 2
-	if p.cwnd < MinWindowPackets*p.l.mss {
-		p.cwnd = MinWindowPackets * p.l.mss
-	}
-	p.ssthresh = p.cwnd
+	p.decreaseTo(p.cwnd / 2)
 	p.acked = 0
 }
 
 func (p *LiaPath) OnRTO() {
-	p.ssthresh = p.cwnd / 2
-	if p.ssthresh < MinWindowPackets*p.l.mss {
-		p.ssthresh = MinWindowPackets * p.l.mss
-	}
-	p.cwnd = MinWindowPackets * p.l.mss
+	p.collapse(p.cwnd / 2)
 	p.acked = 0
 }

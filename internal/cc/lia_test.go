@@ -88,16 +88,3 @@ func TestLiaAlphaBounded(t *testing.T) {
 		t.Fatalf("alpha %v unreasonably large", a)
 	}
 }
-
-func TestLiaClose(t *testing.T) {
-	l := NewLia(mss)
-	p1 := l.AddPath()
-	p2 := l.AddPath()
-	p2.Close()
-	if got := len(l.Paths()); got != 1 || l.Paths()[0] != p1 {
-		t.Fatalf("close broken: %d live", got)
-	}
-	if p1.Name() != "lia" {
-		t.Fatal("name")
-	}
-}

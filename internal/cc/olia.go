@@ -27,42 +27,25 @@ func NewOlia(mss int) *Olia {
 
 // OliaPath is the per-path controller handle; it implements Controller.
 type OliaPath struct {
-	o *Olia
-
-	cwnd     int
-	ssthresh int
-	maxCwnd  int
-	srtt     time.Duration
+	window
+	o    *Olia
+	srtt time.Duration // last positive sample, so never zero
 
 	// l1 is bytes acked since the last loss; l2 bytes acked between
 	// the previous two losses. ℓ_r = max(l1, l2) per the OLIA paper.
 	l1, l2 float64
-	closed bool
 }
 
 // AddPath registers a new path with the coordinator and returns its
 // controller.
 func (o *Olia) AddPath() *OliaPath {
 	p := &OliaPath{
-		o:        o,
-		cwnd:     InitialWindowPackets * o.mss,
-		ssthresh: 1 << 30,
-		maxCwnd:  1 << 30,
-		srtt:     100 * time.Millisecond, // placeholder until sampled
+		window: newWindow(o.mss),
+		o:      o,
+		srtt:   100 * time.Millisecond, // placeholder until sampled
 	}
 	o.paths = append(o.paths, p)
 	return p
-}
-
-// Paths returns the live (non-closed) path controllers.
-func (o *Olia) Paths() []*OliaPath {
-	var out []*OliaPath
-	for _, p := range o.paths {
-		if !p.closed {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // loss-free throughput proxy: ℓ_r² / rtt_r.
@@ -72,7 +55,7 @@ func (p *OliaPath) rate() float64 {
 		l = p.l2
 	}
 	if l == 0 {
-		l = float64(p.o.mss) // fresh path: nonzero floor
+		l = float64(p.mss) // fresh path: nonzero floor
 	}
 	return l * l / p.srtt.Seconds()
 }
@@ -81,14 +64,12 @@ func (p *OliaPath) rate() float64 {
 // once per acked packet, so it counts set sizes and p's membership
 // instead of collecting the sets.
 func (o *Olia) alpha(p *OliaPath) float64 {
-	live := 0
+	if len(o.paths) < 2 {
+		return 0
+	}
 	// Find the best loss-free rate (max ℓ²/rtt) and the max window.
 	bestRate, maxW := 0.0, 0
 	for _, q := range o.paths {
-		if q.closed {
-			continue
-		}
-		live++
 		if r := q.rate(); r > bestRate {
 			bestRate = r
 		}
@@ -96,16 +77,10 @@ func (o *Olia) alpha(p *OliaPath) float64 {
 			maxW = q.cwnd
 		}
 	}
-	if live < 2 {
-		return 0
-	}
 	// collected: best paths that do not hold the max window.
 	collected, maxWPaths := 0, 0
 	pCollected, pMaxW := false, false
 	for _, q := range o.paths {
-		if q.closed {
-			continue
-		}
 		isBest := q.rate() >= bestRate*(1-1e-9)
 		hasMaxW := q.cwnd == maxW
 		if isBest && !hasMaxW {
@@ -117,7 +92,7 @@ func (o *Olia) alpha(p *OliaPath) float64 {
 			pMaxW = pMaxW || q == p
 		}
 	}
-	n := float64(live)
+	n := float64(len(o.paths))
 	if collected > 0 {
 		if pCollected {
 			return 1 / (n * float64(collected))
@@ -129,44 +104,19 @@ func (o *Olia) alpha(p *OliaPath) float64 {
 	return 0
 }
 
-// SetMaxCwnd clamps the path window.
-func (p *OliaPath) SetMaxCwnd(b int) { p.maxCwnd = b }
-
-// Close removes the path from coupling.
-func (p *OliaPath) Close() { p.closed = true }
-
-func (p *OliaPath) Name() string           { return "olia" }
-func (p *OliaPath) Cwnd() int              { return p.cwnd }
-func (p *OliaPath) InSlowStart() bool      { return p.cwnd < p.ssthresh }
-func (p *OliaPath) OnPacketSent(bytes int) {}
-
 func (p *OliaPath) OnPacketAcked(bytes int, rtt time.Duration) {
 	if rtt > 0 {
 		p.srtt = rtt
 	}
 	p.l1 += float64(bytes)
-	if p.InSlowStart() {
-		p.cwnd += bytes
-		if p.cwnd > p.maxCwnd {
-			p.cwnd = p.maxCwnd
-		}
+	if p.slowStart(bytes) {
 		return
 	}
-	mss := float64(p.o.mss)
+	mss := float64(p.mss)
 	rttSec := p.srtt.Seconds()
-	if rttSec <= 0 {
-		rttSec = 1e-3
-	}
 	sum := 0.0
 	for _, q := range p.o.paths {
-		if q.closed {
-			continue
-		}
-		qr := q.srtt.Seconds()
-		if qr <= 0 {
-			qr = 1e-3
-		}
-		sum += float64(q.cwnd) / mss / qr
+		sum += float64(q.cwnd) / mss / q.srtt.Seconds()
 	}
 	if sum <= 0 {
 		return
@@ -178,31 +128,17 @@ func (p *OliaPath) OnPacketAcked(bytes int, rtt time.Duration) {
 	if deltaBytes > float64(bytes) {
 		deltaBytes = float64(bytes)
 	}
-	p.cwnd += int(deltaBytes)
-	if p.cwnd < MinWindowPackets*p.o.mss {
-		p.cwnd = MinWindowPackets * p.o.mss
-	}
-	if p.cwnd > p.maxCwnd {
-		p.cwnd = p.maxCwnd
-	}
+	p.add(int(deltaBytes))
 }
 
 func (p *OliaPath) OnCongestionEvent() {
 	p.l2 = p.l1
 	p.l1 = 0
-	p.cwnd /= 2
-	if p.cwnd < MinWindowPackets*p.o.mss {
-		p.cwnd = MinWindowPackets * p.o.mss
-	}
-	p.ssthresh = p.cwnd
+	p.decreaseTo(p.cwnd / 2)
 }
 
 func (p *OliaPath) OnRTO() {
 	p.l2 = p.l1
 	p.l1 = 0
-	p.ssthresh = p.cwnd / 2
-	if p.ssthresh < MinWindowPackets*p.o.mss {
-		p.ssthresh = MinWindowPackets * p.o.mss
-	}
-	p.cwnd = MinWindowPackets * p.o.mss
+	p.collapse(p.cwnd / 2)
 }

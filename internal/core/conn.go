@@ -92,11 +92,10 @@ type Conn struct {
 	// nothing (DESIGN.md, "Buffer and scratch ownership"). rxPkt and
 	// rxScratch hold the wire-mode packet being handled, for the length
 	// of one HandleDatagram. txFrames and txDupFrames are the frame
-	// lists of the wire-mode packet being built: it is serialized
-	// before sendPacket returns and nothing keeps the list (struct mode
-	// hands the list itself to the peer, so it allocates one per
-	// packet). candidates and duplicates are the scheduler's path lists,
-	// valid until the next schedule call.
+	// lists of the packet being built: sendPacket serializes it (wire
+	// mode) or copies it out (struct mode) before it returns and
+	// nothing keeps the list. candidates and duplicates are the
+	// scheduler's path lists, valid until the next schedule call.
 	rxPkt       wire.Packet
 	rxScratch   wire.DecodeScratch
 	txFrames    []wire.Frame
@@ -137,6 +136,10 @@ func newConn(net DatagramSender, role Role, connID wire.ConnectionID, cfg Config
 		localAddrs:  localAddrs,
 		remoteAddrs: remoteAddrs,
 		connFC:      stream.NewFlowController(cfg.ConnWindow),
+		// Room for any ordinary packet; a longer frame list just
+		// allocates that once.
+		txFrames:    make([]wire.Frame, 0, 16),
+		txDupFrames: make([]wire.Frame, 0, 16),
 	}
 	c.startTime = c.now()
 	c.lastRecvTime = c.now()
@@ -152,12 +155,6 @@ func newConn(net DatagramSender, role Role, connID wire.ConnectionID, cfg Config
 	}
 	if cfg.CC == CCLia {
 		c.lia = cc.NewLia(mss())
-	}
-	if cfg.WireSerialization {
-		// Room for any ordinary packet; a longer frame list just
-		// allocates that once.
-		c.txFrames = make([]wire.Frame, 0, 16)
-		c.txDupFrames = make([]wire.Frame, 0, 16)
 	}
 	c.timer = sim.NewTimer(c.clock, c.onTimer)
 	return c
@@ -412,16 +409,46 @@ func (c *Conn) havePathFor(local, remote netem.Addr) bool {
 // handed over at one instant is answered once (one ACK per path), not
 // once per datagram. Any datagram without More pays what is owed,
 // including one receive drops.
-func (c *Conn) HandleDatagram(dg netem.Datagram) {
+func (c *Conn) HandleDatagram(dg netem.Datagram) { c.handle(peek(dg)) }
+
+// handle is HandleDatagram for a datagram whose header has been read
+// already, which a Listener did to find the connection.
+func (c *Conn) handle(in ingress) {
 	if c.closed {
 		return
 	}
-	c.deferring = dg.More
-	c.receive(dg)
+	c.deferring = in.More
+	c.receive(in)
 	c.deferring = false
-	if !dg.More {
+	if !in.More {
 		c.release()
 	}
+}
+
+// ingress is a datagram with its public header read. peek is the one
+// place on the receive side that knows a datagram carries either wire
+// bytes or, in struct mode, the sender's packet.
+type ingress struct {
+	netem.Datagram
+	hdr wire.Header
+	// pkt is the struct-mode packet; nil when Raw carries the packet and
+	// for a datagram that is neither (corrupt).
+	pkt     *wire.Packet
+	corrupt bool
+}
+
+func peek(dg netem.Datagram) ingress {
+	in := ingress{Datagram: dg}
+	if dg.Raw != nil {
+		var err error
+		in.hdr, _, err = wire.ParseHeader(dg.Raw, wire.InvalidPacketNumber)
+		in.corrupt = err != nil
+	} else if pkt, ok := dg.Payload.(*wire.Packet); ok {
+		in.hdr, in.pkt = pkt.Header, pkt
+	} else {
+		in.corrupt = true
+	}
+	return in
 }
 
 // release performs the send and timer reset that datagrams delivered
@@ -433,23 +460,22 @@ func (c *Conn) release() {
 }
 
 // receive decodes one ingress datagram and handles its frames.
-func (c *Conn) receive(dg netem.Datagram) {
-	var pkt *wire.Packet
+func (c *Conn) receive(dg ingress) {
+	if dg.corrupt {
+		c.corruptDrops++
+		return // a real stack drops silently
+	}
+	pkt := dg.pkt
 	if raw := dg.Raw; raw != nil {
-		// Identify the path first to pick the right PN context.
-		hdr, _, err := wire.ParseHeader(raw, wire.InvalidPacketNumber)
-		if err != nil {
-			c.corruptDrops++
-			return // corrupted: a real stack drops silently
-		}
+		// The peeked header names the path, which picks the PN context.
 		largest := wire.InvalidPacketNumber
-		if p := c.path(hdr.PathID); p != nil {
+		if p := c.path(dg.hdr.PathID); p != nil {
 			if l, has := p.ackMgr.LargestReceived(); has {
 				largest = l
 			}
 		}
 		var sealer wire.Sealer
-		if !hdr.Handshake {
+		if !dg.hdr.Handshake {
 			sealer = c.sealRecv
 		}
 		// The decode borrows raw — the payload is opened in place and
@@ -461,11 +487,6 @@ func (c *Conn) receive(dg netem.Datagram) {
 			c.corruptDrops++
 			return
 		}
-	} else if pl, ok := dg.Payload.(*wire.Packet); ok {
-		pkt = pl
-	} else {
-		c.corruptDrops++
-		return
 	}
 	if pkt.Header.ConnID != c.connID {
 		return
@@ -586,9 +607,6 @@ func (c *Conn) onFramesAcked(frames []wire.Frame) {
 		case *wire.StreamFrame:
 			if s := c.stream(fr.StreamID); s != nil {
 				s.send.OnFrameAcked(fr.Offset, fr.Len(), fr.Fin)
-				if s.onAcked != nil && s.AllAcked() {
-					s.onAcked()
-				}
 			}
 		case *wire.HandshakeFrame:
 			switch fr.Message {

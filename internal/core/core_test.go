@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mpquic/internal/apps"
+	"mpquic/internal/cc"
 	"mpquic/internal/core"
 	"mpquic/internal/netem"
 	"mpquic/internal/sim"
@@ -141,8 +142,8 @@ func TestSinglePathDownloadGoodput(t *testing.T) {
 	if len(paths) != 1 || len(h.serverConn(t).Paths()) != 1 {
 		t.Fatalf("single-path config opened %d client / %d server paths", len(paths), len(h.serverConn(t).Paths()))
 	}
-	if name := paths[0].CC().Name(); name != "cubic" {
-		t.Fatalf("baseline must run CUBIC, got %s", name)
+	if _, ok := paths[0].CC().(*cc.Cubic); !ok {
+		t.Fatalf("baseline must run CUBIC, got %T", paths[0].CC())
 	}
 }
 

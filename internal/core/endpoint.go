@@ -137,30 +137,21 @@ func (l *Listener) release() {
 }
 
 func (l *Listener) dispatch(dg netem.Datagram) {
-	var hdr wire.Header
-	if dg.Raw != nil {
-		var err error
-		hdr, _, err = wire.ParseHeader(dg.Raw, wire.InvalidPacketNumber)
-		if err != nil {
-			l.corruptDrops++
-			return
-		}
-	} else if pl, ok := dg.Payload.(*wire.Packet); ok {
-		hdr = pl.Header
-	} else {
+	in := peek(dg)
+	if in.corrupt {
 		l.corruptDrops++
 		return
 	}
-	c, ok := l.conns[hdr.ConnID]
+	c, ok := l.conns[in.hdr.ConnID]
 	if !ok {
-		if !hdr.Handshake {
+		if !in.hdr.Handshake {
 			l.strayDrops++
 			return
 		}
-		c = l.accept(hdr.ConnID, dg.From)
+		c = l.accept(in.hdr.ConnID, dg.From)
 	}
 	owed := c.held
-	c.HandleDatagram(dg)
+	c.handle(in)
 	if c.held && !owed {
 		l.holding = append(l.holding, c)
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mpquic/internal/apps"
+	"mpquic/internal/cc"
 	"mpquic/internal/core"
 	"mpquic/internal/netem"
 	"mpquic/internal/sim"
@@ -82,8 +83,8 @@ func TestLIACongestionControlTransfer(t *testing.T) {
 		t.Fatalf("LIA did not aggregate: %.2f Mbps", res.GoodputBps()/1e6)
 	}
 	srv := h.serverConn(t)
-	if srv.Paths()[0].CC().Name() != "lia" {
-		t.Fatalf("cc %s", srv.Paths()[0].CC().Name())
+	if _, ok := srv.Paths()[0].CC().(*cc.LiaPath); !ok {
+		t.Fatalf("cc %T", srv.Paths()[0].CC())
 	}
 }
 

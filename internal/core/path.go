@@ -42,7 +42,7 @@ type Path struct {
 	// (per-path WINDOW_UPDATE copies, PATHS frames, acks ride along
 	// separately).
 	ctrl []wire.Frame
-	// ackFrame is the wire-mode ACK scratch (see Conn.buildAck).
+	// ackFrame is the ACK scratch (see buildAck).
 	ackFrame wire.AckFrame
 
 	// Stats

@@ -162,12 +162,7 @@ func (c *Conn) sendPathCtrl(ackedOn *pathSet) {
 	for _, p := range c.paths {
 		for len(p.ctrl) > 0 {
 			frames, budget := c.startPacket(p, ackedOn)
-			for len(p.ctrl) > 0 && p.ctrl[0].EncodedSize() <= budget {
-				f := p.ctrl[0]
-				p.ctrl = p.ctrl[1:]
-				frames = append(frames, f)
-				budget -= f.EncodedSize()
-			}
+			frames, _ = takeCtrl(frames, &p.ctrl, budget)
 			c.sendPacket(p, frames, false, true)
 		}
 	}
@@ -194,7 +189,7 @@ func (c *Conn) sendHandshake() {
 		// Bundle the ack of the CHLO so the client gets an immediate
 		// RTT sample.
 		if p0.ackMgr.ShouldSendAck(c.now()) {
-			if ack := c.buildAck(p0, c.now()); ack != nil {
+			if ack := p0.buildAck(c.now()); ack != nil {
 				frames = append([]wire.Frame{ack}, frames...)
 			}
 		}
@@ -240,27 +235,11 @@ func (c *Conn) sendData(ackedOn *pathSet) {
 	}
 }
 
-// frameList returns an empty frame list for the next outgoing packet.
-// In wire mode that is the given connection-owned scratch: the packet
-// is serialized before sendPacket returns and nothing keeps the list.
-// Struct mode hands the list itself to the peer, so each packet gets a
-// fresh one.
-func (c *Conn) frameList(scratch []wire.Frame) []wire.Frame {
-	if c.cfg.WireSerialization {
-		return scratch[:0]
-	}
-	return make([]wire.Frame, 0, 4)
-}
-
-// buildAck builds path p's pending ACK, or nil when nothing was
-// received yet. In wire mode the frame is the path's scratch, valid
-// until the path's next ACK is built — by then it has been serialized,
-// and recovery keeps no ACK frames. Struct mode gives the peer the
-// frame itself, so it gets a fresh one.
-func (c *Conn) buildAck(p *Path, now time.Duration) *wire.AckFrame {
-	if !c.cfg.WireSerialization {
-		return p.ackMgr.BuildAck(now)
-	}
+// buildAck builds the path's pending ACK, or nil when nothing was
+// received yet. The frame is the path's scratch, valid until the path's
+// next ACK is built — by then sendPacket has serialized or copied it,
+// and recovery keeps no ACK frames.
+func (p *Path) buildAck(now time.Duration) *wire.AckFrame {
 	if !p.ackMgr.BuildAckInto(&p.ackFrame, now) {
 		return nil
 	}
@@ -274,9 +253,9 @@ func (c *Conn) buildAck(p *Path, now time.Duration) *wire.AckFrame {
 // is computed once.
 func (c *Conn) startPacket(p *Path, ackedOn *pathSet) ([]wire.Frame, int) {
 	budget := wire.MaxPacketSize - c.headerSize(p, false) - wire.AEADOverhead
-	frames := c.frameList(c.txFrames)
+	frames := c.txFrames[:0]
 	if now := c.now(); p.ackMgr.ShouldSendAck(now) {
-		if ack := c.buildAck(p, now); ack != nil {
+		if ack := p.buildAck(now); ack != nil {
 			if size := ack.EncodedSize(); size <= budget {
 				frames = append(frames, ack)
 				budget -= size
@@ -290,7 +269,7 @@ func (c *Conn) startPacket(p *Path, ackedOn *pathSet) ([]wire.Frame, int) {
 // dupFrames strips non-duplicable frames (ACKs belong to the original
 // path's context) from a duplicated packet.
 func (c *Conn) dupFrames(frames []wire.Frame) []wire.Frame {
-	out := c.frameList(c.txDupFrames)
+	out := c.txDupFrames[:0]
 	for _, f := range frames {
 		if _, isAck := f.(*wire.AckFrame); isAck {
 			continue
@@ -339,20 +318,10 @@ func (c *Conn) packFrames(p *Path, ackedOn *pathSet) (frames []wire.Frame, hasDa
 	frames, budget := c.startPacket(p, ackedOn)
 	// Path-pinned control frames (WINDOW_UPDATE broadcast copies,
 	// PATHS frames).
-	for len(p.ctrl) > 0 && p.ctrl[0].EncodedSize() <= budget {
-		f := p.ctrl[0]
-		p.ctrl = p.ctrl[1:]
-		frames = append(frames, f)
-		budget -= f.EncodedSize()
-	}
+	frames, budget = takeCtrl(frames, &p.ctrl, budget)
 	// Floating control frames: any path will do (§3 — the scheduler
 	// also decides which control frame goes on which path).
-	for len(c.ctrl) > 0 && c.ctrl[0].EncodedSize() <= budget {
-		f := c.ctrl[0]
-		c.ctrl = c.ctrl[1:]
-		frames = append(frames, f)
-		budget -= f.EncodedSize()
-	}
+	frames, budget = takeCtrl(frames, &c.ctrl, budget)
 	// Stream data.
 	for _, s := range c.streams {
 		for budget > 24 && s.send.HasData() {
@@ -376,6 +345,19 @@ func (c *Conn) packFrames(p *Path, ackedOn *pathSet) (frames []wire.Frame, hasDa
 	return frames, hasData
 }
 
+// takeCtrl moves control frames from the head of queue into the packet
+// while they fit, and returns the frame list and the budget left.
+func takeCtrl(frames []wire.Frame, queue *[]wire.Frame, budget int) ([]wire.Frame, int) {
+	q := *queue
+	for len(q) > 0 && q[0].EncodedSize() <= budget {
+		frames = append(frames, q[0])
+		budget -= q[0].EncodedSize()
+		q = q[1:]
+	}
+	*queue = q
+	return frames, budget
+}
+
 // sendPureAcks emits ack-only packets for paths that still owe an ACK
 // after the data pass. Ack-only packets bypass the congestion window
 // and are not retransmittable.
@@ -385,8 +367,8 @@ func (c *Conn) sendPureAcks(ackedOn *pathSet) {
 		if ackedOn.has(p.ID) || !p.ackMgr.ShouldSendAck(now) {
 			continue
 		}
-		if ack := c.buildAck(p, now); ack != nil {
-			c.sendPacket(p, append(c.frameList(c.txFrames), ack), false, true)
+		if ack := p.buildAck(now); ack != nil {
+			c.sendPacket(p, append(c.txFrames[:0], ack), false, true)
 		}
 	}
 }
@@ -404,14 +386,16 @@ func (c *Conn) headerSize(p *Path, handshake bool) int {
 }
 
 // sendPacket builds, tracks and transmits one packet on path p.
-// track=false is used for fire-and-forget CONNECTION_CLOSE.
+// track=false is used for fire-and-forget CONNECTION_CLOSE. Nothing it
+// is given is kept past the call — frames may be the connection's
+// scratch and an ACK frame the path's — so this is where the two modes
+// part: wire mode serializes the packet, struct mode copies it out.
 func (c *Conn) sendPacket(p *Path, frames []wire.Frame, handshake, track bool) {
 	if len(frames) == 0 {
 		return
 	}
 	pn := p.space.NextPacketNumber()
-	// pkt stays on the stack in wire mode; only struct mode, which
-	// hands the packet itself to the network, boxes a copy below.
+	// pkt stays on the stack in wire mode.
 	pkt := wire.Packet{
 		Header: wire.Header{
 			ConnID:       c.connID,
@@ -428,7 +412,6 @@ func (c *Conn) sendPacket(p *Path, frames []wire.Frame, handshake, track bool) {
 	now := c.now()
 	if track && retransmittable {
 		p.space.RecordSent(pn, frames, size, now)
-		p.cc.OnPacketSent(size)
 		p.lastRetransmittableSent = now
 	}
 	p.SentPackets++
@@ -445,10 +428,27 @@ func (c *Conn) sendPacket(p *Path, frames []wire.Frame, handshake, track bool) {
 		}
 		dg.Raw = pkt.EncodeTo(wire.GetPacketBuf(), sealer)
 	} else {
-		boxed := pkt
-		dg.Payload = &boxed
+		dg.Payload = ownedCopy(pkt)
 	}
 	c.net.Send(dg)
+}
+
+// ownedCopy is struct mode's hand-off: the peer receives the packet
+// itself, so it gets its own frame list and its own copy of any ACK
+// frame, ranges included. Every other frame is immutable once built and
+// is shared with the sender's retransmission state.
+func ownedCopy(pkt wire.Packet) *wire.Packet {
+	frames := make([]wire.Frame, len(pkt.Frames))
+	for i, f := range pkt.Frames {
+		if ack, ok := f.(*wire.AckFrame); ok {
+			own := *ack
+			own.Ranges = append([]wire.AckRange(nil), ack.Ranges...)
+			f = &own
+		}
+		frames[i] = f
+	}
+	pkt.Frames = frames
+	return &pkt
 }
 
 // sendPacketOn is Close's helper: untracked single packet.

@@ -19,8 +19,6 @@ type Stream struct {
 	// onData fires whenever new contiguous bytes become readable or
 	// the FIN arrives.
 	onData func()
-	// onAcked fires when every written byte (and FIN) is acked.
-	onAcked func()
 }
 
 // ID returns the stream ID.
@@ -79,9 +77,6 @@ func (s *Stream) AllAcked() bool { return s.send.AllAcked() }
 
 // OnData registers the data-arrival callback.
 func (s *Stream) OnData(fn func()) { s.onData = fn }
-
-// OnAcked registers the all-acked callback.
-func (s *Stream) OnAcked(fn func()) { s.onAcked = fn }
 
 // --- connection-side stream management ---
 
