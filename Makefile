@@ -16,12 +16,14 @@ vet:
 doclint:
 	go run ./scripts/doclint.go
 
+# A short run of every native fuzzer; CI passes FUZZTIME=60s.
+FUZZTIME ?= 30s
 fuzz-smoke:
-	go test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=30s ./internal/wire
-	go test -run='^$$' -fuzz='^FuzzDecodeBorrowed$$' -fuzztime=30s ./internal/wire
-	go test -run='^$$' -fuzz='^FuzzLiveIngress$$' -fuzztime=30s ./internal/live
-	go test -run='^$$' -fuzz='^FuzzRecvStream$$' -fuzztime=30s ./internal/stream
-	go test -run='^$$' -fuzz='^FuzzClockOps$$' -fuzztime=30s ./internal/sim
+	go test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/wire
+	go test -run='^$$' -fuzz='^FuzzDecodeBorrowed$$' -fuzztime=$(FUZZTIME) ./internal/wire
+	go test -run='^$$' -fuzz='^FuzzLiveIngress$$' -fuzztime=$(FUZZTIME) ./internal/live
+	go test -run='^$$' -fuzz='^FuzzRecvStream$$' -fuzztime=$(FUZZTIME) ./internal/stream
+	go test -run='^$$' -fuzz='^FuzzClockOps$$' -fuzztime=$(FUZZTIME) ./internal/sim
 
 # Every BENCHMARK.json workload once, end-to-end metrics (about 20 s each).
 bench:

@@ -317,6 +317,39 @@ func BenchmarkAblationTailReinjection(b *testing.B) {
 	b.ReportMetric(without, "no_reinjection_mean_s")
 }
 
+// BenchmarkStructVsWireNullSealer is the measurement behind the
+// decision to keep struct mode (DESIGN.md, "Substitutions"): the same
+// MPQUIC downloads — eight scenarios of a class, 4 MiB each — with
+// packets handed over as structs and with every packet encoded and
+// decoded, AEAD off in both so only the codec differs. Compare the
+// ns/op and allocs/op of the struct and wire sub-benchmarks of a class:
+//
+//	go test -run '^$' -bench StructVsWireNullSealer -benchmem -count 3 .
+func BenchmarkStructVsWireNullSealer(b *testing.B) {
+	for _, class := range []expdesign.Class{expdesign.LowBDPNoLoss, expdesign.HighBDPLosses} {
+		scenarios := expdesign.GenerateScenarios(class, 8)
+		for _, wire := range []bool{false, true} {
+			mode := "struct"
+			if wire {
+				mode = "wire"
+			}
+			b.Run(class.Name+"/"+mode, func(b *testing.B) {
+				b.ReportAllocs()
+				cfg := core.DefaultConfig()
+				cfg.EnableCrypto = false
+				cfg.WireSerialization = wire
+				for i := 0; i < b.N; i++ {
+					for _, sc := range scenarios {
+						if res := expdesign.RunMPQUICVariant(sc, cfg, 4<<20, 0, 11); !res.Completed {
+							b.Fatalf("%s did not complete", sc)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkAblationZeroRTT quantifies the 0-RTT resumption extension
 // on Fig. 9's short-transfer workload, where §4.2 shows handshake
 // latency dominates.

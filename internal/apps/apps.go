@@ -127,9 +127,6 @@ func (g *GetClient) sendRequest() {
 	s.Close()
 }
 
-// Result returns the finished download, or nil while in flight.
-func (g *GetClient) Result() *GetResult { return g.result }
-
 // Done reports completion.
 func (g *GetClient) Done() bool { return g.result != nil }
 

@@ -242,20 +242,3 @@ func GenerateScenarios(c Class, n int) []Scenario {
 func logMap(x, lo, hi float64) float64 {
 	return lo * math.Pow(hi/lo, x)
 }
-
-// BestPath returns the index of the path with the higher capacity
-// (tie-broken by lower RTT) — the a-priori "best" path used to label
-// best/worst-path-first runs when single-path goodputs are equal.
-func (s Scenario) BestPath() int {
-	a, b := s.Paths[0], s.Paths[1]
-	if a.CapacityMbps != b.CapacityMbps {
-		if a.CapacityMbps > b.CapacityMbps {
-			return 0
-		}
-		return 1
-	}
-	if a.RTT <= b.RTT {
-		return 0
-	}
-	return 1
-}

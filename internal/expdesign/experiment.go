@@ -62,15 +62,10 @@ type GridConfig struct {
 	// FlightDir, when non-empty, arms a bounded flight recorder on
 	// every run and writes a post-mortem JSONL dump into this directory
 	// whenever a run ends anomalously (timeout, simulator abort, or an
-	// RTO storm). Healthy runs produce no files. Dump writing is
-	// best-effort: an I/O failure never fails the grid.
+	// RTO storm: DefaultRTOStorm timeouts). The ring holds the last
+	// trace.DefaultFlightEvents events. Healthy runs produce no files.
+	// Dump writing is best-effort: an I/O failure never fails the grid.
 	FlightDir string
-	// FlightEvents bounds the flight-recorder ring
-	// (trace.DefaultFlightEvents when <= 0).
-	FlightEvents int
-	// FlightRTOStorm is the sender RTO count classifying a completed
-	// run as an RTO storm (DefaultRTOStorm when 0).
-	FlightRTOStorm uint64
 }
 
 // DefaultRTOStorm is the sender RTO count at which a completed run is
@@ -116,14 +111,8 @@ func runScenario(cfg GridConfig, sc Scenario) ScenarioResult {
 			seed := runSeed(cfg.Class, sc.ID, proto, start)
 			opts := RunOpts{SampleInterval: cfg.SampleInterval}
 			if cfg.FlightDir != "" {
-				opts.FlightEvents = cfg.FlightEvents
-				if opts.FlightEvents <= 0 {
-					opts.FlightEvents = trace.DefaultFlightEvents
-				}
-				opts.RTOStorm = cfg.FlightRTOStorm
-				if opts.RTOStorm == 0 {
-					opts.RTOStorm = DefaultRTOStorm
-				}
+				opts.FlightEvents = trace.DefaultFlightEvents
+				opts.RTOStorm = DefaultRTOStorm
 				proto, start := proto, start
 				opts.FlightDump = func(rep int, anomaly string, rec *trace.FlightRecorder) {
 					writeFlightDump(cfg, sc, proto, start, rep, anomaly, rec)

@@ -128,14 +128,6 @@ func (b *PathBinder) Locals() []netem.Addr {
 	return out
 }
 
-// NumPaths reports the number of bound local path endpoints.
-func (b *PathBinder) NumPaths() int { return len(b.socks) }
-
-// LocalUDP returns the bound UDP address of local path endpoint i.
-func (b *PathBinder) LocalUDP(i int) *net.UDPAddr {
-	return net.UDPAddrFromAddrPort(b.socks[i].ap)
-}
-
 // socketFor returns the socket slot owning a local address, or nil.
 func (b *PathBinder) socketFor(local netem.Addr) *pathSocket {
 	return b.byLocal[local]
@@ -156,16 +148,6 @@ func (b *PathBinder) remoteAddrPort(addr netem.Addr) (netip.AddrPort, bool) {
 	ap = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 	b.remotes[addr] = ap
 	return ap, true
-}
-
-// RemoteUDP resolves a remote path address to a UDP address, caching
-// the underlying lookup.
-func (b *PathBinder) RemoteUDP(addr netem.Addr) (*net.UDPAddr, error) {
-	ap, ok := b.remoteAddrPort(addr)
-	if !ok {
-		return nil, fmt.Errorf("live: resolve %s: unresolvable address", addr)
-	}
-	return net.UDPAddrFromAddrPort(ap), nil
 }
 
 // kernelDrops sums the kernel receive-queue overflow counters of every

@@ -2,6 +2,7 @@ package live_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"net"
 	"os"
@@ -150,24 +151,21 @@ func TestTinySocketBufferOverflowSurfaced(t *testing.T) {
 	t.Logf("flood=%d delivered=%d kernel drops=%d", flood, h.packets, d.Stats.RcvQueueDrops)
 }
 
-// Cancellation mid-download: the Cancel channel wakes a blocked loop
-// promptly and surfaces ErrCanceled (the facade maps it to the
-// caller's context error).
+// Cancellation mid-download: a canceled context wakes a blocked loop
+// promptly and DownloadWith returns the context's error.
 func TestDownloadCancel(t *testing.T) {
 	silent := newDriver(t, 1) // bound sockets, no endpoint: never answers
 	client, conn := dial(t, silent, 1, 77)
-	cancel := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	go func() {
 		time.Sleep(50 * time.Millisecond)
-		close(cancel)
+		cancel()
 	}()
 	start := time.Now()
-	_, err := live.DownloadWith(client, conn, 1<<20, live.DownloadOpts{
-		Deadline: 30 * time.Second,
-		Cancel:   cancel,
-	})
-	if !errors.Is(err, live.ErrCanceled) {
-		t.Fatalf("DownloadWith after cancel = %v, want ErrCanceled", err)
+	_, err := live.DownloadWith(ctx, client, conn, 1<<20, 30*time.Second)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("DownloadWith after cancel = %v, want context.Canceled", err)
 	}
 	if el := time.Since(start); el > 5*time.Second {
 		t.Fatalf("cancellation took %v, want prompt wake-up", el)

@@ -329,9 +329,6 @@ func NewDriver(localAddrs []string, opts ...Option) (*Driver, error) {
 //mpq:confined run-loop
 func (d *Driver) Clock() *sim.Clock { return d.clock }
 
-// Binder returns the driver's path binder.
-func (d *Driver) Binder() *PathBinder { return d.binder }
-
 // LocalAddrs returns the actually-bound local path addresses in bind
 // order (index i is path i's local endpoint). Pass them to core.Dial
 // or core.Listen.

@@ -13,6 +13,7 @@ import (
 	"mpquic/internal/core"
 	"mpquic/internal/live"
 	"mpquic/internal/netem"
+	"mpquic/internal/sim"
 )
 
 // newDriver binds a live driver on n loopback sockets, skipping the
@@ -148,6 +149,21 @@ func TestSequentialDownloadsSameConn(t *testing.T) {
 		if res.Size != 64<<10 {
 			t.Fatalf("download %d: size %d", i, res.Size)
 		}
+	}
+}
+
+// TestDownloadDeadlineDisarmedOnReturn: a finished GET leaves nothing
+// armed on the driver's clock, so a driver reused for the next transfer
+// does not wake for the last one's deadline.
+func TestDownloadDeadlineDisarmedOnReturn(t *testing.T) {
+	server := startGetServer(t, 1)
+	client, conn := dial(t, server, 1, 4)
+	if _, err := live.Download(client, conn, 64<<10, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close() // stops the connection's own timer
+	if dl := client.Clock().NextDeadline(); dl != sim.Never {
+		t.Fatalf("clock still has an event at %v after the download returned", dl.Duration())
 	}
 }
 

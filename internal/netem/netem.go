@@ -282,23 +282,6 @@ func (l *Link) Reconfigure(cfg LinkConfig) {
 	l.emitReconfigured()
 }
 
-// SetRateMbps changes only the link capacity, re-deriving the queue
-// capacity from the unchanged QueueDelay bound.
-func (l *Link) SetRateMbps(rate float64) {
-	cfg := l.cfg
-	cfg.RateMbps = rate
-	l.Reconfigure(cfg)
-}
-
-// SetDelay changes only the one-way propagation delay. Packets already
-// propagating keep their old delay, so a large downward step can
-// reorder across the change, exactly as a route change can.
-func (l *Link) SetDelay(d time.Duration) {
-	cfg := l.cfg
-	cfg.Delay = d
-	l.Reconfigure(cfg)
-}
-
 // SetLossModel installs (or, with nil, removes) a pluggable loss
 // process, replacing the built-in Bernoulli draw over cfg.LossRate.
 func (l *Link) SetLossModel(m LossModel) {

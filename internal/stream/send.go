@@ -78,11 +78,6 @@ func (s *SendStream) HasData() bool {
 // HasRetransmission reports whether lost data is queued.
 func (s *SendStream) HasRetransmission() bool { return !s.rtx.Empty() || s.finLost }
 
-// BytesOutstanding reports unacked stream bytes (sent but not acked).
-func (s *SendStream) BytesOutstanding() uint64 {
-	return s.nextSend - s.acked.Size() - s.rtx.Size()
-}
-
 // NextFrame builds the next STREAM frame. maxFrameSize bounds the
 // encoded frame size; newDataAllowance bounds how many *new* (never
 // sent) bytes may be included per flow control. Retransmitted bytes
@@ -183,9 +178,6 @@ func (s *SendStream) AllAcked() bool {
 	}
 	return s.acked.Contains(0, s.writeOffset)
 }
-
-// WriteOffset returns the total bytes written.
-func (s *SendStream) WriteOffset() uint64 { return s.writeOffset }
 
 // UnsentBytes reports written bytes never transmitted yet.
 func (s *SendStream) UnsentBytes() uint64 { return s.writeOffset - s.nextSend }

@@ -45,15 +45,6 @@ func (p *Packet) EncodedSize() int {
 	return n
 }
 
-// PayloadSize is the summed encoded size of the frames.
-func (p *Packet) PayloadSize() int {
-	n := 0
-	for _, f := range p.Frames {
-		n += f.EncodedSize()
-	}
-	return n
-}
-
 // IsRetransmittable reports whether any frame needs loss recovery.
 func (p *Packet) IsRetransmittable() bool {
 	for _, f := range p.Frames {

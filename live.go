@@ -1,7 +1,7 @@
 package mpquic
 
 import (
-	"errors"
+	"context"
 	"time"
 
 	"mpquic/internal/apps"
@@ -158,18 +158,14 @@ func (n *LiveNetwork) DownloadWith(client *Conn, size uint64, opts DownloadOpts)
 	if deadline <= 0 {
 		deadline = DefaultLiveDeadline
 	}
-	lopts := live.DownloadOpts{Deadline: deadline}
-	if opts.Ctx != nil {
-		if err := opts.Ctx.Err(); err != nil {
-			return GetResult{}, err
-		}
-		lopts.Cancel = opts.Ctx.Done()
+	ctx := opts.Ctx
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	res, err := live.DownloadWith(n.d, client, size, lopts)
-	if errors.Is(err, live.ErrCanceled) {
-		err = opts.Ctx.Err() // only a fired Ctx.Done() cancels
+	if err := ctx.Err(); err != nil {
+		return GetResult{}, err
 	}
-	return res, err
+	return live.DownloadWith(ctx, n.d, client, size, deadline)
 }
 
 // Close shuts the sockets down; a concurrent Serve returns ErrClosed.
