@@ -409,11 +409,14 @@ func (c *Conn) havePathFor(local, remote netem.Addr) bool {
 // handed over at one instant is answered once (one ACK per path), not
 // once per datagram. Any datagram without More pays what is owed,
 // including one receive drops.
-func (c *Conn) HandleDatagram(dg netem.Datagram) { c.handle(peek(dg)) }
+func (c *Conn) HandleDatagram(dg netem.Datagram) {
+	in := peek(dg)
+	c.handle(&in)
+}
 
 // handle is HandleDatagram for a datagram whose header has been read
 // already, which a Listener did to find the connection.
-func (c *Conn) handle(in ingress) {
+func (c *Conn) handle(in *ingress) {
 	if c.closed {
 		return
 	}
@@ -460,22 +463,22 @@ func (c *Conn) release() {
 }
 
 // receive decodes one ingress datagram and handles its frames.
-func (c *Conn) receive(dg ingress) {
-	if dg.corrupt {
+func (c *Conn) receive(in *ingress) {
+	if in.corrupt {
 		c.corruptDrops++
 		return // a real stack drops silently
 	}
-	pkt := dg.pkt
-	if raw := dg.Raw; raw != nil {
+	pkt := in.pkt
+	if raw := in.Raw; raw != nil {
 		// The peeked header names the path, which picks the PN context.
 		largest := wire.InvalidPacketNumber
-		if p := c.path(dg.hdr.PathID); p != nil {
+		if p := c.path(in.hdr.PathID); p != nil {
 			if l, has := p.ackMgr.LargestReceived(); has {
 				largest = l
 			}
 		}
 		var sealer wire.Sealer
-		if !dg.hdr.Handshake {
+		if !in.hdr.Handshake {
 			sealer = c.sealRecv
 		}
 		// The decode borrows raw — the payload is opened in place and
@@ -504,17 +507,17 @@ func (c *Conn) receive(dg ingress) {
 		if len(c.paths) >= c.cfg.MaxPaths && c.cfg.MaxPaths > 0 {
 			return
 		}
-		p = c.addPath(pathID, dg.To, dg.From)
+		p = c.addPath(pathID, in.To, in.From)
 	}
-	if p.Remote != dg.From {
+	if p.Remote != in.From {
 		// NAT rebinding: keep path state, update the remote (§3).
-		p.Remote = dg.From
+		p.Remote = in.From
 	}
 	p.RecvPackets++
-	p.RecvBytes += uint64(dg.Size)
+	p.RecvBytes += uint64(in.Size)
 	c.Stats.PacketsReceived++
-	c.Stats.BytesReceived += uint64(dg.Size)
-	c.trace(trace.Event{Type: trace.PacketReceived, Path: uint8(p.ID), PN: uint64(pkt.Header.PacketNumber), Size: dg.Size})
+	c.Stats.BytesReceived += uint64(in.Size)
+	c.trace(trace.Event{Type: trace.PacketReceived, Path: uint8(p.ID), PN: uint64(pkt.Header.PacketNumber), Size: in.Size})
 
 	if !p.ackMgr.OnPacketReceived(pkt.Header.PacketNumber, pkt.IsRetransmittable(), now) {
 		// Duplicate (e.g. scheduler duplication or spurious rtx):
@@ -578,8 +581,6 @@ func (c *Conn) handleAck(recvPath *Path, ack *wire.AckFrame) {
 	}
 	if len(res.NewlyAcked) > 0 {
 		c.trace(trace.Event{Type: trace.CwndUpdated, Path: uint8(target.ID), Cwnd: target.cc.Cwnd(), SRTT: srtt})
-	}
-	if len(res.NewlyAcked) > 0 {
 		target.lastAckProgress = c.now()
 		if target.potentiallyFailed {
 			// Data acknowledged on the path: it works again (§4.3).
@@ -759,7 +760,7 @@ func (c *Conn) Close() {
 	}
 	frame := &wire.ConnectionCloseFrame{ErrorCode: 0, Reason: "done"}
 	for _, p := range c.paths {
-		c.sendPacketOn(p, []wire.Frame{frame}, false)
+		c.sendPacket(p, []wire.Frame{frame}, false, false) // fire and forget
 	}
 	c.finishClose()
 }

@@ -151,7 +151,7 @@ func (l *Listener) dispatch(dg netem.Datagram) {
 		c = l.accept(in.hdr.ConnID, dg.From)
 	}
 	owed := c.held
-	c.handle(in)
+	c.handle(&in)
 	if c.held && !owed {
 		l.holding = append(l.holding, c)
 	}

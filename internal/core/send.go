@@ -450,8 +450,3 @@ func ownedCopy(pkt wire.Packet) *wire.Packet {
 	pkt.Frames = frames
 	return &pkt
 }
-
-// sendPacketOn is Close's helper: untracked single packet.
-func (c *Conn) sendPacketOn(p *Path, frames []wire.Frame, handshake bool) {
-	c.sendPacket(p, frames, handshake, false)
-}
