@@ -441,9 +441,9 @@ func ownedCopy(pkt wire.Packet) *wire.Packet {
 	frames := make([]wire.Frame, len(pkt.Frames))
 	for i, f := range pkt.Frames {
 		if ack, ok := f.(*wire.AckFrame); ok {
-			own := *ack
-			own.Ranges = append([]wire.AckRange(nil), ack.Ranges...)
-			f = &own
+			ranges := make([]wire.AckRange, len(ack.Ranges))
+			copy(ranges, ack.Ranges)
+			f = &wire.AckFrame{PathID: ack.PathID, Ranges: ranges, AckDelay: ack.AckDelay}
 		}
 		frames[i] = f
 	}
