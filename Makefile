@@ -1,7 +1,7 @@
 # Convenience targets; see scripts/check.sh for the pre-commit gate and
 # bench/run.sh (BENCHMARK.json) for the repository benchmark.
 
-.PHONY: build test vet doclint fuzz-smoke bench sim-signature grid-signature live-smoke chaos-smoke check
+.PHONY: build test vet doclint fuzz-smoke bench bench-pairs sim-signature grid-signature live-smoke chaos-smoke check
 
 build:
 	go build ./...
@@ -30,6 +30,13 @@ bench:
 	for w in sim_grid_bulk sim_grid_lossy sim_wire_crypto live_loopback_2p live_large_1p; do \
 		bash bench/run.sh --workload $$w || exit 1; \
 	done
+
+# Paired runs of one workload on a checkout of the parent commit and on
+# this tree, alternating, ending in --compare:
+#   make bench-pairs PARENT=/tmp/parent WORKLOAD=sim_grid_bulk PAIRS=10
+PAIRS ?= 10
+bench-pairs:
+	sh scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 # What the three sim_* workloads do in simulated terms (packets, losses,
 # RTOs, queue drops, transfer time) at seeds 0 and 5, to diff against

@@ -37,6 +37,7 @@ type Conn struct {
 	role   Role
 	clock  *sim.Clock
 	net    DatagramSender
+	lender packetLender // net again, when it lends struct-mode packets; else nil
 	connID wire.ConnectionID
 
 	// paths holds every path in creation order — the order the
@@ -92,14 +93,20 @@ type Conn struct {
 	// nothing (DESIGN.md, "Buffer and scratch ownership"). rxPkt and
 	// rxScratch hold the wire-mode packet being handled, for the length
 	// of one HandleDatagram. txFrames and txDupFrames are the frame
-	// lists of the packet being built: sendPacket serializes it (wire
-	// mode) or copies it out (struct mode) before it returns and
-	// nothing keeps the list. candidates and duplicates are the
-	// scheduler's path lists, valid until the next schedule call.
+	// lists of the packet being built, txStreams the STREAM frames in
+	// them and txAckSize the encoded size of the ACK frame leading
+	// txFrames (0 without one), all from startPacket to the next:
+	// sendPacket serializes the packet (wire mode) or copies it out
+	// (struct mode) before it returns and recovery records its own copy
+	// of every STREAM frame, so nothing keeps list or frames. candidates
+	// and duplicates are the scheduler's path lists, valid until the
+	// next schedule call.
 	rxPkt       wire.Packet
-	rxScratch   wire.DecodeScratch
+	rxScratch   wire.FrameArena
 	txFrames    []wire.Frame
 	txDupFrames []wire.Frame
+	txStreams   []wire.StreamFrame
+	txAckSize   int
 	candidates  []*Path
 	duplicates  []*Path
 
@@ -141,6 +148,7 @@ func newConn(net DatagramSender, role Role, connID wire.ConnectionID, cfg Config
 		txFrames:    make([]wire.Frame, 0, 16),
 		txDupFrames: make([]wire.Frame, 0, 16),
 	}
+	c.lender, _ = net.(packetLender)
 	c.startTime = c.now()
 	c.lastRecvTime = c.now()
 	if role == RoleClient {
@@ -760,7 +768,7 @@ func (c *Conn) Close() {
 	}
 	frame := &wire.ConnectionCloseFrame{ErrorCode: 0, Reason: "done"}
 	for _, p := range c.paths {
-		c.sendPacket(p, []wire.Frame{frame}, false, false) // fire and forget
+		c.sendPacket(p, []wire.Frame{frame}, frame.EncodedSize(), false, false) // fire and forget
 	}
 	c.finishClose()
 }

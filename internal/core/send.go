@@ -82,7 +82,7 @@ func (c *Conn) sendTailReinjection() {
 				continue
 			}
 			c.Stats.TailReinjections++
-			c.sendPacket(p, frames, false, true)
+			c.sendPacket(p, frames, framesSize(frames), false, true)
 		}
 	}
 }
@@ -161,9 +161,9 @@ func (c *Conn) sendPathCtrl(ackedOn *pathSet) {
 	}
 	for _, p := range c.paths {
 		for len(p.ctrl) > 0 {
-			frames, budget := c.startPacket(p, ackedOn)
-			frames, _ = takeCtrl(frames, &p.ctrl, budget)
-			c.sendPacket(p, frames, false, true)
+			frames, budget, room := c.startPacket(p, ackedOn)
+			frames, budget = takeCtrl(frames, &p.ctrl, budget)
+			c.sendPacket(p, frames, room-budget, false, true)
 		}
 	}
 }
@@ -193,7 +193,7 @@ func (c *Conn) sendHandshake() {
 				frames = append([]wire.Frame{ack}, frames...)
 			}
 		}
-		c.sendPacket(p0, frames, true, true)
+		c.sendPacket(p0, frames, framesSize(frames), true, true)
 	}
 }
 
@@ -203,7 +203,7 @@ func (c *Conn) sendHandshakePacket(p *Path, hs *wire.HandshakeFrame) {
 	if pad > 0 {
 		frames = append(frames, &wire.PaddingFrame{Length: pad})
 	}
-	c.sendPacket(p, frames, true, true)
+	c.sendPacket(p, frames, framesSize(frames), true, true)
 }
 
 // sendData runs the scheduler loop, building packets until nothing is
@@ -221,15 +221,15 @@ func (c *Conn) sendData(ackedOn *pathSet) {
 		if primary == nil {
 			return
 		}
-		frames, hasData := c.packFrames(primary, ackedOn)
+		frames, payload, hasData := c.packFrames(primary, ackedOn)
 		if len(frames) == 0 {
 			return
 		}
-		c.sendPacket(primary, frames, false, true)
+		c.sendPacket(primary, frames, payload, false, true)
 		if hasData {
 			for _, dup := range duplicates {
 				c.Stats.DuplicatedPackets++
-				c.sendPacket(dup, c.dupFrames(frames), false, true)
+				c.sendPacket(dup, c.dupFrames(frames), payload-c.txAckSize, false, true)
 			}
 		}
 	}
@@ -246,28 +246,37 @@ func (p *Path) buildAck(now time.Duration) *wire.AckFrame {
 	return &p.ackFrame
 }
 
-// startPacket starts the frame list of a protected packet on path p:
-// the path's ACK when one is due and fits, noted in ackedOn. It returns
-// the list and the payload budget left. The ACK frame's size is
-// O(ranges) to compute — up to wire.MaxAckRanges after losses — so it
-// is computed once.
-func (c *Conn) startPacket(p *Path, ackedOn *pathSet) ([]wire.Frame, int) {
-	budget := wire.MaxPacketSize - c.headerSize(p, false) - wire.AEADOverhead
-	frames := c.txFrames[:0]
+// startPacket starts the frame list of a protected packet on path p,
+// taking the send scratch back from the previous one: the path's ACK
+// when one is due and fits, noted in ackedOn. It returns the list, the
+// payload budget left and room, the budget an empty list would have
+// left: builders count budget down by every frame they add, so room
+// minus what is left when they stop is the size of the packet's frames,
+// and no frame is sized twice. (An ACK frame's size is O(ranges) to
+// compute, up to wire.MaxAckRanges after losses; txAckSize keeps it for
+// a duplicate, which leaves the ACK out.)
+func (c *Conn) startPacket(p *Path, ackedOn *pathSet) (frames []wire.Frame, budget, room int) {
+	room = wire.MaxPacketSize - c.headerSize(p, false) - wire.AEADOverhead
+	budget = room
+	frames = c.txFrames[:0]
+	c.txStreams = c.txStreams[:0]
+	c.txAckSize = 0
 	if now := c.now(); p.ackMgr.ShouldSendAck(now) {
 		if ack := p.buildAck(now); ack != nil {
 			if size := ack.EncodedSize(); size <= budget {
 				frames = append(frames, ack)
 				budget -= size
+				c.txAckSize = size
 				ackedOn.add(p.ID)
 			}
 		}
 	}
-	return frames, budget
+	return frames, budget, room
 }
 
 // dupFrames strips non-duplicable frames (ACKs belong to the original
-// path's context) from a duplicated packet.
+// path's context) from a duplicated packet: what startPacket put in,
+// txAckSize bytes of it.
 func (c *Conn) dupFrames(frames []wire.Frame) []wire.Frame {
 	out := c.txDupFrames[:0]
 	for _, f := range frames {
@@ -313,9 +322,11 @@ func (c *Conn) hasSendableData() bool {
 
 // packFrames assembles the frame list for one packet on path p: the
 // path's pending ACK, path-pinned control frames, floating control
-// frames, then stream data under flow control.
-func (c *Conn) packFrames(p *Path, ackedOn *pathSet) (frames []wire.Frame, hasData bool) {
-	frames, budget := c.startPacket(p, ackedOn)
+// frames, then stream data under flow control. payload is the encoded
+// size of the frames together. STREAM frames are built in txStreams and,
+// like the list, are the connection's until the next startPacket.
+func (c *Conn) packFrames(p *Path, ackedOn *pathSet) (frames []wire.Frame, payload int, hasData bool) {
+	frames, budget, room := c.startPacket(p, ackedOn)
 	// Path-pinned control frames (WINDOW_UPDATE broadcast copies,
 	// PATHS frames).
 	frames, budget = takeCtrl(frames, &p.ctrl, budget)
@@ -329,10 +340,15 @@ func (c *Conn) packFrames(p *Path, ackedOn *pathSet) (frames []wire.Frame, hasDa
 			if sa := s.fc.SendAllowance(); sa < allow {
 				allow = sa
 			}
-			f, used := s.send.NextFrame(budget, allow)
-			if f == nil {
+			var sf wire.StreamFrame
+			used, ok := s.send.NextFrameInto(&sf, budget, allow)
+			if !ok {
 				break
 			}
+			// Growing txStreams moves it; frames already in the list
+			// stay valid where they are.
+			c.txStreams = append(c.txStreams, sf)
+			f := &c.txStreams[len(c.txStreams)-1]
 			if used > 0 {
 				s.fc.AddBytesSent(used)
 				c.connFC.AddBytesSent(used)
@@ -342,7 +358,17 @@ func (c *Conn) packFrames(p *Path, ackedOn *pathSet) (frames []wire.Frame, hasDa
 			hasData = true
 		}
 	}
-	return frames, hasData
+	return frames, room - budget, hasData
+}
+
+// framesSize is the encoded size of a frame list whose builder kept no
+// count (handshake, close and reinjection packets).
+func framesSize(frames []wire.Frame) int {
+	n := 0
+	for _, f := range frames {
+		n += f.EncodedSize()
+	}
+	return n
 }
 
 // takeCtrl moves control frames from the head of queue into the packet
@@ -368,7 +394,7 @@ func (c *Conn) sendPureAcks(ackedOn *pathSet) {
 			continue
 		}
 		if ack := p.buildAck(now); ack != nil {
-			c.sendPacket(p, append(c.txFrames[:0], ack), false, true)
+			c.sendPacket(p, append(c.txFrames[:0], ack), ack.EncodedSize(), false, true)
 		}
 	}
 }
@@ -385,32 +411,33 @@ func (c *Conn) headerSize(p *Path, handshake bool) int {
 	return h.EncodedSize(p.space.LargestAcked())
 }
 
-// sendPacket builds, tracks and transmits one packet on path p.
-// track=false is used for fire-and-forget CONNECTION_CLOSE. Nothing it
-// is given is kept past the call — frames may be the connection's
-// scratch and an ACK frame the path's — so this is where the two modes
-// part: wire mode serializes the packet, struct mode copies it out.
-func (c *Conn) sendPacket(p *Path, frames []wire.Frame, handshake, track bool) {
+// sendPacket builds, tracks and transmits one packet on path p; payload
+// is the encoded size of frames. track=false is used for
+// fire-and-forget CONNECTION_CLOSE. Nothing it is given is kept past the
+// call — frames and its STREAM frames may be the connection's scratch
+// and an ACK frame the path's — so this is where the two modes part:
+// wire mode serializes the packet, struct mode copies it out.
+func (c *Conn) sendPacket(p *Path, frames []wire.Frame, payload int, handshake, track bool) {
 	if len(frames) == 0 {
 		return
 	}
 	pn := p.space.NextPacketNumber()
-	// pkt stays on the stack in wire mode.
-	pkt := wire.Packet{
-		Header: wire.Header{
-			ConnID:       c.connID,
-			Multipath:    c.cfg.Multipath,
-			Handshake:    handshake,
-			PathID:       p.ID,
-			PacketNumber: pn,
-		},
-		Frames:       frames,
-		LargestAcked: p.space.LargestAcked(),
+	hdr := wire.Header{
+		ConnID:       c.connID,
+		Multipath:    c.cfg.Multipath,
+		Handshake:    handshake,
+		PathID:       p.ID,
+		PacketNumber: pn,
 	}
-	size := pkt.EncodedSize() + wire.UDPIPv4Overhead
-	retransmittable := pkt.IsRetransmittable()
+	largestAcked := p.space.LargestAcked()
+	// What wire.Packet.EncodedSize would say, without sizing every frame
+	// again.
+	size := hdr.EncodedSize(largestAcked) + payload + wire.UDPIPv4Overhead
+	if !handshake {
+		size += wire.AEADOverhead
+	}
 	now := c.now()
-	if track && retransmittable {
+	if track && wire.AnyRetransmittable(frames) {
 		p.space.RecordSent(pn, frames, size, now)
 		p.lastRetransmittableSent = now
 	}
@@ -426,27 +453,20 @@ func (c *Conn) sendPacket(p *Path, frames []wire.Frame, handshake, track bool) {
 		if !handshake {
 			sealer = c.sealSend
 		}
+		pkt := wire.Packet{Header: hdr, Frames: frames, LargestAcked: largestAcked} // stays on the stack
 		dg.Raw = pkt.EncodeTo(wire.GetPacketBuf(), sealer)
 	} else {
-		dg.Payload = ownedCopy(pkt)
+		// The peer receives the packet itself, so it gets one of its own:
+		// on loan from a carrier that takes it back after delivery, or
+		// else fresh and left to whoever ends up holding it.
+		var own *wire.Packet
+		if c.lender != nil {
+			own = c.lender.LendPacket()
+		} else {
+			own = new(wire.Packet)
+		}
+		own.Fill(hdr, largestAcked, frames)
+		dg.Payload = own
 	}
 	c.net.Send(dg)
-}
-
-// ownedCopy is struct mode's hand-off: the peer receives the packet
-// itself, so it gets its own frame list and its own copy of any ACK
-// frame, ranges included. Every other frame is immutable once built and
-// is shared with the sender's retransmission state.
-func ownedCopy(pkt wire.Packet) *wire.Packet {
-	frames := make([]wire.Frame, len(pkt.Frames))
-	for i, f := range pkt.Frames {
-		if ack, ok := f.(*wire.AckFrame); ok {
-			ranges := make([]wire.AckRange, len(ack.Ranges))
-			copy(ranges, ack.Ranges)
-			f = &wire.AckFrame{PathID: ack.PathID, Ranges: ranges, AckDelay: ack.AckDelay}
-		}
-		frames[i] = f
-	}
-	pkt.Frames = frames
-	return &pkt
 }

@@ -33,8 +33,22 @@ type DatagramSender interface {
 	Clock() *sim.Clock
 }
 
-// The emulated network is the canonical DatagramSender.
-var _ DatagramSender = (*netem.Network)(nil)
+// packetLender is what a DatagramSender may also be: a carrier that
+// lends the struct-mode packets it is sent and takes them back itself,
+// because it sees every datagram's exit (netem.Network.LendPacket). A
+// connection asks once, when it is made. From a lender, sendPacket fills
+// a packet on loan; from any other sender — one that keeps what it is
+// sent, like a capturing test fake or a tracing decorator — a fresh one
+// nobody recycles. Either way the peer is handed a packet of its own.
+type packetLender interface {
+	LendPacket() *wire.Packet
+}
+
+// The emulated network is the canonical DatagramSender, and lends.
+var (
+	_ DatagramSender = (*netem.Network)(nil)
+	_ packetLender   = (*netem.Network)(nil)
+)
 
 // RawDatagram wraps an already-encoded packet as an ingress datagram,
 // exactly as the wire-serialization mode produces them: b holds the

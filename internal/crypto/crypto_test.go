@@ -247,7 +247,7 @@ func TestDecodeLeavesSealedInputUntouched(t *testing.T) {
 	// holds the plaintext frames, and its frames alias the buffer.
 	var (
 		p       wire.Packet
-		scratch wire.DecodeScratch
+		scratch wire.FrameArena
 	)
 	if err := wire.DecodeInto(&p, &scratch, b, wire.InvalidPacketNumber, open); err != nil {
 		t.Fatal(err)
@@ -273,7 +273,7 @@ func TestInPlaceOpenRejectsEveryBitFlip(t *testing.T) {
 	b, hdrLen := sealedDataPacket(t, seal)
 	var (
 		p       wire.Packet
-		scratch wire.DecodeScratch
+		scratch wire.FrameArena
 	)
 	forged := make([]byte, len(b))
 	// Skip the flag byte: flipping its bits changes the header layout,

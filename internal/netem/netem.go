@@ -37,7 +37,10 @@ type Datagram struct {
 	From, To Addr
 	// Size is the total on-wire size in bytes, including network- and
 	// transport-layer framing. Links serialize Size bytes.
-	Size    int
+	Size int
+	// Payload is the packet itself, in struct mode. A *wire.Packet that
+	// Network.LendPacket lent is the network's from Send on, exactly as
+	// Raw is: a Handler reads it and must not keep it.
 	Payload Payload
 	// Raw carries the serialized packet bytes in wire-serialization
 	// mode; Payload is nil then. A plain field rather than a Payload
@@ -126,7 +129,10 @@ type Link struct {
 	queueBytes int
 	busyUntil  sim.Time
 	deliver    func(dg Datagram)
-	down       bool
+	// dropped, when set, is handed every datagram the link drops in
+	// place of delivering it (a Network's links: Network.reclaim).
+	dropped func(dg Datagram)
+	down    bool
 
 	lossModel  LossModel
 	jitter     time.Duration
@@ -178,13 +184,11 @@ func (p *linkPkt) finish() {
 	// occupied queue space but never arrives.
 	if l.lossModel != nil {
 		if l.lossModel.Drop(p.dg.Size) {
-			l.Stats.RandomDrops++
-			l.putPkt(p)
+			l.dropRandom(p)
 			return
 		}
 	} else if l.cfg.LossRate > 0 && l.rand.Bernoulli(l.cfg.LossRate) {
-		l.Stats.RandomDrops++
-		l.putPkt(p)
+		l.dropRandom(p)
 		return
 	}
 	l.Stats.SentPackets++
@@ -194,6 +198,21 @@ func (p *linkPkt) finish() {
 		delay += time.Duration(l.jitterRand.Float64() * float64(l.jitter))
 	}
 	l.clock.At(l.clock.Now().Add(delay), p.deliverFn)
+}
+
+// dropRandom is the random-loss exit of finish.
+func (l *Link) dropRandom(p *linkPkt) {
+	l.Stats.RandomDrops++
+	dg := p.dg
+	l.putPkt(p)
+	l.drop(dg)
+}
+
+// drop is the last a link sees of a datagram it does not deliver.
+func (l *Link) drop(dg Datagram) {
+	if l.dropped != nil {
+		l.dropped(dg)
+	}
 }
 
 // deliverNow hands the datagram to the sink. The record is recycled
@@ -327,10 +346,12 @@ func (l *Link) Send(dg Datagram) {
 	}
 	if l.down {
 		l.Stats.RandomDrops++
+		l.drop(dg)
 		return
 	}
 	if l.queueBytes+dg.Size > l.queueCap {
 		l.Stats.QueueDrops++
+		l.drop(dg)
 		return
 	}
 	l.queueBytes += dg.Size
@@ -352,16 +373,41 @@ func (l *Link) Send(dg Datagram) {
 func (l *Link) QueueBytes() int { return l.queueBytes }
 
 // Network connects registered addresses through routed links.
+//
+// It owns what a datagram travels in from Send on — the Raw buffer, and
+// a struct-mode packet it lent — and every datagram leaves it through
+// exactly one exit (delivered, no handler, no route, link down, queue
+// overflow, random loss), each of which ends in reclaim.
 type Network struct {
-	clock    *sim.Clock
-	rand     *sim.Rand
-	handlers map[Addr]Handler
+	clock *sim.Clock
+	rand  *sim.Rand
+	// handlers holds one cell per address ever registered or connected.
+	// A link's sink resolves its cell once, when the link is built, so a
+	// delivery reads a pointer instead of hashing the address.
+	handlers map[Addr]*handlerCell
 	routes   map[routeKey]*Link
+	// recent remembers the routes Send looked up last, replaced in turn,
+	// so that it compares a few addresses instead of hashing two. Four,
+	// because one connection over the two-path topology uses four: data
+	// and acknowledgments alternate, and a single entry would miss four
+	// lookups in five.
+	recent     [4]recentRoute
+	nextRecent int
+	// carriers are the struct-mode packets LendPacket hands out.
+	carriers wire.PacketPool
 	// Dropped counts datagrams sent to an address with no route.
 	Dropped uint64
 }
 
 type routeKey struct{ from, to Addr }
+
+type recentRoute struct {
+	routeKey
+	link *Link
+}
+
+// handlerCell is the current handler of one address, nil when none.
+type handlerCell struct{ h Handler }
 
 // New creates an empty network on the given clock. rand seeds the
 // per-link loss processes.
@@ -369,7 +415,7 @@ func New(clock *sim.Clock, rand *sim.Rand) *Network {
 	return &Network{
 		clock:    clock,
 		rand:     rand,
-		handlers: make(map[Addr]Handler),
+		handlers: make(map[Addr]*handlerCell),
 		routes:   make(map[routeKey]*Link),
 	}
 }
@@ -377,62 +423,93 @@ func New(clock *sim.Clock, rand *sim.Rand) *Network {
 // Clock returns the simulation clock the network runs on.
 func (n *Network) Clock() *sim.Clock { return n.clock }
 
-// Register attaches a handler to an address. Re-registering replaces
-// the previous handler (used when an endpoint rebinds).
-func (n *Network) Register(addr Addr, h Handler) {
-	n.handlers[addr] = h
+// cell returns the handler cell of addr, making it on first use.
+func (n *Network) cell(addr Addr) *handlerCell {
+	c := n.handlers[addr]
+	if c == nil {
+		c = new(handlerCell)
+		n.handlers[addr] = c
+	}
+	return c
 }
 
+// Register attaches a handler to an address. Re-registering replaces
+// the previous handler (used when an endpoint rebinds).
+func (n *Network) Register(addr Addr, h Handler) { n.cell(addr).h = h }
+
 // Unregister detaches the handler for addr.
-func (n *Network) Unregister(addr Addr) { delete(n.handlers, addr) }
+func (n *Network) Unregister(addr Addr) { n.cell(addr).h = nil }
 
 // AddRoute installs a unidirectional link carrying traffic from->to.
 func (n *Network) AddRoute(from, to Addr, link *Link) {
 	n.routes[routeKey{from, to}] = link
+	n.recent = [len(n.recent)]recentRoute{} // one of them may be the route replaced
 }
 
 // Connect builds a bidirectional link pair between a and b with the
 // same config in both directions and returns (a->b, b->a).
 func (n *Network) Connect(a, b Addr, cfg LinkConfig) (*Link, *Link) {
-	fwd := NewLink(n.clock, n.rand.Fork(), fmt.Sprintf("%s->%s", a, b), cfg, n.deliverTo(b))
-	rev := NewLink(n.clock, n.rand.Fork(), fmt.Sprintf("%s->%s", b, a), cfg, n.deliverTo(a))
-	n.AddRoute(a, b, fwd)
-	n.AddRoute(b, a, rev)
-	return fwd, rev
+	return n.ConnectAsym(a, b, cfg, cfg)
 }
 
 // ConnectAsym is Connect with distinct per-direction configs.
 func (n *Network) ConnectAsym(a, b Addr, ab, ba LinkConfig) (*Link, *Link) {
-	fwd := NewLink(n.clock, n.rand.Fork(), fmt.Sprintf("%s->%s", a, b), ab, n.deliverTo(b))
-	rev := NewLink(n.clock, n.rand.Fork(), fmt.Sprintf("%s->%s", b, a), ba, n.deliverTo(a))
-	n.AddRoute(a, b, fwd)
-	n.AddRoute(b, a, rev)
+	fwd := n.newLink(a, b, ab)
+	rev := n.newLink(b, a, ba)
 	return fwd, rev
 }
 
-// deliverTo is the sink of every link the network builds, and the one
-// place the simulator recycles a packet buffer: the network owns
-// dg.Raw from Send on, handlers only borrow it, and it rejoins the
-// wire pool once the handler returned (or nobody listens). A datagram
-// a link drops, or Send cannot route, goes to the garbage collector.
-// Each delivery is an event of its own, so no datagram leaves here with
-// More set — not even one a handler forwarded as it received it.
+// newLink builds and routes the link from->to: it delivers to the
+// handler of to, and what it drops comes back to the network.
+func (n *Network) newLink(from, to Addr, cfg LinkConfig) *Link {
+	l := NewLink(n.clock, n.rand.Fork(), fmt.Sprintf("%s->%s", from, to), cfg, n.deliverTo(to))
+	l.dropped = n.reclaim
+	n.AddRoute(from, to, l)
+	return l
+}
+
+// deliverTo is the sink of every link the network builds: the handler
+// of addr borrows the datagram, and the network takes it back once the
+// handler returned (or nobody listens). Each delivery is an event of
+// its own, so no datagram leaves here with More set — not even one a
+// handler forwarded as it received it.
 func (n *Network) deliverTo(addr Addr) func(dg Datagram) {
+	cell := n.cell(addr)
 	return func(dg Datagram) {
 		dg.More = false
-		if h, ok := n.handlers[addr]; ok {
-			h.HandleDatagram(dg)
+		if cell.h != nil {
+			cell.h.HandleDatagram(dg)
 		}
-		wire.PutPacketBuf(dg.Raw)
+		n.reclaim(dg)
+	}
+}
+
+// LendPacket lends a struct-mode sender the packet its next datagram
+// travels as: the sender fills it (wire.Packet.Fill), sends it as the
+// Payload, and from then on it is the network's, which takes it back at
+// the datagram's exit and lends it again. A sender that asks nobody and
+// sends a packet of its own keeps that packet: reclaim leaves it alone.
+func (n *Network) LendPacket() *wire.Packet { return n.carriers.Get() }
+
+// reclaim is the one place the simulator recycles what a datagram
+// travelled in, run once at every exit of the network: the Raw buffer
+// rejoins the wire pool and a lent packet the network's carriers. Both
+// pools turn away what is not theirs (see wire.PutPacketBuf and
+// wire.PacketPool.Put), the second also a carrier that is already back.
+func (n *Network) reclaim(dg Datagram) {
+	wire.PutPacketBuf(dg.Raw)
+	if pkt, ok := dg.Payload.(*wire.Packet); ok {
+		n.carriers.Put(pkt)
 	}
 }
 
 // Send routes one datagram. Datagrams with no installed route are
 // counted in Dropped and discarded.
 func (n *Network) Send(dg Datagram) {
-	link, ok := n.routes[routeKey{dg.From, dg.To}]
-	if !ok {
+	link := n.Route(dg.From, dg.To)
+	if link == nil {
 		n.Dropped++
+		n.reclaim(dg)
 		return
 	}
 	link.Send(dg)
@@ -440,5 +517,15 @@ func (n *Network) Send(dg Datagram) {
 
 // Route returns the link from->to, or nil.
 func (n *Network) Route(from, to Addr) *Link {
-	return n.routes[routeKey{from, to}]
+	for i := range n.recent {
+		if r := &n.recent[i]; r.link != nil && r.from == from && r.to == to {
+			return r.link
+		}
+	}
+	link := n.routes[routeKey{from, to}]
+	if link != nil {
+		n.recent[n.nextRecent] = recentRoute{routeKey{from, to}, link}
+		n.nextRecent = (n.nextRecent + 1) % len(n.recent)
+	}
+	return link
 }

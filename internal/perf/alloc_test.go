@@ -101,7 +101,7 @@ func TestDecodeIntoAllocFree(t *testing.T) {
 	enc := dataPacket().Encode(nil)
 	var (
 		pkt     wire.Packet
-		scratch wire.DecodeScratch
+		scratch wire.FrameArena
 	)
 	decode := func() {
 		if err := wire.DecodeInto(&pkt, &scratch, enc, 9_999, nil); err != nil {
@@ -131,7 +131,7 @@ func TestSealOpenInPlaceAllocFree(t *testing.T) {
 
 	var (
 		rx      wire.Packet
-		scratch wire.DecodeScratch
+		scratch wire.FrameArena
 	)
 	dgram := make([]byte, len(sealed))
 	decode := func() {
@@ -217,16 +217,12 @@ func TestOliaOnPacketAckedAllocFree(t *testing.T) {
 	}
 }
 
-// TestWireCryptoTransferAllocBudget is the end-to-end gate over all of
-// the above: a whole two-path MPQUIC download with wire serialization
-// and AEAD on — the live packet path minus the kernel — costed in heap
-// allocations per data packet the server sent. Before the
-// allocation-free packet path this read 46, and 3.4 while every timer
-// re-arm still took a fresh event; it now reads about 1.4 (the
-// handshake and a STREAM frame per packet remain). The budget leaves
-// room for noise, not for a per-packet allocation site coming back.
-func TestWireCryptoTransferAllocBudget(t *testing.T) {
-	const budget = 3
+// transferMallocsPerPacket runs a whole two-path 8 MiB MPQUIC download
+// over netem under cfg and returns the heap allocations it made per data
+// packet the server sent: everything — set-up, handshake, what grows
+// with the windows — spread over the packets.
+func transferMallocsPerPacket(t *testing.T, cfg core.Config) float64 {
+	t.Helper()
 	sc := expdesign.Scenario{
 		Class: "perf",
 		Paths: [2]netem.PathSpec{
@@ -234,9 +230,6 @@ func TestWireCryptoTransferAllocBudget(t *testing.T) {
 			{CapacityMbps: 10, RTT: 40 * time.Millisecond, QueueDelay: 50 * time.Millisecond},
 		},
 	}
-	cfg := core.DefaultConfig()
-	cfg.WireSerialization = true
-	cfg.EnableCrypto = true
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	res := expdesign.RunMPQUICVariant(sc, cfg, 8<<20, 0, 7)
@@ -246,24 +239,89 @@ func TestWireCryptoTransferAllocBudget(t *testing.T) {
 	}
 	perPkt := float64(after.Mallocs-before.Mallocs) / float64(res.Metrics.PacketsSent)
 	t.Logf("%.2f mallocs per server data packet (%d packets)", perPkt, res.Metrics.PacketsSent)
-	if perPkt > budget {
+	return perPkt
+}
+
+// TestStructCarrierAllocFree covers struct mode's two per-packet sites:
+// building a STREAM frame in the caller's storage, and copying a data
+// packet into a carrier that has been out before.
+func TestStructCarrierAllocFree(t *testing.T) {
+	pkt := dataPacket()
+	var pool wire.PacketPool
+	fill := func() {
+		p := pool.Get()
+		p.Fill(pkt.Header, pkt.LargestAcked, pkt.Frames)
+		pool.Put(p)
+	}
+	fill() // one carrier, its ACK ranges sized
+	if allocs := testing.AllocsPerRun(100, fill); allocs > 0 {
+		t.Errorf("Fill into a pooled carrier allocates %.1f/op, want 0", allocs)
+	}
+
+	s := stream.NewSendStream(3)
+	s.WriteSynthetic(1 << 30)
+	var f wire.StreamFrame
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := s.NextFrameInto(&f, wire.MaxPacketSize, 1<<30); !ok {
+			t.Fatal("no frame")
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("NextFrameInto allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestWireCryptoTransferAllocBudget is the end-to-end gate over all of
+// the above: wire serialization and AEAD on — the live packet path minus
+// the kernel. Before the allocation-free packet path this read 46, 3.4
+// while every timer re-arm still took a fresh event, and 1.4 while the
+// stream allocated every STREAM frame for recovery to keep; it now reads
+// about 0.4, none of it per packet. The budget leaves room for noise,
+// not for a per-packet allocation site coming back.
+func TestWireCryptoTransferAllocBudget(t *testing.T) {
+	const budget = 1
+	cfg := core.DefaultConfig()
+	cfg.WireSerialization = true
+	cfg.EnableCrypto = true
+	if perPkt := transferMallocsPerPacket(t, cfg); perPkt > budget {
 		t.Errorf("wire+AEAD transfer allocates %.2f/packet, budget %d", perPkt, budget)
+	}
+}
+
+// TestStructTransferAllocBudget is the same gate for struct mode, the
+// mode every grid runs: packets travel in carriers the network lends and
+// takes back, so the transfer allocates what is in flight at its peak,
+// not what it sends. This read 5.6 while every packet was copied out
+// into fresh memory; it now reads about 0.25.
+func TestStructTransferAllocBudget(t *testing.T) {
+	const budget = 0.5
+	if perPkt := transferMallocsPerPacket(t, core.DefaultConfig()); perPkt > budget {
+		t.Errorf("struct-mode transfer allocates %.2f/packet, budget %v", perPkt, budget)
 	}
 }
 
 // TestUnconsumedDatagramRecyclesAllocFree pins the buffer-ownership
 // rule on the exits where no frame is ever consumed: the carrier, not
 // the handler, hands the buffer back, so a pooled datagram that meets
-// a closed connection, a listener that cannot parse its header, or no
-// handler at all still returns to the pool. A handler that was
-// expected to recycle would leak one 1500-byte buffer per datagram
-// here.
+// a closed connection, a listener that cannot parse its header, no
+// handler at all, or a link that drops it (down, full queue, loss draw)
+// still returns to the pool. A handler that was expected to recycle
+// would leak one 1500-byte buffer per datagram here, and so did every
+// link drop until the network took those back too.
 func TestUnconsumedDatagramRecyclesAllocFree(t *testing.T) {
 	clock := sim.NewClock()
 	nw := netem.New(clock, sim.NewRand(1))
 	link := netem.LinkConfig{RateMbps: 1000, Delay: time.Millisecond, QueueDelay: time.Second}
 	nw.Connect("c:1", "s:443", link)
 	nw.Connect("c:1", "nobody:9", link)
+	down, _ := nw.Connect("c:1", "down:9", link)
+	down.SetDown(true)
+	lossy := link
+	lossy.LossRate = 1
+	nw.Connect("c:1", "lossy:9", lossy)
+	// Room for two full datagrams: of three sent at once the last is
+	// dropped.
+	nw.Connect("c:1", "narrow:9", netem.LinkConfig{RateMbps: 1000, QueueDelay: 0})
 
 	cfg := core.DefaultSinglePathConfig()
 	cfg.WireSerialization = true
@@ -282,17 +340,23 @@ func TestUnconsumedDatagramRecyclesAllocFree(t *testing.T) {
 		name     string
 		from, to netem.Addr
 		corrupt  bool
+		burst    int
 	}{
-		{"closed connection", "s:443", "c:1", false},
-		{"corrupt header", "c:1", "s:443", true},
-		{"no handler", "c:1", "nobody:9", false},
+		{"closed connection", "s:443", "c:1", false, 1},
+		{"corrupt header", "c:1", "s:443", true, 1},
+		{"no handler", "c:1", "nobody:9", false, 1},
+		{"link down", "c:1", "down:9", false, 1},
+		{"random loss", "c:1", "lossy:9", false, 1},
+		{"queue overflow", "c:1", "narrow:9", false, 3},
 	} {
 		send := func() {
-			buf := pkt.EncodeTo(wire.GetPacketBuf(), nil)
-			if tc.corrupt {
-				buf = buf[:1] // the flags byte promises a header that is not there
+			for i := 0; i < tc.burst; i++ {
+				buf := pkt.EncodeTo(wire.GetPacketBuf(), nil)
+				if tc.corrupt {
+					buf = buf[:1] // the flags byte promises a header that is not there
+				}
+				nw.Send(core.RawDatagram(tc.from, tc.to, buf))
 			}
-			nw.Send(core.RawDatagram(tc.from, tc.to, buf))
 			if err := clock.Run(); err != nil {
 				t.Fatal(err)
 			}

@@ -27,9 +27,13 @@ const (
 )
 
 // sentInlineFrames is how many retransmittable frames a SentPacket
-// recorded through RecordSent holds without a separate allocation; a
-// data packet carries one or two.
-const sentInlineFrames = 4
+// recorded through RecordSent holds without a separate allocation, and
+// sentInlineStreams how many of them may be STREAM frames, which it
+// holds by value; a data packet carries one or two.
+const (
+	sentInlineFrames  = 4
+	sentInlineStreams = 2
+)
 
 // SentPacket records one in-flight packet.
 type SentPacket struct {
@@ -52,8 +56,9 @@ type SentPacket struct {
 	acked, lost bool
 	// owned marks a packet the Space allocated (RecordSent) and may
 	// therefore recycle; caller-built packets are left to the GC.
-	owned  bool
-	inline [sentInlineFrames]wire.Frame // backs Frames of owned packets
+	owned   bool
+	inline  [sentInlineFrames]wire.Frame        // backs Frames of owned packets
+	streams [sentInlineStreams]wire.StreamFrame // the STREAM frames among them
 }
 
 // Space tracks the sent half of one packet-number space.
@@ -150,8 +155,12 @@ func (s *Space) OnPacketSent(sp *SentPacket) {
 // RecordSent is OnPacketSent for a connection's send path: it records
 // a retransmittable transmission in a SentPacket recycled from the
 // space's free list. Only the retransmittable frames are kept, in
-// storage the SentPacket itself carries; the frames slice is not
-// retained, so the caller may reuse it at once.
+// storage the SentPacket itself carries, and a STREAM frame is kept as
+// the SentPacket's own copy: neither the frames slice nor a STREAM
+// frame in it is retained, so the caller may reuse both at once, and two
+// packets recorded from one frame list (a duplicate, a reinjection)
+// share no STREAM frame. Other retransmittable frames are immutable once
+// built and are kept by reference.
 func (s *Space) RecordSent(pn wire.PacketNumber, frames []wire.Frame, size int, now time.Duration) {
 	var sp *SentPacket
 	if n := len(s.free); n > 0 {
@@ -163,10 +172,22 @@ func (s *Space) RecordSent(pn wire.PacketNumber, frames []wire.Frame, size int, 
 	}
 	*sp = SentPacket{PN: pn, Size: size, SentTime: now, Retransmittable: true, owned: true}
 	sp.Frames = sp.inline[:0]
+	nStreams := 0
 	for _, f := range frames {
-		if f.Retransmittable() {
-			sp.Frames = append(sp.Frames, f)
+		if !f.Retransmittable() {
+			continue
 		}
+		if sf, ok := f.(*wire.StreamFrame); ok {
+			if nStreams < sentInlineStreams {
+				sp.streams[nStreams] = *sf
+				f = &sp.streams[nStreams]
+				nStreams++
+			} else {
+				extra := *sf // beyond the inline slots: a heap copy
+				f = &extra
+			}
+		}
+		sp.Frames = append(sp.Frames, f)
 	}
 	s.OnPacketSent(sp)
 }

@@ -496,3 +496,43 @@ func TestOnAckCostIndependentOfWindow(t *testing.T) {
 		t.Fatalf("per-ACK cost grows with the window: %v at 64 outstanding, %v at 8192", small, large)
 	}
 }
+
+// TestRecordSentOwnsItsStreamFrames: RecordSent keeps its own copy of
+// every STREAM frame — two in the SentPacket itself, more on the heap —
+// so the caller may rewrite the frames it passed (a connection builds
+// the next packet in them) and the record still reads as sent. Frames
+// that are not retransmittable are dropped, the others kept by
+// reference.
+func TestRecordSentOwnsItsStreamFrames(t *testing.T) {
+	s := newSpace()
+	scratch := []wire.StreamFrame{
+		{StreamID: 3, Offset: 0, DataLen: 100},
+		{StreamID: 5, Offset: 100, DataLen: 200},
+		{StreamID: 7, Offset: 300, DataLen: 300, Fin: true},
+	}
+	ping := &wire.PingFrame{}
+	frames := []wire.Frame{&wire.AckFrame{Ranges: []wire.AckRange{{}}}, &scratch[0], ping, &scratch[1], &scratch[2]}
+	s.RecordSent(s.NextPacketNumber(), frames, 1000, 0)
+	for i := range scratch {
+		scratch[i] = wire.StreamFrame{StreamID: 99}
+	}
+	clear(frames)
+
+	sp := s.Outstanding()[0]
+	if len(sp.Frames) != 4 || sp.Frames[1] != wire.Frame(ping) {
+		t.Fatalf("recorded %d frames %v, want the three STREAM frames and the PING", len(sp.Frames), sp.Frames)
+	}
+	for i, at := range []int{0, 2, 3} {
+		f, ok := sp.Frames[at].(*wire.StreamFrame)
+		if !ok {
+			t.Fatalf("frame %d is a %T", at, sp.Frames[at])
+		}
+		want := wire.StreamFrame{StreamID: wire.StreamID(3 + 2*i), Offset: []uint64{0, 100, 300}[i], DataLen: 100 * (i + 1), Fin: i == 2}
+		if f.StreamID != want.StreamID || f.Offset != want.Offset || f.Len() != want.DataLen || f.Fin != want.Fin {
+			t.Errorf("STREAM frame %d reads %+v after the caller reused its own, want %+v", i, *f, want)
+		}
+		if f == &scratch[i] {
+			t.Errorf("STREAM frame %d is the caller's", i)
+		}
+	}
+}

@@ -78,29 +78,43 @@ func (s *SendStream) HasData() bool {
 // HasRetransmission reports whether lost data is queued.
 func (s *SendStream) HasRetransmission() bool { return !s.rtx.Empty() || s.finLost }
 
-// NextFrame builds the next STREAM frame. maxFrameSize bounds the
+// NextFrame is NextFrameInto building a freshly allocated frame, the
+// caller's to keep; it returns nil when nothing can be produced.
+func (s *SendStream) NextFrame(maxFrameSize int, newDataAllowance uint64) (*wire.StreamFrame, uint64) {
+	f := new(wire.StreamFrame)
+	used, ok := s.NextFrameInto(f, maxFrameSize, newDataAllowance)
+	if !ok {
+		return nil, 0
+	}
+	return f, used
+}
+
+// NextFrameInto builds the next STREAM frame in *dst, which the caller
+// owns: the stream keeps no reference to it. maxFrameSize bounds the
 // encoded frame size; newDataAllowance bounds how many *new* (never
 // sent) bytes may be included per flow control. Retransmitted bytes
 // consume no allowance — their credit was spent on first transmission.
-// It returns nil when nothing can be produced, plus the number of new
-// flow-controlled bytes consumed.
-func (s *SendStream) NextFrame(maxFrameSize int, newDataAllowance uint64) (*wire.StreamFrame, uint64) {
+// It returns the number of new flow-controlled bytes consumed, and false,
+// leaving *dst unspecified, when nothing can be produced.
+//
+//mpq:noescape
+func (s *SendStream) NextFrameInto(dst *wire.StreamFrame, maxFrameSize int, newDataAllowance uint64) (uint64, bool) {
+	*dst = wire.StreamFrame{StreamID: s.id}
 	// Retransmissions first: they unblock the receiver's reassembly.
 	if !s.rtx.Empty() {
-		probe := &wire.StreamFrame{StreamID: s.id, Offset: s.rtx.Intervals()[0].Start}
-		maxLen := probe.MaxStreamDataLen(maxFrameSize)
+		dst.Offset = s.rtx.Intervals()[0].Start
+		maxLen := dst.MaxStreamDataLen(maxFrameSize)
 		if maxLen <= 0 {
-			return nil, 0
+			return 0, false
 		}
-		iv := s.rtx.Pop(uint64(maxLen))
-		f := s.frameFor(iv)
-		return f, 0
+		s.fill(dst, s.rtx.Pop(uint64(maxLen)))
+		return 0, true
 	}
 	if s.nextSend < s.writeOffset && newDataAllowance > 0 {
-		probe := &wire.StreamFrame{StreamID: s.id, Offset: s.nextSend}
-		maxLen := uint64(probe.MaxStreamDataLen(maxFrameSize))
+		dst.Offset = s.nextSend
+		maxLen := uint64(dst.MaxStreamDataLen(maxFrameSize))
 		if maxLen == 0 {
-			return nil, 0
+			return 0, false
 		}
 		n := s.writeOffset - s.nextSend
 		if n > maxLen {
@@ -111,20 +125,22 @@ func (s *SendStream) NextFrame(maxFrameSize int, newDataAllowance uint64) (*wire
 		}
 		iv := Interval{s.nextSend, s.nextSend + n}
 		s.nextSend = iv.End
-		f := s.frameFor(iv)
-		return f, n
+		s.fill(dst, iv)
+		return n, true
 	}
 	// A bare FIN (all data sent, FIN pending or lost).
 	if s.fin && s.nextSend == s.writeOffset && (!s.finSent || s.finLost) {
 		s.finSent = true
 		s.finLost = false
-		return &wire.StreamFrame{StreamID: s.id, Offset: s.writeOffset, Fin: true}, 0
+		dst.Offset, dst.Fin = s.writeOffset, true
+		return 0, true
 	}
-	return nil, 0
+	return 0, false
 }
 
-func (s *SendStream) frameFor(iv Interval) *wire.StreamFrame {
-	f := &wire.StreamFrame{StreamID: s.id, Offset: iv.Start}
+// fill gives f, which has its stream and offset, the bytes of iv and the
+// FIN when iv ends the stream.
+func (s *SendStream) fill(f *wire.StreamFrame, iv Interval) {
 	if s.synthetic {
 		f.DataLen = int(iv.Len())
 	} else {
@@ -135,7 +151,6 @@ func (s *SendStream) frameFor(iv Interval) *wire.StreamFrame {
 		s.finSent = true
 		s.finLost = false
 	}
-	return f
 }
 
 // OnFrameAcked records delivery of a previously sent frame.

@@ -277,21 +277,31 @@ func ParseFrame(b []byte) (Frame, int, error) {
 // payloads alias b (see DecodeBorrowed). STREAM and ACK frames — the
 // steady-state traffic — are taken from scratch (fresh when scratch is
 // nil); the rare control frames are always freshly allocated.
-func parseFrame(scratch *DecodeScratch, b []byte, borrow bool) (Frame, int, error) {
+func parseFrame(scratch *FrameArena, b []byte, borrow bool) (Frame, int, error) {
 	if len(b) == 0 {
 		return nil, 0, ErrTruncated
 	}
 	t := b[0]
 	switch {
 	case t&byte(TypeStream) != 0:
-		f := scratch.streamFrame()
+		var f *StreamFrame
+		if scratch != nil {
+			f = scratch.streamFrame()
+		} else {
+			f = new(StreamFrame)
+		}
 		n, err := parseStreamFrame(f, b, borrow)
 		if err != nil {
 			return nil, 0, err
 		}
 		return f, n, nil
 	case t&byte(TypeAck) != 0:
-		f := scratch.ackFrame()
+		var f *AckFrame
+		if scratch != nil {
+			f = scratch.ackFrame()
+		} else {
+			f = new(AckFrame)
+		}
 		n, err := parseAckFrame(f, b)
 		if err != nil {
 			return nil, 0, err

@@ -26,6 +26,12 @@ type Packet struct {
 	// largest packet number the peer acknowledged on this path when
 	// the packet was built.
 	LargestAcked PacketNumber
+
+	// own and lent serve a Packet used as a struct-mode carrier
+	// (carrier.go): the storage Fill copies ACK and STREAM frames into,
+	// and whether a PacketPool has the packet out on loan.
+	own  FrameArena
+	lent bool
 }
 
 // WireSize implements the emulator payload interface: the full packet
@@ -46,8 +52,12 @@ func (p *Packet) EncodedSize() int {
 }
 
 // IsRetransmittable reports whether any frame needs loss recovery.
-func (p *Packet) IsRetransmittable() bool {
-	for _, f := range p.Frames {
+func (p *Packet) IsRetransmittable() bool { return AnyRetransmittable(p.Frames) }
+
+// AnyRetransmittable is Packet.IsRetransmittable for a frame list that
+// is not a packet yet.
+func AnyRetransmittable(frames []Frame) bool {
+	for _, f := range frames {
 		if f.Retransmittable() {
 			return true
 		}
@@ -137,11 +147,13 @@ func DecodeBorrowed(b []byte, largestReceived PacketNumber, sealer Sealer) (*Pac
 	return p, nil
 }
 
-// DecodeScratch is the frame storage DecodeInto parses into: an arena
-// of STREAM and ACK frame values — ACK frames keep the capacity of
-// their Ranges — reused from one packet to the next. The zero value is
+// FrameArena is storage for the STREAM and ACK frames of one packet at
+// a time — the steady-state traffic — as values in two arrays reused
+// from one packet to the next, ACK frames keeping the capacity of their
+// Ranges. DecodeInto parses into a connection's; a struct-mode carrier
+// has its own for Fill to copy into (carrier.go). The zero value is
 // ready to use.
-type DecodeScratch struct {
+type FrameArena struct {
 	streams  []StreamFrame
 	acks     []AckFrame
 	nStreams int
@@ -149,20 +161,13 @@ type DecodeScratch struct {
 }
 
 // reset makes the whole arena available again.
-func (s *DecodeScratch) reset() {
-	if s != nil {
-		s.nStreams, s.nAcks = 0, 0
-	}
-}
+func (s *FrameArena) reset() { s.nStreams, s.nAcks = 0, 0 }
 
-// streamFrame returns the next free STREAM frame of the arena, or a
-// fresh one on a nil scratch. Growing the arena moves it, which is
-// harmless: frames already handed out stay valid in the old array, and
-// the next packet starts over in the new one.
-func (s *DecodeScratch) streamFrame() *StreamFrame {
-	if s == nil {
-		return new(StreamFrame)
-	}
+// streamFrame returns the next free STREAM frame of the arena. Growing
+// the arena moves it, which is harmless: frames already handed out stay
+// valid in the old array, and the next packet starts over in the new
+// one.
+func (s *FrameArena) streamFrame() *StreamFrame {
 	if s.nStreams == len(s.streams) {
 		s.streams = append(s.streams, StreamFrame{})
 	}
@@ -171,10 +176,7 @@ func (s *DecodeScratch) streamFrame() *StreamFrame {
 }
 
 // ackFrame is streamFrame for ACK frames.
-func (s *DecodeScratch) ackFrame() *AckFrame {
-	if s == nil {
-		return new(AckFrame)
-	}
+func (s *FrameArena) ackFrame() *AckFrame {
 	if s.nAcks == len(s.acks) {
 		s.acks = append(s.acks, AckFrame{})
 	}
@@ -184,7 +186,7 @@ func (s *DecodeScratch) ackFrame() *AckFrame {
 
 // DecodeInto is the receive hot path: it parses b into p, reusing the
 // backing array of p.Frames and taking STREAM and ACK frames from
-// scratch, so a connection that keeps one Packet and one DecodeScratch
+// scratch, so a connection that keeps one Packet and one FrameArena
 // decodes its steady-state traffic without allocating. Like
 // DecodeBorrowed it borrows b: a sealed payload is opened in place and
 // frame payloads alias b. p, its frames and scratch are valid until the
@@ -192,7 +194,7 @@ func (s *DecodeScratch) ackFrame() *AckFrame {
 // error p holds no frames.
 //
 //mpq:noescape
-func DecodeInto(p *Packet, scratch *DecodeScratch, b []byte, largestReceived PacketNumber, sealer Sealer) error {
+func DecodeInto(p *Packet, scratch *FrameArena, b []byte, largestReceived PacketNumber, sealer Sealer) error {
 	return decodeInto(p, scratch, b, largestReceived, sealer, true)
 }
 
@@ -204,9 +206,11 @@ var errZeroLengthFrame = errors.New("wire: zero-length frame parse")
 // and DecodeInto. Only borrow mode may write to b.
 //
 //mpq:noescape
-func decodeInto(p *Packet, scratch *DecodeScratch, b []byte, largestReceived PacketNumber, sealer Sealer, borrow bool) error {
-	scratch.reset()
-	*p = Packet{Frames: p.Frames[:0]}
+func decodeInto(p *Packet, scratch *FrameArena, b []byte, largestReceived PacketNumber, sealer Sealer, borrow bool) error {
+	if scratch != nil {
+		scratch.reset()
+	}
+	p.Header, p.Frames, p.LargestAcked = Header{}, p.Frames[:0], 0
 	hdr, hdrLen, err := ParseHeader(b, largestReceived)
 	if err != nil {
 		return err
