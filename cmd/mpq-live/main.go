@@ -1,6 +1,8 @@
 // Command mpq-live runs the MPQUIC stack over real UDP sockets — the
 // same protocol core the simulator drives, attached to a wall clock
-// and the kernel's network stack (internal/live).
+// and the kernel's network stack. It is an application of the facade:
+// both roles are mpquic.NewLiveWith plus the Fabric calls any other
+// caller would make.
 //
 // Server (serves N-byte GETs on one socket per path address):
 //
@@ -29,47 +31,49 @@ import (
 	"syscall"
 	"time"
 
-	"mpquic/internal/apps"
-	"mpquic/internal/core"
+	"mpquic"
 	"mpquic/internal/faultnet"
 	"mpquic/internal/live"
-	"mpquic/internal/netem"
 	"mpquic/internal/perf"
 	"mpquic/internal/trace"
 )
 
-func main() {
-	var (
-		server  = flag.Bool("server", false, "run as server (serve GETs until interrupted)")
-		listen  = flag.String("listen", "127.0.0.1:4433", "server: comma-separated local addresses, one per path")
-		connect = flag.String("connect", "", "client: comma-separated server addresses, one per path")
-		local   = flag.String("local", "", "client: comma-separated local addresses (default 127.0.0.1:0 per path)")
-		size    = flag.Uint64("size", 10<<20, "client: transfer size in bytes")
-		timeout = flag.Duration("timeout", 60*time.Second, "client: wall deadline for the transfer")
-		idle    = flag.Duration("idle", 30*time.Second, "connection idle timeout")
-		crypto  = flag.Bool("crypto", true, "AEAD-protect packets")
-		qlog    = flag.String("qlog", "", "write a qlog JSON-SEQ trace to this file")
-		jsonOut = flag.Bool("json", false, "client: print metrics as one JSON object")
-		once    = flag.Bool("once", false, "server: exit after the first connection closes")
-		wantAgg = flag.Bool("expect-aggregation", false,
-			"client: exit nonzero unless every path carried data and the aggregate beats the best single path")
-		coalesce = flag.Duration("coalesce", live.DefaultCoalesce,
-			"wake-up coalescing granularity (0 disables; quantizes timer wake-ups and their qlog timestamps)")
-		sockBuf = flag.Int("sockbuf", live.DefaultSocketBuffer,
-			"SO_RCVBUF/SO_SNDBUF request per UDP socket in bytes (0 keeps the OS default)")
-		chaos = flag.String("chaos", "",
-			"deterministic socket-fault spec, e.g. 'seed=42;drop=0.01;kill@200ms:1;blackhole@1s+500ms:0' (see internal/faultnet)")
-		rebindMax = flag.Int("rebind-max", live.DefaultRebindMax,
-			"rebind attempts per degraded socket before its path is abandoned (0 disables self-healing)")
-		rebindBackoff = flag.Duration("rebind-backoff", live.DefaultRebindBackoff,
-			"first rebind delay; attempt k waits backoff<<min(k,6)")
-	)
-	flag.Parse()
+var (
+	server  = flag.Bool("server", false, "run as server (serve GETs until interrupted)")
+	listen  = flag.String("listen", "127.0.0.1:4433", "server: comma-separated local addresses, one per path")
+	connect = flag.String("connect", "", "client: comma-separated server addresses, one per path")
+	local   = flag.String("local", "", "client: comma-separated local addresses (default 127.0.0.1:0 per path)")
+	size    = flag.Uint64("size", 10<<20, "client: transfer size in bytes")
+	timeout = flag.Duration("timeout", 60*time.Second, "client: wall deadline for the transfer (0 = mpquic.DefaultLiveDeadline)")
+	idle    = flag.Duration("idle", 30*time.Second, "connection idle timeout")
+	crypto  = flag.Bool("crypto", true, "AEAD-protect packets")
+	qlog    = flag.String("qlog", "", "write a qlog JSON-SEQ trace to this file")
+	jsonOut = flag.Bool("json", false, "client: print metrics as one JSON object")
+	once    = flag.Bool("once", false, "server: exit after the first connection closes")
+	wantAgg = flag.Bool("expect-aggregation", false,
+		"client: exit nonzero unless every path carried data and the aggregate beats the best single path")
+	coalesce = flag.Duration("coalesce", live.DefaultCoalesce,
+		"wake-up coalescing granularity (0 disables; quantizes timer wake-ups and their qlog timestamps)")
+	sockBuf = flag.Int("sockbuf", live.DefaultSocketBuffer,
+		"SO_RCVBUF/SO_SNDBUF request per UDP socket in bytes (0 keeps the OS default)")
+	chaos = flag.String("chaos", "",
+		"deterministic socket-fault spec, e.g. 'seed=42;drop=0.01;kill@200ms:1;blackhole@1s+500ms:0' (see internal/faultnet)")
+	rebindMax = flag.Int("rebind-max", live.DefaultRebindMax,
+		"rebind attempts per degraded socket before its path is abandoned (0 disables self-healing)")
+	rebindBackoff = flag.Duration("rebind-backoff", live.DefaultRebindBackoff,
+		"first rebind delay; attempt k waits backoff<<min(k,6)")
+)
 
-	driverOpts := []live.Option{
-		live.WithCoalesce(*coalesce),
-		live.WithSocketBuffer(*sockBuf),
-		live.WithRebind(*rebindMax, *rebindBackoff),
+func main() {
+	flag.Parse()
+	if !*server && *connect == "" {
+		fmt.Fprintln(os.Stderr, "mpq-live: need -server or -connect (see -h)")
+		os.Exit(2)
+	}
+	opts := []mpquic.LiveOption{
+		mpquic.WithCoalesce(*coalesce),
+		mpquic.WithSocketBuffer(*sockBuf),
+		mpquic.WithRebind(*rebindMax, *rebindBackoff),
 	}
 	if *chaos != "" {
 		opt, err := chaosOption(*chaos)
@@ -77,33 +81,60 @@ func main() {
 			fmt.Fprintln(os.Stderr, "mpq-live: -chaos:", err)
 			os.Exit(2)
 		}
-		driverOpts = append(driverOpts, opt)
+		opts = append(opts, opt)
 	}
-	var err error
-	if *server {
-		err = runServer(splitAddrs(*listen), *idle, *crypto, *qlog, *once, driverOpts)
-	} else {
-		if *connect == "" {
-			fmt.Fprintln(os.Stderr, "mpq-live: need -server or -connect (see -h)")
-			os.Exit(2)
-		}
-		err = runClient(clientOpts{
-			remotes: splitAddrs(*connect),
-			locals:  splitAddrs(*local),
-			size:    *size,
-			timeout: *timeout,
-			idle:    *idle,
-			crypto:  *crypto,
-			qlog:    *qlog,
-			json:    *jsonOut,
-			wantAgg: *wantAgg,
-			driver:  driverOpts,
-		})
-	}
-	if err != nil {
+	if err := run(opts); err != nil {
 		fmt.Fprintln(os.Stderr, "mpq-live:", err)
 		os.Exit(1)
 	}
+}
+
+// run binds the role's sockets, opens its qlog and plays the role. The
+// engine configuration is the same for both: multipath tracks the
+// number of bound addresses; the facade adds what real sockets require.
+func run(opts []mpquic.LiveOption) (err error) {
+	role, addrs, play := "server", splitAddrs(*listen), runServer
+	if !*server {
+		remotes := splitAddrs(*connect)
+		role, addrs = "client", splitAddrs(*local)
+		if len(addrs) == 0 {
+			for range remotes {
+				addrs = append(addrs, "127.0.0.1:0")
+			}
+		}
+		if len(addrs) != len(remotes) {
+			return fmt.Errorf("need one -local address per -connect address (%d vs %d)", len(addrs), len(remotes))
+		}
+		play = func(ln *mpquic.LiveNetwork, cfg mpquic.Config) error { return runClient(ln, cfg, remotes) }
+	}
+	ln, err := mpquic.NewLiveWith(addrs, opts...)
+	if err != nil {
+		return err
+	}
+	defer ln.Close()
+
+	cfg := mpquic.DefaultConfig()
+	if len(addrs) == 1 {
+		cfg = mpquic.SinglePathConfig()
+	}
+	cfg.MaxPaths = len(addrs)
+	cfg.EnableCrypto = *crypto
+	cfg.IdleTimeout = *idle
+	if *qlog != "" {
+		f, err := os.Create(*qlog)
+		if err != nil {
+			return err
+		}
+		q := trace.NewQlog(f, role)
+		cfg.Tracer = q
+		// A trace cut short is reported even when the transfer worked.
+		defer func() {
+			if cerr := errors.Join(q.Err(), f.Close()); err == nil {
+				err = cerr
+			}
+		}()
+	}
+	return play(ln, cfg)
 }
 
 // chaosOption compiles a -chaos spec into a driver option: a seeded
@@ -111,7 +142,7 @@ func main() {
 // events fire against a wall-anchored stopwatch started here — the
 // CLI reaches wall time through internal/perf, the audited package,
 // so the walltime analyzer holds for cmd/ (see internal/analysis).
-func chaosOption(spec string) (live.Option, error) {
+func chaosOption(spec string) (mpquic.LiveOption, error) {
 	seed, rates, script, err := faultnet.Parse(spec)
 	if err != nil {
 		return nil, err
@@ -122,77 +153,22 @@ func chaosOption(spec string) (live.Option, error) {
 		opts = append(opts, faultnet.WithClock(sw.Elapsed), faultnet.WithScript(script))
 	}
 	inj := faultnet.New(seed, opts...)
-	return live.WithSocketWrapper(func(path int, c live.UDPConn) live.UDPConn {
+	return mpquic.WithSocketWrapper(func(path int, c mpquic.UDPConn) mpquic.UDPConn {
 		return inj.Wrap(path, c)
 	}), nil
 }
 
+// splitAddrs splits a comma-separated address list.
 func splitAddrs(s string) []string {
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := parts[:0]
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
+	return strings.FieldsFunc(s, func(r rune) bool { return r == ',' || r == ' ' })
 }
 
-// liveConfig builds the core config both roles share: wire
-// serialization is mandatory over real sockets, multipath tracks the
-// number of bound addresses.
-func liveConfig(nPaths int, idle time.Duration, crypto bool, tracer trace.Tracer) core.Config {
-	cfg := core.DefaultConfig()
-	if nPaths == 1 {
-		cfg = core.DefaultSinglePathConfig()
-	}
-	cfg.MaxPaths = nPaths
-	cfg.WireSerialization = true
-	cfg.EnableCrypto = crypto
-	cfg.IdleTimeout = idle
-	cfg.Tracer = tracer
-	return cfg
-}
-
-// openQlog opens the trace file and returns the tracer (nil when path
-// is empty) plus a flush-and-close func.
-func openQlog(path, vantage string) (trace.Tracer, func() error, error) {
-	if path == "" {
-		return nil, func() error { return nil }, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	q := trace.NewQlog(f, vantage)
-	return q, func() error {
-		if err := q.Err(); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}, nil
-}
-
-func runServer(addrs []string, idle time.Duration, crypto bool, qlogPath string, once bool, opts []live.Option) error {
-	d, err := live.NewDriver(addrs, opts...)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	tracer, closeQlog, err := openQlog(qlogPath, "server")
-	if err != nil {
-		return err
-	}
-
-	lis := core.Listen(d, liveConfig(len(addrs), idle, crypto, tracer), d.LocalAddrs())
-	apps.NewGetServer(lis)
+func runServer(ln *mpquic.LiveNetwork, cfg mpquic.Config) error {
+	lis := ln.Listen(cfg)
+	ln.ServeGet(lis)
 	// Connection lifecycle logging, plus the -once exit condition.
 	accepted, closed := 0, 0
-	lis.OnConnection(func(c *core.Conn) {
+	lis.OnConnection(func(c *mpquic.Conn) {
 		accepted++
 		fmt.Fprintf(os.Stderr, "accepted connection %d\n", accepted)
 		c.OnClosed(func(error) { closed++ })
@@ -200,25 +176,26 @@ func runServer(addrs []string, idle time.Duration, crypto bool, qlogPath string,
 
 	// The bound addresses (port 0 resolves here) go to stdout so a
 	// wrapper script can read them before pointing clients at us.
-	fmt.Printf("listening %s\n", joinAddrs(d.LocalAddrs()))
+	fmt.Printf("listening %s\n", strings.Join(ln.LocalAddrs(), ","))
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sigCh
-		d.Close()
+		ln.Close()
 	}()
 
-	err = d.Run(func() bool { return once && closed > 0 })
-	if errors.Is(err, live.ErrClosed) {
-		err = nil // interrupted: a clean exit for a server
+	// Serve runs until Close; -once needs the loop's own stop condition,
+	// which only the driver takes.
+	serve := ln.Serve
+	if *once {
+		serve = func() error { return ln.Driver().Run(func() bool { return closed > 0 }) }
 	}
-	if err != nil {
-		closeQlog()
-		return err
+	if err := serve(); err != nil && !errors.Is(err, mpquic.ErrClosed) {
+		return err // ErrClosed is the interrupt: a clean exit for a server
 	}
-	d.Flush() // any final CONNECTION_CLOSE queued after the loop ended
-	return closeQlog()
+	ln.Driver().Flush() // any final CONNECTION_CLOSE queued after the loop ended
+	return nil
 }
 
 // clientMetrics is the RunMetrics-equivalent report for a live
@@ -231,21 +208,10 @@ type clientMetrics struct {
 	AggregateMbps float64       `json:"aggregate_mbps"`
 	BestPathMbps  float64       `json:"best_path_mbps"`
 	Paths         []pathMetrics `json:"paths"`
-	PacketsIn     uint64        `json:"packets_in"`
-	PacketsOut    uint64        `json:"packets_out"`
-	// Fast-lane observability: how well ingress batching worked and
-	// whether the kernel receive queue overflowed (see live.Stats).
-	IngressBatches uint64 `json:"ingress_batches"`
-	MaxBatch       uint64 `json:"max_batch"`
-	RcvQueueDrops  uint64 `json:"rcv_queue_drops"`
-	// Fault-tolerance observability: the health ladder's counters
+	// The driver's counters, flattened into the object: ingress
+	// batching, kernel receive-queue drops, the socket health ladder
 	// (see live.Stats and DESIGN.md, "Live fault tolerance").
-	TransientReadErrs uint64 `json:"transient_read_errs"`
-	Rebinds           uint64 `json:"rebinds"`
-	RebindFailures    uint64 `json:"rebind_failures"`
-	CorruptDrops      uint64 `json:"corrupt_drops"`
-	PathsFailedLive   uint64 `json:"paths_failed_live"`
-	EgressDiscards    uint64 `json:"egress_discards"`
+	live.Stats
 }
 
 type pathMetrics struct {
@@ -266,71 +232,20 @@ type pathMetrics struct {
 	RemotePF bool `json:"remote_pf"`
 }
 
-// clientOpts bundles the client-side flag values.
-type clientOpts struct {
-	remotes []string
-	locals  []string
-	size    uint64
-	timeout time.Duration
-	idle    time.Duration
-	crypto  bool
-	qlog    string
-	json    bool
-	wantAgg bool
-	driver  []live.Option
-}
-
-func runClient(o clientOpts) error {
-	locals := o.locals
-	if len(locals) == 0 {
-		locals = make([]string, len(o.remotes))
-		for i := range locals {
-			locals[i] = "127.0.0.1:0"
-		}
-	}
-	if len(locals) != len(o.remotes) {
-		return fmt.Errorf("need one -local address per -connect address (%d vs %d)", len(locals), len(o.remotes))
-	}
-	d, err := live.NewDriver(locals, o.driver...)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	tracer, closeQlog, err := openQlog(o.qlog, "client")
+func runClient(ln *mpquic.LiveNetwork, cfg mpquic.Config, remotes []string) error {
+	conn := ln.Dial(cfg, uint64(os.Getpid()), remotes...)
+	res, err := ln.DownloadWith(conn, *size, mpquic.DownloadOpts{Deadline: *timeout})
 	if err != nil {
 		return err
 	}
 
-	remoteAddrs := make([]netem.Addr, len(o.remotes))
-	for i, r := range o.remotes {
-		remoteAddrs[i] = netem.Addr(r)
-	}
-	cfg := liveConfig(len(o.remotes), o.idle, o.crypto, tracer)
-	conn := core.Dial(d, cfg, core.NewConnID(uint64(os.Getpid())), d.LocalAddrs(), remoteAddrs)
-
-	res, err := live.Download(d, conn, o.size, o.timeout)
-	if err != nil {
-		closeQlog()
-		return err
-	}
-
+	d := ln.Driver()
 	d.UpdateSocketStats()
 	m := clientMetrics{
-		Size:           res.Size,
-		HandshakeSecs:  res.HandshakeDone.Seconds(),
-		TransferSecs:   res.Elapsed().Seconds(),
-		PacketsIn:      d.Stats.PacketsIn,
-		PacketsOut:     d.Stats.PacketsOut,
-		IngressBatches: d.Stats.IngressBatches,
-		MaxBatch:       d.Stats.MaxBatch,
-		RcvQueueDrops:  d.Stats.RcvQueueDrops,
-
-		TransientReadErrs: d.Stats.TransientReadErrs,
-		Rebinds:           d.Stats.Rebinds,
-		RebindFailures:    d.Stats.RebindFailures,
-		CorruptDrops:      d.Stats.CorruptDrops,
-		PathsFailedLive:   d.Stats.PathsFailedLive,
-		EgressDiscards:    d.Stats.EgressDiscards,
+		Size:          res.Size,
+		HandshakeSecs: res.HandshakeDone.Seconds(),
+		TransferSecs:  res.Elapsed().Seconds(),
+		Stats:         d.Stats,
 	}
 	if s := m.TransferSecs; s > 0 {
 		m.GoodputMbps = float64(res.Size) * 8 / s / 1e6
@@ -360,10 +275,8 @@ func runClient(o clientOpts) error {
 		m.Paths = append(m.Paths, pm)
 	}
 
-	if o.json {
-		enc := json.NewEncoder(os.Stdout)
-		if err := enc.Encode(m); err != nil {
-			closeQlog()
+	if *jsonOut {
+		if err := json.NewEncoder(os.Stdout).Encode(m); err != nil {
 			return err
 		}
 	} else {
@@ -371,10 +284,7 @@ func runClient(o clientOpts) error {
 	}
 	conn.Close()
 	d.Flush() // deliver the CONNECTION_CLOSE before the socket drops
-	if err := closeQlog(); err != nil {
-		return err
-	}
-	if o.wantAgg {
+	if *wantAgg {
 		return checkAggregation(m)
 	}
 	return nil
@@ -423,12 +333,4 @@ func printMetrics(m clientMetrics) {
 			p.ID, p.Local, p.Remote, p.RecvBytes, p.Mbps, p.SentBytes, p.CwndBytes, p.SRTTms, pf)
 	}
 	fmt.Printf("best path    %.2f Mbps of %.2f Mbps aggregate\n", m.BestPathMbps, m.AggregateMbps)
-}
-
-func joinAddrs(addrs []netem.Addr) string {
-	parts := make([]string, len(addrs))
-	for i, a := range addrs {
-		parts[i] = string(a)
-	}
-	return strings.Join(parts, ",")
 }

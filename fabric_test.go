@@ -32,6 +32,11 @@ type fabricEnv struct {
 	// at sockets nobody serves.
 	deadPaths   func()
 	deadRemotes []string
+
+	// tooShort is a deadline a 2 MB GET over live paths cannot meet:
+	// 300 ms of virtual time at 20 Mbit/s, or a wall-clock instant no
+	// handshake fits in.
+	tooShort time.Duration
 }
 
 // fabricBackends returns a constructor per backend. Constructors
@@ -51,6 +56,7 @@ func fabricBackends() map[string]func(t *testing.T) *fabricEnv {
 					net.KillPath(1)
 				},
 				deadRemotes: remotes,
+				tooShort:    300 * time.Millisecond,
 			}
 		},
 		"live": func(t *testing.T) *fabricEnv {
@@ -78,6 +84,7 @@ func fabricBackends() map[string]func(t *testing.T) *fabricEnv {
 				remotes:     srv.LocalAddrs(),
 				deadPaths:   func() {},
 				deadRemotes: silent.LocalAddrs(),
+				tooShort:    time.Microsecond,
 			}
 		},
 	}
@@ -160,6 +167,31 @@ func TestFabricDownloadTimeout(t *testing.T) {
 		})
 		if !errors.Is(err, mpquic.ErrTimeout) {
 			t.Fatalf("DownloadWith on dead paths = %v, want ErrTimeout", err)
+		}
+	})
+}
+
+// A GET that missed its deadline is not cancelled: it keeps running on
+// the connection and finishes late. That late completion must not end
+// the next DownloadWith on the same connection — the stop condition is
+// "this GET is done", on both backends.
+func TestFabricRepeatedDownloadAfterTimeout(t *testing.T) {
+	runOnBackends(t, func(t *testing.T, env *fabricEnv) {
+		cfg := mpquic.DefaultConfig()
+		env.server.ServeGet(env.server.Listen(cfg))
+		go env.server.Serve()
+
+		client := env.client.Dial(cfg, 42, env.remotes...)
+		_, err := env.client.DownloadWith(client, 2<<20, mpquic.DownloadOpts{Deadline: env.tooShort})
+		if !errors.Is(err, mpquic.ErrTimeout) {
+			t.Fatalf("first DownloadWith = %v, want ErrTimeout", err)
+		}
+		res, err := env.client.DownloadWith(client, 20<<20, mpquic.DownloadOpts{Deadline: time.Hour})
+		if err != nil {
+			t.Fatalf("second DownloadWith on the same connection: %v", err)
+		}
+		if res.Size != 20<<20 {
+			t.Fatalf("second DownloadWith returned %+v, want the 20 MB GET's result", res)
 		}
 	})
 }

@@ -131,3 +131,23 @@ func TestSequentialDownloadsShareOneClock(t *testing.T) {
 		t.Fatalf("clock at %v after both downloads, want %v", got, want)
 	}
 }
+
+// The same late GET must not cut RunFor short either: after a Download
+// that timed out, RunFor still advances the clock by the full duration
+// while the abandoned GET completes inside it.
+func TestRunForAfterTimedOutDownload(t *testing.T) {
+	net := mpquic.NewTwoPathNetwork(twoPathSpec(1))
+	net.ServeGet(net.Listen(mpquic.DefaultConfig()))
+	client := net.Dial(mpquic.DefaultConfig(), 42)
+	_, err := net.DownloadWith(client, 2<<20, mpquic.DownloadOpts{Deadline: 300 * time.Millisecond})
+	if !errors.Is(err, mpquic.ErrTimeout) {
+		t.Fatalf("DownloadWith = %v, want ErrTimeout", err)
+	}
+	before := net.Now()
+	if err := net.RunFor(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := net.Now() - before; got != 10*time.Second {
+		t.Fatalf("RunFor(10s) advanced the clock by %v", got)
+	}
+}

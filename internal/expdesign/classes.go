@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"mpquic/internal/netem"
+	"mpquic/internal/netem/dynamics"
 	"mpquic/internal/wsp"
 )
 
@@ -82,6 +83,9 @@ const (
 	// DynFlaky takes path 0 down periodically; outage length and
 	// period are designed factors.
 	DynFlaky = "flaky"
+	// DynKill takes the path down for good at Start — the paper's §4.3
+	// handover event. No grid designs it; HandoverConfig and the CLI do.
+	DynKill = "kill"
 )
 
 // The dynamic scenario classes (beyond the paper): the same low-BDP
@@ -126,6 +130,35 @@ type Dynamics struct {
 	Depth float64 `json:"depth,omitempty"`
 	// Outage is how long the flaky path stays down each cycle.
 	Outage time.Duration `json:"outage,omitempty"`
+	// Start is when the scripted behaviour begins. Zero starts an
+	// oscillation at once and a flaky path's first outage half a period
+	// in, so the handshake gets a fighting chance and every cycle
+	// thereafter is identical.
+	Start time.Duration `json:"start,omitempty"`
+}
+
+// script builds the netem/dynamics script the declaration stands for,
+// against topology path `path` whose designed capacity is meanMbps.
+// DynBursty is a loss model, not a script: applyDynamics installs it.
+func (d Dynamics) script(path int, meanMbps float64) dynamics.Script {
+	switch d.Kind {
+	case DynKill:
+		return dynamics.KillAt(path, d.Start)
+	case DynFlaky:
+		first := d.Start
+		if first == 0 {
+			first = d.Period / 2
+		}
+		return dynamics.Flap(path, first, d.Outage, d.Period)
+	case DynOscillate:
+		s := dynamics.OscillateRate(path, meanMbps, d.Depth, d.Period)
+		for i := range s.Events {
+			s.Events[i].At += d.Start
+		}
+		return s
+	default:
+		panic(fmt.Sprintf("expdesign: no script for dynamics kind %q", d.Kind))
+	}
 }
 
 // Scenario is one emulated two-path environment, optionally with
@@ -154,6 +187,8 @@ func (s Scenario) String() string {
 			str += fmt.Sprintf(" +osc(path%d, %v, ±%.0f%%)", d.Path, d.Period, d.Depth*100)
 		case DynFlaky:
 			str += fmt.Sprintf(" +flap(path%d, %v down per %v)", d.Path, d.Outage, d.Period)
+		case DynKill:
+			str += fmt.Sprintf(" +kill(path%d at %v)", d.Path, d.Start)
 		}
 	}
 	return str

@@ -203,9 +203,9 @@ func TestHandoverExperiment(t *testing.T) {
 	var pre, post []time.Duration
 	for _, s := range res.Samples {
 		switch {
-		case s.SentAt < hc.FailAt-time.Second:
+		case s.SentAt < hc.Failure.Start-time.Second:
 			pre = append(pre, s.Delay)
-		case s.SentAt > hc.FailAt+2*time.Second:
+		case s.SentAt > hc.Failure.Start+2*time.Second:
 			post = append(post, s.Delay)
 		}
 	}

@@ -1,27 +1,12 @@
 package expdesign
 
 import (
-	"fmt"
 	"time"
 
 	"mpquic/internal/apps"
 	"mpquic/internal/core"
 	"mpquic/internal/netem"
-	"mpquic/internal/netem/dynamics"
 	"mpquic/internal/sim"
-)
-
-// Handover modes: how the initial path misbehaves from FailAt on.
-const (
-	// HandoverKill is the paper's §4.3 event — the WiFi path goes
-	// permanently down.
-	HandoverKill = "kill"
-	// HandoverFlap takes the initial path down for Outage every
-	// Period, starting at FailAt (a link on the edge of coverage).
-	HandoverFlap = "flap"
-	// HandoverOscillate keeps the initial path up but oscillates its
-	// capacity with the given Period and Depth (WiFi fading).
-	HandoverOscillate = "oscillate"
 )
 
 // HandoverConfig parameterizes the §4.3 network-handover scenario: a
@@ -32,19 +17,14 @@ type HandoverConfig struct {
 	InitialRTT   time.Duration // paper: 15 ms
 	SecondRTT    time.Duration // paper: 25 ms
 	CapacityMbps float64
-	FailAt       time.Duration // paper: 3 s
 	Duration     time.Duration
 	// PathsFrameOnFailure toggles the §4.3 optimization (ablation).
 	PathsFrameOnFailure bool
 	Seed                uint64
-	// Mode selects the failure dynamics: HandoverKill (default when
-	// empty, the paper's scenario), HandoverFlap or HandoverOscillate.
-	Mode string
-	// Period and Outage parameterize HandoverFlap (Period also paces
-	// HandoverOscillate); Depth is the oscillation amplitude in (0,1).
-	Period time.Duration
-	Outage time.Duration
-	Depth  float64
+	// Failure is how the initial path misbehaves from Failure.Start on
+	// (paper: DynKill at 3 s): DynKill, DynFlaky — a link on the edge
+	// of coverage — or DynOscillate, WiFi fading.
+	Failure Dynamics
 }
 
 // DefaultHandoverConfig mirrors Fig. 11.
@@ -53,10 +33,10 @@ func DefaultHandoverConfig() HandoverConfig {
 		InitialRTT:          15 * time.Millisecond,
 		SecondRTT:           25 * time.Millisecond,
 		CapacityMbps:        10,
-		FailAt:              3 * time.Second,
 		Duration:            15 * time.Second,
 		PathsFrameOnFailure: true,
 		Seed:                1,
+		Failure:             Dynamics{Kind: DynKill, Start: 3 * time.Second},
 	}
 }
 
@@ -70,32 +50,13 @@ type HandoverResult struct {
 	ServerSawPathsFrame bool
 }
 
-// handoverScript builds the dynamics script of the configured mode.
-func handoverScript(hc HandoverConfig) dynamics.Script {
-	switch hc.Mode {
-	case "", HandoverKill:
-		return dynamics.KillAt(0, hc.FailAt)
-	case HandoverFlap:
-		return dynamics.Flap(0, hc.FailAt, hc.Outage, hc.Period)
-	case HandoverOscillate:
-		s := dynamics.OscillateRate(0, hc.CapacityMbps, hc.Depth, hc.Period)
-		// Shift the cycle so the fading starts at FailAt.
-		for i := range s.Events {
-			s.Events[i].At += hc.FailAt
-		}
-		return s
-	default:
-		panic(fmt.Sprintf("expdesign: unknown handover mode %q", hc.Mode))
-	}
-}
-
 // RunHandover executes the §4.3 request/response scenario over MPQUIC
 // and returns the delay-vs-time series of Fig. 11. The initial path's
-// misbehaviour is a netem/dynamics script selected by Mode; the
-// default reproduces the paper's hard failure exactly.
+// misbehaviour is the netem/dynamics script of Failure; the default
+// reproduces the paper's hard failure exactly.
 func RunHandover(hc HandoverConfig) HandoverResult {
 	clock := sim.NewClock()
-	clock.Limit = 100_000_000
+	clock.Limit = sim.DefaultEventLimit
 	tp := netem.NewTwoPath(clock, sim.NewRand(hc.Seed), [2]netem.PathSpec{
 		{CapacityMbps: hc.CapacityMbps, RTT: hc.InitialRTT, QueueDelay: 100 * time.Millisecond},
 		{CapacityMbps: hc.CapacityMbps, RTT: hc.SecondRTT, QueueDelay: 100 * time.Millisecond},
@@ -110,7 +71,7 @@ func RunHandover(hc HandoverConfig) HandoverResult {
 
 	client := core.Dial(tp.Net, cfg, core.NewConnID(hc.Seed), tp.ClientAddrs[:], tp.ServerAddrs[:])
 	rr := apps.NewReqRespClient(client, clock, hc.Duration)
-	handoverScript(hc).Apply(clock, tp)
+	hc.Failure.script(0, hc.CapacityMbps).Apply(clock, tp)
 	clock.RunUntil(sim.Time(hc.Duration + 5*time.Second))
 
 	res.Samples = rr.Samples()

@@ -1,7 +1,9 @@
 package expdesign
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"time"
 
 	"mpquic/internal/apps"
@@ -36,6 +38,18 @@ func (p Protocol) String() string {
 	default:
 		return "MPQUIC"
 	}
+}
+
+// Set parses a protocol name, in any case, making *Protocol a
+// flag.Value.
+func (p *Protocol) Set(name string) error {
+	for q := ProtoTCP; q <= ProtoMPQUIC; q++ {
+		if strings.EqualFold(q.String(), name) {
+			*p = q
+			return nil
+		}
+	}
+	return errors.New("want tcp, quic, mptcp or mpquic")
 }
 
 // Multipath reports whether the protocol uses both paths.
@@ -243,29 +257,23 @@ func applyDynamics(clock *sim.Clock, rng *sim.Rand, tp *netem.TwoPathNet, sc Sce
 		}
 		return p
 	}
-	switch d.Kind {
-	case DynBursty:
-		// Every lossy link trades its Bernoulli process for a
-		// Gilbert–Elliott chain of the same average loss rate. Forks
-		// happen in scenario-path order so the draw sequences do not
-		// depend on the start path.
-		for p := 0; p < 2; p++ {
-			spec := sc.Paths[p]
-			if spec.LossRate <= 0 {
-				continue
-			}
-			for _, l := range tp.PathLinks(topoIdx(p)) {
-				l.SetLossModel(dynamics.NewGilbertElliott(
-					rng.Fork(), dynamics.GEFromAverage(spec.LossRate, d.MeanBurstPkts)))
-			}
+	if d.Kind != DynBursty {
+		d.script(topoIdx(d.Path), sc.Paths[d.Path].CapacityMbps).Apply(clock, tp)
+		return
+	}
+	// Every lossy link trades its Bernoulli process for a
+	// Gilbert–Elliott chain of the same average loss rate. Forks happen
+	// in scenario-path order so the draw sequences do not depend on the
+	// start path.
+	for p := 0; p < 2; p++ {
+		spec := sc.Paths[p]
+		if spec.LossRate <= 0 {
+			continue
 		}
-	case DynOscillate:
-		dynamics.OscillateRate(topoIdx(d.Path), sc.Paths[d.Path].CapacityMbps, d.Depth, d.Period).
-			Apply(clock, tp)
-	case DynFlaky:
-		// First outage half a period in, so the handshake gets a
-		// fighting chance and every cycle thereafter is identical.
-		dynamics.Flap(topoIdx(d.Path), d.Period/2, d.Outage, d.Period).Apply(clock, tp)
+		for _, l := range tp.PathLinks(topoIdx(p)) {
+			l.SetLossModel(dynamics.NewGilbertElliott(
+				rng.Fork(), dynamics.GEFromAverage(spec.LossRate, d.MeanBurstPkts)))
+		}
 	}
 }
 
@@ -285,6 +293,11 @@ type RunOpts struct {
 	// Tracer, when non-nil, receives the run's protocol events from
 	// both endpoints plus the emulator's link lifecycle events.
 	Tracer trace.Tracer
+	// Side, when "client" or "server", narrows the protocol events
+	// Tracer and the flight recorder see to that endpoint's — what a
+	// qlog file, which has one vantage point, needs. Link events still
+	// flow. Empty means both endpoints.
+	Side string
 	// FlightEvents, when positive, arms a bounded flight recorder of
 	// this capacity over the same event stream. The ring is only ever
 	// dumped through FlightDump — healthy runs pay no trace I/O.
@@ -335,7 +348,7 @@ func RunMPQUICVariant(sc Scenario, cfg core.Config, size uint64, startPath int, 
 // is kept unless opts arms one.
 func run(sc Scenario, proto Protocol, cfg core.Config, size uint64, startPath int, seed uint64, opts RunOpts) RunResult {
 	clock := sim.NewClock()
-	clock.Limit = 400_000_000
+	clock.Limit = sim.DefaultEventLimit
 	specs := orderedSpecs(sc, startPath)
 	rng := sim.NewRand(seed)
 	tp := netem.NewTwoPath(clock, rng, specs)
@@ -357,6 +370,14 @@ func run(sc Scenario, proto Protocol, cfg core.Config, size uint64, startPath in
 	if tracer != nil {
 		tp.SetTracer(tracer)
 	}
+	// traceAt is the tracer endpoint end ("client" or "server") gets;
+	// keep is what it gets when the run arms none there.
+	traceAt := func(end string, keep trace.Tracer) trace.Tracer {
+		if tracer != nil && (opts.Side == "" || opts.Side == end) {
+			return tracer
+		}
+		return keep
+	}
 
 	var (
 		done     *time.Duration
@@ -377,13 +398,13 @@ func run(sc Scenario, proto Protocol, cfg core.Config, size uint64, startPath in
 			nPaths = 2
 		}
 		cfg.HandshakeSeed = seed
-		if tracer != nil {
-			cfg.Tracer = tracer
-		}
-		lis := core.Listen(tp.Net, cfg, tp.ServerAddrs[:nPaths])
+		srvCfg, cliCfg := cfg, cfg
+		srvCfg.Tracer = traceAt("server", cfg.Tracer)
+		cliCfg.Tracer = traceAt("client", cfg.Tracer)
+		lis := core.Listen(tp.Net, srvCfg, tp.ServerAddrs[:nPaths])
 		apps.NewGetServer(lis)
 		server := acceptedConn(lis)
-		client := core.Dial(tp.Net, cfg, core.NewConnID(seed), tp.ClientAddrs[:nPaths], tp.ServerAddrs[:nPaths])
+		client := core.Dial(tp.Net, cliCfg, core.NewConnID(seed), tp.ClientAddrs[:nPaths], tp.ServerAddrs[:nPaths])
 		apps.NewGetClient(client, size, now, func(r apps.GetResult) { finish(r.Elapsed()) })
 		received = func() uint64 {
 			if s := client.StreamByID(core.FirstClientStream); s != nil {
@@ -398,16 +419,16 @@ func run(sc Scenario, proto Protocol, cfg core.Config, size uint64, startPath in
 			}
 		}
 	case ProtoTCP:
-		cfg := tcpsim.DefaultConfig()
-		cfg.Tracer = tracer
-		lis := tcpsim.ListenTCP(tp.Net, cfg, tp.ServerAddrs[0])
-		client := tcpsim.DialTCP(tp.Net, cfg, tp.ClientAddrs[0], tp.ServerAddrs[0])
+		srvCfg, cliCfg := tcpsim.DefaultConfig(), tcpsim.DefaultConfig()
+		srvCfg.Tracer, cliCfg.Tracer = traceAt("server", nil), traceAt("client", nil)
+		lis := tcpsim.ListenTCP(tp.Net, srvCfg, tp.ServerAddrs[0])
+		client := tcpsim.DialTCP(tp.Net, cliCfg, tp.ClientAddrs[0], tp.ServerAddrs[0])
 		received, collect, sample = tcpGet(lis, client, size, now, finish)
 	case ProtoMPTCP:
-		cfg := mptcpsim.DefaultConfig()
-		cfg.Tracer = tracer
-		lis := mptcpsim.ListenMPTCP(tp.Net, cfg, tp.ServerAddrs[:])
-		client := mptcpsim.DialMPTCP(tp.Net, cfg, uint32(seed)|1, tp.ClientAddrs[:], tp.ServerAddrs[:])
+		srvCfg, cliCfg := mptcpsim.DefaultConfig(), mptcpsim.DefaultConfig()
+		srvCfg.Tracer, cliCfg.Tracer = traceAt("server", nil), traceAt("client", nil)
+		lis := mptcpsim.ListenMPTCP(tp.Net, srvCfg, tp.ServerAddrs[:])
+		client := mptcpsim.DialMPTCP(tp.Net, cliCfg, uint32(seed)|1, tp.ClientAddrs[:], tp.ServerAddrs[:])
 		received, collect, sample = tcpGet(lis, client, size, now, finish)
 	}
 

@@ -152,7 +152,7 @@ func TestTinySocketBufferOverflowSurfaced(t *testing.T) {
 }
 
 // Cancellation mid-download: a canceled context wakes a blocked loop
-// promptly and DownloadWith returns the context's error.
+// promptly and DriveUntil returns the context's error.
 func TestDownloadCancel(t *testing.T) {
 	silent := newDriver(t, 1) // bound sockets, no endpoint: never answers
 	client, conn := dial(t, silent, 1, 77)
@@ -163,9 +163,9 @@ func TestDownloadCancel(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := live.DownloadWith(ctx, client, conn, 1<<20, 30*time.Second)
+	err := client.DriveUntil(ctx, 30*time.Second, conn.Closed)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("DownloadWith after cancel = %v, want context.Canceled", err)
+		t.Fatalf("DriveUntil after cancel = %v, want context.Canceled", err)
 	}
 	if el := time.Since(start); el > 5*time.Second {
 		t.Fatalf("cancellation took %v, want prompt wake-up", el)

@@ -166,45 +166,45 @@ type delivery struct {
 // Stats counts driver-level activity (socket I/O, not protocol state;
 // per-path protocol counters live on the connection's paths).
 type Stats struct {
-	PacketsIn   uint64 // datagrams injected into the stack
-	PacketsOut  uint64 // datagrams written to sockets
-	BytesIn     uint64
-	BytesOut    uint64
-	NoHandler   uint64 // ingress dropped: no handler for the socket
-	NoRoute     uint64 // egress dropped: unknown local addr, bad remote, or no route to host
-	WriteErrors uint64 // egress dropped: socket write failed (treated as loss)
+	PacketsIn   uint64 `json:"packets_in"`  // datagrams injected into the stack
+	PacketsOut  uint64 `json:"packets_out"` // datagrams written to sockets
+	BytesIn     uint64 `json:"bytes_in"`
+	BytesOut    uint64 `json:"bytes_out"`
+	NoHandler   uint64 `json:"no_handler"`   // ingress dropped: no handler for the socket
+	NoRoute     uint64 `json:"no_route"`     // egress dropped: unknown local addr, bad remote, or no route to host
+	WriteErrors uint64 `json:"write_errors"` // egress dropped: socket write failed (treated as loss)
 
 	// EgressDiscards counts egress datagrams discarded unsent because a
 	// fatal error earlier in the same flush aborted the batch (the
 	// remainder is dropped deliberately, and visibly, instead of being
 	// written after the driver has decided to die).
-	EgressDiscards uint64
+	EgressDiscards uint64 `json:"egress_discards"`
 
 	// Socket health ladder counters (see fault.go).
-	TransientReadErrs uint64 // reader errors retried in place
-	SocketsDegraded   uint64 // rebind ladders entered (persistent failures)
-	Rebinds           uint64 // successful socket rebinds
-	RebindFailures    uint64 // failed rebind attempts
-	PathsFailedLive   uint64 // sockets abandoned after exhausting their ladder
+	TransientReadErrs uint64 `json:"transient_read_errs"` // reader errors retried in place
+	SocketsDegraded   uint64 `json:"sockets_degraded"`    // rebind ladders entered (persistent failures)
+	Rebinds           uint64 `json:"rebinds"`             // successful socket rebinds
+	RebindFailures    uint64 `json:"rebind_failures"`     // failed rebind attempts
+	PathsFailedLive   uint64 `json:"paths_failed_live"`   // sockets abandoned after exhausting their ladder
 
 	// CorruptDrops sums the undecodable-ingress datagrams the protocol
 	// handlers silently dropped (unparsable header, undecodable
 	// payload): corrupted packets are loss, never a crash. Refreshed by
 	// UpdateSocketStats (and so when Run returns).
-	CorruptDrops uint64
+	CorruptDrops uint64 `json:"corrupt_drops"`
 
 	// IngressBatches counts clock steps that injected at least one
 	// datagram; PacketsIn / IngressBatches is the mean batch size the
 	// batched loop achieved.
-	IngressBatches uint64
+	IngressBatches uint64 `json:"ingress_batches"`
 	// MaxBatch is the largest single-step ingress batch observed.
-	MaxBatch uint64
+	MaxBatch uint64 `json:"max_batch"`
 	// RcvQueueDrops is the kernel's receive-queue overflow count for
 	// the driver's sockets (datagrams the kernel dropped because
 	// SO_RCVBUF was full), read from /proc/net/udp[6]. Updated when
 	// Run returns and by UpdateSocketStats; zero where the platform
 	// does not expose the counter.
-	RcvQueueDrops uint64
+	RcvQueueDrops uint64 `json:"rcv_queue_drops"`
 }
 
 // Driver runs a sim.Clock against wall time and moves datagrams

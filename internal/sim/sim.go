@@ -128,6 +128,12 @@ type Clock struct {
 	Limit uint64
 }
 
+// DefaultEventLimit is the runaway guard every finite simulation
+// assigns to Clock.Limit: far beyond anything a transfer needs, small
+// enough to abort a self-rescheduling loop within minutes. NewClock
+// does not apply it — a live server's clock runs unbounded.
+const DefaultEventLimit = 500_000_000
+
 // NewClock returns a Clock at the simulation epoch.
 func NewClock() *Clock { return &Clock{} }
 

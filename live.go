@@ -1,10 +1,8 @@
 package mpquic
 
 import (
-	"context"
 	"time"
 
-	"mpquic/internal/apps"
 	"mpquic/internal/core"
 	"mpquic/internal/live"
 	"mpquic/internal/netem"
@@ -61,22 +59,12 @@ func WithSocketWrapper(w SocketWrapper) LiveOption { return live.WithSocketWrapp
 // the path immediately.
 func WithRebind(max int, base time.Duration) LiveOption { return live.WithRebind(max, base) }
 
-// WithLiveTracer attaches a tracer to the live driver itself: socket
-// health transitions (SocketDegraded/SocketRebound/SocketFailed) are
-// emitted there, stamped with wall-derived sim time. Protocol events
-// keep flowing through the endpoint config's tracer.
-func WithLiveTracer(t Tracer) LiveOption { return live.WithTracer(t) }
-
-// ErrAllPathsDown is returned by a live Serve/Download when every path
-// socket has exhausted its rebind ladder: the driver has no way left
-// to move packets.
-var ErrAllPathsDown = live.ErrAllPathsDown
-
 // LiveNetwork runs MPQUIC endpoints over real UDP sockets: one socket
 // per local path address, sim time mapped monotonically onto wall
 // time. Unlike Network, runs are not reproducible — the kernel and
 // the real network schedule the packets.
 type LiveNetwork struct {
+	gets
 	d *live.Driver
 }
 
@@ -93,7 +81,12 @@ func NewLiveWith(localAddrs []string, opts ...LiveOption) (*LiveNetwork, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &LiveNetwork{d: d}, nil
+	return &LiveNetwork{d: d, gets: gets{
+		now:             func() time.Duration { return d.Clock().Now().Duration() },
+		defaultDeadline: DefaultLiveDeadline,
+		drive:           d.DriveUntil,
+		wake:            d.Wake,
+	}}, nil
 }
 
 // Driver exposes the underlying live driver for advanced use (stats,
@@ -122,9 +115,6 @@ func (n *LiveNetwork) Listen(cfg Config) *Listener {
 	return core.Listen(n.d, liveConfig(cfg), n.d.LocalAddrs())
 }
 
-// ServeGet attaches the paper's GET file server to a listener.
-func (n *LiveNetwork) ServeGet(l *Listener) { apps.NewGetServer(l) }
-
 // Serve drives the server loop until Close (returns ErrClosed) or a
 // socket error. Call after Listen+ServeGet.
 func (n *LiveNetwork) Serve() error { return n.d.Run(nil) }
@@ -138,34 +128,6 @@ func (n *LiveNetwork) Dial(cfg Config, connID uint64, remotes ...string) *Conn {
 		ra[i] = netem.Addr(r)
 	}
 	return core.Dial(n.d, liveConfig(cfg), core.NewConnID(connID), n.d.LocalAddrs(), ra)
-}
-
-// Download runs a blocking GET of size bytes over the live network,
-// driving the wall-clock loop until completion. Timestamps in the
-// result are wall-derived durations since the loop first started. It
-// returns ErrTimeout after DefaultLiveDeadline, or an *AbortError if
-// the connection dies first.
-func (n *LiveNetwork) Download(client *Conn, size uint64) (GetResult, error) {
-	return n.DownloadWith(client, size, DownloadOpts{})
-}
-
-// DownloadWith is Download with explicit options. Opts.Ctx
-// cancellation is honored mid-transfer: the loop wakes and returns
-// Ctx.Err(). Errors are the ones the emulated backend returns —
-// ErrTimeout, *AbortError, ErrClosed.
-func (n *LiveNetwork) DownloadWith(client *Conn, size uint64, opts DownloadOpts) (GetResult, error) {
-	deadline := opts.Deadline
-	if deadline <= 0 {
-		deadline = DefaultLiveDeadline
-	}
-	ctx := opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return GetResult{}, err
-	}
-	return live.DownloadWith(ctx, n.d, client, size, deadline)
 }
 
 // Close shuts the sockets down; a concurrent Serve returns ErrClosed.

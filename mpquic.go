@@ -101,7 +101,7 @@ const (
 // DefaultEventLimit is the runaway guard applied when
 // TwoPathConfig.EventLimit is zero: the simulation aborts with an error
 // after this many events, far beyond anything a finite transfer needs.
-const DefaultEventLimit = 500_000_000
+const DefaultEventLimit = sim.DefaultEventLimit
 
 // DefaultDownloadDeadline is the virtual-time budget Network.Download
 // grants a transfer before returning ErrTimeout.
@@ -181,8 +181,61 @@ type TwoPathConfig struct {
 	EventLimit uint64
 }
 
+// gets is the half of Fabric both backends share — ServeGet, Download
+// and DownloadWith, written once — over the one step that differs
+// between a virtual clock and a wall-clock socket loop. Network and
+// LiveNetwork embed it.
+type gets struct {
+	// now reads the backend's clock, the timebase of GetResult.
+	now func() time.Duration
+	// defaultDeadline bounds a Download whose caller set none.
+	defaultDeadline time.Duration
+	// drive runs the backend until done() holds or deadline has passed
+	// (neither is an error), or ctx is done where the backend can
+	// notice (its error). wake, called from inside a drive, makes it
+	// look at done() again.
+	drive func(ctx context.Context, deadline time.Duration, done func() bool) error
+	wake  func()
+}
+
+// ServeGet attaches the paper's GET file server to a listener.
+func (n *gets) ServeGet(l *Listener) { apps.NewGetServer(l) }
+
+// Download runs a blocking GET of size bytes on the client connection
+// under the backend's default deadline; see DownloadWith.
+func (n *gets) Download(client *Conn, size uint64) (GetResult, error) {
+	return n.DownloadWith(client, size, DownloadOpts{})
+}
+
+// DownloadWith arms a GET of size bytes on the client connection,
+// drives the backend — the virtual clock, or the wall-clock socket
+// loop on the calling goroutine — until that GET is done, and returns
+// its result, timestamped in the backend's time. It returns ErrTimeout
+// if opts.Deadline passes first, *AbortError if the connection died
+// before completing, ErrClosed if the fabric was closed, or the
+// opts.Ctx error.
+func (n *gets) DownloadWith(client *Conn, size uint64, opts DownloadOpts) (GetResult, error) {
+	ctx := opts.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return GetResult{}, err
+	}
+	deadline := opts.Deadline
+	if deadline <= 0 {
+		deadline = n.defaultDeadline
+	}
+	get := apps.NewGetClient(client, size, n.now, func(GetResult) { n.wake() })
+	if err := n.drive(ctx, deadline, func() bool { return get.Done() || client.Closed() }); err != nil {
+		return GetResult{}, err
+	}
+	return get.Outcome()
+}
+
 // Network is an emulated two-path network plus its virtual clock.
 type Network struct {
+	gets
 	clock *sim.Clock
 	tp    *netem.TwoPathNet
 
@@ -198,7 +251,23 @@ func NewTwoPathNetwork(cfg TwoPathConfig) *Network {
 		clock.Limit = DefaultEventLimit
 	}
 	tp := netem.NewTwoPath(clock, sim.NewRand(cfg.Seed), [2]netem.PathSpec{cfg.Path0, cfg.Path1})
-	return &Network{clock: clock, tp: tp, done: make(chan struct{})}
+	n := &Network{clock: clock, tp: tp, done: make(chan struct{})}
+	n.gets = gets{now: n.Now, defaultDeadline: DefaultDownloadDeadline, drive: n.drive, wake: clock.Stop}
+	return n
+}
+
+// drive runs the virtual clock until done() holds or deadline of
+// virtual time has passed. Stop is only a wake-up here: whoever called
+// it — this drive's GET, or one an earlier drive gave up on finishing
+// late — the clock resumes unless done() says this drive is over. The
+// run is synchronous, with nobody to preempt, so ctx is not looked at.
+func (n *Network) drive(_ context.Context, deadline time.Duration, done func() bool) error {
+	end := n.clock.Now().Add(deadline)
+	for {
+		if err := n.clock.RunUntil(end); err != nil || done() || n.clock.Now() >= end {
+			return err
+		}
+	}
 }
 
 // Now reports the current virtual time.
@@ -206,12 +275,8 @@ func (n *Network) Now() time.Duration { return n.clock.Now().Duration() }
 
 // RunFor advances the virtual clock by d, executing all due events.
 func (n *Network) RunFor(d time.Duration) error {
-	return n.clock.RunUntil(n.clock.Now().Add(d))
+	return n.drive(context.Background(), d, func() bool { return false })
 }
-
-// RunUntilIdle drains every scheduled event (the simulation ends when
-// no timer or packet remains).
-func (n *Network) RunUntilIdle() error { return n.clock.Run() }
 
 // At schedules fn at an absolute virtual time (e.g. to kill a path
 // mid-run for a handover experiment).
@@ -219,9 +284,6 @@ func (n *Network) At(t time.Duration, fn func()) { n.clock.At(sim.Time(t), fn) }
 
 // KillPath makes path i drop every packet from now on.
 func (n *Network) KillPath(i int) { n.tp.KillPath(i) }
-
-// SetPathLoss sets path i's random loss rate.
-func (n *Network) SetPathLoss(i int, p float64) { n.tp.SetPathLoss(i, p) }
 
 // ClientAddr returns the client-side address of path i.
 func (n *Network) ClientAddr(i int) string { return string(n.tp.ClientAddrs[i]) }
@@ -268,9 +330,6 @@ func (n *Network) DialPartial(cfg Config, connID uint64) *Conn {
 	return core.Dial(n.tp.Net, cfg, core.NewConnID(connID), n.tp.ClientAddrs[:], n.tp.ServerAddrs[:1])
 }
 
-// ServeGet attaches the paper's GET file server to a listener.
-func (n *Network) ServeGet(l *Listener) { apps.NewGetServer(l) }
-
 // ServeEcho attaches the §4.3 request/response responder.
 func (n *Network) ServeEcho(l *Listener) { apps.NewEchoServer(l) }
 
@@ -312,34 +371,6 @@ type DownloadOpts struct {
 	Ctx context.Context
 }
 
-// Download runs a blocking GET of size bytes on the client connection:
-// it arms the transfer, drives the virtual clock until completion, and
-// returns the result. It returns ErrTimeout if the transfer does not
-// finish within DefaultDownloadDeadline of virtual time, or
-// *AbortError if the connection died before completing.
-func (n *Network) Download(client *Conn, size uint64) (GetResult, error) {
-	return n.DownloadWith(client, size, DownloadOpts{})
-}
-
-// DownloadWith is Download with explicit options.
-func (n *Network) DownloadWith(client *Conn, size uint64, opts DownloadOpts) (GetResult, error) {
-	if opts.Ctx != nil {
-		if err := opts.Ctx.Err(); err != nil {
-			return GetResult{}, err
-		}
-	}
-	deadline := opts.Deadline
-	if deadline <= 0 {
-		deadline = DefaultDownloadDeadline
-	}
-	now := func() time.Duration { return n.clock.Now().Duration() }
-	get := apps.NewGetClient(client, size, now, func(apps.GetResult) { n.clock.Stop() })
-	if err := n.clock.RunUntil(n.clock.Now().Add(deadline)); err != nil {
-		return GetResult{}, err
-	}
-	return get.Outcome()
-}
-
 // ReqRespClient drives the §4.3 request train; see apps.ReqRespClient.
 type ReqRespClient = apps.ReqRespClient
 
@@ -367,24 +398,10 @@ type Tracer = trace.Tracer
 // Event is one trace record.
 type Event = trace.Event
 
-// FlightRecorder is a bounded ring of the most recent events, dumped
-// only on anomaly — the post-mortem tracer.
-type FlightRecorder = trace.FlightRecorder
-
-// NewTextTracer renders events as aligned text lines on w.
-func NewTextTracer(w io.Writer) Tracer { return trace.NewText(w) }
-
-// NewJSONTracer renders events as newline-delimited JSON on w.
-func NewJSONTracer(w io.Writer) Tracer { return trace.NewJSON(w) }
-
 // NewQlogTracer renders events as qlog-compatible JSON-SEQ on w,
 // loadable in qlog tooling such as qvis. vantage names the traced
 // endpoint ("client" or "server").
 func NewQlogTracer(w io.Writer, vantage string) Tracer { return trace.NewQlog(w, vantage) }
-
-// NewFlightRecorder builds a flight recorder retaining the last
-// capacity events (a default capacity if capacity <= 0).
-func NewFlightRecorder(capacity int) *FlightRecorder { return trace.NewFlightRecorder(capacity) }
 
 // SetLinkTracer attaches t to every emulated link, so link lifecycle
 // events (link_down, link_up, link_reconfigured) interleave with the

@@ -1,6 +1,6 @@
 // Command doclint keeps the repo's documentation honest. It is
 // stdlib-only and wired into scripts/check.sh (and thereby `make
-// check` and CI). Two checks:
+// check` and CI). Three checks:
 //
 //  1. Intra-repo markdown links: every relative link target in every
 //     tracked *.md file must exist on the filesystem, so renames and
@@ -9,6 +9,11 @@
 //     (the trace.AllEventTypes registry) must be documented in
 //     OBSERVABILITY.md, so the trace vocabulary cannot grow past its
 //     reference.
+//  3. Binaries that exist: every cmd/<name> the living documents
+//     mention (livingDocs: the ones that describe the tree as it is;
+//     CHANGES.md and ROADMAP.md are history, bench/README.md belongs
+//     to benchmark PRs) must be a directory, so folding or deleting a
+//     binary cannot leave its invocations behind.
 //
 // Usage (from the repo root):
 //
@@ -21,6 +26,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 
 	"mpquic/internal/trace"
@@ -64,8 +70,26 @@ func checkLinks(path string, data []byte, problems []string) []string {
 	return problems
 }
 
-// markdownFiles lists every *.md file in the tree, skipping dot
-// directories and testdata.
+// livingDocs describe the repository as it is now.
+var livingDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "OBSERVABILITY.md", ".claude/skills/verify/SKILL.md"}
+
+var cmdPattern = regexp.MustCompile(`\bcmd/([a-z0-9][a-z0-9-]*)`)
+
+// checkCommands verifies that every cmd/<name> one document mentions
+// is a directory, appending a message per mention that is not.
+func checkCommands(path string, data []byte, problems []string) []string {
+	for i, line := range strings.Split(string(data), "\n") {
+		for _, m := range cmdPattern.FindAllString(line, -1) {
+			if st, err := os.Stat(filepath.FromSlash(m)); err != nil || !st.IsDir() {
+				problems = append(problems, fmt.Sprintf("%s:%d: %s is not a directory", path, i+1, m))
+			}
+		}
+	}
+	return problems
+}
+
+// markdownFiles lists every *.md file in the tree, skipping testdata
+// and dot directories other than .claude (the verify skill lives there).
 func markdownFiles(root string) ([]string, error) {
 	var out []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -74,7 +98,7 @@ func markdownFiles(root string) ([]string, error) {
 		}
 		name := d.Name()
 		if d.IsDir() {
-			if path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+			if path != root && name != ".claude" && (strings.HasPrefix(name, ".") || name == "testdata") {
 				return filepath.SkipDir
 			}
 			return nil
@@ -102,6 +126,9 @@ func main() {
 			os.Exit(1)
 		}
 		problems = checkLinks(path, data, problems)
+		if slices.Contains(livingDocs, path) {
+			problems = checkCommands(path, data, problems)
+		}
 	}
 
 	// Schema coverage: OBSERVABILITY.md documents every event type, as
