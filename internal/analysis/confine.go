@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -156,12 +157,9 @@ func buildDomainGraph(pkg *Package) *domainGraph {
 				if cu == nil {
 					continue
 				}
-				for d := range u.domains {
-					if !cu.domains[d] {
-						cu.domains[d] = true
-						changed = true
-					}
-				}
+				n := len(cu.domains)
+				maps.Copy(cu.domains, u.domains)
+				changed = changed || len(cu.domains) != n
 			}
 		}
 	}
@@ -202,10 +200,10 @@ func (u *domainUnit) walk(visit func(ast.Node) bool) {
 // references.
 func (g *domainGraph) calleesOf(pkg *Package, u *domainUnit) calleeSet {
 	var out calleeSet
-	goCalls := make(map[ast.Expr]bool)
+	var goCalls []ast.Expr
 	u.walk(func(n ast.Node) bool {
 		if gs, ok := n.(*ast.GoStmt); ok {
-			goCalls[gs.Call.Fun] = true
+			goCalls = append(goCalls, gs.Call.Fun)
 		}
 		var id *ast.Ident
 		switch e := n.(type) {
@@ -224,7 +222,7 @@ func (g *domainGraph) calleesOf(pkg *Package, u *domainUnit) calleeSet {
 			return true
 		}
 		spawned := false
-		for e := range goCalls {
+		for _, e := range goCalls {
 			if usesIdent(e, id) {
 				spawned = true
 				break

@@ -12,14 +12,13 @@ import (
 // the rule must flag. The three live-lane rules share livebroken, a
 // miniature of the driver loop with every regression they exist for.
 var pinnedFixture = map[string]string{
-	"walltime":    "walltime",
-	"globalrand":  "globalrand",
-	"maporder":    "maporder",
-	"poolsafety":  "livebroken",
-	"eventhandle": "eventhandle",
-	"confine":     "livebroken",
-	"blocking":    "livebroken",
-	"annotation":  "annotation",
+	"walltime":   "walltime",
+	"globalrand": "globalrand",
+	"maporder":   "maporder",
+	"poolsafety": "livebroken",
+	"confine":    "livebroken",
+	"blocking":   "livebroken",
+	"annotation": "annotation",
 }
 
 // TestLiveInvariantsPinned makes "a rule that cannot fail" a test
@@ -59,7 +58,7 @@ func TestLiveInvariantsPinned(t *testing.T) {
 // order mpq-vet -list prints.
 func TestSuiteRegistry(t *testing.T) {
 	want := []string{
-		"walltime", "globalrand", "maporder", "poolsafety", "eventhandle",
+		"walltime", "globalrand", "maporder", "poolsafety",
 		"confine", "blocking", "annotation",
 	}
 	all := analysis.All()

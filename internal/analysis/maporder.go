@@ -2,22 +2,23 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// MapOrder flags `range` over a map whose loop body lets Go's
-// randomized iteration order escape into simulation-visible state:
-// scheduling events, sending through netem, appending to a slice that
-// outlives the loop, or accumulating floating-point sums (float
-// addition is not associative, so even an order-independent *set* of
-// contributions yields order-dependent bits). The sanctioned pattern —
-// collect the keys, sort them, iterate the sorted slice — is
-// recognized and not flagged.
+// MapOrder flags every `range` over a map. Go randomizes map iteration
+// order, and whether a loop body lets that order escape into
+// simulation-visible state is not something a syntactic check can
+// decide: a method call may send a packet, a callback may schedule an
+// event, an append or a float sum fixes the order in its result. So the
+// rule is structural: a map is ranged over only in two shapes, both
+// order-insensitive by construction —
+//
+//	for k := range m { keys = append(keys, k) }; sort.X(keys)  // then iterate keys
+//	for k := range m { delete(m, k) }                          // clear m
 var MapOrder = &Analyzer{
 	Name: "maporder",
-	Doc: "forbid map iteration whose order leaks into schedules, results, " +
-		"frames or float accumulations; sort the keys first",
+	Doc: "forbid ranging over a map except to collect its keys for sorting " +
+		"or to clear it",
 	Run: runMapOrder,
 }
 
@@ -48,114 +49,42 @@ func checkMapRanges(pass *Pass, fn ast.Node, body *ast.BlockStmt) {
 		if _, isMap := t.Underlying().(*types.Map); !isMap {
 			return true
 		}
-		if reason := orderLeak(pass, fn, rng); reason != "" {
-			pass.Reportf(rng.Pos(), "map iteration order leaks into %s; iterate sorted keys instead", reason)
+		if !isKeyCollectThenSort(pass, fn, rng) && !isMapClear(pass.Info, rng) {
+			pass.Reportf(rng.Pos(), "range over a map has a random order; "+
+				"collect and sort its keys, then iterate the sorted slice")
 		}
 		return true
 	})
 }
 
-// orderLeak classifies the hazardous effect of a map-range body, or
-// returns "" when the body is order-insensitive (or the sanctioned
-// collect-keys-then-sort idiom).
-func orderLeak(pass *Pass, fn ast.Node, rng *ast.RangeStmt) string {
-	info := pass.Info
-	if isKeyCollectThenSort(pass, fn, rng) {
-		return ""
-	}
-	var reason string
-	ast.Inspect(rng.Body, func(n ast.Node) bool {
-		if reason != "" {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			// Scheduling: anything that enqueues work on the virtual
-			// clock or re-arms a timer fixes an event order.
-			if methodOn(info, n, simPkgPath, "Clock", "At", "After") ||
-				methodOn(info, n, simPkgPath, "Timer", "Reset", "ResetAfter") {
-				reason = "event scheduling"
-				return false
-			}
-			// Transmission: handing datagrams to netem (directly or
-			// via a Link) serializes them onto the wire in loop order.
-			if methodOn(info, n, netemPkgPath, "Network", "Send") ||
-				methodOn(info, n, netemPkgPath, "Link", "Send") {
-				reason = "frame/datagram transmission"
-				return false
-			}
-			// append to a slice declared outside the loop: the result
-			// ordering becomes the map's iteration order.
-			if isBuiltinAppend(info, n) {
-				// flag when the destination outlives the loop.
-				if len(n.Args) > 0 {
-					if obj := identObj(info, n.Args[0]); obj != nil && !declaredWithin(obj, rng) {
-						reason = "a slice that outlives the loop"
-						return false
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			if r := floatAccumulation(info, n, rng); r != "" {
-				reason = r
-				return false
-			}
-		}
-		return true
-	})
-	return reason
-}
-
-// isBuiltinAppend reports whether call invokes the builtin append (a
-// shadowing user-defined append resolves to a non-Builtin object).
-func isBuiltinAppend(info *types.Info, call *ast.CallExpr) bool {
+// isBuiltin reports whether call invokes the builtin name (a shadowing
+// user-defined function resolves to a non-Builtin object).
+func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
 	id, ok := call.Fun.(*ast.Ident)
-	if !ok || id.Name != "append" {
+	if !ok || id.Name != name {
 		return false
 	}
 	_, builtin := info.Uses[id].(*types.Builtin)
 	return builtin
 }
 
-// floatAccumulation reports float += / -= / *= / /= (or x = x + ...)
-// onto a variable that outlives the loop.
-func floatAccumulation(info *types.Info, as *ast.AssignStmt, rng *ast.RangeStmt) string {
-	accumulating := false
-	switch as.Tok {
-	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
-		accumulating = true
-	case token.ASSIGN:
-		// x = x + e / x = e + x style self-reference.
-		if len(as.Lhs) == 1 && len(as.Rhs) == 1 {
-			if obj := identObj(info, as.Lhs[0]); obj != nil {
-				if bin, ok := ast.Unparen(as.Rhs[0]).(*ast.BinaryExpr); ok {
-					if lo := identObj(info, bin.X); lo == obj {
-						accumulating = true
-					} else if ro := identObj(info, bin.Y); ro == obj {
-						accumulating = true
-					}
-				}
-			}
-		}
+// isMapClear recognizes `for k := range m { delete(m, k) }`: the body is
+// exactly one delete of the key variable from the ranged map.
+func isMapClear(info *types.Info, rng *ast.RangeStmt) bool {
+	if rng.Value != nil || len(rng.Body.List) != 1 {
+		return false
 	}
-	if !accumulating {
-		return ""
+	stmt, ok := rng.Body.List[0].(*ast.ExprStmt)
+	if !ok {
+		return false
 	}
-	for _, lhs := range as.Lhs {
-		t := info.TypeOf(lhs)
-		if t == nil {
-			continue
-		}
-		basic, ok := t.Underlying().(*types.Basic)
-		if !ok || basic.Info()&types.IsFloat == 0 {
-			continue
-		}
-		if obj := identObj(info, lhs); obj != nil && declaredWithin(obj, rng) {
-			continue // loop-local scratch, order can't escape
-		}
-		return "a floating-point accumulation (float addition is order-sensitive)"
+	call, ok := stmt.X.(*ast.CallExpr)
+	if !ok || !isBuiltin(info, call, "delete") || len(call.Args) != 2 {
+		return false
 	}
-	return ""
+	keyObj := identObj(info, rng.Key)
+	return keyObj != nil && identObj(info, call.Args[1]) == keyObj &&
+		types.ExprString(call.Args[0]) == types.ExprString(rng.X)
 }
 
 // isKeyCollectThenSort recognizes the sanctioned determinization idiom:
@@ -179,7 +108,7 @@ func isKeyCollectThenSort(pass *Pass, fn ast.Node, rng *ast.RangeStmt) bool {
 	if !ok {
 		return false
 	}
-	if !isBuiltinAppend(info, call) {
+	if !isBuiltin(info, call, "append") {
 		return false
 	}
 	if len(call.Args) != 2 {

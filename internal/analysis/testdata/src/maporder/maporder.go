@@ -1,7 +1,6 @@
-// Package maporder exercises the maporder analyzer: map iterations
-// whose order reaches scheduling, transmission, result slices or float
-// accumulations are flagged; the collect-keys-then-sort idiom and
-// order-insensitive bodies are not.
+// Package maporder exercises the maporder analyzer: every range over a
+// map is flagged — whatever its body does — except the
+// collect-keys-then-sort idiom and a loop that clears the map.
 package maporder
 
 import (
@@ -13,26 +12,26 @@ import (
 )
 
 func schedules(c *sim.Clock, m map[int]func()) {
-	for _, fn := range m { // want `map iteration order leaks into event scheduling`
+	for _, fn := range m { // want `range over a map has a random order`
 		c.After(time.Millisecond, fn)
 	}
 }
 
 func rearmsTimer(t *sim.Timer, m map[int]sim.Time) {
-	for _, at := range m { // want `map iteration order leaks into event scheduling`
+	for _, at := range m { // want `range over a map has a random order`
 		t.Reset(at)
 	}
 }
 
 func transmits(nw *netem.Network, m map[string]netem.Datagram) {
-	for _, dg := range m { // want `map iteration order leaks into frame/datagram transmission`
+	for _, dg := range m { // want `range over a map has a random order`
 		nw.Send(dg)
 	}
 }
 
 func collects(m map[string]int) []int {
 	var out []int
-	for _, v := range m { // want `map iteration order leaks into a slice that outlives the loop`
+	for _, v := range m { // want `range over a map has a random order`
 		out = append(out, v)
 	}
 	return out
@@ -40,7 +39,7 @@ func collects(m map[string]int) []int {
 
 func sums(m map[string]float64) float64 {
 	var total float64
-	for _, v := range m { // want `map iteration order leaks into a floating-point accumulation`
+	for _, v := range m { // want `range over a map has a random order`
 		total += v
 	}
 	return total
@@ -48,10 +47,62 @@ func sums(m map[string]float64) float64 {
 
 func sumsSelfAssign(m map[string]float64) float64 {
 	var total float64
-	for _, v := range m { // want `map iteration order leaks into a floating-point accumulation`
+	for _, v := range m { // want `range over a map has a random order`
 		total = total + v
 	}
 	return total
+}
+
+// counts is order-insensitive today, but nothing keeps the body so.
+func counts(m map[string]int) int {
+	n := 0
+	for _, v := range m { // want `range over a map has a random order`
+		n += v
+	}
+	return n
+}
+
+// loopLocal appends to a slice that dies with each iteration; flagged
+// all the same.
+func loopLocal(m map[string][]int) int {
+	n := 0
+	for _, vs := range m { // want `range over a map has a random order`
+		var scratch []int
+		scratch = append(scratch, vs...)
+		n += len(scratch)
+	}
+	return n
+}
+
+type conn struct {
+	nw  *netem.Network
+	bye netem.Datagram
+}
+
+// Close sends a packet: the loop below puts them on the wire in map
+// order, and nothing in the loop body says so.
+func (c *conn) Close() { c.nw.Send(c.bye) }
+
+func closesAll(m map[int]*conn) {
+	for _, c := range m { // want `range over a map has a random order`
+		c.Close()
+	}
+}
+
+func register(c *sim.Clock, fn func()) { c.After(time.Millisecond, fn) }
+
+// registers hands each callback to a function that schedules it.
+func registers(c *sim.Clock, m map[string]func()) {
+	for _, fn := range m { // want `range over a map has a random order`
+		register(c, fn)
+	}
+}
+
+// deletesOther removes a's keys from b: not a clear of the ranged map.
+func deletesOther(a, b map[string]int) {
+	for k := range a { // want `range over a map has a random order`
+		delete(b, k)
+	}
 }
 
 // sortedKeys is the sanctioned idiom: collect, sort, then iterate.
@@ -64,22 +115,18 @@ func sortedKeys(m map[string]int) []string {
 	return keys
 }
 
-// counts is order-insensitive: integer addition commutes exactly.
-func counts(m map[string]int) int {
-	n := 0
-	for _, v := range m {
-		n += v
+// clears empties a map; whatever the order, the result is empty.
+func clears(m map[string]int) {
+	for k := range m {
+		delete(m, k)
 	}
-	return n
 }
 
-// loopLocal appends to a slice that dies with each iteration.
-func loopLocal(m map[string][]int) int {
-	n := 0
-	for _, vs := range m {
-		var scratch []int
-		scratch = append(scratch, vs...)
-		n += len(scratch)
+type holder struct{ m map[int]bool }
+
+// clearsField empties a map held in a struct field.
+func clearsField(s *holder) {
+	for k := range s.m {
+		delete(s.m, k)
 	}
-	return n
 }

@@ -7,11 +7,9 @@ import (
 
 // Well-known package paths the analyzers reason about.
 const (
-	simPkgPath   = "mpquic/internal/sim"
-	wirePkgPath  = "mpquic/internal/wire"
-	netemPkgPath = "mpquic/internal/netem"
-	perfPkgPath  = "mpquic/internal/perf"
-	livePkgPath  = "mpquic/internal/live"
+	wirePkgPath = "mpquic/internal/wire"
+	perfPkgPath = "mpquic/internal/perf"
+	livePkgPath = "mpquic/internal/live"
 )
 
 // pkgFunc reports whether call invokes the function fn from the
@@ -158,10 +156,4 @@ func funcBodies(f *ast.File, visit func(ast.Node, *ast.BlockStmt)) {
 		}
 		return true
 	})
-}
-
-// declaredWithin reports whether obj's declaration lies inside node's
-// source range — i.e. whether obj is local to that subtree.
-func declaredWithin(obj types.Object, n ast.Node) bool {
-	return obj != nil && obj.Pos() != 0 && n.Pos() <= obj.Pos() && obj.Pos() <= n.End()
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"sort"
 	"sync"
@@ -211,9 +212,7 @@ func LoadFigureData(paths ...string) (FigureData, error) {
 		if err != nil {
 			return FigureData{}, err
 		}
-		for k, rec := range recs {
-			merged[k] = rec
-		}
+		maps.Copy(merged, recs)
 	}
 	var fd FigureData
 	// Iterate the merged map through its sorted keys: the key is a

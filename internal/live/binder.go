@@ -61,14 +61,12 @@ type PathBinder struct {
 	socks   []*pathSocket
 	byLocal map[netem.Addr]*pathSocket
 	remotes map[netem.Addr]netip.AddrPort
-	sockBuf int
 }
 
 // newPathBinder binds one UDP socket per local address. Addresses may
 // use port 0; the kernel-assigned port becomes part of the path
-// identity (see Locals). sockBuf is the SO_RCVBUF/SO_SNDBUF request
-// per socket. wrap, when non-nil, interposes on every bound socket
-// (fault injection). On error, already-bound sockets are closed.
+// identity (see Locals). sockBuf and wrap are as for listenPath. On
+// error, already-bound sockets are closed.
 func newPathBinder(localAddrs []string, sockBuf int, wrap SocketWrapper) (*PathBinder, error) {
 	if len(localAddrs) == 0 {
 		return nil, fmt.Errorf("live: need at least one local address")
@@ -76,7 +74,6 @@ func newPathBinder(localAddrs []string, sockBuf int, wrap SocketWrapper) (*PathB
 	b := &PathBinder{
 		byLocal: make(map[netem.Addr]*pathSocket, len(localAddrs)),
 		remotes: make(map[netem.Addr]netip.AddrPort),
-		sockBuf: sockBuf,
 	}
 	for i, a := range localAddrs {
 		ua, err := net.ResolveUDPAddr("udp", a)
@@ -86,35 +83,47 @@ func newPathBinder(localAddrs []string, sockBuf int, wrap SocketWrapper) (*PathB
 			// name one socket).
 			err = fmt.Errorf("wildcard address not allowed; bind an explicit IP")
 		}
-		var pc *net.UDPConn
+		var c UDPConn
+		var lap netip.AddrPort
 		if err == nil {
-			pc, err = net.ListenUDP("udp", ua)
+			c, lap, err = listenPath(i, ua, sockBuf, wrap)
 		}
 		if err != nil {
 			b.closeSockets()
 			return nil, fmt.Errorf("live: bind %s: %w", a, err)
 		}
-		// Deep socket buffers: the driver drains sockets in batches
-		// between protocol events, so the kernel queue is the only
-		// thing standing between a burst and loss. Best-effort — the
-		// OS clamps to its limits. Overflow shows up in
-		// Stats.RcvQueueDrops.
-		if sockBuf > 0 {
-			pc.SetReadBuffer(sockBuf)
-			pc.SetWriteBuffer(sockBuf)
-		}
-		lap := pc.LocalAddr().(*net.UDPAddr).AddrPort()
-		lap = netip.AddrPortFrom(lap.Addr().Unmap(), lap.Port())
 		s := &pathSocket{idx: i, local: netem.Addr(lap.String()), ap: lap}
-		var c UDPConn = pc
-		if wrap != nil {
-			c = wrap(i, pc)
-		}
 		s.storeConn(c)
 		b.socks = append(b.socks, s)
 		b.byLocal[s.local] = s
 	}
 	return b, nil
+}
+
+// listenPath opens the UDP socket of path idx on addr and returns it
+// with the address the kernel bound. It is the one place a path socket
+// is opened: at construction and on every rebind. sockBuf is the
+// SO_RCVBUF/SO_SNDBUF request; wrap, when non-nil, interposes on the
+// socket (fault injection).
+func listenPath(idx int, addr *net.UDPAddr, sockBuf int, wrap SocketWrapper) (UDPConn, netip.AddrPort, error) {
+	pc, err := net.ListenUDP("udp", addr)
+	if err != nil {
+		return nil, netip.AddrPort{}, err
+	}
+	// Deep socket buffers: the driver drains sockets in batches between
+	// protocol events, so the kernel queue is the only thing standing
+	// between a burst and loss. Best-effort — the OS clamps to its
+	// limits. Overflow shows up in Stats.RcvQueueDrops.
+	if sockBuf > 0 {
+		pc.SetReadBuffer(sockBuf)
+		pc.SetWriteBuffer(sockBuf)
+	}
+	lap := pc.LocalAddr().(*net.UDPAddr).AddrPort()
+	lap = netip.AddrPortFrom(lap.Addr().Unmap(), lap.Port())
+	if wrap != nil {
+		return wrap(idx, pc), lap, nil
+	}
+	return pc, lap, nil
 }
 
 // Locals returns the actually-bound local addresses in bind order:

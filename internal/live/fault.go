@@ -173,25 +173,6 @@ func (d *Driver) sleepInterruptible(delay time.Duration) bool {
 	}
 }
 
-// bindPathSocket opens a fresh socket on the path's original address.
-// Rebinding to the same ip:port preserves the path identity: core
-// addresses the path by its local string, and the peer learns remotes
-// per-datagram, so a successful rebind resumes the path in place.
-func (d *Driver) bindPathSocket(s *pathSocket) (UDPConn, error) {
-	pc, err := net.ListenUDP("udp", net.UDPAddrFromAddrPort(s.ap))
-	if err != nil {
-		return nil, err
-	}
-	if d.sockBuf > 0 {
-		pc.SetReadBuffer(d.sockBuf)
-		pc.SetWriteBuffer(d.sockBuf)
-	}
-	if d.wrap != nil {
-		return d.wrap(s.idx, pc), nil
-	}
-	return pc, nil
-}
-
 // rebindLadder walks one socket's recovery ladder in its reader
 // goroutine: close the broken conn, tell the run loop the socket is
 // degraded (PF steers traffic away), then retry binding under
@@ -199,6 +180,11 @@ func (d *Driver) bindPathSocket(s *pathSocket) (UDPConn, error) {
 // driver closes. attempts persists across invocations and resets only
 // on a successful read, so a flapping socket keeps escalating instead
 // of resetting its ladder on every brief recovery.
+//
+// Each attempt binds the path's original ip:port, which preserves the
+// path identity: core addresses the path by its local string, and the
+// peer learns remotes per-datagram, so a successful rebind resumes the
+// path in place.
 func (d *Driver) rebindLadder(s *pathSocket, old UDPConn, cause error, attempts *int) (UDPConn, bool) {
 	old.Close() // best-effort: the socket already failed
 	d.postEvent(packetIn{s: s, kind: evDegraded, err: cause})
@@ -215,7 +201,7 @@ func (d *Driver) rebindLadder(s *pathSocket, old UDPConn, cause error, attempts 
 		if !d.sleepInterruptible(d.rebindBase << shift) {
 			return nil, false
 		}
-		conn, err := d.bindPathSocket(s)
+		conn, _, err := listenPath(s.idx, net.UDPAddrFromAddrPort(s.ap), d.sockBuf, d.wrap)
 		if err != nil {
 			d.postEvent(packetIn{s: s, kind: evRebindFail, err: err})
 			continue

@@ -30,7 +30,7 @@ type opKind uint8
 const (
 	opAt opKind = iota // schedule a plain event at an absolute tick (may be in the past)
 	opAfter
-	opCancel // Event.Cancel on a still-pending plain event
+	opCancel // cancel a still-pending plain event
 	opReset
 	opResetAfter
 	opStopTimer
@@ -211,11 +211,11 @@ type realWorld struct {
 	*runner
 	c       *Clock
 	timers  [modelTimers]*Timer
-	handles map[int]*Event
+	handles map[int]*event
 }
 
 func newRealWorld(p program) *realWorld {
-	w := &realWorld{runner: &runner{p: p, budget: modelBudget}, c: NewClock(), handles: map[int]*Event{}}
+	w := &realWorld{runner: &runner{p: p, budget: modelBudget}, c: NewClock(), handles: map[int]*event{}}
 	w.w = w
 	for k := range w.timers {
 		k := k
@@ -227,11 +227,11 @@ func newRealWorld(p program) *realWorld {
 func (w *realWorld) now() Time { return w.c.Now() }
 func (w *realWorld) schedule(at Time) {
 	id := w.newID()
-	w.handles[id] = w.c.At(at, w.callback(id))
+	w.handles[id] = w.c.schedule(at, w.callback(id))
 }
 func (w *realWorld) scheduleAfter(d time.Duration) {
 	id := w.newID()
-	w.handles[id] = w.c.After(d, w.callback(id))
+	w.handles[id] = w.c.schedule(w.c.Now().Add(d), w.callback(id))
 }
 func (w *realWorld) callback(id int) func() {
 	return func() {
@@ -241,7 +241,7 @@ func (w *realWorld) callback(id int) func() {
 }
 func (w *realWorld) cancel(which int) {
 	if id := w.pick(which); id >= 0 {
-		w.handles[id].Cancel()
+		w.handles[id].cancel()
 		delete(w.handles, id)
 	}
 }

@@ -8,7 +8,7 @@
 // bit-for-bit reproducible.
 //
 // The loop is allocation-free in steady state: executed events return to
-// a per-clock free list, the heap is a concrete []*Event with inlined
+// a per-clock free list, the heap is a concrete []*event with inlined
 // sift-up/sift-down (no container/heap interface dispatch), and events
 // scheduled for the current instant bypass the heap through a FIFO
 // append-only queue.
@@ -19,9 +19,13 @@
 // The (deadline, sequence) key a re-armed event ends up with is the one
 // a freshly scheduled event would have got, so execution order does not
 // depend on whether an event was moved or replaced. The one dead entry
-// the queues can still hold is an event cancelled through a plain
-// Event.Cancel (or a Timer event caught in the same-instant queue),
-// which waits to be discarded when it reaches the head.
+// the queues can still hold is a Timer event stopped while it sat in the
+// same-instant queue, which waits to be discarded when it reaches the
+// head.
+//
+// At and After hand out no handle: events are pooled and their storage
+// is reused once they run, so a Timer is the only deadline a caller can
+// hold, move or cancel.
 package sim
 
 import (
@@ -51,18 +55,13 @@ func (t Time) String() string { return time.Duration(t).String() }
 // Never is a sentinel deadline meaning "no deadline armed".
 const Never = Time(math.MaxInt64)
 
-// Event is a unit of scheduled work.
+// event is a unit of scheduled work.
 //
 // Events are pooled: once an event has executed (or has been discarded
-// after cancellation) the Clock recycles its storage for a future At.
-// An *Event handle is therefore only valid until the event fires;
-// Cancel, Cancelled and At must not be called on a handle whose event
-// already ran. Timer follows this discipline (it drops its handle when
-// the timer fires) and is the safe way — and, outside this package, the
-// only allowed way — to hold re-armable deadlines: it moves and removes
-// its pending event inside the heap, where a cancelled plain event stays
-// queued until its turn comes.
-type Event struct {
+// after cancellation) the Clock recycles its storage for a future
+// schedule. An *event is therefore only valid until the event fires.
+// Timer holds one and drops it when the timer fires.
+type event struct {
 	at  Time
 	seq uint64 // tie-break: FIFO among events with equal deadlines
 	fn  func()
@@ -73,28 +72,17 @@ type Event struct {
 	dead bool // cancelled
 }
 
-// At reports the deadline of the event.
-func (e *Event) At() Time { return e.at }
-
-// Cancel prevents the event from running and drops its callback, so a
-// cancelled far-future event (an idle timeout two minutes out) stops
-// pinning whatever the callback captured while it waits in the heap.
-// The entry itself stays queued until it reaches the head — an Event
-// has no way back to its Clock; a deadline that is cancelled or moved
-// often belongs in a Timer, whose Stop and Reset leave nothing behind.
-// Cancelling an already-cancelled pending event is a no-op; see the
-// pooling note on Event for handles to already-executed events.
-func (e *Event) Cancel() {
+// cancel prevents a pending event from running and drops its callback,
+// so the callback's captures are collectable while the entry waits to
+// be discarded at the head of its queue.
+func (e *event) cancel() {
 	e.dead = true
 	e.fn = nil
 }
 
-// Cancelled reports whether Cancel was called.
-func (e *Event) Cancelled() bool { return e.dead }
-
 // eventLess orders events by (deadline, scheduling sequence): FIFO among
 // equal deadlines.
-func eventLess(a, b *Event) bool {
+func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -105,14 +93,14 @@ func eventLess(a, b *Event) bool {
 // the whole simulation is single-threaded by design (determinism).
 type Clock struct {
 	now  Time
-	heap []*Event // binary min-heap by (at, seq)
+	heap []*event // binary min-heap by (at, seq)
 	// nowQ holds events scheduled for the instant they were created at.
 	// Because virtual time is monotonic and seq increases, the queue is
 	// always sorted by (at, seq): popping the head interleaves correctly
 	// with the heap without any sifting.
-	nowQ    []*Event
+	nowQ    []*event
 	nowHead int
-	free    []*Event // recycled Event storage
+	free    []*event // recycled event storage
 	seq     uint64
 	running bool
 	stopped bool
@@ -140,16 +128,16 @@ func NewClock() *Clock { return &Clock{} }
 // Now reports the current virtual time.
 func (c *Clock) Now() Time { return c.now }
 
-// alloc takes an Event from the free list (or the heap's allocator).
-func (c *Clock) alloc(at Time, fn func()) *Event {
-	var e *Event
+// alloc takes an event from the free list (or the heap's allocator).
+func (c *Clock) alloc(at Time, fn func()) *event {
+	var e *event
 	if n := len(c.free); n > 0 {
 		e = c.free[n-1]
 		c.free[n-1] = nil
 		c.free = c.free[:n-1]
 		e.at, e.fn, e.dead = at, fn, false
 	} else {
-		e = &Event{at: at, fn: fn, idx: -1}
+		e = &event{at: at, fn: fn, idx: -1}
 	}
 	e.seq = c.seq
 	c.seq++
@@ -160,7 +148,7 @@ func (c *Clock) alloc(at Time, fn func()) *Event {
 // dropping its closure so captured state is collectable.
 //
 //mpq:noescape
-func (c *Clock) release(e *Event) {
+func (c *Clock) release(e *event) {
 	e.fn = nil
 	c.free = append(c.free, e)
 }
@@ -168,7 +156,19 @@ func (c *Clock) release(e *Event) {
 // At schedules fn to run at the absolute virtual time at. Scheduling in
 // the past (at < Now) is an error in the caller; the event is clamped to
 // run "now" to keep the loop monotonic.
-func (c *Clock) At(at Time, fn func()) *Event {
+func (c *Clock) At(at Time, fn func()) { c.schedule(at, fn) }
+
+// After schedules fn to run d after the current time.
+func (c *Clock) After(d time.Duration, fn func()) {
+	if d < 0 {
+		d = 0
+	}
+	c.schedule(c.now.Add(d), fn)
+}
+
+// schedule is At returning the pending event, for Timer (and this
+// package's tests) to cancel.
+func (c *Clock) schedule(at Time, fn func()) *event {
 	if at <= c.now {
 		// Same-instant fast path: append to the FIFO queue, no sifting.
 		e := c.alloc(c.now, fn)
@@ -180,33 +180,24 @@ func (c *Clock) At(at Time, fn func()) *Event {
 	return e
 }
 
-// After schedules fn to run d after the current time.
-func (c *Clock) After(d time.Duration, fn func()) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return c.At(c.now.Add(d), fn)
-}
-
 // Stop makes Run return after the currently executing event finishes.
 func (c *Clock) Stop() { c.stopped = true }
 
 // Pending reports the number of queued events: every live one, plus the
-// plainly cancelled ones (Event.Cancel) that have not reached the head
-// yet. A Timer contributes one while armed and none while stopped,
-// however often it was re-armed.
+// cancelled ones that have not reached the head yet. A Timer contributes
+// one while armed and none while stopped, however often it was re-armed.
 func (c *Clock) Pending() int { return len(c.heap) + len(c.nowQ) - c.nowHead }
 
-// --- inlined binary heap on []*Event ---
+// --- inlined binary heap on []*event ---
 //
 // siftUp and siftDown place an event whose slot i is a hole (the slice
-// element at i is stale) and record every move in Event.idx.
+// element at i is stale) and record every move in event.idx.
 
 // siftUp moves e from slot i toward the root while it sorts before its
 // parent, stores it and returns the slot it ended in.
 //
 //mpq:noescape
-func (c *Clock) siftUp(i int, e *Event) int {
+func (c *Clock) siftUp(i int, e *event) int {
 	h := c.heap
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -227,7 +218,7 @@ func (c *Clock) siftUp(i int, e *Event) int {
 // before it, and stores it.
 //
 //mpq:noescape
-func (c *Clock) siftDown(i int, e *Event) {
+func (c *Clock) siftDown(i int, e *event) {
 	h := c.heap
 	n := len(h)
 	for {
@@ -251,7 +242,7 @@ func (c *Clock) siftDown(i int, e *Event) {
 }
 
 //mpq:noescape
-func (c *Clock) heapPush(e *Event) {
+func (c *Clock) heapPush(e *event) {
 	c.heap = append(c.heap, e)
 	c.siftUp(len(c.heap)-1, e)
 }
@@ -270,7 +261,7 @@ func (c *Clock) heapFix(i int) {
 // The caller guarantees the slot exists.
 //
 //mpq:noescape
-func (c *Clock) heapRemove(i int) *Event {
+func (c *Clock) heapRemove(i int) *event {
 	h := c.heap
 	e := h[i]
 	n := len(h) - 1
@@ -290,14 +281,14 @@ func (c *Clock) heapRemove(i int) *Event {
 // the heap is non-empty.
 //
 //mpq:noescape
-func (c *Clock) heapPop() *Event { return c.heapRemove(0) }
+func (c *Clock) heapPop() *event { return c.heapRemove(0) }
 
 // peek returns the earliest scheduled event (possibly cancelled) without
 // removing it, or nil.
 //
 //mpq:noescape
-func (c *Clock) peek() *Event {
-	var qn *Event
+func (c *Clock) peek() *event {
+	var qn *event
 	if c.nowHead < len(c.nowQ) {
 		qn = c.nowQ[c.nowHead]
 	}
@@ -316,14 +307,14 @@ func (c *Clock) peek() *Event {
 // discarded and recycled.
 //
 //mpq:noescape
-func (c *Clock) popNext(deadline Time) *Event {
+func (c *Clock) popNext(deadline Time) *event {
 	for {
-		var qn *Event
+		var qn *event
 		if c.nowHead < len(c.nowQ) {
 			qn = c.nowQ[c.nowHead]
 		}
-		var e *Event
-		if hn := (*Event)(nil); len(c.heap) > 0 {
+		var e *event
+		if hn := (*event)(nil); len(c.heap) > 0 {
 			hn = c.heap[0]
 			if qn == nil || eventLess(hn, qn) {
 				if hn.at > deadline {
@@ -358,15 +349,8 @@ func (c *Clock) popNext(deadline Time) *Event {
 // API an external driver needs to interleave virtual time with an
 // outside event source (the live UDP driver blocks on socket
 // readability until the wall image of this deadline, then calls
-// RunUntil) — see internal/live.
-//
-// Handle contract: NextDeadline discards cancelled events it finds at
-// the head of the queue and recycles their storage, so any retained
-// *Event handle to a cancelled event becomes invalid once NextDeadline
-// (or any Run variant) is called. Only sim.Timer holds handles safely
-// (the eventhandle analyzer enforces it). Stopped and re-armed Timers
-// leave no cancelled entry behind, so what is skipped here is only what
-// a plain Event.Cancel left.
+// RunUntil) — see internal/live. Cancelled events it finds at the head
+// of the queue are discarded and recycled on the way.
 func (c *Clock) NextDeadline() Time {
 	for {
 		e := c.peek()
@@ -440,12 +424,6 @@ func (c *Clock) Run() error {
 // the clock lands on exactly deadline even when no event was due,
 // repeated calls make virtual time a monotone image of any outside
 // timebase — the live driver maps wall-elapsed time through it.
-//
-// Handle contract: an *Event handle is invalid once its event has fired
-// or been discarded, regardless of which Run variant drove it; after
-// RunUntil returns, handles to events with deadlines <= deadline must
-// not be used. Events scheduled beyond deadline keep valid handles and
-// may still be cancelled before a later call.
 func (c *Clock) RunUntil(deadline Time) error {
 	if c.running {
 		return fmt.Errorf("sim: RunUntil re-entered")
@@ -462,7 +440,7 @@ func (c *Clock) RunUntil(deadline Time) error {
 // time.Timer but virtual. The zero value is unusable; use NewTimer.
 type Timer struct {
 	clock *Clock
-	ev    *Event
+	ev    *event
 	fn    func()
 	// fireFn is the method value t.fire, bound once: evaluating it in
 	// Reset would allocate a closure per re-arm.
@@ -496,7 +474,7 @@ func (t *Timer) Reset(at Time) {
 		return
 	}
 	t.Stop()
-	t.ev = c.At(at, t.fireFn)
+	t.ev = c.schedule(at, t.fireFn)
 }
 
 // ResetAfter (re)arms the timer to fire d from now.
@@ -522,7 +500,7 @@ func (t *Timer) Stop() bool {
 	if e.idx >= 0 {
 		t.clock.release(t.clock.heapRemove(e.idx))
 	} else {
-		e.Cancel()
+		e.cancel()
 	}
 	return true
 }

@@ -58,8 +58,8 @@ func TestClockEventsScheduledDuringRun(t *testing.T) {
 func TestCancelPreventsExecution(t *testing.T) {
 	c := NewClock()
 	ran := false
-	e := c.After(time.Millisecond, func() { ran = true })
-	e.Cancel()
+	e := c.schedule(Time(time.Millisecond), func() { ran = true })
+	e.cancel()
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -205,9 +205,9 @@ func TestTimerDeadlineAndArmed(t *testing.T) {
 
 func TestNextDeadlineSkipsCancelled(t *testing.T) {
 	c := NewClock()
-	e := c.After(time.Millisecond, func() {})
+	e := c.schedule(Time(time.Millisecond), func() {})
 	c.After(2*time.Millisecond, func() {})
-	e.Cancel()
+	e.cancel()
 	if d := c.NextDeadline(); d != Time(2*time.Millisecond) {
 		t.Fatalf("NextDeadline = %v, want 2ms", d)
 	}

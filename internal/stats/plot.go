@@ -103,7 +103,7 @@ func AsciiBox(boxes map[string]Box, lo, hi float64, width int) string {
 		}
 		return c
 	}
-	names := sortedKeysBox(boxes)
+	names := sortedKeys(boxes)
 	labelW := 0
 	for _, n := range names {
 		if len(n) > labelW {
@@ -150,7 +150,7 @@ func AsciiTimeSeries(series map[string][]Point, width, height int) string {
 	}
 	xMin, xMax := math.Inf(1), math.Inf(-1)
 	yMax := math.Inf(-1)
-	names := sortedKeysPts(series)
+	names := sortedKeys(series)
 	for _, name := range names {
 		for _, pt := range series[name] {
 			xMin = math.Min(xMin, pt.X)
@@ -214,25 +214,7 @@ func AsciiTimeSeries(series map[string][]Point, width, height int) string {
 	return b.String()
 }
 
-func sortedKeysPts(m map[string][]Point) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeys(m map[string][]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeysBox(m map[string]Box) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

@@ -2,7 +2,7 @@
 # chaos_smoke.sh — live fault-tolerance smoke (the live analog of the
 # paper's Fig. 11 handover experiment, driven by internal/faultnet).
 #
-# Leg 1 (failover): a two-path loopback 10 MB GET where the client's
+# Leg 1 (failover): a two-path loopback 100 MB GET where the client's
 # second socket blackholes mid-transfer. The transfer must complete via
 # failover onto the surviving path, and the client's JSON metrics must
 # show the dead path potentially failed. A blackhole is silence, not an
@@ -10,7 +10,7 @@
 # reaches the client as a PATHS-frame declaration — "remote_pf":true —
 # the §4.3 failover mechanism observed end to end.
 #
-# Leg 2 (self-healing): a single-path 10 MB GET whose only socket is
+# Leg 2 (self-healing): a single-path 100 MB GET whose only socket is
 # killed mid-transfer and becomes bindable again 200 ms later. The
 # reader's rebind ladder must heal the socket ("rebinds" >= 1, no path
 # failed) and the transfer must complete on it. The leg runs twice with
@@ -73,7 +73,7 @@ json_field() {
 }
 
 echo "== chaos smoke leg 1: two paths, one blackholed mid-transfer (failover)"
-run_pair "$A1,$A2" 10000000 \
+run_pair "$A1,$A2" 100000000 \
     -chaos 'seed=42;blackhole@50ms:1' >"$tmp/leg1.json"
 cat "$tmp/leg1.json"
 if ! grep -q '"remote_pf":true' "$tmp/leg1.json"; then
@@ -84,7 +84,7 @@ echo "failover ok: transfer completed with the blackholed path declared pf by th
 
 # Leg 2 as a function so it runs twice with the identical fault spec.
 run_leg2() {
-    run_pair "$A1" 10000000 \
+    run_pair "$A1" 100000000 \
         -chaos 'seed=7;kill@60ms:0;restore@260ms:0' \
         -rebind-max 20 -rebind-backoff 100ms >"$tmp/leg2.json"
     cat "$tmp/leg2.json"
