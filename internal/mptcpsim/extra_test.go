@@ -26,38 +26,55 @@ func TestMPTCPCoarseRTTGranularity(t *testing.T) {
 	}
 }
 
+// tapWire re-registers every address of tp with a handler that hands
+// each segment to inspect and then delivers it to the client or the
+// listener, as the network would have.
+func tapWire(tp *netem.TwoPathNet, client *Conn, lis *Listener, inspect func(*tcpsim.Segment)) {
+	tap := func(addr netem.Addr, h netem.Handler) {
+		tp.Net.Register(addr, netem.HandlerFunc(func(dg netem.Datagram) {
+			inspect(dg.Payload.(*tcpsim.Segment))
+			h.HandleDatagram(dg)
+		}))
+	}
+	for i := range tp.ClientAddrs {
+		tap(tp.ClientAddrs[i], client)
+		tap(tp.ServerAddrs[i], lis)
+	}
+}
+
 func TestMPTCPSegmentsCarryDSS(t *testing.T) {
+	const size = 256 << 10
 	clock := sim.NewClock()
 	tp := netem.NewTwoPath(clock, sim.NewRand(4), symSpecs(10, 20*time.Millisecond))
-	// Tap the wire: every MP segment must carry the token, and data
-	// segments a DSS mapping consistent with the payload.
-	var dataSegs, badMappings int
-	tap := netem.HandlerFunc(func(dg netem.Datagram) {
-		if seg, ok := dg.Payload.(*tcpsim.Segment); ok {
-			if !seg.MP || seg.Token != 0xbeef {
-				t.Fatalf("segment without MP/token: %+v", seg)
-			}
-			if seg.Len > 0 && !seg.SYN && seg.Ctl == tcpsim.CtlNone {
-				dataSegs++
-				if seg.DataSeq > 1<<40 {
-					badMappings++
-				}
+	lis := ListenMPTCP(tp.Net, DefaultConfig(), tp.ServerAddrs[:])
+	client := DialMPTCP(tp.Net, DefaultConfig(), 0xbeef, tp.ClientAddrs[:], tp.ServerAddrs[:])
+	// Every segment must carry MP and the token, and every data
+	// segment a DSS mapping inside the stream.
+	dataSegs := 0
+	tapWire(tp, client, lis, func(seg *tcpsim.Segment) {
+		if !seg.MP || seg.Token != 0xbeef {
+			t.Fatalf("segment without MP/token: %+v", seg)
+		}
+		if seg.Len > 0 && !seg.DataFinOnly && !seg.SYN && seg.Ctl == tcpsim.CtlNone {
+			dataSegs++
+			if end := seg.DataSeq + uint64(seg.Len); end > size {
+				t.Fatalf("mapping [%d, %d) past the %d-byte stream", seg.DataSeq, end, size)
 			}
 		}
 	})
-	_ = tap
-	lis := ListenMPTCP(tp.Net, DefaultConfig(), tp.ServerAddrs[:])
-	client := DialMPTCP(tp.Net, DefaultConfig(), 0xbeef, tp.ClientAddrs[:], tp.ServerAddrs[:])
-	tcpsim.ServeGet(lis, 256<<10)
+	tcpsim.ServeGet(lis, size)
 	var res *tcpsim.GetResult
-	tcpsim.GetOverTCP(client, 256<<10, func() time.Duration { return clock.Now().Duration() },
+	tcpsim.GetOverTCP(client, size, func() time.Duration { return clock.Now().Duration() },
 		func(r tcpsim.GetResult) { res = &r })
 	clock.RunUntil(sim.Time(30 * time.Second))
 	if res == nil {
 		t.Fatal("transfer failed")
 	}
+	if dataSegs == 0 {
+		t.Fatal("no data segment crossed the wire")
+	}
 	// The data stream must have been fully mapped (exact byte count).
-	if client.BytesReceived() != 256<<10 {
+	if client.BytesReceived() != size {
 		t.Fatalf("received %d bytes", client.BytesReceived())
 	}
 }
@@ -96,10 +113,18 @@ func TestMPTCPSACKBlocksBounded(t *testing.T) {
 	specs[1].LossRate = 0.05
 	clock := sim.NewClock()
 	tp := netem.NewTwoPath(clock, sim.NewRand(6), specs)
-	// Wrap the listener address handlers to observe SACK blocks on
-	// the wire via a tap at the client side.
 	lis := ListenMPTCP(tp.Net, DefaultConfig(), tp.ServerAddrs[:])
 	client := DialMPTCP(tp.Net, DefaultConfig(), 0xcafe, tp.ClientAddrs[:], tp.ServerAddrs[:])
+	dataSegs, sackBlocks := 0, 0
+	tapWire(tp, client, lis, func(seg *tcpsim.Segment) {
+		if len(seg.SACK) > tcpsim.MaxSACKBlocks {
+			t.Fatalf("%d SACK blocks, limit %d", len(seg.SACK), tcpsim.MaxSACKBlocks)
+		}
+		sackBlocks += len(seg.SACK)
+		if seg.Len > 0 && !seg.DataFinOnly {
+			dataSegs++
+		}
+	})
 	tcpsim.ServeGet(lis, 1<<20)
 	var res *tcpsim.GetResult
 	tcpsim.GetOverTCP(client, 1<<20, func() time.Duration { return clock.Now().Duration() },
@@ -108,27 +133,49 @@ func TestMPTCPSACKBlocksBounded(t *testing.T) {
 	if res == nil {
 		t.Fatal("transfer failed under loss")
 	}
-	// Structural check: the builder can never exceed the limit.
-	// (Wire-level observation is covered by tcpsim's unit test.)
-	if tcpsim.MaxSACKBlocks != 3 {
-		t.Fatal("SACK block limit drifted")
+	if dataSegs == 0 || sackBlocks == 0 {
+		t.Fatalf("saw %d data segments and %d SACK blocks; want both", dataSegs, sackBlocks)
 	}
 }
 
 func TestMPTCPIdleTimeout(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.IdleTimeout = 2 * time.Second
-	clock := sim.NewClock()
-	tp := netem.NewTwoPath(clock, sim.NewRand(5), symSpecs(10, 20*time.Millisecond))
-	_ = ListenMPTCP(tp.Net, cfg, tp.ServerAddrs[:])
-	client := DialMPTCP(tp.Net, cfg, 0x99, tp.ClientAddrs[:], tp.ServerAddrs[:])
-	// Establish, then go silent: the connection must close.
-	clock.RunUntil(sim.Time(30 * time.Second))
-	if !client.Closed() {
-		t.Fatal("idle MPTCP connection never closed")
+	// Establish, then go silent: the connection must close, on either
+	// stack.
+	type closer interface {
+		Closed() bool
+		Err() error
 	}
-	if client.Err() == nil {
-		t.Fatal("no close reason")
+	for _, st := range []struct {
+		name string
+		dial func(clock *sim.Clock, idle time.Duration) closer
+	}{
+		{"tcp", func(clock *sim.Clock, idle time.Duration) closer {
+			cfg := tcpsim.DefaultConfig()
+			cfg.IdleTimeout = idle
+			nw := netem.New(clock, sim.NewRand(5))
+			nw.Connect("c:1", "s:443", netem.LinkConfig{RateMbps: 10, Delay: 10 * time.Millisecond, QueueDelay: 100 * time.Millisecond})
+			tcpsim.ListenTCP(nw, cfg, "s:443")
+			return tcpsim.DialTCP(nw, cfg, "c:1", "s:443")
+		}},
+		{"mptcp", func(clock *sim.Clock, idle time.Duration) closer {
+			cfg := DefaultConfig()
+			cfg.IdleTimeout = idle
+			tp := netem.NewTwoPath(clock, sim.NewRand(5), symSpecs(10, 20*time.Millisecond))
+			ListenMPTCP(tp.Net, cfg, tp.ServerAddrs[:])
+			return DialMPTCP(tp.Net, cfg, 0x99, tp.ClientAddrs[:], tp.ServerAddrs[:])
+		}},
+	} {
+		t.Run(st.name, func(t *testing.T) {
+			clock := sim.NewClock()
+			client := st.dial(clock, 2*time.Second)
+			clock.RunUntil(sim.Time(30 * time.Second))
+			if !client.Closed() {
+				t.Fatal("idle connection never closed")
+			}
+			if client.Err() == nil {
+				t.Fatal("no close reason")
+			}
+		})
 	}
 }
 
