@@ -1,42 +1,27 @@
 package mptcpsim
 
 import (
-	"fmt"
-	"sort"
-	"time"
-
 	"mpquic/internal/cc"
 	"mpquic/internal/netem"
-	"mpquic/internal/sim"
 	"mpquic/internal/stream"
 	"mpquic/internal/tcpsim"
 	"mpquic/internal/trace"
 )
 
-// Config tunes an MPTCP connection.
+// Config tunes an MPTCP connection: the TCP settings, with RecvWindow
+// the connection-level receive window and TLS run on the initial
+// subflow only. Events carry the subflow ID as the path.
 type Config struct {
-	// RecvWindow is the connection-level receive window (16 MB in the
-	// paper's setup).
-	RecvWindow uint64
-	// TLS enables the 2-RTT TLS 1.2 exchange on the initial subflow.
-	TLS bool
+	tcpsim.Config
 	// ORP enables Opportunistic Retransmission and Penalization.
 	// Ablation switch (§4.1 blames ORP for goodput loss on
 	// heterogeneous paths).
 	ORP bool
-	// IdleTimeout aborts a silent connection.
-	IdleTimeout time.Duration
-	// Tracer receives lifecycle and recovery events (subflow opened,
-	// handshake done, RTO fired, segments lost, PF transitions, close)
-	// when non-nil. Events carry the subflow ID as the path. A tracer
-	// is a pure observer: attaching one never changes a run's schedule
-	// or results, and a nil tracer costs one branch per event.
-	Tracer trace.Tracer
 }
 
 // DefaultConfig mirrors MPTCP v0.91 with the paper's settings.
 func DefaultConfig() Config {
-	return Config{RecvWindow: 16 << 20, TLS: true, ORP: true, IdleTimeout: 120 * time.Second}
+	return Config{Config: tcpsim.DefaultConfig(), ORP: true}
 }
 
 // Stats aggregates connection counters.
@@ -51,10 +36,12 @@ type dataChunk struct {
 	dataFin    bool
 }
 
-// Conn is one endpoint of an MPTCP connection.
+// Conn is one endpoint of an MPTCP connection. Its Endpoint's stream is
+// the connection-level one, fed by every subflow through its DSS
+// mapping.
 type Conn struct {
+	tcpsim.Endpoint
 	cfg      Config
-	clock    *sim.Clock
 	nw       *netem.Network
 	isClient bool
 	token    uint32
@@ -65,12 +52,8 @@ type Conn struct {
 	subflows []*Subflow
 	olia     *cc.Olia
 
-	established bool // secure (TLS) established on subflow 0
-
 	// Connection-level send state.
-	writeOffset   uint64
 	dataNxt       uint64
-	finQueued     bool
 	finAssigned   bool
 	dataAcked     uint64 // peer's cumulative data ack
 	peerDataLimit uint64 // dataAck + window high-water mark
@@ -78,21 +61,7 @@ type Conn struct {
 	lastORPAt     uint64 // dataAcked value of the last ORP reinjection
 	orpArmed      bool
 
-	// Connection-level receive state.
 	dataReceived stream.IntervalSet
-	consumed     uint64
-	lastAdvWnd   uint64 // last advertised data-level window
-	dataFinRecvd bool
-	dataFinSeq   uint64
-
-	timer        *sim.Timer
-	lastRecvTime time.Duration
-	closed       bool
-	closeErr     error
-
-	onEstablished func()
-	onData        func()
-	onClosed      func(error)
 
 	Stats Stats
 }
@@ -100,7 +69,6 @@ type Conn struct {
 func newConn(nw *netem.Network, cfg Config, isClient bool, token uint32, locals, remotes []netem.Addr) *Conn {
 	c := &Conn{
 		cfg:      cfg,
-		clock:    nw.Clock(),
 		nw:       nw,
 		isClient: isClient,
 		token:    token,
@@ -108,20 +76,8 @@ func newConn(nw *netem.Network, cfg Config, isClient bool, token uint32, locals,
 		remotes:  remotes,
 		olia:     cc.NewOlia(MSS),
 	}
-	c.timer = sim.NewTimer(c.clock, c.onTimer)
-	c.lastRecvTime = c.now()
+	c.Init(nw.Clock(), cfg.Config, &c.dataReceived, c.onTimer, c.trySend, c.sendAck)
 	return c
-}
-
-func (c *Conn) now() time.Duration { return c.clock.Now().Duration() }
-
-// trace emits ev when tracing is enabled, stamping the current time.
-func (c *Conn) trace(ev trace.Event) {
-	if c.cfg.Tracer == nil {
-		return
-	}
-	ev.Time = c.now()
-	c.cfg.Tracer.Trace(ev)
 }
 
 // SampleInto appends one PathSample per subflow (creation order) to
@@ -152,58 +108,38 @@ func DialMPTCP(nw *netem.Network, cfg Config, token uint32, locals, remotes []ne
 
 // Listener accepts MPTCP connections, demultiplexing by token.
 type Listener struct {
-	nw     *netem.Network
-	cfg    Config
-	addrs  []netem.Addr
-	conns  map[uint32]*Conn
-	onConn func(*Conn)
+	tcpsim.Acceptor[uint32, *Conn]
+	nw    *netem.Network
+	cfg   Config
+	addrs []netem.Addr
 }
 
 // ListenMPTCP registers a server on the given addresses.
 func ListenMPTCP(nw *netem.Network, cfg Config, addrs []netem.Addr) *Listener {
-	l := &Listener{nw: nw, cfg: cfg, addrs: addrs, conns: make(map[uint32]*Conn)}
+	l := &Listener{nw: nw, cfg: cfg, addrs: addrs}
 	for _, a := range addrs {
 		nw.Register(a, l)
 	}
 	return l
 }
 
-// OnConnection registers the accept callback.
-func (l *Listener) OnConnection(fn func(*Conn)) { l.onConn = fn }
-
-// Conns returns accepted connections, sorted by token so the order is
-// deterministic (map iteration order must not leak).
-func (l *Listener) Conns() []*Conn {
-	tokens := make([]uint32, 0, len(l.conns))
-	for tok := range l.conns {
-		tokens = append(tokens, tok)
-	}
-	sort.Slice(tokens, func(i, j int) bool { return tokens[i] < tokens[j] })
-	out := make([]*Conn, 0, len(tokens))
-	for _, tok := range tokens {
-		out = append(out, l.conns[tok])
-	}
-	return out
-}
-
-// HandleDatagram implements netem.Handler for the listener.
+// HandleDatagram implements netem.Handler for the listener. Only an
+// initial SYN opens a connection: a join for an unknown token is
+// refused, as Linux refuses an MP_JOIN it cannot match, so a
+// connection's first subflow is always subflow 0.
 func (l *Listener) HandleDatagram(dg netem.Datagram) {
 	seg, ok := dg.Payload.(*tcpsim.Segment)
 	if !ok {
 		return
 	}
-	c, exists := l.conns[seg.Token]
-	if !exists {
-		if !seg.SYN {
-			return
-		}
-		c = newConn(l.nw, l.cfg, false, seg.Token, l.addrs, []netem.Addr{dg.From})
-		l.conns[seg.Token] = c
-		if l.onConn != nil {
-			l.onConn(c)
-		}
+	c, ok := l.Lookup(seg.Token, seg.SYN && !seg.Join, func() *Conn {
+		c := newConn(l.nw, l.cfg, false, seg.Token, l.addrs, []netem.Addr{dg.From})
+		c.addSubflow(0, dg.To, dg.From)
+		return c
+	})
+	if ok {
+		c.handleSegment(dg, seg)
 	}
-	c.handleSegment(dg, seg)
 }
 
 // HandleDatagram implements netem.Handler for the client side.
@@ -224,9 +160,10 @@ func (c *Conn) addSubflow(id uint8, local, remote netem.Addr) *Subflow {
 		func(seg *tcpsim.Segment) {
 			c.stamp(seg, id)
 			seg.Join = seg.SYN && id != 0
-			seg.Window = c.advertisedWindow()
+			seg.Window = c.AdvertisedWindow()
 		})}
 	c.subflows = append(c.subflows, sf)
+	c.AddFlow(sf.Flow)
 	return sf
 }
 
@@ -250,105 +187,9 @@ func (c *Conn) SubflowByID(id uint8) *Subflow {
 // Subflows returns all subflows.
 func (c *Conn) Subflows() []*Subflow { return c.subflows }
 
-// Flows returns the subflows' TCP flows, in creation order.
-func (c *Conn) Flows() []*tcpsim.Flow {
-	out := make([]*tcpsim.Flow, len(c.subflows))
-	for i, sf := range c.subflows {
-		out[i] = sf.Flow
-	}
-	return out
-}
-
-// Established reports whether the secure handshake completed.
-func (c *Conn) Established() bool { return c.established }
-
-// Closed reports termination.
-func (c *Conn) Closed() bool { return c.closed }
-
-// Err returns the close reason.
-func (c *Conn) Err() error { return c.closeErr }
-
-// OnEstablished registers the establishment callback.
-func (c *Conn) OnEstablished(fn func()) {
-	c.onEstablished = fn
-	if c.established {
-		fn()
-	}
-}
-
-// OnData registers the data callback.
-func (c *Conn) OnData(fn func()) { c.onData = fn }
-
-// OnClosed registers the close callback.
-func (c *Conn) OnClosed(fn func(error)) { c.onClosed = fn }
-
-// --- application API ---
-
-// WriteSynthetic queues n connection-level stream bytes.
-func (c *Conn) WriteSynthetic(n uint64) {
-	c.writeOffset += n
-	c.trySend()
-}
-
-// CloseWrite queues the DATA_FIN after all data.
-func (c *Conn) CloseWrite() {
-	c.finQueued = true
-	c.trySend()
-}
-
-// Readable reports in-order connection-level bytes past the consumer.
-func (c *Conn) Readable() uint64 {
-	return c.dataReceived.FirstMissingFrom(c.consumed) - c.consumed
-}
-
-// Read consumes up to n bytes, opening the shared receive window.
-// Reopening a (near-)zero window advertises it immediately on every
-// established subflow, as TCP's zero-window update does.
-func (c *Conn) Read(n uint64) uint64 {
-	avail := c.Readable()
-	if n > avail {
-		n = avail
-	}
-	c.consumed += n
-	if n > 0 && c.established && c.lastAdvWnd < MSS && c.advertisedWindow() >= MSS {
-		for _, sf := range c.subflows {
-			if sf.Established() {
-				c.sendAck(sf)
-			}
-		}
-	}
-	return n
-}
+// Established reports whether the secure handshake completed: that of
+// the first subflow, which carries TLS.
+func (c *Conn) Established() bool { return c.subflows[0].Established() }
 
 // BytesReceived reports distinct data bytes received.
 func (c *Conn) BytesReceived() uint64 { return c.dataReceived.Size() }
-
-// FinReceived reports an in-order DATA_FIN.
-func (c *Conn) FinReceived() bool {
-	return c.dataFinRecvd && c.dataReceived.FirstMissingFrom(0) >= c.dataFinSeq
-}
-
-// Finished reports full consumption of the incoming stream.
-func (c *Conn) Finished() bool { return c.FinReceived() && c.consumed == c.dataFinSeq }
-
-func (c *Conn) closeWith(err error) {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	c.closeErr = err
-	c.timer.Stop()
-	for _, sf := range c.subflows {
-		sf.StopHandshake()
-	}
-	detail := ""
-	if err != nil {
-		detail = err.Error()
-	}
-	c.trace(trace.Event{Type: trace.ConnClosed, Detail: detail})
-	if c.onClosed != nil {
-		c.onClosed(err)
-	}
-}
-
-var errIdle = fmt.Errorf("mptcpsim: idle timeout")

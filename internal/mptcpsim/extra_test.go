@@ -1,12 +1,14 @@
 package mptcpsim
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"mpquic/internal/netem"
 	"mpquic/internal/sim"
 	"mpquic/internal/tcpsim"
+	"mpquic/internal/trace"
 )
 
 func TestMPTCPCoarseRTTGranularity(t *testing.T) {
@@ -231,5 +233,48 @@ func TestMPTCPSubflowAccountingSettles(t *testing.T) {
 				t.Fatalf("subflow %d: record tx %d (rtx=%v) never settled", sf.ID, r.TxSeq, r.IsRtx)
 			}
 		}
+	}
+}
+
+func TestMPTCPListenerRefusesUnknownJoin(t *testing.T) {
+	// An MP_JOIN SYN names a connection by its token; one the listener
+	// does not know makes nothing, as Linux refuses it.
+	clock := sim.NewClock()
+	tp := netem.NewTwoPath(clock, sim.NewRand(1), symSpecs(10, 20*time.Millisecond))
+	lis := ListenMPTCP(tp.Net, DefaultConfig(), tp.ServerAddrs[:])
+	accepted := 0
+	lis.OnConnection(func(*Conn) { accepted++ })
+	join := &tcpsim.Segment{SYN: true, Join: true, MP: true, Token: 0x77, SubflowID: 1}
+	tp.Net.Send(netem.Datagram{From: tp.ClientAddrs[1], To: tp.ServerAddrs[1], Size: join.WireSize(), Payload: join})
+	clock.RunUntil(sim.Time(time.Second))
+	if len(lis.Conns()) != 0 || accepted != 0 {
+		t.Fatalf("join SYN for an unknown token made %d connection(s)", len(lis.Conns()))
+	}
+}
+
+func TestMPTCPPathOpenedNamesAddresses(t *testing.T) {
+	cfg := DefaultConfig()
+	rec := trace.NewFlightRecorder(64)
+	cfg.Tracer = rec
+	h := newMPHarness(t, cfg, symSpecs(10, 20*time.Millisecond))
+	h.run(t, 2*time.Second)
+	var got []string
+	for _, ev := range rec.Events() {
+		if ev.Type == trace.PathOpened {
+			got = append(got, ev.Detail)
+		}
+	}
+	// Both ends trace into rec: each opens subflow 0, then subflow 1.
+	var want []string
+	for _, sf := range h.client.Subflows() {
+		want = append(want, string(sf.Local)+"->"+string(sf.Remote))
+	}
+	for _, sf := range h.lis.Conns()[0].Subflows() {
+		want = append(want, string(sf.Local)+"->"+string(sf.Remote))
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) || len(got) != 4 {
+		t.Fatalf("path_opened details %q, want %q", got, want)
 	}
 }

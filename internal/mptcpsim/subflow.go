@@ -57,9 +57,8 @@ type Subflow struct {
 	// activity since the last transmission (§4.3).
 	potentiallyFailed bool
 
-	// Stats
+	// DataBytesSent counts the stream bytes mapped onto this subflow.
 	DataBytesSent uint64
-	Reinjections  uint64
 }
 
 // PotentiallyFailed reports the PF state.
@@ -70,13 +69,11 @@ func (sf *Subflow) cwndAvailable() bool { return sf.HasWindow(fullSegment) }
 
 // requeueLocal puts a lost record back onto this subflow's rtx queue —
 // MPTCP must retransmit in-sequence on the same subflow (§3: "MPTCP is
-// forced to (re)transmit data in sequence over each path").
+// forced to (re)transmit data in sequence over each path"). The whole
+// range goes back, even parts the peer already data-acked through a
+// reinjection elsewhere: the subflow's own sequence space still has
+// the hole, and Linux fills it too.
 func (sf *Subflow) requeueLocal(r *tcpsim.Record) {
-	// Skip parts already data-acked at the connection level: the
-	// receiver has them (possibly via a reinjection elsewhere), but
-	// subflow-level sequence integrity still demands a resend if the
-	// gap blocks the subflow ack stream — Linux fills such holes too,
-	// so we resend the full range.
 	sf.rtxQueue = append(sf.rtxQueue, rtxChunk{
 		sfStart: r.SeqStart, sfEnd: r.SeqEnd,
 		dataStart: r.DataStart, dataEnd: r.DataEnd,

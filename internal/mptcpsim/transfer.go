@@ -9,19 +9,18 @@ import (
 )
 
 // subflowEstablished runs once a subflow's handshake finished.
+// Subflow 0 carries the secure handshake: the client opens its joins
+// before the application hears of it.
 func (c *Conn) subflowEstablished(sf *Subflow) {
-	c.trace(trace.Event{Type: trace.PathOpened, Path: sf.ID})
-	if sf.ID == 0 && !c.established {
-		c.established = true
-		c.trace(trace.Event{Type: trace.HandshakeDone})
-		if c.isClient {
-			c.startJoins()
-		}
-		if c.onEstablished != nil {
-			c.onEstablished()
-		}
+	c.Trace(trace.Event{Type: trace.PathOpened, Path: sf.ID, Detail: string(sf.Local) + "->" + string(sf.Remote)})
+	if sf.ID != 0 {
+		c.trySend()
+		return
 	}
-	c.trySend()
+	if c.isClient {
+		c.startJoins()
+	}
+	c.HandshakeDone()
 }
 
 // startJoins opens one additional subflow per extra address pair —
@@ -40,7 +39,7 @@ func (c *Conn) startJoins() {
 // --- receiving ---
 
 func (c *Conn) handleSegment(dg netem.Datagram, seg *tcpsim.Segment) {
-	if c.closed {
+	if c.Closed() {
 		return
 	}
 	sf := c.SubflowByID(seg.SubflowID)
@@ -51,7 +50,7 @@ func (c *Conn) handleSegment(dg netem.Datagram, seg *tcpsim.Segment) {
 		// Server side learns a joined subflow from its SYN.
 		sf = c.addSubflow(seg.SubflowID, dg.To, dg.From)
 	}
-	c.lastRecvTime = c.now()
+	c.Heard()
 
 	// Data-level window and ack are on every segment.
 	if lim := seg.DataAck + seg.Window; lim > c.peerDataLimit {
@@ -82,10 +81,10 @@ func (c *Conn) handleSegment(dg netem.Datagram, seg *tcpsim.Segment) {
 		progress, lost := sf.OnAck(seg)
 		if progress && sf.potentiallyFailed {
 			sf.potentiallyFailed = false // data acked: path works (§4.3)
-			c.trace(trace.Event{Type: trace.PathRecovered, Path: sf.ID})
+			c.Trace(trace.Event{Type: trace.PathRecovered, Path: sf.ID})
 		}
 		for _, r := range lost {
-			c.trace(trace.Event{Type: trace.PacketLost, Path: sf.ID, PN: r.TxSeq, Size: r.WireSize})
+			c.Trace(trace.Event{Type: trace.PacketLost, Path: sf.ID, PN: r.TxSeq, Size: r.WireSize})
 			sf.requeueLocal(r)
 		}
 	}
@@ -96,51 +95,30 @@ func (c *Conn) handleSegment(dg netem.Datagram, seg *tcpsim.Segment) {
 	c.armTimer()
 }
 
+// processPayload puts a data segment's bytes into the stream at their
+// DSS mapping.
 func (c *Conn) processPayload(sf *Subflow, seg *tcpsim.Segment) {
-	newBytes := uint64(0)
-	if seg.Len > 0 && !seg.DataFinOnly {
-		before := c.dataReceived.Size()
-		c.dataReceived.Add(seg.DataSeq, seg.DataSeq+uint64(seg.Len))
-		newBytes = c.dataReceived.Size() - before
+	before := c.dataReceived.Size()
+	finSeq := seg.DataSeq
+	if !seg.DataFinOnly {
+		finSeq += uint64(seg.Len)
+		c.dataReceived.Add(seg.DataSeq, finSeq)
 	}
 	sf.Receive(seg, seg.DataFin)
-	if seg.DataFin {
-		c.dataFinRecvd = true
-		if seg.DataFinOnly {
-			c.dataFinSeq = seg.DataSeq
-		} else {
-			c.dataFinSeq = seg.DataSeq + uint64(seg.Len)
-		}
-	}
-	if c.onData != nil && (newBytes > 0 || seg.DataFin) {
-		c.onData()
-	}
-	if sf.AckQueued() {
-		c.sendAck(sf)
-	}
+	c.Delivered(sf.Flow, before, seg.DataFin, finSeq)
 }
 
 // --- acks ---
 
-func (c *Conn) dataCumAck() uint64 { return c.dataReceived.FirstMissingFrom(0) }
-
-func (c *Conn) advertisedWindow() uint64 {
-	used := c.dataCumAck() - c.consumed
-	if used >= c.cfg.RecvWindow {
-		return 0
-	}
-	return c.cfg.RecvWindow - used
-}
-
-func (c *Conn) ackFields(sf *Subflow, seg *tcpsim.Segment) {
+func (c *Conn) ackFields(sf *tcpsim.Flow, seg *tcpsim.Segment) {
 	sf.FillAck(seg)
 	c.stamp(seg, sf.ID)
-	seg.DataAck = c.dataCumAck()
-	seg.Window = c.advertisedWindow()
-	c.lastAdvWnd = seg.Window
+	seg.DataAck = c.dataReceived.FirstMissingFrom(0)
+	c.Advertise(seg)
 }
 
-func (c *Conn) sendAck(sf *Subflow) {
+// sendAck sends a bare acknowledgment on subflow sf.
+func (c *Conn) sendAck(sf *tcpsim.Flow) {
 	seg := &tcpsim.Segment{}
 	c.ackFields(sf, seg)
 	sf.Transmit(seg)
@@ -183,7 +161,7 @@ func (c *Conn) bestSubflow() *Subflow {
 }
 
 func (c *Conn) trySend() {
-	if c.closed || !c.established {
+	if c.Closed() || !c.Established() {
 		return
 	}
 	for {
@@ -198,7 +176,7 @@ func (c *Conn) trySend() {
 			for len(sf.rtxQueue) > 0 && sf.cwndAvailable() {
 				ch := sf.rtxQueue[0]
 				sf.rtxQueue = sf.rtxQueue[1:]
-				c.sendMapped(sf, ch.sfStart, ch.sfEnd, ch.dataStart, ch.dataEnd, ch.dataFin, true, false)
+				c.sendMapped(sf, ch.sfStart, ch.sfEnd, ch.dataStart, ch.dataEnd, ch.dataFin, true)
 				sent = true
 			}
 		}
@@ -218,27 +196,27 @@ func (c *Conn) trySend() {
 			if n == 0 && ch.dataFin {
 				n = 1 // bare DATA_FIN carrier
 			}
-			c.sendMapped(sf, sf.SndNxt(), sf.SndNxt()+n, ch.start, ch.end, ch.dataFin, false, true)
+			c.sendMapped(sf, sf.SndNxt(), sf.SndNxt()+n, ch.start, ch.end, ch.dataFin, false)
 			sent = true
 		}
 		// 3. New data on the best subflow.
 		for {
-			if c.dataNxt >= c.writeOffset || c.dataNxt >= c.peerDataLimit {
+			if c.dataNxt >= c.Written || c.dataNxt >= c.peerDataLimit {
 				break
 			}
 			sf := c.bestSubflow()
 			if sf == nil {
 				break
 			}
-			n := c.writeOffset - c.dataNxt
+			n := c.Written - c.dataNxt
 			if n > MSS {
 				n = MSS
 			}
 			if room := c.peerDataLimit - c.dataNxt; n > room {
 				n = room
 			}
-			fin := c.finQueued && c.dataNxt+n == c.writeOffset
-			c.sendMapped(sf, sf.SndNxt(), sf.SndNxt()+n, c.dataNxt, c.dataNxt+n, fin, false, false)
+			fin := c.FinQueued && c.dataNxt+n == c.Written
+			c.sendMapped(sf, sf.SndNxt(), sf.SndNxt()+n, c.dataNxt, c.dataNxt+n, fin, false)
 			c.dataNxt += n
 			if fin {
 				c.finAssigned = true
@@ -246,9 +224,9 @@ func (c *Conn) trySend() {
 			sent = true
 		}
 		// 4. Bare DATA_FIN.
-		if c.finQueued && !c.finAssigned && c.dataNxt == c.writeOffset {
+		if c.FinQueued && !c.finAssigned && c.dataNxt == c.Written {
 			if sf := c.bestSubflow(); sf != nil {
-				c.sendMapped(sf, sf.SndNxt(), sf.SndNxt()+1, c.writeOffset, c.writeOffset, true, false, false)
+				c.sendMapped(sf, sf.SndNxt(), sf.SndNxt()+1, c.Written, c.Written, true, false)
 				c.finAssigned = true
 				sent = true
 			}
@@ -261,7 +239,7 @@ func (c *Conn) trySend() {
 	// Flush owed acknowledgments.
 	for _, sf := range c.subflows {
 		if sf.Established() && sf.AckQueued() {
-			c.sendAck(sf)
+			c.sendAck(sf.Flow)
 		}
 	}
 	c.armTimer()
@@ -273,10 +251,10 @@ func (c *Conn) trySend() {
 // another subflow) is reinjected on the idle subflow and the owner is
 // penalized with a halved window.
 func (c *Conn) maybeORP() {
-	if !c.cfg.ORP || c.closed {
+	if !c.cfg.ORP || c.Closed() {
 		return
 	}
-	blocked := c.dataNxt < c.writeOffset && c.dataNxt >= c.peerDataLimit
+	blocked := c.dataNxt < c.Written && c.dataNxt >= c.peerDataLimit
 	if !blocked {
 		return
 	}
@@ -307,12 +285,12 @@ func (c *Conn) maybeORP() {
 		return
 	}
 	n := chunk.end - chunk.start
-	c.sendMapped(idle, idle.SndNxt(), idle.SndNxt()+n, chunk.start, chunk.end, chunk.dataFin, false, true)
+	c.sendMapped(idle, idle.SndNxt(), idle.SndNxt()+n, chunk.start, chunk.end, chunk.dataFin, false)
 	c.lastORPAt = c.dataAcked
 	c.orpArmed = true
 	c.Stats.Reinjections++
 	// Penalize the slow owner at most once per its RTT.
-	now := c.now()
+	now := c.nw.Clock().Now().Duration()
 	if now-owner.lastPenalty >= owner.RTT().SmoothedRTT() {
 		owner.CC().OnCongestionEvent()
 		owner.lastPenalty = now
@@ -322,7 +300,7 @@ func (c *Conn) maybeORP() {
 
 // sendMapped emits one data-bearing segment on sf with the given
 // subflow-sequence and data-sequence mapping.
-func (c *Conn) sendMapped(sf *Subflow, sfStart, sfEnd, dataStart, dataEnd uint64, dataFin, isRtx, isReinject bool) {
+func (c *Conn) sendMapped(sf *Subflow, sfStart, sfEnd, dataStart, dataEnd uint64, dataFin, isRtx bool) {
 	seg := &tcpsim.Segment{
 		Seq:     sfStart,
 		Len:     int(sfEnd - sfStart),
@@ -335,13 +313,10 @@ func (c *Conn) sendMapped(sf *Subflow, sfStart, sfEnd, dataStart, dataEnd uint64
 		seg.DataFinOnly = true
 		seg.DataSeq = dataEnd
 	}
-	c.ackFields(sf, seg)
+	c.ackFields(sf.Flow, seg)
 	rec := sf.Sent(sfStart, sfEnd, isRtx, seg.WireSize())
 	rec.DataStart, rec.DataEnd, rec.DataFin = dataStart, dataEnd, dataFin
 	sf.DataBytesSent += dataEnd - dataStart
-	if isReinject {
-		sf.Reinjections++
-	}
 	sf.Transmit(seg)
 }
 
@@ -359,11 +334,7 @@ func (c *Conn) pruneReinjectQueue() {
 // --- timers ---
 
 func (c *Conn) onTimer() {
-	if c.closed {
-		return
-	}
-	if c.cfg.IdleTimeout > 0 && c.now()-c.lastRecvTime >= c.cfg.IdleTimeout {
-		c.closeWith(errIdle)
+	if c.Closed() || c.IdleExpired() {
 		return
 	}
 	for _, sf := range c.subflows {
@@ -371,7 +342,7 @@ func (c *Conn) onTimer() {
 			continue
 		}
 		if sf.AckDue() {
-			c.sendAck(sf)
+			c.sendAck(sf.Flow)
 		}
 		if sf.RTOExpired() {
 			c.onSubflowRTO(sf)
@@ -387,32 +358,28 @@ func (c *Conn) onTimer() {
 // handover behavior the paper compares against (§4.3).
 func (c *Conn) onSubflowRTO(sf *Subflow) {
 	for _, r := range sf.OnRTO() {
-		c.trace(trace.Event{Type: trace.PacketLost, Path: sf.ID, PN: r.TxSeq, Size: r.WireSize})
+		c.Trace(trace.Event{Type: trace.PacketLost, Path: sf.ID, PN: r.TxSeq, Size: r.WireSize})
 		sf.requeueLocal(r)
 		if r.DataEnd > c.dataAcked || r.DataFin {
 			c.reinjectQueue = append(c.reinjectQueue, dataChunk{start: r.DataStart, end: r.DataEnd, dataFin: r.DataFin})
 			c.Stats.Reinjections++
 		}
 	}
-	c.trace(trace.Event{Type: trace.RTOFired, Path: sf.ID, Cwnd: sf.Cwnd()})
+	c.Trace(trace.Event{Type: trace.RTOFired, Path: sf.ID, Cwnd: sf.Cwnd()})
 	if len(c.eligible()) > 1 {
 		sf.potentiallyFailed = true
-		c.trace(trace.Event{Type: trace.PathFailed, Path: sf.ID})
+		c.Trace(trace.Event{Type: trace.PathFailed, Path: sf.ID})
 	}
 }
 
+// armTimer points the connection timer at the earliest established
+// subflow's deadline.
 func (c *Conn) armTimer() {
-	if c.closed {
-		return
-	}
 	deadline := tcpsim.Never
 	for _, sf := range c.subflows {
 		if sf.Established() {
 			deadline = min(deadline, sf.Deadline())
 		}
 	}
-	if c.cfg.IdleTimeout > 0 {
-		deadline = min(deadline, c.lastRecvTime+c.cfg.IdleTimeout)
-	}
-	tcpsim.ArmTimer(c.timer, c.clock, deadline)
+	c.ArmTimer(deadline)
 }

@@ -555,16 +555,3 @@ func (f *Flow) Deadline() time.Duration {
 	}
 	return d
 }
-
-// ArmTimer points an owner's timer at deadline (the earliest of its
-// flows' Deadlines and its idle timeout), or stops it at Never.
-func ArmTimer(t *sim.Timer, clock *sim.Clock, deadline time.Duration) {
-	if deadline == Never {
-		t.Stop()
-		return
-	}
-	if now := clock.Now().Duration(); deadline < now {
-		deadline = now
-	}
-	t.Reset(sim.Time(deadline))
-}

@@ -1,34 +1,23 @@
 package tcpsim
 
 import (
-	"fmt"
-
 	"mpquic/internal/netem"
 	"mpquic/internal/stream"
 	"mpquic/internal/trace"
 )
 
-// established runs once the flow's handshake finished.
-func (c *Conn) established() {
-	c.trace(trace.Event{Type: trace.HandshakeDone})
-	if c.onEstablished != nil {
-		c.onEstablished()
-	}
-	c.trySend()
-}
-
 // --- receiving ---
 
 // HandleDatagram implements netem.Handler.
 func (c *Conn) HandleDatagram(dg netem.Datagram) {
-	if c.closed {
+	if c.Closed() {
 		return
 	}
 	seg, ok := dg.Payload.(*Segment)
 	if !ok {
 		return
 	}
-	c.lastRecvTime = c.now()
+	c.Heard()
 
 	// Track the peer's receive window from every segment, including
 	// handshake flights (the SYN-ACK carries the first window).
@@ -47,7 +36,7 @@ func (c *Conn) HandleDatagram(dg netem.Datagram) {
 			consumed = bareAck && seg.Len == 0 && !seg.FIN
 		}
 		if done {
-			c.established()
+			c.HandshakeDone()
 		}
 		if consumed {
 			return
@@ -61,17 +50,19 @@ func (c *Conn) HandleDatagram(dg netem.Datagram) {
 	}
 	// Payload processing.
 	if seg.Len > 0 || seg.FIN {
-		c.processPayload(seg)
+		before := c.received.Size()
+		c.Receive(seg, seg.FIN)
+		c.Delivered(c.Flow, before, seg.FIN, seg.End())
 	}
 	c.trySend()
-	c.armTimers()
+	c.ArmTimer(c.Deadline())
 }
 
 // requeue returns lost records' unacked bytes to the rtx queue. A lost
 // FIN needs no entry: trySend re-attaches it to the final segment.
 func (c *Conn) requeue(lost []*Record) {
 	for _, r := range lost {
-		c.trace(trace.Event{Type: trace.PacketLost, PN: r.TxSeq, Size: r.WireSize})
+		c.Trace(trace.Event{Type: trace.PacketLost, PN: r.TxSeq, Size: r.WireSize})
 		var missing stream.IntervalSet
 		missing.Add(r.SeqStart, r.SeqEnd)
 		missing.Remove(0, c.cumAcked)
@@ -84,46 +75,18 @@ func (c *Conn) requeue(lost []*Record) {
 	}
 }
 
-// processPayload ingests data and schedules acknowledgments.
-func (c *Conn) processPayload(seg *Segment) {
-	before := c.received.Size()
-	c.Receive(seg, seg.FIN)
-	if seg.FIN {
-		c.finRecvd = true
-		c.finRecvSeq = seg.End()
-	}
-	if c.onData != nil && (c.received.Size() > before || seg.FIN) {
-		c.onData()
-	}
-	if c.AckQueued() {
-		c.sendAck()
-	}
-}
-
 // --- sending ---
-
-// cumAckNum is the receiver's cumulative acknowledgment number.
-func (c *Conn) cumAckNum() uint64 { return c.received.FirstMissingFrom(0) }
-
-// advertisedWindow is the classic TCP window: buffer not yet tied up.
-func (c *Conn) advertisedWindow() uint64 {
-	used := c.cumAckNum() - c.consumed
-	if used >= c.cfg.RecvWindow {
-		return 0
-	}
-	return c.cfg.RecvWindow - used
-}
 
 func (c *Conn) ackFields(seg *Segment) {
 	c.FillAck(seg)
-	if c.finRecvd && seg.AckNum >= c.finRecvSeq {
-		seg.AckNum = c.finRecvSeq + 1 // ack the FIN
+	if c.finRecvd && seg.AckNum >= c.finSeq {
+		seg.AckNum = c.finSeq + 1 // ack the FIN
 	}
-	seg.Window = c.advertisedWindow()
-	c.lastAdvWnd = seg.Window
+	c.Advertise(seg)
 }
 
-func (c *Conn) sendAck() {
+// sendAck sends a bare acknowledgment on the connection's one flow.
+func (c *Conn) sendAck(*Flow) {
 	seg := &Segment{}
 	c.ackFields(seg)
 	c.Transmit(seg)
@@ -133,7 +96,7 @@ func (c *Conn) sendAck() {
 // then new data, bounded by the congestion window and the peer's
 // receive window.
 func (c *Conn) trySend() {
-	if c.closed || !c.Established() {
+	if c.Closed() || !c.Established() {
 		return
 	}
 	for c.HasWindow(MSS + headerBase) {
@@ -143,9 +106,9 @@ func (c *Conn) trySend() {
 			iv := c.rtxQueue.Pop(MSS)
 			seg = &Segment{Seq: iv.Start, Len: int(iv.Len()), EchoRTX: true}
 			rec = c.Sent(iv.Start, iv.End, true, seg.Len+headerBase)
-			seg.FIN = c.finQueued && iv.End == c.writeOffset
-		} else if c.sndNxt < c.writeOffset && c.sndNxt < c.peerLimit {
-			n := c.writeOffset - c.sndNxt
+			seg.FIN = c.FinQueued && iv.End == c.Written
+		} else if c.sndNxt < c.Written && c.sndNxt < c.peerLimit {
+			n := c.Written - c.sndNxt
 			if n > MSS {
 				n = MSS
 			}
@@ -154,8 +117,8 @@ func (c *Conn) trySend() {
 			}
 			seg = &Segment{Seq: c.sndNxt, Len: int(n)}
 			rec = c.Sent(c.sndNxt, c.sndNxt+n, false, seg.Len+headerBase)
-			seg.FIN = c.finQueued && c.sndNxt == c.writeOffset
-		} else if c.finQueued && c.sndNxt == c.writeOffset && !c.FinAcked() && !c.finInFlight() {
+			seg.FIN = c.FinQueued && c.sndNxt == c.Written
+		} else if c.FinQueued && c.sndNxt == c.Written && !c.FinAcked() && !c.finInFlight() {
 			seg = &Segment{Seq: c.sndNxt, FIN: true}
 			rec = c.Sent(c.sndNxt, c.sndNxt, false, headerBase)
 		} else {
@@ -165,7 +128,7 @@ func (c *Conn) trySend() {
 		c.ackFields(seg) // piggyback ack+window on every data segment
 		c.Transmit(seg)
 	}
-	c.armTimers()
+	c.ArmTimer(c.Deadline())
 }
 
 func (c *Conn) finInFlight() bool {
@@ -180,51 +143,16 @@ func (c *Conn) finInFlight() bool {
 // --- timers ---
 
 func (c *Conn) onRTO() {
-	if c.closed || !c.Established() {
-		return
-	}
-	if c.cfg.IdleTimeout > 0 && c.now()-c.lastRecvTime >= c.cfg.IdleTimeout {
-		c.closeWith(errIdle)
+	if c.Closed() || !c.Established() || c.IdleExpired() {
 		return
 	}
 	if c.AckDue() {
-		c.sendAck()
+		c.sendAck(c.Flow)
 	}
 	if c.RTOExpired() {
 		c.requeue(c.OnRTO())
-		c.trace(trace.Event{Type: trace.RTOFired, Cwnd: c.Cwnd()})
+		c.Trace(trace.Event{Type: trace.RTOFired, Cwnd: c.Cwnd()})
 		c.trySend()
 	}
-	c.armTimers()
-}
-
-func (c *Conn) armTimers() {
-	if c.closed {
-		return
-	}
-	deadline := c.Deadline()
-	if c.cfg.IdleTimeout > 0 {
-		deadline = min(deadline, c.lastRecvTime+c.cfg.IdleTimeout)
-	}
-	ArmTimer(c.rtoTimer, c.clock, deadline)
-}
-
-var errIdle = fmt.Errorf("tcpsim: idle timeout")
-
-func (c *Conn) closeWith(err error) {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	c.closeErr = err
-	c.StopHandshake()
-	c.rtoTimer.Stop()
-	detail := ""
-	if err != nil {
-		detail = err.Error()
-	}
-	c.trace(trace.Event{Type: trace.ConnClosed, Detail: detail})
-	if c.onClosed != nil {
-		c.onClosed(err)
-	}
+	c.ArmTimer(c.Deadline())
 }
