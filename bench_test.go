@@ -12,6 +12,7 @@ package mpquic
 
 import (
 	"os"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -347,6 +348,34 @@ func BenchmarkStructVsWireNullSealer(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkGridStacks runs the body of the sim_grid_bulk workload — 24
+// low-BDP scenarios without random loss, 8 MiB from both start paths —
+// once per stack, MPTCP included, and reports the heap allocations per
+// data packet the servers sent. It is the grids' profile harness:
+//
+//	go test -run '^$' -bench GridStacks -memprofile mem.out .
+func BenchmarkGridStacks(b *testing.B) {
+	scenarios := expdesign.GenerateScenarios(expdesign.LowBDPNoLoss, 24)
+	for _, proto := range []expdesign.Protocol{expdesign.ProtoTCP, expdesign.ProtoMPTCP, expdesign.ProtoQUIC, expdesign.ProtoMPQUIC} {
+		b.Run(proto.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			var pkts uint64
+			runtime.ReadMemStats(&before)
+			for i := 0; i < b.N; i++ {
+				for _, sc := range scenarios {
+					for start := 0; start < 2; start++ {
+						pkts += expdesign.Run(sc, proto, 8<<20, start, uint64(2*sc.ID+start+1)).Metrics.PacketsSent
+					}
+				}
+			}
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(pkts), "mallocs/pkt")
+			b.ReportMetric(float64(pkts)/float64(b.N), "pkts/op")
+		})
 	}
 }
 

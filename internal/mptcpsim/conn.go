@@ -49,8 +49,9 @@ type Conn struct {
 	locals  []netem.Addr
 	remotes []netem.Addr
 
-	subflows []*Subflow
-	olia     *cc.Olia
+	subflows    []*Subflow
+	eligibleBuf []*Subflow // eligible's scratch
+	olia        *cc.Olia
 
 	// Connection-level send state.
 	dataNxt       uint64

@@ -1,7 +1,8 @@
 package mptcpsim
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"mpquic/internal/netem"
 	"mpquic/internal/tcpsim"
@@ -119,7 +120,7 @@ func (c *Conn) ackFields(sf *tcpsim.Flow, seg *tcpsim.Segment) {
 
 // sendAck sends a bare acknowledgment on subflow sf.
 func (c *Conn) sendAck(sf *tcpsim.Flow) {
-	seg := &tcpsim.Segment{}
+	seg := sf.NewSegment()
 	c.ackFields(sf, seg)
 	sf.Transmit(seg)
 }
@@ -127,22 +128,24 @@ func (c *Conn) sendAck(sf *tcpsim.Flow) {
 // --- sending ---
 
 // eligible returns established subflows usable by the scheduler:
-// non-PF ones, or all established subflows when every one is PF.
+// non-PF ones, or all established subflows when every one is PF. The
+// slice is connection scratch, valid until the next call.
 func (c *Conn) eligible() []*Subflow {
-	var healthy, all []*Subflow
+	els := c.eligibleBuf[:0]
 	for _, sf := range c.subflows {
-		if !sf.Established() {
-			continue
-		}
-		all = append(all, sf)
-		if !sf.potentiallyFailed {
-			healthy = append(healthy, sf)
+		if sf.Established() && !sf.potentiallyFailed {
+			els = append(els, sf)
 		}
 	}
-	if len(healthy) > 0 {
-		return healthy
+	if len(els) == 0 {
+		for _, sf := range c.subflows {
+			if sf.Established() {
+				els = append(els, sf)
+			}
+		}
 	}
-	return all
+	c.eligibleBuf = els
+	return els
 }
 
 // bestSubflow picks the lowest-smoothed-RTT eligible subflow with
@@ -169,8 +172,8 @@ func (c *Conn) trySend() {
 		// 1. In-subflow retransmissions first, on their own subflow
 		//    (sequence integrity).
 		els := c.eligible()
-		sort.Slice(els, func(i, j int) bool {
-			return els[i].RTT().SmoothedRTT() < els[j].RTT().SmoothedRTT()
+		slices.SortStableFunc(els, func(a, b *Subflow) int {
+			return cmp.Compare(a.RTT().SmoothedRTT(), b.RTT().SmoothedRTT())
 		})
 		for _, sf := range els {
 			for len(sf.rtxQueue) > 0 && sf.cwndAvailable() {
@@ -301,13 +304,9 @@ func (c *Conn) maybeORP() {
 // sendMapped emits one data-bearing segment on sf with the given
 // subflow-sequence and data-sequence mapping.
 func (c *Conn) sendMapped(sf *Subflow, sfStart, sfEnd, dataStart, dataEnd uint64, dataFin, isRtx bool) {
-	seg := &tcpsim.Segment{
-		Seq:     sfStart,
-		Len:     int(sfEnd - sfStart),
-		DataSeq: dataStart,
-		DataFin: dataFin,
-		EchoRTX: isRtx,
-	}
+	seg := sf.NewSegment()
+	seg.Seq, seg.Len = sfStart, int(sfEnd-sfStart)
+	seg.DataSeq, seg.DataFin, seg.EchoRTX = dataStart, dataFin, isRtx
 	if dataStart == dataEnd && dataFin {
 		// Bare DATA_FIN carrier: one subflow byte, no app payload.
 		seg.DataFinOnly = true

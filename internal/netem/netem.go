@@ -38,9 +38,10 @@ type Datagram struct {
 	// Size is the total on-wire size in bytes, including network- and
 	// transport-layer framing. Links serialize Size bytes.
 	Size int
-	// Payload is the packet itself, in struct mode. A *wire.Packet that
-	// Network.LendPacket lent is the network's from Send on, exactly as
-	// Raw is: a Handler reads it and must not keep it.
+	// Payload is the packet itself, in struct mode. A Lent payload (a
+	// *wire.Packet that Network.LendPacket lent, a TCP segment its flow
+	// lent) is the network's from Send on, exactly as Raw is: a Handler
+	// reads it and must not keep it.
 	Payload Payload
 	// Raw carries the serialized packet bytes in wire-serialization
 	// mode; Payload is nil then. A plain field rather than a Payload
@@ -375,7 +376,7 @@ func (l *Link) QueueBytes() int { return l.queueBytes }
 // Network connects registered addresses through routed links.
 //
 // It owns what a datagram travels in from Send on — the Raw buffer, and
-// a struct-mode packet it lent — and every datagram leaves it through
+// a Lent payload — and every datagram leaves it through
 // exactly one exit (delivered, no handler, no route, link down, queue
 // overflow, random loss), each of which ends in reclaim.
 type Network struct {
@@ -491,15 +492,23 @@ func (n *Network) deliverTo(addr Addr) func(dg Datagram) {
 // sends a packet of its own keeps that packet: reclaim leaves it alone.
 func (n *Network) LendPacket() *wire.Packet { return n.carriers.Get() }
 
+// Lent is a Payload that knows who lent it. Once a lent payload is sent
+// it is the network's, and Return, called once at the datagram's exit,
+// gives it back to its lender: a QUIC carrier to the pool behind
+// LendPacket, a TCP segment to the flow that made it. Return leaves
+// alone a payload that was never lent or that came back already.
+type Lent interface {
+	Return()
+}
+
 // reclaim is the one place the simulator recycles what a datagram
 // travelled in, run once at every exit of the network: the Raw buffer
-// rejoins the wire pool and a lent packet the network's carriers. Both
-// pools turn away what is not theirs (see wire.PutPacketBuf and
-// wire.PacketPool.Put), the second also a carrier that is already back.
+// rejoins the wire pool (which turns away what is not its own, see
+// wire.PutPacketBuf) and a lent payload returns to its lender.
 func (n *Network) reclaim(dg Datagram) {
 	wire.PutPacketBuf(dg.Raw)
-	if pkt, ok := dg.Payload.(*wire.Packet); ok {
-		n.carriers.Put(pkt)
+	if p, ok := dg.Payload.(Lent); ok {
+		p.Return()
 	}
 }
 

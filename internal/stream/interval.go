@@ -78,6 +78,21 @@ func (s *IntervalSet) Add(start, end uint64) {
 	s.ivs = append(s.ivs[:i+1], s.ivs[j:]...)
 }
 
+// AddMissing adds the parts of [start, end) that have does not cover,
+// walking have from the first interval that reaches past start. It
+// builds no temporary set. s and have must be distinct sets.
+//
+//mpq:noescape
+func (s *IntervalSet) AddMissing(start, end uint64, have *IntervalSet) {
+	ivs := have.ivs
+	i := sort.Search(len(ivs), func(i int) bool { return ivs[i].End > start })
+	for ; start < end && i < len(ivs) && ivs[i].Start < end; i++ {
+		s.Add(start, ivs[i].Start) // nothing when have covers start
+		start = ivs[i].End
+	}
+	s.Add(start, end)
+}
+
 // Remove deletes [start, end) from the set, splitting as needed. Like
 // Add it edits the set in place; only a split that finds the backing
 // array full allocates.
@@ -147,14 +162,19 @@ func (s *IntervalSet) FirstMissingFrom(from uint64) uint64 {
 }
 
 // Pop removes and returns up to maxLen bytes from the lowest interval.
-// It returns a zero interval when the set is empty.
+// It returns a zero interval when the set is empty. A Pop that empties
+// the set hands the next Add the whole backing array again.
 func (s *IntervalSet) Pop(maxLen uint64) Interval {
 	if len(s.ivs) == 0 || maxLen == 0 {
 		return Interval{}
 	}
 	iv := s.ivs[0]
 	if iv.Len() <= maxLen {
-		s.ivs = s.ivs[1:]
+		if len(s.ivs) == 1 {
+			s.ivs = s.ivs[:0]
+		} else {
+			s.ivs = s.ivs[1:]
+		}
 		return iv
 	}
 	taken := Interval{iv.Start, iv.Start + maxLen}

@@ -168,16 +168,7 @@ func (s *SendStream) OnFrameAcked(offset uint64, n int, fin bool) {
 // OnFrameLost queues a lost frame's data for retransmission, skipping
 // ranges that were acknowledged through another copy.
 func (s *SendStream) OnFrameLost(offset uint64, n int, fin bool) {
-	start, end := offset, offset+uint64(n)
-	// Re-add only the still-unacked sub-ranges.
-	missing := IntervalSet{}
-	missing.Add(start, end)
-	for _, a := range s.acked.Intervals() {
-		missing.Remove(a.Start, a.End)
-	}
-	for _, iv := range missing.Intervals() {
-		s.rtx.Add(iv.Start, iv.End)
-	}
+	s.rtx.AddMissing(offset, offset+uint64(n), &s.acked)
 	if fin && !s.finAcked {
 		s.finLost = true
 	}

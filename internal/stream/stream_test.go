@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -134,6 +135,36 @@ func TestIntervalSetMatchesReferenceProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: AddMissing adds to a set exactly what the construction it
+// replaced did — a temporary set of [start, end) with every interval of
+// have removed, then added interval by interval.
+func TestIntervalSetAddMissingMatchesRemoveConstruction(t *testing.T) {
+	build := func(ops [][2]uint8) *IntervalSet {
+		s := new(IntervalSet)
+		for _, op := range ops {
+			s.Add(uint64(op[0]), uint64(op[0])+uint64(op[1]%40))
+		}
+		return s
+	}
+	f := func(haveOps, intoOps [][2]uint8, start, n uint8) bool {
+		have, got, want := build(haveOps), build(intoOps), build(intoOps)
+		lo, hi := uint64(start), uint64(start)+uint64(n)
+		got.AddMissing(lo, hi, have)
+		var missing IntervalSet
+		missing.Add(lo, hi)
+		for _, iv := range have.Intervals() {
+			missing.Remove(iv.Start, iv.End)
+		}
+		for _, iv := range missing.Intervals() {
+			want.Add(iv.Start, iv.End)
+		}
+		return slices.Equal(got.Intervals(), want.Intervals())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -25,21 +25,21 @@ const (
 )
 
 // flight is the segment a flow in handshake state s keeps sending
-// until the peer answers it.
-func flight(s hsState) *Segment {
+// until the peer answers it, as its flags and control message.
+func flight(s hsState) (syn, ack bool, ctl CtlType) {
 	switch s {
 	case hsSynSent:
-		return &Segment{SYN: true}
+		return true, false, CtlNone
 	case hsSynReceived:
-		return &Segment{SYN: true, ACK: true}
+		return true, true, CtlNone
 	case hsTLSClientHello:
-		return &Segment{ACK: true, Ctl: CtlTLSClient1}
+		return false, true, CtlTLSClient1
 	case hsTLSServerDone:
-		return &Segment{ACK: true, Ctl: CtlTLSServer1}
+		return false, true, CtlTLSServer1
 	case hsTLSClientFin:
-		return &Segment{ACK: true, Ctl: CtlTLSClient2}
+		return false, true, CtlTLSClient2
 	}
-	return nil
+	return false, false, CtlNone
 }
 
 // dupThresh is the FACK-style reordering threshold (the dup-ack
@@ -49,9 +49,12 @@ const dupThresh = 3
 // Never is the Deadline of a flow that is waiting for nothing.
 const Never = time.Duration(1<<62 - 1)
 
-// Record tracks one transmitted segment for loss detection. One is
-// allocated per segment: the bools sit together to keep it in the
-// 64-byte size class (TestRecordStaysInTCPSizeClass).
+// Record tracks one transmitted segment for loss detection. The flow
+// recycles the records it trims from its scoreboard, so a record lives
+// as long as its segment is outstanding plus one OnAck or OnRTO. What
+// the flow holds at its peak is one record per segment in flight: the
+// bools sit together to keep it in the 64-byte size class
+// (TestRecordStaysInTCPSizeClass).
 type Record struct {
 	TxSeq    uint64 // transmission order
 	SeqStart uint64
@@ -112,10 +115,18 @@ type Flow struct {
 	cc       cc.Controller
 
 	// --- send scoreboard ---
-	sndNxt        uint64
-	records       []*Record
-	lost          []*Record // scratch: the list OnAck/OnRTO hand out
-	liveRtx       int       // live retransmission records (out of seq order)
+	sndNxt uint64
+	// records[head:] is the scoreboard in transmission order; the
+	// records before head are trimmed, dead prefix of the backing array.
+	records []*Record
+	head    int
+	lost    []*Record // scratch: the list OnAck/OnRTO hand out
+	// retired holds the records trimmed since the last OnAck or OnRTO,
+	// which lost may still name; free holds the records Sent reuses.
+	retired, free []*Record
+	segs          []*Segment // the segments NewSegment lends again
+
+	liveRtx       int // live retransmission records (out of seq order)
 	nextTxSeq     uint64
 	highestAckTx  uint64 // highest txSeq acked/sacked (FACK)
 	hasAckTx      bool
@@ -181,8 +192,9 @@ func (f *Flow) InFlight() int { return f.bytesInFlight }
 func (f *Flow) SndNxt() uint64 { return f.sndNxt }
 
 // Records returns the scoreboard in transmission order; settled
-// records linger until trimmed.
-func (f *Flow) Records() []*Record { return f.records }
+// records linger until trimmed. The records stay the flow's, which
+// reuses one from the OnAck or OnRTO after the one that trimmed it.
+func (f *Flow) Records() []*Record { return f.records[f.head:] }
 
 // HasWindow reports whether the congestion window has room for
 // another segment of segSize wire bytes.
@@ -216,7 +228,9 @@ func (f *Flow) Transmit(seg *Segment) {
 
 // sendHandshake transmits one handshake segment. Flights are stop-and-
 // wait, so one departure timestamp suffices for their RTT samples.
-func (f *Flow) sendHandshake(seg *Segment) {
+func (f *Flow) sendHandshake(syn, ack bool, ctl CtlType) {
+	seg := f.NewSegment()
+	seg.SYN, seg.ACK, seg.Ctl = syn, ack, ctl
 	f.stamp(seg)
 	f.hsSentAt = f.now()
 	f.Transmit(seg)
@@ -256,7 +270,7 @@ func (f *Flow) Handshake(seg *Segment) (consumed, established bool) {
 		if f.tls {
 			f.enter(hsTLSClientHello)
 		} else {
-			f.sendHandshake(&Segment{ACK: true})
+			f.sendHandshake(false, true, CtlNone)
 			established = f.establish()
 		}
 	case seg.SYN: // server got SYN (or a retransmitted SYN)
@@ -276,12 +290,12 @@ func (f *Flow) Handshake(seg *Segment) (consumed, established bool) {
 		}
 	case seg.Ctl == CtlTLSClient2: // server
 		if f.state == hsTLSServerDone {
-			f.sendHandshake(&Segment{ACK: true, Ctl: CtlTLSServer2})
+			f.sendHandshake(false, true, CtlTLSServer2)
 			established = f.establish()
 		} else if f.state == hsEstablished {
 			// Client flight was retransmitted: our final flight got
 			// lost; resend it.
-			f.sendHandshake(&Segment{ACK: true, Ctl: CtlTLSServer2})
+			f.sendHandshake(false, true, CtlTLSServer2)
 		}
 	case seg.Ctl == CtlTLSServer2: // client
 		if f.state == hsTLSClientFin {
@@ -325,7 +339,14 @@ func (f *Flow) Sent(start, end uint64, isRtx bool, wireSize int) *Record {
 		f.liveRtx++
 		f.Stats.Retransmits++
 	}
-	r := &Record{
+	var r *Record
+	if n := len(f.free); n > 0 {
+		r = f.free[n-1]
+		f.free = f.free[:n-1]
+	} else {
+		r = new(Record)
+	}
+	*r = Record{
 		TxSeq:    f.nextTxSeq,
 		SeqStart: start,
 		SeqEnd:   end,
@@ -334,6 +355,14 @@ func (f *Flow) Sent(start, end uint64, isRtx bool, wireSize int) *Record {
 		WireSize: wireSize,
 	}
 	f.nextTxSeq++
+	if len(f.records) == cap(f.records) && 2*f.head >= len(f.records) {
+		// Half the backing array is trimmed prefix: move the scoreboard
+		// down into it instead of growing the array. Each record moves
+		// at most once per time the array fills, so trimming stays
+		// amortized O(1) per record.
+		n := copy(f.records, f.records[f.head:])
+		f.records, f.head = f.records[:n], 0
+	}
 	f.records = append(f.records, r)
 	f.bytesInFlight += wireSize
 	f.lastSent = r.sentTime
@@ -358,6 +387,7 @@ func (f *Flow) settle(r *Record) {
 // holds the records declared lost, for the owner to requeue, and is
 // valid until the next OnAck or OnRTO.
 func (f *Flow) OnAck(seg *Segment) (progress bool, lost []*Record) {
+	f.recycle()
 	if seg.AckNum > f.cumAcked {
 		f.cumAcked = seg.AckNum
 	}
@@ -378,7 +408,7 @@ func (f *Flow) OnAck(seg *Segment) (progress bool, lost []*Record) {
 	// only out-of-order retransmission records can still match.
 	var newlyAckedBytes int
 	rtxLeft := f.liveRtx
-	for _, r := range f.records {
+	for _, r := range f.Records() {
 		if r.Settled {
 			continue
 		}
@@ -425,7 +455,7 @@ func (f *Flow) OnAck(seg *Segment) (progress bool, lost []*Record) {
 	// are acked.
 	f.lost = f.lost[:0]
 	if f.hasAckTx {
-		for _, r := range f.records {
+		for _, r := range f.Records() {
 			if r.TxSeq+dupThresh > f.highestAckTx {
 				break // records are in transmission order
 			}
@@ -474,9 +504,10 @@ func (f *Flow) RTOExpired() bool {
 // off. The lost records, for the owner to requeue in sequence, are
 // valid until the next OnAck or OnRTO.
 func (f *Flow) OnRTO() []*Record {
+	f.recycle()
 	f.Stats.RTOCount++
 	f.lost = f.lost[:0]
-	for _, r := range f.records {
+	for _, r := range f.Records() {
 		if !r.Settled {
 			f.settle(r)
 			f.lost = append(f.lost, r)
@@ -490,16 +521,25 @@ func (f *Flow) OnRTO() []*Record {
 	return f.lost
 }
 
-// trimRecords drops the settled head of the scoreboard. Nothing
-// settled lingers behind it for long: a record sent after the highest
-// acked transmission is never settled, and FACK marking settles every
-// record dupThresh or more transmissions before it.
+// trimRecords drops the settled head of the scoreboard and retires it.
+// Nothing settled lingers behind it for long: a record sent after the
+// highest acked transmission is never settled, and FACK marking settles
+// every record dupThresh or more transmissions before it.
 func (f *Flow) trimRecords() {
-	i := 0
-	for i < len(f.records) && f.records[i].Settled {
-		i++
+	for f.head < len(f.records) && f.records[f.head].Settled {
+		f.retired = append(f.retired, f.records[f.head])
+		f.head++
 	}
-	f.records = f.records[i:]
+	if f.head == len(f.records) {
+		f.records, f.head = f.records[:0], 0
+	}
+}
+
+// recycle hands the records retired since the last OnAck or OnRTO to
+// Sent: the lost list that could name them is no longer valid.
+func (f *Flow) recycle() {
+	f.free = append(f.free, f.retired...)
+	f.retired = f.retired[:0]
 }
 
 // --- receive side ---
@@ -530,11 +570,12 @@ func (f *Flow) AckQueued() bool { return f.ackQueued }
 func (f *Flow) AckDue() bool { return f.ackDeadline != 0 && f.now() >= f.ackDeadline }
 
 // FillAck writes the flow's cumulative ack and SACK blocks into seg
-// (every data segment piggybacks them) and clears the owed ack.
+// (every data segment piggybacks them) and clears the owed ack. The
+// blocks live in seg itself.
 func (f *Flow) FillAck(seg *Segment) {
 	seg.ACK = true
 	seg.AckNum = f.received.FirstMissingFrom(0)
-	seg.SACK = buildSACK(f.received.Intervals(), seg.AckNum)
+	seg.SACK = buildSACK(seg.sack[:0], f.received.Intervals(), seg.AckNum)
 	f.ackQueued = false
 	f.ackDeadline = 0
 	f.unackedSegs = 0

@@ -10,8 +10,8 @@ import (
 	"mpquic/internal/sim"
 )
 
-// A Record is one allocation per transmitted segment; the DSS mapping
-// must not push plain TCP's into a larger size class than it had.
+// The flow holds one Record per segment in flight; the DSS mapping must
+// not push plain TCP's into a larger size class than it had.
 func TestRecordStaysInTCPSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(Record{}); n > 64 {
 		t.Fatalf("Record is %d bytes, want <= 64", n)
@@ -22,7 +22,9 @@ func TestRecordStaysInTCPSizeClass(t *testing.T) {
 // the scoreboard to: the records the flow has not yet reported on (in
 // transmission order), the outcome it reported for every other one,
 // the cumulative ack, and SACK coverage as one bool per byte. It
-// recounts everything from scratch after every step.
+// recounts everything from scratch after every step. The flow reuses a
+// record once it is trimmed, so outcomes are keyed by TxSeq and lost
+// records are kept as copies.
 type scoreboardModel struct {
 	t       *testing.T
 	f       *Flow
@@ -30,12 +32,16 @@ type scoreboardModel struct {
 	rng     *sim.Rand
 	sent    int
 	live    []*Record
-	lost    []*Record
-	outcome map[*Record]string // "acked" or "lost", once reported
-	cum     uint64
-	sacked  []bool
-	highest uint64 // highest TxSeq among acked records
-	hasAck  bool
+	lost    []Record
+	outcome map[uint64]string // by TxSeq: "acked" or "lost", once reported
+	// handed is the lost list of the last OnAck or OnRTO, and handedAs
+	// its records as they were handed out.
+	handed   []*Record
+	handedAs []Record
+	cum      uint64
+	sacked   []bool
+	highest  uint64 // highest TxSeq among acked records
+	hasAck   bool
 }
 
 func (m *scoreboardModel) tick() {
@@ -48,6 +54,11 @@ func (m *scoreboardModel) tick() {
 func (m *scoreboardModel) send(start, end uint64, isRtx bool) {
 	m.tick() // every record leaves at its own instant: RTT samples name their record
 	r := m.f.Sent(start, end, isRtx, int(end-start)+headerBase)
+	for i, h := range m.handed {
+		if *h != m.handedAs[i] {
+			m.t.Fatalf("lost record tx %d changed before the next OnAck or OnRTO: %+v, handed out as %+v", m.handedAs[i].TxSeq, *h, m.handedAs[i])
+		}
+	}
 	m.live = append(m.live, r)
 	m.sent++
 	for uint64(len(m.sacked)) < end {
@@ -127,10 +138,12 @@ func (m *scoreboardModel) rto() {
 // report checks what the flow decided in one step against want and
 // books it: every record is reported once, acked or lost, never both.
 func (m *scoreboardModel) report(lost []*Record, want map[*Record]string) {
+	m.handed, m.handedAs = lost, m.handedAs[:0]
 	reportedLost := map[*Record]bool{}
 	for _, r := range lost {
-		if m.outcome[r] != "" {
-			m.t.Fatalf("record tx %d reported lost after being %s", r.TxSeq, m.outcome[r])
+		m.handedAs = append(m.handedAs, *r)
+		if m.outcome[r.TxSeq] != "" {
+			m.t.Fatalf("record tx %d reported lost after being %s", r.TxSeq, m.outcome[r.TxSeq])
 		}
 		if reportedLost[r] {
 			m.t.Fatalf("record tx %d reported lost twice in one step", r.TxSeq)
@@ -158,9 +171,9 @@ func (m *scoreboardModel) report(lost []*Record, want map[*Record]string) {
 			if !r.Settled {
 				m.t.Fatalf("record tx %d reported lost but left unsettled", r.TxSeq)
 			}
-			m.lost = append(m.lost, r)
+			m.lost = append(m.lost, *r)
 		}
-		m.outcome[r] = got
+		m.outcome[r.TxSeq] = got
 	}
 	m.live = stillLive
 }
@@ -168,7 +181,7 @@ func (m *scoreboardModel) report(lost []*Record, want map[*Record]string) {
 // recount checks the flow's running counters against a recount.
 func (m *scoreboardModel) recount() {
 	kept := map[*Record]bool{}
-	for _, r := range m.f.records {
+	for _, r := range m.f.Records() {
 		kept[r] = true
 	}
 	// What lets trimRecords drop only the settled head: FACK marking
@@ -263,7 +276,7 @@ func TestFlowScoreboardModel(t *testing.T) {
 			f:       NewFlow(nw, 0, "c:1", "s:1", cub, false, func(*Segment) {}),
 			clock:   clock,
 			rng:     sim.NewRand(seed * 977),
-			outcome: map[*Record]string{},
+			outcome: map[uint64]string{},
 		}
 		for step := 0; step < 3000; step++ {
 			switch op := m.rng.Intn(100); {

@@ -70,7 +70,11 @@ type SACKBlock struct {
 	Start, End uint64
 }
 
-// Segment is one TCP segment in flight. It implements netem.Payload.
+// Segment is one TCP segment in flight. It implements netem.Payload,
+// and netem.Lent when a flow lent it (Flow.NewSegment): from Send on
+// the network owns it, a handler reads it for one HandleDatagram and
+// must not keep it, and the network returns it to its flow at the
+// datagram's exit.
 type Segment struct {
 	SYN, ACK, FIN bool
 	Ctl           CtlType
@@ -98,6 +102,36 @@ type Segment struct {
 	Token     uint32
 	SubflowID uint8
 	Join      bool
+
+	sack   [MaxSACKBlocks]SACKBlock // what FillAck points SACK at
+	lender *Flow                    // the flow that has it out on loan, nil when none
+}
+
+// NewSegment lends a zeroed segment from the flow's free list. Sending
+// it gives it to the network, which returns it through Return.
+func (f *Flow) NewSegment() *Segment {
+	var s *Segment
+	if n := len(f.segs); n > 0 {
+		s = f.segs[n-1]
+		f.segs[n-1] = nil
+		f.segs = f.segs[:n-1]
+		*s = Segment{}
+	} else {
+		s = new(Segment)
+	}
+	s.lender = f
+	return s
+}
+
+// Return implements netem.Lent: the segment goes back to the flow that
+// lent it. A segment nobody lent, or one already back, is left alone.
+func (s *Segment) Return() {
+	f := s.lender
+	if f == nil {
+		return
+	}
+	s.lender = nil
+	f.segs = append(f.segs, s)
 }
 
 // WireSize implements netem.Payload: headers + options + payload.
@@ -121,11 +155,10 @@ func (s *Segment) WireSize() int {
 // End returns the sequence number after the payload.
 func (s *Segment) End() uint64 { return s.Seq + uint64(s.Len) }
 
-// buildSACK converts the receiver's out-of-order intervals (ascending)
-// into at most MaxSACKBlocks blocks, most recent (highest) first, as
-// Linux does.
-func buildSACK(ivs []stream.Interval, cumAck uint64) []SACKBlock {
-	var blocks []SACKBlock
+// buildSACK appends to blocks the receiver's out-of-order intervals
+// (ascending) as at most MaxSACKBlocks blocks, most recent (highest)
+// first, as Linux does.
+func buildSACK(blocks []SACKBlock, ivs []stream.Interval, cumAck uint64) []SACKBlock {
 	for i := len(ivs) - 1; i >= 0 && len(blocks) < MaxSACKBlocks; i-- {
 		if ivs[i].End <= cumAck {
 			continue
@@ -133,9 +166,6 @@ func buildSACK(ivs []stream.Interval, cumAck uint64) []SACKBlock {
 		start := ivs[i].Start
 		if start < cumAck {
 			start = cumAck
-		}
-		if blocks == nil {
-			blocks = make([]SACKBlock, 0, MaxSACKBlocks)
 		}
 		blocks = append(blocks, SACKBlock{Start: start, End: ivs[i].End})
 	}

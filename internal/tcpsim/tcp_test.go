@@ -144,7 +144,7 @@ func TestTCPReceiveWindowLimitsSender(t *testing.T) {
 func TestTCPSACKLimitedToThreeBlocks(t *testing.T) {
 	intervals := []stream.Interval{{Start: 10, End: 20}, {Start: 30, End: 40},
 		{Start: 50, End: 60}, {Start: 70, End: 80}, {Start: 90, End: 100}}
-	blocks := buildSACK(intervals, 0)
+	blocks := buildSACK(nil, intervals, 0)
 	if len(blocks) != MaxSACKBlocks {
 		t.Fatalf("got %d blocks, want %d", len(blocks), MaxSACKBlocks)
 	}

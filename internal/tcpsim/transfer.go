@@ -2,7 +2,6 @@ package tcpsim
 
 import (
 	"mpquic/internal/netem"
-	"mpquic/internal/stream"
 	"mpquic/internal/trace"
 )
 
@@ -58,20 +57,13 @@ func (c *Conn) HandleDatagram(dg netem.Datagram) {
 	c.ArmTimer(c.Deadline())
 }
 
-// requeue returns lost records' unacked bytes to the rtx queue. A lost
-// FIN needs no entry: trySend re-attaches it to the final segment.
+// requeue returns lost records' unacked bytes — above the cumulative ack
+// and outside every SACK block — to the rtx queue. A lost FIN needs no
+// entry: trySend re-attaches it to the final segment.
 func (c *Conn) requeue(lost []*Record) {
 	for _, r := range lost {
 		c.Trace(trace.Event{Type: trace.PacketLost, PN: r.TxSeq, Size: r.WireSize})
-		var missing stream.IntervalSet
-		missing.Add(r.SeqStart, r.SeqEnd)
-		missing.Remove(0, c.cumAcked)
-		for _, iv := range c.sacked.Intervals() {
-			missing.Remove(iv.Start, iv.End)
-		}
-		for _, iv := range missing.Intervals() {
-			c.rtxQueue.Add(iv.Start, iv.End)
-		}
+		c.rtxQueue.AddMissing(max(r.SeqStart, c.cumAcked), r.SeqEnd, &c.sacked)
 	}
 }
 
@@ -87,7 +79,7 @@ func (c *Conn) ackFields(seg *Segment) {
 
 // sendAck sends a bare acknowledgment on the connection's one flow.
 func (c *Conn) sendAck(*Flow) {
-	seg := &Segment{}
+	seg := c.NewSegment()
 	c.ackFields(seg)
 	c.Transmit(seg)
 }
@@ -100,31 +92,22 @@ func (c *Conn) trySend() {
 		return
 	}
 	for c.HasWindow(MSS + headerBase) {
-		var seg *Segment
-		var rec *Record
+		var start, end uint64
+		rtx := false
 		if !c.rtxQueue.Empty() {
 			iv := c.rtxQueue.Pop(MSS)
-			seg = &Segment{Seq: iv.Start, Len: int(iv.Len()), EchoRTX: true}
-			rec = c.Sent(iv.Start, iv.End, true, seg.Len+headerBase)
-			seg.FIN = c.FinQueued && iv.End == c.Written
+			start, end, rtx = iv.Start, iv.End, true
 		} else if c.sndNxt < c.Written && c.sndNxt < c.peerLimit {
-			n := c.Written - c.sndNxt
-			if n > MSS {
-				n = MSS
-			}
-			if room := c.peerLimit - c.sndNxt; n > room {
-				n = room
-			}
-			seg = &Segment{Seq: c.sndNxt, Len: int(n)}
-			rec = c.Sent(c.sndNxt, c.sndNxt+n, false, seg.Len+headerBase)
-			seg.FIN = c.FinQueued && c.sndNxt == c.Written
+			start, end = c.sndNxt, c.sndNxt+min(c.Written-c.sndNxt, MSS, c.peerLimit-c.sndNxt)
 		} else if c.FinQueued && c.sndNxt == c.Written && !c.FinAcked() && !c.finInFlight() {
-			seg = &Segment{Seq: c.sndNxt, FIN: true}
-			rec = c.Sent(c.sndNxt, c.sndNxt, false, headerBase)
+			start, end = c.sndNxt, c.sndNxt // a bare FIN
 		} else {
 			break
 		}
-		rec.Fin = seg.FIN
+		seg := c.NewSegment()
+		seg.Seq, seg.Len, seg.EchoRTX = start, int(end-start), rtx
+		seg.FIN = c.FinQueued && end == c.Written
+		c.Sent(start, end, rtx, seg.Len+headerBase).Fin = seg.FIN
 		c.ackFields(seg) // piggyback ack+window on every data segment
 		c.Transmit(seg)
 	}
@@ -132,7 +115,7 @@ func (c *Conn) trySend() {
 }
 
 func (c *Conn) finInFlight() bool {
-	for _, r := range c.records {
+	for _, r := range c.Records() {
 		if !r.Settled && r.Fin {
 			return true
 		}

@@ -45,8 +45,8 @@ type PacketPool struct {
 	free []*Packet
 }
 
-// Get lends a carrier, to be filled with Fill and handed back with Put
-// once nothing reads it any more.
+// Get lends a carrier, to be filled with Fill and handed back with
+// Return once nothing reads it any more.
 func (pl *PacketPool) Get() *Packet {
 	var p *Packet
 	if n := len(pl.free); n > 0 {
@@ -56,7 +56,7 @@ func (pl *PacketPool) Get() *Packet {
 	} else {
 		p = newCarrier()
 	}
-	p.lent = true
+	p.pool = pl
 	return p
 }
 
@@ -76,15 +76,16 @@ func newCarrier() *Packet {
 	return &c.Packet
 }
 
-// Put takes back a carrier Get lent. Any other packet is left alone: one
-// that was never lent belongs to whoever made it (a sender that did not
-// borrow, who may keep it), and one that already came back must not be
-// listed twice — two later loans would share it.
-func (pl *PacketPool) Put(p *Packet) {
-	if !p.lent {
+// Return hands a carrier back to the pool that lent it. Any other packet
+// is left alone: one that was never lent belongs to whoever made it (a
+// sender that did not borrow, who may keep it), and one that already
+// came back must not be listed twice — two later loans would share it.
+func (p *Packet) Return() {
+	pl := p.pool
+	if pl == nil {
 		return
 	}
-	p.lent = false
+	p.pool = nil
 	pl.free = append(pl.free, p)
 }
 

@@ -27,11 +27,11 @@ type Packet struct {
 	// the packet was built.
 	LargestAcked PacketNumber
 
-	// own and lent serve a Packet used as a struct-mode carrier
+	// own and pool serve a Packet used as a struct-mode carrier
 	// (carrier.go): the storage Fill copies ACK and STREAM frames into,
-	// and whether a PacketPool has the packet out on loan.
+	// and the PacketPool that has the packet out on loan, nil when none.
 	own  FrameArena
-	lent bool
+	pool *PacketPool
 }
 
 // WireSize implements the emulator payload interface: the full packet
