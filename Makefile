@@ -23,6 +23,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz='^FuzzDecodeBorrowed$$' -fuzztime=$(FUZZTIME) ./internal/wire
 	go test -run='^$$' -fuzz='^FuzzLiveIngress$$' -fuzztime=$(FUZZTIME) ./internal/live
 	go test -run='^$$' -fuzz='^FuzzRecvStream$$' -fuzztime=$(FUZZTIME) ./internal/stream
+	go test -run='^$$' -fuzz='^FuzzAckManager$$' -fuzztime=$(FUZZTIME) ./internal/recovery
 	go test -run='^$$' -fuzz='^FuzzClockOps$$' -fuzztime=$(FUZZTIME) ./internal/sim
 
 # Every BENCHMARK.json workload once, end-to-end metrics (about 20 s each).

@@ -174,6 +174,8 @@ func mss() int { return wire.MaxPacketSize }
 func (c *Conn) now() time.Duration { return c.clock.Now().Duration() }
 
 // trace emits ev when tracing is enabled, stamping the current time.
+// The per-packet sites test cfg.Tracer themselves before building ev, so
+// an untraced connection copies no event and calls no cc.Cwnd for one.
 func (c *Conn) trace(ev trace.Event) {
 	if c.cfg.Tracer == nil {
 		return
@@ -525,7 +527,9 @@ func (c *Conn) receive(in *ingress) {
 	p.RecvBytes += uint64(in.Size)
 	c.Stats.PacketsReceived++
 	c.Stats.BytesReceived += uint64(in.Size)
-	c.trace(trace.Event{Type: trace.PacketReceived, Path: uint8(p.ID), PN: uint64(pkt.Header.PacketNumber), Size: in.Size})
+	if c.cfg.Tracer != nil {
+		c.trace(trace.Event{Type: trace.PacketReceived, Path: uint8(p.ID), PN: uint64(pkt.Header.PacketNumber), Size: in.Size})
+	}
 
 	if !p.ackMgr.OnPacketReceived(pkt.Header.PacketNumber, pkt.IsRetransmittable(), now) {
 		// Duplicate (e.g. scheduler duplication or spurious rtx):
@@ -584,11 +588,15 @@ func (c *Conn) handleAck(recvPath *Path, ack *wire.AckFrame) {
 		target.cc.OnPacketAcked(sp.Size, srtt)
 		target.AckedPackets++
 		target.AckedBytes += uint64(sp.Size)
-		c.trace(trace.Event{Type: trace.PacketAcked, Path: uint8(target.ID), PN: uint64(sp.PN), Size: sp.Size, SRTT: srtt})
+		if c.cfg.Tracer != nil {
+			c.trace(trace.Event{Type: trace.PacketAcked, Path: uint8(target.ID), PN: uint64(sp.PN), Size: sp.Size, SRTT: srtt})
+		}
 		c.onFramesAcked(sp.Frames)
 	}
 	if len(res.NewlyAcked) > 0 {
-		c.trace(trace.Event{Type: trace.CwndUpdated, Path: uint8(target.ID), Cwnd: target.cc.Cwnd(), SRTT: srtt})
+		if c.cfg.Tracer != nil {
+			c.trace(trace.Event{Type: trace.CwndUpdated, Path: uint8(target.ID), Cwnd: target.cc.Cwnd(), SRTT: srtt})
+		}
 		target.lastAckProgress = c.now()
 		if target.potentiallyFailed {
 			// Data acknowledged on the path: it works again (§4.3).

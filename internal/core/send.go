@@ -189,7 +189,7 @@ func (c *Conn) sendHandshake() {
 		// Bundle the ack of the CHLO so the client gets an immediate
 		// RTT sample.
 		if p0.ackMgr.ShouldSendAck(c.now()) {
-			if ack := p0.buildAck(c.now()); ack != nil {
+			if ack, _ := p0.buildAck(c.now()); ack != nil {
 				frames = append([]wire.Frame{ack}, frames...)
 			}
 		}
@@ -235,15 +235,17 @@ func (c *Conn) sendData(ackedOn *pathSet) {
 	}
 }
 
-// buildAck builds the path's pending ACK, or nil when nothing was
-// received yet. The frame is the path's scratch, valid until the path's
-// next ACK is built — by then sendPacket has serialized or copied it,
-// and recovery keeps no ACK frames.
-func (p *Path) buildAck(now time.Duration) *wire.AckFrame {
-	if !p.ackMgr.BuildAckInto(&p.ackFrame, now) {
-		return nil
+// buildAck builds the path's pending ACK and returns it with its
+// encoded size, or nil when nothing was received yet. The frame is the
+// path's scratch, valid until the path's next ACK is built — by then
+// sendPacket has serialized or copied it, and recovery keeps no ACK
+// frames.
+func (p *Path) buildAck(now time.Duration) (*wire.AckFrame, int) {
+	size := p.ackMgr.BuildAckInto(&p.ackFrame, now)
+	if size == 0 {
+		return nil, 0
 	}
-	return &p.ackFrame
+	return &p.ackFrame, size
 }
 
 // startPacket starts the frame list of a protected packet on path p,
@@ -252,9 +254,9 @@ func (p *Path) buildAck(now time.Duration) *wire.AckFrame {
 // payload budget left and room, the budget an empty list would have
 // left: builders count budget down by every frame they add, so room
 // minus what is left when they stop is the size of the packet's frames,
-// and no frame is sized twice. (An ACK frame's size is O(ranges) to
-// compute, up to wire.MaxAckRanges after losses; txAckSize keeps it for
-// a duplicate, which leaves the ACK out.)
+// and no frame is sized twice. (The ACK comes with its size, which the
+// ack manager keeps as its ranges change; txAckSize keeps it for a
+// duplicate, which leaves the ACK out.)
 func (c *Conn) startPacket(p *Path, ackedOn *pathSet) (frames []wire.Frame, budget, room int) {
 	room = wire.MaxPacketSize - c.headerSize(p, false) - wire.AEADOverhead
 	budget = room
@@ -262,13 +264,11 @@ func (c *Conn) startPacket(p *Path, ackedOn *pathSet) (frames []wire.Frame, budg
 	c.txStreams = c.txStreams[:0]
 	c.txAckSize = 0
 	if now := c.now(); p.ackMgr.ShouldSendAck(now) {
-		if ack := p.buildAck(now); ack != nil {
-			if size := ack.EncodedSize(); size <= budget {
-				frames = append(frames, ack)
-				budget -= size
-				c.txAckSize = size
-				ackedOn.add(p.ID)
-			}
+		if ack, size := p.buildAck(now); ack != nil && size <= budget {
+			frames = append(frames, ack)
+			budget -= size
+			c.txAckSize = size
+			ackedOn.add(p.ID)
 		}
 	}
 	return frames, budget, room
@@ -393,8 +393,8 @@ func (c *Conn) sendPureAcks(ackedOn *pathSet) {
 		if ackedOn.has(p.ID) || !p.ackMgr.ShouldSendAck(now) {
 			continue
 		}
-		if ack := p.buildAck(now); ack != nil {
-			c.sendPacket(p, append(c.txFrames[:0], ack), ack.EncodedSize(), false, true)
+		if ack, size := p.buildAck(now); ack != nil {
+			c.sendPacket(p, append(c.txFrames[:0], ack), size, false, true)
 		}
 	}
 }
@@ -445,7 +445,9 @@ func (c *Conn) sendPacket(p *Path, frames []wire.Frame, payload int, handshake, 
 	p.SentBytes += uint64(size)
 	c.Stats.PacketsSent++
 	c.Stats.BytesSent += uint64(size)
-	c.trace(trace.Event{Type: trace.PacketSent, Path: uint8(p.ID), PN: uint64(pn), Size: size, Cwnd: p.cc.Cwnd()})
+	if c.cfg.Tracer != nil {
+		c.trace(trace.Event{Type: trace.PacketSent, Path: uint8(p.ID), PN: uint64(pn), Size: size, Cwnd: p.cc.Cwnd()})
+	}
 
 	dg := netem.Datagram{From: p.Local, To: p.Remote, Size: size}
 	if c.cfg.WireSerialization {

@@ -10,6 +10,7 @@ import (
 	"mpquic/internal/crypto"
 	"mpquic/internal/expdesign"
 	"mpquic/internal/netem"
+	"mpquic/internal/recovery"
 	"mpquic/internal/sim"
 	"mpquic/internal/stream"
 	"mpquic/internal/wire"
@@ -212,6 +213,34 @@ func TestIntervalSetEditsAllocFree(t *testing.T) {
 	edit() // grow the backing array once
 	if allocs := testing.AllocsPerRun(100, edit); allocs > 0 {
 		t.Errorf("IntervalSet.Add/Remove/AddMissing/Pop allocate %.1f/op once capacity exists, want 0", allocs)
+	}
+}
+
+// TestAckManagerSteadyStateAllocFree: once a receiver holds
+// wire.MaxAckRanges ranges, taking packets — in order, after a hole
+// (which forgets the oldest range), reordered into a hole — and building
+// ACKs into the path's frame allocates nothing.
+func TestAckManagerSteadyStateAllocFree(t *testing.T) {
+	a := recovery.NewAckManager(0)
+	for pn := wire.PacketNumber(0); pn < 4*wire.MaxAckRanges; pn += 2 {
+		a.OnPacketReceived(pn, true, 0)
+	}
+	pn := wire.PacketNumber(4*wire.MaxAckRanges + 1)
+	var f wire.AckFrame
+	receive := func() {
+		for i := 0; i < 16; i++ {
+			a.OnPacketReceived(pn, true, 0)   // a new top range, two PNs above the last
+			a.OnPacketReceived(pn+1, true, 0) // in order
+			a.OnPacketReceived(pn-2, true, 0) // reordered: half the hole below
+			pn += 4
+			if a.BuildAckInto(&f, time.Millisecond) == 0 || len(f.Ranges) != wire.MaxAckRanges {
+				t.Fatalf("ACK of %d ranges, want %d", len(f.Ranges), wire.MaxAckRanges)
+			}
+		}
+	}
+	receive() // size the ranges' backing array and the frame's
+	if allocs := testing.AllocsPerRun(100, receive); allocs > 0 {
+		t.Errorf("AckManager at %d ranges allocates %.1f per 48 packets and 16 ACKs, want 0", wire.MaxAckRanges, allocs)
 	}
 }
 

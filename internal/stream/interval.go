@@ -52,9 +52,9 @@ func (s *IntervalSet) Add(start, end uint64) {
 		return
 	}
 	// [i, j) are the intervals the new one touches or overlaps: i is
-	// the first with End >= start (binary search — the ACK manager's
-	// set holds up to hundreds of intervals and mostly grows at the
-	// tail), j the first past i with Start > end.
+	// the first with End >= start (binary search — a set may hold
+	// hundreds of intervals after losses, and mostly grows at the tail),
+	// j the first past i with Start > end.
 	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].End >= start })
 	j := i
 	for j < len(s.ivs) && s.ivs[j].Start <= end {

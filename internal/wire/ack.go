@@ -88,16 +88,27 @@ func (f *AckFrame) Type() FrameType       { return TypeAck }
 func (f *AckFrame) Retransmittable() bool { return false }
 
 func (f *AckFrame) EncodedSize() int {
-	n := 1 + 1 // type + path id
-	n += VarintLen(uint64(f.LargestAcked()))
-	n += VarintLen(uint64(f.AckDelay / time.Microsecond))
-	n += VarintLen(uint64(len(f.Ranges) - 1))
-	n += VarintLen(f.Ranges[0].Len() - 1)
+	rest := 0
 	for i := 1; i < len(f.Ranges); i++ {
-		gap := uint64(f.Ranges[i-1].Smallest-f.Ranges[i].Largest) - 2
-		n += VarintLen(gap) + VarintLen(f.Ranges[i].Len()-1)
+		rest += AckRangeSize(f.Ranges[i-1], f.Ranges[i])
 	}
-	return n
+	return f.EncodedSizeWith(rest)
+}
+
+// EncodedSizeWith is EncodedSize for a caller that already knows rest,
+// the sum of AckRangeSize over every range after the first.
+func (f *AckFrame) EncodedSizeWith(rest int) int {
+	return 1 + 1 + // type + path id
+		VarintLen(uint64(f.LargestAcked())) +
+		VarintLen(uint64(f.AckDelay/time.Microsecond)) +
+		VarintLen(uint64(len(f.Ranges)-1)) +
+		VarintLen(f.Ranges[0].Len()-1) + rest
+}
+
+// AckRangeSize is the encoded size of range r following range prev in
+// an ACK frame: the gap below prev and r's length, as varints.
+func AckRangeSize(prev, r AckRange) int {
+	return VarintLen(uint64(prev.Smallest-r.Largest)-2) + VarintLen(r.Len()-1)
 }
 
 func (f *AckFrame) Append(b []byte) []byte {
@@ -153,8 +164,11 @@ func parseAckFrame(f *AckFrame, b []byte) (int, error) {
 		return 0, fmt.Errorf("wire: ACK first range underflows")
 	}
 	cur := AckRange{Smallest: PacketNumber(largest - firstLen), Largest: PacketNumber(largest)}
-	if uint64(cap(f.Ranges)) <= extra {
-		f.Ranges = make([]AckRange, 0, extra+1)
+	if c := uint64(cap(f.Ranges)); c <= extra {
+		// Double, so that ACKs growing a range at a time (a receiver's
+		// after every new loss) allocate log2(MaxAckRanges) times, not
+		// MaxAckRanges times.
+		f.Ranges = make([]AckRange, 0, min(max(2*c, extra+1), MaxAckRanges))
 	}
 	f.Ranges = append(f.Ranges[:0], cur)
 	for i := uint64(0); i < extra; i++ {

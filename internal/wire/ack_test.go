@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"math/bits"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -156,6 +158,39 @@ func TestAckFrameRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestParseAckGrowsRangesByDoubling: a receiver's ACKs grow a range at a
+// time after every new loss. Decoded into one FrameArena, ACKs of 1, 2,
+// … MaxAckRanges ranges cost log2(MaxAckRanges)+1 allocations in all,
+// not one per new range.
+func TestParseAckGrowsRangesByDoubling(t *testing.T) {
+	all := make([]AckRange, MaxAckRanges)
+	for i := range all {
+		pn := PacketNumber(3 * (MaxAckRanges - i))
+		all[i] = AckRange{Smallest: pn, Largest: pn}
+	}
+	encoded := make([][]byte, MaxAckRanges)
+	for n := 1; n <= MaxAckRanges; n++ {
+		encoded[n-1] = (&AckFrame{Ranges: all[:n]}).Append(nil)
+	}
+	scratch := FrameArena{acks: make([]AckFrame, 1)} // the frame, not yet its ranges
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for n, b := range encoded {
+		scratch.reset()
+		got, _, err := parseFrame(&scratch, b, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l := len(got.(*AckFrame).Ranges); l != n+1 {
+			t.Fatalf("decoded %d ranges, want %d", l, n+1)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if allocs, budget := after.Mallocs-before.Mallocs, uint64(bits.Len(MaxAckRanges-1))+1; allocs > budget {
+		t.Errorf("decoding ACKs of 1..%d ranges allocated %d times, budget %d", MaxAckRanges, allocs, budget)
 	}
 }
 
