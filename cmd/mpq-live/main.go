@@ -195,6 +195,7 @@ func runServer(ln *mpquic.LiveNetwork, cfg mpquic.Config) error {
 		return err // ErrClosed is the interrupt: a clean exit for a server
 	}
 	ln.Driver().Flush() // any final CONNECTION_CLOSE queued after the loop ended
+	fmt.Fprintln(os.Stderr, batchLine(ln.Driver().Stats))
 	return nil
 }
 
@@ -309,13 +310,27 @@ func checkAggregation(m clientMetrics) error {
 	return nil
 }
 
+// batchLine reports how many datagrams each clock step injected and
+// each egress write carried.
+func batchLine(st live.Stats) string {
+	return fmt.Sprintf("ingress      %d batches (mean %.1f pkts, max %d), kernel drops %d; egress %d writes (mean %.1f pkts)",
+		st.IngressBatches, perCall(st.PacketsIn, st.IngressBatches), st.MaxBatch, st.RcvQueueDrops,
+		st.EgressWrites, perCall(st.PacketsOut, st.EgressWrites))
+}
+
+func perCall(pkts, calls uint64) float64 {
+	if calls == 0 {
+		return 0
+	}
+	return float64(pkts) / float64(calls)
+}
+
 func printMetrics(m clientMetrics) {
 	fmt.Printf("transfer     %d bytes in %.3f s (%.2f Mbps goodput)\n", m.Size, m.TransferSecs, m.GoodputMbps)
 	fmt.Printf("handshake    %.1f ms\n", m.HandshakeSecs*1e3)
 	fmt.Printf("packets      in %d, out %d\n", m.PacketsIn, m.PacketsOut)
 	if m.IngressBatches > 0 {
-		fmt.Printf("ingress      %d batches (mean %.1f pkts, max %d), kernel drops %d\n",
-			m.IngressBatches, float64(m.PacketsIn)/float64(m.IngressBatches), m.MaxBatch, m.RcvQueueDrops)
+		fmt.Println(batchLine(m.Stats))
 	}
 	if m.TransientReadErrs+m.Rebinds+m.RebindFailures+m.CorruptDrops+m.PathsFailedLive+m.EgressDiscards > 0 {
 		fmt.Printf("faults       transient reads %d, rebinds %d (failed attempts %d), corrupt drops %d, paths failed %d, egress discards %d\n",

@@ -700,6 +700,10 @@ func (c *Conn) handleStreamFrame(f *wire.StreamFrame) {
 	// arrived FIN (duplicated packets must not re-fire callbacks).
 	if s.onData != nil && (newBytes > 0 || (!finBefore && s.recv.FinReceived())) {
 		s.onData()
+		// The callback consumed or copied what it read (Stream.Read's
+		// contract), so once it has finished the stream the reassembly
+		// window is dead: recycle it for the next stream.
+		s.recv.Release()
 	}
 }
 

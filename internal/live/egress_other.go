@@ -1,0 +1,15 @@
+//go:build !linux || !(amd64 || arm64)
+
+package live
+
+// Builds without sendmmsg(2) write one datagram per call: writeBatch's
+// per-datagram loop takes every run.
+
+type mmsgBatch struct{}
+
+type sockWriter struct{ box *connBox }
+
+func (w *sockWriter) bind(box *connBox, _ *mmsgBatch) { w.box = box }
+
+// sendBatch settles nothing; the caller writes the run one by one.
+func (d *Driver) sendBatch(*sockWriter) int { return 0 }

@@ -1,0 +1,231 @@
+package live_test
+
+import (
+	"encoding/binary"
+	"errors"
+	"net"
+	"net/netip"
+	"os"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"mpquic/internal/core"
+	"mpquic/internal/live"
+	"mpquic/internal/netem"
+	"mpquic/internal/wire"
+)
+
+// Batched egress on real sockets: a flush of many datagrams writes one
+// sendmmsg(2) per run where the build has it, and every per-datagram
+// guarantee of the one-write-per-datagram path still holds — order,
+// per-datagram error accounting, recovery across a rebind.
+
+// batchedBuild reports whether this build writes runs with sendmmsg(2).
+var batchedBuild = runtime.GOOS == "linux" && (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64")
+
+// loopbackPair binds a driver and a plain receiving socket on the
+// loopback address host, skipping when the family is unavailable.
+func loopbackPair(t *testing.T, host string, opts ...live.Option) (*live.Driver, *net.UDPConn) {
+	t.Helper()
+	rx, err := net.ListenUDP("udp", net.UDPAddrFromAddrPort(netip.AddrPortFrom(netip.MustParseAddr(host), 0)))
+	if err != nil {
+		t.Skipf("no UDP socket on %s: %v", host, err)
+	}
+	t.Cleanup(func() { rx.Close() })
+	rx.SetReadBuffer(live.DefaultSocketBuffer)
+	d, err := live.NewDriver([]string{netip.AddrPortFrom(netip.MustParseAddr(host), 0).String()}, opts...)
+	if err != nil {
+		if errors.Is(err, os.ErrPermission) || strings.Contains(err.Error(), "not permitted") {
+			t.Skipf("UDP sockets unavailable in this sandbox: %v", err)
+		}
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	return d, rx
+}
+
+// sendSeq queues one datagram carrying seq to the given address.
+func sendSeq(d *live.Driver, to netem.Addr, seq uint64, size int) {
+	buf := wire.GetPacketBuf()[:size]
+	binary.BigEndian.PutUint64(buf, seq)
+	d.Send(core.RawDatagram(d.LocalAddrs()[0], to, buf))
+}
+
+// readSeqs reads n datagrams and returns the sequence numbers they carry.
+func readSeqs(t *testing.T, rx *net.UDPConn, n int) []uint64 {
+	t.Helper()
+	rx.SetReadDeadline(time.Now().Add(5 * time.Second))
+	buf := make([]byte, 2048)
+	var got []uint64
+	for len(got) < n {
+		k, _, err := rx.ReadFromUDPAddrPort(buf)
+		if err != nil {
+			t.Fatalf("received %d of %d datagrams: %v", len(got), n, err)
+		}
+		got = append(got, binary.BigEndian.Uint64(buf[:k]))
+	}
+	return got
+}
+
+// A 200-datagram flush arrives complete and in order, in at most a
+// handful of writes on a batching build.
+func TestBatchedFlushArrivesInOrder(t *testing.T) {
+	for _, host := range []string{"127.0.0.1", "::1"} {
+		t.Run(host, func(t *testing.T) {
+			d, rx := loopbackPair(t, host)
+			to := netem.Addr(rx.LocalAddr().(*net.UDPAddr).AddrPort().String())
+			const n, size = 200, 1200
+			for i := uint64(0); i < n; i++ {
+				sendSeq(d, to, i, size)
+			}
+			if err := d.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for i, seq := range readSeqs(t, rx, n) {
+				if seq != uint64(i) {
+					t.Fatalf("datagram %d carries sequence %d: egress reordered", i, seq)
+				}
+			}
+			st := d.Stats
+			if st.PacketsOut != n || st.BytesOut != n*size || st.WriteErrors != 0 || st.NoRoute != 0 {
+				t.Fatalf("Stats = %+v, want %d datagrams out and no errors", st, n)
+			}
+			// ceil(200/64) = 4 sendmmsg calls; a few more only if the
+			// send buffer ever filled (EAGAIN, then a retry).
+			if batchedBuild && (st.EgressWrites < 4 || st.EgressWrites > 8) {
+				t.Fatalf("EgressWrites = %d for %d datagrams, want 4 batched writes", st.EgressWrites, n)
+			} else if !batchedBuild && st.EgressWrites != n {
+				t.Fatalf("EgressWrites = %d, want one per datagram", st.EgressWrites)
+			}
+		})
+	}
+}
+
+// passThrough hides the *net.UDPConn behind the interface, which puts
+// the socket on the per-datagram path.
+type passThrough struct{ live.UDPConn }
+
+// A datagram the kernel refuses in the middle of a batch is counted
+// like a failed per-datagram write and skipped; its neighbours go out.
+// A v4 destination from a socket bound to ::1 is unreachable
+// (ENETUNREACH) and nothing leaves the host.
+func TestBatchedFlushSkipsARefusedDatagram(t *testing.T) {
+	stats := make(map[bool]live.Stats)
+	for _, batched := range []bool{true, false} {
+		var opts []live.Option
+		if !batched {
+			opts = append(opts, live.WithSocketWrapper(func(_ int, c live.UDPConn) live.UDPConn { return &passThrough{c} }))
+		}
+		d, rx := loopbackPair(t, "::1", opts...)
+		to := netem.Addr(rx.LocalAddr().(*net.UDPAddr).AddrPort().String())
+		sendSeq(d, to, 1, 100)
+		sendSeq(d, "127.0.0.1:9", 2, 100)
+		sendSeq(d, to, 3, 100)
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := readSeqs(t, rx, 2); got[0] != 1 || got[1] != 3 {
+			t.Fatalf("batched=%v: receiver got %v, want [1 3]", batched, got)
+		}
+		if d.Stats.PacketsOut != 2 || d.Stats.NoRoute != 1 || d.Stats.WriteErrors != 0 {
+			t.Fatalf("batched=%v: Stats = %+v, want 2 out and 1 NoRoute", batched, d.Stats)
+		}
+		stats[batched] = d.Stats
+	}
+	if stats[true] != stats[false] {
+		t.Fatalf("batched Stats %+v differ from per-datagram %+v", stats[true], stats[false])
+	}
+}
+
+// Flushing onto a socket closed under the driver leaves the same Stats
+// on the batched path as on the per-datagram one: every datagram is a
+// write error, and the persistent-error ladder sees each of them.
+func TestBatchedFlushOnClosedSocketCountsLikePerDatagram(t *testing.T) {
+	stats := make(map[bool]live.Stats)
+	for _, batched := range []bool{true, false} {
+		var raw live.UDPConn
+		wrap := func(_ int, c live.UDPConn) live.UDPConn {
+			raw = c
+			if batched {
+				return c
+			}
+			return &passThrough{c}
+		}
+		// No rebind: the dead socket must stay dead while the test looks.
+		d, rx := loopbackPair(t, "127.0.0.1", live.WithSocketWrapper(wrap), live.WithRebind(0, 0))
+		to := netem.Addr(rx.LocalAddr().(*net.UDPAddr).AddrPort().String())
+		sendSeq(d, to, 0, 100) // binds the writer to the live socket
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		raw.Close()
+		const n = 10
+		for i := uint64(1); i <= n; i++ {
+			sendSeq(d, to, i, 100)
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if d.Stats.PacketsOut != 1 || d.Stats.WriteErrors != n {
+			t.Fatalf("batched=%v: Stats = %+v, want 1 out and %d write errors", batched, d.Stats, n)
+		}
+		stats[batched] = d.Stats
+	}
+	if stats[true] != stats[false] {
+		t.Fatalf("batched Stats %+v differ from per-datagram %+v", stats[true], stats[false])
+	}
+}
+
+// TestRawSocketDeathFailsOverAndRebinds is TestSocketDeathFailsOver-
+// MidTransfer with the socket closed directly rather than through
+// faultnet, so the sockets stay on the batched path: the reader's
+// ladder rebinds the port, and the writer must follow the new conn.
+func TestRawSocketDeathFailsOverAndRebinds(t *testing.T) {
+	server := startGetServer(t, 2)
+	var mu sync.Mutex
+	first := map[int]live.UDPConn{}
+	record := live.WithSocketWrapper(func(path int, c live.UDPConn) live.UDPConn {
+		mu.Lock()
+		defer mu.Unlock()
+		if first[path] == nil {
+			first[path] = c
+		}
+		return c
+	})
+	client := newChaosDriver(t, 2, record, live.WithRebind(4, 30*time.Millisecond))
+	conn := dialOn(t, client, server, 2, 47)
+	kill := time.AfterFunc(60*time.Millisecond, func() {
+		mu.Lock()
+		defer mu.Unlock()
+		first[1].Close()
+	})
+	defer kill.Stop()
+
+	const size = 32 << 20
+	res, err := live.Download(client, conn, size, 60*time.Second)
+	if err != nil {
+		t.Fatalf("transfer did not survive losing a socket: %v", err)
+	}
+	if res.Size != size {
+		t.Fatalf("Size = %d", res.Size)
+	}
+	st := client.Stats
+	if st.SocketsDegraded == 0 || st.Rebinds == 0 || st.PathsFailedLive != 0 {
+		t.Fatalf("want the killed socket degraded and rebound; Stats = %+v", st)
+	}
+	// One more datagram from the rebound socket: it goes out through a
+	// writer bound to the new conn.
+	client.Send(core.RawDatagram(client.LocalAddrs()[1], server.LocalAddrs()[1], wire.GetPacketBuf()[:64]))
+	if err := client.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if client.Stats.PacketsOut != st.PacketsOut+1 || client.Stats.WriteErrors != st.WriteErrors {
+		t.Fatalf("write on the rebound socket failed: before %+v, after %+v", st, client.Stats)
+	}
+	if !live.WriterFollowsConn(client, 1) {
+		t.Fatal("the egress writer still points at the conn the rebind replaced")
+	}
+}

@@ -33,7 +33,8 @@
 //     handler's last datagram of a step carries More=false, whatever
 //     that datagram turns out to be;
 //  4. flush all egress datagrams queued during the step to their
-//     sockets in one pass.
+//     sockets in one pass: each run of consecutive datagrams from one
+//     socket goes out in one sendmmsg(2) where the build has it.
 //
 // Virtual time therefore advances only through RunUntil and always to
 // the current wall-elapsed duration: sim time is a monotone map of
@@ -53,9 +54,10 @@
 // loop recycles it as soon as HandleDatagram returns (handlers borrow
 // and consume frames synchronously — the contract core.RawDatagram
 // documents). Egress: the encoder's buffer becomes the driver's at
-// Send and is recycled after the socket write. Reads truncate at the
-// buffer's 1500 bytes; no peer sends more than wire.MaxPacketSize, so
-// a longer datagram is junk and fails to decode like any other.
+// Send and is recycled after the write that carried it returns. Reads
+// truncate at the buffer's 1500 bytes; no peer sends more than
+// wire.MaxPacketSize, so a longer datagram is junk and fails to decode
+// like any other.
 // Steady state performs zero allocations per packet in both
 // directions, pinned by internal/perf's live-loop allocation tests.
 //
@@ -76,7 +78,12 @@
 // else — clock, connections, handlers, egress — is touched only by the
 // goroutine inside Run. This preserves the single-threaded discipline
 // the protocol core was built under, which is why the stack needs no
-// locks to be race-clean.
+// locks to be race-clean. Egress writes happen on that goroutine too:
+// on linux/amd64 and linux/arm64 one sendmmsg(2) per run of datagrams
+// from one socket, issued through the socket's syscall.RawConn (which
+// waits out EAGAIN as Go's own writes do); a socket behind a
+// SocketWrapper, and every other platform, writes each datagram with
+// WriteToUDPAddrPort.
 //
 // This package is the audited wall-clock exception to the walltime
 // analyzer (see internal/analysis): it is the one place besides
@@ -199,6 +206,10 @@ type Stats struct {
 	IngressBatches uint64 `json:"ingress_batches"`
 	// MaxBatch is the largest single-step ingress batch observed.
 	MaxBatch uint64 `json:"max_batch"`
+	// EgressWrites counts egress write system calls: one per sendmmsg
+	// or per per-datagram write. PacketsOut / EgressWrites is the mean
+	// egress batch, the counterpart of PacketsIn / IngressBatches.
+	EgressWrites uint64 `json:"egress_writes"`
 	// RcvQueueDrops is the kernel's receive-queue overflow count for
 	// the driver's sockets (datagrams the kernel dropped because
 	// SO_RCVBUF was full), read from /proc/net/udp[6]. Updated when
@@ -232,6 +243,12 @@ type Driver struct {
 	handlers map[netem.Addr]netem.Handler
 	//mpq:confined run-loop
 	egress []netem.Datagram
+	// out is flush's run of datagrams bound for one socket; writers[i]
+	// is socket i's binding to the batched write path (egress.go).
+	//mpq:confined run-loop
+	out egressBatch
+	//mpq:confined run-loop
+	writers []sockWriter
 
 	coalesce time.Duration
 	sockBuf  int
@@ -315,6 +332,7 @@ func NewDriver(localAddrs []string, opts ...Option) (*Driver, error) {
 	d.sockFailed = make([]bool, len(binder.socks))
 	d.lastFor = make([]netem.Handler, 0, len(binder.socks))
 	d.writeFails = make([]int, len(binder.socks))
+	d.writers = make([]sockWriter, len(binder.socks))
 	for _, s := range binder.socks {
 		d.readers.Add(1)
 		go d.readLoop(s)
@@ -682,8 +700,9 @@ func structModeErr(dg netem.Datagram) error {
 // flush writes every egress datagram queued during the step to the
 // socket owning its From address, in one pass over the persistent
 // scratch slice (consecutive datagrams from one path reuse the socket
-// and resolved-remote lookups). Write failures are packet loss
-// (counted, not fatal), as a real wire would drop them.
+// and resolved-remote lookups, and go out as one batch: see
+// egress.go). Write failures are packet loss (counted, not fatal), as
+// a real wire would drop them.
 //
 //mpq:noescape
 func (d *Driver) flush() error {
@@ -693,11 +712,11 @@ func (d *Driver) flush() error {
 	var (
 		lastFrom netem.Addr
 		lastSock *pathSocket
+		lastBox  *connBox
 		lastTo   netem.Addr
 		lastAP   netip.AddrPort
 		lastOK   bool
 	)
-	var lastConn UDPConn
 	var firstErr error
 	for i := range d.egress {
 		dg := d.egress[i]
@@ -717,26 +736,24 @@ func (d *Driver) flush() error {
 		if dg.From != lastFrom || lastSock == nil {
 			lastFrom = dg.From
 			lastSock = d.binder.socketFor(dg.From)
-			lastConn = nil
 			if lastSock != nil {
-				lastConn = lastSock.loadConn()
+				lastBox = lastSock.conn.Load()
 			}
 		}
 		if dg.To != lastTo || !lastOK {
 			lastTo = dg.To
 			lastAP, lastOK = d.binder.remoteAddrPort(dg.To)
 		}
-		if lastSock == nil || !lastOK {
-			d.Stats.NoRoute++
-		} else if _, err := lastConn.WriteToUDPAddrPort(b, lastAP); err != nil {
-			d.noteWriteErr(lastSock, err)
+		if lastSock != nil && lastOK {
+			d.queue(lastSock, lastBox, b, lastAP)
 		} else {
-			d.Stats.PacketsOut++
-			d.Stats.BytesOut += uint64(len(b))
-			d.writeFails[lastSock.idx] = 0
+			d.Stats.NoRoute++
+			wire.PutPacketBuf(b)
 		}
-		wire.PutPacketBuf(b)
 	}
+	// The last run, and with it whatever preceded a fatal error, goes
+	// out before flush returns.
+	d.writeBatch()
 	d.egress = d.egress[:0]
 	return firstErr
 }

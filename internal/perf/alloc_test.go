@@ -31,6 +31,22 @@ func TestPacketEncodeAllocFree(t *testing.T) {
 	}
 }
 
+// TestStreamFillerAppendAllocFree pins the nil-Data STREAM payload (the
+// GET server's filler) to zero allocations when the buffer has room:
+// the bytes come from a shared array, one copy per slice of it.
+func TestStreamFillerAppendAllocFree(t *testing.T) {
+	f := &wire.StreamFrame{StreamID: 1, Offset: 1 << 20, DataLen: 3001}
+	buf := make([]byte, 0, f.EncodedSize())
+	allocs := testing.AllocsPerRun(100, func() {
+		if b := f.Append(buf[:0]); len(b) != f.EncodedSize() {
+			t.Fatalf("Append wrote %d bytes, want %d", len(b), f.EncodedSize())
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("nil-Data STREAM Append allocates %.1f/op, want 0", allocs)
+	}
+}
+
 func TestPacketDecodeAllocBudget(t *testing.T) {
 	pkt := SamplePacket(make([]byte, SamplePayloadLen()))
 	enc := pkt.Encode(nil)

@@ -16,14 +16,15 @@ import (
 // path has. Both directions draw 1500-byte buffers from the wire pool:
 // egress returns them after the socket write, ingress after the
 // handler. Steady state on both sides is allocation-free — this test
-// pins it end to end across two real loopback sockets.
+// pins it end to end across two real loopback sockets, for flushes of
+// one datagram and for batched flushes of sixteen.
 
 // nullHandler consumes datagrams without touching them: the driver's
 // per-packet overhead measured in isolation from protocol work. It
 // counts what it saw, and how much of it came with netem.Datagram.More.
 //
-// The sender writes one datagram at a time, so left alone the receiver
-// would mostly step batches of one and never mark anything. On a
+// When the sender writes one datagram at a time, the receiver left
+// alone would mostly step batches of one and never mark anything. On a
 // step's last datagram the handler therefore stalls the receiver's loop
 // until the rest of the run (up to want) has been read off the socket:
 // the next step injects all of it as one batch, More on all but the
@@ -73,54 +74,62 @@ func TestLiveDriverAllocPerPacketSteadyState(t *testing.T) {
 	defer receiver.Close()
 
 	payloadLen := SamplePayloadLen()
-	sendOne := func() {
-		buf := wire.GetPacketBuf()[:payloadLen]
-		sender.Send(core.RawDatagram(txAddr, rxAddr, buf))
+	// send queues perFlush datagrams and flushes them at once: one per
+	// Flush writes them one call each, 16 per Flush goes out as one
+	// batched write where the platform has one.
+	send := func(perFlush int) {
+		for i := 0; i < perFlush; i++ {
+			buf := wire.GetPacketBuf()[:payloadLen]
+			sender.Send(core.RawDatagram(txAddr, rxAddr, buf))
+		}
 		if err := sender.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// Warm-up: intern the remote lookup and let the wire pool reach
-	// steady state.
+	// Warm-up: intern the remote lookup, bind the batched writer and let
+	// the wire pool reach steady state.
 	for i := 0; i < 512; i++ {
-		sendOne()
+		send(1)
 	}
+	send(16)
 	time.Sleep(100 * time.Millisecond) // let the receiver drain and recycle
-	warmN, warmMore := h.n.Load(), h.more.Load()
-	h.want.Store(warmN)
 
 	const perRun = 16
 	const runs = 200
-	allocs := testing.AllocsPerRun(runs, func() {
-		want := h.want.Add(perRun)
-		for i := 0; i < perRun; i++ {
-			sendOne()
-		}
-		for spin := 0; spin < 1e5 && h.n.Load() < want; spin++ {
-			time.Sleep(10 * time.Microsecond)
-		}
-	})
-	perPacket := allocs / perRun
+	for _, perFlush := range []int{1, perRun} {
+		warmN, warmMore := h.n.Load(), h.more.Load()
+		h.want.Store(warmN)
+		allocs := testing.AllocsPerRun(runs, func() {
+			want := h.want.Add(perRun)
+			for i := 0; i < perRun; i += perFlush {
+				send(perFlush)
+			}
+			for spin := 0; spin < 1e5 && h.n.Load() < want; spin++ {
+				time.Sleep(10 * time.Microsecond)
+			}
+		})
+		perPacket := allocs / perRun
 
-	// The budget is zero; the slack absorbs sync.Pool refills after a
-	// GC inside the measured window and the receiver goroutines'
-	// scheduling noise, not a per-packet cost (a real per-packet
-	// allocation reads as >= 1.0 here). Under -race sync.Pool drops a
-	// quarter of what is put back, on purpose, so a quarter of the
-	// packets allocate their buffer anew: the slack widens to cover
-	// that and still stays below one real allocation per packet.
-	slack := 0.25
-	if RaceEnabled {
-		slack = 0.75
-	}
-	if perPacket > slack {
-		t.Errorf("live driver allocates %.2f/packet in steady state, want 0 (slack %.2f)", perPacket, slack)
-	}
-	// The budget has to cover both lanes of ingest: the plain datagram
-	// and the one followed by More.
-	if got, more := h.n.Load()-warmN, h.more.Load()-warmMore; got < (runs+1)*perRun || more < got/2 {
-		t.Errorf("receiver saw %d datagrams, %d of them with More; the measured runs should be mostly batched", got, more)
+		// The budget is zero; the slack absorbs sync.Pool refills after
+		// a GC inside the measured window and the receiver goroutines'
+		// scheduling noise, not a per-packet cost (a real per-packet
+		// allocation reads as >= 1.0 here). Under -race sync.Pool drops
+		// a quarter of what is put back, on purpose, so a quarter of the
+		// packets allocate their buffer anew: the slack widens to cover
+		// that and still stays below one real allocation per packet.
+		slack := 0.25
+		if RaceEnabled {
+			slack = 0.75
+		}
+		if perPacket > slack {
+			t.Errorf("%d per Flush: live driver allocates %.2f/packet in steady state, want 0 (slack %.2f)", perFlush, perPacket, slack)
+		}
+		// The budget has to cover both lanes of ingest: the plain
+		// datagram and the one followed by More.
+		if got, more := h.n.Load()-warmN, h.more.Load()-warmMore; got < (runs+1)*perRun || more < got/2 {
+			t.Errorf("%d per Flush: receiver saw %d datagrams, %d of them with More; the measured runs should be mostly batched", perFlush, got, more)
+		}
 	}
 	sender.UpdateSocketStats()
 	if sender.Stats.WriteErrors > 0 || sender.Stats.NoRoute > 0 {

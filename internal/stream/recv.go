@@ -79,8 +79,8 @@ const minRecvBuf = 16 << 10
 // slices are valid only until the next OnFrame, and growing happens
 // inside one — so it goes back at once and the next stream climbing the
 // same ladder, on this connection or a later one, takes it instead of
-// allocating. (A stream's last window is never known to be dead and is
-// left to the collector.)
+// allocating. A stream's last window goes back through Release, once
+// its owner knows no slice of it is still in use.
 var windowPools [11]sync.Pool // 16 KiB to 16 MiB, the default flow-control window
 
 // windowClass returns the smallest class whose capacity is at least n.
@@ -170,6 +170,20 @@ func (r *RecvStream) Read(n uint64) (consumed uint64, data []byte) {
 	}
 	r.readOffset += n
 	return n, data
+}
+
+// Release returns a finished stream's reassembly window to the pool, so
+// the next stream to climb the same ladder takes it instead of
+// allocating. The caller vouches that no slice Read returned is still
+// in use. Before the stream is Finished it does nothing; after it, the
+// stream reads and accepts late duplicates as before (neither touches
+// the window).
+func (r *RecvStream) Release() {
+	if !r.Finished() || r.buf == nil {
+		return
+	}
+	putWindow(r.buf)
+	r.buf, r.base = nil, r.readOffset
 }
 
 // ReadOffset returns the application's consumption frontier.

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -360,6 +361,51 @@ func TestRecvStreamFinHandling(t *testing.T) {
 	r.Read(100)
 	if !r.Finished() {
 		t.Fatal("not finished after full read")
+	}
+}
+
+// Release recycles the window of a finished stream, and only of a
+// finished one; the stream still answers reads and late duplicates.
+func TestRecvStreamReleaseRecyclesFinishedWindow(t *testing.T) {
+	const size = 40 << 10 // the window climbs to the 64 KiB class
+	data := make([]byte, size)
+	// finished returns a stream that took all of data, FIN last as in a
+	// GET, read it to the end, and was asked to Release before the end.
+	finished := func() *RecvStream {
+		r := NewRecvStream(3)
+		r.OnFrame(&wire.StreamFrame{StreamID: 3, Offset: size / 2, Data: data[size/2:]})
+		r.OnFrame(&wire.StreamFrame{StreamID: 3, Offset: 0, Data: data[:size/2]})
+		r.Release()
+		if r.buf == nil {
+			t.Fatal("Release took the window of an unfinished stream")
+		}
+		r.OnFrame(&wire.StreamFrame{StreamID: 3, Offset: size, Fin: true})
+		if n, _ := r.Read(size); n != size || !r.Finished() {
+			t.Fatalf("read %d of %d, finished %v", n, size, r.Finished())
+		}
+		return r
+	}
+	r := finished()
+	r.Release()
+	if r.buf != nil {
+		t.Fatal("a finished stream kept its window after Release")
+	}
+	if n, err := r.OnFrame(&wire.StreamFrame{StreamID: 3, Offset: 0, Data: data[:100]}); err != nil || n != 0 || r.buf != nil || r.Readable() != 0 {
+		t.Fatalf("late duplicate after Release: new %d, err %v, window %v, readable %d", n, err, r.buf != nil, r.Readable())
+	}
+	// The next stream climbing to the same class takes the released
+	// window. Under the race detector sync.Pool drops a quarter of what
+	// is put back, so a few streams may have to try.
+	for try := 0; ; try++ {
+		r := finished()
+		win := &r.buf[:cap(r.buf)][0]
+		r.Release()
+		if got := getWindow(size, math.MaxUint64); &got[:cap(got)][0] == win {
+			break
+		}
+		if try == 20 {
+			t.Fatal("no released window came back from the pool")
+		}
 	}
 }
 

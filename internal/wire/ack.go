@@ -189,9 +189,11 @@ func parseAckFrame(f *AckFrame, b []byte) (int, error) {
 		cur = AckRange{Smallest: PacketNumber(largestNext - length), Largest: PacketNumber(largestNext)}
 		f.Ranges = append(f.Ranges, cur)
 	}
-	if err := f.Validate(); err != nil {
-		return 0, err
-	}
+	// The loop has established everything Validate checks: each next
+	// Largest is cur.Smallest-gap-2, so the ranges descend strictly and
+	// never touch; the underflow checks keep Smallest <= Largest; and
+	// extra < MaxAckRanges caps the count. FuzzDecode asserts that every
+	// frame accepted here passes Validate.
 	return off, nil
 }
 

@@ -38,10 +38,13 @@ func fuzzSeedPackets() []*Packet {
 	}
 }
 
-// FuzzDecode asserts two properties on arbitrary input: decoding never
-// panics, and any packet that decodes successfully re-encodes to a
-// byte-level fixed point (encode∘decode∘encode = encode), so the codec
-// is lossless over its accepted language.
+// FuzzDecode asserts three properties on arbitrary input: decoding
+// never panics; every ACK frame the decoder accepts passes Validate
+// (parseAckFrame does not call it, relying on its decode loop to
+// establish the same invariants); and any packet that decodes
+// successfully re-encodes to a byte-level fixed point
+// (encode∘decode∘encode = encode), so the codec is lossless over its
+// accepted language.
 func FuzzDecode(f *testing.F) {
 	for _, p := range fuzzSeedPackets() {
 		f.Add(p.Encode(nil), uint32(p.Header.PacketNumber))
@@ -51,6 +54,13 @@ func FuzzDecode(f *testing.F) {
 		p1, err := Decode(b, PacketNumber(largest), nil)
 		if err != nil {
 			return // rejected input is fine; panics are not
+		}
+		for _, fr := range p1.Frames {
+			if ack, ok := fr.(*AckFrame); ok {
+				if err := ack.Validate(); err != nil {
+					t.Fatalf("decoder accepted an invalid ACK frame (%v): %+v\ninput: %x", err, ack.Ranges, b)
+				}
+			}
 		}
 		e1 := p1.Encode(nil)
 		p2, err := Decode(e1, PacketNumber(largest), nil)

@@ -102,14 +102,22 @@ func (f *StreamFrame) Append(b []byte) []byte {
 	b = AppendVarint(b, f.Offset)
 	b = AppendVarint(b, uint64(f.Len()))
 	if f.Data != nil {
-		b = append(b, f.Data...)
-	} else {
-		for i := 0; i < f.DataLen; i++ {
-			b = append(b, 0xAA)
-		}
+		return append(b, f.Data...)
+	}
+	for n := f.DataLen; n > 0; n -= len(filler) {
+		b = append(b, filler[:min(n, len(filler))]...)
 	}
 	return b
 }
+
+// filler is the stand-in payload of a STREAM frame that carries only a
+// length (nil Data): DataLen bytes of 0xAA, appended a slice at a time.
+var filler = func() (f [1500]byte) {
+	for i := range f {
+		f[i] = 0xAA
+	}
+	return f
+}()
 
 // MaxStreamDataLen reports how many stream-payload bytes fit when the
 // frame must not exceed budget encoded bytes.

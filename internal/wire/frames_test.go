@@ -67,6 +67,43 @@ func TestStreamFrameStructModeSizeMatchesDataMode(t *testing.T) {
 	}
 }
 
+// TestStreamFrameFillerMatchesByteLoop pins the nil-Data payload to the
+// bytes a one-at-a-time loop of 0xAA appends, on both sides of the
+// filler array's length.
+func TestStreamFrameFillerMatchesByteLoop(t *testing.T) {
+	for _, n := range []int{0, 1, 1499, 1500, 3001} {
+		f := &StreamFrame{StreamID: 3, Offset: 77, DataLen: n, Fin: n == 1}
+		prefix := []byte{0x42}
+		want := append([]byte(nil), prefix...)
+		want = append(want, byte(TypeStream)|boolByte(f.Fin))
+		want = AppendVarint(want, uint64(f.StreamID))
+		want = AppendVarint(want, f.Offset)
+		want = AppendVarint(want, uint64(n))
+		for i := 0; i < n; i++ {
+			want = append(want, 0xAA)
+		}
+		if got := f.Append(append([]byte(nil), prefix...)); !bytes.Equal(got, want) {
+			t.Fatalf("DataLen %d: Append wrote %d bytes, want %d (first difference at %d)", n, len(got), len(want), firstDiff(got, want))
+		}
+	}
+}
+
+func boolByte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func firstDiff(a, b []byte) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
 func TestStreamFrameMaxStreamDataLen(t *testing.T) {
 	for _, budget := range []int{10, 50, 100, 1000, 1350} {
 		f := &StreamFrame{StreamID: 3, Offset: 1 << 20}

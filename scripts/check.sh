@@ -20,6 +20,14 @@ fi
 echo "== go vet"
 go vet ./...
 
+# internal/live splits its egress by build tags (sendmmsg on
+# linux/amd64 and linux/arm64, one write per datagram elsewhere): keep
+# every variant compiling. Cross builds need no network.
+echo "== cross builds (linux/arm64, darwin/arm64, windows)"
+GOOS=linux GOARCH=arm64 go vet ./internal/live
+GOOS=darwin GOARCH=arm64 go vet ./internal/live
+GOOS=windows go build ./...
+
 # One load, both gates: the analyzers, then the escape gate replaying
 # `go build -gcflags=-m` to verify every //mpq:noescape function
 # compiles allocation-free. The gate exits 0 but prints a loud SKIPPED
