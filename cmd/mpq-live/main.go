@@ -52,8 +52,6 @@ var (
 	once    = flag.Bool("once", false, "server: exit after the first connection closes")
 	wantAgg = flag.Bool("expect-aggregation", false,
 		"client: exit nonzero unless every path carried data and the aggregate beats the best single path")
-	coalesce = flag.Duration("coalesce", live.DefaultCoalesce,
-		"wake-up coalescing granularity (0 disables; quantizes timer wake-ups and their qlog timestamps)")
 	sockBuf = flag.Int("sockbuf", live.DefaultSocketBuffer,
 		"SO_RCVBUF/SO_SNDBUF request per UDP socket in bytes (0 keeps the OS default)")
 	chaos = flag.String("chaos", "",
@@ -71,7 +69,6 @@ func main() {
 		os.Exit(2)
 	}
 	opts := []mpquic.LiveOption{
-		mpquic.WithCoalesce(*coalesce),
 		mpquic.WithSocketBuffer(*sockBuf),
 		mpquic.WithRebind(*rebindMax, *rebindBackoff),
 	}

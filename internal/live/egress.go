@@ -6,69 +6,68 @@ import (
 	"mpquic/internal/wire"
 )
 
-// Batched egress. flush hands each run of consecutive datagrams from
-// one socket to writeBatch, which writes the run with as few system
-// calls as the platform allows: one sendmmsg(2) per run where the
-// socket is a plain *net.UDPConn on a build that has the call
-// (egress_linux.go), one WriteToUDPAddrPort per datagram everywhere
-// else — a SocketWrapper's conn (faultnet, instrumentation) or another
+// Batched egress. flush queues each datagram on its socket's batch;
+// writeBatch writes a socket's batch with as few system calls as the
+// platform allows: one sendmmsg(2) per batch where the socket is a
+// plain *net.UDPConn on a build that has the call (egress_linux.go),
+// one WriteToUDPAddrPort per datagram everywhere else — a
+// SocketWrapper's conn (faultnet, instrumentation) or another
 // GOOS/GOARCH (egress_other.go). Both ways count every datagram the
 // same: a refused datagram goes through noteWriteErr and the rest of
-// the run is still sent.
+// the batch is still sent. Order is kept per socket; each socket is
+// its own path to the peer, so no order across sockets exists to keep.
 
-// egressBatchMax caps one run: the messages one sendmmsg(2) carries.
+// egressBatchMax caps one batch: the messages one sendmmsg(2) carries.
 const egressBatchMax = 64
 
-// egressBatch is flush's scratch: the run queued for the next write.
-// The buffers stay the driver's until writeBatch returns them to the
-// pool, after the write.
+// egressBatch is one socket's queued datagrams. The buffers stay the
+// driver's until writeBatch returns them to the pool, after the write.
 type egressBatch struct {
-	sock *pathSocket
-	box  *connBox // the socket's conn when the run began
 	n    int
 	bufs [egressBatchMax][]byte
 	to   [egressBatchMax]netip.AddrPort
 	sys  mmsgBatch // the sendmmsg(2) vector; empty where unsupported
 }
 
-// queue appends one datagram to the run, writing the run out first
-// when b starts a new one (another socket or conn) or the run is full.
+// queue appends one datagram to s's batch and writes the batch out
+// once it is full.
 //
 //mpq:noescape
-func (d *Driver) queue(s *pathSocket, box *connBox, b []byte, to netip.AddrPort) {
-	q := &d.out
-	if q.n > 0 && (q.sock != s || q.box != box || q.n == egressBatchMax) {
-		d.writeBatch()
-	}
-	q.sock, q.box = s, box
+func (d *Driver) queue(s *pathSocket, b []byte, to netip.AddrPort) {
+	q := &s.out
 	q.bufs[q.n], q.to[q.n] = b, to
 	q.n++
+	if q.n == egressBatchMax {
+		d.writeBatch(s)
+	}
 }
 
-// writeBatch writes the queued run and recycles its buffers. The
-// socket's writer is rebound only when a rebind swapped the conn since
-// its last run, so steady state allocates nothing.
+// writeBatch writes s's queued batch on the conn s holds now and
+// recycles the buffers. The writer is rebound only when a rebind
+// swapped the conn since its last write, so steady state allocates
+// nothing; a new conn starts with a clean write-failure count.
 //
 //mpq:noescape
-func (d *Driver) writeBatch() {
-	q := &d.out
+func (d *Driver) writeBatch(s *pathSocket) {
+	q := &s.out
 	if q.n == 0 {
 		return
 	}
-	w := &d.writers[q.sock.idx]
-	if w.box != q.box {
-		w.bind(q.box, &q.sys)
+	box := s.conn.Load()
+	if s.w.box != box {
+		s.w.bind(box, &q.sys)
+		s.writeFails = 0
 	}
-	// sendBatch settles a prefix of the run (all of it, unless the
+	// sendBatch settles a prefix of the batch (all of it, unless the
 	// socket failed as a whole); the per-datagram writes take the rest.
-	i := d.sendBatch(w)
+	i := d.sendBatch(s)
 	for ; i < q.n; i++ {
-		_, err := q.box.c.WriteToUDPAddrPort(q.bufs[i], q.to[i])
+		_, err := box.c.WriteToUDPAddrPort(q.bufs[i], q.to[i])
 		d.Stats.EgressWrites++
 		if err != nil {
-			d.noteWriteErr(q.sock, err)
+			d.noteWriteErr(s, err)
 		} else {
-			d.noteSent(q.sock, len(q.bufs[i]))
+			d.noteSent(s, len(q.bufs[i]))
 		}
 	}
 	for i := range q.bufs[:q.n] {
@@ -84,5 +83,5 @@ func (d *Driver) writeBatch() {
 func (d *Driver) noteSent(s *pathSocket, n int) {
 	d.Stats.PacketsOut++
 	d.Stats.BytesOut += uint64(n)
-	d.writeFails[s.idx] = 0
+	s.writeFails = 0
 }

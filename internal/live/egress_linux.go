@@ -24,7 +24,7 @@ type mmsghdr struct {
 	_   [4]byte
 }
 
-// mmsgBatch is the vector for one run, rebuilt in place for every
+// mmsgBatch is the vector for one batch, rebuilt in place for every
 // call. errs[i] is the kernel's refusal of message i, 0 when sent.
 type mmsgBatch struct {
 	hdrs  [egressBatchMax]mmsghdr
@@ -42,7 +42,7 @@ type mmsgBatch struct {
 type sockWriter struct {
 	box   *connBox
 	raw   syscall.RawConn
-	write func(fd uintptr) bool // the run's sendmmsg loop, bound once
+	write func(fd uintptr) bool // the batch's sendmmsg loop, bound once
 	v6    bool                  // AF_INET6 socket: v4 peers go v4-mapped
 }
 
@@ -77,17 +77,18 @@ func (w *sockWriter) bind(box *connBox, m *mmsgBatch) {
 	w.raw, w.write, w.v6 = raw, m.write, family == syscall.AF_INET6
 }
 
-// sendBatch writes the queued run with sendmmsg(2) and counts every
+// sendBatch writes s's queued batch with sendmmsg(2) and counts every
 // message it settled. It returns how many leading messages that was:
-// the whole run, or fewer when the socket failed as a whole (closed
-// under the driver), and 0 when w has no batched path.
+// the whole batch, or fewer when the socket failed as a whole (closed
+// under the driver), and 0 when s's writer has no batched path.
 //
 //mpq:noescape
-func (d *Driver) sendBatch(w *sockWriter) int {
+func (d *Driver) sendBatch(s *pathSocket) int {
+	w := &s.w
 	if w.raw == nil {
 		return 0
 	}
-	q := &d.out
+	q := &s.out
 	m := &q.sys
 	m.n, m.done, m.calls = q.n, 0, 0
 	for i := range q.bufs[:q.n] {
@@ -107,9 +108,9 @@ func (d *Driver) sendBatch(w *sockWriter) int {
 	d.Stats.EgressWrites += m.calls
 	for i := range q.bufs[:m.done] {
 		if e := m.errs[i]; e != 0 {
-			d.noteErrno(q.sock, e)
+			d.noteErrno(s, e)
 		} else {
-			d.noteSent(q.sock, len(q.bufs[i]))
+			d.noteSent(s, len(q.bufs[i]))
 		}
 	}
 	return m.done

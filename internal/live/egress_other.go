@@ -3,7 +3,7 @@
 package live
 
 // Builds without sendmmsg(2) write one datagram per call: writeBatch's
-// per-datagram loop takes every run.
+// per-datagram loop takes every batch.
 
 type mmsgBatch struct{}
 
@@ -11,5 +11,5 @@ type sockWriter struct{ box *connBox }
 
 func (w *sockWriter) bind(box *connBox, _ *mmsgBatch) { w.box = box }
 
-// sendBatch settles nothing; the caller writes the run one by one.
-func (d *Driver) sendBatch(*sockWriter) int { return 0 }
+// sendBatch settles nothing; the caller writes the batch one by one.
+func (d *Driver) sendBatch(*pathSocket) int { return 0 }

@@ -1,6 +1,7 @@
 package live_test
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"net"
@@ -49,9 +50,14 @@ func loopbackPair(t *testing.T, host string, opts ...live.Option) (*live.Driver,
 
 // sendSeq queues one datagram carrying seq to the given address.
 func sendSeq(d *live.Driver, to netem.Addr, seq uint64, size int) {
+	sendSeqFrom(d, d.LocalAddrs()[0], to, seq, size)
+}
+
+// sendSeqFrom is sendSeq from the driver's socket bound to from.
+func sendSeqFrom(d *live.Driver, from, to netem.Addr, seq uint64, size int) {
 	buf := wire.GetPacketBuf()[:size]
 	binary.BigEndian.PutUint64(buf, seq)
-	d.Send(core.RawDatagram(d.LocalAddrs()[0], to, buf))
+	d.Send(core.RawDatagram(from, to, buf))
 }
 
 // readSeqs reads n datagrams and returns the sequence numbers they carry.
@@ -101,6 +107,98 @@ func TestBatchedFlushArrivesInOrder(t *testing.T) {
 				t.Fatalf("EgressWrites = %d, want one per datagram", st.EgressWrites)
 			}
 		})
+	}
+}
+
+// Datagrams from two sockets, queued alternately, are batched per
+// socket: each socket's 100 go out in order in two writes on a
+// batching build, not in 200 single-datagram runs.
+func TestInterleavedSocketsBatchPerSocket(t *testing.T) {
+	d := newChaosDriver(t, 2)
+	rx, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Skipf("no UDP socket on 127.0.0.1: %v", err)
+	}
+	defer rx.Close()
+	rx.SetReadBuffer(live.DefaultSocketBuffer)
+	to := netem.Addr(rx.LocalAddr().(*net.UDPAddr).AddrPort().String())
+	locals := d.LocalAddrs()
+	const n, size = 100, 200
+	for i := uint64(0); i < n; i++ {
+		for _, from := range locals {
+			sendSeqFrom(d, from, to, i, size)
+		}
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rx.SetReadDeadline(time.Now().Add(5 * time.Second))
+	next := map[netem.Addr]uint64{}
+	buf := make([]byte, 2048)
+	for got := 0; got < len(locals)*n; got++ {
+		k, src, err := rx.ReadFromUDPAddrPort(buf)
+		if err != nil {
+			t.Fatalf("received %d of %d datagrams: %v", got, len(locals)*n, err)
+		}
+		from := netem.Addr(netip.AddrPortFrom(src.Addr().Unmap(), src.Port()).String())
+		if seq := binary.BigEndian.Uint64(buf[:k]); seq != next[from] {
+			t.Fatalf("datagram from %s carries sequence %d, want %d: egress reordered", from, seq, next[from])
+		}
+		next[from]++
+	}
+	st := d.Stats
+	if st.PacketsOut != 2*n || st.WriteErrors != 0 || st.NoRoute != 0 {
+		t.Fatalf("Stats = %+v, want %d datagrams out and no errors", st, 2*n)
+	}
+	if batchedBuild && st.EgressWrites > 4 {
+		t.Fatalf("EgressWrites = %d for two sockets' %d datagrams each, want at most 4", st.EgressWrites, n)
+	}
+}
+
+// deafConn refuses every write with net.ErrClosed while its reads block
+// until Close: a socket whose send side died without its reader
+// noticing.
+type deafConn struct {
+	live.UDPConn
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (c *deafConn) ReadFromUDPAddrPort([]byte) (int, netip.AddrPort, error) {
+	<-c.closed
+	return 0, netip.AddrPort{}, net.ErrClosed
+}
+
+func (c *deafConn) WriteToUDPAddrPort([]byte, netip.AddrPort) (int, error) {
+	return 0, net.ErrClosed
+}
+
+func (c *deafConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.UDPConn.Close()
+}
+
+// Consecutive write failures are counted per conn: the conn a rebind
+// brings in starts from zero, so when its writes fail as well the run
+// loop closes it too and the reader's ladder runs again.
+func TestWriteFailuresCountPerConn(t *testing.T) {
+	deaf := live.WithSocketWrapper(func(_ int, c live.UDPConn) live.UDPConn {
+		return &deafConn{UDPConn: c, closed: make(chan struct{})}
+	})
+	d := newChaosDriver(t, 1, deaf, live.WithRebind(8, 5*time.Millisecond))
+	for round := 0; round < 3; round++ {
+		for i := uint64(0); i < 3; i++ {
+			sendSeq(d, "127.0.0.1:9", i, 100)
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.DriveUntil(context.Background(), 200*time.Millisecond, func() bool { return false }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := d.Stats; st.SocketsDegraded < 2 {
+		t.Fatalf("SocketsDegraded = %d after three rounds of failing writes, want the rebound conn closed too; Stats = %+v", st.SocketsDegraded, st)
 	}
 }
 

@@ -4,5 +4,5 @@ package live
 // to the conn the socket holds now. The writer rebinds on the first
 // flush after a rebind swapped the conn.
 func WriterFollowsConn(d *Driver, i int) bool {
-	return d.writers[i].box == d.binder.socks[i].conn.Load()
+	return d.socks[i].w.box == d.socks[i].conn.Load()
 }

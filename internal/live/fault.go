@@ -240,26 +240,26 @@ func (d *Driver) trace(ev trace.Event) {
 }
 
 // failPaths relays a local socket failure into the protocol: every
-// core path using this local address goes potentially failed, so the
-// scheduler steers traffic to surviving paths until (if ever) acks
-// flow here again.
+// core path using the socket's local address goes potentially failed,
+// so the scheduler steers traffic to surviving paths until (if ever)
+// acks flow here again.
 //
 //go:noinline
-func (d *Driver) failPaths(local netem.Addr) {
-	if fp, ok := d.handlers[local].(interface{ FailPathsOn(netem.Addr) int }); ok {
-		fp.FailPathsOn(local)
+func (d *Driver) failPaths(s *pathSocket) {
+	if fp, ok := s.handler.(interface{ FailPathsOn(netem.Addr) int }); ok {
+		fp.FailPathsOn(s.local)
 	}
 }
 
 // allSocketsFailed reports whether every path socket has walked its
 // ladder to the failed state.
 func (d *Driver) allSocketsFailed() bool {
-	for _, failed := range d.sockFailed {
-		if !failed {
+	for _, s := range d.socks {
+		if !s.failed {
 			return false
 		}
 	}
-	return len(d.sockFailed) > 0
+	return len(d.socks) > 0
 }
 
 // handleSockEvent folds one reader-posted health transition into
@@ -274,7 +274,7 @@ func (d *Driver) handleSockEvent(s *pathSocket, kind sockEventKind, err error) {
 	case evDegraded:
 		d.Stats.SocketsDegraded++
 		d.trace(trace.Event{Type: trace.SocketDegraded, Path: uint8(s.idx), Detail: errDetail(err)})
-		d.failPaths(s.local)
+		d.failPaths(s)
 	case evRebindFail:
 		d.Stats.RebindFailures++
 	case evRebound:
@@ -282,9 +282,9 @@ func (d *Driver) handleSockEvent(s *pathSocket, kind sockEventKind, err error) {
 		d.trace(trace.Event{Type: trace.SocketRebound, Path: uint8(s.idx), Detail: string(s.local)})
 	case evFailed:
 		d.trace(trace.Event{Type: trace.SocketFailed, Path: uint8(s.idx), Detail: errDetail(err)})
-		d.failPaths(s.local)
-		if !d.sockFailed[s.idx] {
-			d.sockFailed[s.idx] = true
+		d.failPaths(s)
+		if !s.failed {
+			s.failed = true
 			d.Stats.PathsFailedLive++
 		}
 		if d.allSocketsFailed() {
@@ -295,7 +295,7 @@ func (d *Driver) handleSockEvent(s *pathSocket, kind sockEventKind, err error) {
 
 // noteWriteErr classifies one egress write failure. Routing errors are
 // wire loss (NoRoute). Persistent socket errors additionally climb a
-// small per-socket counter; at the threshold the conn is closed, which
+// small per-conn counter; at the threshold the conn is closed, which
 // wakes the blocked reader and hands recovery to its rebind ladder —
 // the write side never rebinds, it only nudges. Kept out of the
 // inliner so flush stays //mpq:noescape.
@@ -310,14 +310,14 @@ func (d *Driver) noteWriteErr(s *pathSocket, err error) {
 	if !isPersistentErr(err) {
 		return
 	}
-	d.writeFails[s.idx]++
-	if d.writeFails[s.idx] == writeFailThreshold {
+	s.writeFails++
+	if s.writeFails == writeFailThreshold {
 		s.loadConn().Close()
-		d.failPaths(s.local)
+		d.failPaths(s)
 	}
 }
 
 // writeFailThreshold is how many consecutive persistent write errors
-// one socket absorbs before the run loop closes it to force the
-// reader's ladder.
+// one conn absorbs before the run loop closes it to force the reader's
+// ladder.
 const writeFailThreshold = 3

@@ -23,11 +23,10 @@ import (
 
 // fuzzIngressDriver builds a minimal socket-less driver whose ingest
 // path is fully functional: batch scratch, clock and a registered
-// listener handler, but no binder and no reader goroutines.
+// listener handler, but no bound socket and no reader goroutines.
 func fuzzIngressDriver() (*Driver, *pathSocket, *core.Listener) {
 	d := &Driver{
 		clock:      sim.NewClock(),
-		handlers:   make(map[netem.Addr]netem.Handler),
 		recvCh:     make(chan packetIn, 4),
 		wakeCh:     make(chan struct{}, 1),
 		closeCh:    make(chan struct{}),
@@ -35,12 +34,12 @@ func fuzzIngressDriver() (*Driver, *pathSocket, *core.Listener) {
 		deliveries: make([]delivery, 4),
 		lastFor:    make([]netem.Handler, 0, 1),
 		addrNames:  make(map[netip.AddrPort]netem.Addr),
-		sockFailed: make([]bool, 1),
-		writeFails: make([]int, 1),
 		start:      time.Now(),
 		started:    true,
 	}
 	s := &pathSocket{idx: 0, local: "127.0.0.1:9"}
+	d.socks = []*pathSocket{s}
+	d.byLocal = map[netem.Addr]*pathSocket{s.local: s}
 	cfg := core.DefaultSinglePathConfig()
 	cfg.MaxPaths = 1
 	cfg.WireSerialization = true

@@ -16,8 +16,8 @@
 //
 //  1. read Clock.NextDeadline() — the earliest armed protocol timer —
 //     and arm a wall timer at that deadline's wall image, quantized up
-//     to the coalescing granularity (WithCoalesce, default 1 ms) so
-//     nearby timers share one wake-up;
+//     to the 1 ms coalescing granularity so nearby timers share one
+//     wake-up;
 //  2. block on socket readability until that wall deadline (a select
 //     over the reader channel and the timer);
 //  3. on wake-up, drain every datagram the readers have queued into
@@ -33,8 +33,8 @@
 //     handler's last datagram of a step carries More=false, whatever
 //     that datagram turns out to be;
 //  4. flush all egress datagrams queued during the step to their
-//     sockets in one pass: each run of consecutive datagrams from one
-//     socket goes out in one sendmmsg(2) where the build has it.
+//     sockets in one pass: each socket's datagrams go out in order, up
+//     to 64 per sendmmsg(2) where the build has it.
 //
 // Virtual time therefore advances only through RunUntil and always to
 // the current wall-elapsed duration: sim time is a monotone map of
@@ -79,11 +79,11 @@
 // goroutine inside Run. This preserves the single-threaded discipline
 // the protocol core was built under, which is why the stack needs no
 // locks to be race-clean. Egress writes happen on that goroutine too:
-// on linux/amd64 and linux/arm64 one sendmmsg(2) per run of datagrams
-// from one socket, issued through the socket's syscall.RawConn (which
-// waits out EAGAIN as Go's own writes do); a socket behind a
-// SocketWrapper, and every other platform, writes each datagram with
-// WriteToUDPAddrPort.
+// on linux/amd64 and linux/arm64 one sendmmsg(2) per batch of up to 64
+// datagrams from one socket, issued through the socket's
+// syscall.RawConn (which waits out EAGAIN as Go's own writes do); a
+// socket behind a SocketWrapper, and every other platform, writes each
+// datagram with WriteToUDPAddrPort.
 //
 // This package is the audited wall-clock exception to the walltime
 // analyzer (see internal/analysis): it is the one place besides
@@ -93,7 +93,9 @@ package live
 import (
 	"errors"
 	"fmt"
+	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"time"
 
@@ -108,13 +110,13 @@ import (
 // until condition is met.
 var ErrClosed = errors.New("live: driver closed")
 
-// DefaultCoalesce is the default wake-up coalescing granularity: timer
-// deadlines are rounded up to this grid so the loop does work in
-// bursts instead of thrashing between NextDeadline and select. 1 ms is
-// roughly the stack's natural pacing timescale (well under the 25 ms
-// delayed-ACK timer and any RTO) while collapsing the sub-millisecond
-// timer churn a fast transfer generates.
-const DefaultCoalesce = time.Millisecond
+// coalesce is the wake-up coalescing granularity: timer deadlines are
+// rounded up to this grid so the loop does work in bursts instead of
+// thrashing between NextDeadline and select. 1 ms is roughly the
+// stack's natural pacing timescale (well under the 25 ms delayed-ACK
+// timer and any RTO) while collapsing the sub-millisecond timer churn
+// a fast transfer generates.
+const coalesce = time.Millisecond
 
 // DefaultSocketBuffer is the SO_RCVBUF/SO_SNDBUF size requested for
 // every path socket. The driver drains sockets in batches between
@@ -132,14 +134,6 @@ const ingressBatchCap = 256
 
 // Option tunes a Driver at construction.
 type Option func(*Driver)
-
-// WithCoalesce sets the wake-up coalescing granularity: the wall image
-// of the next protocol-timer deadline is rounded up to a multiple of g
-// before arming the loop's timer. Zero or negative disables
-// coalescing (every timer deadline gets an exact wake-up).
-func WithCoalesce(g time.Duration) Option {
-	return func(d *Driver) { d.coalesce = g }
-}
 
 // WithSocketBuffer requests b bytes of SO_RCVBUF and SO_SNDBUF per
 // path socket instead of DefaultSocketBuffer. Best-effort — the OS
@@ -237,21 +231,28 @@ type Stats struct {
 // a channel, a sync primitive, an atomic.
 type Driver struct {
 	//mpq:confined run-loop
-	clock  *sim.Clock
-	binder *PathBinder
+	clock *sim.Clock
+
+	// socks and byLocal map the address identities the core stack uses
+	// for its paths onto real UDP sockets. Core identifies a path by
+	// its (local, remote) netem.Addr pair; in live mode those strings
+	// are literal "ip:port" addresses. Path IDs map through position:
+	// core.Dial pairs locals[i] with remotes[i] as path i, and socks
+	// keeps bind order, so socks[i] is the local endpoint of path i
+	// (the paper's WiFi+LTE dual-homing is two loopback ports in the
+	// tests). Both are fixed after NewDriver: a rebind swaps a slot's
+	// conn pointer, not the slot.
+	socks   []*pathSocket
+	byLocal map[netem.Addr]*pathSocket
+	// remotes caches resolved egress destinations, so the per-packet
+	// egress path allocates nothing. Servers need no remote table up
+	// front: remotes are learned per-datagram from the ingress source.
 	//mpq:confined run-loop
-	handlers map[netem.Addr]netem.Handler
+	remotes map[netem.Addr]netip.AddrPort
 	//mpq:confined run-loop
 	egress []netem.Datagram
-	// out is flush's run of datagrams bound for one socket; writers[i]
-	// is socket i's binding to the batched write path (egress.go).
-	//mpq:confined run-loop
-	out egressBatch
-	//mpq:confined run-loop
-	writers []sockWriter
 
-	coalesce time.Duration
-	sockBuf  int
+	sockBuf int
 
 	// Fault-tolerance knobs, immutable after NewDriver; the reader
 	// goroutines' rebind ladders read them, hence not confined.
@@ -264,12 +265,6 @@ type Driver struct {
 	// fatal latches the error that must end Run (all sockets failed).
 	//mpq:confined run-loop
 	fatal error
-	// sockFailed marks sockets whose rebind ladder is exhausted.
-	//mpq:confined run-loop
-	sockFailed []bool
-	// writeFails counts consecutive persistent write errors per socket.
-	//mpq:confined run-loop
-	writeFails []int
 
 	// Crossings: how reader goroutines, Wake and Close reach the loop.
 	recvCh  chan packetIn
@@ -307,10 +302,13 @@ var _ core.DatagramSender = (*Driver)(nil)
 //
 //mpq:confined run-loop
 func NewDriver(localAddrs []string, opts ...Option) (*Driver, error) {
+	if len(localAddrs) == 0 {
+		return nil, fmt.Errorf("live: need at least one local address")
+	}
 	d := &Driver{
 		clock:      sim.NewClock(),
-		handlers:   make(map[netem.Addr]netem.Handler),
-		coalesce:   DefaultCoalesce,
+		byLocal:    make(map[netem.Addr]*pathSocket, len(localAddrs)),
+		remotes:    make(map[netem.Addr]netip.AddrPort),
 		sockBuf:    DefaultSocketBuffer,
 		rebindMax:  DefaultRebindMax,
 		rebindBase: DefaultRebindBackoff,
@@ -324,16 +322,32 @@ func NewDriver(localAddrs []string, opts ...Option) (*Driver, error) {
 	for _, o := range opts {
 		o(d)
 	}
-	binder, err := newPathBinder(localAddrs, d.sockBuf, d.wrap)
-	if err != nil {
-		return nil, err
+	// Addresses may use port 0; the kernel-assigned port becomes part
+	// of the path identity (see LocalAddrs).
+	for i, a := range localAddrs {
+		ua, err := net.ResolveUDPAddr("udp", a)
+		if err == nil && ua.IP == nil {
+			// A wildcard bind would make the local path identity
+			// ambiguous (the From address core stamps on egress must
+			// name one socket).
+			err = fmt.Errorf("wildcard address not allowed; bind an explicit IP")
+		}
+		var c UDPConn
+		var lap netip.AddrPort
+		if err == nil {
+			c, lap, err = listenPath(i, ua, d.sockBuf, d.wrap)
+		}
+		if err != nil {
+			d.closeSockets()
+			return nil, fmt.Errorf("live: bind %s: %w", a, err)
+		}
+		s := &pathSocket{idx: i, local: netem.Addr(lap.String()), ap: lap}
+		s.storeConn(c)
+		d.socks = append(d.socks, s)
+		d.byLocal[s.local] = s
 	}
-	d.binder = binder
-	d.sockFailed = make([]bool, len(binder.socks))
-	d.lastFor = make([]netem.Handler, 0, len(binder.socks))
-	d.writeFails = make([]int, len(binder.socks))
-	d.writers = make([]sockWriter, len(binder.socks))
-	for _, s := range binder.socks {
+	d.lastFor = make([]netem.Handler, 0, len(d.socks))
+	for _, s := range d.socks {
 		d.readers.Add(1)
 		go d.readLoop(s)
 	}
@@ -350,7 +364,13 @@ func (d *Driver) Clock() *sim.Clock { return d.clock }
 // LocalAddrs returns the actually-bound local path addresses in bind
 // order (index i is path i's local endpoint). Pass them to core.Dial
 // or core.Listen.
-func (d *Driver) LocalAddrs() []netem.Addr { return d.binder.Locals() }
+func (d *Driver) LocalAddrs() []netem.Addr {
+	out := make([]netem.Addr, len(d.socks))
+	for i, s := range d.socks {
+		out[i] = s.local
+	}
+	return out
+}
 
 // Register implements core.DatagramSender: ingress datagrams arriving
 // on the socket bound to addr are dispatched to h, from the next clock
@@ -358,16 +378,19 @@ func (d *Driver) LocalAddrs() []netem.Addr { return d.binder.Locals() }
 // same h share one reaction per step (see netem.Datagram.More). The
 // loop tells handlers apart with ==, so h must be of a comparable type
 // (a pointer, as core's endpoints are): wrap a netem.HandlerFunc in a
-// struct registered by pointer.
+// struct registered by pointer. An address no socket owns is ignored:
+// no datagram could ever arrive on it.
 //
 //mpq:confined run-loop
 func (d *Driver) Register(addr netem.Addr, h netem.Handler) {
-	d.handlers[addr] = h
+	if s := d.byLocal[addr]; s != nil {
+		s.handler = h
+	}
 }
 
 // Send implements core.DatagramSender: the datagram is queued and
 // flushed to its socket when the current event batch finishes (egress
-// order is preserved). The payload must be wire-serialized.
+// order is preserved per socket). The payload must be wire-serialized.
 //
 //mpq:confined run-loop
 //mpq:noescape
@@ -463,7 +486,7 @@ func (d *Driver) readOne(s *pathSocket, conn UDPConn) (readStatus, error) {
 	n, from, err := conn.ReadFromUDPAddrPort(b)
 	if err == nil {
 		// Unmap 4-in-6 so the string identity matches the literal
-		// "ip:port" the peer's binder published.
+		// "ip:port" the peer's sockets are bound to.
 		from = netip.AddrPortFrom(from.Addr().Unmap(), from.Port())
 		select {
 		case d.recvCh <- packetIn{s: s, from: from, buf: b[:n]}:
@@ -527,7 +550,7 @@ func (d *Driver) Run(until func() bool) error {
 		// pay zero timer syscalls.
 		var timerC <-chan time.Time
 		if dl := d.clock.NextDeadline(); dl != sim.Never {
-			target := d.start.Add(d.quantize(dl.Duration()))
+			target := d.start.Add(quantize(dl.Duration()))
 			if !target.Equal(armed) {
 				if !armed.IsZero() && !timer.Stop() {
 					select {
@@ -576,12 +599,8 @@ func (d *Driver) Run(until func() bool) error {
 // at the epoch), so deadlines within one granule share a wake-up.
 //
 //mpq:noescape
-func (d *Driver) quantize(dl time.Duration) time.Duration {
-	if d.coalesce <= 0 {
-		return dl
-	}
-	q := d.coalesce
-	return (dl + q - 1) / q * q
+func quantize(dl time.Duration) time.Duration {
+	return (dl + coalesce - 1) / coalesce * coalesce
 }
 
 // ingest drains every datagram already queued by the readers into one
@@ -619,7 +638,7 @@ drain:
 		if batch[i].kind != evData {
 			continue
 		}
-		h := d.handlers[batch[i].s.local]
+		h := batch[i].s.handler
 		if h == nil {
 			continue
 		}
@@ -699,10 +718,10 @@ func structModeErr(dg netem.Datagram) error {
 
 // flush writes every egress datagram queued during the step to the
 // socket owning its From address, in one pass over the persistent
-// scratch slice (consecutive datagrams from one path reuse the socket
-// and resolved-remote lookups, and go out as one batch: see
-// egress.go). Write failures are packet loss (counted, not fatal), as
-// a real wire would drop them.
+// scratch slice: consecutive datagrams from one path reuse the socket
+// and resolved-remote lookups, and each datagram joins its socket's
+// batch (egress.go). Write failures are packet loss (counted, not
+// fatal), as a real wire would drop them.
 //
 //mpq:noescape
 func (d *Driver) flush() error {
@@ -712,7 +731,6 @@ func (d *Driver) flush() error {
 	var (
 		lastFrom netem.Addr
 		lastSock *pathSocket
-		lastBox  *connBox
 		lastTo   netem.Addr
 		lastAP   netip.AddrPort
 		lastOK   bool
@@ -735,25 +753,24 @@ func (d *Driver) flush() error {
 		}
 		if dg.From != lastFrom || lastSock == nil {
 			lastFrom = dg.From
-			lastSock = d.binder.socketFor(dg.From)
-			if lastSock != nil {
-				lastBox = lastSock.conn.Load()
-			}
+			lastSock = d.byLocal[dg.From]
 		}
 		if dg.To != lastTo || !lastOK {
 			lastTo = dg.To
-			lastAP, lastOK = d.binder.remoteAddrPort(dg.To)
+			lastAP, lastOK = d.remoteAddrPort(dg.To)
 		}
 		if lastSock != nil && lastOK {
-			d.queue(lastSock, lastBox, b, lastAP)
+			d.queue(lastSock, b, lastAP)
 		} else {
 			d.Stats.NoRoute++
 			wire.PutPacketBuf(b)
 		}
 	}
-	// The last run, and with it whatever preceded a fatal error, goes
-	// out before flush returns.
-	d.writeBatch()
+	// Every socket's last batch, and with it whatever preceded a fatal
+	// error, goes out before flush returns.
+	for _, s := range d.socks {
+		d.writeBatch(s)
+	}
 	d.egress = d.egress[:0]
 	return firstErr
 }
@@ -772,34 +789,23 @@ func (d *Driver) Flush() error { return d.flush() }
 //
 //mpq:confined run-loop
 func (d *Driver) UpdateSocketStats() {
-	d.Stats.RcvQueueDrops = d.binder.kernelDrops()
-	// Sum undecodable-ingress drops across the distinct handlers.
-	// Iterate sockets (bind order) rather than the handlers map so the
-	// walk is deterministic; several locals usually share one handler,
-	// deduped by identity below.
+	// Sum the kernel's receive-queue overflow counters (sockstats.go)
+	// and the undecodable-ingress drops across the distinct handlers;
+	// several locals usually share one handler, deduped by identity.
+	var kernel, corrupt uint64
 	var seen []netem.Handler
-	var total uint64
-	for _, s := range d.binder.socks {
-		h := d.handlers[s.local]
-		if h == nil {
+	for _, s := range d.socks {
+		kernel += procUDPDrops(s.ap)
+		if s.handler == nil || slices.Contains(seen, s.handler) {
 			continue
 		}
-		dup := false
-		for _, prev := range seen {
-			if prev == h {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		seen = append(seen, h)
-		if cd, ok := h.(interface{ CorruptDrops() uint64 }); ok {
-			total += cd.CorruptDrops()
+		seen = append(seen, s.handler)
+		if cd, ok := s.handler.(interface{ CorruptDrops() uint64 }); ok {
+			corrupt += cd.CorruptDrops()
 		}
 	}
-	d.Stats.CorruptDrops = total
+	d.Stats.RcvQueueDrops = kernel
+	d.Stats.CorruptDrops = corrupt
 }
 
 // Close shuts the driver down: sockets close (unblocking readers) and
@@ -808,7 +814,7 @@ func (d *Driver) UpdateSocketStats() {
 func (d *Driver) Close() error {
 	d.closeMu.Do(func() {
 		close(d.closeCh)
-		d.binder.closeSockets()
+		d.closeSockets()
 	})
 	d.readers.Wait()
 	return nil

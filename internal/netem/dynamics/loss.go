@@ -103,9 +103,6 @@ func NewGilbertElliott(r *sim.Rand, cfg GEConfig) *GilbertElliott {
 // Config returns the process parameters.
 func (g *GilbertElliott) Config() GEConfig { return g.cfg }
 
-// Bad reports the current chain state.
-func (g *GilbertElliott) Bad() bool { return g.bad }
-
 // Drop implements netem.LossModel: one chain step, then a loss draw in
 // the resulting state.
 func (g *GilbertElliott) Drop(int) bool {

@@ -21,14 +21,6 @@ const DefaultLiveDeadline = 2 * time.Minute
 // LiveOption tunes a live network at construction (see NewLiveWith).
 type LiveOption = live.Option
 
-// WithCoalesce sets the live wake-up coalescing granularity: protocol
-// timer wake-ups are quantized up to the next multiple of g, batching
-// near-simultaneous timers into one wake-up. Zero disables
-// coalescing; the default is live.DefaultCoalesce. Coalescing bounds
-// timer precision (and therefore wall-derived qlog timestamps) by g —
-// see OBSERVABILITY.md.
-func WithCoalesce(g time.Duration) LiveOption { return live.WithCoalesce(g) }
-
 // WithSocketBuffer requests b bytes of SO_RCVBUF and SO_SNDBUF per
 // UDP socket (best-effort; the OS clamps to its limits). Zero keeps
 // the OS default; unset means live.DefaultSocketBuffer. Kernel
@@ -74,8 +66,8 @@ func NewLive(localAddrs ...string) (*LiveNetwork, error) {
 	return NewLiveWith(localAddrs)
 }
 
-// NewLiveWith is NewLive with tuning options (WithCoalesce,
-// WithSocketBuffer).
+// NewLiveWith is NewLive with tuning options (WithSocketBuffer,
+// WithSocketWrapper, WithRebind).
 func NewLiveWith(localAddrs []string, opts ...LiveOption) (*LiveNetwork, error) {
 	d, err := live.NewDriver(localAddrs, opts...)
 	if err != nil {

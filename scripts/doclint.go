@@ -1,6 +1,6 @@
 // Command doclint keeps the repo's documentation honest. It is
 // stdlib-only and wired into scripts/check.sh (and thereby `make
-// check` and CI). Three checks:
+// check` and CI). Four checks:
 //
 //  1. Intra-repo markdown links: every relative link target in every
 //     tracked *.md file must exist on the filesystem, so renames and
@@ -14,6 +14,10 @@
 //     CHANGES.md and ROADMAP.md are history, bench/README.md belongs
 //     to benchmark PRs) must be a directory, so folding or deleting a
 //     binary cannot leave its invocations behind.
+//  4. CHANGES.md entries keep their headings: a "- **Tentpole" bullet
+//     after a "- **Left out" bullet under the same "## " heading means
+//     the entry it opens lost its heading and reads as the tail of the
+//     one before.
 //
 // Usage (from the repo root):
 //
@@ -88,6 +92,24 @@ func checkCommands(path string, data []byte, problems []string) []string {
 	return problems
 }
 
+// checkChangeEntries flags every Tentpole bullet of the change log that
+// follows a Left out bullet under the same heading, appending a
+// message per bullet.
+func checkChangeEntries(path string, data []byte, problems []string) []string {
+	leftOut := false
+	for i, line := range strings.Split(string(data), "\n") {
+		switch {
+		case strings.HasPrefix(line, "## "):
+			leftOut = false
+		case strings.HasPrefix(line, "- **Left out"):
+			leftOut = true
+		case leftOut && strings.HasPrefix(line, "- **Tentpole"):
+			problems = append(problems, fmt.Sprintf("%s:%d: Tentpole bullet after a Left out bullet under one heading; the entry it opens has no \"## \" heading", path, i+1))
+		}
+	}
+	return problems
+}
+
 // markdownFiles lists every *.md file in the tree, skipping testdata
 // and dot directories other than .claude (the verify skill lives there).
 func markdownFiles(root string) ([]string, error) {
@@ -128,6 +150,9 @@ func main() {
 		problems = checkLinks(path, data, problems)
 		if slices.Contains(livingDocs, path) {
 			problems = checkCommands(path, data, problems)
+		}
+		if path == "CHANGES.md" {
+			problems = checkChangeEntries(path, data, problems)
 		}
 	}
 
