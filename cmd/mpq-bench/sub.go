@@ -63,7 +63,7 @@ func runCmd(fs *flag.FlagSet, stdout, _ io.Writer) func() int {
 	t := transferFlags(fs)
 	reps := fs.Int("reps", 1, "repetitions (median reported)")
 	return func() int {
-		return t.report(stdout, expdesign.RunMedian(t.sc, t.proto, t.size(), t.start, *reps, t.seed))
+		return t.report(stdout, expdesign.RunMedian(t.sc, t.proto, t.size(), t.start, *reps, t.seed, expdesign.RunOpts{}))
 	}
 }
 

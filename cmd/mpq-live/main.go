@@ -86,9 +86,11 @@ func main() {
 	}
 }
 
-// run binds the role's sockets, opens its qlog and plays the role. The
+// run opens the role's qlog, binds its sockets and plays the role. The
 // engine configuration is the same for both: multipath tracks the
 // number of bound addresses; the facade adds what real sockets require.
+// The qlog gets the endpoint's protocol events and the driver's socket
+// events on one timeline, and is closed after the sockets.
 func run(opts []mpquic.LiveOption) (err error) {
 	role, addrs, play := "server", splitAddrs(*listen), runServer
 	if !*server {
@@ -104,12 +106,6 @@ func run(opts []mpquic.LiveOption) (err error) {
 		}
 		play = func(ln *mpquic.LiveNetwork, cfg mpquic.Config) error { return runClient(ln, cfg, remotes) }
 	}
-	ln, err := mpquic.NewLiveWith(addrs, opts...)
-	if err != nil {
-		return err
-	}
-	defer ln.Close()
-
 	cfg := mpquic.DefaultConfig()
 	if len(addrs) == 1 {
 		cfg = mpquic.SinglePathConfig()
@@ -124,6 +120,7 @@ func run(opts []mpquic.LiveOption) (err error) {
 		}
 		q := trace.NewQlog(f, role)
 		cfg.Tracer = q
+		opts = append(opts, live.WithTracer(q))
 		// A trace cut short is reported even when the transfer worked.
 		defer func() {
 			if cerr := errors.Join(q.Err(), f.Close()); err == nil {
@@ -131,6 +128,11 @@ func run(opts []mpquic.LiveOption) (err error) {
 			}
 		}()
 	}
+	ln, err := mpquic.NewLiveWith(addrs, opts...)
+	if err != nil {
+		return err
+	}
+	defer ln.Close()
 	return play(ln, cfg)
 }
 

@@ -77,7 +77,7 @@ type Checkpoint struct {
 // OpenCheckpoint opens (creating if needed) the artifact file at path
 // and indexes its existing records for resume lookups.
 func OpenCheckpoint(path string) (*Checkpoint, error) {
-	done, err := readArtifactFile(path, true)
+	done, err := readArtifactFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -161,16 +161,15 @@ func (cp *Checkpoint) Close() error {
 	return err
 }
 
-// readArtifactFile parses a JSONL artifact into a key-indexed map.
-// With lenient set, a missing file yields an empty map and a malformed
-// line (the tail of an interrupted write) is skipped rather than
-// failing the load; later duplicates of a key win, matching
-// append-order semantics.
-func readArtifactFile(path string, lenient bool) (map[artifactKey]ArtifactRecord, error) {
+// readArtifactFile parses a JSONL artifact into a key-indexed map. A
+// missing file yields an empty map and a malformed line (the tail of an
+// interrupted write) is skipped rather than failing the load; later
+// duplicates of a key win, matching append-order semantics.
+func readArtifactFile(path string) (map[artifactKey]ArtifactRecord, error) {
 	out := make(map[artifactKey]ArtifactRecord)
 	f, err := os.Open(path)
 	if err != nil {
-		if lenient && os.IsNotExist(err) {
+		if os.IsNotExist(err) {
 			return out, nil
 		}
 		return nil, err
@@ -184,13 +183,7 @@ func readArtifactFile(path string, lenient bool) (map[artifactKey]ArtifactRecord
 			continue
 		}
 		var rec ArtifactRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			if lenient {
-				continue
-			}
-			return nil, fmt.Errorf("expdesign: %s: %w", path, err)
-		}
-		if rec.V != ArtifactVersion {
+		if err := json.Unmarshal(line, &rec); err != nil || rec.V != ArtifactVersion {
 			continue
 		}
 		out[rec.key()] = rec
@@ -208,7 +201,7 @@ func readArtifactFile(path string, lenient bool) (map[artifactKey]ArtifactRecord
 func LoadFigureData(paths ...string) (FigureData, error) {
 	merged := make(map[artifactKey]ArtifactRecord)
 	for _, path := range paths {
-		recs, err := readArtifactFile(path, true)
+		recs, err := readArtifactFile(path)
 		if err != nil {
 			return FigureData{}, err
 		}

@@ -115,7 +115,7 @@ func TestRunStartPathMatters(t *testing.T) {
 
 func TestRunMedianPicksMiddle(t *testing.T) {
 	sc := GenerateScenarios(LowBDPNoLoss, 3)[0]
-	res := RunMedian(sc, ProtoQUIC, 128<<10, 0, 3, 9)
+	res := RunMedian(sc, ProtoQUIC, 128<<10, 0, 3, 9, RunOpts{})
 	if !res.Completed {
 		t.Fatal("median run incomplete")
 	}

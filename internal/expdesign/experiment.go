@@ -111,14 +111,12 @@ func runScenario(cfg GridConfig, sc Scenario) ScenarioResult {
 			seed := runSeed(cfg.Class, sc.ID, proto, start)
 			opts := RunOpts{SampleInterval: cfg.SampleInterval}
 			if cfg.FlightDir != "" {
-				opts.FlightEvents = trace.DefaultFlightEvents
-				opts.RTOStorm = DefaultRTOStorm
 				proto, start := proto, start
 				opts.FlightDump = func(rep int, anomaly string, rec *trace.FlightRecorder) {
 					writeFlightDump(cfg, sc, proto, start, rep, anomaly, rec)
 				}
 			}
-			sr.Runs[proto][start] = RunMedianOpts(sc, proto, cfg.Size, start, cfg.Reps, seed, opts)
+			sr.Runs[proto][start] = RunMedian(sc, proto, cfg.Size, start, cfg.Reps, seed, opts)
 		}
 	}
 	return sr

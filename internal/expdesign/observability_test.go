@@ -85,11 +85,8 @@ func TestFlightRecorderPureAndSilentWhenHealthy(t *testing.T) {
 	sc := obsScenario()
 	base := Run(sc, ProtoTCP, 128<<10, 0, 5)
 	dumps := 0
-	opts := RunOpts{
-		FlightEvents: 1024,
-		RTOStorm:     1000, // unreachable for this clean scenario
-		FlightDump:   func(int, string, *trace.FlightRecorder) { dumps++ },
-	}
+	// A clean scenario stays far below DefaultRTOStorm.
+	opts := RunOpts{FlightDump: func(int, string, *trace.FlightRecorder) { dumps++ }}
 	res := RunWithOpts(sc, ProtoTCP, 128<<10, 0, 5, opts)
 	if !reflect.DeepEqual(base, res) {
 		t.Fatalf("flight recorder perturbed the run:\nbase  %+v\narmed %+v", base, res)
@@ -107,15 +104,15 @@ func TestFlightDumpOnTimeout(t *testing.T) {
 		rep     int
 		anomaly string
 		seen    uint64
+		held    int
 	}
 	var dumps []dump
 	opts := RunOpts{
-		FlightEvents: 256,
 		FlightDump: func(rep int, anomaly string, rec *trace.FlightRecorder) {
-			dumps = append(dumps, dump{rep, anomaly, rec.Seen()})
+			dumps = append(dumps, dump{rep, anomaly, rec.Seen(), rec.Len()})
 		},
 	}
-	res := RunMedianOpts(sc, ProtoQUIC, 64<<10, 0, 2, 3, opts)
+	res := RunMedian(sc, ProtoQUIC, 64<<10, 0, 2, 3, opts)
 	if res.Completed {
 		t.Fatal("dead scenario completed?")
 	}
@@ -132,32 +129,34 @@ func TestFlightDumpOnTimeout(t *testing.T) {
 		if d.seen == 0 {
 			t.Error("flight recorder saw no events on a sending connection")
 		}
+		if want := min(d.seen, trace.DefaultFlightEvents); uint64(d.held) != want {
+			t.Errorf("ring holds %d of %d events seen, want %d", d.held, d.seen, want)
+		}
 	}
 }
 
-// RTO-storm classification: with the threshold at 1 the dump decision
-// must agree exactly with the run's RTO count, whichever way the
-// seeded run goes.
+// RTO-storm classification: at the DefaultRTOStorm threshold the dump
+// decision must agree exactly with the run's RTO count, whichever way
+// the seeded run goes. At 20 % loss this run completes after about
+// twice DefaultRTOStorm timeouts, so the storm side is the one taken.
 func TestFlightDumpRTOStormConsistency(t *testing.T) {
 	sc := Scenario{ID: 3, Class: "lossy"}
-	sc.Paths[0] = pathSpec(4, 30*time.Millisecond, 10*time.Millisecond, 0.05)
-	sc.Paths[1] = pathSpec(4, 30*time.Millisecond, 10*time.Millisecond, 0.05)
+	sc.Paths[0] = pathSpec(4, 30*time.Millisecond, 10*time.Millisecond, 0.2)
+	sc.Paths[1] = pathSpec(4, 30*time.Millisecond, 10*time.Millisecond, 0.2)
 	var anomalies []string
 	opts := RunOpts{
-		FlightEvents: 256,
-		RTOStorm:     1,
 		FlightDump: func(_ int, anomaly string, _ *trace.FlightRecorder) {
 			anomalies = append(anomalies, anomaly)
 		},
 	}
 	res := RunWithOpts(sc, ProtoTCP, 256<<10, 0, 21, opts)
-	stormed := res.Completed && res.Metrics.RTOs >= 1
+	stormed := res.Completed && res.Metrics.RTOs >= DefaultRTOStorm
 	switch {
 	case stormed && (len(anomalies) != 1 || anomalies[0] != "rto_storm"):
 		t.Fatalf("run had %d RTOs but dumps = %v", res.Metrics.RTOs, anomalies)
 	case !res.Completed && (len(anomalies) != 1 || anomalies[0] != "timeout"):
 		t.Fatalf("incomplete run, dumps = %v", anomalies)
-	case res.Completed && res.Metrics.RTOs == 0 && len(anomalies) != 0:
+	case res.Completed && !stormed && len(anomalies) != 0:
 		t.Fatalf("clean run dumped: %v", anomalies)
 	}
 }

@@ -86,8 +86,10 @@ func ReportTable1(scenariosPerClass int) string {
 		0, LowBDPRanges.QueueDelayMax/time.Millisecond, 0, HighBDPRanges.QueueDelayMax/time.Millisecond)
 	fmt.Fprintf(&b, "  Random Loss [%%]       %-8d %-9.1f %-8d %-8.1f\n",
 		0, LowBDPRanges.LossMax*100, 0, HighBDPRanges.LossMax*100)
-	fmt.Fprintf(&b, "\n  %d scenarios per class; first 5 of %s:\n", scenariosPerClass, LowBDPLosses.Name)
-	for _, sc := range GenerateScenarios(LowBDPLosses, scenariosPerClass)[:5] {
+	excerpt := GenerateScenarios(LowBDPLosses, scenariosPerClass)
+	excerpt = excerpt[:min(5, len(excerpt))]
+	fmt.Fprintf(&b, "\n  %d scenarios per class; first %d of %s:\n", scenariosPerClass, len(excerpt), LowBDPLosses.Name)
+	for _, sc := range excerpt {
 		fmt.Fprintf(&b, "    %s\n", sc)
 	}
 	return b.String()

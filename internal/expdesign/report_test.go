@@ -72,10 +72,13 @@ func TestReportAggBenefitFormat(t *testing.T) {
 }
 
 func TestReportTable1Format(t *testing.T) {
-	out := ReportTable1(10)
-	for _, want := range []string{"Capacity [Mbps]", "0.1", "100", "2000", "2.5", "low-BDP-losses#0"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in:\n%s", want, out)
+	// Fewer scenarios than the five-line excerpt shows them all.
+	for n, excerpt := range map[int]string{10: "first 5 of", 3: "first 3 of"} {
+		out := ReportTable1(n)
+		for _, want := range []string{"Capacity [Mbps]", "0.1", "100", "2000", "2.5", excerpt, "low-BDP-losses#0"} {
+			if !strings.Contains(out, want) {
+				t.Fatalf("ReportTable1(%d): missing %q in:\n%s", n, want, out)
+			}
 		}
 	}
 }

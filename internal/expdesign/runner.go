@@ -298,22 +298,17 @@ type RunOpts struct {
 	// qlog file, which has one vantage point, needs. Link events still
 	// flow. Empty means both endpoints.
 	Side string
-	// FlightEvents, when positive, arms a bounded flight recorder of
-	// this capacity over the same event stream. The ring is only ever
-	// dumped through FlightDump — healthy runs pay no trace I/O.
-	FlightEvents int
-	// RTOStorm, when positive, classifies a run with at least this many
-	// sender RTOs as anomalous ("rto_storm") even if it completed.
-	RTOStorm uint64
-	// FlightDump receives the armed flight recorder when the run ends
-	// anomalously. rep is the repetition index (0 under RunWithOpts;
-	// the actual index under RunMedianOpts); anomaly is one of
-	// "timeout" (deadline passed), "sim_error" (the simulator aborted)
-	// or "rto_storm" (RTOStorm threshold reached).
+	// FlightDump, when non-nil, arms a flight recorder of the last
+	// trace.DefaultFlightEvents events over the same event stream and
+	// receives it when the run ends anomalously; healthy runs pay no
+	// trace I/O. rep is the repetition index (0 under RunWithOpts; the
+	// actual index under RunMedian); anomaly is one of "timeout"
+	// (deadline passed), "sim_error" (the simulator aborted) or
+	// "rto_storm" (a completed run with DefaultRTOStorm sender RTOs).
 	FlightDump func(rep int, anomaly string, rec *trace.FlightRecorder)
 
 	// rep is the repetition index reported to FlightDump; set by
-	// RunMedianOpts.
+	// RunMedian.
 	rep int
 }
 
@@ -359,8 +354,8 @@ func run(sc Scenario, proto Protocol, cfg core.Config, size uint64, startPath in
 	// as a caller-supplied tracer; both see protocol and link events.
 	var fr *trace.FlightRecorder
 	tracer := opts.Tracer
-	if opts.FlightEvents > 0 {
-		fr = trace.NewFlightRecorder(opts.FlightEvents)
+	if opts.FlightDump != nil {
+		fr = trace.NewFlightRecorder(trace.DefaultFlightEvents)
 		if tracer != nil {
 			tracer = trace.Multi{tracer, fr}
 		} else {
@@ -467,14 +462,14 @@ func run(sc Scenario, proto Protocol, cfg core.Config, size uint64, startPath in
 	}
 	// Post-mortem: classify the run and hand the ring to the dumper.
 	// Healthy runs drop the recorder without any I/O.
-	if fr != nil && opts.FlightDump != nil {
+	if fr != nil {
 		anomaly := ""
 		switch {
 		case err != nil:
 			anomaly = "sim_error"
 		case done == nil:
 			anomaly = "timeout"
-		case opts.RTOStorm > 0 && res.Metrics.RTOs >= opts.RTOStorm:
+		case res.Metrics.RTOs >= DefaultRTOStorm:
 			anomaly = "rto_storm"
 		}
 		if anomaly != "" {
@@ -505,15 +500,11 @@ func acceptedConn(lis *core.Listener) func() *core.Conn {
 // derivation note in experiment.go), so repetitions never reuse
 // another grid point's PRNG stream, and the same (point, rep) always
 // replays the same seed regardless of the configured rep count.
-func RunMedian(sc Scenario, proto Protocol, size uint64, startPath int, reps int, baseSeed uint64) RunResult {
-	return RunMedianOpts(sc, proto, size, startPath, reps, baseSeed, RunOpts{})
-}
-
-// RunMedianOpts is RunMedian with observability instruments attached
-// to every repetition (see RunOpts). FlightDump callbacks receive the
-// actual repetition index; the returned (median) run carries its own
-// repetition's Series.
-func RunMedianOpts(sc Scenario, proto Protocol, size uint64, startPath int, reps int, baseSeed uint64, opts RunOpts) RunResult {
+//
+// opts attaches observability instruments to every repetition (see
+// RunOpts). FlightDump callbacks receive the actual repetition index;
+// the returned (median) run carries its own repetition's Series.
+func RunMedian(sc Scenario, proto Protocol, size uint64, startPath int, reps int, baseSeed uint64, opts RunOpts) RunResult {
 	if reps <= 0 {
 		reps = 1
 	}

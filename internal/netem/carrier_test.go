@@ -80,7 +80,8 @@ func TestReclaimTurnsAwayWhatIsNotOnLoan(t *testing.T) {
 
 // TestRegisterAndRouteChangesReachBuiltLinks: a link's sink resolved its
 // handler cell when it was built and Send remembers the last route, so
-// both must follow what Register, Unregister and AddRoute do afterwards.
+// both must follow what Register (with a nil handler too) and AddRoute
+// do afterwards.
 func TestRegisterAndRouteChangesReachBuiltLinks(t *testing.T) {
 	clock := sim.NewClock()
 	n := New(clock, sim.NewRand(1))
@@ -97,7 +98,7 @@ func TestRegisterAndRouteChangesReachBuiltLinks(t *testing.T) {
 	send()
 	n.Register("b", HandlerFunc(func(Datagram) { second++ }))
 	send()
-	n.Unregister("b")
+	n.Register("b", nil)
 	send()
 	n.Register("b", HandlerFunc(func(Datagram) { second++ }))
 	send()

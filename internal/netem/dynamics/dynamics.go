@@ -3,9 +3,9 @@
 // `tc qdisc change` from a Mininet experiment script.
 //
 // A Script is a list of timestamped Events, each applying a Change
-// (rate, delay, loss, down/up) to one path of a topology. Scripts run
-// on the simulation clock, so they are exactly reproducible: the same
-// script and seed yield the same packet-level outcome every run.
+// (rate, down/up) to one path of a topology. Scripts run on the
+// simulation clock, so they are exactly reproducible: the same script
+// and seed yield the same packet-level outcome every run.
 // Recurring patterns (WiFi-fading bandwidth oscillation, periodic
 // flaky-link outages) are expressed compactly with Repeat, and the
 // generator functions below build the common shapes.
@@ -26,37 +26,19 @@ import (
 
 // Change mutates one path. Nil fields leave the corresponding factor
 // untouched, so a Change is a sparse delta, not a full configuration.
+// A link's delay and loss rate are fixed when it is built (see netem).
 type Change struct {
 	// RateMbps replaces the capacity of both directions, re-deriving
 	// each link's queue capacity from its unchanged QueueDelay bound.
 	RateMbps *float64
-	// Delay replaces the one-way propagation delay.
-	Delay *time.Duration
-	// Loss replaces the Bernoulli random-loss probability. It has no
-	// effect while a LossModel is installed on the link.
-	Loss *float64
 	// Down takes the path down (true) or back up (false).
 	Down *bool
 }
 
 // apply pushes the change onto one link.
 func (c Change) apply(l *netem.Link) {
-	cfg := l.Config()
-	reconf := false
 	if c.RateMbps != nil {
-		cfg.RateMbps = *c.RateMbps
-		reconf = true
-	}
-	if c.Delay != nil {
-		cfg.Delay = *c.Delay
-		reconf = true
-	}
-	if c.Loss != nil {
-		cfg.LossRate = *c.Loss
-		reconf = true
-	}
-	if reconf {
-		l.Reconfigure(cfg)
+		l.SetRate(*c.RateMbps)
 	}
 	if c.Down != nil {
 		l.SetDown(*c.Down)
@@ -65,12 +47,6 @@ func (c Change) apply(l *netem.Link) {
 
 // Rate builds a capacity-only change.
 func Rate(mbps float64) Change { return Change{RateMbps: &mbps} }
-
-// Delay builds a propagation-delay-only change.
-func Delay(d time.Duration) Change { return Change{Delay: &d} }
-
-// Loss builds a Bernoulli-loss-only change.
-func Loss(p float64) Change { return Change{Loss: &p} }
 
 // Down builds a link-down (true) or link-up (false) change.
 func Down(down bool) Change { return Change{Down: &down} }
@@ -96,17 +72,6 @@ type Script struct {
 	// one Repeat period after each pass, turning the script into a
 	// recurring pattern. Zero means run once.
 	Repeat time.Duration
-	// Until, when positive, stops scheduling events whose absolute
-	// time is >= Until (a horizon for repeating scripts).
-	Until time.Duration
-}
-
-// Then appends an event and returns the extended script (builder
-// style; the receiver is not mutated).
-func (s Script) Then(at time.Duration, path int, c Change) Script {
-	out := s
-	out.Events = append(append([]Event(nil), s.Events...), Event{At: at, Path: path, Change: c})
-	return out
 }
 
 // Apply schedules the script on clock against tg. Scheduling is lazy:
@@ -129,11 +94,7 @@ func (s Script) Apply(clock *sim.Clock, tg Target) {
 			idx, offset = 0, offset+s.Repeat
 		}
 		ev := events[idx]
-		at := ev.At + offset
-		if s.Until > 0 && at >= s.Until {
-			return
-		}
-		clock.At(sim.Time(at), func() {
+		clock.At(sim.Time(ev.At+offset), func() {
 			for _, l := range tg.PathLinks(ev.Path) {
 				ev.Change.apply(l)
 			}
@@ -147,13 +108,6 @@ func (s Script) Apply(clock *sim.Clock, tg Target) {
 // at the given time.
 func KillAt(path int, at time.Duration) Script {
 	return Script{Events: []Event{{At: at, Path: path, Change: Down(true)}}}
-}
-
-// DegradeAt scripts a one-shot mid-transfer degradation: the change is
-// applied once at the given time (e.g. the capacity collapses, or the
-// loss rate jumps).
-func DegradeAt(path int, at time.Duration, c Change) Script {
-	return Script{Events: []Event{{At: at, Path: path, Change: c}}}
 }
 
 // Flap scripts a periodically failing link: starting at firstDown, the

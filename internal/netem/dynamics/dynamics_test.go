@@ -10,7 +10,7 @@ import (
 )
 
 // testTarget is a one-path Target over a single real link, so change
-// application (Reconfigure, SetDown) is exercised end to end.
+// application (SetRate, SetDown) is exercised end to end.
 type testTarget struct {
 	link *netem.Link
 }
@@ -31,18 +31,19 @@ func TestScriptAppliesEventsInTimestampOrder(t *testing.T) {
 	clock := sim.NewClock()
 	tg := newTestTarget(clock)
 	// Deliberately unsorted event list; Apply must sort a copy.
-	s := Script{}.
-		Then(2*time.Second, 0, Rate(2)).
-		Then(1*time.Second, 0, Rate(5)).
-		Then(3*time.Second, 0, Delay(40*time.Millisecond))
+	s := Script{Events: []Event{
+		{At: 2 * time.Second, Change: Rate(2)},
+		{At: 1 * time.Second, Change: Rate(5)},
+		{At: 3 * time.Second, Change: Down(true)},
+	}}
 	s.Apply(clock, tg)
 
 	var rates []float64
 	for _, at := range []time.Duration{500 * time.Millisecond, 1500 * time.Millisecond, 2500 * time.Millisecond} {
 		sample(clock, at, func() { rates = append(rates, tg.link.Config().RateMbps) })
 	}
-	var delayAfter time.Duration
-	sample(clock, 3500*time.Millisecond, func() { delayAfter = tg.link.Config().Delay })
+	var downAfter bool
+	sample(clock, 3500*time.Millisecond, func() { downAfter = tg.link.Down() })
 	if err := clock.RunUntil(sim.Time(4 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +53,8 @@ func TestScriptAppliesEventsInTimestampOrder(t *testing.T) {
 			t.Fatalf("rate sample %d = %v, want %v", i, r, want[i])
 		}
 	}
-	if delayAfter != 40*time.Millisecond {
-		t.Fatalf("delay after script = %v, want 40ms", delayAfter)
+	if !downAfter {
+		t.Fatal("link still up after the script's last event")
 	}
 	// A rate drop must shrink the queue bound too (re-derivation).
 	if got := tg.link.QueueCapacityBytes(); got != 25_000 {
@@ -67,23 +68,24 @@ func TestScriptRepeatAndUntilHorizon(t *testing.T) {
 	probe := Script{
 		Events: []Event{{At: 100 * time.Millisecond, Path: 0, Change: Rate(10)}},
 		Repeat: 100 * time.Millisecond,
-		Until:  1 * time.Second,
 	}
 	// Each Rate(10) leaves the config unchanged but still emits a
 	// link_reconfigured event — count those to count applications.
 	ctr := trace.NewCounter()
 	tg.link.SetTracer(ctr)
 	probe.Apply(clock, tg)
-	if err := clock.RunUntil(sim.Time(5 * time.Second)); err != nil {
+	// The script never ends; the RunUntil horizon bounds it.
+	if err := clock.RunUntil(sim.Time(950 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 	applied := ctr.Counts[trace.LinkReconfigured]
-	// Events at 100ms..900ms pass the Until=1s horizon; 1s does not.
+	// Events at 100ms..900ms fall before the 950ms horizon; 1s does not.
 	if applied != 9 {
-		t.Fatalf("repeating script applied %d times, want 9 (Until horizon)", applied)
+		t.Fatalf("repeating script applied %d times, want 9 (RunUntil horizon)", applied)
 	}
-	if clock.Pending() != 0 {
-		t.Fatalf("%d events still pending after horizon", clock.Pending())
+	// Scheduling is lazy: only the next pass's event waits on the clock.
+	if clock.Pending() != 1 {
+		t.Fatalf("%d events pending after the horizon, want 1", clock.Pending())
 	}
 }
 
@@ -139,9 +141,7 @@ func TestOscillateRateStaysWithinDepthBand(t *testing.T) {
 	clock := sim.NewClock()
 	tg := newTestTarget(clock)
 	const mean, depth = 10.0, 0.5
-	s := OscillateRate(0, mean, depth, 800*time.Millisecond)
-	s.Until = 4 * time.Second // bound the repeat for the test
-	s.Apply(clock, tg)
+	OscillateRate(0, mean, depth, 800*time.Millisecond).Apply(clock, tg)
 
 	var min, max float64 = mean, mean
 	for at := 50 * time.Millisecond; at < 4*time.Second; at += 100 * time.Millisecond {
@@ -155,7 +155,8 @@ func TestOscillateRateStaysWithinDepthBand(t *testing.T) {
 			}
 		})
 	}
-	if err := clock.RunUntil(sim.Time(5 * time.Second)); err != nil {
+	// The RunUntil horizon bounds the repeat.
+	if err := clock.RunUntil(sim.Time(4 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	lo, hi := mean*(1-depth), mean*(1+depth)
@@ -182,23 +183,18 @@ func TestOscillateRatePanicsOnBadDepth(t *testing.T) {
 	}
 }
 
-func TestKillAtAndDegradeAt(t *testing.T) {
+func TestKillAt(t *testing.T) {
 	clock := sim.NewClock()
 	tg := newTestTarget(clock)
 	KillAt(0, 2*time.Second).Apply(clock, tg)
-	DegradeAt(0, 1*time.Second, Loss(0.3)).Apply(clock, tg)
 
-	var lossAt1500 float64
 	var downAt1500 bool
-	sample(clock, 1500*time.Millisecond, func() {
-		lossAt1500 = tg.link.Config().LossRate
-		downAt1500 = tg.link.Down()
-	})
+	sample(clock, 1500*time.Millisecond, func() { downAt1500 = tg.link.Down() })
 	if err := clock.RunUntil(sim.Time(3 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if lossAt1500 != 0.3 || downAt1500 {
-		t.Fatalf("at 1.5s: loss=%v down=%v, want 0.3/false", lossAt1500, downAt1500)
+	if downAt1500 {
+		t.Fatal("link down at 1.5s, before KillAt time")
 	}
 	if !tg.link.Down() {
 		t.Fatal("link still up after KillAt time")
@@ -211,7 +207,7 @@ func TestScriptOnTwoPathTopologyHitsBothDirections(t *testing.T) {
 		{CapacityMbps: 10, RTT: 30 * time.Millisecond, QueueDelay: 100 * time.Millisecond},
 		{CapacityMbps: 10, RTT: 30 * time.Millisecond, QueueDelay: 100 * time.Millisecond},
 	})
-	DegradeAt(1, time.Second, Rate(3)).Apply(clock, tp)
+	Script{Events: []Event{{At: time.Second, Path: 1, Change: Rate(3)}}}.Apply(clock, tp)
 	if err := clock.RunUntil(sim.Time(2 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
@@ -230,5 +226,72 @@ func TestEmptyScriptIsANoOp(t *testing.T) {
 	Script{}.Apply(clock, tg)
 	if clock.Pending() != 0 {
 		t.Fatal("empty script scheduled events")
+	}
+}
+
+// seqPayload numbers a datagram in send order.
+type seqPayload int
+
+func (seqPayload) WireSize() int { return 1172 }
+
+// TestLinkDeliversInSendOrderUnderRuntimeChanges pins the FIFO property
+// of a link: under every runtime change the experiments make — the rate
+// falling and rising with a queue built up, the link going down and up,
+// a bursty loss process installed — what arrives arrives in send order,
+// and arrival times never decrease.
+func TestLinkDeliversInSendOrderUnderRuntimeChanges(t *testing.T) {
+	clock := sim.NewClock()
+	var got []int
+	var at []sim.Time
+	cfg := netem.LinkConfig{RateMbps: 10, Delay: 5 * time.Millisecond, QueueDelay: 200 * time.Millisecond}
+	l := netem.NewLink(clock, sim.NewRand(1), "t", cfg, func(d netem.Datagram) {
+		got = append(got, int(d.Payload.(seqPayload)))
+		at = append(at, clock.Now())
+	})
+	ge := NewGilbertElliott(sim.NewRand(2), GEFromAverage(0.1, 4))
+	// Two datagrams a millisecond offer 19.2 Mbit/s, so a queue stands
+	// behind every change below.
+	sent := 0
+	for ms := 0; ms < 300; ms++ {
+		clock.At(sim.Time(time.Duration(ms)*time.Millisecond), func() {
+			for i := 0; i < 2; i++ {
+				l.Send(netem.Datagram{From: "a", To: "b", Size: 1200, Payload: seqPayload(sent)})
+				sent++
+			}
+		})
+	}
+	for _, c := range []struct {
+		at time.Duration
+		fn func()
+	}{
+		{50 * time.Millisecond, func() { l.SetRate(2) }},
+		{100 * time.Millisecond, func() { l.SetRate(40) }},
+		{150 * time.Millisecond, func() { l.SetDown(true) }},
+		{170 * time.Millisecond, func() { l.SetDown(false) }},
+		{200 * time.Millisecond, func() { l.SetLossModel(ge) }},
+		{250 * time.Millisecond, func() { l.SetRate(5) }},
+	} {
+		clock.At(sim.Time(c.at), c.fn)
+	}
+	if err := clock.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 1; i < len(got); i++ {
+		if got[i] <= got[i-1] {
+			t.Fatalf("delivery %d is datagram %d, after datagram %d", i, got[i], got[i-1])
+		}
+		if at[i] < at[i-1] {
+			t.Fatalf("delivery %d arrived at %v, before the one ahead of it (%v)", i, at[i], at[i-1])
+		}
+	}
+	// Each change must have had something to act on.
+	st := l.Stats
+	if uint64(len(got)) != st.SentPackets || st.SentPackets+st.QueueDrops+st.RandomDrops != uint64(sent) {
+		t.Fatalf("sent %d, delivered %d, stats %+v", sent, len(got), st)
+	}
+	if st.QueueDrops == 0 || ge.Drops == 0 || st.RandomDrops == ge.Drops {
+		t.Fatalf("queue drops %d, loss-model drops %d, random drops %d: a change went unexercised",
+			st.QueueDrops, ge.Drops, st.RandomDrops)
 	}
 }

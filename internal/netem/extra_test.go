@@ -7,27 +7,6 @@ import (
 	"mpquic/internal/sim"
 )
 
-func TestConnectAsymDirections(t *testing.T) {
-	clock := sim.NewClock()
-	n := New(clock, sim.NewRand(1))
-	var aToB, bToA sim.Time
-	n.Register("b", HandlerFunc(func(d Datagram) { aToB = clock.Now() }))
-	n.Register("a", HandlerFunc(func(d Datagram) { bToA = clock.Now() }))
-	// Asymmetric: fast downlink, slow uplink (an ADSL-like path).
-	n.ConnectAsym("a", "b",
-		LinkConfig{RateMbps: 8, Delay: 10 * time.Millisecond, QueueDelay: time.Second},
-		LinkConfig{RateMbps: 0.8, Delay: 10 * time.Millisecond, QueueDelay: time.Second})
-	n.Send(dg("a", "b", 1000)) // 1 ms tx + 10 ms
-	n.Send(dg("b", "a", 1000)) // 10 ms tx + 10 ms
-	clock.Run()
-	if aToB != sim.Time(11*time.Millisecond) {
-		t.Fatalf("a->b at %v", aToB)
-	}
-	if bToA != sim.Time(20*time.Millisecond) {
-		t.Fatalf("b->a at %v", bToA)
-	}
-}
-
 func TestLinkStatsAccounting(t *testing.T) {
 	clock := sim.NewClock()
 	l := NewLink(clock, sim.NewRand(2), "t",
@@ -63,32 +42,6 @@ func TestQueueBytesDrainOverTime(t *testing.T) {
 	clock.Run()
 	if l.QueueBytes() != 0 {
 		t.Fatalf("queue %d after full drain", l.QueueBytes())
-	}
-}
-
-func TestSetPathLossTakesEffectMidRun(t *testing.T) {
-	clock := sim.NewClock()
-	tp := NewTwoPath(clock, sim.NewRand(9), [2]PathSpec{
-		{CapacityMbps: 100, RTT: 0, QueueDelay: time.Second},
-		{CapacityMbps: 100, RTT: 0, QueueDelay: time.Second},
-	})
-	got := 0
-	tp.Net.Register(tp.ServerAddrs[0], HandlerFunc(func(Datagram) { got++ }))
-	send := func() { tp.Net.Send(dg(tp.ClientAddrs[0], tp.ServerAddrs[0], 100)) }
-	for i := 0; i < 100; i++ {
-		send()
-	}
-	clock.Run()
-	if got != 100 {
-		t.Fatalf("lossless phase dropped packets: %d", got)
-	}
-	tp.SetPathLoss(0, 1.0)
-	for i := 0; i < 50; i++ {
-		send()
-	}
-	clock.Run()
-	if got != 100 {
-		t.Fatalf("full loss did not drop: %d", got)
 	}
 }
 

@@ -6,6 +6,13 @@
 // paper's Table 1. Everything runs on a sim.Clock, so transfers are
 // exact in virtual time.
 //
+// A link's propagation delay, loss rate and queue-delay bound are fixed
+// when it is built. At run time only what the experiments change can
+// change: the rate (SetRate), up or down (SetDown) and the loss process
+// (SetLossModel). Every packet therefore sees the same delay and leaves
+// the serializer no earlier than the one sent before it, so each link
+// delivers in send order.
+//
 // The emulator is payload-agnostic: it moves Datagrams whose Size the
 // sending stack computed from its wire format. This lets the QUIC, TCP,
 // MPTCP and MPQUIC stacks share one network substrate.
@@ -77,7 +84,8 @@ type HandlerFunc func(dg Datagram)
 // HandleDatagram calls f(dg).
 func (f HandlerFunc) HandleDatagram(dg Datagram) { f(dg) }
 
-// LinkConfig describes one unidirectional link.
+// LinkConfig describes one unidirectional link. Only RateMbps can
+// change after the link is built (Link.SetRate).
 type LinkConfig struct {
 	// RateMbps is the link capacity in megabits per second.
 	RateMbps float64
@@ -135,10 +143,8 @@ type Link struct {
 	dropped func(dg Datagram)
 	down    bool
 
-	lossModel  LossModel
-	jitter     time.Duration
-	jitterRand *sim.Rand
-	tracer     trace.Tracer
+	lossModel LossModel
+	tracer    trace.Tracer
 
 	free []*linkPkt // recycled in-flight packet records
 
@@ -194,11 +200,7 @@ func (p *linkPkt) finish() {
 	}
 	l.Stats.SentPackets++
 	l.Stats.SentBytes += uint64(p.dg.Size)
-	delay := l.cfg.Delay
-	if l.jitter > 0 && l.jitterRand != nil {
-		delay += time.Duration(l.jitterRand.Float64() * float64(l.jitter))
-	}
-	l.clock.At(l.clock.Now().Add(delay), p.deliverFn)
+	l.clock.At(l.clock.Now().Add(l.cfg.Delay), p.deliverFn)
 }
 
 // dropRandom is the random-loss exit of finish.
@@ -251,7 +253,7 @@ func (l *Link) derive() {
 	}
 }
 
-// Config returns the link's configuration.
+// Config returns the link's configuration, with its current rate.
 func (l *Link) Config() LinkConfig { return l.cfg }
 
 // Name returns the link's diagnostic name.
@@ -259,14 +261,6 @@ func (l *Link) Name() string { return l.name }
 
 // QueueCapacityBytes reports the tail-drop bound.
 func (l *Link) QueueCapacityBytes() int { return l.queueCap }
-
-// SetLossRate changes the random loss probability at runtime (used by
-// scenarios where a path becomes lossy mid-run). It has no effect on a
-// link with an installed LossModel, which replaces the Bernoulli draw.
-func (l *Link) SetLossRate(p float64) {
-	l.cfg.LossRate = p
-	l.emitReconfigured()
-}
 
 // SetDown drops every subsequent packet when down is true. State
 // transitions emit link_down / link_up trace events.
@@ -287,17 +281,17 @@ func (l *Link) SetDown(down bool) {
 // Down reports whether the link is currently dropping every packet.
 func (l *Link) Down() bool { return l.down }
 
-// Reconfigure replaces the link's configuration at runtime,
-// re-deriving the serialization rate and the tail-drop queue capacity.
-// Packets already being serialized finish at the old rate; packets
-// queued behind them serialize at the new one. A queue that exceeds
-// the shrunk capacity is not truncated — it drains and then tail-drops
-// at the new bound, as a real qdisc change does.
-func (l *Link) Reconfigure(cfg LinkConfig) {
-	if cfg.RateMbps <= 0 {
+// SetRate changes the link's capacity at runtime, re-deriving the
+// tail-drop queue capacity from the unchanged QueueDelay bound. Packets
+// whose serialization was already scheduled keep their finish times;
+// packets sent from now on serialize at the new rate. A queue that
+// exceeds the shrunk capacity is not truncated — it drains and then
+// tail-drops at the new bound, as a real qdisc change does.
+func (l *Link) SetRate(mbps float64) {
+	if mbps <= 0 {
 		panic(fmt.Sprintf("netem: reconfigure of link %s with non-positive rate", l.name))
 	}
-	l.cfg = cfg
+	l.cfg.RateMbps = mbps
 	l.derive()
 	l.emitReconfigured()
 }
@@ -306,17 +300,6 @@ func (l *Link) Reconfigure(cfg LinkConfig) {
 // process, replacing the built-in Bernoulli draw over cfg.LossRate.
 func (l *Link) SetLossModel(m LossModel) {
 	l.lossModel = m
-	l.emitReconfigured()
-}
-
-// SetJitter adds a uniform per-packet propagation-delay jitter in
-// [0, j): each delivered packet draws an independent extra delay from
-// r, so closely spaced packets can arrive reordered. The jitter PRNG
-// is separate from the link's loss PRNG, keeping loss sequences
-// unchanged when jitter is toggled. j <= 0 disables jitter.
-func (l *Link) SetJitter(j time.Duration, r *sim.Rand) {
-	l.jitter = j
-	l.jitterRand = r
 	l.emitReconfigured()
 }
 
@@ -332,9 +315,6 @@ func (l *Link) emitReconfigured() {
 		l.name, l.cfg.RateMbps, l.cfg.Delay, l.queueCap, l.cfg.LossRate)
 	if l.lossModel != nil {
 		detail += " loss_model=custom"
-	}
-	if l.jitter > 0 {
-		detail += fmt.Sprintf(" jitter=%v", l.jitter)
 	}
 	l.tracer.Trace(trace.Event{Time: l.clock.Now().Duration(), Type: trace.LinkReconfigured, Detail: detail})
 }
@@ -435,11 +415,9 @@ func (n *Network) cell(addr Addr) *handlerCell {
 }
 
 // Register attaches a handler to an address. Re-registering replaces
-// the previous handler (used when an endpoint rebinds).
+// the previous handler (used when an endpoint rebinds); a nil handler
+// detaches it.
 func (n *Network) Register(addr Addr, h Handler) { n.cell(addr).h = h }
-
-// Unregister detaches the handler for addr.
-func (n *Network) Unregister(addr Addr) { n.cell(addr).h = nil }
 
 // AddRoute installs a unidirectional link carrying traffic from->to.
 func (n *Network) AddRoute(from, to Addr, link *Link) {
@@ -450,14 +428,7 @@ func (n *Network) AddRoute(from, to Addr, link *Link) {
 // Connect builds a bidirectional link pair between a and b with the
 // same config in both directions and returns (a->b, b->a).
 func (n *Network) Connect(a, b Addr, cfg LinkConfig) (*Link, *Link) {
-	return n.ConnectAsym(a, b, cfg, cfg)
-}
-
-// ConnectAsym is Connect with distinct per-direction configs.
-func (n *Network) ConnectAsym(a, b Addr, ab, ba LinkConfig) (*Link, *Link) {
-	fwd := n.newLink(a, b, ab)
-	rev := n.newLink(b, a, ba)
-	return fwd, rev
+	return n.newLink(a, b, cfg), n.newLink(b, a, cfg)
 }
 
 // newLink builds and routes the link from->to: it delivers to the

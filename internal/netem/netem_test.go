@@ -139,22 +139,6 @@ func TestNetworkRoutesAndDrops(t *testing.T) {
 	}
 }
 
-func TestNetworkUnregister(t *testing.T) {
-	clock := sim.NewClock()
-	n := New(clock, sim.NewRand(1))
-	got := 0
-	n.Register("b", HandlerFunc(func(d Datagram) { got++ }))
-	n.Connect("a", "b", LinkConfig{RateMbps: 8, QueueDelay: time.Second})
-	n.Send(dg("a", "b", 100))
-	clock.Run()
-	n.Unregister("b")
-	n.Send(dg("a", "b", 100))
-	clock.Run()
-	if got != 1 {
-		t.Fatalf("got %d deliveries, want 1", got)
-	}
-}
-
 func TestTwoPathTopologyDisjoint(t *testing.T) {
 	clock := sim.NewClock()
 	tp := NewTwoPath(clock, sim.NewRand(3), [2]PathSpec{
@@ -193,17 +177,6 @@ func TestKillPath(t *testing.T) {
 	clock.Run()
 	if n != 0 {
 		t.Fatal("killed path delivered")
-	}
-}
-
-func TestBDPBytes(t *testing.T) {
-	clock := sim.NewClock()
-	tp := NewTwoPath(clock, sim.NewRand(3), [2]PathSpec{
-		{CapacityMbps: 8, RTT: 100 * time.Millisecond, QueueDelay: 0},
-		{CapacityMbps: 8, RTT: 100 * time.Millisecond, QueueDelay: 0},
-	})
-	if got := tp.BDPBytes(0); got != 100000 {
-		t.Fatalf("BDP %d, want 100000", got)
 	}
 }
 

@@ -76,12 +76,6 @@ func (tp *TwoPathNet) KillPath(i int) {
 	tp.Rev[i].SetDown(true)
 }
 
-// SetPathLoss sets the random loss rate of path i in both directions.
-func (tp *TwoPathNet) SetPathLoss(i int, p float64) {
-	tp.Fwd[i].SetLossRate(p)
-	tp.Rev[i].SetLossRate(p)
-}
-
 // PathLinks returns both directions of path i (forward first) — the
 // hook dynamics scripts use to mutate a whole path.
 func (tp *TwoPathNet) PathLinks(i int) []*Link {
@@ -95,11 +89,4 @@ func (tp *TwoPathNet) SetTracer(t trace.Tracer) {
 		tp.Fwd[i].SetTracer(t)
 		tp.Rev[i].SetTracer(t)
 	}
-}
-
-// BDPBytes estimates the bandwidth-delay product of path i in bytes,
-// a helper for tests and workload sanity checks.
-func (tp *TwoPathNet) BDPBytes(i int) int {
-	s := tp.Specs[i]
-	return int(s.CapacityMbps * 1e6 / 8 * s.RTT.Seconds())
 }

@@ -1,8 +1,10 @@
 #!/bin/sh
 # grid-signature.sh [scenarios] [parent-checkout] — sha256 of every grid
 # artifact the four stacks (TCP, QUIC, MPTCP, MPQUIC) write, one line
-# per JSONL file. Two checkouts make the same loss-recovery decisions in
-# every run of every stack when their outputs are identical:
+# per JSONL file, and of the reports mpq-bench prints, one line per
+# command. Two checkouts make the same loss-recovery decisions in every
+# run of every stack, and render the same tables and figures, when
+# their outputs are identical:
 #
 #   scripts/grid-signature.sh 40 ../parent
 #
@@ -15,6 +17,8 @@
 # counterpart of sim-signature.sh, which only sees the three stacks
 # bench/ times (never MPTCP). Calls only cmd/mpq-bench: `-exp all` for
 # the paper's grids, then `-exp dynamics` for the three dynamic ones.
+# Their stdout is signed too: it carries every rendered table and the
+# Fig. 11 handover series, which writes no artifact.
 # -scenarios 40 takes about 50 s + 25 s per checkout.
 set -eu
 
@@ -24,13 +28,15 @@ parent=${2:-}
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 
-# sign <checkout> <out>: the artifacts' sha256s, written to out.
+# sign <checkout> <out>: the sha256s of the artifacts and of each
+# command's stdout, written to out.txt.
 sign() {
-    mkdir -p "$dir/$2"
+    mkdir -p "$dir/$2" "$dir/$2.stdout"
     for exp in all dynamics; do
-        (cd "$1" && go run ./cmd/mpq-bench -exp "$exp" -scenarios "$scenarios" -artifacts "$dir/$2" -progress=false >/dev/null)
+        (cd "$1" && go run ./cmd/mpq-bench -exp "$exp" -scenarios "$scenarios" -artifacts "$dir/$2" -progress=false) \
+            >"$dir/$2.stdout/mpq-bench-exp-$exp"
     done
-    (cd "$dir/$2" && sha256sum -- *.jsonl) >"$dir/$2.txt"
+    { (cd "$dir/$2" && sha256sum -- *.jsonl) && (cd "$dir/$2.stdout" && sha256sum -- *); } >"$dir/$2.txt"
 }
 
 sign "$here" here
