@@ -9,7 +9,9 @@ import (
 // Batched egress. flush queues each datagram on its socket's batch;
 // writeBatch writes a socket's batch with as few system calls as the
 // platform allows: one sendmmsg(2) per batch where the socket is a
-// plain *net.UDPConn on a build that has the call (egress_linux.go),
+// plain *net.UDPConn on a build that has the call, with each run of
+// equal-size datagrams to one peer offloaded as one message
+// (egress_linux.go),
 // one WriteToUDPAddrPort per datagram everywhere else — a
 // SocketWrapper's conn (faultnet, instrumentation) or another
 // GOOS/GOARCH (egress_other.go). Both ways count every datagram the
@@ -17,7 +19,7 @@ import (
 // the batch is still sent. Order is kept per socket; each socket is
 // its own path to the peer, so no order across sockets exists to keep.
 
-// egressBatchMax caps one batch: the messages one sendmmsg(2) carries.
+// egressBatchMax caps one batch: the datagrams one sendmmsg(2) carries.
 const egressBatchMax = 64
 
 // egressBatch is one socket's queued datagrams. The buffers stay the

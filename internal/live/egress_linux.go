@@ -17,6 +17,16 @@ import (
 // holds the socket's write lock and parks on EAGAIN until the socket
 // is writable again, as Go's own writes do. The syscall number lives
 // in egress_linux_<arch>.go.
+//
+// Segmentation offload (UDP_SEGMENT, Linux 4.18+): each maximal run of
+// consecutive datagrams to one peer and of one size — the last may be
+// shorter — is one message, one iovec per datagram, with a cmsg naming
+// the segment size. The kernel cuts it back into those datagrams after
+// one trip through its UDP stack instead of one trip each. A run of
+// one datagram is a plain message. A refused run is split in place
+// into one message per datagram and sent again in the same loop, so
+// every datagram is still counted alone; EIO, EINVAL or EMSGSIZE there
+// means the socket cannot offload, and its writer stops grouping.
 
 type mmsghdr struct {
 	hdr syscall.Msghdr
@@ -24,26 +34,51 @@ type mmsghdr struct {
 	_   [4]byte
 }
 
+const (
+	udpSegment  = 103   // UDP_SEGMENT, level SOL_UDP (= IPPROTO_UDP)
+	gsoMaxBytes = 65507 // payload bytes in one message: the IPv4 datagram limit
+	gsoMaxSegs  = 64    // segments in one message on every kernel that has UDP_SEGMENT
+)
+
+// A batch never holds more datagrams than one message may carry.
+const _ = uint(gsoMaxSegs - egressBatchMax)
+
+// gsoCmsg is one UDP_SEGMENT control message, CMSG_SPACE(2) bytes.
+type gsoCmsg struct {
+	hdr  syscall.Cmsghdr
+	size uint16
+	_    [6]byte
+}
+
 // mmsgBatch is the vector for one batch, rebuilt in place for every
-// call. errs[i] is the kernel's refusal of message i, 0 when sent.
+// call. Message k carries datagrams first[k] … first[k]+segs[k]-1,
+// whose iovecs are iovs[first[k]:]; names and gso are per message.
+// errs[k] is the kernel's refusal of message k, 0 when sent; only a
+// one-datagram message is ever marked refused.
 type mmsgBatch struct {
 	hdrs  [egressBatchMax]mmsghdr
 	iovs  [egressBatchMax]syscall.Iovec
 	names [egressBatchMax]syscall.RawSockaddrInet6 // room for either family
+	gso   [egressBatchMax]gsoCmsg
+	first [egressBatchMax]uint8
+	segs  [egressBatchMax]uint8
 	errs  [egressBatchMax]syscall.Errno
 	n     int    // messages in the vector
 	done  int    // messages settled: sent or refused
 	calls uint64 // sendmmsg calls issued
+	noGSO bool   // a run was refused because the socket cannot offload
 }
 
 // sockWriter is one socket's binding to the batched path, made once
-// per conn (a rebind makes a new one). raw is nil when the conn is not
-// a *net.UDPConn: its datagrams go one by one through the interface.
+// per conn (a rebind makes a new one, which tries offload again). raw
+// is nil when the conn is not a *net.UDPConn: its datagrams go one by
+// one through the interface.
 type sockWriter struct {
 	box   *connBox
 	raw   syscall.RawConn
 	write func(fd uintptr) bool // the batch's sendmmsg loop, bound once
 	v6    bool                  // AF_INET6 socket: v4 peers go v4-mapped
+	gso   bool                  // group runs into UDP_SEGMENT messages
 }
 
 // bind points w at the conn in box: its RawConn, the write callback
@@ -74,11 +109,11 @@ func (w *sockWriter) bind(box *connBox, m *mmsgBatch) {
 	if err != nil || family == 0 {
 		return
 	}
-	w.raw, w.write, w.v6 = raw, m.write, family == syscall.AF_INET6
+	w.raw, w.write, w.v6, w.gso = raw, m.write, family == syscall.AF_INET6, true
 }
 
 // sendBatch writes s's queued batch with sendmmsg(2) and counts every
-// message it settled. It returns how many leading messages that was:
+// datagram it settled. It returns how many leading datagrams that was:
 // the whole batch, or fewer when the socket failed as a whole (closed
 // under the driver), and 0 when s's writer has no batched path.
 //
@@ -90,48 +125,123 @@ func (d *Driver) sendBatch(s *pathSocket) int {
 	}
 	q := &s.out
 	m := &q.sys
-	m.n, m.done, m.calls = q.n, 0, 0
-	for i := range q.bufs[:q.n] {
-		b := q.bufs[i]
-		m.iovs[i].Base = unsafe.SliceData(b)
-		m.iovs[i].SetLen(len(b))
-		h := &m.hdrs[i].hdr
-		h.Name = (*byte)(unsafe.Pointer(&m.names[i]))
-		h.Namelen = putSockaddr(&m.names[i], q.to[i], w.v6)
-		h.Iov = &m.iovs[i]
-		h.Iovlen = 1
-		m.errs[i] = 0
+	m.n, m.done, m.calls = 0, 0, 0
+	for i := 0; i < q.n; {
+		k := 1
+		if w.gso {
+			k = gsoRun(q, i)
+		}
+		m.add(q, i, k, w.v6)
+		i += k
 	}
 	// An error here means the socket itself is gone; what the loop did
 	// not settle is left to the caller's per-datagram writes.
 	_ = w.raw.Write(w.write)
 	d.Stats.EgressWrites += m.calls
-	for i := range q.bufs[:m.done] {
-		if e := m.errs[i]; e != 0 {
+	if m.noGSO {
+		w.gso, m.noGSO = false, false
+	}
+	for k := range m.errs[:m.done] {
+		if e := m.errs[k]; e != 0 {
 			d.noteErrno(s, e)
-		} else {
+			continue
+		}
+		for i := int(m.first[k]); i < int(m.first[k])+int(m.segs[k]); i++ {
 			d.noteSent(s, len(q.bufs[i]))
 		}
 	}
-	return m.done
+	if m.done == m.n {
+		return q.n
+	}
+	return int(m.first[m.done])
+}
+
+// gsoRun returns how many datagrams from q's i-th on make one
+// UDP_SEGMENT message: those that follow it to the same peer at its
+// size, then at most one shorter non-empty one, within gsoMaxBytes.
+func gsoRun(q *egressBatch, i int) int {
+	size := len(q.bufs[i])
+	total := size
+	j := i + 1
+	for ; j < q.n; j++ {
+		l := len(q.bufs[j])
+		if q.to[j] != q.to[i] || l > size || l == 0 || total+l > gsoMaxBytes {
+			break
+		}
+		total += l
+		if l < size {
+			return j + 1 - i
+		}
+	}
+	return j - i
+}
+
+// add lays out the next message: k datagrams of q from the i-th on,
+// with a UDP_SEGMENT cmsg when k > 1.
+func (m *mmsgBatch) add(q *egressBatch, i, k int, v6 bool) {
+	for x := i; x < i+k; x++ {
+		m.iovs[x].Base = unsafe.SliceData(q.bufs[x])
+		m.iovs[x].SetLen(len(q.bufs[x]))
+	}
+	j := m.n
+	h := &m.hdrs[j].hdr
+	h.Name = (*byte)(unsafe.Pointer(&m.names[j]))
+	h.Namelen = putSockaddr(&m.names[j], q.to[i], v6)
+	h.Iov = &m.iovs[i]
+	h.Iovlen = uint64(k)
+	h.Control, h.Controllen = nil, 0
+	if k > 1 {
+		c := &m.gso[j]
+		c.hdr = syscall.Cmsghdr{Level: syscall.IPPROTO_UDP, Type: udpSegment}
+		c.hdr.SetLen(syscall.CmsgLen(2))
+		c.size = uint16(len(q.bufs[i]))
+		h.Control = (*byte)(unsafe.Pointer(c))
+		h.SetControllen(syscall.CmsgSpace(2))
+	}
+	m.first[j], m.segs[j], m.errs[j] = uint8(i), uint8(k), 0
+	m.n++
+}
+
+// split turns message k into one message per datagram, in place. The
+// messages after it move up; their names, iovecs and cmsgs stay where
+// they are, so the pointers they carry still hold, and the new
+// messages share k's name. Messages never outnumber datagrams, so the
+// vector has room.
+func (m *mmsgBatch) split(k int) {
+	s, first := int(m.segs[k]), int(m.first[k])
+	copy(m.hdrs[k+s:], m.hdrs[k+1:m.n])
+	copy(m.first[k+s:], m.first[k+1:m.n])
+	copy(m.segs[k+s:], m.segs[k+1:m.n])
+	h := m.hdrs[k].hdr
+	h.Iovlen, h.Control, h.Controllen = 1, nil, 0
+	for x := 0; x < s; x++ {
+		h.Iov = &m.iovs[first+x]
+		m.hdrs[k+x] = mmsghdr{hdr: h}
+		m.first[k+x], m.segs[k+x], m.errs[k+x] = uint8(first+x), 1, 0
+	}
+	m.n += s - 1
 }
 
 // write is the RawConn.Write callback: sendmmsg until every message is
 // settled. A message the kernel refuses fails the call that starts
-// with it, so it is marked and skipped and the call goes on from the
-// next one. EAGAIN returns false: RawConn.Write waits for the socket
-// to drain and calls again.
+// with it: a run is split into single datagrams and tried again, a
+// single datagram is marked and skipped, and the call goes on from
+// there. EAGAIN returns false: RawConn.Write waits for the socket to
+// drain and calls again.
 func (m *mmsgBatch) write(fd uintptr) bool {
 	for m.done < m.n {
 		r, _, e := syscall.Syscall6(sysSENDMMSG, fd,
 			uintptr(unsafe.Pointer(&m.hdrs[m.done])), uintptr(m.n-m.done), 0, 0, 0)
 		m.calls++
-		switch e {
-		case 0:
+		switch {
+		case e == 0:
 			m.done += int(r)
-		case syscall.EAGAIN:
+		case e == syscall.EAGAIN:
 			return false
-		case syscall.EINTR:
+		case e == syscall.EINTR:
+		case m.segs[m.done] > 1:
+			m.noGSO = m.noGSO || e == syscall.EIO || e == syscall.EINVAL || e == syscall.EMSGSIZE
+			m.split(m.done)
 		default:
 			m.errs[m.done] = e
 			m.done++
