@@ -2,6 +2,7 @@ package live_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"net"
 	"net/netip"
@@ -9,6 +10,7 @@ import (
 	"syscall"
 	"testing"
 	"time"
+	"unsafe"
 
 	"mpquic/internal/core"
 	"mpquic/internal/live"
@@ -314,5 +316,50 @@ func TestOffloadRefusedFallsBackAndRebindRetries(t *testing.T) {
 	}
 	if d.Stats.PacketsOut != 3*n || d.Stats.WriteErrors != 0 {
 		t.Fatalf("Stats = %+v, want %d out and no errors", d.Stats, 3*n)
+	}
+}
+
+// gsoSend writes b to dst as one UDP_SEGMENT message of seg-byte
+// segments from a plain socket.
+func gsoSend(t *testing.T, dst netem.Addr, b []byte, seg int) {
+	t.Helper()
+	c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Skipf("no UDP socket: %v", err)
+	}
+	defer c.Close()
+	oob := make([]byte, syscall.CmsgSpace(2))
+	h := (*syscall.Cmsghdr)(unsafe.Pointer(&oob[0]))
+	h.Level, h.Type = syscall.IPPROTO_UDP, 103 // UDP_SEGMENT
+	h.SetLen(syscall.CmsgLen(2))
+	binary.NativeEndian.PutUint16(oob[syscall.CmsgLen(0):], uint16(seg))
+	if _, _, err := c.WriteMsgUDPAddrPort(b, oob, netip.MustParseAddrPort(string(dst))); err != nil {
+		t.Skipf("kernel refused UDP_SEGMENT: %v", err)
+	}
+}
+
+// A run whose segments no pool buffer holds is dropped as one datagram
+// and counted as undecodable, not cut into pieces; a run of
+// ordinary-size junk is counted per datagram, as separate reads were.
+func TestGROJunkRunDroppedAndCounted(t *testing.T) {
+	d := newDriver(t, 1)
+	core.Listen(d, liveConfig(1), d.LocalAddrs())
+	to := d.LocalAddrs()[0]
+	drive := func(in uint64) {
+		t.Helper()
+		if err := d.DriveUntil(context.Background(), 5*time.Second, func() bool { return d.Stats.PacketsIn >= in }); err != nil {
+			t.Fatal(err)
+		}
+		d.UpdateSocketStats()
+	}
+	gsoSend(t, to, bytes.Repeat([]byte{0xff}, 3*2000), 2000)
+	drive(1)
+	if st := d.Stats; st.PacketsIn != 1 || st.CorruptDrops != 1 {
+		t.Fatalf("a run of three 2000-byte segments: Stats = %+v, want one datagram in, one corrupt drop", st)
+	}
+	gsoSend(t, to, bytes.Repeat([]byte{0xff}, 3*1000), 1000)
+	drive(4)
+	if st := d.Stats; st.PacketsIn != 4 || st.CorruptDrops != 4 {
+		t.Fatalf("a run of three 1000-byte segments: Stats = %+v, want three more datagrams in, each a corrupt drop", st)
 	}
 }

@@ -3,6 +3,7 @@ package live_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"mpquic/internal/live"
 	"mpquic/internal/netem"
 	"mpquic/internal/trace"
+	"mpquic/internal/wire"
 )
 
 // Adversarial ingress tests: packet bursts, kernel receive-queue
@@ -228,5 +230,56 @@ func TestOversizedJunkMidTransferDroppedAndCounted(t *testing.T) {
 	}
 	if s := conn.StreamByID(core.FirstClientStream); res.Size != size || s == nil || s.BytesReceived() != size {
 		t.Fatalf("transfer delivered Size=%d, stream %v; want exactly %d bytes", res.Size, s, size)
+	}
+}
+
+// recordingHandler keeps a copy of every datagram the loop delivers
+// (the driver recycles the buffer once HandleDatagram returns).
+type recordingHandler struct{ got [][]byte }
+
+func (h *recordingHandler) HandleDatagram(dg netem.Datagram) {
+	h.got = append(h.got, append([]byte(nil), dg.Raw...))
+}
+
+// Runs a batching driver sends as single UDP_SEGMENT messages reach a
+// receiving driver intact and in order whether its socket reads runs
+// (a plain socket, UDP_GRO on where the platform has it) or one
+// datagram at a time (behind a SocketWrapper, which keeps UDP_GRO off,
+// so the kernel cuts the run before the wrapper reads it).
+func TestOffloadedRunsReachWrappedAndPlainReceivers(t *testing.T) {
+	for _, wrapped := range []bool{false, true} {
+		var opts []live.Option
+		if wrapped {
+			opts = append(opts, live.WithSocketWrapper(func(_ int, c live.UDPConn) live.UDPConn { return &passThrough{c} }))
+		}
+		rx := newDriverOpts(t, 1, opts...)
+		h := &recordingHandler{}
+		rx.Register(rx.LocalAddrs()[0], h)
+		tx := newDriver(t, 1)
+		const n, size = 150, 1300
+		for seq := uint64(0); seq < n; seq++ {
+			buf := wire.GetPacketBuf()[:size]
+			for i := range buf {
+				buf[i] = byte(seq)
+			}
+			binary.BigEndian.PutUint64(buf, seq)
+			tx.Send(core.RawDatagram(tx.LocalAddrs()[0], rx.LocalAddrs()[0], buf))
+		}
+		if err := tx.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := rx.DriveUntil(context.Background(), 5*time.Second, func() bool { return len(h.got) >= n }); err != nil {
+			t.Fatal(err)
+		}
+		if len(h.got) != n {
+			t.Fatalf("wrapped=%v: %d of %d datagrams arrived", wrapped, len(h.got), n)
+		}
+		for seq, b := range h.got {
+			want := bytes.Repeat([]byte{byte(seq)}, size)
+			binary.BigEndian.PutUint64(want, uint64(seq))
+			if !bytes.Equal(b, want) {
+				t.Fatalf("wrapped=%v: datagram %d arrived torn or out of order (%d bytes)", wrapped, seq, len(b))
+			}
+		}
 	}
 }

@@ -34,7 +34,9 @@
 //     that datagram turns out to be;
 //  4. flush all egress datagrams queued during the step to their
 //     sockets in one pass: each socket's datagrams go out in order, up
-//     to 64 per sendmmsg(2) where the build has it.
+//     to 64 per sendmmsg(2) where the build has it, and within those
+//     each run of equal-size datagrams to one peer as one UDP_SEGMENT
+//     message, which crosses the kernel's UDP stack once.
 //
 // Virtual time therefore advances only through RunUntil and always to
 // the current wall-elapsed duration: sim time is a monotone map of
@@ -49,15 +51,18 @@
 //
 // Every datagram, in either direction, travels in a wire.GetPacketBuf
 // buffer with one owner at a time, and the driver is the only code
-// here that calls wire.PutPacketBuf. Ingress: a reader draws a buffer,
-// reads into it and passes it to the loop with the channel send; the
-// loop recycles it as soon as HandleDatagram returns (handlers borrow
-// and consume frames synchronously — the contract core.RawDatagram
-// documents). Egress: the encoder's buffer becomes the driver's at
-// Send and is recycled after the write that carried it returns. Reads
-// truncate at the buffer's 1500 bytes; no peer sends more than
-// wire.MaxPacketSize, so a longer datagram is junk and fails to decode
-// like any other.
+// here that calls wire.PutPacketBuf. Ingress: a reader draws a buffer
+// per datagram — it reads into it, or copies one segment of a run it
+// read into its run buffer — and passes it to the loop with the
+// channel send; the loop recycles it as soon as HandleDatagram returns
+// (handlers borrow and consume frames synchronously — the contract
+// core.RawDatagram documents). Egress: the encoder's buffer becomes
+// the driver's at Send and is recycled after the write that carried it
+// returns. Each datagram, a run's segments one by one, truncates at
+// the buffer's 1500 bytes; no peer sends more than wire.MaxPacketSize,
+// so a longer datagram is junk and fails to decode like any other, and
+// a run of longer segments reaches the stack as one empty datagram
+// instead of being cut into pieces.
 // Steady state performs zero allocations per packet in both
 // directions, pinned by internal/perf's live-loop allocation tests.
 //
@@ -73,17 +78,22 @@
 //
 // # Concurrency
 //
-// One goroutine per socket blocks in ReadFromUDPAddrPort and hands
-// (buffer, source) pairs to the driver loop over a channel; everything
-// else — clock, connections, handlers, egress — is touched only by the
-// goroutine inside Run. This preserves the single-threaded discipline
-// the protocol core was built under, which is why the stack needs no
-// locks to be race-clean. Egress writes happen on that goroutine too:
+// One goroutine per socket blocks in a read and hands (buffer, source)
+// pairs, one per datagram, to the driver loop over a channel;
+// everything else — clock, connections, handlers, egress — is touched
+// only by the goroutine inside Run. This preserves the single-threaded
+// discipline the protocol core was built under, which is why the stack
+// needs no locks to be race-clean. On Linux a socket the driver reads
+// itself has UDP_GRO set, and its goroutine reads a run of datagrams
+// at a time with ReadMsgUDPAddrPort into a 64 KiB buffer it holds from
+// start to exit (a package pool keeps them across drivers); a socket
+// behind a SocketWrapper, and every other platform, reads one datagram
+// per ReadFromUDPAddrPort. Egress writes happen on the Run goroutine:
 // on linux/amd64 and linux/arm64 one sendmmsg(2) per batch of up to 64
-// datagrams from one socket, issued through the socket's
-// syscall.RawConn (which waits out EAGAIN as Go's own writes do); a
-// socket behind a SocketWrapper, and every other platform, writes each
-// datagram with WriteToUDPAddrPort.
+// datagrams from one socket, its runs as UDP_SEGMENT messages, issued
+// through the socket's syscall.RawConn (which waits out EAGAIN as Go's
+// own writes do); a socket behind a SocketWrapper, and every other
+// platform, writes each datagram with WriteToUDPAddrPort.
 //
 // This package is the audited wall-clock exception to the walltime
 // analyzer (see internal/analysis): it is the one place besides
@@ -200,13 +210,17 @@ type Stats struct {
 	IngressBatches uint64 `json:"ingress_batches"`
 	// MaxBatch is the largest single-step ingress batch observed.
 	MaxBatch uint64 `json:"max_batch"`
-	// EgressWrites counts egress write system calls: one per sendmmsg
-	// or per per-datagram write. PacketsOut / EgressWrites is the mean
-	// egress batch, the counterpart of PacketsIn / IngressBatches.
+	// EgressWrites counts egress write system calls: one per sendmmsg,
+	// however many UDP_SEGMENT messages it carries, or per per-datagram
+	// write. PacketsOut / EgressWrites is the mean egress batch, the
+	// counterpart of PacketsIn / IngressBatches.
 	EgressWrites uint64 `json:"egress_writes"`
 	// RcvQueueDrops is the kernel's receive-queue overflow count for
 	// the driver's sockets (datagrams the kernel dropped because
-	// SO_RCVBUF was full), read from /proc/net/udp[6]. Updated when
+	// SO_RCVBUF was full), read from /proc/net/udp[6]. The kernel
+	// counts a dropped UDP_GRO run once, however many datagrams it
+	// held, so on an offloading socket this undercounts the loss.
+	// Updated when
 	// Run returns and by UpdateSocketStats; zero where the platform
 	// does not expose the counter.
 	RcvQueueDrops uint64 `json:"rcv_queue_drops"`
@@ -437,11 +451,18 @@ func (d *Driver) addrName(ap netip.AddrPort) netem.Addr {
 //mpq:entry reader
 func (d *Driver) readLoop(s *pathSocket) {
 	defer d.readers.Done()
+	// An unwrapped socket has UDP_GRO set (listenPath), and its reader
+	// reads runs of datagrams into a run buffer.
+	var rb *runBuf
+	if groReads && d.wrap == nil {
+		rb = runBufs.Get().(*runBuf)
+		defer runBufs.Put(rb)
+	}
 	conn := s.loadConn()
 	transient := 0 // consecutive transient read errors on this conn
 	attempts := 0  // rebind attempts since the last successful read
 	for {
-		status, err := d.readOne(s, conn)
+		status, err := d.readOne(s, conn, rb)
 		if status == readOK {
 			transient, attempts = 0, 0
 			continue
@@ -479,8 +500,12 @@ const (
 
 // readOne performs one blocking read and hands the datagram to the
 // driver loop. Buffer ownership transfers with the channel send; every
-// other exit recycles the buffer.
-func (d *Driver) readOne(s *pathSocket, conn UDPConn) (readStatus, error) {
+// other exit recycles the buffer. With a run buffer, a plain socket is
+// read by readRun instead.
+func (d *Driver) readOne(s *pathSocket, conn UDPConn, rb *runBuf) (readStatus, error) {
+	if uc, ok := conn.(*net.UDPConn); ok && rb != nil {
+		return d.readRun(s, uc, rb)
+	}
 	buf := wire.GetPacketBuf()
 	b := buf[:cap(buf)]
 	n, from, err := conn.ReadFromUDPAddrPort(b)
@@ -496,6 +521,14 @@ func (d *Driver) readOne(s *pathSocket, conn UDPConn) (readStatus, error) {
 		}
 	}
 	wire.PutPacketBuf(b)
+	return d.readFailed(s, err)
+}
+
+// readFailed classifies a read that delivered nothing: err is the
+// read's error, nil when the driver closed during the handoff.
+//
+//go:noinline
+func (d *Driver) readFailed(s *pathSocket, err error) (readStatus, error) {
 	switch {
 	case err == nil || d.closing():
 		return readClosed, err

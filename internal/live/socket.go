@@ -59,7 +59,8 @@ func (s *pathSocket) storeConn(c UDPConn) { s.conn.Store(&connBox{c: c}) }
 // with the address the kernel bound. It is the one place a path socket
 // is opened: at construction and on every rebind. sockBuf is the
 // SO_RCVBUF/SO_SNDBUF request; wrap, when non-nil, interposes on the
-// socket (fault injection).
+// socket (fault injection). A socket left unwrapped gets UDP_GRO,
+// because the driver's own reader reads runs (readRun).
 func listenPath(idx int, addr *net.UDPAddr, sockBuf int, wrap SocketWrapper) (UDPConn, netip.AddrPort, error) {
 	pc, err := net.ListenUDP("udp", addr)
 	if err != nil {
@@ -78,6 +79,9 @@ func listenPath(idx int, addr *net.UDPAddr, sockBuf int, wrap SocketWrapper) (UD
 	if wrap != nil {
 		return wrap(idx, pc), lap, nil
 	}
+	// Receive offload only where the driver's own reader reads the
+	// socket: a wrapper's reads see one datagram each, as before.
+	enableGRO(pc)
 	return pc, lap, nil
 }
 

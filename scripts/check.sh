@@ -20,11 +20,15 @@ fi
 echo "== go vet"
 go vet ./...
 
-# internal/live splits its egress by build tags (sendmmsg on
-# linux/amd64 and linux/arm64, one write per datagram elsewhere): keep
-# every variant compiling. Cross builds need no network.
-echo "== cross builds (linux/arm64, darwin/arm64, windows)"
+# internal/live splits its egress by build tags (sendmmsg with
+# UDP_SEGMENT on linux/amd64 and linux/arm64, one write per datagram
+# elsewhere) and its ingress by GOOS (UDP_GRO reads on every linux, one
+# datagram per read elsewhere): keep every variant compiling. linux/386
+# is the one build with the linux ingress and the fallback egress (the
+# hand-laid mmsghdr is 64-bit only). Cross builds need no network.
+echo "== cross builds (linux/arm64, linux/386, darwin/arm64, windows)"
 GOOS=linux GOARCH=arm64 go vet ./internal/live
+GOOS=linux GOARCH=386 go vet ./internal/live
 GOOS=darwin GOARCH=arm64 go vet ./internal/live
 GOOS=windows go build ./...
 
