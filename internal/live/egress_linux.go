@@ -125,7 +125,7 @@ func (d *Driver) sendBatch(s *pathSocket) int {
 	}
 	q := &s.out
 	m := &q.sys
-	m.n, m.done, m.calls = 0, 0, 0
+	m.n, m.done, m.calls, m.noGSO = 0, 0, 0, false
 	for i := 0; i < q.n; {
 		k := 1
 		if w.gso {
@@ -138,9 +138,7 @@ func (d *Driver) sendBatch(s *pathSocket) int {
 	// not settle is left to the caller's per-datagram writes.
 	_ = w.raw.Write(w.write)
 	d.Stats.EgressWrites += m.calls
-	if m.noGSO {
-		w.gso, m.noGSO = false, false
-	}
+	w.gso = w.gso && !m.noGSO
 	for k := range m.errs[:m.done] {
 		if e := m.errs[k]; e != 0 {
 			d.noteErrno(s, e)

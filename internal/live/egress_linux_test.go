@@ -52,32 +52,6 @@ func addrOf(rx *net.UDPConn) netem.Addr {
 	return netem.Addr(rx.LocalAddr().(*net.UDPAddr).AddrPort().String())
 }
 
-// sendFilled queues a datagram of size bytes carrying seq in its first
-// eight and seq's low byte in the rest, so a torn or shifted datagram
-// shows.
-func sendFilled(d *live.Driver, to netem.Addr, seq uint64, size int) {
-	buf := wire.GetPacketBuf()[:size]
-	for i := range buf {
-		buf[i] = byte(seq)
-	}
-	binary.BigEndian.PutUint64(buf, seq)
-	d.Send(core.RawDatagram(d.LocalAddrs()[0], to, buf))
-}
-
-// checkFilled fails unless b is what sendFilled sent for some seq of
-// the given size, and returns that seq.
-func checkFilled(t *testing.T, b []byte, size int) uint64 {
-	t.Helper()
-	if len(b) != size || len(b) < 8 {
-		t.Fatalf("datagram of %d bytes, want %d", len(b), size)
-	}
-	seq := binary.BigEndian.Uint64(b)
-	if !bytes.Equal(b[8:], bytes.Repeat([]byte{byte(seq)}, size-8)) {
-		t.Fatalf("datagram %d arrived torn", seq)
-	}
-	return seq
-}
-
 // run is one read of a UDP_GRO socket: the datagrams it held and the
 // segment size the kernel named, 0 when the read was one datagram.
 type run struct {

@@ -84,8 +84,8 @@ func enableGRO(c *net.UDPConn) {
 	if err != nil {
 		return
 	}
-	raw.Control(func(fd uintptr) {
-		syscall.SetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpGRO, 1)
+	_ = raw.Control(func(fd uintptr) {
+		_ = syscall.SetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpGRO, 1)
 	})
 }
 

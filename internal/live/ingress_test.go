@@ -3,7 +3,6 @@ package live_test
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"net"
 	"os"
@@ -15,7 +14,6 @@ import (
 	"mpquic/internal/live"
 	"mpquic/internal/netem"
 	"mpquic/internal/trace"
-	"mpquic/internal/wire"
 )
 
 // Adversarial ingress tests: packet bursts, kernel receive-queue
@@ -258,12 +256,7 @@ func TestOffloadedRunsReachWrappedAndPlainReceivers(t *testing.T) {
 		tx := newDriver(t, 1)
 		const n, size = 150, 1300
 		for seq := uint64(0); seq < n; seq++ {
-			buf := wire.GetPacketBuf()[:size]
-			for i := range buf {
-				buf[i] = byte(seq)
-			}
-			binary.BigEndian.PutUint64(buf, seq)
-			tx.Send(core.RawDatagram(tx.LocalAddrs()[0], rx.LocalAddrs()[0], buf))
+			sendFilled(tx, rx.LocalAddrs()[0], seq, size)
 		}
 		if err := tx.Flush(); err != nil {
 			t.Fatal(err)
@@ -275,10 +268,8 @@ func TestOffloadedRunsReachWrappedAndPlainReceivers(t *testing.T) {
 			t.Fatalf("wrapped=%v: %d of %d datagrams arrived", wrapped, len(h.got), n)
 		}
 		for seq, b := range h.got {
-			want := bytes.Repeat([]byte{byte(seq)}, size)
-			binary.BigEndian.PutUint64(want, uint64(seq))
-			if !bytes.Equal(b, want) {
-				t.Fatalf("wrapped=%v: datagram %d arrived torn or out of order (%d bytes)", wrapped, seq, len(b))
+			if got := checkFilled(t, b, size); got != uint64(seq) {
+				t.Fatalf("wrapped=%v: datagram %d carries %d", wrapped, seq, got)
 			}
 		}
 	}

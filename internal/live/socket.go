@@ -80,7 +80,8 @@ func listenPath(idx int, addr *net.UDPAddr, sockBuf int, wrap SocketWrapper) (UD
 		return wrap(idx, pc), lap, nil
 	}
 	// Receive offload only where the driver's own reader reads the
-	// socket: a wrapper's reads see one datagram each, as before.
+	// socket: a wrapper reads into one 1500-byte buffer, which a run
+	// would overflow.
 	enableGRO(pc)
 	return pc, lap, nil
 }
