@@ -18,6 +18,8 @@ var runBufs = sync.Pool{New: func() any { return new(runBuf) }}
 
 func enableGRO(*net.UDPConn) {}
 
+// readRun is never reached here: readOne calls it only with a run
+// buffer, and no reader draws one.
 func (d *Driver) readRun(s *pathSocket, c *net.UDPConn, _ *runBuf) (readStatus, error) {
 	return d.readOne(s, c, nil)
 }
