@@ -930,7 +930,6 @@ func (c *Conn) resetTimer() {
 		return
 	}
 	deadline := time.Duration(1<<62 - 1)
-	now := c.now()
 	for _, p := range c.paths {
 		if lt := p.space.LossTime(); lt != 0 && lt < deadline {
 			deadline = lt
@@ -956,9 +955,6 @@ func (c *Conn) resetTimer() {
 	if deadline == time.Duration(1<<62-1) {
 		c.timer.Stop()
 		return
-	}
-	if deadline < now {
-		deadline = now
 	}
 	c.timer.Reset(sim.Time(deadline))
 }

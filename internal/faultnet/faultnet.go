@@ -52,8 +52,6 @@ type Conn interface {
 	ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error)
 	WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error)
 	Close() error
-	SetReadBuffer(bytes int) error
-	SetWriteBuffer(bytes int) error
 }
 
 // Clock reports elapsed time on the caller's timebase; scripted
@@ -328,9 +326,3 @@ func (c *faultConn) WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, erro
 
 // Close implements Conn (driver shutdown, not a scripted kill).
 func (c *faultConn) Close() error { return c.inner.Close() }
-
-// SetReadBuffer implements Conn.
-func (c *faultConn) SetReadBuffer(bytes int) error { return c.inner.SetReadBuffer(bytes) }
-
-// SetWriteBuffer implements Conn.
-func (c *faultConn) SetWriteBuffer(bytes int) error { return c.inner.SetWriteBuffer(bytes) }

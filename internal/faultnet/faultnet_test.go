@@ -62,9 +62,6 @@ func (f *fakeConn) Close() error {
 	return nil
 }
 
-func (f *fakeConn) SetReadBuffer(int) error  { return nil }
-func (f *fakeConn) SetWriteBuffer(int) error { return nil }
-
 func (f *fakeConn) isClosed() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()

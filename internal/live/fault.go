@@ -52,8 +52,6 @@ type UDPConn interface {
 	ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error)
 	WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error)
 	Close() error
-	SetReadBuffer(bytes int) error
-	SetWriteBuffer(bytes int) error
 }
 
 // SocketWrapper intercepts every socket the driver binds — at

@@ -9,8 +9,8 @@ import (
 
 // The clock model test: one program of clock operations runs against the
 // real Clock and against refClock, a reference that keeps a plain slice
-// sorted by (at, seq) and re-arms a timer the plain way — cancel the
-// pending event, leave it queued, schedule a new one. Both sides must
+// sorted by (at, seq) and re-arms a timer the plain way — mark the
+// pending event dead, leave it queued, schedule a new one. Both sides must
 // execute the same events in the same order at the same instants and
 // agree on everything the API lets a caller observe.
 
@@ -30,7 +30,6 @@ type opKind uint8
 const (
 	opAt opKind = iota // schedule a plain event at an absolute tick (may be in the past)
 	opAfter
-	opCancel // cancel a still-pending plain event
 	opReset
 	opResetAfter
 	opStopTimer
@@ -43,7 +42,7 @@ const (
 
 type op struct {
 	kind opKind
-	arg  int // ticks, or which pending event
+	arg  int // ticks
 	k    int // timer
 }
 
@@ -106,7 +105,6 @@ type world interface {
 	now() Time
 	schedule(at Time) // plain event with the next id
 	scheduleAfter(d time.Duration)
-	cancel(which int) // cancel the which-th (mod count) pending plain event
 	reset(k int, at Time)
 	resetAfter(k int, d time.Duration)
 	stopTimer(k int) bool
@@ -117,15 +115,14 @@ type world interface {
 	deadline(k int) Time
 }
 
-// runner holds what both worlds share: the program and the bookkeeping
-// of plain-event ids.
+// runner holds what both worlds share: the program and the next
+// plain-event id.
 type runner struct {
-	p       program
-	w       world
-	nextID  int
-	pending []int // ids of plain events neither fired nor cancelled, ascending
-	budget  int
-	fires   []fired
+	p      program
+	w      world
+	nextID int
+	budget int
+	fires  []fired
 }
 
 func (r *runner) apply(o op) error {
@@ -135,8 +132,6 @@ func (r *runner) apply(o op) error {
 		w.schedule(Time(o.arg) * tick)
 	case opAfter:
 		w.scheduleAfter(time.Duration(o.arg) * tick.Duration())
-	case opCancel:
-		w.cancel(o.arg)
 	case opReset:
 		w.reset(o.k, Time(o.arg)*tick)
 	case opResetAfter:
@@ -166,7 +161,6 @@ func (r *runner) onFire(id int) {
 	if id < 0 {
 		script = r.p.tscripts[-id-1]
 	} else {
-		r.dropPending(id)
 		script = r.p.scripts[id%modelScripts]
 	}
 	if r.budget <= 0 {
@@ -181,41 +175,19 @@ func (r *runner) onFire(id int) {
 func (r *runner) newID() int {
 	id := r.nextID
 	r.nextID++
-	r.pending = append(r.pending, id)
 	return id
-}
-
-// pick returns the id of the which-th pending plain event and forgets
-// it, or -1 when none is pending.
-func (r *runner) pick(which int) int {
-	if len(r.pending) == 0 {
-		return -1
-	}
-	id := r.pending[which%len(r.pending)]
-	r.dropPending(id)
-	return id
-}
-
-func (r *runner) dropPending(id int) {
-	for i, p := range r.pending {
-		if p == id {
-			r.pending = append(r.pending[:i], r.pending[i+1:]...)
-			return
-		}
-	}
 }
 
 // --- the real clock ---
 
 type realWorld struct {
 	*runner
-	c       *Clock
-	timers  [modelTimers]*Timer
-	handles map[int]*event
+	c      *Clock
+	timers [modelTimers]*Timer
 }
 
 func newRealWorld(p program) *realWorld {
-	w := &realWorld{runner: &runner{p: p, budget: modelBudget}, c: NewClock(), handles: map[int]*event{}}
+	w := &realWorld{runner: &runner{p: p, budget: modelBudget}, c: NewClock()}
 	w.w = w
 	for k := range w.timers {
 		k := k
@@ -227,23 +199,11 @@ func newRealWorld(p program) *realWorld {
 func (w *realWorld) now() Time { return w.c.Now() }
 func (w *realWorld) schedule(at Time) {
 	id := w.newID()
-	w.handles[id] = w.c.schedule(at, w.callback(id))
+	w.c.At(at, func() { w.onFire(id) })
 }
 func (w *realWorld) scheduleAfter(d time.Duration) {
 	id := w.newID()
-	w.handles[id] = w.c.schedule(w.c.Now().Add(d), w.callback(id))
-}
-func (w *realWorld) callback(id int) func() {
-	return func() {
-		delete(w.handles, id) // the handle dies when the event fires
-		w.onFire(id)
-	}
-}
-func (w *realWorld) cancel(which int) {
-	if id := w.pick(which); id >= 0 {
-		w.handles[id].cancel()
-		delete(w.handles, id)
-	}
+	w.c.After(d, func() { w.onFire(id) })
 }
 func (w *realWorld) reset(k int, at Time)              { w.timers[k].Reset(at) }
 func (w *realWorld) resetAfter(k int, d time.Duration) { w.timers[k].ResetAfter(d) }
@@ -260,41 +220,33 @@ func (w *realWorld) armed(k int) bool                  { return w.timers[k].Arme
 
 type refEvent struct {
 	at    Time
-	seq   uint64
 	id    int // as in fired.id
 	dead  bool
-	nowQ  bool // was scheduled for the instant it was created at
 	timer bool
 }
 
-// refClock is the reference: a slice sorted by (at, seq), a cancelled
-// event stays queued until it reaches the head, and re-arming a timer
-// cancels its event and schedules another.
+// refClock is the reference: a slice sorted by (at, seq), a stopped
+// timer's event stays queued, dead, until it reaches the head, and
+// re-arming a timer kills its event and schedules another.
 type refClock struct {
 	*runner
 	t       Time
-	seq     uint64
 	q       []*refEvent
 	nDone   uint64
 	stopped bool
 	timers  [modelTimers]*refEvent
-	plain   map[int]*refEvent
 }
 
 func newRefClock(p program) *refClock {
-	w := &refClock{runner: &runner{p: p, budget: modelBudget}, plain: map[int]*refEvent{}}
+	w := &refClock{runner: &runner{p: p, budget: modelBudget}}
 	w.w = w
 	return w
 }
 
 func (w *refClock) at(at Time, id int, timer bool) *refEvent {
-	e := &refEvent{at: at, seq: w.seq, id: id, timer: timer}
-	w.seq++
-	if at <= w.t {
-		e.at, e.nowQ = w.t, true
-	}
-	// seq is the largest so far: the event goes after every event with a
-	// deadline <= its own.
+	e := &refEvent{at: max(at, w.t), id: id, timer: timer}
+	// Its sequence is the largest so far: the event goes after every
+	// event with a deadline <= its own.
 	i := len(w.q)
 	for i > 0 && w.q[i-1].at > e.at {
 		i--
@@ -305,18 +257,9 @@ func (w *refClock) at(at Time, id int, timer bool) *refEvent {
 	return e
 }
 
-func (w *refClock) now() Time { return w.t }
-func (w *refClock) schedule(at Time) {
-	id := w.newID()
-	w.plain[id] = w.at(at, id, false)
-}
+func (w *refClock) now() Time                     { return w.t }
+func (w *refClock) schedule(at Time)              { w.at(at, w.newID(), false) }
 func (w *refClock) scheduleAfter(d time.Duration) { w.schedule(w.t.Add(d)) }
-func (w *refClock) cancel(which int) {
-	if id := w.pick(which); id >= 0 {
-		w.plain[id].dead = true
-		delete(w.plain, id)
-	}
-}
 func (w *refClock) reset(k int, at Time) {
 	w.stopTimer(k)
 	w.timers[k] = w.at(at, -(k + 1), true)
@@ -353,8 +296,6 @@ func (w *refClock) loop(deadline Time) {
 		w.nDone++
 		if e.timer {
 			w.timers[-e.id-1] = nil
-		} else {
-			delete(w.plain, e.id)
 		}
 		w.onFire(e.id)
 	}
@@ -376,21 +317,16 @@ func (w *refClock) deadline(k int) Time {
 }
 func (w *refClock) armed(k int) bool { return w.timers[k] != nil }
 
-// occupancy counts what the real clock may still hold: every live event,
-// every plainly cancelled one, and a cancelled timer event only if it
-// sat in the same-instant queue. A cancelled timer event with a future
-// deadline — what every re-arm used to leave behind — is not allowed.
-func (w *refClock) occupancy() (live, total int) {
+// live counts the reference's live events: the real clock holds exactly
+// these, and no dead entry a stopped or re-armed timer left behind.
+func (w *refClock) live() int {
+	n := 0
 	for _, e := range w.q {
-		switch {
-		case !e.dead:
-			live++
-			total++
-		case !e.timer || e.nowQ:
-			total++
+		if !e.dead {
+			n++
 		}
 	}
-	return live, total
+	return n
 }
 
 // checkClockProgram runs data's program on both sides and compares them
@@ -421,12 +357,9 @@ func checkClockProgram(t *testing.T, data []byte) {
 					real.armed(k), ref.armed(k), real.deadline(k), ref.deadline(k))
 			}
 		}
-		live, total := ref.occupancy()
-		if got := real.c.Pending(); got < live || got > total {
-			t.Fatalf("%s: Pending() = %d, want between %d live and %d with cancelled plain events", where, got, live, total)
+		if got, live := real.c.Pending(), ref.live(); got != live {
+			t.Fatalf("%s: Pending() = %d, want the %d live events", where, got, live)
 		}
-		// NextDeadline discards cancelled heads on both sides, so it is
-		// compared last.
 		next := real.nextDeadline()
 		if refNext := ref.nextDeadline(); next != refNext {
 			t.Fatalf("%s: NextDeadline %v (real) != %v (ref)", where, next, refNext)
@@ -450,15 +383,20 @@ func checkClockProgram(t *testing.T, data []byte) {
 }
 
 // clockSeeds are programs worth starting from: timers re-armed from
-// their own callback and from other events', Stop inside a RunUntil
-// window, cancels racing re-arms at one instant.
+// their own callback and from other events', at Now and in the past,
+// Stop inside a RunUntil window, a stop racing a re-arm at one instant.
 var clockSeeds = [][]byte{
 	nil,
 	{1, 3, 2}, // event script: ResetAfter timer 0
-	// scripts: events re-arm timer 1 and cancel; timers re-arm themselves.
-	{2, 14, 3, 2, 1, 1, 4, 5, 0, 0, 0, 0, 0, 0, 1, 4, 2, 1, 14, 1, 1, 24, 6,
-		1, 5, 3, 0, 4, 4, 14, 2, 8, 3, 7, 0, 8, 6, 9, 0},
-	{1, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 1, 8, 9, 1, 3, 8, 2, 8, 11},
+	// Events re-arm timer 1 at Now, schedule at Now, stop timer 1 and
+	// re-arm it in the past, and stop the clock; timer 0 re-arms itself,
+	// timer 1 re-arms itself in the past.
+	{3, 10, 0, 1, 0, 2, 3, 2, 11, 0, 9, 0, 1, 6, 0, 0, 0, 0, 0, 0,
+		1, 3, 2, 2, 9, 0, 1, 0, 0,
+		1, 1, 1, 1, 12, 1, 7, 5, 8, 0},
+	// An event re-arms timer 0 in the past twice while another event is
+	// due at the same instant.
+	{2, 2, 0, 2, 0, 1, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 8, 0},
 }
 
 // TestClockModel runs the seeds and a few thousand generated programs.

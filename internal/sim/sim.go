@@ -8,24 +8,23 @@
 // bit-for-bit reproducible.
 //
 // The loop is allocation-free in steady state: executed events return to
-// a per-clock free list, the heap is a concrete []*event with inlined
-// sift-up/sift-down (no container/heap interface dispatch), and events
-// scheduled for the current instant bypass the heap through a FIFO
-// append-only queue.
+// a per-clock free list, and the one queue is a binary min-heap keyed by
+// (deadline, scheduling sequence), a concrete []*event with inlined
+// sift-up/sift-down (no container/heap interface dispatch). An event
+// scheduled for the current instant or the past takes the current
+// instant as its deadline, so it runs after every event already due
+// then.
 //
-// The heap holds live events. Every event knows its heap slot, so a
-// Timer owns at most one slot however often it is re-armed: Reset
-// re-keys the pending event in place and re-sifts it, Stop takes it out.
-// The (deadline, sequence) key a re-armed event ends up with is the one
-// a freshly scheduled event would have got, so execution order does not
-// depend on whether an event was moved or replaced. The one dead entry
-// the queues can still hold is a Timer event stopped while it sat in the
-// same-instant queue, which waits to be discarded when it reaches the
-// head.
+// The heap holds only live events. Every event knows its heap slot, so a
+// Timer owns exactly one slot while armed however often it is re-armed:
+// Reset re-keys the pending event in place and re-sifts it, Stop takes
+// it out. The (deadline, sequence) key a re-armed event ends up with is
+// the one a freshly scheduled event would have got, so execution order
+// does not depend on whether an event was moved or replaced.
 //
 // At and After hand out no handle: events are pooled and their storage
 // is reused once they run, so a Timer is the only deadline a caller can
-// hold, move or cancel.
+// hold, move or stop.
 package sim
 
 import (
@@ -57,27 +56,18 @@ const Never = Time(math.MaxInt64)
 
 // event is a unit of scheduled work.
 //
-// Events are pooled: once an event has executed (or has been discarded
-// after cancellation) the Clock recycles its storage for a future
-// schedule. An *event is therefore only valid until the event fires.
-// Timer holds one and drops it when the timer fires.
+// Events are pooled: once an event has executed, or its Timer was
+// stopped, the Clock recycles its storage for a future schedule. An
+// *event is therefore only valid until the event fires. Timer holds one
+// and drops it when the timer fires.
 type event struct {
 	at  Time
 	seq uint64 // tie-break: FIFO among events with equal deadlines
 	fn  func()
-	// idx is the event's slot in Clock.heap, or -1 while it is anywhere
-	// else: in the same-instant queue, executing, or on the free list.
-	// The sift helpers keep it current on every move.
-	idx  int
-	dead bool // cancelled
-}
-
-// cancel prevents a pending event from running and drops its callback,
-// so the callback's captures are collectable while the entry waits to
-// be discarded at the head of its queue.
-func (e *event) cancel() {
-	e.dead = true
-	e.fn = nil
+	// idx is the event's slot in Clock.heap, or -1 while it executes or
+	// sits on the free list. The sift helpers keep it current on every
+	// move.
+	idx int
 }
 
 // eventLess orders events by (deadline, scheduling sequence): FIFO among
@@ -92,25 +82,14 @@ func eventLess(a, b *event) bool {
 // Clock is the simulation event loop. It is not safe for concurrent use;
 // the whole simulation is single-threaded by design (determinism).
 type Clock struct {
-	now  Time
-	heap []*event // binary min-heap by (at, seq)
-	// nowQ holds events scheduled for the instant they were created at.
-	// Because virtual time is monotonic and seq increases, the queue is
-	// always sorted by (at, seq): popping the head interleaves correctly
-	// with the heap without any sifting.
-	nowQ    []*event
-	nowHead int
+	now     Time
+	heap    []*event // binary min-heap by (at, seq)
 	free    []*event // recycled event storage
 	seq     uint64
 	running bool
 	stopped bool
-	// Processed counts executed (non-cancelled) events, for tests and
-	// runaway detection.
+	// Processed counts executed events, for tests and runaway detection.
 	Processed uint64
-	// Discarded counts cancelled events thrown away on reaching the head
-	// of a queue: work the loop did for nothing. Stopped and re-armed
-	// Timers add none unless their event sat in the same-instant queue.
-	Discarded uint64
 	// Limit aborts Run with an error when more than Limit events execute.
 	// Zero means no limit.
 	Limit uint64
@@ -135,7 +114,7 @@ func (c *Clock) alloc(at Time, fn func()) *event {
 		e = c.free[n-1]
 		c.free[n-1] = nil
 		c.free = c.free[:n-1]
-		e.at, e.fn, e.dead = at, fn, false
+		e.at, e.fn = at, fn
 	} else {
 		e = &event{at: at, fn: fn, idx: -1}
 	}
@@ -144,7 +123,7 @@ func (c *Clock) alloc(at Time, fn func()) *event {
 	return e
 }
 
-// release returns an executed or discarded event to the free list,
+// release returns an executed or stopped event to the free list,
 // dropping its closure so captured state is collectable.
 //
 //mpq:noescape
@@ -166,16 +145,9 @@ func (c *Clock) After(d time.Duration, fn func()) {
 	c.schedule(c.now.Add(d), fn)
 }
 
-// schedule is At returning the pending event, for Timer (and this
-// package's tests) to cancel.
+// schedule is At returning the pending event, for Timer to hold.
 func (c *Clock) schedule(at Time, fn func()) *event {
-	if at <= c.now {
-		// Same-instant fast path: append to the FIFO queue, no sifting.
-		e := c.alloc(c.now, fn)
-		c.nowQ = append(c.nowQ, e)
-		return e
-	}
-	e := c.alloc(at, fn)
+	e := c.alloc(max(at, c.now), fn)
 	c.heapPush(e)
 	return e
 }
@@ -183,10 +155,10 @@ func (c *Clock) schedule(at Time, fn func()) *event {
 // Stop makes Run return after the currently executing event finishes.
 func (c *Clock) Stop() { c.stopped = true }
 
-// Pending reports the number of queued events: every live one, plus the
-// cancelled ones that have not reached the head yet. A Timer contributes
-// one while armed and none while stopped, however often it was re-armed.
-func (c *Clock) Pending() int { return len(c.heap) + len(c.nowQ) - c.nowHead }
+// Pending reports the number of queued events, all of them live. A Timer
+// contributes one while armed and none while stopped, however often it
+// was re-armed.
+func (c *Clock) Pending() int { return len(c.heap) }
 
 // --- inlined binary heap on []*event ---
 //
@@ -277,106 +249,30 @@ func (c *Clock) heapRemove(i int) *event {
 	return e
 }
 
-// heapPop removes and returns the heap minimum. The caller guarantees
-// the heap is non-empty.
-//
-//mpq:noescape
-func (c *Clock) heapPop() *event { return c.heapRemove(0) }
-
-// peek returns the earliest scheduled event (possibly cancelled) without
-// removing it, or nil.
-//
-//mpq:noescape
-func (c *Clock) peek() *event {
-	var qn *event
-	if c.nowHead < len(c.nowQ) {
-		qn = c.nowQ[c.nowHead]
-	}
-	if len(c.heap) == 0 {
-		return qn
-	}
-	hn := c.heap[0]
-	if qn == nil || eventLess(hn, qn) {
-		return hn
-	}
-	return qn
-}
-
-// popNext removes and returns the earliest live event with deadline <=
-// deadline, or nil. Cancelled events encountered on the way are
-// discarded and recycled.
+// popNext removes and returns the earliest event if its deadline is <=
+// deadline, or returns nil.
 //
 //mpq:noescape
 func (c *Clock) popNext(deadline Time) *event {
-	for {
-		var qn *event
-		if c.nowHead < len(c.nowQ) {
-			qn = c.nowQ[c.nowHead]
-		}
-		var e *event
-		if hn := (*event)(nil); len(c.heap) > 0 {
-			hn = c.heap[0]
-			if qn == nil || eventLess(hn, qn) {
-				if hn.at > deadline {
-					return nil
-				}
-				e = c.heapPop()
-			}
-		}
-		if e == nil {
-			if qn == nil || qn.at > deadline {
-				return nil
-			}
-			c.nowQ[c.nowHead] = nil
-			c.nowHead++
-			if c.nowHead == len(c.nowQ) {
-				c.nowQ = c.nowQ[:0]
-				c.nowHead = 0
-			}
-			e = qn
-		}
-		if e.dead {
-			c.Discarded++
-			c.release(e)
-			continue
-		}
-		return e
+	if len(c.heap) == 0 || c.heap[0].at > deadline {
+		return nil
 	}
+	return c.heapRemove(0)
 }
 
-// NextDeadline reports the deadline of the earliest live event, or
-// Never. Together with RunUntil it forms the deadline-bounded stepping
-// API an external driver needs to interleave virtual time with an
-// outside event source (the live UDP driver blocks on socket
-// readability until the wall image of this deadline, then calls
-// RunUntil) — see internal/live. Cancelled events it finds at the head
-// of the queue are discarded and recycled on the way.
+// NextDeadline reports the deadline of the earliest event, or Never.
+// Together with RunUntil it forms the deadline-bounded stepping API an
+// external driver needs to interleave virtual time with an outside event
+// source (the live UDP driver blocks on socket readability until the
+// wall image of this deadline, then calls RunUntil) — see internal/live.
 func (c *Clock) NextDeadline() Time {
-	for {
-		e := c.peek()
-		if e == nil {
-			return Never
-		}
-		if !e.dead {
-			return e.at
-		}
-		// Discard the cancelled head and keep looking.
-		if c.nowHead < len(c.nowQ) && c.nowQ[c.nowHead] == e {
-			c.nowQ[c.nowHead] = nil
-			c.nowHead++
-			if c.nowHead == len(c.nowQ) {
-				c.nowQ = c.nowQ[:0]
-				c.nowHead = 0
-			}
-		} else {
-			c.heapPop()
-		}
-		c.Discarded++
-		c.release(e)
+	if len(c.heap) == 0 {
+		return Never
 	}
+	return c.heap[0].at
 }
 
-// run is the shared loop of Run and RunUntil: execute live events in
+// run is the shared loop of Run and RunUntil: execute events in
 // (deadline, FIFO) order while their deadline is <= deadline.
 func (c *Clock) run(deadline Time) error {
 	c.stopped = false
@@ -392,7 +288,8 @@ func (c *Clock) run(deadline Time) error {
 		c.now = e.at
 		c.Processed++
 		if c.Limit > 0 && c.Processed > c.Limit {
-			c.release(e)
+			// The event stays queued, so a Timer holding it stays armed.
+			c.heapPush(e)
 			return fmt.Errorf("sim: event limit %d exceeded at t=%v", c.Limit, c.now)
 		}
 		e.fn()
@@ -455,26 +352,25 @@ func NewTimer(c *Clock, fn func()) *Timer {
 }
 
 // Reset (re)arms the timer to fire at absolute time at, replacing any
-// previously armed deadline. A pending event that waits in the heap is
-// re-keyed in place: it takes the new deadline and the next scheduling
-// sequence — exactly the key a newly scheduled event would get, so the
-// firing order among equal deadlines is that of the Reset calls — and is
-// re-sifted; the timer keeps its one heap slot. Only a pending event in
-// the same-instant queue, or a deadline that is not in the future (which
-// belongs in that queue), is cancelled and scheduled anew.
+// previously armed deadline. A deadline in the past is clamped to Now,
+// as At clamps it: the timer fires after the events already due now. A
+// pending event is re-keyed in place: it takes the new deadline and the
+// next scheduling sequence — exactly the key a newly scheduled event
+// would get, so the firing order among equal deadlines is that of the
+// Reset calls — and is re-sifted; the timer keeps its one heap slot.
 //
 //mpq:noescape
 func (t *Timer) Reset(at Time) {
 	c := t.clock
-	if e := t.ev; e != nil && e.idx >= 0 && at > c.now {
-		e.at = at
-		e.seq = c.seq
-		c.seq++
-		c.heapFix(e.idx)
+	e := t.ev
+	if e == nil {
+		t.ev = c.schedule(at, t.fireFn)
 		return
 	}
-	t.Stop()
-	t.ev = c.schedule(at, t.fireFn)
+	e.at = max(at, c.now)
+	e.seq = c.seq
+	c.seq++
+	c.heapFix(e.idx)
 }
 
 // ResetAfter (re)arms the timer to fire d from now.
@@ -486,9 +382,7 @@ func (t *Timer) fire() {
 }
 
 // Stop disarms the timer. It reports whether a pending firing was
-// prevented. The pending event leaves the heap and is recycled at once;
-// one waiting in the same-instant queue is cancelled and discarded when
-// the queue reaches it, within the current instant.
+// prevented. The pending event leaves the heap and is recycled at once.
 //
 //mpq:noescape
 func (t *Timer) Stop() bool {
@@ -497,11 +391,7 @@ func (t *Timer) Stop() bool {
 		return false
 	}
 	t.ev = nil
-	if e.idx >= 0 {
-		t.clock.release(t.clock.heapRemove(e.idx))
-	} else {
-		e.cancel()
-	}
+	t.clock.release(t.clock.heapRemove(e.idx))
 	return true
 }
 

@@ -55,22 +55,6 @@ func TestClockEventsScheduledDuringRun(t *testing.T) {
 	}
 }
 
-func TestCancelPreventsExecution(t *testing.T) {
-	c := NewClock()
-	ran := false
-	e := c.schedule(Time(time.Millisecond), func() { ran = true })
-	e.cancel()
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ran {
-		t.Fatal("cancelled event executed")
-	}
-	if c.Processed != 0 {
-		t.Fatalf("Processed = %d, want 0", c.Processed)
-	}
-}
-
 func TestRunUntilAdvancesToDeadline(t *testing.T) {
 	c := NewClock()
 	var at Time
@@ -139,6 +123,19 @@ func TestClockLimit(t *testing.T) {
 	if err := c.Run(); err == nil {
 		t.Fatal("expected event-limit error")
 	}
+	// A timer whose event hits the limit keeps it queued, so it still
+	// stops cleanly.
+	c = NewClock()
+	c.Limit = 10
+	var tm *Timer
+	tm = NewTimer(c, func() { tm.ResetAfter(time.Millisecond) })
+	tm.ResetAfter(time.Millisecond)
+	if err := c.Run(); err == nil {
+		t.Fatal("expected event-limit error")
+	}
+	if !tm.Stop() || c.Pending() != 0 {
+		t.Fatalf("after the limit: Stop found no pending firing or left %d events", c.Pending())
+	}
 }
 
 func TestSchedulingInPastClamps(t *testing.T) {
@@ -187,6 +184,31 @@ func TestTimerStop(t *testing.T) {
 	}
 }
 
+// A timer re-armed at Now twice from a callback keeps its one heap
+// slot, and the key it takes each time makes it fire once, after the
+// events already due at that instant.
+func TestTimerOwnsOneSlotWhenReArmedAtNow(t *testing.T) {
+	c := NewClock()
+	var got []string
+	tm := NewTimer(c, func() { got = append(got, "timer") })
+	c.After(time.Millisecond, func() {
+		tm.Reset(c.Now())
+		tm.Reset(c.Now())
+	})
+	c.After(time.Millisecond, func() {
+		got = append(got, "due")
+		if n := c.Pending(); n != 1 {
+			t.Errorf("Pending() = %d with only the timer left, want 1", n)
+		}
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != "[due timer]" {
+		t.Fatalf("fired %v, want [due timer]", got)
+	}
+}
+
 func TestTimerDeadlineAndArmed(t *testing.T) {
 	c := NewClock()
 	tm := NewTimer(c, func() {})
@@ -200,16 +222,6 @@ func TestTimerDeadlineAndArmed(t *testing.T) {
 	c.Run()
 	if tm.Armed() {
 		t.Fatal("timer still armed after firing")
-	}
-}
-
-func TestNextDeadlineSkipsCancelled(t *testing.T) {
-	c := NewClock()
-	e := c.schedule(Time(time.Millisecond), func() {})
-	c.After(2*time.Millisecond, func() {})
-	e.cancel()
-	if d := c.NextDeadline(); d != Time(2*time.Millisecond) {
-		t.Fatalf("NextDeadline = %v, want 2ms", d)
 	}
 }
 
@@ -456,7 +468,7 @@ func TestRunUntilTimerHandleContract(t *testing.T) {
 	if fires != 1 {
 		t.Fatalf("cancelled timer fired: fires=%d", fires)
 	}
-	// Stop took the event out of the heap; nothing is left to discard.
+	// Stop took the event out of the heap.
 	if c.Pending() != 0 {
 		t.Fatalf("Pending = %d after drain, want 0", c.Pending())
 	}

@@ -216,7 +216,7 @@ func (e *Endpoint) ArmTimer(deadline time.Duration) {
 		e.timer.Stop()
 		return
 	}
-	e.timer.Reset(sim.Time(max(deadline, e.now())))
+	e.timer.Reset(sim.Time(deadline))
 }
 
 func (e *Endpoint) closeWith(err error) {

@@ -18,7 +18,11 @@
 # bench/ times (never MPTCP). Calls only cmd/mpq-bench: `-exp all` for
 # the paper's grids, then `-exp dynamics` for the three dynamic ones.
 # Their stdout is signed too: it carries every rendered table and the
-# Fig. 11 handover series, which writes no artifact.
+# Fig. 11 handover series, which writes no artifact. `-exp all` runs the
+# handover with its default path kill only, so the stdout of
+# `mpq-bench handover` under `-mode flap`, `-mode oscillate` and
+# `-no-paths-frame` is signed as well: the handover is the one run that
+# schedules events at the current instant.
 # -scenarios 40 takes about 50 s + 25 s per checkout.
 set -eu
 
@@ -35,6 +39,12 @@ sign() {
     for exp in all dynamics; do
         (cd "$1" && go run ./cmd/mpq-bench -exp "$exp" -scenarios "$scenarios" -artifacts "$dir/$2" -progress=false) \
             >"$dir/$2.stdout/mpq-bench-exp-$exp"
+    done
+    for args in "-mode flap" "-mode oscillate" "-no-paths-frame"; do
+        # $args is split into flags on purpose.
+        # shellcheck disable=SC2086
+        (cd "$1" && go run ./cmd/mpq-bench handover $args) \
+            >"$dir/$2.stdout/mpq-bench-handover$(printf '%s' " $args" | tr ' ' '_')"
     done
     { (cd "$dir/$2" && sha256sum -- *.jsonl) && (cd "$dir/$2.stdout" && sha256sum -- *); } >"$dir/$2.txt"
 }
