@@ -97,9 +97,9 @@ func readRuns(t *testing.T, rx *net.UDPConn, n int) []run {
 
 // One flush that mixes runs, a shorter tail, a size change and
 // alternating peers: each peer gets its datagrams intact and in order,
-// and on a batching build the offloaded runs reach the UDP_GRO peer as
-// single reads naming their segment size. A full batch of 1350-byte
-// datagrams splits at 48: 49 would pass the 65 507-byte limit.
+// and the offloaded runs reach the UDP_GRO peer as single reads naming
+// their segment size. A full batch of 1350-byte datagrams splits at
+// 48: 49 would pass the 65 507-byte limit.
 func TestOffloadGroupsRunsAndKeepsOrder(t *testing.T) {
 	type dg struct {
 		toGRO bool
@@ -166,22 +166,22 @@ func TestOffloadGroupsRunsAndKeepsOrder(t *testing.T) {
 					i, last = i+1, seq
 				}
 			}
-			if batchedBuild {
-				if len(runs) != len(wantRuns) {
-					t.Fatalf("UDP_GRO peer read %d runs, want %d", len(runs), len(wantRuns))
-				}
-				for k, r := range runs {
-					if r.seg != wantRuns[k].seg || len(r.dgrams) != wantLens[k] {
-						t.Fatalf("run %d: %d datagrams of segment size %d, want %d of %d", k, len(r.dgrams), r.seg, wantLens[k], wantRuns[k].seg)
-					}
+			if len(runs) != len(wantRuns) {
+				t.Fatalf("UDP_GRO peer read %d runs, want %d", len(runs), len(wantRuns))
+			}
+			for k, r := range runs {
+				if r.seg != wantRuns[k].seg || len(r.dgrams) != wantLens[k] {
+					t.Fatalf("run %d: %d datagrams of segment size %d, want %d of %d", k, len(r.dgrams), r.seg, wantLens[k], wantRuns[k].seg)
 				}
 			}
 			st := d.Stats
 			if st.PacketsOut != uint64(len(plan)) || st.WriteErrors != 0 || st.NoRoute != 0 {
 				t.Fatalf("Stats = %+v, want %d datagrams out and no errors", st, len(plan))
 			}
-			if batchedBuild && st.EgressWrites > 2 {
-				t.Fatalf("EgressWrites = %d for one batch, want one sendmmsg", st.EgressWrites)
+			// One write per message: the runs of 11, 6, 3 and 4 and
+			// the four alternating datagrams.
+			if st.EgressWrites != 8 {
+				t.Fatalf("EgressWrites = %d for one batch, want 8 messages", st.EgressWrites)
 			}
 
 			// A full batch at the largest packet size: 48 + 16.
@@ -192,8 +192,11 @@ func TestOffloadGroupsRunsAndKeepsOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			runs = readRuns(t, gro, 64)
-			if batchedBuild && (len(runs) != 2 || len(runs[0].dgrams) != 48 || len(runs[1].dgrams) != 16) {
+			if len(runs) != 2 || len(runs[0].dgrams) != 48 || len(runs[1].dgrams) != 16 {
 				t.Fatalf("64 datagrams of %d bytes read as %d runs (first %d), want 48 + 16", wire.MaxPacketSize, len(runs), len(runs[0].dgrams))
+			}
+			if w := d.Stats.EgressWrites - st.EgressWrites; w != 2 {
+				t.Fatalf("EgressWrites = %d for 48 + 16, want 2 messages", w)
 			}
 			seq := uint64(0)
 			for _, r := range runs {
@@ -213,9 +216,6 @@ func TestOffloadGroupsRunsAndKeepsOrder(t *testing.T) {
 // counted exactly as the per-datagram path counts them; its conn stops
 // grouping, and the conn a rebind brings in groups again.
 func TestOffloadRefusedFallsBackAndRebindRetries(t *testing.T) {
-	if !batchedBuild {
-		t.Skip("no sendmmsg(2) path on this build")
-	}
 	const n, size = 20, 1200
 	flush := func(d *live.Driver, rx *net.UDPConn, first uint64) []run {
 		t.Helper()
@@ -259,18 +259,18 @@ func TestOffloadRefusedFallsBackAndRebindRetries(t *testing.T) {
 		t.Fatalf("refused offload still read as %d runs", len(runs))
 	}
 	got, want := d.Stats, ref.Stats
-	if got.PacketsOut != n || got.WriteErrors != 0 || got.EgressWrites < 2 {
-		t.Fatalf("Stats = %+v, want %d out, no errors, a refused write and its retry", got, n)
+	if got.PacketsOut != n || got.WriteErrors != 0 || got.EgressWrites != n+1 {
+		t.Fatalf("Stats = %+v, want %d out, no errors, the refused run's write and one write each", got, n)
 	}
-	got.EgressWrites, want.EgressWrites = 0, 0
+	want.EgressWrites++
 	if got != want {
-		t.Fatalf("Stats %+v differ from the per-datagram path's %+v", got, want)
+		t.Fatalf("Stats %+v differ from the per-datagram path's %+v but for the refused write", got, ref.Stats)
 	}
 
-	// The conn no longer groups: one call, no refusal.
+	// The conn no longer groups: one write each, no refusal.
 	writes := d.Stats.EgressWrites
-	if runs := flush(d, rx, n); len(runs) != n || d.Stats.EgressWrites != writes+1 {
-		t.Fatalf("second flush: %d runs in %d writes, want %d single datagrams in one write", len(runs), d.Stats.EgressWrites-writes, n)
+	if runs := flush(d, rx, n); len(runs) != n || d.Stats.EgressWrites != writes+n {
+		t.Fatalf("second flush: %d runs in %d writes, want %d single datagrams in %d writes", len(runs), d.Stats.EgressWrites-writes, n, n)
 	}
 
 	// Kill the socket; the reader's ladder binds a fresh one.

@@ -33,10 +33,10 @@
 //     handler's last datagram of a step carries More=false, whatever
 //     that datagram turns out to be;
 //  4. flush all egress datagrams queued during the step to their
-//     sockets in one pass: each socket's datagrams go out in order, up
-//     to 64 per sendmmsg(2) where the build has it, and within those
-//     each run of equal-size datagrams to one peer as one UDP_SEGMENT
-//     message, which crosses the kernel's UDP stack once.
+//     sockets in one pass: each socket's datagrams go out in order, one
+//     write per message; on Linux each run of equal-size datagrams to
+//     one peer is one UDP_SEGMENT message, which crosses the kernel's
+//     UDP stack once.
 //
 // Virtual time therefore advances only through RunUntil and always to
 // the current wall-elapsed duration: sim time is a monotone map of
@@ -88,11 +88,12 @@
 // at a time with ReadMsgUDPAddrPort into a 64 KiB buffer it holds from
 // start to exit (a package pool keeps them across drivers); a socket
 // behind a SocketWrapper, and every other platform, reads one datagram
-// per ReadFromUDPAddrPort. Egress writes happen on the Run goroutine:
-// on linux/amd64 and linux/arm64 one sendmmsg(2) per batch of up to 64
-// datagrams from one socket, its runs as UDP_SEGMENT messages, issued
-// through the socket's syscall.RawConn (which waits out EAGAIN as Go's
-// own writes do); a socket behind a SocketWrapper, and every other
+// per ReadFromUDPAddrPort. Egress writes happen on the Run goroutine,
+// through the standard library, which waits out EAGAIN: on Linux the
+// driver's own socket writes each run of up to 64 datagrams as one
+// UDP_SEGMENT message with WriteMsgUDPAddrPort, copied into a run
+// buffer from the same pool, and each other datagram with
+// WriteToUDPAddrPort; a socket behind a SocketWrapper, and every other
 // platform, writes each datagram with WriteToUDPAddrPort.
 //
 // This package is the audited wall-clock exception to the walltime
@@ -210,9 +211,9 @@ type Stats struct {
 	IngressBatches uint64 `json:"ingress_batches"`
 	// MaxBatch is the largest single-step ingress batch observed.
 	MaxBatch uint64 `json:"max_batch"`
-	// EgressWrites counts egress write system calls: one per sendmmsg,
-	// however many UDP_SEGMENT messages it carries, or per per-datagram
-	// write. PacketsOut / EgressWrites is the mean egress batch, the
+	// EgressWrites counts egress write system calls, one per message:
+	// a UDP_SEGMENT run or a single datagram, refused writes included.
+	// PacketsOut / EgressWrites is the mean datagrams per message, the
 	// counterpart of PacketsIn / IngressBatches.
 	EgressWrites uint64 `json:"egress_writes"`
 	// RcvQueueDrops is the kernel's receive-queue overflow count for
@@ -454,7 +455,7 @@ func (d *Driver) readLoop(s *pathSocket) {
 	// An unwrapped socket has UDP_GRO set (listenPath), and its reader
 	// reads runs of datagrams into a run buffer.
 	var rb *runBuf
-	if groReads && d.wrap == nil {
+	if offload && d.wrap == nil {
 		rb = runBufs.Get().(*runBuf)
 		defer runBufs.Put(rb)
 	}
