@@ -25,6 +25,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz='^FuzzRecvStream$$' -fuzztime=$(FUZZTIME) ./internal/stream
 	go test -run='^$$' -fuzz='^FuzzAckManager$$' -fuzztime=$(FUZZTIME) ./internal/recovery
 	go test -run='^$$' -fuzz='^FuzzClockOps$$' -fuzztime=$(FUZZTIME) ./internal/sim
+	go test -run='^$$' -fuzz='^FuzzLinkOps$$' -fuzztime=$(FUZZTIME) ./internal/netem
 
 # Every BENCHMARK.json workload once, end-to-end metrics (about 20 s each).
 bench:

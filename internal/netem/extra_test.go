@@ -32,16 +32,16 @@ func TestQueueBytesDrainOverTime(t *testing.T) {
 		LinkConfig{RateMbps: 8, Delay: 0, QueueDelay: time.Second}, func(Datagram) {})
 	l.Send(dg("a", "b", 1000))
 	l.Send(dg("a", "b", 1000))
-	if l.QueueBytes() != 2000 {
-		t.Fatalf("queue %d", l.QueueBytes())
+	if l.queueBytes != 2000 {
+		t.Fatalf("queue %d", l.queueBytes)
 	}
 	clock.RunUntil(sim.Time(1500 * time.Microsecond)) // 1.5 packets serialized
-	if l.QueueBytes() != 1000 {
-		t.Fatalf("queue %d after partial drain", l.QueueBytes())
+	if l.queueBytes != 1000 {
+		t.Fatalf("queue %d after partial drain", l.queueBytes)
 	}
 	clock.Run()
-	if l.QueueBytes() != 0 {
-		t.Fatalf("queue %d after full drain", l.QueueBytes())
+	if l.queueBytes != 0 {
+		t.Fatalf("queue %d after full drain", l.queueBytes)
 	}
 }
 

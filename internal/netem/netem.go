@@ -13,6 +13,14 @@
 // the serializer no earlier than the one sent before it, so each link
 // delivers in send order.
 //
+// That order keeps a link's packets out of the clock's queue. They wait
+// in one ring, by value, and the link holds two sim.Timers, one at the
+// next serializer exit and one at the next arrival. Each step's key is
+// reserved (Clock.Key) where the step would have been scheduled as an
+// event of its own, and the ring is sorted by those keys, so the timers
+// re-armed at them (Timer.ResetKey) run every step in that event's
+// order and at its instant. The queue grows with links, not packets.
+//
 // The emulator is payload-agnostic: it moves Datagrams whose Size the
 // sending stack computed from its wire format. This lets the QUIC, TCP,
 // MPTCP and MPQUIC stacks share one network substrate.
@@ -146,69 +154,64 @@ type Link struct {
 	lossModel LossModel
 	tracer    trace.Tracer
 
-	free []*linkPkt // recycled in-flight packet records
+	// ring holds the datagrams in send order: from head to mid they
+	// propagate, from mid to tail they queue. Its length is a power of
+	// two, which head, mid and tail, only ever growing, index modulo. A
+	// slot lost at the serializer keeps its place with Size 0 until
+	// head passes it. exit is armed at mid's key, arrival at head's.
+	ring            []slot
+	head, mid, tail uint
+	exit, arrival   *sim.Timer
 
 	Stats LinkStats
 }
 
-// linkPkt carries one datagram through the link's two-stage pipeline
-// (serializer finish, then delivery after propagation) without
-// allocating per-packet closures: the finish/deliver callbacks are
-// bound once when the record is created and the record is recycled
-// after delivery or drop.
-type linkPkt struct {
-	l         *Link
-	dg        Datagram
-	finishFn  func()
-	deliverFn func()
+// slot is one datagram on a link, with the key of its next step.
+type slot struct {
+	dg  Datagram
+	key sim.Key
 }
 
-func (l *Link) getPkt(dg Datagram) *linkPkt {
-	if n := len(l.free); n > 0 {
-		p := l.free[n-1]
-		l.free[n-1] = nil
-		l.free = l.free[:n-1]
-		p.dg = dg
-		return p
-	}
-	p := &linkPkt{l: l, dg: dg}
-	p.finishFn = p.finish
-	p.deliverFn = p.deliverNow
-	return p
-}
+// at returns the ring slot of counter i.
+func (l *Link) at(i uint) *slot { return &l.ring[i&uint(len(l.ring)-1)] }
 
-func (l *Link) putPkt(p *linkPkt) {
-	p.dg = Datagram{} // drop the payload reference
-	l.free = append(l.free, p)
-}
-
-// finish runs when the packet leaves the serializer: free its queue
-// space, apply random loss, then schedule delivery after propagation.
-func (p *linkPkt) finish() {
-	l := p.l
-	l.queueBytes -= p.dg.Size
+// finish runs when the datagram at mid leaves the serializer: free its
+// queue space, apply random loss, then reserve its arrival after
+// propagation.
+func (l *Link) finish() {
+	s := l.at(l.mid)
+	l.mid++
+	l.queueBytes -= s.dg.Size
 	// Random loss is applied as the packet leaves the serializer: it
 	// occupied queue space but never arrives.
-	if l.lossModel != nil {
-		if l.lossModel.Drop(p.dg.Size) {
-			l.dropRandom(p)
-			return
-		}
-	} else if l.cfg.LossRate > 0 && l.rand.Bernoulli(l.cfg.LossRate) {
-		l.dropRandom(p)
+	if l.lossModel != nil && l.lossModel.Drop(s.dg.Size) ||
+		l.lossModel == nil && l.cfg.LossRate > 0 && l.rand.Bernoulli(l.cfg.LossRate) {
+		l.Stats.RandomDrops++
+		dg := s.dg
+		*s = slot{}
+		l.rearm()
+		l.drop(dg)
 		return
 	}
 	l.Stats.SentPackets++
-	l.Stats.SentBytes += uint64(p.dg.Size)
-	l.clock.At(l.clock.Now().Add(l.cfg.Delay), p.deliverFn)
+	l.Stats.SentBytes += uint64(s.dg.Size)
+	s.key = l.clock.Key(l.clock.Now().Add(l.cfg.Delay))
+	l.rearm()
 }
 
-// dropRandom is the random-loss exit of finish.
-func (l *Link) dropRandom(p *linkPkt) {
-	l.Stats.RandomDrops++
-	dg := p.dg
-	l.putPkt(p)
-	l.drop(dg)
+// rearm moves head past the slots lost at the serializer and arms each
+// idle timer that has a slot to wait for: arrival at head's key, exit
+// at mid's.
+func (l *Link) rearm() {
+	for l.head != l.mid && l.at(l.head).dg.Size == 0 {
+		l.head++
+	}
+	if l.head != l.mid && !l.arrival.Armed() {
+		l.arrival.ResetKey(l.at(l.head).key)
+	}
+	if l.mid != l.tail && !l.exit.Armed() {
+		l.exit.ResetKey(l.at(l.mid).key)
+	}
 }
 
 // drop is the last a link sees of a datagram it does not deliver.
@@ -218,13 +221,15 @@ func (l *Link) drop(dg Datagram) {
 	}
 }
 
-// deliverNow hands the datagram to the sink. The record is recycled
-// first (the datagram is copied out), so a sink that synchronously
-// sends on the same link can reuse it.
-func (p *linkPkt) deliverNow() {
-	l := p.l
-	dg := p.dg
-	l.putPkt(p)
+// arrive hands the datagram at head to the sink. The datagram is copied
+// out and the next arrival armed first, so a sink that synchronously
+// sends on the same link finds the ring in order.
+func (l *Link) arrive() {
+	s := l.at(l.head)
+	dg := s.dg
+	*s = slot{}
+	l.head++
+	l.rearm()
 	l.deliver(dg)
 }
 
@@ -240,6 +245,8 @@ func NewLink(clock *sim.Clock, rand *sim.Rand, name string, cfg LinkConfig, deli
 		name:    name,
 		deliver: deliver,
 	}
+	l.exit = sim.NewTimer(clock, l.finish)
+	l.arrival = sim.NewTimer(clock, l.arrive)
 	l.derive()
 	return l
 }
@@ -259,7 +266,8 @@ func (l *Link) Config() LinkConfig { return l.cfg }
 // Name returns the link's diagnostic name.
 func (l *Link) Name() string { return l.name }
 
-// QueueCapacityBytes reports the tail-drop bound.
+// QueueCapacityBytes reports the tail-drop bound. Its users are the
+// dynamics tests.
 func (l *Link) QueueCapacityBytes() int { return l.queueCap }
 
 // SetDown drops every subsequent packet when down is true. State
@@ -347,11 +355,24 @@ func (l *Link) Send(dg Datagram) {
 	finish := start.Add(txTime)
 	l.busyUntil = finish
 
-	l.clock.At(finish, l.getPkt(dg).finishFn)
+	if l.tail-l.head == uint(len(l.ring)) {
+		l.grow()
+	}
+	s := l.at(l.tail)
+	s.dg, s.key = dg, l.clock.Key(finish)
+	l.tail++
+	l.rearm()
 }
 
-// QueueBytes reports the current queue occupancy.
-func (l *Link) QueueBytes() int { return l.queueBytes }
+// grow doubles the ring, starting at 8 slots. Every slot keeps its
+// counter, so head, mid and tail stay as they are.
+func (l *Link) grow() {
+	ring := make([]slot, max(8, 2*len(l.ring)))
+	for i := l.head; i != l.tail; i++ {
+		ring[i&uint(len(ring)-1)] = *l.at(i)
+	}
+	l.ring = ring
+}
 
 // Network connects registered addresses through routed links.
 //

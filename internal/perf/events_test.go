@@ -12,15 +12,16 @@ import (
 )
 
 // Occupancy budgets for the event engine: the queue holds what is
-// alive, so their size follows the packets in flight and the armed
-// timers — not the number of times a timer was re-armed, and not the
-// length of the transfer. These pin the property, not how sim.Timer
-// achieves it.
+// alive, and a link keeps its datagrams in flight out of it behind two
+// timers, so its size follows the links and the armed timers — not the
+// packets in flight, not the number of times a timer was re-armed, and
+// not the length of the transfer. These pin the property, not how
+// sim.Timer and netem.Link achieve it.
 
 // eventOccupancy runs a two-path lossy MPQUIC download of size bytes
 // and samples, every simulated millisecond, the clock's queue length
-// and the sender's packets in flight.
-func eventOccupancy(t *testing.T, size uint64) (clock *sim.Clock, peakPending, peakInFlight int) {
+// and the sender's packets in flight. links is the topology's link count.
+func eventOccupancy(t *testing.T, size uint64) (clock *sim.Clock, links, peakPending, peakInFlight int) {
 	t.Helper()
 	clock = sim.NewClock()
 	clock.Limit = 50_000_000
@@ -60,27 +61,27 @@ func eventOccupancy(t *testing.T, size uint64) (clock *sim.Clock, peakPending, p
 	if !done {
 		t.Fatalf("%d-byte transfer did not complete", size)
 	}
-	return clock, peakPending, peakInFlight
+	return clock, len(tp.Fwd) + len(tp.Rev), peakPending, peakInFlight
 }
 
 // Both connections re-arm their timer after every receive and every
 // send, tens of thousands of times per transfer, and the idle deadline
 // they move sits 30 s out: a re-arm that leaves a cancelled entry behind
 // puts the queue's high-water mark two orders of magnitude above the
-// live events and makes it grow with the transfer.
-func TestEventQueueFollowsPacketsInFlight(t *testing.T) {
+// live events and makes it grow with the transfer. A link that put its
+// datagrams in the queue would make it follow the packets in flight.
+func TestEventQueueFollowsLinks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-transfer measurement")
 	}
-	clock, peak8, inFlight := eventOccupancy(t, 8<<20)
+	clock, links, peak8, inFlight := eventOccupancy(t, 8<<20)
 	t.Logf("8 MiB: %d events executed, queue peak %d, %d packets in flight at most",
 		clock.Processed, peak8, inFlight)
-	// An in-flight packet is at most one link event; the rest is ACKs
-	// on the way back, two connection timers and the sampler.
-	if limit := 2*inFlight + 16; peak8 > limit {
-		t.Errorf("queue peaked at %d events with at most %d packets in flight, want <= %d", peak8, inFlight, limit)
+	// Two timers per link, two connection timers and the sampler.
+	if limit := 2*links + 3; peak8 > limit {
+		t.Errorf("queue peaked at %d events over %d links (%d packets in flight), want <= %d", peak8, links, inFlight, limit)
 	}
-	_, peak32, _ := eventOccupancy(t, 32<<20)
+	_, _, peak32, _ := eventOccupancy(t, 32<<20)
 	if 2*peak32 > 3*peak8 {
 		t.Errorf("queue peak grew with the transfer: %d events at 8 MiB, %d at 32 MiB", peak8, peak32)
 	}

@@ -10,12 +10,18 @@ import (
 // The clock model test: one program of clock operations runs against the
 // real Clock and against refClock, a reference that keeps a plain slice
 // sorted by (at, seq) and re-arms a timer the plain way — mark the
-// pending event dead, leave it queued, schedule a new one. Both sides must
-// execute the same events in the same order at the same instants and
-// agree on everything the API lets a caller observe.
+// pending event dead, leave it queued, schedule a new one. A key the
+// program reserves takes the sequence an event scheduled then would
+// have taken, and arming a timer with it later schedules the timer's
+// event at that (at, seq). Both sides must execute the same events in
+// the same order at the same instants and agree on everything the API
+// lets a caller observe.
 
 // modelTimers is the number of timers a program drives.
 const modelTimers = 3
+
+// modelKeys is the number of reserved keys a program holds at once.
+const modelKeys = 3
 
 // modelScripts is the number of distinct callback scripts plain events
 // draw from (event id modulo modelScripts).
@@ -35,6 +41,8 @@ const (
 	opStopTimer
 	opNextDeadline
 	opStopClock
+	opKey      // reserve a key arg ticks from now into slot k
+	opResetKey // arm timer k with the key in slot arg, once
 	opRunUntil // top level only
 	opRun      // top level only
 	numOps
@@ -110,6 +118,11 @@ type world interface {
 	stopTimer(k int) bool
 	nextDeadline() Time
 	stopClock()
+	// reserve fills key slot j; resetKey arms timer k with it and
+	// empties the slot, reporting whether the deadline had passed and
+	// the call panicked.
+	reserve(j int, at Time)
+	resetKey(k, j int) (panicked bool)
 	runUntil(deadline Time) error
 	run() error
 	deadline(k int) Time
@@ -123,6 +136,10 @@ type runner struct {
 	nextID int
 	budget int
 	fires  []fired
+	// reserved marks the key slots holding a key not yet armed;
+	// panics counts the ResetKey calls that panicked.
+	reserved [modelKeys]bool
+	panics   int
 }
 
 func (r *runner) apply(o op) error {
@@ -142,6 +159,16 @@ func (r *runner) apply(o op) error {
 		w.nextDeadline()
 	case opStopClock:
 		w.stopClock()
+	case opKey:
+		w.reserve(o.k, w.now()+Time(o.arg)*tick)
+		r.reserved[o.k] = true
+	case opResetKey:
+		if j := o.arg % modelKeys; r.reserved[j] {
+			r.reserved[j] = false
+			if w.resetKey(o.k, j) {
+				r.panics++
+			}
+		}
 	case opRunUntil:
 		return w.runUntil(w.now() + Time(o.arg)*tick)
 	case opRun:
@@ -184,6 +211,7 @@ type realWorld struct {
 	*runner
 	c      *Clock
 	timers [modelTimers]*Timer
+	keys   [modelKeys]Key
 }
 
 func newRealWorld(p program) *realWorld {
@@ -215,11 +243,19 @@ func (w *realWorld) run() error                        { return w.c.Run() }
 func (w *realWorld) processed() uint64                 { return w.c.Processed }
 func (w *realWorld) deadline(k int) Time               { return w.timers[k].Deadline() }
 func (w *realWorld) armed(k int) bool                  { return w.timers[k].Armed() }
+func (w *realWorld) reserve(j int, at Time)            { w.keys[j] = w.c.Key(at) }
+
+func (w *realWorld) resetKey(k, j int) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	w.timers[k].ResetKey(w.keys[j])
+	return false
+}
 
 // --- the reference ---
 
 type refEvent struct {
 	at    Time
+	seq   uint64
 	id    int // as in fired.id
 	dead  bool
 	timer bool
@@ -235,6 +271,8 @@ type refClock struct {
 	nDone   uint64
 	stopped bool
 	timers  [modelTimers]*refEvent
+	seq     uint64
+	keys    [modelKeys]refEvent // at and seq of each reserved key
 }
 
 func newRefClock(p program) *refClock {
@@ -243,12 +281,22 @@ func newRefClock(p program) *refClock {
 	return w
 }
 
+// next draws the key an event scheduled at at gets now.
+func (w *refClock) next(at Time) refEvent {
+	k := refEvent{at: max(at, w.t), seq: w.seq}
+	w.seq++
+	return k
+}
+
 func (w *refClock) at(at Time, id int, timer bool) *refEvent {
-	e := &refEvent{at: max(at, w.t), id: id, timer: timer}
-	// Its sequence is the largest so far: the event goes after every
-	// event with a deadline <= its own.
+	return w.insert(w.next(at), id, timer)
+}
+
+// insert queues an event at key's (at, seq).
+func (w *refClock) insert(key refEvent, id int, timer bool) *refEvent {
+	e := &refEvent{at: key.at, seq: key.seq, id: id, timer: timer}
 	i := len(w.q)
-	for i > 0 && w.q[i-1].at > e.at {
+	for i > 0 && (w.q[i-1].at > e.at || w.q[i-1].at == e.at && w.q[i-1].seq > e.seq) {
 		i--
 	}
 	w.q = append(w.q, nil)
@@ -283,7 +331,17 @@ func (w *refClock) nextDeadline() Time {
 	}
 	return w.q[0].at
 }
-func (w *refClock) stopClock() { w.stopped = true }
+func (w *refClock) stopClock()             { w.stopped = true }
+func (w *refClock) reserve(j int, at Time) { w.keys[j] = w.next(at) }
+func (w *refClock) resetKey(k, j int) bool {
+	key := w.keys[j]
+	if key.at < w.t {
+		return true
+	}
+	w.stopTimer(k)
+	w.timers[k] = w.insert(key, -(k + 1), true)
+	return false
+}
 func (w *refClock) loop(deadline Time) {
 	w.stopped = false
 	for !w.stopped && len(w.q) > 0 && w.q[0].at <= deadline {
@@ -348,8 +406,9 @@ func checkClockProgram(t *testing.T, data []byte) {
 			t.Fatalf("%s: execution differs after %d equal callbacks\nreal %v\nref  %v", where, compared, a, b)
 		}
 		compared = len(real.fires)
-		if real.now() != ref.now() || real.processed() != ref.processed() {
-			t.Fatalf("%s: now %v/%v processed %d/%d (real/ref)", where, real.now(), ref.now(), real.processed(), ref.processed())
+		if real.now() != ref.now() || real.processed() != ref.processed() || real.panics != ref.panics {
+			t.Fatalf("%s: now %v/%v processed %d/%d ResetKey panics %d/%d (real/ref)", where,
+				real.now(), ref.now(), real.processed(), ref.processed(), real.panics, ref.panics)
 		}
 		for k := 0; k < modelTimers; k++ {
 			if real.armed(k) != ref.armed(k) || real.deadline(k) != ref.deadline(k) {
@@ -391,12 +450,23 @@ var clockSeeds = [][]byte{
 	// Events re-arm timer 1 at Now, schedule at Now, stop timer 1 and
 	// re-arm it in the past, and stop the clock; timer 0 re-arms itself,
 	// timer 1 re-arms itself in the past.
-	{3, 10, 0, 1, 0, 2, 3, 2, 11, 0, 9, 0, 1, 6, 0, 0, 0, 0, 0, 0,
-		1, 3, 2, 2, 9, 0, 1, 0, 0,
-		1, 1, 1, 1, 12, 1, 7, 5, 8, 0},
+	{3, 12, 0, 1, 0, 2, 3, 2, 13, 0, 11, 0, 1, 6, 0, 0, 0, 0, 0, 0,
+		1, 3, 2, 2, 11, 0, 1, 0, 0,
+		1, 1, 1, 1, 14, 1, 9, 5, 10, 0},
 	// An event re-arms timer 0 in the past twice while another event is
 	// due at the same instant.
-	{2, 2, 0, 2, 0, 1, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 8, 0},
+	{2, 2, 0, 2, 0, 1, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 10, 0},
+	// Event 0 reserves a key three ticks out and event 1 arms timer 1
+	// with it; timer 1 reserves a key at its own instant and arms timer
+	// 2 with it.
+	{1, 7, 3, 1, 17, 0, 0, 0, 0, 0, 0, 0,
+		0, 2, 25, 0, 26, 2, 0,
+		0, 1, 0, 2, 10, 0},
+	// Keys at ticks 1 and 2, an event at tick 2, a window to tick 2:
+	// arming the first key then panics, arming the second (at Now,
+	// behind the event that already ran) does not.
+	{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		7, 1, 18, 2, 0, 2, 9, 2, 8, 0, 19, 1, 10, 0},
 }
 
 // TestClockModel runs the seeds and a few thousand generated programs.

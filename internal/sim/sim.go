@@ -20,7 +20,11 @@
 // Reset re-keys the pending event in place and re-sifts it, Stop takes
 // it out. The (deadline, sequence) key a re-armed event ends up with is
 // the one a freshly scheduled event would have got, so execution order
-// does not depend on whether an event was moved or replaced.
+// does not depend on whether an event was moved or replaced. Key hands
+// out such a key without scheduling anything, and ResetKey arms a timer
+// at it later: a caller whose steps are already in key order (netem's
+// links) keeps them off the heap behind one timer, and each still runs
+// where an event of its own would have.
 //
 // At and After hand out no handle: events are pooled and their storage
 // is reused once they run, so a Timer is the only deadline a caller can
@@ -28,6 +32,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -46,9 +51,6 @@ func (t Time) Seconds() float64 { return time.Duration(t).Seconds() }
 // Add returns t shifted forward by d.
 func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 
-// Sub returns the duration t-u.
-func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
-
 func (t Time) String() string { return time.Duration(t).String() }
 
 // Never is a sentinel deadline meaning "no deadline armed".
@@ -61,8 +63,7 @@ const Never = Time(math.MaxInt64)
 // *event is therefore only valid until the event fires. Timer holds one
 // and drops it when the timer fires.
 type event struct {
-	at  Time
-	seq uint64 // tie-break: FIFO among events with equal deadlines
+	Key // the seq tie-break: FIFO among events with equal deadlines
 	fn  func()
 	// idx is the event's slot in Clock.heap, or -1 while it executes or
 	// sits on the free list. The sift helpers keep it current on every
@@ -107,21 +108,40 @@ func NewClock() *Clock { return &Clock{} }
 // Now reports the current virtual time.
 func (c *Clock) Now() Time { return c.now }
 
-// alloc takes an event from the free list (or the heap's allocator).
-func (c *Clock) alloc(at Time, fn func()) *event {
-	var e *event
-	if n := len(c.free); n > 0 {
-		e = c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
-		e.at, e.fn = at, fn
-	} else {
-		e = &event{at: at, fn: fn, idx: -1}
-	}
-	e.seq = c.seq
+// Key is the place of an event in the clock's execution order: its
+// deadline, then its scheduling sequence.
+type Key struct {
+	at  Time
+	seq uint64
+}
+
+// Key reserves the key an event scheduled at at would get now — the
+// deadline clamped to Now, and the next scheduling sequence — without
+// scheduling anything. Timer.ResetKey arms a timer with it later.
+func (c *Clock) Key(at Time) Key {
+	k := Key{at: max(at, c.now), seq: c.seq}
 	c.seq++
+	return k
+}
+
+// alloc takes an event from the free list, refilling it when empty.
+func (c *Clock) alloc(k Key, fn func()) *event {
+	if len(c.free) == 0 {
+		c.refill()
+	}
+	n := len(c.free) - 1
+	e := c.free[n]
+	c.free[n] = nil
+	c.free = c.free[:n]
+	e.Key, e.fn = k, fn
 	return e
 }
+
+// refill is alloc's cold path, out of line so that the //mpq:noescape
+// callers alloc inlines into stay allocation-free.
+//
+//go:noinline
+func (c *Clock) refill() { c.free = append(c.free, &event{idx: -1}) }
 
 // release returns an executed or stopped event to the free list,
 // dropping its closure so captured state is collectable.
@@ -135,21 +155,14 @@ func (c *Clock) release(e *event) {
 // At schedules fn to run at the absolute virtual time at. Scheduling in
 // the past (at < Now) is an error in the caller; the event is clamped to
 // run "now" to keep the loop monotonic.
-func (c *Clock) At(at Time, fn func()) { c.schedule(at, fn) }
+func (c *Clock) At(at Time, fn func()) { c.heapPush(c.alloc(c.Key(at), fn)) }
 
 // After schedules fn to run d after the current time.
 func (c *Clock) After(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	c.schedule(c.now.Add(d), fn)
-}
-
-// schedule is At returning the pending event, for Timer to hold.
-func (c *Clock) schedule(at Time, fn func()) *event {
-	e := c.alloc(max(at, c.now), fn)
-	c.heapPush(e)
-	return e
+	c.At(c.now.Add(d), fn)
 }
 
 // Stop makes Run return after the currently executing event finishes.
@@ -157,7 +170,7 @@ func (c *Clock) Stop() { c.stopped = true }
 
 // Pending reports the number of queued events, all of them live. A Timer
 // contributes one while armed and none while stopped, however often it
-// was re-armed.
+// was re-armed. Its user is internal/perf's occupancy test.
 func (c *Clock) Pending() int { return len(c.heap) }
 
 // --- inlined binary heap on []*event ---
@@ -360,18 +373,31 @@ func NewTimer(c *Clock, fn func()) *Timer {
 // Reset calls — and is re-sifted; the timer keeps its one heap slot.
 //
 //mpq:noescape
-func (t *Timer) Reset(at Time) {
+func (t *Timer) Reset(at Time) { t.ResetKey(t.clock.Key(at)) }
+
+// ResetKey (re)arms the timer at exactly k, a key Clock.Key reserved:
+// it fires where an event scheduled when k was reserved would fire.
+// Arm each key at most once. A key whose deadline is already past
+// (before Now) panics: its place in the order has gone by.
+//
+//mpq:noescape
+func (t *Timer) ResetKey(k Key) {
 	c := t.clock
+	if k.at < c.now {
+		panic(errPastKey)
+	}
 	e := t.ev
 	if e == nil {
-		t.ev = c.schedule(at, t.fireFn)
+		t.ev = c.alloc(k, t.fireFn)
+		c.heapPush(t.ev)
 		return
 	}
-	e.at = max(at, c.now)
-	e.seq = c.seq
-	c.seq++
+	e.Key = k
 	c.heapFix(e.idx)
 }
+
+// errPastKey is ResetKey's panic value, made once: ResetKey must not allocate.
+var errPastKey = errors.New("sim: ResetKey with a deadline before Now")
 
 // ResetAfter (re)arms the timer to fire d from now.
 func (t *Timer) ResetAfter(d time.Duration) { t.Reset(t.clock.Now().Add(d)) }
@@ -396,6 +422,7 @@ func (t *Timer) Stop() bool {
 }
 
 // Armed reports whether the timer currently has a pending deadline.
+// netem's links read it to tell which of their two timers is idle.
 func (t *Timer) Armed() bool { return t.ev != nil }
 
 // Deadline reports the pending deadline, or Never when unarmed.
