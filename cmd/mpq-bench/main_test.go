@@ -102,18 +102,41 @@ func TestTraceEventsAndSide(t *testing.T) {
 	}
 }
 
+// TestMisuseExitsTwo: misuse, including every value a run cannot take,
+// exits 2 before anything runs or panics, with a message on stderr
+// only that names what was wrong.
 func TestMisuseExitsTwo(t *testing.T) {
-	for _, args := range [][]string{
-		{"frobnicate"},
-		{"run", "-no-such-flag"},
-		{"run", "-proto", "sctp"},
-		{"trace", "-side", "both"},
-		{"handover", "-mode", "melt"},
-		{"-no-such-flag"},
-		{"-exp", "fig99"},
+	for _, c := range []struct {
+		args  []string
+		names string
+	}{
+		{[]string{"frobnicate"}, "frobnicate"},
+		{[]string{"run", "-no-such-flag"}, "-no-such-flag"},
+		{[]string{"run", "-proto", "sctp"}, "-proto"},
+		{[]string{"trace", "-side", "both"}, "-side"},
+		{[]string{"handover", "-mode", "melt"}, "-mode"},
+		{[]string{"-no-such-flag"}, "-no-such-flag"},
+		{[]string{"-exp", "fig99"}, "fig99"},
+		{[]string{"run", "-start", "2"}, "-start"},
+		{[]string{"run", "-size", "-1"}, "-size"},
+		{[]string{"run", "-size", "0"}, "-size"},
+		{[]string{"run", "-cap0", "0"}, "-cap0"},
+		{[]string{"run", "-cap1", "NaN"}, "-cap1"},
+		{[]string{"run", "-rtt0", "-5ms"}, "-rtt0"},
+		{[]string{"run", "-queue1", "-1ms"}, "-queue1"},
+		{[]string{"run", "-loss0", "1.5"}, "-loss0"},
+		{[]string{"run", "-loss1", "-0.1"}, "-loss1"},
+		{[]string{"trace", "-cap1", "-3"}, "-cap1"},
+		{[]string{"trace", "-start", "-1"}, "-start"},
+		{[]string{"trace", "-flap-period", "1s", "-flap-outage", "2s"}, "-flap-outage"},
+		{[]string{"handover", "-cap", "0"}, "-cap"},
+		{[]string{"handover", "-rtt1", "-1ms"}, "-rtt1"},
+		{[]string{"handover", "-mode", "oscillate", "-depth", "1.5"}, "-depth"},
+		{[]string{"handover", "-depth", "0"}, "-depth"},
+		{[]string{"handover", "-mode", "flap", "-period", "0s"}, "-outage"},
 	} {
-		if out, stderr, exit := invoke(args...); exit != 2 || out != "" || stderr == "" {
-			t.Errorf("%v: exit %d, stdout %q, stderr %q; want 2 with a message on stderr only", args, exit, out, stderr)
+		if out, stderr, exit := invoke(c.args...); exit != 2 || out != "" || !strings.Contains(stderr, c.names) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want 2 with a message naming %s on stderr only", c.args, exit, out, stderr, c.names)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"cmp"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -8,6 +10,7 @@ import (
 	"time"
 
 	"mpquic/internal/expdesign"
+	"mpquic/internal/netem"
 	"mpquic/internal/trace"
 )
 
@@ -44,6 +47,42 @@ func transferFlags(fs *flag.FlagSet) *transfer {
 
 func (t *transfer) size() uint64 { return uint64(t.sizeMB * (1 << 20)) }
 
+// err names the first flag of t out of range, or is nil.
+func (t *transfer) err() error {
+	switch {
+	case t.start != 0 && t.start != 1:
+		return fmt.Errorf("-start %d: want 0 or 1", t.start)
+	case !(t.sizeMB > 0):
+		return fmt.Errorf("-size %v: want > 0", t.sizeMB)
+	}
+	for i, p := range t.sc.Paths {
+		n := fmt.Sprint(i)
+		if err := pathErr(p, map[string]string{"CapacityMbps": "-cap" + n, "RTT": "-rtt" + n, "QueueDelay": "-queue" + n, "LossRate": "-loss" + n}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// pathErr is spec's Table 1 range violation under the name of the flag
+// that set the factor (flags maps PathSpec fields to flag names), or nil.
+func pathErr(spec netem.PathSpec, flags map[string]string) error {
+	var fe *netem.FactorError
+	if errors.As(spec.Validate(), &fe) {
+		return fmt.Errorf("%s: %w", flags[fe.Factor], fe)
+	}
+	return nil
+}
+
+// flapErr rejects a flapping link (flap set) whose outage is not
+// shorter than its period.
+func flapErr(flap bool, outage, period time.Duration, outageFlag, periodFlag string) error {
+	if flap && outage >= period {
+		return fmt.Errorf("%s %v: want shorter than %s %v", outageFlag, outage, periodFlag, period)
+	}
+	return nil
+}
+
 // report prints the transfer report on w and returns the exit status:
 // 1, with the received byte count, when the transfer did not complete.
 func (t *transfer) report(w io.Writer, res expdesign.RunResult) int {
@@ -59,10 +98,14 @@ func (t *transfer) report(w io.Writer, res expdesign.RunResult) int {
 }
 
 // runCmd runs one download scenario and prints a transfer report.
-func runCmd(fs *flag.FlagSet, stdout, _ io.Writer) func() int {
+func runCmd(fs *flag.FlagSet, stdout, stderr io.Writer) func() int {
 	t := transferFlags(fs)
 	reps := fs.Int("reps", 1, "repetitions (median reported)")
 	return func() int {
+		if err := t.err(); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
+		}
 		return t.report(stdout, expdesign.RunMedian(t.sc, t.proto, t.size(), t.start, *reps, t.seed, expdesign.RunOpts{}))
 	}
 }
@@ -85,6 +128,10 @@ func traceCmd(fs *flag.FlagSet, stdout, stderr io.Writer) func() int {
 	return func() int {
 		if *side != "client" && *side != "server" {
 			fmt.Fprintf(stderr, "unknown -side %q (want client or server)\n", *side)
+			return 2
+		}
+		if err := cmp.Or(t.err(), flapErr(*flapP > 0, *flapO, *flapP, "-flap-outage", "-flap-period")); err != nil {
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 		var tracer trace.Tracer = trace.NewText(stdout)
@@ -132,6 +179,18 @@ func handoverCmd(fs *flag.FlagSet, stdout, stderr io.Writer) func() int {
 		kinds := map[string]string{"kill": expdesign.DynKill, "flap": expdesign.DynFlaky, "oscillate": expdesign.DynOscillate}
 		if hc.Failure.Kind = kinds[*mode]; hc.Failure.Kind == "" {
 			fmt.Fprintf(stderr, "unknown -mode %q (want kill, flap or oscillate)\n", *mode)
+			return 2
+		}
+		var depthErr error
+		if !(hc.Failure.Depth > 0 && hc.Failure.Depth < 1) {
+			depthErr = fmt.Errorf("-depth %v: want in (0, 1)", hc.Failure.Depth)
+		}
+		err := cmp.Or(depthErr,
+			flapErr(*mode == "flap", hc.Failure.Outage, hc.Failure.Period, "-outage", "-period"),
+			pathErr(netem.PathSpec{CapacityMbps: hc.CapacityMbps, RTT: hc.InitialRTT}, map[string]string{"CapacityMbps": "-cap", "RTT": "-rtt0"}),
+			pathErr(netem.PathSpec{CapacityMbps: hc.CapacityMbps, RTT: hc.SecondRTT}, map[string]string{"CapacityMbps": "-cap", "RTT": "-rtt1"}))
+		if err != nil {
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 		hc.PathsFrameOnFailure = !*noPaths

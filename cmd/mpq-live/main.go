@@ -73,7 +73,11 @@ func main() {
 		mpquic.WithRebind(*rebindMax, *rebindBackoff),
 	}
 	if *chaos != "" {
-		opt, err := chaosOption(*chaos)
+		paths := splitAddrs(*listen)
+		if !*server {
+			paths = splitAddrs(*connect)
+		}
+		opt, err := chaosOption(*chaos, len(paths))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mpq-live: -chaos:", err)
 			os.Exit(2)
@@ -137,14 +141,21 @@ func run(opts []mpquic.LiveOption) (err error) {
 }
 
 // chaosOption compiles a -chaos spec into a driver option: a seeded
-// fault injector wrapped around every socket the driver binds. Scripted
-// events fire against a wall-anchored stopwatch started here — the
-// CLI reaches wall time through internal/perf, the audited package,
-// so the walltime analyzer holds for cmd/ (see internal/analysis).
-func chaosOption(spec string) (mpquic.LiveOption, error) {
+// fault injector wrapped around every socket the driver binds, one per
+// path of paths. An event on any other path could never fire, so it is
+// an error. Scripted events fire against a wall-anchored stopwatch
+// started here — the CLI reaches wall time through internal/perf, the
+// audited package, so the walltime analyzer holds for cmd/ (see
+// internal/analysis).
+func chaosOption(spec string, paths int) (mpquic.LiveOption, error) {
 	seed, rates, script, err := faultnet.Parse(spec)
 	if err != nil {
 		return nil, err
+	}
+	for _, ev := range script.Events {
+		if ev.Path >= paths {
+			return nil, fmt.Errorf("%v@%v on path %d, but %d path(s) are bound", ev.Op, ev.At, ev.Path, paths)
+		}
 	}
 	opts := []faultnet.Option{faultnet.WithRates(rates)}
 	if len(script.Events) > 0 {

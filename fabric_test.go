@@ -61,19 +61,19 @@ func fabricBackends() map[string]func(t *testing.T) *fabricEnv {
 		},
 		"live": func(t *testing.T) *fabricEnv {
 			addrs := []string{"127.0.0.1:0", "127.0.0.1:0"}
-			srv, err := mpquic.NewLive(addrs...)
+			srv, err := mpquic.NewLiveWith(addrs)
 			if err != nil {
 				t.Skipf("live UDP unavailable: %v", err)
 			}
 			t.Cleanup(func() { srv.Close() })
-			cli, err := mpquic.NewLive(addrs...)
+			cli, err := mpquic.NewLiveWith(addrs)
 			if err != nil {
 				t.Skipf("live UDP unavailable: %v", err)
 			}
 			t.Cleanup(func() { cli.Close() })
 			// A bound-but-unserved network: its sockets accept
 			// packets that no protocol endpoint ever answers.
-			silent, err := mpquic.NewLive(addrs...)
+			silent, err := mpquic.NewLiveWith(addrs)
 			if err != nil {
 				t.Skipf("live UDP unavailable: %v", err)
 			}

@@ -184,15 +184,6 @@ func (c *Conn) trace(ev trace.Event) {
 	c.cfg.Tracer.Trace(ev)
 }
 
-// ConnID returns the connection ID.
-func (c *Conn) ConnID() wire.ConnectionID { return c.connID }
-
-// Role returns the endpoint role.
-func (c *Conn) Role() Role { return c.role }
-
-// HandshakeComplete reports whether keys are established.
-func (c *Conn) HandshakeComplete() bool { return c.handshakeComplete }
-
 // Closed reports whether the connection terminated.
 func (c *Conn) Closed() bool { return c.closed }
 

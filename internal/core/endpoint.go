@@ -176,10 +176,6 @@ func (l *Listener) forget(c *Conn) {
 	l.corruptDrops += c.corruptDrops
 }
 
-// StrayDrops reports how many well-formed non-handshake packets the
-// listener dropped because their Connection ID was unknown.
-func (l *Listener) StrayDrops() uint64 { return l.strayDrops }
-
 // CorruptDrops sums the undecodable-ingress drops across the listener
 // itself and every connection it accepted, open or since closed.
 func (l *Listener) CorruptDrops() uint64 {

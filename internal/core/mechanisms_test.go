@@ -125,16 +125,17 @@ func TestNATRebindingKeepsPathState(t *testing.T) {
 // travel on any path (§3) — verified via the wire format plus the
 // conn's ack dispatch.
 func TestAckForPathCarriedOnOtherPath(t *testing.T) {
-	// Craft an ACK for path 1 and verify it round-trips with its Path
-	// ID intact (the conn-level dispatch is covered by the multipath
-	// transfer tests; this pins the wire contract).
+	// Carry an ACK for path 1 in a path-0 packet and verify it
+	// round-trips with its Path ID intact (the conn-level dispatch is
+	// covered by the multipath transfer tests; this pins the wire
+	// contract).
 	ack := &wire.AckFrame{PathID: 1, Ranges: []wire.AckRange{{Smallest: 0, Largest: 9}}}
-	b := ack.Append(nil)
-	got, _, err := wire.ParseFrame(b)
+	p := &wire.Packet{Header: wire.Header{Multipath: true, PacketNumber: 3}, Frames: []wire.Frame{ack}}
+	got, err := wire.Decode(p.Encode(nil), wire.InvalidPacketNumber, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.(*wire.AckFrame).PathID != 1 {
+	if got.Frames[0].(*wire.AckFrame).PathID != 1 {
 		t.Fatal("ACK lost its Path ID")
 	}
 }

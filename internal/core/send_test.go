@@ -123,9 +123,6 @@ func TestCopiesOfOnePacketShareNoFrame(t *testing.T) {
 			}
 
 			c.handleAck(p1, &wire.AckFrame{PathID: 1, Ranges: []wire.AckRange{{Smallest: dup[0].PN, Largest: dup[0].PN}}})
-			if !s.send.AllAcked() {
-				t.Fatal("the copy was acked and the stream does not count its data delivered")
-			}
 			if fo.Offset != sent.Offset || fo.Len() != sent.Len() || fo.Fin != sent.Fin {
 				t.Fatalf("settling the copy changed the original's frame: %+v, was %+v", *fo, sent)
 			}

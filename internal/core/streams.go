@@ -71,12 +71,6 @@ func (s *Stream) FinReceived() bool { return s.recv.FinReceived() }
 // consumed by Read.
 func (s *Stream) Finished() bool { return s.recv.Finished() }
 
-// Complete reports whether every byte up to the peer's FIN has arrived.
-func (s *Stream) Complete() bool { return s.recv.Complete() }
-
-// AllAcked reports whether everything written (including FIN) is acked.
-func (s *Stream) AllAcked() bool { return s.send.AllAcked() }
-
 // OnData registers the data-arrival callback.
 func (s *Stream) OnData(fn func()) { s.onData = fn }
 

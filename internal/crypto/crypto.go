@@ -119,11 +119,3 @@ func (s *Sealer) OpenTo(dst []byte, path wire.PathID, pn wire.PacketNumber, head
 	}
 	return pt, nil
 }
-
-// NonceFor exposes the nonce computation for tests proving the
-// cross-path uniqueness property.
-func (s *Sealer) NonceFor(path wire.PathID, pn wire.PacketNumber) []byte {
-	s.setNonce(path, pn)
-	n := s.nonce
-	return n[:]
-}

@@ -37,7 +37,7 @@ func handshakeSealers(t *testing.T) (*Sealer, *Sealer) {
 func TestHandshakeDerivesSharedSecret(t *testing.T) {
 	c := NewClientHandshake(10)
 	s := NewServerHandshake(20)
-	if c.Done() || s.Done() {
+	if c.done || s.done {
 		t.Fatal("done before exchange")
 	}
 	shlo, err := s.OnCHLO(c.CHLO())
@@ -47,7 +47,7 @@ func TestHandshakeDerivesSharedSecret(t *testing.T) {
 	if err := c.OnSHLO(shlo); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Done() || !s.Done() {
+	if !c.done || !s.done {
 		t.Fatal("not done after exchange")
 	}
 	if !bytes.Equal(c.Secret(), s.Secret()) {
@@ -129,12 +129,19 @@ func TestOpenRejectsTampering(t *testing.T) {
 	}
 }
 
+// nonceFor returns a copy of the nonce s seals (path, pn) under.
+func nonceFor(s *Sealer, path wire.PathID, pn wire.PacketNumber) []byte {
+	s.setNonce(path, pn)
+	n := s.nonce
+	return n[:]
+}
+
 func TestMultipathNonceUniqueAcrossPaths(t *testing.T) {
 	seal, _ := handshakeSealers(t)
 	// Same PN on different paths must give different nonces (the §3
 	// security requirement).
-	n0 := seal.NonceFor(0, 1000)
-	n1 := seal.NonceFor(1, 1000)
+	n0 := nonceFor(seal, 0, 1000)
+	n1 := nonceFor(seal, 1, 1000)
 	if bytes.Equal(n0, n1) {
 		t.Fatal("nonce reused across paths")
 	}
@@ -148,7 +155,7 @@ func TestSinglepathNonceCollidesAcrossPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(s.NonceFor(0, 1000), s.NonceFor(3, 1000)) {
+	if !bytes.Equal(nonceFor(s, 0, 1000), nonceFor(s, 3, 1000)) {
 		t.Fatal("expected collision without multipath nonce")
 	}
 }
@@ -159,8 +166,8 @@ func TestNonceUniquenessProperty(t *testing.T) {
 		if p1 == p2 && pn1 == pn2 {
 			return true
 		}
-		n1 := seal.NonceFor(wire.PathID(p1), wire.PacketNumber(pn1))
-		n2 := seal.NonceFor(wire.PathID(p2), wire.PacketNumber(pn2))
+		n1 := nonceFor(seal, wire.PathID(p1), wire.PacketNumber(pn1))
+		n2 := nonceFor(seal, wire.PathID(p2), wire.PacketNumber(pn2))
 		return !bytes.Equal(n1, n2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {

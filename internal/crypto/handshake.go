@@ -60,9 +60,6 @@ func (c *ClientHandshake) OnSHLO(payload []byte) error {
 	return nil
 }
 
-// Done reports handshake completion.
-func (c *ClientHandshake) Done() bool { return c.done }
-
 // Secret returns the shared secret (panics before completion).
 func (c *ClientHandshake) Secret() []byte {
 	if !c.done {
@@ -98,9 +95,6 @@ func (s *ServerHandshake) OnCHLO(payload []byte) ([]byte, error) {
 	copy(out, s.share[:])
 	return out, nil
 }
-
-// Done reports handshake completion.
-func (s *ServerHandshake) Done() bool { return s.done }
 
 // Secret returns the shared secret (panics before completion).
 func (s *ServerHandshake) Secret() []byte {

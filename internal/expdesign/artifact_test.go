@@ -248,7 +248,7 @@ func TestRunMetricsPopulated(t *testing.T) {
 // derivation scheme documented at runSeed never assigns two runs the
 // same PRNG stream.
 func TestRunSeedsCollisionFree(t *testing.T) {
-	all := append(append([]Class(nil), Classes...), DynamicClasses...)
+	all := append(append([]Class(nil), classes...), dynamicClasses...)
 	seen := make(map[uint64]string, len(all)*PaperScenarioCount*4*2*Repetitions)
 	for _, class := range all {
 		for id := 0; id < PaperScenarioCount; id++ {

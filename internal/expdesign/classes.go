@@ -66,9 +66,6 @@ var (
 	HighBDPLosses = Class{Name: "high-BDP-losses", Ranges: HighBDPRanges, Losses: true, Seed: 104}
 )
 
-// Classes lists all four in paper order.
-var Classes = []Class{LowBDPNoLoss, LowBDPLosses, HighBDPNoLoss, HighBDPLosses}
-
 // Dynamics kinds. Each names a family of time-varying behaviour whose
 // per-scenario parameters are extra WSP-designed factors.
 const (
@@ -95,9 +92,6 @@ var (
 	OscillatingGrid = Class{Name: "oscillating-bw", Ranges: LowBDPRanges, Losses: false, Seed: 106, Dynamics: DynOscillate}
 	FlakyPathGrid   = Class{Name: "flaky-path", Ranges: LowBDPRanges, Losses: false, Seed: 107, Dynamics: DynFlaky}
 )
-
-// DynamicClasses lists the dynamic grids.
-var DynamicClasses = []Class{BurstyLossGrid, OscillatingGrid, FlakyPathGrid}
 
 // PaperScenarioCount is the per-class scenario count of §4.1.
 const PaperScenarioCount = 253

@@ -14,7 +14,7 @@ import (
 
 func TestDynamicClassScenarioGeneration(t *testing.T) {
 	const n = 16
-	for _, c := range DynamicClasses {
+	for _, c := range dynamicClasses {
 		scs := GenerateScenarios(c, n)
 		if len(scs) != n {
 			t.Fatalf("%s: %d scenarios, want %d", c.Name, len(scs), n)
@@ -64,7 +64,7 @@ func TestDynamicClassScenarioGeneration(t *testing.T) {
 		}
 	}
 	// Static classes must stay static (and their artifacts unchanged).
-	for _, c := range Classes {
+	for _, c := range classes {
 		for _, sc := range GenerateScenarios(c, 4) {
 			if sc.Dynamics != nil {
 				t.Fatalf("%s#%d: static class grew dynamics", c.Name, sc.ID)
@@ -195,7 +195,7 @@ func TestBurstinessChangesTransferTimes(t *testing.T) {
 // artifacts rely on: same scenario + seed -> identical result for every
 // dynamics kind, different seed -> a different packet-level outcome.
 func TestDynamicRunsDeterministic(t *testing.T) {
-	for _, c := range DynamicClasses {
+	for _, c := range dynamicClasses {
 		sc := GenerateScenarios(c, 2)[1]
 		for start := 0; start < 2; start++ {
 			a := Run(sc, ProtoMPQUIC, 128<<10, start, 42)

@@ -8,8 +8,15 @@ import (
 	"mpquic/internal/netem"
 )
 
+// classes lists the paper's four grids in paper order; dynamicClasses
+// the scripted-dynamics grids.
+var (
+	classes        = []Class{LowBDPNoLoss, LowBDPLosses, HighBDPNoLoss, HighBDPLosses}
+	dynamicClasses = []Class{BurstyLossGrid, OscillatingGrid, FlakyPathGrid}
+)
+
 func TestGenerateScenariosRespectsRanges(t *testing.T) {
-	for _, c := range Classes {
+	for _, c := range classes {
 		scs := GenerateScenarios(c, 40)
 		if len(scs) != 40 {
 			t.Fatalf("%s: %d scenarios", c.Name, len(scs))

@@ -109,7 +109,7 @@ func TestFlightDumpOnTimeout(t *testing.T) {
 	var dumps []dump
 	opts := RunOpts{
 		FlightDump: func(rep int, anomaly string, rec *trace.FlightRecorder) {
-			dumps = append(dumps, dump{rep, anomaly, rec.Seen(), rec.Len()})
+			dumps = append(dumps, dump{rep, anomaly, rec.Dropped() + uint64(rec.Len()), rec.Len()})
 		},
 	}
 	res := RunMedian(sc, ProtoQUIC, 64<<10, 0, 2, 3, opts)

@@ -171,7 +171,7 @@ func tcpGet[C tcpConn](lis interface {
 	Conns() []C
 }, client C, size uint64, now func() time.Duration, finish func(time.Duration)) (func() uint64, func() RunMetrics, func(*trace.SeriesRecorder)) {
 	tcpsim.ServeGet(lis, size)
-	tcpsim.GetOverTCP(client, size, now, func(r tcpsim.GetResult) { finish(r.Elapsed()) })
+	tcpsim.GetOverTCP(client, size, now, func(r apps.GetResult) { finish(r.Elapsed()) })
 	collect := func() RunMetrics {
 		var server []*tcpsim.Flow
 		if conns := lis.Conns(); len(conns) > 0 {

@@ -221,7 +221,10 @@ func TestWriteCorruptRestoresCallerBuffer(t *testing.T) {
 func TestScriptedKillClosesAndSticks(t *testing.T) {
 	var now atomic.Int64
 	clock := func() time.Duration { return time.Duration(now.Load()) }
-	in := New(1, WithClock(clock), WithScript(KillAt(0, 100*time.Millisecond).And(RestoreAt(0, 200*time.Millisecond))))
+	in := New(1, WithClock(clock), WithScript(Script{Events: []Event{
+		{At: 100 * time.Millisecond, Path: 0, Op: OpKill},
+		{At: 200 * time.Millisecond, Path: 0, Op: OpRestore},
+	}}))
 	fake := newFakeConn(manyPayloads(4)...)
 	c := in.Wrap(0, fake)
 
@@ -365,6 +368,8 @@ func TestParse(t *testing.T) {
 	for _, bad := range []string{
 		"bogus",
 		"drop=1.5",
+		"drop=NaN",
+		"dup=-0.1",
 		"drop=x",
 		"frob=0.1",
 		"kill@300ms",
@@ -381,10 +386,11 @@ func TestParse(t *testing.T) {
 }
 
 func TestEventsForSortsAndFilters(t *testing.T) {
-	s := Script{}.
-		Then(300*time.Millisecond, 0, OpRestore).
-		Then(100*time.Millisecond, 0, OpKill).
-		Then(200*time.Millisecond, 1, OpKill)
+	s := Script{Events: []Event{
+		{At: 300 * time.Millisecond, Path: 0, Op: OpRestore},
+		{At: 100 * time.Millisecond, Path: 0, Op: OpKill},
+		{At: 200 * time.Millisecond, Path: 1, Op: OpKill},
+	}}
 	got := s.eventsFor(0)
 	if len(got) != 2 || got[0].Op != OpKill || got[1].Op != OpRestore {
 		t.Fatalf("eventsFor(0) = %+v", got)

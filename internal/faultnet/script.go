@@ -59,18 +59,6 @@ type Script struct {
 	Events []Event
 }
 
-// Then appends an event and returns the extended script (builder
-// style; the receiver is not mutated).
-func (s Script) Then(at time.Duration, path int, op Op) Script {
-	out := Script{Events: append(append([]Event(nil), s.Events...), Event{At: at, Path: path, Op: op})}
-	return out
-}
-
-// And merges another script's events (builder style).
-func (s Script) And(other Script) Script {
-	return Script{Events: append(append([]Event(nil), s.Events...), other.Events...)}
-}
-
 // KillAt scripts the §4.3 handover fault on the live path: the
 // socket dies permanently at the given offset.
 func KillAt(path int, at time.Duration) Script {
@@ -154,7 +142,7 @@ func Parse(spec string) (seed uint64, rates Rates, script Script, err error) {
 			continue
 		}
 		rate, perr := strconv.ParseFloat(val, 64)
-		if perr != nil || rate < 0 || rate > 1 {
+		if perr != nil || !(rate >= 0 && rate <= 1) {
 			return 0, Rates{}, Script{}, fmt.Errorf("faultnet: bad rate %q (want a probability in [0,1])", clause)
 		}
 		switch key {

@@ -227,7 +227,10 @@ func TestAllSocketsDeadReturnsErrAllPathsDown(t *testing.T) {
 	server := startGetServer(t, 2)
 	inj := faultnet.New(13,
 		faultnet.WithClock(wallClock()),
-		faultnet.WithScript(faultnet.KillAt(0, 40*time.Millisecond).And(faultnet.KillAt(1, 50*time.Millisecond))))
+		faultnet.WithScript(faultnet.Script{Events: []faultnet.Event{
+			{At: 40 * time.Millisecond, Path: 0, Op: faultnet.OpKill},
+			{At: 50 * time.Millisecond, Path: 1, Op: faultnet.OpKill},
+		}}))
 	client := newChaosDriver(t, 2,
 		injectorWrapper(inj),
 		live.WithRebind(1, 10*time.Millisecond))
@@ -275,7 +278,10 @@ func TestKillAndRestoreRebinds(t *testing.T) {
 	server := startGetServer(t, 1)
 	inj := faultnet.New(19,
 		faultnet.WithClock(wallClock()),
-		faultnet.WithScript(faultnet.KillAt(0, 60*time.Millisecond).And(faultnet.RestoreAt(0, 250*time.Millisecond))))
+		faultnet.WithScript(faultnet.Script{Events: []faultnet.Event{
+			{At: 60 * time.Millisecond, Path: 0, Op: faultnet.OpKill},
+			{At: 250 * time.Millisecond, Path: 0, Op: faultnet.OpRestore},
+		}}))
 	var ec eventCollector
 	client := newChaosDriver(t, 1,
 		injectorWrapper(inj),

@@ -185,9 +185,6 @@ func (c *Conn) SubflowByID(id uint8) *Subflow {
 	return nil
 }
 
-// Subflows returns all subflows.
-func (c *Conn) Subflows() []*Subflow { return c.subflows }
-
 // Established reports whether the secure handshake completed: that of
 // the first subflow, which carries TLS.
 func (c *Conn) Established() bool { return c.subflows[0].Established() }

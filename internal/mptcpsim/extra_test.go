@@ -14,9 +14,9 @@ import (
 func TestMPTCPCoarseRTTGranularity(t *testing.T) {
 	h := newMPHarness(t, DefaultConfig(), symSpecs(10, 33*time.Millisecond))
 	tcpsim.ServeGet(h.lis, 1<<20)
-	tcpsim.GetOverTCP(h.client, 1<<20, func() time.Duration { return h.clock.Now().Duration() }, nil)
+	get(h.client, h.clock, 1<<20)
 	h.run(t, 60*time.Second)
-	for _, sf := range h.lis.Conns()[0].Subflows() {
+	for _, sf := range h.lis.Conns()[0].subflows {
 		if sf.RTT().SmoothedRTT() == 0 {
 			t.Fatalf("subflow %d has no RTT", sf.ID)
 		}
@@ -65,11 +65,9 @@ func TestMPTCPSegmentsCarryDSS(t *testing.T) {
 		}
 	})
 	tcpsim.ServeGet(lis, size)
-	var res *tcpsim.GetResult
-	tcpsim.GetOverTCP(client, size, func() time.Duration { return clock.Now().Duration() },
-		func(r tcpsim.GetResult) { res = &r })
+	res := get(client, clock, size)
 	clock.RunUntil(sim.Time(30 * time.Second))
-	if res == nil {
+	if res.Size == 0 {
 		t.Fatal("transfer failed")
 	}
 	if dataSegs == 0 {
@@ -90,11 +88,9 @@ func TestMPTCPDataLevelReorderingAcrossSubflows(t *testing.T) {
 	}
 	h := newMPHarness(t, DefaultConfig(), specs)
 	tcpsim.ServeGet(h.lis, 2<<20)
-	var res *tcpsim.GetResult
-	tcpsim.GetOverTCP(h.client, 2<<20, func() time.Duration { return h.clock.Now().Duration() },
-		func(r tcpsim.GetResult) { res = &r })
+	res := get(h.client, h.clock, 2<<20)
 	h.run(t, 120*time.Second)
-	if res == nil {
+	if res.Size == 0 {
 		t.Fatal("transfer failed")
 	}
 	if h.client.BytesReceived() != 2<<20 {
@@ -102,7 +98,7 @@ func TestMPTCPDataLevelReorderingAcrossSubflows(t *testing.T) {
 	}
 	// Both subflows must have carried data for reordering to matter.
 	srv := h.lis.Conns()[0]
-	for _, sf := range srv.Subflows() {
+	for _, sf := range srv.subflows {
 		if sf.DataBytesSent == 0 {
 			t.Fatalf("subflow %d carried nothing", sf.ID)
 		}
@@ -128,11 +124,9 @@ func TestMPTCPSACKBlocksBounded(t *testing.T) {
 		}
 	})
 	tcpsim.ServeGet(lis, 1<<20)
-	var res *tcpsim.GetResult
-	tcpsim.GetOverTCP(client, 1<<20, func() time.Duration { return clock.Now().Duration() },
-		func(r tcpsim.GetResult) { res = &r })
+	res := get(client, clock, 1<<20)
 	clock.RunUntil(sim.Time(300 * time.Second))
-	if res == nil {
+	if res.Size == 0 {
 		t.Fatal("transfer failed under loss")
 	}
 	if dataSegs == 0 || sackBlocks == 0 {
@@ -197,14 +191,10 @@ func TestMPTCPTokenDemux(t *testing.T) {
 	}
 	c1 := DialMPTCP(tp.Net, DefaultConfig(), 0x01, tp.ClientAddrs[:], tp.ServerAddrs[:])
 	c2 := DialMPTCP(tp.Net, DefaultConfig(), 0x02, extraLocal[:], tp.ServerAddrs[:])
-	done := 0
-	for _, c := range []*Conn{c1, c2} {
-		tcpsim.GetOverTCP(c, 64<<10, func() time.Duration { return clock.Now().Duration() },
-			func(tcpsim.GetResult) { done++ })
-	}
+	r1, r2 := get(c1, clock, 64<<10), get(c2, clock, 64<<10)
 	clock.RunUntil(sim.Time(30 * time.Second))
-	if done != 2 {
-		t.Fatalf("%d/2 clients finished", done)
+	if r1.Size == 0 || r2.Size == 0 {
+		t.Fatalf("clients finished: %v, %v; want both", r1.Size != 0, r2.Size != 0)
 	}
 	if len(lis.Conns()) != 2 {
 		t.Fatalf("listener demuxed %d connections", len(lis.Conns()))
@@ -217,14 +207,12 @@ func TestMPTCPTokenDemux(t *testing.T) {
 func TestMPTCPSubflowAccountingSettles(t *testing.T) {
 	h := newMPHarness(t, DefaultConfig(), symSpecs(10, 20*time.Millisecond))
 	tcpsim.ServeGet(h.lis, 512<<10)
-	var res *tcpsim.GetResult
-	tcpsim.GetOverTCP(h.client, 512<<10, func() time.Duration { return h.clock.Now().Duration() },
-		func(r tcpsim.GetResult) { res = &r })
+	res := get(h.client, h.clock, 512<<10)
 	h.run(t, 30*time.Second)
-	if res == nil {
+	if res.Size == 0 {
 		t.Fatal("transfer failed")
 	}
-	for _, sf := range h.lis.Conns()[0].Subflows() {
+	for _, sf := range h.lis.Conns()[0].subflows {
 		if sf.InFlight() != 0 {
 			t.Fatalf("subflow %d: in-flight accounting leaked: %d", sf.ID, sf.InFlight())
 		}
@@ -252,24 +240,29 @@ func TestMPTCPListenerRefusesUnknownJoin(t *testing.T) {
 	}
 }
 
+// eventLog is a Tracer that keeps every event.
+type eventLog []trace.Event
+
+func (l *eventLog) Trace(ev trace.Event) { *l = append(*l, ev) }
+
 func TestMPTCPPathOpenedNamesAddresses(t *testing.T) {
 	cfg := DefaultConfig()
-	rec := trace.NewFlightRecorder(64)
-	cfg.Tracer = rec
+	var rec eventLog
+	cfg.Tracer = &rec
 	h := newMPHarness(t, cfg, symSpecs(10, 20*time.Millisecond))
 	h.run(t, 2*time.Second)
 	var got []string
-	for _, ev := range rec.Events() {
+	for _, ev := range rec {
 		if ev.Type == trace.PathOpened {
 			got = append(got, ev.Detail)
 		}
 	}
 	// Both ends trace into rec: each opens subflow 0, then subflow 1.
 	var want []string
-	for _, sf := range h.client.Subflows() {
+	for _, sf := range h.client.subflows {
 		want = append(want, string(sf.Local)+"->"+string(sf.Remote))
 	}
-	for _, sf := range h.lis.Conns()[0].Subflows() {
+	for _, sf := range h.lis.Conns()[0].subflows {
 		want = append(want, string(sf.Local)+"->"+string(sf.Remote))
 	}
 	slices.Sort(got)

@@ -4,10 +4,20 @@ import (
 	"testing"
 	"time"
 
+	"mpquic/internal/apps"
 	"mpquic/internal/netem"
 	"mpquic/internal/sim"
 	"mpquic/internal/tcpsim"
 )
+
+// get arms a size-byte GET on c, timed by clock, and returns the
+// result it fills in when the last byte is consumed: Size stays 0
+// until then.
+func get(c tcpsim.GetConn, clock *sim.Clock, size uint64) *apps.GetResult {
+	res := new(apps.GetResult)
+	tcpsim.GetOverTCP(c, size, func() time.Duration { return clock.Now().Duration() }, func(r apps.GetResult) { *res = r })
+	return res
+}
 
 type mpHarness struct {
 	clock  *sim.Clock
@@ -54,8 +64,8 @@ func TestMPTCPEstablishesAndJoins(t *testing.T) {
 		t.Fatalf("established at %v, want ~120ms", estAt)
 	}
 	// The join completes one RTT after establishment.
-	if len(h.client.Subflows()) != 2 {
-		t.Fatalf("%d subflows", len(h.client.Subflows()))
+	if len(h.client.subflows) != 2 {
+		t.Fatalf("%d subflows", len(h.client.subflows))
 	}
 	sf1 := h.client.SubflowByID(1)
 	if !sf1.Established() {
@@ -69,11 +79,9 @@ func TestMPTCPEstablishesAndJoins(t *testing.T) {
 func TestMPTCPTransferCompletes(t *testing.T) {
 	h := newMPHarness(t, DefaultConfig(), symSpecs(10, 30*time.Millisecond))
 	tcpsim.ServeGet(h.lis, 2<<20)
-	var res *tcpsim.GetResult
-	tcpsim.GetOverTCP(h.client, 2<<20, func() time.Duration { return h.clock.Now().Duration() },
-		func(r tcpsim.GetResult) { res = &r })
+	res := get(h.client, h.clock, 2<<20)
 	h.run(t, 120*time.Second)
-	if res == nil {
+	if res.Size == 0 {
 		t.Fatal("download did not finish")
 	}
 	if res.Elapsed() > 10*time.Second {
@@ -86,16 +94,14 @@ func TestMPTCPAggregatesBandwidth(t *testing.T) {
 	// Multipath run.
 	h := newMPHarness(t, DefaultConfig(), symSpecs(10, 30*time.Millisecond))
 	tcpsim.ServeGet(h.lis, size)
-	var mpRes *tcpsim.GetResult
-	tcpsim.GetOverTCP(h.client, size, func() time.Duration { return h.clock.Now().Duration() },
-		func(r tcpsim.GetResult) { mpRes = &r })
+	mpRes := get(h.client, h.clock, size)
 	h.run(t, 120*time.Second)
-	if mpRes == nil {
+	if mpRes.Size == 0 {
 		t.Fatal("mptcp did not finish")
 	}
 	// Both subflows moved real data.
 	srv := h.lis.Conns()[0]
-	for _, sf := range srv.Subflows() {
+	for _, sf := range srv.subflows {
 		if sf.DataBytesSent < uint64(1<<20) {
 			t.Fatalf("subflow %d sent only %d data bytes", sf.ID, sf.DataBytesSent)
 		}
@@ -112,11 +118,9 @@ func TestMPTCPSurvivesRandomLoss(t *testing.T) {
 	specs[1].LossRate = 0.02
 	h := newMPHarness(t, DefaultConfig(), specs)
 	tcpsim.ServeGet(h.lis, 1<<20)
-	var res *tcpsim.GetResult
-	tcpsim.GetOverTCP(h.client, 1<<20, func() time.Duration { return h.clock.Now().Duration() },
-		func(r tcpsim.GetResult) { res = &r })
+	res := get(h.client, h.clock, 1<<20)
 	h.run(t, 300*time.Second)
-	if res == nil {
+	if res.Size == 0 {
 		t.Fatal("did not survive loss")
 	}
 }
@@ -128,18 +132,16 @@ func TestMPTCPHandoverViaPotentiallyFailed(t *testing.T) {
 	}
 	h := newMPHarness(t, DefaultConfig(), specs)
 	tcpsim.ServeGet(h.lis, 8<<20)
-	var res *tcpsim.GetResult
-	tcpsim.GetOverTCP(h.client, 8<<20, func() time.Duration { return h.clock.Now().Duration() },
-		func(r tcpsim.GetResult) { res = &r })
+	res := get(h.client, h.clock, 8<<20)
 	// Kill path 0 mid-transfer.
 	h.clock.At(sim.Time(2*time.Second), func() { h.tp.KillPath(0) })
 	h.run(t, 300*time.Second)
-	if res == nil {
+	if res.Size == 0 {
 		t.Fatal("transfer did not survive path failure")
 	}
 	srv := h.lis.Conns()[0]
 	sf0 := srv.SubflowByID(0)
-	if !sf0.PotentiallyFailed() {
+	if !sf0.potentiallyFailed {
 		t.Fatal("failed subflow not marked PF")
 	}
 	if srv.Stats.Reinjections == 0 {
@@ -157,11 +159,9 @@ func TestMPTCPReceiveWindowSharedAcrossSubflows(t *testing.T) {
 	}
 	h := newMPHarness(t, cfg, specs)
 	tcpsim.ServeGet(h.lis, 2<<20)
-	var res *tcpsim.GetResult
-	tcpsim.GetOverTCP(h.client, 2<<20, func() time.Duration { return h.clock.Now().Duration() },
-		func(r tcpsim.GetResult) { res = &r })
+	res := get(h.client, h.clock, 2<<20)
 	h.run(t, 300*time.Second)
-	if res == nil {
+	if res.Size == 0 {
 		t.Fatal("did not finish")
 	}
 	// Window-limited: ≤ rwnd/RTT = 128KB/200ms ≈ 5.2 Mbps across both.
@@ -180,11 +180,9 @@ func TestMPTCPORPTriggersOnWindowStall(t *testing.T) {
 	}
 	h := newMPHarness(t, cfg, specs)
 	tcpsim.ServeGet(h.lis, 4<<20)
-	var res *tcpsim.GetResult
-	tcpsim.GetOverTCP(h.client, 4<<20, func() time.Duration { return h.clock.Now().Duration() },
-		func(r tcpsim.GetResult) { res = &r })
+	res := get(h.client, h.clock, 4<<20)
 	h.run(t, 600*time.Second)
-	if res == nil {
+	if res.Size == 0 {
 		t.Fatal("did not finish")
 	}
 	srv := h.lis.Conns()[0]
@@ -206,11 +204,9 @@ func TestMPTCPORPAblationDisabled(t *testing.T) {
 	}
 	h := newMPHarness(t, cfg, specs)
 	tcpsim.ServeGet(h.lis, 2<<20)
-	var res *tcpsim.GetResult
-	tcpsim.GetOverTCP(h.client, 2<<20, func() time.Duration { return h.clock.Now().Duration() },
-		func(r tcpsim.GetResult) { res = &r })
+	res := get(h.client, h.clock, 2<<20)
 	h.run(t, 900*time.Second)
-	if res == nil {
+	if res.Size == 0 {
 		t.Fatal("did not finish without ORP")
 	}
 	if h.lis.Conns()[0].Stats.Penalizations != 0 {
@@ -224,14 +220,12 @@ func TestMPTCPSingleSubflowDegeneratesToTCP(t *testing.T) {
 	lis := ListenMPTCP(tp.Net, DefaultConfig(), tp.ServerAddrs[:1])
 	client := DialMPTCP(tp.Net, DefaultConfig(), 0x77, tp.ClientAddrs[:1], tp.ServerAddrs[:1])
 	tcpsim.ServeGet(lis, 1<<20)
-	var res *tcpsim.GetResult
-	tcpsim.GetOverTCP(client, 1<<20, func() time.Duration { return clock.Now().Duration() },
-		func(r tcpsim.GetResult) { res = &r })
+	res := get(client, clock, 1<<20)
 	clock.RunUntil(sim.Time(60 * time.Second))
-	if res == nil {
+	if res.Size == 0 {
 		t.Fatal("single-subflow transfer failed")
 	}
-	if len(client.Subflows()) != 1 {
-		t.Fatalf("%d subflows", len(client.Subflows()))
+	if len(client.subflows) != 1 {
+		t.Fatalf("%d subflows", len(client.subflows))
 	}
 }

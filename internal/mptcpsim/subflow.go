@@ -61,9 +61,6 @@ type Subflow struct {
 	DataBytesSent uint64
 }
 
-// PotentiallyFailed reports the PF state.
-func (sf *Subflow) PotentiallyFailed() bool { return sf.potentiallyFailed }
-
 // cwndAvailable reports whether a full segment fits the window.
 func (sf *Subflow) cwndAvailable() bool { return sf.HasWindow(fullSegment) }
 

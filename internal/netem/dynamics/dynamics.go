@@ -10,9 +10,9 @@
 // flaky-link outages) are expressed compactly with Repeat, and the
 // generator functions below build the common shapes.
 //
-// The package also provides pluggable loss processes for
-// netem.Link.SetLossModel: the memoryless Bernoulli model and a
-// two-state Gilbert–Elliott bursty-loss model (see loss.go).
+// The package also provides a pluggable loss process for
+// netem.Link.SetLossModel: the two-state Gilbert–Elliott bursty-loss
+// model (see loss.go). The memoryless one is the link's own LossRate.
 package dynamics
 
 import (

@@ -10,16 +10,32 @@ import (
 )
 
 // testTarget is a one-path Target over a single real link, so change
-// application (SetRate, SetDown) is exercised end to end.
+// application (SetRate, SetDown) is exercised end to end. state follows
+// the link's link_down / link_up events.
 type testTarget struct {
-	link *netem.Link
+	link  *netem.Link
+	state *linkState
 }
 
 func (t testTarget) PathLinks(int) []*netem.Link { return []*netem.Link{t.link} }
 
 func newTestTarget(clock *sim.Clock) testTarget {
 	cfg := netem.LinkConfig{RateMbps: 10, Delay: 10 * time.Millisecond, QueueDelay: 100 * time.Millisecond}
-	return testTarget{link: netem.NewLink(clock, sim.NewRand(1), "t", cfg, func(netem.Datagram) {})}
+	tg := testTarget{link: netem.NewLink(clock, sim.NewRand(1), "t", cfg, func(netem.Datagram) {}), state: new(linkState)}
+	tg.link.SetTracer(tg.state)
+	return tg
+}
+
+// linkState is a Tracer that tracks whether a link is down.
+type linkState struct{ down bool }
+
+func (s *linkState) Trace(ev trace.Event) {
+	switch ev.Type {
+	case trace.LinkDown:
+		s.down = true
+	case trace.LinkUp:
+		s.down = false
+	}
 }
 
 // sample records fn() at virtual time at.
@@ -43,7 +59,7 @@ func TestScriptAppliesEventsInTimestampOrder(t *testing.T) {
 		sample(clock, at, func() { rates = append(rates, tg.link.Config().RateMbps) })
 	}
 	var downAfter bool
-	sample(clock, 3500*time.Millisecond, func() { downAfter = tg.link.Down() })
+	sample(clock, 3500*time.Millisecond, func() { downAfter = tg.state.down })
 	if err := clock.RunUntil(sim.Time(4 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +88,7 @@ func TestScriptRepeatAndUntilHorizon(t *testing.T) {
 	// Each Rate(10) leaves the config unchanged but still emits a
 	// link_reconfigured event — count those to count applications.
 	ctr := trace.NewCounter()
-	tg.link.SetTracer(ctr)
+	tg.link.SetTracer(trace.Multi{ctr, tg.state})
 	probe.Apply(clock, tg)
 	// The script never ends; the RunUntil horizon bounds it.
 	if err := clock.RunUntil(sim.Time(950 * time.Millisecond)); err != nil {
@@ -93,7 +109,7 @@ func TestFlapGeneratorDownUpCycle(t *testing.T) {
 	clock := sim.NewClock()
 	tg := newTestTarget(clock)
 	ctr := trace.NewCounter()
-	tg.link.SetTracer(ctr)
+	tg.link.SetTracer(trace.Multi{ctr, tg.state})
 	Flap(0, 500*time.Millisecond, 200*time.Millisecond, 1*time.Second).Apply(clock, tg)
 
 	type probe struct {
@@ -109,7 +125,7 @@ func TestFlapGeneratorDownUpCycle(t *testing.T) {
 		1900 * time.Millisecond, // recovered again
 	} {
 		at := at
-		sample(clock, at, func() { got = append(got, probe{at, tg.link.Down()}) })
+		sample(clock, at, func() { got = append(got, probe{at, tg.state.down}) })
 	}
 	// Bound the unbounded repeat by stopping the clock.
 	sample(clock, 2*time.Second, clock.Stop)
@@ -189,14 +205,14 @@ func TestKillAt(t *testing.T) {
 	KillAt(0, 2*time.Second).Apply(clock, tg)
 
 	var downAt1500 bool
-	sample(clock, 1500*time.Millisecond, func() { downAt1500 = tg.link.Down() })
+	sample(clock, 1500*time.Millisecond, func() { downAt1500 = tg.state.down })
 	if err := clock.RunUntil(sim.Time(3 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if downAt1500 {
 		t.Fatal("link down at 1.5s, before KillAt time")
 	}
-	if !tg.link.Down() {
+	if !tg.state.down {
 		t.Fatal("link still up after KillAt time")
 	}
 }

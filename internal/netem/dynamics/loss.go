@@ -6,23 +6,6 @@ import (
 	"mpquic/internal/sim"
 )
 
-// Bernoulli is the memoryless loss process — each packet is dropped
-// independently with probability P. It reproduces exactly what a
-// netem.Link does on its own with LinkConfig.LossRate, packaged as a
-// LossModel so scripts can swap processes uniformly.
-type Bernoulli struct {
-	P    float64
-	rand *sim.Rand
-}
-
-// NewBernoulli builds a Bernoulli loss model over its own PRNG.
-func NewBernoulli(r *sim.Rand, p float64) *Bernoulli {
-	return &Bernoulli{P: p, rand: r}
-}
-
-// Drop implements netem.LossModel.
-func (b *Bernoulli) Drop(int) bool { return b.rand.Bernoulli(b.P) }
-
 // GEConfig parameterizes a two-state Gilbert–Elliott loss process.
 // The chain steps once per packet: from Good it moves to Bad with
 // probability PGoodBad, from Bad back to Good with probability
@@ -44,27 +27,12 @@ type GEConfig struct {
 	LossBad  float64 // drop probability while Bad (usually 1)
 }
 
-// StationaryBad returns the long-run fraction of packets that see the
-// Bad state.
-func (c GEConfig) StationaryBad() float64 {
-	if c.PGoodBad+c.PBadGood == 0 {
-		return 0
-	}
-	return c.PGoodBad / (c.PGoodBad + c.PBadGood)
-}
-
-// AverageLoss returns the long-run packet loss rate of the process.
-func (c GEConfig) AverageLoss() float64 {
-	pb := c.StationaryBad()
-	return c.LossGood*(1-pb) + c.LossBad*pb
-}
-
 // GEFromAverage builds the canonical bursty configuration matching a
 // target long-run loss rate: drops happen only in the Bad state
 // (LossBad = 1, LossGood = 0), bursts last meanBurstPkts packets on
 // average, and the stationary Bad share equals avgLoss — so the model
-// is directly comparable to a Bernoulli process of the same rate,
-// differing only in how the drops clump.
+// is directly comparable to a link's own Bernoulli LossRate of the
+// same value, differing only in how the drops clump.
 func GEFromAverage(avgLoss, meanBurstPkts float64) GEConfig {
 	if avgLoss < 0 || avgLoss >= 1 {
 		panic(fmt.Sprintf("dynamics: GE average loss %v out of [0,1)", avgLoss))

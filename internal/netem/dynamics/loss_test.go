@@ -12,7 +12,8 @@ func TestGEFromAverageMatchesTargets(t *testing.T) {
 		{0.01, 2}, {0.025, 8}, {0.05, 16}, {0.2, 4},
 	} {
 		cfg := GEFromAverage(c.loss, c.burst)
-		if got := cfg.AverageLoss(); math.Abs(got-c.loss) > 1e-12 {
+		bad := cfg.PGoodBad / (cfg.PGoodBad + cfg.PBadGood) // stationary Bad share
+		if got := cfg.LossGood*(1-bad) + cfg.LossBad*bad; math.Abs(got-c.loss) > 1e-12 {
 			t.Fatalf("GEFromAverage(%v,%v): average loss %v", c.loss, c.burst, got)
 		}
 		if got := 1 / cfg.PBadGood; math.Abs(got-c.burst) > 1e-9 {
@@ -70,12 +71,12 @@ func meanRun(seq []bool) float64 {
 func TestGEBurstsLongerThanBernoulliAtEqualLoss(t *testing.T) {
 	const avg, burst, n = 0.05, 8.0, 200_000
 	ge := NewGilbertElliott(sim.NewRand(3), GEFromAverage(avg, burst))
-	be := NewBernoulli(sim.NewRand(4), avg)
+	be := sim.NewRand(4) // a link's own LossRate draw
 	geSeq := make([]bool, n)
 	beSeq := make([]bool, n)
 	for i := 0; i < n; i++ {
 		geSeq[i] = ge.Drop(1000)
-		beSeq[i] = be.Drop(1000)
+		beSeq[i] = be.Bernoulli(avg)
 	}
 	geRun, beRun := meanRun(geSeq), meanRun(beSeq)
 	// Bernoulli mean run at 5% is ~1/(1−p) ≈ 1.05; the GE chain's is

@@ -286,9 +286,6 @@ func (l *Link) SetDown(down bool) {
 	}
 }
 
-// Down reports whether the link is currently dropping every packet.
-func (l *Link) Down() bool { return l.down }
-
 // SetRate changes the link's capacity at runtime, re-deriving the
 // tail-drop queue capacity from the unchanged QueueDelay bound. Packets
 // whose serialization was already scheduled keep their finish times;

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"fmt"
 	"time"
 
 	"mpquic/internal/sim"
@@ -21,6 +22,32 @@ type PathSpec struct {
 	// LossRate is the per-direction random loss probability in [0,1].
 	LossRate float64
 }
+
+// Validate applies the Table 1 range rule: capacity > 0, RTT and queue
+// delay >= 0, loss rate in [0, 1]. A violation is a *FactorError
+// naming the first factor out of range.
+func (s PathSpec) Validate() error {
+	switch {
+	case !(s.CapacityMbps > 0):
+		return &FactorError{"CapacityMbps", fmt.Sprint(s.CapacityMbps), "> 0"}
+	case s.RTT < 0:
+		return &FactorError{"RTT", s.RTT.String(), ">= 0"}
+	case s.QueueDelay < 0:
+		return &FactorError{"QueueDelay", s.QueueDelay.String(), ">= 0"}
+	case !(s.LossRate >= 0 && s.LossRate <= 1):
+		return &FactorError{"LossRate", fmt.Sprint(s.LossRate), "in [0, 1]"}
+	}
+	return nil
+}
+
+// A FactorError is a PathSpec factor outside its Table 1 range.
+type FactorError struct {
+	Factor string // the PathSpec field
+	Value  string
+	Want   string
+}
+
+func (e *FactorError) Error() string { return e.Factor + " " + e.Value + ", want " + e.Want }
 
 // TwoPathNet is the emulated Fig. 2 network: a dual-homed client and a
 // dual-homed server joined by two disjoint paths.

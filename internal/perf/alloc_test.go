@@ -20,8 +20,17 @@ import (
 // of the allocation diet: a regression that re-introduces per-packet
 // garbage fails here long before it shows up in grid wall-clock time.
 
+// samplePayloadLen sizes SamplePacket's stream data so the whole
+// packet lands at wire.MaxPacketSize, like a cwnd-limited sender's.
+func samplePayloadLen() int {
+	probe := SamplePacket(nil)
+	overhead := probe.EncodedSize()
+	sf := probe.Frames[len(probe.Frames)-1].(*wire.StreamFrame)
+	return sf.MaxStreamDataLen(wire.MaxPacketSize - (overhead - sf.EncodedSize()))
+}
+
 func TestPacketEncodeAllocFree(t *testing.T) {
-	pkt := SamplePacket(make([]byte, SamplePayloadLen()))
+	pkt := SamplePacket(make([]byte, samplePayloadLen()))
 	allocs := testing.AllocsPerRun(100, func() {
 		buf := pkt.EncodeTo(wire.GetPacketBuf(), nil)
 		wire.PutPacketBuf(buf)
@@ -48,7 +57,7 @@ func TestStreamFillerAppendAllocFree(t *testing.T) {
 }
 
 func TestPacketDecodeAllocBudget(t *testing.T) {
-	pkt := SamplePacket(make([]byte, SamplePayloadLen()))
+	pkt := SamplePacket(make([]byte, samplePayloadLen()))
 	enc := pkt.Encode(nil)
 	// The allocating wrapper: a fresh Packet, the frame structs and the
 	// pre-sized Frames/Ranges slices — but no payload copies. The

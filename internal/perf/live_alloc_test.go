@@ -73,7 +73,7 @@ func TestLiveDriverAllocPerPacketSteadyState(t *testing.T) {
 	go receiver.Run(nil)
 	defer receiver.Close()
 
-	payloadLen := SamplePayloadLen()
+	payloadLen := samplePayloadLen()
 	// send queues perFlush datagrams and flushes them at once: one per
 	// Flush writes them one call each, 16 per Flush goes out as one
 	// batched write where the platform has one.

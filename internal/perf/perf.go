@@ -45,12 +45,3 @@ func SamplePacket(data []byte) *wire.Packet {
 		},
 	}
 }
-
-// SamplePayloadLen sizes SamplePacket's stream data so the whole
-// packet lands at wire.MaxPacketSize, like a cwnd-limited sender's.
-func SamplePayloadLen() int {
-	probe := SamplePacket(nil)
-	overhead := probe.EncodedSize()
-	sf := probe.Frames[len(probe.Frames)-1].(*wire.StreamFrame)
-	return sf.MaxStreamDataLen(wire.MaxPacketSize - (overhead - sf.EncodedSize()))
-}

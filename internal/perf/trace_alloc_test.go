@@ -57,10 +57,7 @@ func TestArmedFlightRecorderAllocParity(t *testing.T) {
 	}
 	base := testing.AllocsPerRun(3, func() { runTraceTransfer(nil) })
 	fr := trace.NewFlightRecorder(trace.DefaultFlightEvents)
-	armed := testing.AllocsPerRun(3, func() {
-		fr.Reset()
-		runTraceTransfer(fr)
-	})
+	armed := testing.AllocsPerRun(3, func() { runTraceTransfer(fr) })
 	const slack = 50
 	if armed > base+slack {
 		t.Errorf("armed flight recorder allocates %.0f/run vs %.0f/run nil-tracer: tracing leaks per-packet garbage", armed, base)

@@ -24,8 +24,13 @@ func sent(s *Space, size int, at time.Duration) *SentPacket {
 	return sp
 }
 
+// ackOf is the ACK of a receiver that got pns, in any order.
 func ackOf(pns ...wire.PacketNumber) *wire.AckFrame {
-	return &wire.AckFrame{Ranges: wire.BuildAckRanges(pns)}
+	a := NewAckManager(0)
+	for _, pn := range pns {
+		a.OnPacketReceived(pn, true, 0)
+	}
+	return &wire.AckFrame{Ranges: a.held()}
 }
 
 func TestAckSettlesPacketsAndSamplesRTT(t *testing.T) {

@@ -111,12 +111,6 @@ func (e *Estimator) SmoothedRTT() time.Duration { return e.srtt }
 // LatestRTT returns the last adjusted sample.
 func (e *Estimator) LatestRTT() time.Duration { return e.latest }
 
-// MinRTT returns the smallest observed sample.
-func (e *Estimator) MinRTT() time.Duration { return e.minRTT }
-
-// Var returns the RTT variance estimate.
-func (e *Estimator) Var() time.Duration { return e.rttvar }
-
 // Backoff doubles subsequent RTOs (exponential backoff after timeout).
 func (e *Estimator) Backoff() { e.backoffs++ }
 

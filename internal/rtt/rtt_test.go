@@ -15,11 +15,11 @@ func TestFirstSampleInitializes(t *testing.T) {
 	if !e.HasSample() || e.SmoothedRTT() != 100*time.Millisecond {
 		t.Fatalf("srtt %v", e.SmoothedRTT())
 	}
-	if e.Var() != 50*time.Millisecond {
-		t.Fatalf("rttvar %v", e.Var())
+	if e.rttvar != 50*time.Millisecond {
+		t.Fatalf("rttvar %v", e.rttvar)
 	}
-	if e.MinRTT() != 100*time.Millisecond {
-		t.Fatalf("min %v", e.MinRTT())
+	if e.minRTT != 100*time.Millisecond {
+		t.Fatalf("min %v", e.minRTT)
 	}
 }
 
@@ -127,8 +127,8 @@ func TestMinRTTTracksSmallest(t *testing.T) {
 	e.Update(100*time.Millisecond, 0)
 	e.Update(40*time.Millisecond, 0)
 	e.Update(90*time.Millisecond, 0)
-	if e.MinRTT() != 40*time.Millisecond {
-		t.Fatalf("min %v", e.MinRTT())
+	if e.minRTT != 40*time.Millisecond {
+		t.Fatalf("min %v", e.minRTT)
 	}
 }
 
@@ -154,7 +154,7 @@ func TestEstimatorBoundsProperty(t *testing.T) {
 		if e.SmoothedRTT() < lo || e.SmoothedRTT() > hi {
 			return false
 		}
-		return e.RTO() >= cfg.MinRTO && e.MinRTT() == lo
+		return e.RTO() >= cfg.MinRTO && e.minRTT == lo
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

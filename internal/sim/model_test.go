@@ -241,7 +241,7 @@ func (w *realWorld) stopClock()                        { w.c.Stop() }
 func (w *realWorld) runUntil(d Time) error             { return w.c.RunUntil(d) }
 func (w *realWorld) run() error                        { return w.c.Run() }
 func (w *realWorld) processed() uint64                 { return w.c.Processed }
-func (w *realWorld) deadline(k int) Time               { return w.timers[k].Deadline() }
+func (w *realWorld) deadline(k int) Time               { return deadline(w.timers[k]) }
 func (w *realWorld) armed(k int) bool                  { return w.timers[k].Armed() }
 func (w *realWorld) reserve(j int, at Time)            { w.keys[j] = w.c.Key(at) }
 

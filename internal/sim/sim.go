@@ -424,11 +424,3 @@ func (t *Timer) Stop() bool {
 // Armed reports whether the timer currently has a pending deadline.
 // netem's links read it to tell which of their two timers is idle.
 func (t *Timer) Armed() bool { return t.ev != nil }
-
-// Deadline reports the pending deadline, or Never when unarmed.
-func (t *Timer) Deadline() Time {
-	if t.ev == nil {
-		return Never
-	}
-	return t.ev.at
-}

@@ -85,20 +85,6 @@ func CDF(xs []float64) []CDFPoint {
 	return out
 }
 
-// CDFAt evaluates the empirical CDF at x (fraction of values <= x).
-func CDFAt(xs []float64, x float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	n := 0
-	for _, v := range xs {
-		if v <= x {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
-}
-
 // Box is a five-number summary plus the mean, matching the boxplots of
 // the paper's Figs. 4, 6, 7 and 10.
 type Box struct {

@@ -65,16 +65,6 @@ func TestCDFMonotonic(t *testing.T) {
 	}
 }
 
-func TestCDFAt(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if CDFAt(xs, 2.5) != 0.5 {
-		t.Fatal("CDFAt")
-	}
-	if CDFAt(xs, 0) != 0 || CDFAt(xs, 10) != 1 {
-		t.Fatal("CDFAt extremes")
-	}
-}
-
 func TestBoxOf(t *testing.T) {
 	b := BoxOf([]float64{1, 2, 3, 4, 5})
 	if b.Min != 1 || b.Median != 3 || b.Max != 5 || b.N != 5 {

@@ -41,9 +41,6 @@ func (f *FlowController) SendAllowance() uint64 {
 // AddBytesSent consumes send credit.
 func (f *FlowController) AddBytesSent(n uint64) { f.sent += n }
 
-// SendLimit returns the peer's advertised absolute limit.
-func (f *FlowController) SendLimit() uint64 { return f.sendLimit }
-
 // BytesSent returns the cumulative flow-controlled bytes sent.
 func (f *FlowController) BytesSent() uint64 { return f.sent }
 
@@ -57,9 +54,6 @@ func (f *FlowController) UpdateSendLimit(limit uint64) bool {
 	f.sendLimit = limit
 	return true
 }
-
-// Blocked reports whether the sender is out of credit.
-func (f *FlowController) Blocked() bool { return f.SendAllowance() == 0 }
 
 // --- receive side ---
 

@@ -186,31 +186,13 @@ func (r *RecvStream) Release() {
 	r.buf, r.base = nil, r.readOffset
 }
 
-// ReadOffset returns the application's consumption frontier.
-func (r *RecvStream) ReadOffset() uint64 { return r.readOffset }
-
 // BytesReceived returns the total distinct bytes received so far.
 func (r *RecvStream) BytesReceived() uint64 { return r.received.Size() }
 
 // FinReceived reports whether a FIN has arrived (at any offset).
 func (r *RecvStream) FinReceived() bool { return r.hasFin }
 
-// FinOffset returns the stream length once FIN was seen.
-func (r *RecvStream) FinOffset() (uint64, bool) { return r.finOffset, r.hasFin }
-
 // Finished reports whether the application consumed the whole stream.
 func (r *RecvStream) Finished() bool {
 	return r.hasFin && r.readOffset == r.finOffset
-}
-
-// Complete reports whether all bytes up to FIN have *arrived*
-// (regardless of application consumption).
-func (r *RecvStream) Complete() bool {
-	if !r.hasFin {
-		return false
-	}
-	if r.finOffset == 0 {
-		return true
-	}
-	return r.received.Contains(0, r.finOffset)
 }

@@ -97,11 +97,11 @@ func runRecvOps(ops []byte) error {
 	)
 	check := func(step string) error {
 		if r.Readable() != m.readable() || r.BytesReceived() != m.received ||
-			r.FinReceived() != m.hasFin || r.ReadOffset() != m.readOffset ||
-			r.Complete() != m.complete() || r.Finished() != (m.hasFin && m.readOffset == m.finOffset) {
+			r.FinReceived() != m.hasFin || r.readOffset != m.readOffset ||
+			complete(r) != m.complete() || r.Finished() != (m.hasFin && m.readOffset == m.finOffset) {
 			return fmt.Errorf("%s: state diverged: readable %d/%d received %d/%d fin %v/%v read %d/%d complete %v/%v",
 				step, r.Readable(), m.readable(), r.BytesReceived(), m.received, r.FinReceived(), m.hasFin,
-				r.ReadOffset(), m.readOffset, r.Complete(), m.complete())
+				r.readOffset, m.readOffset, complete(r), m.complete())
 		}
 		if limit := max(2*maxSpan, minRecvBuf); uint64(cap(r.buf)) > limit {
 			return fmt.Errorf("%s: cap(buf) = %d exceeds twice the largest unread span %d", step, cap(r.buf), maxSpan)

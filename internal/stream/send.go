@@ -174,17 +174,6 @@ func (s *SendStream) OnFrameLost(offset uint64, n int, fin bool) {
 	}
 }
 
-// AllAcked reports whether every written byte and the FIN are acked.
-func (s *SendStream) AllAcked() bool {
-	if !s.fin || !s.finAcked {
-		return false
-	}
-	if s.writeOffset == 0 {
-		return true
-	}
-	return s.acked.Contains(0, s.writeOffset)
-}
-
 // UnsentBytes reports written bytes never transmitted yet.
 func (s *SendStream) UnsentBytes() uint64 { return s.writeOffset - s.nextSend }
 

@@ -11,6 +11,16 @@ import (
 	"mpquic/internal/wire"
 )
 
+// complete reports whether every byte up to the FIN has arrived.
+func complete(r *RecvStream) bool {
+	return r.hasFin && (r.finOffset == 0 || r.received.Contains(0, r.finOffset))
+}
+
+// allAcked reports whether every written byte and the FIN are acked.
+func allAcked(s *SendStream) bool {
+	return s.fin && s.finAcked && (s.writeOffset == 0 || s.acked.Contains(0, s.writeOffset))
+}
+
 func TestIntervalSetAddCoalesces(t *testing.T) {
 	var s IntervalSet
 	s.Add(10, 20)
@@ -176,11 +186,11 @@ func TestFlowControllerSendSide(t *testing.T) {
 		t.Fatalf("allowance %d", fc.SendAllowance())
 	}
 	fc.AddBytesSent(600)
-	if fc.SendAllowance() != 400 || fc.Blocked() {
+	if fc.SendAllowance() != 400 {
 		t.Fatal("partial consumption wrong")
 	}
 	fc.AddBytesSent(400)
-	if !fc.Blocked() {
+	if fc.SendAllowance() != 0 {
 		t.Fatal("should be blocked")
 	}
 	if fc.UpdateSendLimit(900) {
@@ -286,7 +296,7 @@ func TestSendStreamFinLifecycle(t *testing.T) {
 	if !f.Fin {
 		t.Fatal("last frame should carry FIN")
 	}
-	if s.AllAcked() {
+	if allAcked(s) {
 		t.Fatal("AllAcked before any ack")
 	}
 	s.OnFrameLost(f.Offset, f.Len(), f.Fin)
@@ -295,7 +305,7 @@ func TestSendStreamFinLifecycle(t *testing.T) {
 		t.Fatalf("lost FIN not retransmitted: %+v", f2)
 	}
 	s.OnFrameAcked(f2.Offset, f2.Len(), f2.Fin)
-	if !s.AllAcked() {
+	if !allAcked(s) {
 		t.Fatal("AllAcked false after full ack")
 	}
 }
@@ -308,7 +318,7 @@ func TestSendStreamEmptyFin(t *testing.T) {
 		t.Fatalf("bare FIN: %+v", f)
 	}
 	s.OnFrameAcked(f.Offset, 0, true)
-	if !s.AllAcked() {
+	if !allAcked(s) {
 		t.Fatal("empty stream not complete")
 	}
 }
@@ -352,11 +362,11 @@ func TestRecvStreamFinHandling(t *testing.T) {
 	r := NewRecvStream(3)
 	r.OnFrame(&wire.StreamFrame{StreamID: 3, Offset: 0, DataLen: 50})
 	r.OnFrame(&wire.StreamFrame{StreamID: 3, Offset: 50, DataLen: 50, Fin: true})
-	if !r.FinReceived() || !r.Complete() {
+	if !r.FinReceived() || !complete(r) {
 		t.Fatal("fin/complete broken")
 	}
-	if off, ok := r.FinOffset(); !ok || off != 100 {
-		t.Fatalf("fin offset %d", off)
+	if !r.hasFin || r.finOffset != 100 {
+		t.Fatalf("fin offset %d", r.finOffset)
 	}
 	r.Read(100)
 	if !r.Finished() {
@@ -423,11 +433,11 @@ func TestRecvStreamFinConflicts(t *testing.T) {
 func TestRecvStreamCompleteOutOfOrderFin(t *testing.T) {
 	r := NewRecvStream(3)
 	r.OnFrame(&wire.StreamFrame{StreamID: 3, Offset: 50, DataLen: 50, Fin: true})
-	if r.Complete() {
+	if complete(r) {
 		t.Fatal("complete with a hole")
 	}
 	r.OnFrame(&wire.StreamFrame{StreamID: 3, Offset: 0, DataLen: 50})
-	if !r.Complete() {
+	if !complete(r) {
 		t.Fatal("should be complete")
 	}
 }
@@ -476,7 +486,7 @@ func TestStreamReassemblyProperty(t *testing.T) {
 			}
 			newBytes += n
 		}
-		return newBytes == total && r.Complete() && r.Readable() == total
+		return newBytes == total && complete(r) && r.Readable() == total
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -494,12 +504,12 @@ func TestAccessorsAndGuards(t *testing.T) {
 	}
 	r.OnFrame(&wire.StreamFrame{StreamID: 9, DataLen: 10})
 	r.Read(4)
-	if r.ReadOffset() != 4 {
-		t.Fatalf("read offset %d", r.ReadOffset())
+	if r.readOffset != 4 {
+		t.Fatalf("read offset %d", r.readOffset)
 	}
 	fc := NewFlowController(100)
 	fc.AddBytesSent(30)
-	if fc.SendLimit() != 100 || fc.BytesSent() != 30 || fc.RecvLimit() != 100 {
+	if fc.sendLimit != 100 || fc.BytesSent() != 30 || fc.RecvLimit() != 100 {
 		t.Fatal("flow accessors")
 	}
 	var set IntervalSet
@@ -553,11 +563,11 @@ func TestWriteGuards(t *testing.T) {
 
 func TestRecvCompleteEmptyStream(t *testing.T) {
 	r := NewRecvStream(4)
-	if r.Complete() {
+	if complete(r) {
 		t.Fatal("complete before FIN")
 	}
 	r.OnFrame(&wire.StreamFrame{StreamID: 4, Fin: true})
-	if !r.Complete() || !r.FinReceived() {
+	if !complete(r) || !r.FinReceived() {
 		t.Fatal("empty stream with FIN should be complete")
 	}
 }

@@ -1,6 +1,10 @@
 package tcpsim
 
-import "time"
+import (
+	"time"
+
+	"mpquic/internal/apps"
+)
 
 // GetRequestSize models the size of the "GET <n>" request in bytes.
 const GetRequestSize = 100
@@ -15,26 +19,6 @@ type GetConn interface {
 	Finished() bool
 	WriteSynthetic(n uint64)
 	CloseWrite()
-}
-
-// GetResult reports one finished download over the TCP family (the
-// counterpart of apps.GetResult, which needs the QUIC engine).
-type GetResult struct {
-	Size   uint64
-	Start  time.Duration
-	Finish time.Duration
-}
-
-// Elapsed is the client-perceived download time.
-func (r GetResult) Elapsed() time.Duration { return r.Finish - r.Start }
-
-// GoodputBps is application goodput in bits per second.
-func (r GetResult) GoodputBps() float64 {
-	el := r.Elapsed().Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(r.Size) * 8 / el
 }
 
 // drainUntilFinished consumes c's incoming stream as it arrives and
@@ -68,16 +52,19 @@ func ServeGet[C GetConn](l interface{ OnConnection(func(C)) }, size uint64) {
 
 // GetOverTCP arms a client-side download on a TCP or MPTCP connection:
 // the request goes out as soon as the secure handshake completes;
-// onDone fires when the last response byte is consumed.
-func GetOverTCP(c GetConn, size uint64, now func() time.Duration, onDone func(GetResult)) {
-	start := now()
+// onDone fires when the last response byte is consumed, with the
+// result schema the QUIC stacks report too.
+func GetOverTCP(c GetConn, size uint64, now func() time.Duration, onDone func(apps.GetResult)) {
+	res := apps.GetResult{Size: size, Start: now()}
 	c.OnEstablished(func() {
+		res.HandshakeDone = now()
 		c.WriteSynthetic(GetRequestSize)
 		c.CloseWrite()
 	})
 	drainUntilFinished(c, func() {
 		if onDone != nil {
-			onDone(GetResult{Size: size, Start: start, Finish: now()})
+			res.Finish = now()
+			onDone(res)
 		}
 	})
 }

@@ -89,8 +89,3 @@ func (l *Listener) HandleDatagram(dg netem.Datagram) {
 		c.HandleDatagram(dg)
 	}
 }
-
-// AllAcked reports whether everything written (and FIN) was acked.
-func (c *Conn) AllAcked() bool {
-	return c.FinQueued && c.FinAcked() && c.cumAcked >= c.Written
-}

@@ -34,7 +34,7 @@ func TestTCPHalfCloseDirectionsIndependent(t *testing.T) {
 	if !h.client.Finished() {
 		t.Fatal("server response did not arrive after client half-close")
 	}
-	if !h.client.AllAcked() {
+	if c := h.client; !c.FinQueued || !c.FinAcked() || c.cumAcked < c.Written {
 		t.Fatal("client data not fully acked")
 	}
 }
@@ -42,11 +42,9 @@ func TestTCPHalfCloseDirectionsIndependent(t *testing.T) {
 func TestTCPDupAcksDoNotInflateWindowAccounting(t *testing.T) {
 	h := newTCPHarness(t, DefaultConfig(), link10M(20*time.Millisecond))
 	ServeGet(h.lis, 512<<10)
-	var res *GetResult
-	GetOverTCP(h.client, 512<<10, func() time.Duration { return h.clock.Now().Duration() },
-		func(r GetResult) { res = &r })
+	res := get(h.client, h.clock, 512<<10)
 	h.run(t, 30*time.Second)
-	if res == nil {
+	if res.Size == 0 {
 		t.Fatal("transfer failed")
 	}
 	srv := h.lis.Conns()[0]

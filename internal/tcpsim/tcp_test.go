@@ -4,10 +4,20 @@ import (
 	"testing"
 	"time"
 
+	"mpquic/internal/apps"
 	"mpquic/internal/netem"
 	"mpquic/internal/sim"
 	"mpquic/internal/stream"
 )
+
+// get arms a size-byte GET on c, timed by clock, and returns the
+// result it fills in when the last byte is consumed: Size stays 0
+// until then.
+func get(c GetConn, clock *sim.Clock, size uint64) *apps.GetResult {
+	res := new(apps.GetResult)
+	GetOverTCP(c, size, func() time.Duration { return clock.Now().Duration() }, func(r apps.GetResult) { *res = r })
+	return res
+}
 
 type tcpHarness struct {
 	clock  *sim.Clock
@@ -70,11 +80,9 @@ func TestTCPHandshakeOneRTTWithoutTLS(t *testing.T) {
 func TestTCPTransferCompletesAndGoodput(t *testing.T) {
 	h := newTCPHarness(t, DefaultConfig(), link10M(30*time.Millisecond))
 	ServeGet(h.lis, 2<<20)
-	var res *GetResult
-	GetOverTCP(h.client, 2<<20, func() time.Duration { return h.clock.Now().Duration() },
-		func(r GetResult) { res = &r })
+	res := get(h.client, h.clock, 2<<20)
 	h.run(t, 60*time.Second)
-	if res == nil {
+	if res.Size == 0 {
 		t.Fatal("download did not finish")
 	}
 	// 2 MiB at 10 Mbps ≈ 1.7 s floor.
@@ -92,11 +100,9 @@ func TestTCPSurvivesRandomLoss(t *testing.T) {
 	link.LossRate = 0.02
 	h := newTCPHarness(t, DefaultConfig(), link)
 	ServeGet(h.lis, 1<<20)
-	var res *GetResult
-	GetOverTCP(h.client, 1<<20, func() time.Duration { return h.clock.Now().Duration() },
-		func(r GetResult) { res = &r })
+	res := get(h.client, h.clock, 1<<20)
 	h.run(t, 300*time.Second)
-	if res == nil {
+	if res.Size == 0 {
 		t.Fatal("download did not survive 2% loss")
 	}
 	if h.client.Stats.RTOCount == 0 && h.lis.Conns()[0].Stats.RTOCount == 0 &&
@@ -127,11 +133,9 @@ func TestTCPReceiveWindowLimitsSender(t *testing.T) {
 	// High-BDP link: 10 Mbps, 200 ms RTT → BDP 250 KB >> 64 KB window.
 	h := newTCPHarness(t, cfg, netem.LinkConfig{RateMbps: 10, Delay: 100 * time.Millisecond, QueueDelay: 500 * time.Millisecond})
 	ServeGet(h.lis, 1<<20)
-	var res *GetResult
-	GetOverTCP(h.client, 1<<20, func() time.Duration { return h.clock.Now().Duration() },
-		func(r GetResult) { res = &r })
+	res := get(h.client, h.clock, 1<<20)
 	h.run(t, 120*time.Second)
-	if res == nil {
+	if res.Size == 0 {
 		t.Fatal("did not finish")
 	}
 	// Window-limited goodput ≈ rwnd/RTT = 64KB/200ms = 2.6 Mbps.
@@ -178,11 +182,9 @@ func TestTCPKarnNoSampleFromRetransmission(t *testing.T) {
 	link.LossRate = 0.10 // heavy loss to force retransmissions
 	h := newTCPHarness(t, DefaultConfig(), link)
 	ServeGet(h.lis, 256<<10)
-	var res *GetResult
-	GetOverTCP(h.client, 256<<10, func() time.Duration { return h.clock.Now().Duration() },
-		func(r GetResult) { res = &r })
+	res := get(h.client, h.clock, 256<<10)
 	h.run(t, 600*time.Second)
-	if res == nil {
+	if res.Size == 0 {
 		t.Fatal("did not finish under heavy loss")
 	}
 	srv := h.lis.Conns()[0]

@@ -61,28 +61,8 @@ func (r *FlightRecorder) Len() int {
 	return r.next
 }
 
-// Seen reports the total number of events ever traced.
-func (r *FlightRecorder) Seen() uint64 { return r.seen }
-
 // Dropped reports how many events were evicted by the ring bound.
 func (r *FlightRecorder) Dropped() uint64 { return r.seen - uint64(r.Len()) }
-
-// Reset forgets all retained events (capacity is kept).
-func (r *FlightRecorder) Reset() {
-	r.next = 0
-	r.full = false
-	r.seen = 0
-}
-
-// Events returns the retained events oldest-first, as a fresh slice.
-func (r *FlightRecorder) Events() []Event {
-	out := make([]Event, 0, r.Len())
-	if r.full {
-		out = append(out, r.buf[r.next:]...)
-	}
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
 
 // flightHeader is the first line of a dump: how much the ring saw and
 // how much it had to drop, so a truncated post-mortem says so.

@@ -10,7 +10,7 @@ import (
 
 func TestFlightRecorderRingSemantics(t *testing.T) {
 	r := NewFlightRecorder(4)
-	if r.Len() != 0 || r.Seen() != 0 || r.Dropped() != 0 {
+	if r.Len() != 0 || r.seen != 0 || r.Dropped() != 0 {
 		t.Fatal("fresh recorder not empty")
 	}
 	for pn := uint64(1); pn <= 3; pn++ {
@@ -22,18 +22,14 @@ func TestFlightRecorderRingSemantics(t *testing.T) {
 	for pn := uint64(4); pn <= 10; pn++ {
 		r.Trace(Event{Type: PacketSent, PN: pn})
 	}
-	if r.Len() != 4 || r.Seen() != 10 || r.Dropped() != 6 {
-		t.Fatalf("len=%d seen=%d dropped=%d, want 4/10/6", r.Len(), r.Seen(), r.Dropped())
+	if r.Len() != 4 || r.seen != 10 || r.Dropped() != 6 {
+		t.Fatalf("len=%d seen=%d dropped=%d, want 4/10/6", r.Len(), r.seen, r.Dropped())
 	}
-	evs := r.Events()
+	evs := append(append([]Event(nil), r.buf[r.next:]...), r.buf[:r.next]...)
 	for i, want := range []uint64{7, 8, 9, 10} {
 		if evs[i].PN != want {
-			t.Fatalf("Events()[%d].PN = %d, want %d (oldest-first, newest retained)", i, evs[i].PN, want)
+			t.Fatalf("event %d has PN %d, want %d (oldest-first, newest retained)", i, evs[i].PN, want)
 		}
-	}
-	r.Reset()
-	if r.Len() != 0 || r.Seen() != 0 {
-		t.Fatal("Reset did not clear the ring")
 	}
 }
 
@@ -94,9 +90,8 @@ func TestSeriesRecorder(t *testing.T) {
 	if got := r.Paths(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("Paths = %v, want [0 1] in first-appearance order", got)
 	}
-	p1 := r.PathSeries(1)
-	if len(p1) != 3 || p1[2].Cwnd != 20002 {
-		t.Fatalf("PathSeries(1) = %+v, want 3 samples ending at cwnd 20002", p1)
+	if s := r.Samples; s[1].Path != 1 || s[5].Path != 1 || s[5].Cwnd != 20002 {
+		t.Fatalf("Samples = %+v, want path 1 interleaved, ending at cwnd 20002", s)
 	}
 
 	var a, b bytes.Buffer

@@ -55,17 +55,6 @@ func (r *SeriesRecorder) Add(s PathSample) { r.Samples = append(r.Samples, s) }
 // Len reports the number of recorded samples.
 func (r *SeriesRecorder) Len() int { return len(r.Samples) }
 
-// PathSeries returns the samples of one path, in time order.
-func (r *SeriesRecorder) PathSeries(path uint8) []PathSample {
-	var out []PathSample
-	for _, s := range r.Samples {
-		if s.Path == path {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Paths returns the distinct path IDs seen, in first-appearance order
 // (deterministic: no map iteration).
 func (r *SeriesRecorder) Paths() []uint8 {

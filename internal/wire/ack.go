@@ -44,14 +44,6 @@ func (f *AckFrame) LargestAcked() PacketNumber {
 	return f.Ranges[0].Largest
 }
 
-// LowestAcked returns the smallest covered packet number.
-func (f *AckFrame) LowestAcked() PacketNumber {
-	if len(f.Ranges) == 0 {
-		return InvalidPacketNumber
-	}
-	return f.Ranges[len(f.Ranges)-1].Smallest
-}
-
 // Acks reports whether pn is covered by the frame.
 func (f *AckFrame) Acks(pn PacketNumber) bool {
 	// Ranges are descending; binary search for the first range whose
@@ -195,32 +187,4 @@ func parseAckFrame(f *AckFrame, b []byte) (int, error) {
 	// extra < MaxAckRanges caps the count. FuzzDecode asserts that every
 	// frame accepted here passes Validate.
 	return off, nil
-}
-
-// BuildAckRanges converts a set of received packet numbers (any order,
-// duplicates allowed) into maximal descending ranges, truncated to the
-// MaxAckRanges highest ranges, mirroring what a QUIC receiver tracks.
-func BuildAckRanges(pns []PacketNumber) []AckRange {
-	if len(pns) == 0 {
-		return nil
-	}
-	sorted := make([]PacketNumber, len(pns))
-	copy(sorted, pns)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
-	var ranges []AckRange
-	cur := AckRange{Smallest: sorted[0], Largest: sorted[0]}
-	for _, pn := range sorted[1:] {
-		switch {
-		case pn == cur.Smallest: // duplicate
-		case pn == cur.Smallest-1:
-			cur.Smallest = pn
-		default:
-			ranges = append(ranges, cur)
-			if len(ranges) == MaxAckRanges {
-				return ranges
-			}
-			cur = AckRange{Smallest: pn, Largest: pn}
-		}
-	}
-	return append(ranges, cur)
 }

@@ -37,8 +37,8 @@ func TestAckFrameMultiRangeRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Ranges, f.Ranges) {
 		t.Fatalf("got %+v", got.Ranges)
 	}
-	if got.LargestAcked() != 100 || got.LowestAcked() != 10 {
-		t.Fatal("largest/lowest broken")
+	if got.LargestAcked() != 100 {
+		t.Fatal("largest broken")
 	}
 }
 
@@ -98,49 +98,23 @@ func TestAckValidateRejectsBadRanges(t *testing.T) {
 	}
 }
 
-func TestBuildAckRanges(t *testing.T) {
-	pns := []PacketNumber{1, 2, 3, 7, 8, 12, 3, 2} // dups included
-	got := BuildAckRanges(pns)
-	want := []AckRange{
-		{Smallest: 12, Largest: 12},
-		{Smallest: 7, Largest: 8},
-		{Smallest: 1, Largest: 3},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %+v want %+v", got, want)
-	}
-	if BuildAckRanges(nil) != nil {
-		t.Fatal("empty input should give nil")
-	}
-}
-
-func TestBuildAckRangesTruncatesToMax(t *testing.T) {
-	var pns []PacketNumber
-	for i := 0; i < 2*MaxAckRanges; i++ {
-		pns = append(pns, PacketNumber(i*2)) // all isolated
-	}
-	got := BuildAckRanges(pns)
-	if len(got) != MaxAckRanges {
-		t.Fatalf("got %d ranges, want %d", len(got), MaxAckRanges)
-	}
-	// Truncation keeps the highest packet numbers.
-	if got[0].Largest != PacketNumber((2*MaxAckRanges-1)*2) {
-		t.Fatalf("lost the largest range: %+v", got[0])
-	}
-}
-
 func TestAckFrameRoundTripProperty(t *testing.T) {
-	f := func(seedPNs []uint16, delayUS uint16) bool {
-		if len(seedPNs) == 0 {
+	f := func(seeds []uint16, delayUS uint16) bool {
+		if len(seeds) == 0 {
 			return true
 		}
-		pns := make([]PacketNumber, len(seedPNs))
-		for i, v := range seedPNs {
-			pns[i] = PacketNumber(v)
+		// Each seed lays one range below the last: its high byte sizes
+		// the gap (at least one PN), its low byte the range.
+		var ranges []AckRange
+		below := PacketNumber(1 << 24)
+		for _, s := range seeds[:min(len(seeds), MaxAckRanges)] {
+			largest := below - 2 - PacketNumber(s>>8)
+			below = largest - PacketNumber(s&0xff)
+			ranges = append(ranges, AckRange{Smallest: below, Largest: largest})
 		}
 		fr := &AckFrame{
 			PathID:   2,
-			Ranges:   BuildAckRanges(pns),
+			Ranges:   ranges,
 			AckDelay: time.Duration(delayUS) * time.Microsecond,
 		}
 		if fr.Validate() != nil {
@@ -150,7 +124,7 @@ func TestAckFrameRoundTripProperty(t *testing.T) {
 		if len(b) != fr.EncodedSize() {
 			return false
 		}
-		got, n, err := ParseFrame(b)
+		got, n, err := parseFrame(nil, b, false)
 		if err != nil || n != len(b) {
 			return false
 		}
@@ -197,7 +171,7 @@ func TestParseAckGrowsRangesByDoubling(t *testing.T) {
 func TestParseAckErrors(t *testing.T) {
 	f := &AckFrame{Ranges: []AckRange{{Smallest: 5, Largest: 10}}}
 	b := f.Append(nil)
-	if _, _, err := ParseFrame(b[:2]); err == nil {
+	if _, _, err := parseFrame(nil, b[:2], false); err == nil {
 		t.Fatal("truncated ACK accepted")
 	}
 	// First-range underflow: largest=5, first length=10.
@@ -206,7 +180,7 @@ func TestParseAckErrors(t *testing.T) {
 	bad = AppendVarint(bad, 0)  // delay
 	bad = AppendVarint(bad, 0)  // extra ranges
 	bad = AppendVarint(bad, 10) // first range len (underflows)
-	if _, _, err := ParseFrame(bad); err == nil {
+	if _, _, err := parseFrame(nil, bad, false); err == nil {
 		t.Fatal("underflowing ACK accepted")
 	}
 }

@@ -275,16 +275,12 @@ func (f *HandshakeFrame) Append(b []byte) []byte {
 	return append(b, f.Payload...)
 }
 
-// ParseFrame decodes the frame at the front of b, returning it and the
-// bytes consumed. Payload-carrying frames copy their bytes out of b.
-func ParseFrame(b []byte) (Frame, int, error) {
-	return parseFrame(nil, b, false)
-}
-
-// parseFrame decodes one frame. With borrow set, STREAM and HANDSHAKE
-// payloads alias b (see DecodeBorrowed). STREAM and ACK frames — the
-// steady-state traffic — are taken from scratch (fresh when scratch is
-// nil); the rare control frames are always freshly allocated.
+// parseFrame decodes the frame at the front of b, returning it and the
+// bytes consumed. With borrow set, STREAM and HANDSHAKE payloads alias
+// b (see DecodeBorrowed); otherwise they copy their bytes out of b.
+// STREAM and ACK frames — the steady-state traffic — are taken from
+// scratch (fresh when scratch is nil); the rare control frames are
+// always freshly allocated.
 func parseFrame(scratch *FrameArena, b []byte, borrow bool) (Frame, int, error) {
 	if len(b) == 0 {
 		return nil, 0, ErrTruncated

@@ -16,7 +16,7 @@ func roundTrip(t *testing.T, f Frame) Frame {
 	if len(b) != f.EncodedSize() {
 		t.Fatalf("%T: EncodedSize %d != encoded %d", f, f.EncodedSize(), len(b))
 	}
-	got, n, err := ParseFrame(b)
+	got, n, err := parseFrame(nil, b, false)
 	if err != nil {
 		t.Fatalf("%T: parse: %v", f, err)
 	}
@@ -61,7 +61,7 @@ func TestStreamFrameStructModeSizeMatchesDataMode(t *testing.T) {
 	if len(b) != structMode.EncodedSize() {
 		t.Fatal("struct-mode encoding size mismatch")
 	}
-	got, _, err := ParseFrame(b)
+	got, _, err := parseFrame(nil, b, false)
 	if err != nil || got.(*StreamFrame).Len() != 1000 {
 		t.Fatalf("struct-mode parse: %v", err)
 	}
@@ -170,16 +170,16 @@ func TestHandshakeFrameRoundTrip(t *testing.T) {
 }
 
 func TestParseFrameErrors(t *testing.T) {
-	if _, _, err := ParseFrame(nil); err == nil {
+	if _, _, err := parseFrame(nil, nil, false); err == nil {
 		t.Fatal("empty accepted")
 	}
-	if _, _, err := ParseFrame([]byte{0x3f}); err == nil {
+	if _, _, err := parseFrame(nil, []byte{0x3f}, false); err == nil {
 		t.Fatal("unknown type accepted")
 	}
 	// Truncated STREAM frame.
 	f := &StreamFrame{StreamID: 1, Offset: 2, Data: []byte("abcdef")}
 	b := f.Append(nil)
-	if _, _, err := ParseFrame(b[:len(b)-3]); err == nil {
+	if _, _, err := parseFrame(nil, b[:len(b)-3], false); err == nil {
 		t.Fatal("truncated stream frame accepted")
 	}
 }
@@ -191,7 +191,7 @@ func TestStreamFrameRoundTripProperty(t *testing.T) {
 		if len(b) != fr.EncodedSize() {
 			return false
 		}
-		got, n, err := ParseFrame(b)
+		got, n, err := parseFrame(nil, b, false)
 		if err != nil || n != len(b) {
 			return false
 		}

@@ -26,10 +26,10 @@ func TestParseFrameArbitraryBytesNeverPanics(t *testing.T) {
 	f := func(b []byte) bool {
 		defer func() {
 			if r := recover(); r != nil {
-				t.Fatalf("ParseFrame panicked on %x: %v", b, r)
+				t.Fatalf("parseFrame panicked on %x: %v", b, r)
 			}
 		}()
-		_, _, _ = ParseFrame(b)
+		_, _, _ = parseFrame(nil, b, false)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {

@@ -23,9 +23,6 @@ const (
 	maxVarint8 = 4611686018427387903
 )
 
-// MaxVarint is the largest value a QUIC varint can carry.
-const MaxVarint = uint64(maxVarint8)
-
 var errVarintRange = errors.New("wire: value exceeds varint range")
 
 // maxDurationUS is the largest microsecond count representable as a

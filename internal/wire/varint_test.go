@@ -36,7 +36,7 @@ func TestVarintKnownEncodings(t *testing.T) {
 
 func TestVarintRoundTripProperty(t *testing.T) {
 	f := func(raw uint64) bool {
-		v := raw & MaxVarint
+		v := raw & maxVarint8
 		b := AppendVarint(nil, v)
 		if len(b) != VarintLen(v) {
 			return false
@@ -65,7 +65,7 @@ func TestVarintPanicsOutOfRange(t *testing.T) {
 			t.Fatal("no panic for out-of-range varint")
 		}
 	}()
-	AppendVarint(nil, MaxVarint+1)
+	AppendVarint(nil, maxVarint8+1)
 }
 
 func TestVarintConsumeMidBuffer(t *testing.T) {

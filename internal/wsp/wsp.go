@@ -121,20 +121,3 @@ func Select(want, d int, seed uint64) []Point {
 	}
 	return best
 }
-
-// MinPairwiseDistance reports the smallest pairwise distance of a
-// design — the quantity WSP maximizes (used by tests).
-func MinPairwiseDistance(pts []Point) float64 {
-	min := math.MaxFloat64
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
-			if d := dist2(pts[i], pts[j]); d < min {
-				min = d
-			}
-		}
-	}
-	if min == math.MaxFloat64 {
-		return 0
-	}
-	return math.Sqrt(min)
-}

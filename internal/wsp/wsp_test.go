@@ -7,6 +7,21 @@ import (
 	"mpquic/internal/sim"
 )
 
+// minPairwiseDistance is the smallest distance between two points of a
+// design (0 below two points), the quantity WSP maximizes.
+func minPairwiseDistance(pts []Point) float64 {
+	if len(pts) < 2 {
+		return 0
+	}
+	d2 := math.Inf(1)
+	for i := range pts {
+		for _, q := range pts[:i] {
+			d2 = math.Min(d2, dist2(pts[i], q))
+		}
+	}
+	return math.Sqrt(d2)
+}
+
 func TestSelectCount(t *testing.T) {
 	for _, want := range []int{10, 50, 253} {
 		pts := Select(want, 6, 1)
@@ -58,8 +73,8 @@ func TestWSPSpreadsBetterThanRandom(t *testing.T) {
 	const n, d = 100, 4
 	wspPts := Select(n, d, 3)
 	randPts := Candidates(n, d, sim.NewRand(3))
-	dw := MinPairwiseDistance(wspPts)
-	dr := MinPairwiseDistance(randPts)
+	dw := minPairwiseDistance(wspPts)
+	dr := minPairwiseDistance(randPts)
 	if dw <= dr {
 		t.Fatalf("WSP min distance %v not better than random %v", dw, dr)
 	}
@@ -90,13 +105,13 @@ func TestSelectCoversSpace(t *testing.T) {
 }
 
 func TestMinPairwiseDistanceEdgeCases(t *testing.T) {
-	if MinPairwiseDistance(nil) != 0 {
+	if minPairwiseDistance(nil) != 0 {
 		t.Fatal("empty design")
 	}
-	if MinPairwiseDistance([]Point{{0.5, 0.5}}) != 0 {
+	if minPairwiseDistance([]Point{{0.5, 0.5}}) != 0 {
 		t.Fatal("single point")
 	}
-	d := MinPairwiseDistance([]Point{{0, 0}, {3, 4}})
+	d := minPairwiseDistance([]Point{{0, 0}, {3, 4}})
 	if math.Abs(d-5) > 1e-12 {
 		t.Fatalf("distance %v", d)
 	}

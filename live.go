@@ -60,14 +60,10 @@ type LiveNetwork struct {
 	d *live.Driver
 }
 
-// NewLive binds one UDP socket per local address ("ip:port"; port 0
-// picks a free port) and returns a live network. Close it when done.
-func NewLive(localAddrs ...string) (*LiveNetwork, error) {
-	return NewLiveWith(localAddrs)
-}
-
-// NewLiveWith is NewLive with tuning options (WithSocketBuffer,
-// WithSocketWrapper, WithRebind).
+// NewLiveWith binds one UDP socket per local address ("ip:port"; port
+// 0 picks a free port) and returns a live network tuned by opts
+// (WithSocketBuffer, WithSocketWrapper, WithRebind). Close it when
+// done.
 func NewLiveWith(localAddrs []string, opts ...LiveOption) (*LiveNetwork, error) {
 	d, err := live.NewDriver(localAddrs, opts...)
 	if err != nil {

@@ -18,7 +18,7 @@ func newLive(t *testing.T, n int) *mpquic.LiveNetwork {
 	for i := range addrs {
 		addrs[i] = "127.0.0.1:0"
 	}
-	ln, err := mpquic.NewLive(addrs...)
+	ln, err := mpquic.NewLiveWith(addrs)
 	if err != nil {
 		if errors.Is(err, os.ErrPermission) || strings.Contains(err.Error(), "not permitted") ||
 			strings.Contains(err.Error(), "permission denied") {

@@ -285,9 +285,6 @@ func (n *Network) At(t time.Duration, fn func()) { n.clock.At(sim.Time(t), fn) }
 // KillPath makes path i drop every packet from now on.
 func (n *Network) KillPath(i int) { n.tp.KillPath(i) }
 
-// ClientAddr returns the client-side address of path i.
-func (n *Network) ClientAddr(i int) string { return string(n.tp.ClientAddrs[i]) }
-
 // ServerAddr returns the server-side address of path i.
 func (n *Network) ServerAddr(i int) string { return string(n.tp.ServerAddrs[i]) }
 

@@ -94,10 +94,10 @@ func TestFacadeDialPartialWithAdvertise(t *testing.T) {
 
 func TestFacadeAddressAccessors(t *testing.T) {
 	net := twoPath(5)
-	if net.ClientAddr(0) == "" || net.ServerAddr(1) == "" {
+	if net.tp.ClientAddrs[0] == "" || net.ServerAddr(1) == "" {
 		t.Fatal("empty addresses")
 	}
-	if net.ClientAddr(0) == net.ClientAddr(1) {
+	if net.ServerAddr(0) == net.ServerAddr(1) {
 		t.Fatal("interfaces not distinct")
 	}
 	if net.Now() != 0 {
