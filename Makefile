@@ -24,6 +24,8 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz='^FuzzLiveIngress$$' -fuzztime=$(FUZZTIME) ./internal/live
 	go test -run='^$$' -fuzz='^FuzzRecvStream$$' -fuzztime=$(FUZZTIME) ./internal/stream
 	go test -run='^$$' -fuzz='^FuzzAckManager$$' -fuzztime=$(FUZZTIME) ./internal/recovery
+	go test -run='^$$' -fuzz='^FuzzSpaceHistory$$' -fuzztime=$(FUZZTIME) ./internal/recovery
+	go test -run='^$$' -fuzz='^FuzzFlowScoreboard$$' -fuzztime=$(FUZZTIME) ./internal/tcpsim
 	go test -run='^$$' -fuzz='^FuzzClockOps$$' -fuzztime=$(FUZZTIME) ./internal/sim
 	go test -run='^$$' -fuzz='^FuzzLinkOps$$' -fuzztime=$(FUZZTIME) ./internal/netem
 

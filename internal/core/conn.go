@@ -7,6 +7,7 @@ import (
 	"mpquic/internal/cc"
 	"mpquic/internal/crypto"
 	"mpquic/internal/netem"
+	"mpquic/internal/recovery"
 	"mpquic/internal/rtt"
 	"mpquic/internal/sim"
 	"mpquic/internal/stream"
@@ -602,9 +603,15 @@ func (c *Conn) handleAck(recvPath *Path, ack *wire.AckFrame) {
 	if res.CongestionEvent {
 		target.cc.OnCongestionEvent()
 	}
-	for _, sp := range res.Lost {
+	c.onLost(target, res.Lost)
+}
+
+// onLost counts, traces and requeues the packets p's space declared
+// lost, by packet or time threshold or by RTO.
+func (c *Conn) onLost(p *Path, lost []*recovery.SentPacket) {
+	for _, sp := range lost {
 		c.Stats.PacketsLost++
-		c.trace(trace.Event{Type: trace.PacketLost, Path: uint8(target.ID), PN: uint64(sp.PN), Size: sp.Size})
+		c.trace(trace.Event{Type: trace.PacketLost, Path: uint8(p.ID), PN: uint64(sp.PN), Size: sp.Size})
 		c.requeueFrames(sp.Frames)
 	}
 }
@@ -806,10 +813,7 @@ func (c *Conn) onTimer() {
 			if event {
 				p.cc.OnCongestionEvent()
 			}
-			for _, sp := range lost {
-				c.Stats.PacketsLost++
-				c.requeueFrames(sp.Frames)
-			}
+			c.onLost(p, lost)
 		}
 		// Retransmission timeout.
 		if p.space.HasRetransmittableInFlight() {
@@ -840,10 +844,7 @@ func (c *Conn) onPathRTO(p *Path) {
 	p.cc.OnRTO()
 	c.Stats.RTOs++
 	c.trace(trace.Event{Type: trace.RTOFired, Path: uint8(p.ID), Cwnd: p.cc.Cwnd()})
-	for _, sp := range lost {
-		c.Stats.PacketsLost++
-		c.requeueFrames(sp.Frames)
-	}
+	c.onLost(p, lost)
 	if c.cfg.Multipath && len(c.paths) > 1 {
 		p.potentiallyFailed = true
 		c.trace(trace.Event{Type: trace.PathFailed, Path: uint8(p.ID)})

@@ -230,6 +230,35 @@ func TestFailPathsOnDuringBatchSendsAtOnce(t *testing.T) {
 	}
 }
 
+// TestListenerFailPathsOn: a dying server socket reaches every
+// accepted connection through the listener, and marks exactly the path
+// bound to it potentially failed, once. A single-path listener leaves
+// its connections alone: with nowhere to steer, PF would only hold back
+// retransmissions.
+func TestListenerFailPathsOn(t *testing.T) {
+	h := newMoreHarness(t)
+	if n := h.lis.FailPathsOn(moreServerAddrs[1]); n != 1 {
+		t.Fatalf("FailPathsOn marked %d paths, want 1", n)
+	}
+	for _, p := range h.lis.Conns()[0].Paths() {
+		if p.PotentiallyFailed() != (p.Local == moreServerAddrs[1]) {
+			t.Fatalf("path %d on %s: potentially failed = %v", p.ID, p.Local, p.PotentiallyFailed())
+		}
+	}
+	if n := h.lis.FailPathsOn(moreServerAddrs[1]); n != 0 {
+		t.Fatalf("second FailPathsOn marked %d paths, want 0", n)
+	}
+
+	cfg := core.DefaultSinglePathConfig()
+	net := newBatchNet()
+	lis := core.Listen(net, cfg, moreServerAddrs[:1])
+	c := core.Dial(net, cfg, 0xa, []netem.Addr{"a0"}, moreServerAddrs[:1])
+	net.settle(t, func() bool { return c.HandshakeComplete() && len(lis.Conns()) == 1 })
+	if n := lis.FailPathsOn(moreServerAddrs[0]); n != 0 {
+		t.Fatalf("single-path listener marked %d paths, want 0", n)
+	}
+}
+
 // TestListenerReleasesConnectionsLeftHolding: the carrier sees one
 // handler, the listener, so a connection's datagrams may all carry More
 // and the step's last datagram belong to another connection — or to

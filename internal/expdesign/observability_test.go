@@ -230,3 +230,24 @@ func TestWriteFlightDumpFile(t *testing.T) {
 		t.Fatalf("dump = %q, want header + 1 event", data)
 	}
 }
+
+// TestTracedLossesMatchCounted: the sender traces packet_lost for every
+// loss it counts, whichever rule declared it (packet or time threshold,
+// FACK, RTO), so a qlog file, a flight dump and RunMetrics agree.
+func TestTracedLossesMatchCounted(t *testing.T) {
+	sc := Scenario{ID: 3, Class: "lossy"}
+	sc.Paths[0] = pathSpec(20, 40*time.Millisecond, 50*time.Millisecond, 0.02)
+	sc.Paths[1] = pathSpec(10, 60*time.Millisecond, 50*time.Millisecond, 0.01)
+	for _, proto := range []Protocol{ProtoTCP, ProtoMPTCP, ProtoQUIC, ProtoMPQUIC} {
+		c := trace.NewCounter()
+		res := RunWithOpts(sc, proto, 4<<20, 0, 1, RunOpts{Tracer: c, Side: "server"})
+		if !res.Completed {
+			t.Fatalf("%s: transfer did not complete", proto)
+		}
+		traced, counted := uint64(c.Counts[trace.PacketLost]), res.Metrics.PacketsLost
+		t.Logf("%s: %d packet_lost traced, %d counted", proto, traced, counted)
+		if traced != counted || counted == 0 {
+			t.Errorf("%s: %d packet_lost events traced, %d losses counted", proto, traced, counted)
+		}
+	}
+}

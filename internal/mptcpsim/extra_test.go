@@ -136,40 +136,45 @@ func TestMPTCPSACKBlocksBounded(t *testing.T) {
 
 func TestMPTCPIdleTimeout(t *testing.T) {
 	// Establish, then go silent: the connection must close, on either
-	// stack.
-	type closer interface {
-		Closed() bool
-		Err() error
-	}
+	// stack, and trace why. tr is the client's tracer.
 	for _, st := range []struct {
 		name string
-		dial func(clock *sim.Clock, idle time.Duration) closer
+		dial func(clock *sim.Clock, idle time.Duration, tr trace.Tracer) interface{ Closed() bool }
 	}{
-		{"tcp", func(clock *sim.Clock, idle time.Duration) closer {
+		{"tcp", func(clock *sim.Clock, idle time.Duration, tr trace.Tracer) interface{ Closed() bool } {
 			cfg := tcpsim.DefaultConfig()
 			cfg.IdleTimeout = idle
 			nw := netem.New(clock, sim.NewRand(5))
 			nw.Connect("c:1", "s:443", netem.LinkConfig{RateMbps: 10, Delay: 10 * time.Millisecond, QueueDelay: 100 * time.Millisecond})
 			tcpsim.ListenTCP(nw, cfg, "s:443")
+			cfg.Tracer = tr
 			return tcpsim.DialTCP(nw, cfg, "c:1", "s:443")
 		}},
-		{"mptcp", func(clock *sim.Clock, idle time.Duration) closer {
+		{"mptcp", func(clock *sim.Clock, idle time.Duration, tr trace.Tracer) interface{ Closed() bool } {
 			cfg := DefaultConfig()
 			cfg.IdleTimeout = idle
 			tp := netem.NewTwoPath(clock, sim.NewRand(5), symSpecs(10, 20*time.Millisecond))
 			ListenMPTCP(tp.Net, cfg, tp.ServerAddrs[:])
+			cfg.Tracer = tr
 			return DialMPTCP(tp.Net, cfg, 0x99, tp.ClientAddrs[:], tp.ServerAddrs[:])
 		}},
 	} {
 		t.Run(st.name, func(t *testing.T) {
 			clock := sim.NewClock()
-			client := st.dial(clock, 2*time.Second)
+			var log eventLog
+			client := st.dial(clock, 2*time.Second, &log)
 			clock.RunUntil(sim.Time(30 * time.Second))
 			if !client.Closed() {
 				t.Fatal("idle connection never closed")
 			}
-			if client.Err() == nil {
-				t.Fatal("no close reason")
+			var closes []string
+			for _, ev := range log {
+				if ev.Type == trace.ConnClosed {
+					closes = append(closes, ev.Detail)
+				}
+			}
+			if !slices.Equal(closes, []string{"tcpsim: idle timeout"}) {
+				t.Fatalf("connection_closed details %q, want one idle timeout", closes)
 			}
 		})
 	}
@@ -217,7 +222,7 @@ func TestMPTCPSubflowAccountingSettles(t *testing.T) {
 			t.Fatalf("subflow %d: in-flight accounting leaked: %d", sf.ID, sf.InFlight())
 		}
 		for _, r := range sf.Records() {
-			if !r.Settled {
+			if !r.Settled() {
 				t.Fatalf("subflow %d: record tx %d (rtx=%v) never settled", sf.ID, r.TxSeq, r.IsRtx)
 			}
 		}

@@ -273,7 +273,7 @@ func (c *Conn) maybeORP() {
 	var chunk dataChunk
 	for _, sf := range c.subflows {
 		for _, r := range sf.Records() {
-			if r.Settled || r.DataEnd <= c.dataAcked || r.DataStart > c.dataAcked {
+			if r.Settled() || r.DataEnd <= c.dataAcked || r.DataStart > c.dataAcked {
 				continue
 			}
 			owner = sf

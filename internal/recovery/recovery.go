@@ -53,13 +53,13 @@ type SentPacket struct {
 	// is reinjected at most once.
 	Reinjected bool
 
-	acked, lost bool
-	// owned marks a packet the Space allocated (RecordSent) and may
-	// therefore recycle; caller-built packets are left to the GC.
-	owned   bool
-	inline  [sentInlineFrames]wire.Frame        // backs Frames of owned packets
+	settled bool                                // acked or declared lost
+	inline  [sentInlineFrames]wire.Frame        // backs Frames of RecordSent packets
 	streams [sentInlineStreams]wire.StreamFrame // the STREAM frames among them
 }
+
+// Settled reports whether the packet was acknowledged or declared lost.
+func (sp *SentPacket) Settled() bool { return sp.settled }
 
 // Space tracks the sent half of one packet-number space.
 //
@@ -68,27 +68,14 @@ type SentPacket struct {
 // owns, valid until the next call of the method that produced them
 // (OnAck, OnLossTimer and OnRTO share theirs); callers consume them on
 // the spot. The settled SentPackets they point to stay intact at least
-// until the next OnAck, OnLossTimer or OnRTO, which is when packets
-// the Space allocated itself become eligible for reuse.
+// until the next OnAck, OnLossTimer or OnRTO, which is when they
+// become eligible for reuse.
 type Space struct {
 	est *rtt.Estimator
 
-	// packets[head:] is the PN-ordered history; settled packets are
-	// trimmed from its front by advancing head, and the live part is
-	// moved down when the dead prefix outgrows it, so the backing array
-	// is reused instead of walked through.
-	packets []*SentPacket
-	head    int
-	// settled counts the acked-or-lost packets still in packets[head:],
-	// so trim decides whether to compact without recounting the window.
-	settled int
-
-	// free holds recycled owned packets. retired holds the ones trimmed
-	// since the last OnAck/OnLossTimer/OnRTO began: that call's result
-	// still points at them, so they join free only when the next one
-	// begins.
-	free    []*SentPacket
-	retired []*SentPacket
+	// history is the PN-ordered log of what was sent. A SentPacket
+	// becomes the Space's at OnPacketSent, and RecordSent reuses it.
+	history History[SentPacket, *SentPacket]
 
 	// Result scratch, see the type comment.
 	ackedScratch []*SentPacket
@@ -101,10 +88,7 @@ type Space struct {
 	// retransmittableInFlight counts unsettled retransmittable packets.
 	retransmittableInFlight int
 	lossTime                time.Duration // earliest time-threshold deadline (0 = none)
-
-	// Congestion-event filtering: one decrease per window.
-	largestSentAtLastCutback wire.PacketNumber
-	hasCutback               bool
+	cutback                 Episode
 }
 
 // NewSpace builds a space feeding RTT samples into est.
@@ -142,10 +126,10 @@ func (s *Space) RTT() *rtt.Estimator { return s.est }
 // OnPacketSent records a transmission. The PN must come from
 // NextPacketNumber (strictly increasing).
 func (s *Space) OnPacketSent(sp *SentPacket) {
-	if len(s.packets) > s.head && sp.PN <= s.packets[len(s.packets)-1].PN {
+	if live := s.history.Live(); len(live) > 0 && sp.PN <= live[len(live)-1].PN {
 		panic("recovery: non-monotonic packet number")
 	}
-	s.packets = append(s.packets, sp)
+	s.history.Add(sp)
 	s.bytesInFlight += sp.Size
 	if sp.Retransmittable {
 		s.retransmittableInFlight++
@@ -153,24 +137,17 @@ func (s *Space) OnPacketSent(sp *SentPacket) {
 }
 
 // RecordSent is OnPacketSent for a connection's send path: it records
-// a retransmittable transmission in a SentPacket recycled from the
-// space's free list. Only the retransmittable frames are kept, in
-// storage the SentPacket itself carries, and a STREAM frame is kept as
-// the SentPacket's own copy: neither the frames slice nor a STREAM
-// frame in it is retained, so the caller may reuse both at once, and two
-// packets recorded from one frame list (a duplicate, a reinjection)
-// share no STREAM frame. Other retransmittable frames are immutable once
-// built and are kept by reference.
+// a retransmittable transmission in a SentPacket the space recycles.
+// Only the retransmittable frames are kept, in storage the SentPacket
+// itself carries, and a STREAM frame is kept as the SentPacket's own
+// copy: neither the frames slice nor a STREAM frame in it is retained,
+// so the caller may reuse both at once, and two packets recorded from
+// one frame list (a duplicate, a reinjection) share no STREAM frame.
+// Other retransmittable frames are immutable once built and are kept
+// by reference.
 func (s *Space) RecordSent(pn wire.PacketNumber, frames []wire.Frame, size int, now time.Duration) {
-	var sp *SentPacket
-	if n := len(s.free); n > 0 {
-		sp = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-	} else {
-		sp = new(SentPacket)
-	}
-	*sp = SentPacket{PN: pn, Size: size, SentTime: now, Retransmittable: true, owned: true}
+	sp := s.history.Next()
+	*sp = SentPacket{PN: pn, Size: size, SentTime: now, Retransmittable: true}
 	sp.Frames = sp.inline[:0]
 	nStreams := 0
 	for _, f := range frames {
@@ -190,14 +167,6 @@ func (s *Space) RecordSent(pn wire.PacketNumber, frames []wire.Frame, size int, 
 		sp.Frames = append(sp.Frames, f)
 	}
 	s.OnPacketSent(sp)
-}
-
-// reclaim opens a result-producing call: the packets retired under the
-// previous result are now unreferenced and may be handed out again.
-func (s *Space) reclaim() {
-	s.free = append(s.free, s.retired...)
-	clear(s.retired)
-	s.retired = s.retired[:0]
 }
 
 // AckResult reports the outcome of processing one ACK frame. NewlyAcked
@@ -223,21 +192,20 @@ func (s *Space) OnAck(ack *wire.AckFrame, now time.Duration) AckResult {
 	if largest == wire.InvalidPacketNumber {
 		return res
 	}
-	s.reclaim()
+	s.history.Reclaim()
 	if s.largestAcked == wire.InvalidPacketNumber || largest > s.largestAcked {
 		s.largestAcked = largest
 	}
 	// Collect newly acked packets.
 	res.NewlyAcked = s.ackedScratch[:0]
-	for _, sp := range s.packets[s.head:] {
-		if sp.acked || sp.lost {
+	for _, sp := range s.history.Live() {
+		if sp.settled {
 			continue
 		}
 		if sp.PN > largest {
 			break
 		}
 		if ack.Acks(sp.PN) {
-			sp.acked = true
 			s.settle(sp)
 			res.NewlyAcked = append(res.NewlyAcked, sp)
 			if sp.PN == largest {
@@ -255,28 +223,15 @@ func (s *Space) OnAck(ack *wire.AckFrame, now time.Duration) AckResult {
 		s.est.ResetBackoff()
 	}
 	res.Lost = s.detectLost(now)
-	s.trim()
-	if len(res.Lost) > 0 {
-		res.CongestionEvent = s.registerCongestion(res.Lost)
-	}
+	s.history.Trim()
+	res.CongestionEvent = s.cut(res.Lost)
 	return res
 }
 
-// registerCongestion applies once-per-window filtering and returns
-// whether the controller should decrease.
-func (s *Space) registerCongestion(lost []*SentPacket) bool {
-	var largestLost wire.PacketNumber
-	for _, sp := range lost {
-		if sp.PN > largestLost {
-			largestLost = sp.PN
-		}
-	}
-	if !s.hasCutback || largestLost >= s.largestSentAtLastCutback {
-		s.largestSentAtLastCutback = s.nextPN
-		s.hasCutback = true
-		return true
-	}
-	return false
+// cut reports whether lost, in PN order, opens a new loss episode: the
+// controller decreases once per window.
+func (s *Space) cut(lost []*SentPacket) bool {
+	return len(lost) > 0 && s.cutback.Cut(uint64(lost[len(lost)-1].PN), uint64(s.nextPN))
 }
 
 // detectLost applies packet- and time-threshold loss detection.
@@ -287,8 +242,8 @@ func (s *Space) detectLost(now time.Duration) []*SentPacket {
 	lost := s.lostScratch[:0]
 	s.lossTime = 0
 	threshold := s.timeThreshold()
-	for _, sp := range s.packets[s.head:] {
-		if sp.acked || sp.lost {
+	for _, sp := range s.history.Live() {
+		if sp.settled {
 			continue
 		}
 		if sp.PN >= s.largestAcked {
@@ -297,7 +252,6 @@ func (s *Space) detectLost(now time.Duration) []*SentPacket {
 		pnLost := s.largestAcked >= sp.PN+PacketThreshold
 		timeLost := threshold > 0 && sp.SentTime+threshold <= now
 		if pnLost || timeLost {
-			sp.lost = true
 			s.settle(sp)
 			lost = append(lost, sp)
 			continue
@@ -327,85 +281,37 @@ func (s *Space) LossTime() time.Duration { return s.lossTime }
 // OnLossTimer re-runs time-threshold detection (the early-retransmit
 // timer fired). The caller applies a congestion event if reported.
 func (s *Space) OnLossTimer(now time.Duration) ([]*SentPacket, bool) {
-	s.reclaim()
+	s.history.Reclaim()
 	lost := s.detectLost(now)
-	s.trim()
-	if len(lost) == 0 {
-		return nil, false
-	}
-	return lost, s.registerCongestion(lost)
+	s.history.Trim()
+	return lost, s.cut(lost)
 }
 
 // OnRTO declares every outstanding retransmittable packet lost — the
 // go-back behavior after a retransmission timeout — and backs off the
 // estimator. The caller must invoke the congestion controller's OnRTO.
 func (s *Space) OnRTO(now time.Duration) []*SentPacket {
-	s.reclaim()
+	s.history.Reclaim()
 	lost := s.lostScratch[:0]
-	for _, sp := range s.packets[s.head:] {
-		if sp.acked || sp.lost {
-			continue
+	for _, sp := range s.history.Live() {
+		if !sp.settled {
+			s.settle(sp)
+			lost = append(lost, sp)
 		}
-		sp.lost = true
-		s.settle(sp)
-		lost = append(lost, sp)
 	}
 	s.lostScratch = lost
-	s.trim()
+	s.history.Trim()
 	s.est.Backoff()
 	return lost
 }
 
-// settle removes a packet from in-flight accounting. The caller has
-// just marked it acked or lost; it stays in the history until trim.
+// settle marks a packet acked or lost and removes it from in-flight
+// accounting; it stays in the history until trimmed.
 func (s *Space) settle(sp *SentPacket) {
-	s.settled++
+	sp.settled = true
 	s.bytesInFlight -= sp.Size
 	if sp.Retransmittable {
 		s.retransmittableInFlight--
-	}
-}
-
-// retire drops the history's reference to a settled packet and queues
-// it for recycling if the Space owns it.
-func (s *Space) retire(i int) {
-	if sp := s.packets[i]; sp.owned {
-		s.retired = append(s.retired, sp)
-	}
-	s.packets[i] = nil
-}
-
-// trim drops settled packets from the head of the history.
-func (s *Space) trim() {
-	for s.head < len(s.packets) && (s.packets[s.head].acked || s.packets[s.head].lost) {
-		s.retire(s.head)
-		s.head++
-		s.settled--
-	}
-	live := s.packets[s.head:]
-	// Compact interior garbage occasionally.
-	if len(live) > 64 && s.settled > len(live)/2 {
-		kept := s.head
-		for i := s.head; i < len(s.packets); i++ {
-			if sp := s.packets[i]; sp.acked || sp.lost {
-				s.retire(i)
-			} else {
-				s.packets[kept] = sp
-				kept++
-			}
-		}
-		clear(s.packets[kept:])
-		s.packets = s.packets[:kept]
-		s.settled = 0
-		live = s.packets[s.head:]
-	}
-	// Reuse the dead prefix once it is at least as long as what lives
-	// (amortized O(1) per packet).
-	if s.head > 0 && s.head >= len(live) {
-		n := copy(s.packets, live)
-		clear(s.packets[n:])
-		s.packets = s.packets[:n]
-		s.head = 0
 	}
 }
 
@@ -413,8 +319,8 @@ func (s *Space) trim() {
 // packet; ok is false when nothing is outstanding. RTO timers anchored
 // here cannot be deferred by further transmissions on the same path.
 func (s *Space) OldestUnackedSentTime() (time.Duration, bool) {
-	for _, sp := range s.packets[s.head:] {
-		if !sp.acked && !sp.lost {
+	for _, sp := range s.history.Live() {
+		if !sp.settled {
 			return sp.SentTime, true
 		}
 	}
@@ -425,8 +331,8 @@ func (s *Space) OldestUnackedSentTime() (time.Duration, bool) {
 // Space-owned scratch, valid until the next Outstanding call.
 func (s *Space) Outstanding() []*SentPacket {
 	out := s.outScratch[:0]
-	for _, sp := range s.packets[s.head:] {
-		if !sp.acked && !sp.lost {
+	for _, sp := range s.history.Live() {
+		if !sp.settled {
 			out = append(out, sp)
 		}
 	}

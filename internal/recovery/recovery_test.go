@@ -377,15 +377,19 @@ func TestForceAckAndHasACKable(t *testing.T) {
 	}
 }
 
-func TestTrimCompactsInteriorGarbage(t *testing.T) {
+// TestSparseAckAccounting: one ACK block in the middle of 200
+// outstanding packets settles the block, declares everything below it
+// lost by the packet threshold and leaves exactly the packets above it
+// in flight.
+func TestSparseAckAccounting(t *testing.T) {
 	s := newSpace()
 	for i := 0; i < 200; i++ {
 		sent(s, 100, time.Duration(i)*time.Millisecond)
 	}
-	// Ack a large interior block: packets below it settle as lost via
-	// the packet threshold, packets above stay outstanding; interior
-	// compaction must bound the slice and keep accounting exact.
-	s.OnAck(&wire.AckFrame{Ranges: []wire.AckRange{{Smallest: 50, Largest: 180}}}, 300*time.Millisecond)
+	res := s.OnAck(&wire.AckFrame{Ranges: []wire.AckRange{{Smallest: 50, Largest: 180}}}, 300*time.Millisecond)
+	if len(res.NewlyAcked) != 131 || len(res.Lost) != 50 {
+		t.Fatalf("acked %d lost %d, want 131 and 50", len(res.NewlyAcked), len(res.Lost))
+	}
 	if got := len(s.Outstanding()); got != 19 {
 		t.Fatalf("outstanding %d, want 19 (packets 181..199)", got)
 	}
@@ -394,77 +398,111 @@ func TestTrimCompactsInteriorGarbage(t *testing.T) {
 	}
 }
 
-// recount is what trim computed on every call before Space kept the
-// count: the settled packets still in the history.
-func recount(s *Space) int {
-	n := 0
-	for _, sp := range s.packets[s.head:] {
-		if sp.acked || sp.lost {
-			n++
+// checkSpaceOps runs the program in ops — sends (through OnPacketSent
+// and RecordSent), sparse ACKs of any part of the outstanding window,
+// loss timers and RTOs — and checks after every call that the in-flight
+// accounting is what a recount finds and that at most
+// PacketThreshold-1 settled packets wait behind an unsettled front:
+// the bound that lets History trim only the front.
+func checkSpaceOps(t *testing.T, ops []byte) {
+	t.Helper()
+	next := func(n int) int {
+		if len(ops) == 0 {
+			return 0
+		}
+		v := int(ops[0])
+		ops = ops[1:]
+		return v % n
+	}
+	s := newSpace()
+	now := time.Duration(0)
+	check := func(op string) {
+		t.Helper()
+		settled, inFlight, rtx := 0, 0, 0
+		for _, sp := range s.history.Live() {
+			if sp.Settled() {
+				settled++
+				continue
+			}
+			inFlight += sp.Size
+			if sp.Retransmittable {
+				rtx++
+			}
+		}
+		if settled > PacketThreshold-1 {
+			t.Fatalf("after %s: %d settled packets held in a history of %d, want <= %d",
+				op, settled, len(s.history.Live()), PacketThreshold-1)
+		}
+		if inFlight != s.BytesInFlight() || (rtx > 0) != s.HasRetransmittableInFlight() {
+			t.Fatalf("after %s: %d bytes in flight, %d retransmittable; Space says %d, %v",
+				op, inFlight, rtx, s.BytesInFlight(), s.HasRetransmittableInFlight())
 		}
 	}
-	return n
+	for len(ops) > 0 {
+		now += time.Duration(next(250)*8) * time.Microsecond
+		switch op := next(20); {
+		case op < 10:
+			for i := next(40); i >= 0; i-- {
+				if next(2) == 0 {
+					sent(s, 1000, now)
+				} else {
+					s.RecordSent(s.NextPacketNumber(), nil, 1000, now)
+				}
+			}
+			check("send")
+		case op < 18:
+			out := s.Outstanding()
+			if len(out) == 0 {
+				continue
+			}
+			// A few ranges anywhere in the outstanding window.
+			var pns []wire.PacketNumber
+			for r := next(3); r >= 0; r-- {
+				at := next(len(out))
+				for i := at; i < len(out) && i < at+1+next(30); i++ {
+					pns = append(pns, out[i].PN)
+				}
+			}
+			s.OnAck(ackOf(pns...), now)
+			check("ack")
+		case op < 19:
+			s.OnLossTimer(now)
+			check("loss timer")
+		default:
+			s.OnRTO(now)
+			check("RTO")
+		}
+	}
 }
 
-// TestSettledCountMatchesRecount drives random send / ack / loss-timer
-// / RTO sequences — sparse acks that leave interior garbage, bursts
-// that trigger compaction and prefix reuse — and checks after every
-// call that the running count is what a recount finds, so trim compacts
-// at exactly the moments it did when it recounted.
-func TestSettledCountMatchesRecount(t *testing.T) {
-	for seed := uint64(1); seed <= 20; seed++ {
-		rnd := seed * 0x9e3779b97f4a7c15
-		next := func(n int) int {
-			rnd ^= rnd << 13
-			rnd ^= rnd >> 7
-			rnd ^= rnd << 17
-			return int(rnd % uint64(n))
-		}
-		s := newSpace()
-		now := time.Duration(0)
-		check := func(op string) {
-			t.Helper()
-			if got, want := s.settled, recount(s); got != want {
-				t.Fatalf("seed %d after %s: settled = %d, recount = %d (head %d, len %d)",
-					seed, op, got, want, s.head, len(s.packets))
-			}
-		}
-		for step := 0; step < 3000; step++ {
-			now += time.Duration(next(2000)) * time.Microsecond
-			switch op := next(20); {
-			case op < 10:
-				for i := next(40); i >= 0; i-- {
-					if next(2) == 0 {
-						sent(s, 1000, now)
-					} else {
-						s.RecordSent(s.NextPacketNumber(), nil, 1000, now)
-					}
-				}
-				check("send")
-			case op < 18:
-				out := s.Outstanding()
-				if len(out) == 0 {
-					continue
-				}
-				// A few ranges anywhere in the outstanding window.
-				var pns []wire.PacketNumber
-				for r := next(3); r >= 0; r-- {
-					at := next(len(out))
-					for i := at; i < len(out) && i < at+1+next(30); i++ {
-						pns = append(pns, out[i].PN)
-					}
-				}
-				s.OnAck(ackOf(pns...), now)
-				check("ack")
-			case op < 19:
-				s.OnLossTimer(now)
-				check("loss timer")
-			default:
-				s.OnRTO(now)
-				check("RTO")
-			}
-		}
+// spaceProgram is n random bytes for checkSpaceOps.
+func spaceProgram(seed uint64, n int) []byte {
+	rnd := seed * 0x9e3779b97f4a7c15
+	ops := make([]byte, n)
+	for i := range ops {
+		rnd ^= rnd << 13
+		rnd ^= rnd >> 7
+		rnd ^= rnd << 17
+		ops[i] = byte(rnd)
 	}
+	return ops
+}
+
+func TestSpaceHoldsFewSettledPackets(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		checkSpaceOps(t, spaceProgram(seed, 50_000))
+	}
+}
+
+func FuzzSpaceHistory(f *testing.F) {
+	f.Add(spaceProgram(1, 1000))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 4096 {
+			return
+		}
+		checkSpaceOps(t, ops)
+	})
 }
 
 // TestOnAckCostIndependentOfWindow: acknowledging one packet costs the

@@ -2,7 +2,6 @@ package tcpsim
 
 import (
 	"cmp"
-	"errors"
 	"slices"
 	"time"
 
@@ -13,7 +12,7 @@ import (
 
 // Endpoint is what the application sees of a TCP-family connection,
 // shared by a plain TCP connection and an MPTCP one: one byte stream
-// in each direction with a FIN, the receive window, the three
+// in each direction with a FIN, the receive window, the two
 // callbacks, the idle timeout and the close. The owner embeds it and
 // keeps what is its own: how stream bytes map onto its flows, what to
 // retransmit, and where its flows' deadlines lie.
@@ -40,14 +39,10 @@ type Endpoint struct {
 
 	timer  *sim.Timer
 	closed bool
-	err    error
 
 	onEstablished func()
 	onData        func()
-	onClosed      func(error)
 }
-
-var errIdle = errors.New("tcpsim: idle timeout")
 
 // Init readies the endpoint: data is where the owner puts in-order
 // stream bytes, timeout runs when the connection timer fires, send is
@@ -87,14 +82,8 @@ func (e *Endpoint) OnEstablished(fn func()) {
 // OnData registers the data-arrival callback.
 func (e *Endpoint) OnData(fn func()) { e.onData = fn }
 
-// OnClosed registers the close callback.
-func (e *Endpoint) OnClosed(fn func(error)) { e.onClosed = fn }
-
 // Closed reports connection termination.
 func (e *Endpoint) Closed() bool { return e.closed }
-
-// Err returns the close reason, if any.
-func (e *Endpoint) Err() error { return e.err }
 
 // HandshakeDone runs once the first flow's handshake finished: the
 // OnEstablished callback, then the owner's send.
@@ -196,7 +185,7 @@ func (e *Endpoint) Advertise(seg *Segment) {
 // has been silent for the idle timeout.
 func (e *Endpoint) IdleExpired() bool {
 	if e.cfg.IdleTimeout > 0 && e.now()-e.lastRecv >= e.cfg.IdleTimeout {
-		e.closeWith(errIdle)
+		e.closeIdle()
 		return true
 	}
 	return false
@@ -219,24 +208,16 @@ func (e *Endpoint) ArmTimer(deadline time.Duration) {
 	e.timer.Reset(sim.Time(deadline))
 }
 
-func (e *Endpoint) closeWith(err error) {
+func (e *Endpoint) closeIdle() {
 	if e.closed {
 		return
 	}
 	e.closed = true
-	e.err = err
 	for _, f := range e.flows {
 		f.StopHandshake()
 	}
 	e.timer.Stop()
-	detail := ""
-	if err != nil {
-		detail = err.Error()
-	}
-	e.Trace(trace.Event{Type: trace.ConnClosed, Detail: detail})
-	if e.onClosed != nil {
-		e.onClosed(err)
-	}
+	e.Trace(trace.Event{Type: trace.ConnClosed, Detail: "tcpsim: idle timeout"})
 }
 
 // Acceptor is a listener's table of accepted connections C by demux key

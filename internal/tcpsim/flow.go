@@ -5,6 +5,7 @@ import (
 
 	"mpquic/internal/cc"
 	"mpquic/internal/netem"
+	"mpquic/internal/recovery"
 	"mpquic/internal/rtt"
 	"mpquic/internal/sim"
 	"mpquic/internal/stream"
@@ -50,8 +51,8 @@ const dupThresh = 3
 const Never = time.Duration(1<<62 - 1)
 
 // Record tracks one transmitted segment for loss detection. The flow
-// recycles the records it trims from its scoreboard, so a record lives
-// as long as its segment is outstanding plus one OnAck or OnRTO. What
+// keeps its records in a recovery.History, so a record lives as long as
+// its segment is outstanding plus one OnAck or OnRTO. What
 // the flow holds at its peak is one record per segment in flight: the
 // bools sit together to keep it in the 64-byte size class
 // (TestRecordStaysInTCPSizeClass).
@@ -71,8 +72,11 @@ type Record struct {
 	// a SACK block — can cover.
 	Fin     bool
 	IsRtx   bool
-	Settled bool // acked or declared lost
+	settled bool // acked or declared lost
 }
+
+// Settled reports whether the record was acked or declared lost.
+func (r *Record) Settled() bool { return r.settled }
 
 // Stats counts one flow's activity.
 type Stats struct {
@@ -115,16 +119,10 @@ type Flow struct {
 	cc       cc.Controller
 
 	// --- send scoreboard ---
-	sndNxt uint64
-	// records[head:] is the scoreboard in transmission order; the
-	// records before head are trimmed, dead prefix of the backing array.
-	records []*Record
-	head    int
-	lost    []*Record // scratch: the list OnAck/OnRTO hand out
-	// retired holds the records trimmed since the last OnAck or OnRTO,
-	// which lost may still name; free holds the records Sent reuses.
-	retired, free []*Record
-	segs          []*Segment // the segments NewSegment lends again
+	sndNxt  uint64
+	records recovery.History[Record, *Record] // the scoreboard, in transmission order
+	lost    []*Record                         // scratch: the list OnAck/OnRTO hand out
+	segs    []*Segment                        // the segments NewSegment lends again
 
 	liveRtx       int // live retransmission records (out of seq order)
 	nextTxSeq     uint64
@@ -136,8 +134,7 @@ type Flow struct {
 	finAcked      bool
 	lastSent      time.Duration
 	lastProgress  time.Duration // last ack progress (restarts the RTO)
-	cutbackTx     uint64
-	hasCutback    bool
+	cutback       recovery.Episode
 
 	// --- receive side ---
 	received    stream.IntervalSet
@@ -194,7 +191,7 @@ func (f *Flow) SndNxt() uint64 { return f.sndNxt }
 // Records returns the scoreboard in transmission order; settled
 // records linger until trimmed. The records stay the flow's, which
 // reuses one from the OnAck or OnRTO after the one that trimmed it.
-func (f *Flow) Records() []*Record { return f.records[f.head:] }
+func (f *Flow) Records() []*Record { return f.records.Live() }
 
 // HasWindow reports whether the congestion window has room for
 // another segment of segSize wire bytes.
@@ -339,13 +336,7 @@ func (f *Flow) Sent(start, end uint64, isRtx bool, wireSize int) *Record {
 		f.liveRtx++
 		f.Stats.Retransmits++
 	}
-	var r *Record
-	if n := len(f.free); n > 0 {
-		r = f.free[n-1]
-		f.free = f.free[:n-1]
-	} else {
-		r = new(Record)
-	}
+	r := f.records.Next()
 	*r = Record{
 		TxSeq:    f.nextTxSeq,
 		SeqStart: start,
@@ -355,15 +346,7 @@ func (f *Flow) Sent(start, end uint64, isRtx bool, wireSize int) *Record {
 		WireSize: wireSize,
 	}
 	f.nextTxSeq++
-	if len(f.records) == cap(f.records) && 2*f.head >= len(f.records) {
-		// Half the backing array is trimmed prefix: move the scoreboard
-		// down into it instead of growing the array. Each record moves
-		// at most once per time the array fills, so trimming stays
-		// amortized O(1) per record.
-		n := copy(f.records, f.records[f.head:])
-		f.records, f.head = f.records[:n], 0
-	}
-	f.records = append(f.records, r)
+	f.records.Add(r)
 	f.bytesInFlight += wireSize
 	f.lastSent = r.sentTime
 	if end > f.sndNxt {
@@ -373,7 +356,7 @@ func (f *Flow) Sent(start, end uint64, isRtx bool, wireSize int) *Record {
 }
 
 func (f *Flow) settle(r *Record) {
-	r.Settled = true
+	r.settled = true
 	if r.IsRtx {
 		f.liveRtx--
 	}
@@ -387,7 +370,7 @@ func (f *Flow) settle(r *Record) {
 // holds the records declared lost, for the owner to requeue, and is
 // valid until the next OnAck or OnRTO.
 func (f *Flow) OnAck(seg *Segment) (progress bool, lost []*Record) {
-	f.recycle()
+	f.records.Reclaim()
 	if seg.AckNum > f.cumAcked {
 		f.cumAcked = seg.AckNum
 	}
@@ -409,7 +392,7 @@ func (f *Flow) OnAck(seg *Segment) (progress bool, lost []*Record) {
 	var newlyAckedBytes int
 	rtxLeft := f.liveRtx
 	for _, r := range f.Records() {
-		if r.Settled {
+		if r.settled {
 			continue
 		}
 		if r.IsRtx {
@@ -459,7 +442,7 @@ func (f *Flow) OnAck(seg *Segment) (progress bool, lost []*Record) {
 			if r.TxSeq+dupThresh > f.highestAckTx {
 				break // records are in transmission order
 			}
-			if !r.Settled {
+			if !r.settled {
 				f.settle(r)
 				f.lost = append(f.lost, r)
 			}
@@ -469,13 +452,11 @@ func (f *Flow) OnAck(seg *Segment) (progress bool, lost []*Record) {
 		f.Stats.FastRetransmit++
 		f.Stats.SegmentsLost += uint64(len(f.lost))
 		// Transmission order: the last lost record is the latest sent.
-		if !f.hasCutback || f.lost[len(f.lost)-1].TxSeq >= f.cutbackTx {
-			f.cutbackTx = f.nextTxSeq
-			f.hasCutback = true
+		if f.cutback.Cut(f.lost[len(f.lost)-1].TxSeq, f.nextTxSeq) {
 			f.cc.OnCongestionEvent()
 		}
 	}
-	f.trimRecords()
+	f.records.Trim()
 	return progress, f.lost
 }
 
@@ -504,42 +485,21 @@ func (f *Flow) RTOExpired() bool {
 // off. The lost records, for the owner to requeue in sequence, are
 // valid until the next OnAck or OnRTO.
 func (f *Flow) OnRTO() []*Record {
-	f.recycle()
+	f.records.Reclaim()
 	f.Stats.RTOCount++
 	f.lost = f.lost[:0]
 	for _, r := range f.Records() {
-		if !r.Settled {
+		if !r.settled {
 			f.settle(r)
 			f.lost = append(f.lost, r)
 		}
 	}
 	f.Stats.SegmentsLost += uint64(len(f.lost))
-	f.trimRecords()
+	f.records.Trim()
 	f.est.Backoff()
 	f.cc.OnRTO()
-	f.hasCutback = false
+	f.cutback = recovery.Episode{}
 	return f.lost
-}
-
-// trimRecords drops the settled head of the scoreboard and retires it.
-// Nothing settled lingers behind it for long: a record sent after the
-// highest acked transmission is never settled, and FACK marking settles
-// every record dupThresh or more transmissions before it.
-func (f *Flow) trimRecords() {
-	for f.head < len(f.records) && f.records[f.head].Settled {
-		f.retired = append(f.retired, f.records[f.head])
-		f.head++
-	}
-	if f.head == len(f.records) {
-		f.records, f.head = f.records[:0], 0
-	}
-}
-
-// recycle hands the records retired since the last OnAck or OnRTO to
-// Sent: the lost list that could name them is no longer valid.
-func (f *Flow) recycle() {
-	f.free = append(f.free, f.retired...)
-	f.retired = f.retired[:0]
 }
 
 // --- receive side ---

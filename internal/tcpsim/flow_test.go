@@ -156,7 +156,7 @@ func (m *scoreboardModel) report(lost []*Record, want map[*Record]string) {
 		switch {
 		case reportedLost[r]:
 			got = "lost"
-		case r.Settled:
+		case r.settled:
 			got = "acked"
 		}
 		if got != want[r] {
@@ -168,7 +168,7 @@ func (m *scoreboardModel) report(lost []*Record, want map[*Record]string) {
 			stillLive = append(stillLive, r)
 			continue
 		case "lost":
-			if !r.Settled {
+			if !r.settled {
 				m.t.Fatalf("record tx %d reported lost but left unsettled", r.TxSeq)
 			}
 			m.lost = append(m.lost, *r)
@@ -184,11 +184,11 @@ func (m *scoreboardModel) recount() {
 	for _, r := range m.f.Records() {
 		kept[r] = true
 	}
-	// What lets trimRecords drop only the settled head: FACK marking
+	// What lets the History trim only the settled front: FACK marking
 	// leaves fewer than dupThresh settled records behind it.
 	settledKept := 0
 	for r := range kept {
-		if r.Settled {
+		if r.settled {
 			settledKept++
 		}
 	}
@@ -197,7 +197,7 @@ func (m *scoreboardModel) recount() {
 	}
 	inFlight, liveRtx := 0, 0
 	for _, r := range m.live {
-		if r.Settled {
+		if r.settled {
 			m.t.Fatalf("record tx %d settled outside OnAck/OnRTO", r.TxSeq)
 		}
 		inFlight += r.WireSize
@@ -205,7 +205,7 @@ func (m *scoreboardModel) recount() {
 			liveRtx++
 		}
 		if !kept[r] {
-			m.t.Fatalf("trimRecords dropped unsettled record tx %d", r.TxSeq)
+			m.t.Fatalf("trim dropped unsettled record tx %d", r.TxSeq)
 		}
 	}
 	if m.f.bytesInFlight != inFlight {
@@ -263,52 +263,65 @@ func (m *scoreboardModel) randomAck() *Segment {
 	return seg
 }
 
-// TestFlowScoreboardModel drives the send scoreboard both stacks run —
-// no network, no owner — through random sends, retransmissions, acks
-// and RTO collapses, and holds it to the naive model after every step.
+// checkScoreboard drives the send scoreboard both stacks run — no
+// network, no owner — through steps random sends, retransmissions,
+// acks and RTO collapses drawn from seed, and holds it to the naive
+// model after every step. It returns the model for its counts.
+func checkScoreboard(t *testing.T, seed uint64, steps int) *scoreboardModel {
+	clock := sim.NewClock()
+	nw := netem.New(clock, sim.NewRand(seed))
+	cub := cc.NewCubic(MSS, func() time.Duration { return clock.Now().Duration() })
+	m := &scoreboardModel{
+		t:       t,
+		f:       NewFlow(nw, 0, "c:1", "s:1", cub, false, func(*Segment) {}),
+		clock:   clock,
+		rng:     sim.NewRand(seed * 977),
+		outcome: map[uint64]string{},
+	}
+	for step := 0; step < steps; step++ {
+		switch op := m.rng.Intn(100); {
+		case op < 45: // fresh data, often a burst, now and then a window's worth
+			n := 1 + m.rng.Intn(4)
+			if m.rng.Bernoulli(0.02) {
+				n = 30 + m.rng.Intn(60)
+			}
+			for ; n > 0; n-- {
+				next := m.f.SndNxt()
+				m.send(next, next+uint64(1+m.rng.Intn(MSS)), false)
+			}
+		case op < 60: // retransmit a lost record, whole or its first half
+			if len(m.lost) == 0 {
+				continue
+			}
+			r := m.lost[m.rng.Intn(len(m.lost))]
+			end := r.SeqEnd
+			if m.rng.Bernoulli(0.3) && end-r.SeqStart > 1 {
+				end = r.SeqStart + (end-r.SeqStart)/2
+			}
+			m.send(r.SeqStart, end, true)
+		case op < 97:
+			m.ack(m.randomAck())
+		default:
+			m.rto()
+		}
+		m.recount()
+	}
+	return m
+}
+
 func TestFlowScoreboardModel(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
-		clock := sim.NewClock()
-		nw := netem.New(clock, sim.NewRand(seed))
-		cub := cc.NewCubic(MSS, func() time.Duration { return clock.Now().Duration() })
-		m := &scoreboardModel{
-			t:       t,
-			f:       NewFlow(nw, 0, "c:1", "s:1", cub, false, func(*Segment) {}),
-			clock:   clock,
-			rng:     sim.NewRand(seed * 977),
-			outcome: map[uint64]string{},
-		}
-		for step := 0; step < 3000; step++ {
-			switch op := m.rng.Intn(100); {
-			case op < 45: // fresh data, often a burst, now and then a window's worth
-				n := 1 + m.rng.Intn(4)
-				if m.rng.Bernoulli(0.02) {
-					n = 30 + m.rng.Intn(60)
-				}
-				for ; n > 0; n-- {
-					next := m.f.SndNxt()
-					m.send(next, next+uint64(1+m.rng.Intn(MSS)), false)
-				}
-			case op < 60: // retransmit a lost record, whole or its first half
-				if len(m.lost) == 0 {
-					continue
-				}
-				r := m.lost[m.rng.Intn(len(m.lost))]
-				end := r.SeqEnd
-				if m.rng.Bernoulli(0.3) && end-r.SeqStart > 1 {
-					end = r.SeqStart + (end-r.SeqStart)/2
-				}
-				m.send(r.SeqStart, end, true)
-			case op < 97:
-				m.ack(m.randomAck())
-			default:
-				m.rto()
-			}
-			m.recount()
-		}
+		m := checkScoreboard(t, seed, 3000)
 		if len(m.lost) < 100 || m.f.Stats.Retransmits < 100 || m.sent < 1000 {
 			t.Fatalf("seed %d exercised too little: %d records, %d lost, %d retransmissions",
 				seed, m.sent, len(m.lost), m.f.Stats.Retransmits)
 		}
 	}
+}
+
+func FuzzFlowScoreboard(f *testing.F) {
+	f.Add(uint64(1))
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		checkScoreboard(t, seed, 300)
+	})
 }

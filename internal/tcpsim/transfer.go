@@ -116,7 +116,7 @@ func (c *Conn) trySend() {
 
 func (c *Conn) finInFlight() bool {
 	for _, r := range c.Records() {
-		if !r.Settled && r.Fin {
+		if !r.settled && r.Fin {
 			return true
 		}
 	}
