@@ -21,6 +21,7 @@ FUZZTIME ?= 30s
 fuzz-smoke:
 	go test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/wire
 	go test -run='^$$' -fuzz='^FuzzDecodeBorrowed$$' -fuzztime=$(FUZZTIME) ./internal/wire
+	go test -run='^$$' -fuzz='^FuzzAckFrameRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/wire
 	go test -run='^$$' -fuzz='^FuzzLiveIngress$$' -fuzztime=$(FUZZTIME) ./internal/live
 	go test -run='^$$' -fuzz='^FuzzRecvStream$$' -fuzztime=$(FUZZTIME) ./internal/stream
 	go test -run='^$$' -fuzz='^FuzzAckManager$$' -fuzztime=$(FUZZTIME) ./internal/recovery

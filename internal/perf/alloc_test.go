@@ -143,6 +143,43 @@ func TestDecodeIntoAllocFree(t *testing.T) {
 	}
 }
 
+// TestDenseAckCodecAllocFree: a 91-range ACK, the mean on the wire-mode
+// benchmark (sim_wire_crypto), encodes into a pooled buffer and decodes
+// into a warmed FrameArena without allocating.
+func TestDenseAckCodecAllocFree(t *testing.T) {
+	ack := &wire.AckFrame{PathID: 1, AckDelay: time.Millisecond}
+	largest := wire.PacketNumber(10_000)
+	for i := 0; i < 91; i++ {
+		r := wire.AckRange{Smallest: largest - wire.PacketNumber(i%20), Largest: largest}
+		ack.Ranges = append(ack.Ranges, r)
+		largest = r.Smallest - 2 - wire.PacketNumber(i%3)
+	}
+	pkt := &wire.Packet{Header: SamplePacket(nil).Header, LargestAcked: 9_950, Frames: []wire.Frame{ack}}
+	if allocs := testing.AllocsPerRun(100, func() {
+		wire.PutPacketBuf(pkt.EncodeTo(wire.GetPacketBuf(), nil))
+	}); allocs > 0 {
+		t.Errorf("pooled encode of a 91-range ACK allocates %.1f/op, want 0", allocs)
+	}
+
+	enc := pkt.Encode(nil)
+	var (
+		rx      wire.Packet
+		scratch wire.FrameArena
+	)
+	decode := func() {
+		if err := wire.DecodeInto(&rx, &scratch, enc, 9_999, nil); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(rx.Frames[0].(*wire.AckFrame).Ranges); n != 91 {
+			t.Fatalf("decoded %d ranges, want 91", n)
+		}
+	}
+	decode() // size the arena and the ACK's ranges
+	if allocs := testing.AllocsPerRun(100, decode); allocs > 0 {
+		t.Errorf("DecodeInto of a 91-range ACK allocates %.1f/op, want 0", allocs)
+	}
+}
+
 func TestSealOpenInPlaceAllocFree(t *testing.T) {
 	seal, open := testSealers(t)
 	pkt := dataPacket()

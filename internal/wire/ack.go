@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -10,6 +11,13 @@ import (
 // paper leans on this (256 ranges vs TCP's 2-3 SACK blocks) to explain
 // QUIC's superior loss recovery (§4.1, low-BDP-losses).
 const MaxAckRanges = 256
+
+// Errors of a decoded ACK frame whose ranges cannot be laid out.
+var (
+	errAckRangeCount     = errors.New("wire: more than 256 ranges")
+	errAckFirstUnderflow = errors.New("wire: first range reaches below packet number 0")
+	errAckRangeUnderflow = errors.New("wire: range reaches below packet number 0")
+)
 
 // AckRange is a closed interval [Smallest, Largest] of received packet
 // numbers.
@@ -46,10 +54,9 @@ func (f *AckFrame) LargestAcked() PacketNumber {
 
 // Acks reports whether pn is covered by the frame.
 func (f *AckFrame) Acks(pn PacketNumber) bool {
-	// Ranges are descending; binary search for the first range whose
-	// Largest >= pn could be below.
+	// Ranges descend, so those with Largest >= pn are exactly the
+	// indices below i, and only the last of them, i-1, can hold pn.
 	i := sort.Search(len(f.Ranges), func(i int) bool { return f.Ranges[i].Largest < pn })
-	// Candidate is i-1? No: ranges with Largest >= pn are at indices < i.
 	if i == 0 {
 		return false
 	}
@@ -109,10 +116,17 @@ func (f *AckFrame) Append(b []byte) []byte {
 	b = AppendVarint(b, uint64(f.AckDelay/time.Microsecond))
 	b = AppendVarint(b, uint64(len(f.Ranges)-1))
 	b = AppendVarint(b, f.Ranges[0].Len()-1)
-	for i := 1; i < len(f.Ranges); i++ {
-		gap := uint64(f.Ranges[i-1].Smallest-f.Ranges[i].Largest) - 2
+	prev := f.Ranges[0]
+	for _, r := range f.Ranges[1:] {
+		gap, length := uint64(prev.Smallest-r.Largest)-2, r.Len()-1
+		prev = r
+		if gap|length <= maxVarint1 {
+			// Both fit one varint byte, whose encoding is the value.
+			b = append(b, byte(gap), byte(length))
+			continue
+		}
 		b = AppendVarint(b, gap)
-		b = AppendVarint(b, f.Ranges[i].Len()-1)
+		b = AppendVarint(b, length)
 	}
 	return b
 }
@@ -145,7 +159,7 @@ func parseAckFrame(f *AckFrame, b []byte) (int, error) {
 	}
 	off += n
 	if extra >= MaxAckRanges {
-		return 0, fmt.Errorf("wire: ACK frame with %d ranges", extra+1)
+		return 0, frameErr("ACK", errAckRangeCount)
 	}
 	firstLen, n, err := ConsumeVarint(b[off:])
 	if err != nil {
@@ -153,7 +167,7 @@ func parseAckFrame(f *AckFrame, b []byte) (int, error) {
 	}
 	off += n
 	if firstLen > largest {
-		return 0, fmt.Errorf("wire: ACK first range underflows")
+		return 0, frameErr("ACK", errAckFirstUnderflow)
 	}
 	cur := AckRange{Smallest: PacketNumber(largest - firstLen), Largest: PacketNumber(largest)}
 	if c := uint64(cap(f.Ranges)); c <= extra {
@@ -162,25 +176,35 @@ func parseAckFrame(f *AckFrame, b []byte) (int, error) {
 		// MaxAckRanges times.
 		f.Ranges = make([]AckRange, 0, min(max(2*c, extra+1), MaxAckRanges))
 	}
-	f.Ranges = append(f.Ranges[:0], cur)
-	for i := uint64(0); i < extra; i++ {
-		gap, n, err := ConsumeVarint(b[off:])
-		if err != nil {
-			return 0, frameErr("ACK", err)
+	ranges := f.Ranges[:extra+1]
+	ranges[0] = cur
+	for i := 1; i < len(ranges); i++ {
+		var gap, length uint64
+		if off+1 < len(b) && b[off]|b[off+1] < 0x40 {
+			// Both varints are one byte (a zero length prefix), as
+			// nearly every pair of a dense ACK is.
+			gap, length = uint64(b[off]), uint64(b[off+1])
+			off += 2
+		} else {
+			gap, n, err = ConsumeVarint(b[off:])
+			if err != nil {
+				return 0, frameErr("ACK", err)
+			}
+			off += n
+			length, n, err = ConsumeVarint(b[off:])
+			if err != nil {
+				return 0, frameErr("ACK", err)
+			}
+			off += n
 		}
-		off += n
-		length, n, err := ConsumeVarint(b[off:])
-		if err != nil {
-			return 0, frameErr("ACK", err)
-		}
-		off += n
 		if uint64(cur.Smallest) < gap+2+length {
-			return 0, fmt.Errorf("wire: ACK range underflows")
+			return 0, frameErr("ACK", errAckRangeUnderflow)
 		}
 		largestNext := uint64(cur.Smallest) - gap - 2
 		cur = AckRange{Smallest: PacketNumber(largestNext - length), Largest: PacketNumber(largestNext)}
-		f.Ranges = append(f.Ranges, cur)
+		ranges[i] = cur
 	}
+	f.Ranges = ranges
 	// The loop has established everything Validate checks: each next
 	// Largest is cur.Smallest-gap-2, so the ranges descend strictly and
 	// never touch; the underflow checks keep Smallest <= Largest; and

@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// fuzzSeedPackets builds one encodable packet per frame type (plus a
-// handshake packet and a single-path packet), the native-fuzzing seed
-// corpus for FuzzDecode and FuzzDecodeBorrowed.
+// fuzzSeedPackets builds one encodable packet per frame type (plus two
+// dense ACKs, a handshake packet and a single-path packet), the
+// native-fuzzing seed corpus for FuzzDecode and FuzzDecodeBorrowed.
 func fuzzSeedPackets() []*Packet {
 	hdr := func(pn PacketNumber) Header {
 		return Header{ConnID: 0xfeed_beef_cafe_f00d, Multipath: true, PathID: 1, PacketNumber: pn}
@@ -23,6 +23,11 @@ func fuzzSeedPackets() []*Packet {
 			Ranges:   []AckRange{{Smallest: 9, Largest: 12}, {Smallest: 2, Largest: 5}},
 			AckDelay: 250 * time.Microsecond,
 		}}},
+		// Dense ACKs, the common shape after losses: 91 ranges of
+		// one-byte gaps and lengths, and the same with one two-byte
+		// length mid-run.
+		{Header: hdr(4), LargestAcked: 3, Frames: []Frame{denseAck(91, 0)}},
+		{Header: hdr(4), LargestAcked: 3, Frames: []Frame{denseAck(91, 45)}},
 		{Header: hdr(5), Frames: []Frame{&WindowUpdateFrame{StreamID: 3, Offset: 1 << 24}}},
 		{Header: hdr(6), Frames: []Frame{&BlockedFrame{StreamID: 3}}},
 		{Header: hdr(7), Frames: []Frame{&AddAddressFrame{AddrIndex: 1, Address: "server-v6"}}},

@@ -11,6 +11,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -75,15 +76,19 @@ func ConsumeVarint(b []byte) (uint64, int, error) {
 	if len(b) == 0 {
 		return 0, 0, ErrTruncated
 	}
-	length := 1 << (b[0] >> 6)
-	if len(b) < length {
+	n := 1 << (b[0] >> 6)
+	if len(b) < n {
 		return 0, 0, ErrTruncated
 	}
-	v := uint64(b[0] & 0x3f)
-	for i := 1; i < length; i++ {
-		v = v<<8 | uint64(b[i])
+	switch n {
+	case 1:
+		return uint64(b[0]), 1, nil
+	case 2:
+		return uint64(binary.BigEndian.Uint16(b)) & maxVarint2, 2, nil
+	case 4:
+		return uint64(binary.BigEndian.Uint32(b)) & maxVarint4, 4, nil
 	}
-	return v, length, nil
+	return binary.BigEndian.Uint64(b) & maxVarint8, 8, nil
 }
 
 func appendUint16(b []byte, v uint16) []byte {

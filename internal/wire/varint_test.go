@@ -80,3 +80,33 @@ func TestVarintConsumeMidBuffer(t *testing.T) {
 		t.Fatalf("second: %d %v", v2, err)
 	}
 }
+
+// consumeVarintRef is ConsumeVarint before its switch on the length
+// prefix: the value assembled a byte at a time.
+func consumeVarintRef(b []byte) (uint64, int, error) {
+	if len(b) == 0 {
+		return 0, 0, ErrTruncated
+	}
+	length := 1 << (b[0] >> 6)
+	if len(b) < length {
+		return 0, 0, ErrTruncated
+	}
+	v := uint64(b[0] & 0x3f)
+	for i := 1; i < length; i++ {
+		v = v<<8 | uint64(b[i])
+	}
+	return v, length, nil
+}
+
+func TestConsumeVarintMatchesReference(t *testing.T) {
+	for _, v := range []uint64{0, 63, 64, 16383, 16384, maxVarint4, maxVarint4 + 1, maxVarint8} {
+		b := AppendVarint(nil, v)
+		for cut := 0; cut <= len(b); cut++ {
+			got, n, err := ConsumeVarint(b[:cut])
+			want, nRef, errRef := consumeVarintRef(b[:cut])
+			if got != want || n != nRef || err != errRef {
+				t.Fatalf("%x: (%d, %d, %v), reference (%d, %d, %v)", b[:cut], got, n, err, want, nRef, errRef)
+			}
+		}
+	}
+}
