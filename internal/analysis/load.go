@@ -14,15 +14,12 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // A Package is one loaded, type-checked package ready for analysis:
 // its non-test files, in file-name order (deterministic across runs).
 type Package struct {
 	PkgPath string // import path ("mpquic/internal/sim")
-	Dir     string
 	Fset    *token.FileSet
 	Files   []*ast.File
 	Types   *types.Package
@@ -134,43 +131,24 @@ func typecheck(fset *token.FileSet, pkgPath string, files []*ast.File, exports m
 // patterns (run relative to root, the module directory) and returns
 // them in import-path order.
 func Load(root string, patterns ...string) ([]*Package, error) {
-	listed, err := goList(root, patterns...)
+	listed, exports, err := listExports(root, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	exports := make(map[string]string, len(listed))
 	var roots []listedPkg
 	for _, p := range listed {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if !p.DepOnly && !p.Standard {
+		if !p.DepOnly && !p.Standard && len(p.GoFiles) > 0 {
 			roots = append(roots, p)
 		}
 	}
 	sort.Slice(roots, func(i, j int) bool { return roots[i].ImportPath < roots[j].ImportPath })
 	pkgs := make([]*Package, 0, len(roots))
 	for _, p := range roots {
-		if len(p.GoFiles) == 0 {
-			continue
-		}
-		fset := token.NewFileSet()
-		names := make([]string, len(p.GoFiles))
-		for i, f := range p.GoFiles {
-			names[i] = filepath.Join(p.Dir, f)
-		}
-		files, err := parseFiles(fset, names)
+		pkg, err := check(p, p.ImportPath, exports)
 		if err != nil {
 			return nil, err
 		}
-		tpkg, info, err := typecheck(fset, p.ImportPath, files, exports)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, &Package{
-			PkgPath: p.ImportPath, Dir: p.Dir,
-			Fset: fset, Files: files, Types: tpkg, Info: info,
-		})
+		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
 }
@@ -178,61 +156,59 @@ func Load(root string, patterns ...string) ([]*Package, error) {
 // LoadFromDir type-checks the non-test files of the single package in
 // dir under the given import path, resolving its imports (standard
 // library or module packages) through the module at root. This is how
-// the analysistest harness loads testdata packages, which live outside
-// the module.
+// the analysistest harness loads testdata packages, which `./...`
+// patterns skip.
 func LoadFromDir(root, dir, pkgPath string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
+	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".go" && !strings.HasSuffix(e.Name(), "_test.go") {
-			names = append(names, filepath.Join(dir, e.Name()))
+	listed, exports, err := listExports(root, abs)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range listed {
+		if p.Dir == abs {
+			return check(p, pkgPath, exports)
 		}
 	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no .go files in %s", dir)
+	return nil, fmt.Errorf("go list did not list %s", dir)
+}
+
+// listExports runs goList and maps each listed import path to its
+// export data file.
+func listExports(root string, patterns ...string) ([]listedPkg, map[string]string, error) {
+	listed, err := goList(root, patterns...)
+	if err != nil {
+		return nil, nil, err
+	}
+	exports := make(map[string]string, len(listed))
+	for _, p := range listed {
+		if p.Export != "" {
+			exports[p.ImportPath] = p.Export
+		}
+	}
+	return listed, exports, nil
+}
+
+// check parses and type-checks the non-test files of a listed package
+// under the import path pkgPath.
+func check(p listedPkg, pkgPath string, exports map[string]string) (*Package, error) {
+	if len(p.GoFiles) == 0 {
+		return nil, fmt.Errorf("no .go files in %s", p.Dir)
 	}
 	fset := token.NewFileSet()
+	names := make([]string, len(p.GoFiles))
+	for i, f := range p.GoFiles {
+		names[i] = filepath.Join(p.Dir, f)
+	}
 	files, err := parseFiles(fset, names)
 	if err != nil {
 		return nil, err
-	}
-	// Resolve the testdata package's imports through `go list` in the
-	// module root: stdlib paths and mpquic/... paths both work there.
-	importSet := make(map[string]bool)
-	for _, f := range files {
-		for _, imp := range f.Imports {
-			path, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				return nil, err
-			}
-			if path != "unsafe" {
-				importSet[path] = true
-			}
-		}
-	}
-	imports := make([]string, 0, len(importSet))
-	for path := range importSet {
-		imports = append(imports, path)
-	}
-	sort.Strings(imports)
-	exports := make(map[string]string)
-	if len(imports) > 0 {
-		listed, err := goList(root, imports...)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range listed {
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
-		}
 	}
 	tpkg, info, err := typecheck(fset, pkgPath, files, exports)
 	if err != nil {
 		return nil, err
 	}
-	return &Package{PkgPath: pkgPath, Dir: dir, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
+	return &Package{PkgPath: pkgPath, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }

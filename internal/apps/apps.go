@@ -15,23 +15,15 @@ import (
 	"mpquic/internal/core"
 )
 
-// GetServer serves synthetic files: a client writes "GET <bytes>" on a
-// stream, the server responds with that many bytes on the same stream.
-type GetServer struct {
-	listener *core.Listener
-}
-
 // NewGetServer attaches a GET responder to every connection the
-// listener accepts.
-func NewGetServer(l *core.Listener) *GetServer {
-	g := &GetServer{listener: l}
-	l.OnConnection(func(c *core.Conn) {
-		c.OnStreamOpen(func(s *core.Stream) { g.serveStream(s) })
-	})
-	return g
+// listener accepts, serving synthetic files: a client writes
+// "GET <bytes>" on a stream, the server responds with that many bytes
+// on the same stream.
+func NewGetServer(l *core.Listener) {
+	l.OnConnection(func(c *core.Conn) { c.OnStreamOpen(serveGet) })
 }
 
-func (g *GetServer) serveStream(s *core.Stream) {
+func serveGet(s *core.Stream) {
 	var req strings.Builder
 	served := false
 	s.OnData(func() {

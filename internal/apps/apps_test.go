@@ -111,13 +111,12 @@ func TestEchoServerReqResp(t *testing.T) {
 	}
 }
 
-func TestReqRespClientStop(t *testing.T) {
+func TestReqRespClientEndsAfterTotal(t *testing.T) {
 	clock, lis, client := newPair(t)
 	NewEchoServer(lis)
-	rr := NewReqRespClient(client, clock, 10*time.Second)
-	clock.At(sim.Time(1200*time.Millisecond), func() { rr.Stop() })
+	rr := NewReqRespClient(client, clock, 1200*time.Millisecond)
 	clock.RunUntil(sim.Time(5 * time.Second))
 	if n := len(rr.Samples()); n > 4 {
-		t.Fatalf("%d samples after early stop", n)
+		t.Fatalf("%d samples from a 1.2 s train", n)
 	}
 }

@@ -16,22 +16,19 @@ const (
 	ReqRespInterval = 400 * time.Millisecond
 )
 
-// EchoServer responds to every fixed-size request with a same-size
-// response on the same stream, immediately (§4.3: "The server
-// immediately replies to each request").
-type EchoServer struct{}
-
-// NewEchoServer attaches the responder to the listener.
-func NewEchoServer(l *core.Listener) *EchoServer {
-	return NewEchoServerWithPathsHook(l, nil)
+// NewEchoServer attaches an echo responder to the listener: it answers
+// every fixed-size request with a same-size response on the same
+// stream, immediately (§4.3: "The server immediately replies to each
+// request").
+func NewEchoServer(l *core.Listener) {
+	NewEchoServerWithPathsHook(l, nil)
 }
 
 // NewEchoServerWithPathsHook additionally invokes pathsHook whenever a
 // PATHS frame arrives on an accepted connection — used by the §4.3
 // experiment to verify that the client's potentially-failed signal
 // reached the server.
-func NewEchoServerWithPathsHook(l *core.Listener, pathsHook func()) *EchoServer {
-	e := &EchoServer{}
+func NewEchoServerWithPathsHook(l *core.Listener, pathsHook func()) {
 	l.OnConnection(func(c *core.Conn) {
 		if pathsHook != nil {
 			c.OnPathsFrame(func(*wire.PathsFrame) { pathsHook() })
@@ -50,7 +47,6 @@ func NewEchoServerWithPathsHook(l *core.Listener, pathsHook func()) *EchoServer 
 			})
 		})
 	})
-	return e
 }
 
 // ReqRespSample is one completed request/response exchange.
@@ -68,7 +64,6 @@ type ReqRespClient struct {
 	conn    *core.Conn
 	clock   *sim.Clock
 	samples []ReqRespSample
-	stopped bool
 }
 
 // NewReqRespClient starts the request train once the handshake
@@ -83,7 +78,7 @@ func NewReqRespClient(conn *core.Conn, clock *sim.Clock, total time.Duration) *R
 }
 
 func (r *ReqRespClient) scheduleNext(end sim.Time) {
-	if r.stopped || r.conn.Closed() || r.clock.Now() > end {
+	if r.conn.Closed() || r.clock.Now() > end {
 		return
 	}
 	r.fire()
@@ -107,9 +102,6 @@ func (r *ReqRespClient) fire() {
 	s.WriteSynthetic(ReqRespMessageSize)
 	s.Close()
 }
-
-// Stop halts the request train.
-func (r *ReqRespClient) Stop() { r.stopped = true }
 
 // Samples returns the completed exchanges in send order.
 func (r *ReqRespClient) Samples() []ReqRespSample { return r.samples }

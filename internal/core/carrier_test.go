@@ -33,7 +33,7 @@ func (k *keepingNet) Send(dg netem.Datagram) {
 		k.t.Fatalf("datagram %s->%s carries no *wire.Packet", dg.From, dg.To)
 	}
 	// sendPacket adds up the size from the counts its builders kept.
-	if want := p.EncodedSize() + wire.UDPIPv4Overhead; dg.Size != want {
+	if want := len(p.EncodeTo(nil, nil)) + wire.UDPIPv4Overhead; dg.Size != want {
 		k.t.Errorf("path %d pn %d: datagram size %d, the packet encodes to %d", p.Header.PathID, p.Header.PacketNumber, dg.Size, want)
 	}
 	k.kept = append(k.kept, p)

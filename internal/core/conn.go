@@ -78,10 +78,7 @@ type Conn struct {
 
 	timer        *sim.Timer
 	lastRecvTime time.Duration
-	startTime    time.Duration
 
-	sending     bool // trySend re-entrancy guard
-	sendPending bool
 	// deferring is set while HandleDatagram handles a datagram whose
 	// carrier announced another in the same clock step
 	// (netem.Datagram.More): trySend and resetTimer then only set held.
@@ -150,7 +147,6 @@ func newConn(net DatagramSender, role Role, connID wire.ConnectionID, cfg Config
 		txDupFrames: make([]wire.Frame, 0, 16),
 	}
 	c.lender, _ = net.(packetLender)
-	c.startTime = c.now()
 	c.lastRecvTime = c.now()
 	if role == RoleClient {
 		c.nextStreamID = FirstClientStream
@@ -578,7 +574,6 @@ func (c *Conn) handleAck(recvPath *Path, ack *wire.AckFrame) {
 	srtt := target.est.SmoothedRTT()
 	for _, sp := range res.NewlyAcked {
 		target.cc.OnPacketAcked(sp.Size, srtt)
-		target.AckedPackets++
 		target.AckedBytes += uint64(sp.Size)
 		if c.cfg.Tracer != nil {
 			c.trace(trace.Event{Type: trace.PacketAcked, Path: uint8(target.ID), PN: uint64(sp.PN), Size: sp.Size, SRTT: srtt})

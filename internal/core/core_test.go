@@ -532,8 +532,8 @@ func TestStrayPacketDoesNotCreateConnection(t *testing.T) {
 		Header: wire.Header{ConnID: 0x5eed, PacketNumber: 1},
 		Frames: []wire.Frame{&wire.PingFrame{}},
 	}
-	h.listener.HandleDatagram(netem.Datagram{From: h.tp.ClientAddrs[0], To: h.tp.ServerAddrs[0], Size: stray.EncodedSize(), Payload: stray})
-	h.listener.HandleDatagram(core.RawDatagram(h.tp.ClientAddrs[0], h.tp.ServerAddrs[0], stray.Encode(nil)))
+	h.listener.HandleDatagram(netem.Datagram{From: h.tp.ClientAddrs[0], To: h.tp.ServerAddrs[0], Size: len(stray.EncodeTo(nil, nil)), Payload: stray})
+	h.listener.HandleDatagram(core.RawDatagram(h.tp.ClientAddrs[0], h.tp.ServerAddrs[0], stray.EncodeTo(nil, nil)))
 	if len(h.accepted) != 0 || len(h.listener.Conns()) != 0 {
 		t.Fatalf("stray packets created %d connections", len(h.accepted))
 	}

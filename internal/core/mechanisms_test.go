@@ -131,7 +131,7 @@ func TestAckForPathCarriedOnOtherPath(t *testing.T) {
 	// contract).
 	ack := &wire.AckFrame{PathID: 1, Ranges: []wire.AckRange{{Smallest: 0, Largest: 9}}}
 	p := &wire.Packet{Header: wire.Header{Multipath: true, PacketNumber: 3}, Frames: []wire.Frame{ack}}
-	got, err := wire.Decode(p.Encode(nil), wire.InvalidPacketNumber, nil)
+	got, err := wire.Decode(p.EncodeTo(nil, nil), wire.InvalidPacketNumber, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestAckForPathCarriedOnOtherPath(t *testing.T) {
 func TestStreamsPreventHOLBlockingAcrossStreams(t *testing.T) {
 	cfg := core.DefaultSinglePathConfig()
 	h := newHarness(t, cfg, cfg, symSpecs(10, 20*time.Millisecond))
-	done := map[wire.StreamID]bool{}
+	done := map[*core.Stream]bool{}
 	h.listener.OnConnection(func(c *core.Conn) {
 		c.OnStreamOpen(func(s *core.Stream) {
 			s.OnData(func() {
@@ -162,13 +162,12 @@ func TestStreamsPreventHOLBlockingAcrossStreams(t *testing.T) {
 	h.client.OnHandshakeComplete(func() {
 		for i := 0; i < 3; i++ {
 			s := h.client.OpenStream()
-			id := s.ID()
 			s.OnData(func() {
 				if n := s.Readable(); n > 0 {
 					s.Read(n)
 				}
 				if s.Finished() {
-					done[id] = true
+					done[s] = true
 				}
 			})
 			s.WriteSynthetic(1000)

@@ -160,8 +160,6 @@ func TestMoreDefersReactionToLastDatagram(t *testing.T) {
 // junkPayload is a payload no endpoint understands.
 type junkPayload struct{}
 
-func (junkPayload) WireSize() int { return 40 }
-
 // TestLastDatagramOfBatchAlwaysReleases: what was held under More is
 // released by the step's last datagram whatever becomes of it.
 func TestLastDatagramOfBatchAlwaysReleases(t *testing.T) {
@@ -175,7 +173,7 @@ func TestLastDatagramOfBatchAlwaysReleases(t *testing.T) {
 		"duplicate": func(h *moreHarness) netem.Datagram { return h.flight[0] },
 		"another connection's": func(h *moreHarness) netem.Datagram {
 			p := &wire.Packet{Header: wire.Header{ConnID: 0xb, PacketNumber: 1}, Frames: []wire.Frame{&wire.PingFrame{}}}
-			return netem.Datagram{From: moreServerAddrs[0], To: moreClientAddrs[0], Size: p.EncodedSize(), Payload: p}
+			return netem.Datagram{From: moreServerAddrs[0], To: moreClientAddrs[0], Size: len(p.EncodeTo(nil, nil)), Payload: p}
 		},
 	}
 	for name, final := range cases {
@@ -268,7 +266,7 @@ func TestListenerReleasesConnectionsLeftHolding(t *testing.T) {
 	finals := map[string]func(fromB []netem.Datagram) netem.Datagram{
 		"another connection's datagram": func(fromB []netem.Datagram) netem.Datagram { return fromB[0] },
 		"a stray": func([]netem.Datagram) netem.Datagram {
-			return netem.Datagram{From: "x", To: moreServerAddrs[0], Size: stray.EncodedSize(), Payload: stray}
+			return netem.Datagram{From: "x", To: moreServerAddrs[0], Size: len(stray.EncodeTo(nil, nil)), Payload: stray}
 		},
 		"undecodable bytes": func([]netem.Datagram) netem.Datagram {
 			return core.RawDatagram("x", moreServerAddrs[0], []byte{0xff})

@@ -46,12 +46,11 @@ type Path struct {
 	ackFrame wire.AckFrame
 
 	// Stats
-	SentPackets  uint64
-	SentBytes    uint64
-	RecvPackets  uint64
-	RecvBytes    uint64
-	AckedPackets uint64
-	AckedBytes   uint64
+	SentPackets uint64
+	SentBytes   uint64
+	RecvPackets uint64
+	RecvBytes   uint64
+	AckedBytes  uint64
 }
 
 func newPath(id wire.PathID, local, remote netem.Addr, est *rtt.Estimator, ctrl cc.Controller) *Path {
@@ -68,9 +67,6 @@ func newPath(id wire.PathID, local, remote netem.Addr, est *rtt.Estimator, ctrl 
 
 // RTT returns the path's estimator.
 func (p *Path) RTT() *rtt.Estimator { return p.est }
-
-// Space returns the path's packet-number space.
-func (p *Path) Space() *recovery.Space { return p.space }
 
 // CC returns the path's congestion controller.
 func (p *Path) CC() cc.Controller { return p.cc }

@@ -206,15 +206,15 @@ func TestPathsAndStreamsKeepCreationOrder(t *testing.T) {
 	c.addPath(3, "a3", "b3") // IDs do not arrive sorted
 	c.addPath(2, "a2", "b2")
 	var opened []wire.StreamID
-	c.OnStreamOpen(func(s *Stream) { opened = append(opened, s.ID()) })
+	c.OnStreamOpen(func(s *Stream) { opened = append(opened, s.id) })
 	peerOpens := func(id wire.StreamID) { c.handleStreamFrame(&wire.StreamFrame{StreamID: id}) }
 	s3 := c.OpenStream()
 	peerOpens(8)
 	s5 := c.OpenStream()
 	peerOpens(2)
 	peerOpens(8) // known: must not be added twice
-	if s3.ID() != 3 || s5.ID() != 5 {
-		t.Fatalf("local streams got IDs %d and %d, want 3 and 5", s3.ID(), s5.ID())
+	if s3.id != 3 || s5.id != 5 {
+		t.Fatalf("local streams got IDs %d and %d, want 3 and 5", s3.id, s5.id)
 	}
 
 	pathIDs := func(ps []*Path) (ids []wire.PathID) {
@@ -242,7 +242,7 @@ func TestPathsAndStreamsKeepCreationOrder(t *testing.T) {
 		}
 	}
 	for _, id := range streamIDs {
-		if s := c.StreamByID(id); s == nil || s.ID() != id {
+		if s := c.StreamByID(id); s == nil || s.id != id {
 			t.Errorf("StreamByID(%d) = %v", id, s)
 		}
 	}

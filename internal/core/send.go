@@ -11,10 +11,10 @@ import (
 
 // trySend drains everything currently sendable: handshake messages,
 // scheduled data packets (with duplication), and pending pure ACKs. It
-// is the single transmission entry point and is re-entrancy safe —
-// nested calls (from stream callbacks) just flag another pass. While
-// HandleDatagram is deferring (see Conn.deferring) it only notes that a
-// send is owed.
+// is the single transmission entry point. Nothing in a pass calls back
+// into the connection, and a DatagramSender runs no handler inside
+// Send, so a pass is never re-entered. While HandleDatagram is
+// deferring (see Conn.deferring) it only notes that a send is owed.
 func (c *Conn) trySend() {
 	if c.closed {
 		return
@@ -24,19 +24,7 @@ func (c *Conn) trySend() {
 		return
 	}
 	c.held = false
-	if c.sending {
-		c.sendPending = true
-		return
-	}
-	c.sending = true
-	defer func() { c.sending = false }()
-	for {
-		c.sendPending = false
-		c.sendPass()
-		if !c.sendPending || c.closed {
-			break
-		}
-	}
+	c.sendPass()
 	c.resetTimer()
 }
 

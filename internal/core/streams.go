@@ -21,9 +21,6 @@ type Stream struct {
 	onData func()
 }
 
-// ID returns the stream ID.
-func (s *Stream) ID() wire.StreamID { return s.id }
-
 // Write queues real payload bytes and triggers transmission.
 func (s *Stream) Write(p []byte) {
 	s.send.Write(p)

@@ -18,7 +18,11 @@ import (
 // Implementations therefore need no internal locking, and a Send may
 // be deferred until the current event batch finishes (the live driver
 // queues and flushes; links enqueue into their serializer) — ordering
-// of datagrams from one endpoint is preserved either way.
+// of datagrams from one endpoint is preserved either way. Send runs no
+// handler before it returns, even for a datagram to one of the
+// carrier's own addresses: delivery is always a later clock event or
+// step. A connection's send pass relies on this to never be
+// re-entered.
 type DatagramSender interface {
 	// Send transmits one datagram toward dg.To. Delivery is best
 	// effort: losses are silent, exactly as on a real wire.

@@ -90,12 +90,12 @@ func (s *Sealer) setNonce(path wire.PathID, pn wire.PacketNumber) {
 	binary.BigEndian.PutUint64(lo, binary.BigEndian.Uint64(lo)^v)
 }
 
-// Seal implements wire.Sealer.
+// Seal is SealTo with a nil dst.
 func (s *Sealer) Seal(path wire.PathID, pn wire.PacketNumber, header, plaintext []byte) []byte {
 	return s.SealTo(nil, path, pn, header, plaintext)
 }
 
-// Open implements wire.Sealer.
+// Open is OpenTo with a nil dst.
 func (s *Sealer) Open(path wire.PathID, pn wire.PacketNumber, header, ciphertext []byte) ([]byte, error) {
 	return s.OpenTo(nil, path, pn, header, ciphertext)
 }

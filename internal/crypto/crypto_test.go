@@ -189,9 +189,9 @@ func TestSealedPacketThroughWireCodec(t *testing.T) {
 		Header: wire.Header{ConnID: 5, Multipath: true, PathID: 1, PacketNumber: 9},
 		Frames: []wire.Frame{&wire.StreamFrame{StreamID: 3, Offset: 0, Data: []byte("secret payload")}},
 	}
-	b := p.Encode(seal)
-	if len(b) != p.EncodedSize() {
-		t.Fatalf("sealed size %d != EncodedSize %d", len(b), p.EncodedSize())
+	b := p.EncodeTo(nil, seal)
+	if n := len(p.EncodeTo(nil, nil)); len(b) != n {
+		t.Fatalf("sealed size %d != unsealed size %d", len(b), n)
 	}
 	got, err := wire.Decode(b, wire.InvalidPacketNumber, open)
 	if err != nil {
@@ -222,7 +222,7 @@ func sealedDataPacket(t *testing.T, seal *Sealer) (b []byte, hdrLen int) {
 			&wire.StreamFrame{StreamID: 3, Offset: 40, Data: []byte("secret payload")},
 		},
 	}
-	b = p.Encode(seal)
+	b = p.EncodeTo(nil, seal)
 	_, hdrLen, err := wire.ParseHeader(b, wire.InvalidPacketNumber)
 	if err != nil {
 		t.Fatal(err)

@@ -100,13 +100,6 @@ func OpenCheckpoint(path string) (*Checkpoint, error) {
 	return &Checkpoint{path: path, f: f, done: done}, nil
 }
 
-// Len reports the number of resumable records loaded at open.
-func (cp *Checkpoint) Len() int {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	return len(cp.done)
-}
-
 // Lookup returns the persisted result for a scenario of the given grid
 // configuration, if one exists.
 func (cp *Checkpoint) Lookup(cfg GridConfig, sc Scenario) (ScenarioResult, bool) {

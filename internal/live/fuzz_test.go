@@ -55,11 +55,11 @@ func fuzzIngressSeeds() [][]byte {
 	chlo := (&wire.Packet{
 		Header: wire.Header{ConnID: 7, Handshake: true, PacketNumber: 1},
 		Frames: []wire.Frame{&wire.HandshakeFrame{Message: wire.HandshakeCHLO, Payload: []byte("chlo")}},
-	}).Encode(nil)
+	}).EncodeTo(nil, nil)
 	data := (&wire.Packet{
 		Header: wire.Header{ConnID: 7, Multipath: true, PathID: 0, PacketNumber: 2},
 		Frames: []wire.Frame{&wire.StreamFrame{StreamID: 3, Data: []byte("GET 1024\n")}},
-	}).Encode(nil)
+	}).EncodeTo(nil, nil)
 	flipped := append([]byte(nil), chlo...)
 	flipped[len(flipped)/2] ^= 0x40
 	// One datagram delivering a stream the hostile way: out of order,
@@ -76,7 +76,7 @@ func fuzzIngressSeeds() [][]byte {
 			&wire.StreamFrame{StreamID: 3, Offset: 0, Data: payload[:100]},
 			&wire.StreamFrame{StreamID: 3, Offset: 590, Data: payload[:20]},
 		},
-	}).Encode(nil)
+	}).EncodeTo(nil, nil)
 	seeds := [][]byte{
 		chlo,
 		data,
@@ -98,7 +98,7 @@ func FuzzLiveIngress(f *testing.F) {
 	chlo := (&wire.Packet{
 		Header: wire.Header{ConnID: 7, Handshake: true, PacketNumber: 1},
 		Frames: []wire.Frame{&wire.HandshakeFrame{Message: wire.HandshakeCHLO, Payload: crypto.NewClientHandshake(1).CHLO()}},
-	}).Encode(nil)
+	}).EncodeTo(nil, nil)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		d, s, lis := fuzzIngressDriver()
 		from := netip.MustParseAddrPort("127.0.0.1:5000")

@@ -297,3 +297,27 @@ func TestStructModePayloadRejected(t *testing.T) {
 		t.Fatalf("err = %v, want WireSerialization guidance", err)
 	}
 }
+
+// TestSendRunsNoHandler pins core.DatagramSender's contract on the live
+// carrier: Send only queues, so a handler at the destination has not
+// run when Send returns, and the datagram arrives in a later step.
+func TestSendRunsNoHandler(t *testing.T) {
+	d := newDriver(t, 2)
+	addrs := d.LocalAddrs()
+	h := &countingHandler{}
+	d.Register(addrs[1], h)
+	d.Clock().After(0, func() {
+		d.Send(netem.Datagram{From: addrs[0], To: addrs[1], Size: 100, Raw: make([]byte, 100)})
+		if h.packets != 0 {
+			t.Error("the handler ran inside Send")
+		}
+	})
+	deadline := time.Now().Add(5 * time.Second)
+	d.Clock().After(5*time.Second, func() {})
+	if err := d.Run(func() bool { return h.packets > 0 || time.Now().After(deadline) }); err != nil {
+		t.Fatal(err)
+	}
+	if h.packets != 1 {
+		t.Fatalf("%d deliveries, want 1", h.packets)
+	}
+}

@@ -184,7 +184,7 @@ func TestBatchIsAcknowledgedOncePerPath(t *testing.T) {
 				Header: wire.Header{ConnID: connID, Multipath: true, PathID: wire.PathID(path), PacketNumber: wire.PacketNumber(1 + i)},
 				Frames: []wire.Frame{&wire.StreamFrame{StreamID: 2, Offset: uint64((path*perPath + i) * len(payload)), Data: payload}},
 			}
-			if _, err := peer.WriteToUDP(pkt.Encode(nil), dst); err != nil {
+			if _, err := peer.WriteToUDP(pkt.EncodeTo(nil, nil), dst); err != nil {
 				t.Fatal(err)
 			}
 		}

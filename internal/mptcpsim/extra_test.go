@@ -183,13 +183,14 @@ func TestMPTCPIdleTimeout(t *testing.T) {
 func TestMPTCPTokenDemux(t *testing.T) {
 	// Two clients with different tokens share the listener.
 	clock := sim.NewClock()
-	tp := netem.NewTwoPath(clock, sim.NewRand(8), symSpecs(10, 20*time.Millisecond))
+	specs := symSpecs(10, 20*time.Millisecond)
+	tp := netem.NewTwoPath(clock, sim.NewRand(8), specs)
 	lis := ListenMPTCP(tp.Net, DefaultConfig(), tp.ServerAddrs[:])
 	tcpsim.ServeGet(lis, 64<<10)
 	// Second client needs its own source addresses.
 	extraLocal := [2]netem.Addr{"10.0.1.2:1000", "10.0.2.2:1000"}
 	for i := 0; i < 2; i++ {
-		spec := tp.Specs[i]
+		spec := specs[i]
 		tp.Net.Connect(extraLocal[i], tp.ServerAddrs[i], netem.LinkConfig{
 			RateMbps: spec.CapacityMbps, Delay: spec.RTT / 2, QueueDelay: spec.QueueDelay,
 		})

@@ -306,7 +306,7 @@ func (c *Conn) maybeORP() {
 func (c *Conn) sendMapped(sf *Subflow, sfStart, sfEnd, dataStart, dataEnd uint64, dataFin, isRtx bool) {
 	seg := sf.NewSegment()
 	seg.Seq, seg.Len = sfStart, int(sfEnd-sfStart)
-	seg.DataSeq, seg.DataFin, seg.EchoRTX = dataStart, dataFin, isRtx
+	seg.DataSeq, seg.DataFin = dataStart, dataFin
 	if dataStart == dataEnd && dataFin {
 		// Bare DATA_FIN carrier: one subflow byte, no app payload.
 		seg.DataFinOnly = true

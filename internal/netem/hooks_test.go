@@ -90,16 +90,17 @@ func TestSetDownEmitsTransitionEventsOnce(t *testing.T) {
 	}
 }
 
-func TestEnqueuedBytesCountsAcceptedPackets(t *testing.T) {
+func TestQueueBoundAdmitsWhatFits(t *testing.T) {
 	clock := sim.NewClock()
+	delivered := 0
 	l := NewLink(clock, sim.NewRand(1), "t", LinkConfig{RateMbps: 8, Delay: 0, QueueDelay: 5 * time.Millisecond},
-		func(Datagram) {})
+		func(Datagram) { delivered++ })
 	for i := 0; i < 10; i++ {
 		l.Send(dg("a", "b", 1000)) // queue bound 5000 B: half are tail-dropped
 	}
 	clock.Run()
-	if l.Stats.EnqueuedBytes != 5000 {
-		t.Fatalf("EnqueuedBytes %d, want 5000", l.Stats.EnqueuedBytes)
+	if delivered != 5 {
+		t.Fatalf("%d delivered, want the 5 that fit the queue", delivered)
 	}
 	if l.Stats.QueueDrops != 5 {
 		t.Fatalf("QueueDrops %d, want 5", l.Stats.QueueDrops)

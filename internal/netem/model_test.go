@@ -85,8 +85,6 @@ func (p *refPkt) finish() {
 		l.dropped(dg)
 		return
 	}
-	l.Stats.SentPackets++
-	l.Stats.SentBytes += uint64(p.dg.Size)
 	l.clock.At(l.clock.Now().Add(l.cfg.Delay), p.deliverFn)
 }
 
@@ -118,7 +116,6 @@ func (l *refLink) Send(dg Datagram) {
 		return
 	}
 	l.queueBytes += dg.Size
-	l.Stats.EnqueuedBytes += uint64(dg.Size)
 	start := max(l.busyUntil, l.clock.Now())
 	finish := start.Add(time.Duration(float64(dg.Size) / l.rateBps * float64(time.Second)))
 	l.busyUntil = finish

@@ -39,28 +39,22 @@ import (
 // "[2001:db8::1]:443". Addresses are opaque strings to the emulator.
 type Addr string
 
-// Payload is any packet body a protocol stack hands to the network.
-type Payload interface {
-	// WireSize is the number of bytes the payload occupies inside the
-	// transport datagram (excluding IP/UDP framing, which the sender
-	// accounts for in Datagram.Size).
-	WireSize() int
-}
-
 // Datagram is one network packet in flight.
 type Datagram struct {
 	From, To Addr
 	// Size is the total on-wire size in bytes, including network- and
 	// transport-layer framing. Links serialize Size bytes.
 	Size int
-	// Payload is the packet itself, in struct mode. A Lent payload (a
-	// *wire.Packet that Network.LendPacket lent, a TCP segment its flow
-	// lent) is the network's from Send on, exactly as Raw is: a Handler
-	// reads it and must not keep it.
-	Payload Payload
+	// Payload is the packet itself, in struct mode: any body a protocol
+	// stack hands to the network, which charges Size for it and never
+	// looks inside. A Lent payload (a *wire.Packet that
+	// Network.LendPacket lent, a TCP segment its flow lent) is the
+	// network's from Send on, exactly as Raw is: a Handler reads it and
+	// must not keep it.
+	Payload any
 	// Raw carries the serialized packet bytes in wire-serialization
-	// mode; Payload is nil then. A plain field rather than a Payload
-	// implementation so the per-packet hot paths never pay an
+	// mode; Payload is nil then. A field of its own, not carried in
+	// Payload, so the per-packet hot paths never pay an
 	// interface-boxing allocation (a slice does not fit an interface
 	// word; see core.RawDatagram). From Send on, the carrier owns the
 	// buffer; a Handler may read and decode it in place but must not
@@ -116,11 +110,8 @@ const MTU = 1500
 
 // LinkStats counts per-link activity.
 type LinkStats struct {
-	SentPackets   uint64 // delivered to the far end
-	SentBytes     uint64
-	QueueDrops    uint64 // tail-drop (congestion) losses
-	RandomDrops   uint64 // random (wire) losses, whatever the loss model
-	EnqueuedBytes uint64
+	QueueDrops  uint64 // tail-drop (congestion) losses
+	RandomDrops uint64 // random (wire) losses, whatever the loss model
 }
 
 // LossModel decides the fate of each packet as it leaves the link's
@@ -193,8 +184,6 @@ func (l *Link) finish() {
 		l.drop(dg)
 		return
 	}
-	l.Stats.SentPackets++
-	l.Stats.SentBytes += uint64(s.dg.Size)
 	s.key = l.clock.Key(l.clock.Now().Add(l.cfg.Delay))
 	l.rearm()
 }
@@ -262,9 +251,6 @@ func (l *Link) derive() {
 
 // Config returns the link's configuration, with its current rate.
 func (l *Link) Config() LinkConfig { return l.cfg }
-
-// Name returns the link's diagnostic name.
-func (l *Link) Name() string { return l.name }
 
 // QueueCapacityBytes reports the tail-drop bound. Its users are the
 // dynamics tests.
@@ -341,7 +327,6 @@ func (l *Link) Send(dg Datagram) {
 		return
 	}
 	l.queueBytes += dg.Size
-	l.Stats.EnqueuedBytes += uint64(dg.Size)
 
 	now := l.clock.Now()
 	start := l.busyUntil
@@ -394,8 +379,6 @@ type Network struct {
 	nextRecent int
 	// carriers are the struct-mode packets LendPacket hands out.
 	carriers wire.PacketPool
-	// Dropped counts datagrams sent to an address with no route.
-	Dropped uint64
 }
 
 type routeKey struct{ from, to Addr }
@@ -481,7 +464,7 @@ func (n *Network) deliverTo(addr Addr) func(dg Datagram) {
 // sends a packet of its own keeps that packet: reclaim leaves it alone.
 func (n *Network) LendPacket() *wire.Packet { return n.carriers.Get() }
 
-// Lent is a Payload that knows who lent it. Once a lent payload is sent
+// Lent is a payload that knows who lent it. Once a lent payload is sent
 // it is the network's, and Return, called once at the datagram's exit,
 // gives it back to its lender: a QUIC carrier to the pool behind
 // LendPacket, a TCP segment to the flow that made it. Return leaves
@@ -502,11 +485,10 @@ func (n *Network) reclaim(dg Datagram) {
 }
 
 // Send routes one datagram. Datagrams with no installed route are
-// counted in Dropped and discarded.
+// discarded.
 func (n *Network) Send(dg Datagram) {
 	link := n.Route(dg.From, dg.To)
 	if link == nil {
-		n.Dropped++
 		n.reclaim(dg)
 		return
 	}

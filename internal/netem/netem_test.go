@@ -9,8 +9,6 @@ import (
 
 type testPayload int
 
-func (p testPayload) WireSize() int { return int(p) }
-
 func dg(from, to Addr, size int) Datagram {
 	return Datagram{From: from, To: to, Size: size, Payload: testPayload(size)}
 }
@@ -134,9 +132,6 @@ func TestNetworkRoutesAndDrops(t *testing.T) {
 	if got["b"] != 1 || got["a"] != 1 {
 		t.Fatalf("deliveries: %v", got)
 	}
-	if n.Dropped != 1 {
-		t.Fatalf("dropped %d, want 1", n.Dropped)
-	}
 }
 
 func TestTwoPathTopologyDisjoint(t *testing.T) {
@@ -159,8 +154,8 @@ func TestTwoPathTopologyDisjoint(t *testing.T) {
 	if arrivals[0] != sim.Time(11*time.Millisecond) || arrivals[1] != sim.Time(22*time.Millisecond) {
 		t.Fatalf("arrival times %v", arrivals)
 	}
-	if tp.Net.Dropped != 1 {
-		t.Fatalf("cross-path traffic not dropped")
+	if tp.Net.Route(tp.ClientAddrs[0], tp.ServerAddrs[1]) != nil {
+		t.Fatalf("cross-path traffic has a route")
 	}
 }
 
@@ -196,5 +191,24 @@ func TestThroughputMatchesCapacity(t *testing.T) {
 	want := 10e6 / 8 // bytes in one second
 	if f := float64(bytes) / want; f < 0.97 || f > 1.01 {
 		t.Fatalf("delivered %d bytes in 1s on 10 Mbps link (ratio %v)", bytes, f)
+	}
+}
+
+// TestSendRunsNoHandler pins core.DatagramSender's contract on the
+// emulated carrier: a handler at the destination has not run when Send
+// returns, even over a link with no delay; delivery is a clock event.
+func TestSendRunsNoHandler(t *testing.T) {
+	clock := sim.NewClock()
+	n := New(clock, sim.NewRand(1))
+	n.Connect("a", "b", LinkConfig{RateMbps: 1000, QueueDelay: time.Second})
+	ran := 0
+	n.Register("b", HandlerFunc(func(Datagram) { ran++ }))
+	n.Send(dg("a", "b", 100))
+	if ran != 0 {
+		t.Fatal("the handler ran inside Send")
+	}
+	clock.Run()
+	if ran != 1 {
+		t.Fatalf("%d deliveries after the clock ran, want 1", ran)
 	}
 }

@@ -60,8 +60,6 @@ type TwoPathNet struct {
 	// reverse direction.
 	Fwd [2]*Link
 	Rev [2]*Link
-	// Specs records the configuration each path was built with.
-	Specs [2]PathSpec
 }
 
 // DefaultAddrs are the interface addresses used by NewTwoPath: path 0
@@ -78,7 +76,7 @@ var DefaultAddrs = struct {
 // NewTwoPath builds the Fig. 2 topology on a fresh clock.
 func NewTwoPath(clock *sim.Clock, rand *sim.Rand, specs [2]PathSpec) *TwoPathNet {
 	n := New(clock, rand)
-	tp := &TwoPathNet{Net: n, Specs: specs}
+	tp := &TwoPathNet{Net: n}
 	tp.ClientAddrs = DefaultAddrs.Client
 	tp.ServerAddrs = DefaultAddrs.Server
 	for i := 0; i < 2; i++ {

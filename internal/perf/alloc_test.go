@@ -24,7 +24,7 @@ import (
 // packet lands at wire.MaxPacketSize, like a cwnd-limited sender's.
 func samplePayloadLen() int {
 	probe := SamplePacket(nil)
-	overhead := probe.EncodedSize()
+	overhead := len(probe.EncodeTo(nil, nil))
 	sf := probe.Frames[len(probe.Frames)-1].(*wire.StreamFrame)
 	return sf.MaxStreamDataLen(wire.MaxPacketSize - (overhead - sf.EncodedSize()))
 }
@@ -58,7 +58,7 @@ func TestStreamFillerAppendAllocFree(t *testing.T) {
 
 func TestPacketDecodeAllocBudget(t *testing.T) {
 	pkt := SamplePacket(make([]byte, samplePayloadLen()))
-	enc := pkt.Encode(nil)
+	enc := pkt.EncodeTo(nil, nil)
 	// The allocating wrapper: a fresh Packet, the frame structs and the
 	// pre-sized Frames/Ranges slices — but no payload copies. The
 	// connection's own decode is DecodeInto, budgeted at zero below.
@@ -104,7 +104,7 @@ func dataPacket() *wire.Packet {
 	pkt := SamplePacket(nil)
 	sf := pkt.Frames[2].(*wire.StreamFrame)
 	pkt.Frames = []wire.Frame{pkt.Frames[0], sf}
-	sf.Data = make([]byte, sf.MaxStreamDataLen(wire.MaxPacketSize-(pkt.EncodedSize()-sf.EncodedSize())))
+	sf.Data = make([]byte, sf.MaxStreamDataLen(wire.MaxPacketSize-(len(pkt.EncodeTo(nil, nil))-sf.EncodedSize())))
 	return pkt
 }
 
@@ -124,7 +124,7 @@ func testSealers(t *testing.T) (seal, open wire.Sealer) {
 }
 
 func TestDecodeIntoAllocFree(t *testing.T) {
-	enc := dataPacket().Encode(nil)
+	enc := dataPacket().EncodeTo(nil, nil)
 	var (
 		pkt     wire.Packet
 		scratch wire.FrameArena
@@ -161,7 +161,7 @@ func TestDenseAckCodecAllocFree(t *testing.T) {
 		t.Errorf("pooled encode of a 91-range ACK allocates %.1f/op, want 0", allocs)
 	}
 
-	enc := pkt.Encode(nil)
+	enc := pkt.EncodeTo(nil, nil)
 	var (
 		rx      wire.Packet
 		scratch wire.FrameArena
@@ -183,7 +183,7 @@ func TestDenseAckCodecAllocFree(t *testing.T) {
 func TestSealOpenInPlaceAllocFree(t *testing.T) {
 	seal, open := testSealers(t)
 	pkt := dataPacket()
-	sealed := pkt.Encode(seal)
+	sealed := pkt.EncodeTo(nil, seal)
 	allocs := testing.AllocsPerRun(100, func() {
 		buf := pkt.EncodeTo(wire.GetPacketBuf(), seal)
 		wire.PutPacketBuf(buf)

@@ -8,6 +8,7 @@ import (
 	"mpquic/internal/core"
 	"mpquic/internal/netem"
 	"mpquic/internal/sim"
+	"mpquic/internal/trace"
 	"mpquic/internal/wire"
 )
 
@@ -43,11 +44,13 @@ func eventOccupancy(t *testing.T, size uint64) (clock *sim.Clock, links, peakPen
 		if n := clock.Pending(); n > peakPending {
 			peakPending = n
 		}
-		inFlight := 0
+		var rec trace.SeriesRecorder
 		for _, c := range lis.Conns() {
-			for _, p := range c.Paths() {
-				inFlight += p.Space().BytesInFlight()
-			}
+			c.SampleInto(&rec)
+		}
+		inFlight := 0
+		for _, s := range rec.Samples {
+			inFlight += s.InFlight
 		}
 		if n := inFlight / wire.MaxPacketSize; n > peakInFlight {
 			peakInFlight = n

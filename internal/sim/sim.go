@@ -45,9 +45,6 @@ type Time time.Duration
 // Duration converts t to a time.Duration since the simulation epoch.
 func (t Time) Duration() time.Duration { return time.Duration(t) }
 
-// Seconds reports t as floating-point seconds since the epoch.
-func (t Time) Seconds() float64 { return time.Duration(t).Seconds() }
-
 // Add returns t shifted forward by d.
 func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 

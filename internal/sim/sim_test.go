@@ -366,9 +366,6 @@ func TestRandForkDecorrelated(t *testing.T) {
 
 func TestTimeHelpers(t *testing.T) {
 	tt := Time(1500 * time.Millisecond)
-	if tt.Seconds() != 1.5 {
-		t.Fatalf("Seconds = %v", tt.Seconds())
-	}
 	if tt.Add(500*time.Millisecond) != Time(2*time.Second) {
 		t.Fatal("Add broken")
 	}

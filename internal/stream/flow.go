@@ -41,9 +41,6 @@ func (f *FlowController) SendAllowance() uint64 {
 // AddBytesSent consumes send credit.
 func (f *FlowController) AddBytesSent(n uint64) { f.sent += n }
 
-// BytesSent returns the cumulative flow-controlled bytes sent.
-func (f *FlowController) BytesSent() uint64 { return f.sent }
-
 // UpdateSendLimit raises the limit from a received WINDOW_UPDATE.
 // Regressions (stale frames) are ignored. It reports whether the
 // window actually grew — the signal to unblock the sender.

@@ -33,9 +33,6 @@ func NewRecvStream(id wire.StreamID) *RecvStream {
 	return &RecvStream{id: id}
 }
 
-// ID returns the stream ID.
-func (r *RecvStream) ID() wire.StreamID { return r.id }
-
 // OnFrame ingests one STREAM frame. It returns the number of
 // previously unseen bytes (for connection flow-control accounting) and
 // an error on inconsistent FIN offsets.

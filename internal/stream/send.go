@@ -33,9 +33,6 @@ func NewSendStream(id wire.StreamID) *SendStream {
 	return &SendStream{id: id}
 }
 
-// ID returns the stream ID.
-func (s *SendStream) ID() wire.StreamID { return s.id }
-
 // Write appends real payload bytes.
 func (s *SendStream) Write(p []byte) {
 	if s.fin {

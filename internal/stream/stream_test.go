@@ -495,11 +495,11 @@ func TestStreamReassemblyProperty(t *testing.T) {
 
 func TestAccessorsAndGuards(t *testing.T) {
 	s := NewSendStream(9)
-	if s.ID() != 9 {
+	if s.id != 9 {
 		t.Fatal("send ID")
 	}
 	r := NewRecvStream(9)
-	if r.ID() != 9 {
+	if r.id != 9 {
 		t.Fatal("recv ID")
 	}
 	r.OnFrame(&wire.StreamFrame{StreamID: 9, DataLen: 10})
@@ -509,7 +509,7 @@ func TestAccessorsAndGuards(t *testing.T) {
 	}
 	fc := NewFlowController(100)
 	fc.AddBytesSent(30)
-	if fc.sendLimit != 100 || fc.BytesSent() != 30 || fc.RecvLimit() != 100 {
+	if fc.sendLimit != 100 || fc.sent != 30 || fc.RecvLimit() != 100 {
 		t.Fatal("flow accessors")
 	}
 	var set IntervalSet

@@ -43,10 +43,6 @@ func flight(s hsState) (syn, ack bool, ctl CtlType) {
 	return false, false, CtlNone
 }
 
-// dupThresh is the FACK-style reordering threshold (the dup-ack
-// analog): a segment is lost once 3 later transmissions are acked.
-const dupThresh = 3
-
 // Never is the Deadline of a flow that is waiting for nothing.
 const Never = time.Duration(1<<62 - 1)
 
@@ -434,12 +430,13 @@ func (f *Flow) OnAck(seg *Segment) (progress bool, lost []*Record) {
 		f.lastProgress = f.now() // ack progress restarts the RTO timer
 		f.cc.OnPacketAcked(newlyAckedBytes, f.est.SmoothedRTT())
 	}
-	// FACK loss detection: lost when dupThresh later transmissions
-	// are acked.
+	// FACK loss detection, the dup-ack analog: lost when
+	// recovery.PacketThreshold later transmissions are acked, the rule
+	// QUIC's packet-number spaces apply.
 	f.lost = f.lost[:0]
 	if f.hasAckTx {
 		for _, r := range f.Records() {
-			if r.TxSeq+dupThresh > f.highestAckTx {
+			if r.TxSeq+recovery.PacketThreshold > f.highestAckTx {
 				break // records are in transmission order
 			}
 			if !r.settled {

@@ -7,6 +7,7 @@ import (
 
 	"mpquic/internal/cc"
 	"mpquic/internal/netem"
+	"mpquic/internal/recovery"
 	"mpquic/internal/sim"
 )
 
@@ -111,7 +112,7 @@ func (m *scoreboardModel) ack(seg *Segment) {
 		}
 	}
 	for _, r := range m.live {
-		if want[r] == "" && m.hasAck && r.TxSeq+dupThresh <= m.highest {
+		if want[r] == "" && m.hasAck && r.TxSeq+recovery.PacketThreshold <= m.highest {
 			want[r] = "lost"
 		}
 	}
@@ -185,14 +186,14 @@ func (m *scoreboardModel) recount() {
 		kept[r] = true
 	}
 	// What lets the History trim only the settled front: FACK marking
-	// leaves fewer than dupThresh settled records behind it.
+	// leaves fewer than recovery.PacketThreshold settled records behind it.
 	settledKept := 0
 	for r := range kept {
 		if r.settled {
 			settledKept++
 		}
 	}
-	if settledKept >= dupThresh {
+	if settledKept >= recovery.PacketThreshold {
 		m.t.Fatalf("%d settled records linger in a scoreboard of %d", settledKept, len(kept))
 	}
 	inFlight, liveRtx := 0, 0

@@ -14,15 +14,16 @@ package tcpsim
 
 import (
 	"mpquic/internal/stream"
+	"mpquic/internal/wire"
 )
 
 // Wire-size constants.
 const (
 	// MSS is the maximum TCP payload per segment, chosen so the full
-	// datagram matches the QUIC stacks' 1378-byte wire footprint
-	// (1350-byte QUIC packet + 28-byte UDP/IP): IPv4 20 + TCP 20 +
-	// timestamps 12 => 1326 + 52 = 1378.
-	MSS = 1326
+	// datagram matches the QUIC stacks' wire footprint: a
+	// MaxPacketSize QUIC packet plus its UDP/IP framing (1378 bytes),
+	// less headerBase.
+	MSS = wire.MaxPacketSize + wire.UDPIPv4Overhead - headerBase
 	// headerBase is IPv4 (20) + TCP (20) + timestamp option (12).
 	headerBase = 52
 	// sackBlockSize is the per-block cost of the SACK option.
@@ -70,8 +71,8 @@ type SACKBlock struct {
 	Start, End uint64
 }
 
-// Segment is one TCP segment in flight. It implements netem.Payload,
-// and netem.Lent when a flow lent it (Flow.NewSegment): from Send on
+// Segment is one TCP segment in flight, a datagram's payload. It
+// implements netem.Lent when a flow lent it (Flow.NewSegment): from Send on
 // the network owns it, a handler reads it for one HandleDatagram and
 // must not keep it, and the network returns it to its flow at the
 // datagram's exit.
@@ -79,12 +80,11 @@ type Segment struct {
 	SYN, ACK, FIN bool
 	Ctl           CtlType
 
-	Seq     uint64 // first payload byte's sequence number
-	Len     int    // payload length (synthetic)
-	AckNum  uint64 // cumulative acknowledgment
-	Window  uint64 // receive window (bytes beyond AckNum)
-	SACK    []SACKBlock
-	EchoRTX bool // segment is a retransmission (receiver doesn't care; kept for traces)
+	Seq    uint64 // first payload byte's sequence number
+	Len    int    // payload length (synthetic)
+	AckNum uint64 // cumulative acknowledgment
+	Window uint64 // receive window (bytes beyond AckNum)
+	SACK   []SACKBlock
 
 	// Multipath TCP DSS-style fields (used by mptcpsim; zero for
 	// plain TCP). DataSeq maps this segment's payload into the
@@ -134,7 +134,8 @@ func (s *Segment) Return() {
 	f.segs = append(f.segs, s)
 }
 
-// WireSize implements netem.Payload: headers + options + payload.
+// WireSize is the segment's size inside its datagram: headers +
+// options + payload.
 func (s *Segment) WireSize() int {
 	n := headerBase + s.Len
 	if len(s.SACK) > 0 {

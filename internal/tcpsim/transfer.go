@@ -105,7 +105,7 @@ func (c *Conn) trySend() {
 			break
 		}
 		seg := c.NewSegment()
-		seg.Seq, seg.Len, seg.EchoRTX = start, int(end-start), rtx
+		seg.Seq, seg.Len = start, int(end-start)
 		seg.FIN = c.FinQueued && end == c.Written
 		c.Sent(start, end, rtx, seg.Len+headerBase).Fin = seg.FIN
 		c.ackFields(seg) // piggyback ack+window on every data segment

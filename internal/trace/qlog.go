@@ -24,7 +24,6 @@ import (
 // eagerly at construction, so same-seed runs produce byte-identical
 // qlog files.
 type Qlog struct {
-	w   io.Writer
 	enc *json.Encoder
 	err error
 }
@@ -124,7 +123,7 @@ type qlogLinkData struct {
 // endpoint ("client" or "server"; anything else is recorded verbatim).
 // The trace header line is written immediately, before any event.
 func NewQlog(w io.Writer, vantage string) *Qlog {
-	q := &Qlog{w: w, enc: json.NewEncoder(w)}
+	q := &Qlog{enc: json.NewEncoder(w)}
 	q.emit(qlogHeader{
 		QlogVersion: "0.3",
 		QlogFormat:  "JSON-SEQ",

@@ -52,23 +52,6 @@ func NewSeriesRecorder() *SeriesRecorder { return &SeriesRecorder{} }
 // Add appends one sample.
 func (r *SeriesRecorder) Add(s PathSample) { r.Samples = append(r.Samples, s) }
 
-// Len reports the number of recorded samples.
-func (r *SeriesRecorder) Len() int { return len(r.Samples) }
-
-// Paths returns the distinct path IDs seen, in first-appearance order
-// (deterministic: no map iteration).
-func (r *SeriesRecorder) Paths() []uint8 {
-	var out []uint8
-	var seen [256]bool
-	for _, s := range r.Samples {
-		if !seen[s.Path] {
-			seen[s.Path] = true
-			out = append(out, s.Path)
-		}
-	}
-	return out
-}
-
 // EncodeJSONL writes the samples as newline-delimited JSON, one sample
 // per line, in recording order. Output is byte-reproducible for equal
 // sample sequences.

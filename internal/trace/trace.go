@@ -103,12 +103,6 @@ type Tracer interface {
 	Trace(ev Event)
 }
 
-// Nop discards all events.
-type Nop struct{}
-
-// Trace implements Tracer.
-func (Nop) Trace(Event) {}
-
 // Text renders events as aligned text lines. Output is a pure
 // function of the event stream (byte-identical across same-seed runs).
 type Text struct {
@@ -141,13 +135,12 @@ func (t *Text) Trace(ev Event) {
 // qvis-loadable qlog shape use Qlog instead. Output is a pure function
 // of the event stream.
 type JSON struct {
-	W   io.Writer
 	enc *json.Encoder
 }
 
 // NewJSON builds a JSON tracer.
 func NewJSON(w io.Writer) *JSON {
-	return &JSON{W: w, enc: json.NewEncoder(w)}
+	return &JSON{enc: json.NewEncoder(w)}
 }
 
 // Trace implements Tracer.

@@ -75,7 +75,3 @@ func TestMultiAndFilter(t *testing.T) {
 		t.Fatalf("filter broken: %+v", b.Counts)
 	}
 }
-
-func TestNop(t *testing.T) {
-	Nop{}.Trace(sample()) // must not panic
-}

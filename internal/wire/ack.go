@@ -83,7 +83,6 @@ func (f *AckFrame) Validate() error {
 	return nil
 }
 
-func (f *AckFrame) Type() FrameType       { return TypeAck }
 func (f *AckFrame) Retransmittable() bool { return false }
 
 func (f *AckFrame) EncodedSize() int {

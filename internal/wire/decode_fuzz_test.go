@@ -52,7 +52,7 @@ func fuzzSeedPackets() []*Packet {
 // accepted language.
 func FuzzDecode(f *testing.F) {
 	for _, p := range fuzzSeedPackets() {
-		f.Add(p.Encode(nil), uint32(p.Header.PacketNumber))
+		f.Add(p.EncodeTo(nil, nil), uint32(p.Header.PacketNumber))
 	}
 	f.Add([]byte{}, uint32(0))
 	f.Fuzz(func(t *testing.T, b []byte, largest uint32) {
@@ -67,12 +67,12 @@ func FuzzDecode(f *testing.F) {
 				}
 			}
 		}
-		e1 := p1.Encode(nil)
+		e1 := p1.EncodeTo(nil, nil)
 		p2, err := Decode(e1, PacketNumber(largest), nil)
 		if err != nil {
 			t.Fatalf("re-encoded packet no longer decodes: %v\ninput:   %x\nencoded: %x", err, b, e1)
 		}
-		e2 := p2.Encode(nil)
+		e2 := p2.EncodeTo(nil, nil)
 		if !bytes.Equal(e1, e2) {
 			t.Fatalf("encode is not a fixed point:\ne1: %x\ne2: %x", e1, e2)
 		}
@@ -86,7 +86,7 @@ func FuzzDecode(f *testing.F) {
 // while the borrowed decode is free to).
 func FuzzDecodeBorrowed(f *testing.F) {
 	for _, p := range fuzzSeedPackets() {
-		f.Add(p.Encode(nil), uint32(p.Header.PacketNumber))
+		f.Add(p.EncodeTo(nil, nil), uint32(p.Header.PacketNumber))
 	}
 	f.Fuzz(func(t *testing.T, b []byte, largest uint32) {
 		owned, errOwned := Decode(append([]byte(nil), b...), PacketNumber(largest), nil)

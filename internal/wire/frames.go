@@ -32,7 +32,6 @@ type StreamID uint64
 // independent of the packets that contain them: on retransmission a
 // frame may travel in a new packet, on a different path (§3).
 type Frame interface {
-	Type() FrameType
 	// EncodedSize is the exact number of bytes Append will add.
 	EncodedSize() int
 	// Append serializes the frame.
@@ -45,7 +44,6 @@ type Frame interface {
 // PaddingFrame fills space (N bytes of zero).
 type PaddingFrame struct{ Length int }
 
-func (f *PaddingFrame) Type() FrameType       { return TypePadding }
 func (f *PaddingFrame) EncodedSize() int      { return f.Length }
 func (f *PaddingFrame) Retransmittable() bool { return false }
 func (f *PaddingFrame) Append(b []byte) []byte {
@@ -58,7 +56,6 @@ func (f *PaddingFrame) Append(b []byte) []byte {
 // PingFrame elicits an acknowledgment.
 type PingFrame struct{}
 
-func (f *PingFrame) Type() FrameType        { return TypePing }
 func (f *PingFrame) EncodedSize() int       { return 1 }
 func (f *PingFrame) Retransmittable() bool  { return true }
 func (f *PingFrame) Append(b []byte) []byte { return append(b, byte(TypePing)) }
@@ -84,7 +81,6 @@ func (f *StreamFrame) Len() int {
 	return f.DataLen
 }
 
-func (f *StreamFrame) Type() FrameType       { return TypeStream }
 func (f *StreamFrame) Retransmittable() bool { return true }
 
 func (f *StreamFrame) EncodedSize() int {
@@ -140,7 +136,6 @@ type WindowUpdateFrame struct {
 	Offset   uint64   // new absolute byte limit
 }
 
-func (f *WindowUpdateFrame) Type() FrameType       { return TypeWindowUpdate }
 func (f *WindowUpdateFrame) Retransmittable() bool { return true }
 func (f *WindowUpdateFrame) EncodedSize() int {
 	return 1 + VarintLen(uint64(f.StreamID)) + VarintLen(f.Offset)
@@ -157,7 +152,6 @@ type BlockedFrame struct {
 	StreamID StreamID
 }
 
-func (f *BlockedFrame) Type() FrameType       { return TypeBlocked }
 func (f *BlockedFrame) Retransmittable() bool { return true }
 func (f *BlockedFrame) EncodedSize() int      { return 1 + VarintLen(uint64(f.StreamID)) }
 func (f *BlockedFrame) Append(b []byte) []byte {
@@ -174,7 +168,6 @@ type AddAddressFrame struct {
 	Address   string
 }
 
-func (f *AddAddressFrame) Type() FrameType       { return TypeAddAddress }
 func (f *AddAddressFrame) Retransmittable() bool { return true }
 func (f *AddAddressFrame) EncodedSize() int {
 	return 1 + 1 + VarintLen(uint64(len(f.Address))) + len(f.Address)
@@ -202,7 +195,6 @@ type PathsFrame struct {
 	Paths []PathInfo
 }
 
-func (f *PathsFrame) Type() FrameType       { return TypePaths }
 func (f *PathsFrame) Retransmittable() bool { return true }
 func (f *PathsFrame) EncodedSize() int {
 	n := 1 + VarintLen(uint64(len(f.Paths)))
@@ -231,7 +223,6 @@ type ConnectionCloseFrame struct {
 	Reason    string
 }
 
-func (f *ConnectionCloseFrame) Type() FrameType       { return TypeConnectionClose }
 func (f *ConnectionCloseFrame) Retransmittable() bool { return true }
 func (f *ConnectionCloseFrame) EncodedSize() int {
 	return 1 + 4 + VarintLen(uint64(len(f.Reason))) + len(f.Reason)
@@ -264,7 +255,6 @@ type HandshakeFrame struct {
 	Payload []byte
 }
 
-func (f *HandshakeFrame) Type() FrameType       { return TypeHandshake }
 func (f *HandshakeFrame) Retransmittable() bool { return true }
 func (f *HandshakeFrame) EncodedSize() int {
 	return 1 + 1 + VarintLen(uint64(len(f.Payload))) + len(f.Payload)

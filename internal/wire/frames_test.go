@@ -38,7 +38,7 @@ func TestPaddingFrameRoundTrip(t *testing.T) {
 
 func TestPingFrameRoundTrip(t *testing.T) {
 	got := roundTrip(t, &PingFrame{})
-	if got.Type() != TypePing || !got.Retransmittable() {
+	if _, ok := got.(*PingFrame); !ok || !got.Retransmittable() {
 		t.Fatal("ping broken")
 	}
 }

@@ -41,7 +41,7 @@ func TestParseFrameArbitraryBytesNeverPanics(t *testing.T) {
 // structurally valid parse — never a panic.
 func TestDecodeBitFlippedPacket(t *testing.T) {
 	p := testPacket()
-	base := p.Encode(nil)
+	base := p.EncodeTo(nil, nil)
 	for i := 0; i < len(base); i++ {
 		for _, mask := range []byte{0x01, 0x80} {
 			mutated := append([]byte{}, base...)
@@ -61,7 +61,7 @@ func TestDecodeBitFlippedPacket(t *testing.T) {
 // Truncating a valid packet at every possible length must never panic.
 func TestDecodeEveryTruncation(t *testing.T) {
 	p := testPacket()
-	base := p.Encode(nil)
+	base := p.EncodeTo(nil, nil)
 	for n := 0; n < len(base); n++ {
 		func() {
 			defer func() {

@@ -16,9 +16,8 @@ const (
 	MaxPacketSize = 1350
 )
 
-// Packet is one QUIC packet: a public header plus frames. It implements
-// netem.Payload so packets can traverse the emulator in struct mode;
-// EncodedSize matches Encode's output exactly, byte for byte.
+// Packet is one QUIC packet: a public header plus frames. Packets
+// traverse the emulator as datagram payloads in struct mode.
 type Packet struct {
 	Header Header
 	Frames []Frame
@@ -32,23 +31,6 @@ type Packet struct {
 	// and the PacketPool that has the packet out on loan, nil when none.
 	own  FrameArena
 	pool *PacketPool
-}
-
-// WireSize implements the emulator payload interface: the full packet
-// size including the AEAD tag on protected packets.
-func (p *Packet) WireSize() int { return p.EncodedSize() }
-
-// EncodedSize is the exact serialized size of the packet, including the
-// AEAD expansion for protected (non-handshake) packets.
-func (p *Packet) EncodedSize() int {
-	n := p.Header.EncodedSize(p.LargestAcked)
-	for _, f := range p.Frames {
-		n += f.EncodedSize()
-	}
-	if !p.Header.Handshake {
-		n += AEADOverhead
-	}
-	return n
 }
 
 // IsRetransmittable reports whether any frame needs loss recovery.
@@ -68,35 +50,25 @@ func AnyRetransmittable(frames []Frame) bool {
 // Sealer protects a packet payload (AEAD seal/open). The wire package
 // defines the interface; internal/crypto provides the implementation.
 type Sealer interface {
-	// Seal encrypts plaintext bound to (path, pn, header) and returns
-	// ciphertext (plaintext length + AEADOverhead).
-	Seal(path PathID, pn PacketNumber, header, plaintext []byte) []byte
-	// Open reverses Seal, failing on any forgery.
-	Open(path PathID, pn PacketNumber, header, ciphertext []byte) ([]byte, error)
-	// SealTo is Seal appending the ciphertext to dst, in the manner of
-	// cipher.AEAD: Seal is SealTo with a nil dst. To seal a payload
-	// over itself pass plaintext[:0] (or any slice ending where
-	// plaintext starts) with AEADOverhead bytes of spare capacity
-	// behind the plaintext; header must not overlap the output.
+	// SealTo encrypts plaintext bound to (path, pn, header) and appends
+	// the ciphertext (plaintext length + AEADOverhead) to dst, in the
+	// manner of cipher.AEAD. To seal a payload over itself pass
+	// plaintext[:0] (or any slice ending where plaintext starts) with
+	// AEADOverhead bytes of spare capacity behind the plaintext; header
+	// must not overlap the output.
 	SealTo(dst []byte, path PathID, pn PacketNumber, header, plaintext []byte) []byte
-	// OpenTo is Open appending the plaintext to dst; ciphertext[:0]
-	// decrypts in place. On a forgery it returns an error and the
-	// contents of the output region are unspecified.
+	// OpenTo reverses SealTo, appending the plaintext to dst;
+	// ciphertext[:0] decrypts in place. On a forgery it returns an
+	// error and the contents of the output region are unspecified.
 	OpenTo(dst []byte, path PathID, pn PacketNumber, header, ciphertext []byte) ([]byte, error)
-}
-
-// Encode serializes the packet into a freshly allocated buffer. A nil
-// sealer leaves the payload in cleartext but still appends AEADOverhead
-// filler bytes on protected packets so sizes stay identical in both
-// modes. Hot paths should prefer EncodeTo with a pooled buffer from
-// GetPacketBuf.
-func (p *Packet) Encode(sealer Sealer) []byte {
-	return p.EncodeTo(make([]byte, 0, p.EncodedSize()), sealer)
 }
 
 // EncodeTo appends the serialized packet to buf and returns the
 // extended buffer, allocating only if buf lacks capacity. Pair with
-// GetPacketBuf/PutPacketBuf for an allocation-free encode path.
+// GetPacketBuf/PutPacketBuf for an allocation-free encode path. A nil
+// sealer leaves the payload in cleartext but still appends AEADOverhead
+// filler bytes on protected packets so sizes stay identical in both
+// modes.
 //
 //mpq:noescape
 func (p *Packet) EncodeTo(buf []byte, sealer Sealer) []byte {
@@ -122,8 +94,8 @@ func (p *Packet) EncodeTo(buf []byte, sealer Sealer) []byte {
 
 // Decode parses a serialized packet. largestReceived expands the
 // truncated packet number (pass InvalidPacketNumber on fresh paths). A
-// nil sealer expects the cleartext-with-filler format Encode(nil)
-// produces. Parsed frames own their payload bytes and b is left
+// nil sealer expects the cleartext-with-filler format EncodeTo with a
+// nil sealer produces. Parsed frames own their payload bytes and b is left
 // untouched (a sealed payload is opened into fresh memory): b may be
 // reused freely after Decode returns.
 func Decode(b []byte, largestReceived PacketNumber, sealer Sealer) (*Packet, error) {

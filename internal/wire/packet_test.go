@@ -19,10 +19,7 @@ func testPacket() *Packet {
 
 func TestPacketEncodeDecodeNilSealer(t *testing.T) {
 	p := testPacket()
-	b := p.Encode(nil)
-	if len(b) != p.EncodedSize() {
-		t.Fatalf("EncodedSize %d != encoded %d", p.EncodedSize(), len(b))
-	}
+	b := p.EncodeTo(nil, nil)
 	got, err := Decode(b, 41, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -44,18 +41,13 @@ func TestPacketHandshakeNoAEADOverhead(t *testing.T) {
 		Header: Header{ConnID: 1, Handshake: true, PacketNumber: 1},
 		Frames: []Frame{&HandshakeFrame{Message: HandshakeCHLO, Payload: make([]byte, 100)}},
 	}
-	clear := p.EncodedSize()
+	b := p.EncodeTo(nil, nil)
 	p2 := &Packet{
 		Header: Header{ConnID: 1, PacketNumber: 1},
 		Frames: p.Frames,
 	}
-	if p2.EncodedSize() != clear+AEADOverhead {
-		t.Fatalf("protected packet should cost exactly AEADOverhead more: %d vs %d",
-			p2.EncodedSize(), clear)
-	}
-	b := p.Encode(nil)
-	if len(b) != clear {
-		t.Fatal("handshake encode size mismatch")
+	if n := len(p2.EncodeTo(nil, nil)); n != len(b)+AEADOverhead {
+		t.Fatalf("protected packet should cost exactly AEADOverhead more: %d vs %d", n, len(b))
 	}
 	if _, err := Decode(b, InvalidPacketNumber, nil); err != nil {
 		t.Fatal(err)
@@ -82,17 +74,18 @@ func TestPacketFitsMTUAccounting(t *testing.T) {
 		Header: Header{ConnID: 1, Multipath: true, PathID: 1, PacketNumber: 1 << 20, PNLen: 4},
 		Frames: []Frame{sf},
 	}
-	if p.EncodedSize() > MaxPacketSize {
-		t.Fatalf("packet %d exceeds MaxPacketSize", p.EncodedSize())
+	n := len(p.EncodeTo(nil, nil))
+	if n > MaxPacketSize {
+		t.Fatalf("packet %d exceeds MaxPacketSize", n)
 	}
-	if p.EncodedSize()+UDPIPv4Overhead > 1500 {
-		t.Fatalf("datagram %d exceeds 1500-byte MTU", p.EncodedSize()+UDPIPv4Overhead)
+	if n+UDPIPv4Overhead > 1500 {
+		t.Fatalf("datagram %d exceeds 1500-byte MTU", n+UDPIPv4Overhead)
 	}
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
 	p := testPacket()
-	b := p.Encode(nil)
+	b := p.EncodeTo(nil, nil)
 	// Corrupt a frame type byte inside the payload.
 	b[len(b)-AEADOverhead-1] ^= 0xff
 	if _, err := Decode(b, 41, nil); err == nil {

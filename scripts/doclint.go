@@ -1,6 +1,6 @@
 // Command doclint keeps the repo's documentation honest. It is
 // stdlib-only and wired into scripts/check.sh (and thereby `make
-// check` and CI). Four checks:
+// check` and CI). Five checks:
 //
 //  1. Intra-repo markdown links: every relative link target in every
 //     tracked *.md file must exist on the filesystem, so renames and
@@ -18,6 +18,9 @@
 //     after a "- **Left out" bullet under the same "## " heading means
 //     the entry it opens lost its heading and reads as the tail of the
 //     one before.
+//  5. Fuzzers that run: every native fuzz target a _test.go file
+//     declares must have a line in the Makefile's fuzz-smoke target,
+//     which CI runs, naming it and its package directory.
 //
 // Usage (from the repo root):
 //
@@ -110,9 +113,43 @@ func checkChangeEntries(path string, data []byte, problems []string) []string {
 	return problems
 }
 
-// markdownFiles lists every *.md file in the tree, skipping testdata
-// and dot directories other than .claude (the verify skill lives there).
-func markdownFiles(root string) ([]string, error) {
+// fuzzPattern matches a native fuzz target's declaration.
+var fuzzPattern = regexp.MustCompile(`(?m)^func (Fuzz\w*)\(\w+ \*testing\.F\)`)
+
+// checkFuzzers verifies that smoke, the fuzz-smoke recipe, runs every
+// fuzz target one test file declares, appending a message per target
+// it does not.
+func checkFuzzers(path string, data []byte, smoke []string, problems []string) []string {
+	for _, m := range fuzzPattern.FindAllSubmatch(data, -1) {
+		run := fmt.Sprintf("-fuzz='^%s$$'", m[1])
+		pkg := " ./" + filepath.ToSlash(filepath.Dir(path))
+		if !slices.ContainsFunc(smoke, func(line string) bool {
+			return strings.Contains(line, run) && strings.HasSuffix(line, pkg)
+		}) {
+			problems = append(problems, fmt.Sprintf("%s: %s is not run by the Makefile's fuzz-smoke target", path, m[1]))
+		}
+	}
+	return problems
+}
+
+// fuzzSmoke returns the recipe lines of the Makefile's fuzz-smoke
+// target.
+func fuzzSmoke(makefile string) []string {
+	_, recipe, _ := strings.Cut(makefile, "\nfuzz-smoke:\n")
+	var lines []string
+	for _, line := range strings.Split(recipe, "\n") {
+		if !strings.HasPrefix(line, "\t") {
+			break
+		}
+		lines = append(lines, line)
+	}
+	return lines
+}
+
+// treeFiles lists every file in the tree whose name ends in suffix,
+// skipping testdata and dot directories other than .claude (the verify
+// skill lives there).
+func treeFiles(root, suffix string) ([]string, error) {
 	var out []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -125,7 +162,7 @@ func markdownFiles(root string) ([]string, error) {
 			}
 			return nil
 		}
-		if strings.HasSuffix(name, ".md") {
+		if strings.HasSuffix(name, suffix) {
 			out = append(out, path)
 		}
 		return nil
@@ -136,7 +173,7 @@ func markdownFiles(root string) ([]string, error) {
 func main() {
 	var problems []string
 
-	files, err := markdownFiles(".")
+	files, err := treeFiles(".", ".md")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "doclint:", err)
 		os.Exit(1)
@@ -169,6 +206,26 @@ func main() {
 		if !strings.Contains(string(schema), "`"+string(et)+"`") {
 			problems = append(problems, fmt.Sprintf("%s: event type `%s` is not documented", schemaDoc, et))
 		}
+	}
+
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "doclint:", err)
+		os.Exit(1)
+	}
+	smoke := fuzzSmoke(string(makefile))
+	tests, err := treeFiles(".", "_test.go")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "doclint:", err)
+		os.Exit(1)
+	}
+	for _, path := range tests {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "doclint:", err)
+			os.Exit(1)
+		}
+		problems = checkFuzzers(path, data, smoke, problems)
 	}
 
 	if len(problems) > 0 {
