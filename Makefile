@@ -1,7 +1,7 @@
 # Convenience targets; see scripts/check.sh for the pre-commit gate and
 # bench/run.sh (BENCHMARK.json) for the repository benchmark.
 
-.PHONY: build test vet doclint fuzz-smoke bench bench-pairs sim-signature grid-signature live-smoke chaos-smoke check
+.PHONY: build test vet doclint fuzz-smoke bench bench-pairs sim-signature grid-signature live-smoke chaos-smoke traffic-cover check
 
 build:
 	go build ./...
@@ -60,6 +60,12 @@ live-smoke:
 
 chaos-smoke:
 	sh scripts/chaos_smoke.sh
+
+# Statements no production run reaches (coverage binaries of mpq-bench
+# and mpq-live over the paper grids, the handover, all four stacks and
+# four loopback pairs; about a minute, binds sockets, not in CI).
+traffic-cover:
+	sh scripts/traffic-cover.sh
 
 check:
 	sh scripts/check.sh

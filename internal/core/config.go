@@ -93,6 +93,7 @@ type Config struct {
 	// packet-number space.
 	Multipath bool
 	// MaxPaths bounds concurrently active paths (including path 0).
+	// Zero means 2; plain QUIC clamps it to 1.
 	MaxPaths int
 	// Scheduler picks the packet scheduler.
 	Scheduler SchedulerKind

@@ -132,6 +132,12 @@ type Conn struct {
 
 // newConn builds the common connection state.
 func newConn(net DatagramSender, role Role, connID wire.ConnectionID, cfg Config, localAddrs, remoteAddrs []netem.Addr) *Conn {
+	if !cfg.Multipath && cfg.MaxPaths > 1 {
+		cfg.MaxPaths = 1
+	}
+	if cfg.MaxPaths == 0 {
+		cfg.MaxPaths = 2
+	}
 	c := &Conn{
 		cfg:         cfg,
 		role:        role,
@@ -502,7 +508,7 @@ func (c *Conn) receive(in *ingress) {
 	p := c.path(pathID)
 	if p == nil {
 		// Peer-initiated path: adopt addresses from the datagram.
-		if len(c.paths) >= c.cfg.MaxPaths && c.cfg.MaxPaths > 0 {
+		if len(c.paths) >= c.cfg.MaxPaths {
 			return
 		}
 		p = c.addPath(pathID, in.To, in.From)
@@ -553,9 +559,9 @@ func (c *Conn) handleFrame(p *Path, f wire.Frame) {
 		c.handlePathsFrame(fr)
 	case *wire.ConnectionCloseFrame:
 		c.handleRemoteClose(fr)
-	case *wire.PingFrame, *wire.PaddingFrame, *wire.BlockedFrame:
+	case *wire.PingFrame, *wire.PaddingFrame:
 		// Ping elicits an ack via the retransmittable flag; padding
-		// and blocked need no action.
+		// needs no action.
 	}
 }
 

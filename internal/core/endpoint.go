@@ -30,12 +30,6 @@ func Dial(nw DatagramSender, cfg Config, connID wire.ConnectionID, locals, remot
 	if len(locals) == 0 || len(remotes) == 0 {
 		panic("core: Dial needs at least one local and one remote address")
 	}
-	if !cfg.Multipath && cfg.MaxPaths > 1 {
-		cfg.MaxPaths = 1
-	}
-	if cfg.MaxPaths == 0 {
-		cfg.MaxPaths = 2
-	}
 	c := newConn(nw, RoleClient, connID, cfg, locals, remotes)
 	c.addPath(0, locals[0], remotes[0])
 	for _, a := range locals {
@@ -72,12 +66,6 @@ type Listener struct {
 // Listen registers a server on the given addresses. nw is any
 // DatagramSender (emulated network or live UDP driver).
 func Listen(nw DatagramSender, cfg Config, addrs []netem.Addr) *Listener {
-	if !cfg.Multipath && cfg.MaxPaths > 1 {
-		cfg.MaxPaths = 1
-	}
-	if cfg.MaxPaths == 0 {
-		cfg.MaxPaths = 2
-	}
 	l := &Listener{
 		nw:    nw,
 		cfg:   cfg,

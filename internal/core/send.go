@@ -65,10 +65,7 @@ func (c *Conn) sendTailReinjection() {
 				break
 			}
 			sp.Reinjected = true
-			frames := reinjectableFrames(sp.Frames)
-			if len(frames) == 0 {
-				continue
-			}
+			frames := c.reinjectableFrames(sp.Frames)
 			c.Stats.TailReinjections++
 			c.sendPacket(p, frames, framesSize(frames), false, true)
 		}
@@ -108,10 +105,11 @@ func (c *Conn) oldestReinjectable(target *Path) *recovery.SentPacket {
 			if !hasStreamFrame(sp.Frames) {
 				continue
 			}
+			// Outstanding is oldest-first: no later packet on q is older.
 			if oldest == nil || sp.SentTime < oldest.SentTime {
 				oldest = sp
-				break // Outstanding is oldest-first per path
 			}
+			break
 		}
 	}
 	return oldest
@@ -127,9 +125,10 @@ func hasStreamFrame(frames []wire.Frame) bool {
 }
 
 // reinjectableFrames keeps only the stream frames of a packet (acks
-// and control frames belong to their original context).
-func reinjectableFrames(frames []wire.Frame) []wire.Frame {
-	var out []wire.Frame
+// and control frames belong to their original context), listed in
+// txDupFrames.
+func (c *Conn) reinjectableFrames(frames []wire.Frame) []wire.Frame {
+	out := c.txDupFrames[:0]
 	for _, f := range frames {
 		if sf, ok := f.(*wire.StreamFrame); ok {
 			out = append(out, sf)

@@ -153,11 +153,11 @@ func (c *Conn) HandleDatagram(dg netem.Datagram) {
 }
 
 // addSubflow creates subflow state. TLS runs on the initial subflow
-// only; joined subflows (and a non-TLS initial one) make a plain 3WHS.
+// only; joined subflows make a plain 3WHS.
 func (c *Conn) addSubflow(id uint8, local, remote netem.Addr) *Subflow {
 	path := c.olia.AddPath()
 	path.SetMaxCwnd(int(c.cfg.RecvWindow))
-	sf := &Subflow{Flow: tcpsim.NewFlow(c.nw, id, local, remote, path, id == 0 && c.cfg.TLS,
+	sf := &Subflow{Flow: tcpsim.NewFlow(c.nw, id, local, remote, path, id == 0,
 		func(seg *tcpsim.Segment) {
 			c.stamp(seg, id)
 			seg.Join = seg.SYN && id != 0

@@ -59,9 +59,10 @@ func TestStreamFillerAppendAllocFree(t *testing.T) {
 func TestPacketDecodeAllocBudget(t *testing.T) {
 	pkt := SamplePacket(make([]byte, samplePayloadLen()))
 	enc := pkt.EncodeTo(nil, nil)
-	// The allocating wrapper: a fresh Packet, the frame structs and the
-	// pre-sized Frames/Ranges slices — but no payload copies. The
-	// connection's own decode is DecodeInto, budgeted at zero below.
+	// The allocating wrapper: one block for the Packet, its FrameArena
+	// and the first ACK and STREAM frame, then the Ranges slice and the
+	// control frame — but no payload copies. The connection's own
+	// decode is DecodeInto, budgeted at zero below.
 	const budget = 6
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := wire.DecodeBorrowed(enc, 9_999, nil); err != nil {

@@ -13,9 +13,6 @@ import (
 type Config struct {
 	// RecvWindow is the maximum receive window (§4.1: 16 MB).
 	RecvWindow uint64
-	// TLS enables the 2-RTT TLS 1.2 handshake after the 3-way
-	// handshake (the paper's https baseline).
-	TLS bool
 	// IdleTimeout aborts a silent connection. Zero disables.
 	IdleTimeout time.Duration
 	// Tracer receives lifecycle and recovery events (handshake done,
@@ -28,7 +25,7 @@ type Config struct {
 
 // DefaultConfig mirrors the paper's TCP setup.
 func DefaultConfig() Config {
-	return Config{RecvWindow: 16 << 20, TLS: true, IdleTimeout: 120 * time.Second}
+	return Config{RecvWindow: 16 << 20, IdleTimeout: 120 * time.Second}
 }
 
 // Conn is one endpoint of an emulated TCP connection carrying a single
@@ -48,7 +45,7 @@ func newTCPConn(nw *netem.Network, cfg Config, local, remote netem.Addr) *Conn {
 	clock := nw.Clock()
 	cub := cc.NewCubic(MSS, func() time.Duration { return clock.Now().Duration() })
 	cub.SetMaxCwnd(int(cfg.RecvWindow))
-	c := &Conn{Flow: NewFlow(nw, 0, local, remote, cub, cfg.TLS, func(seg *Segment) { seg.Window = cfg.RecvWindow })}
+	c := &Conn{Flow: NewFlow(nw, 0, local, remote, cub, true, func(seg *Segment) { seg.Window = cfg.RecvWindow })}
 	c.Init(clock, cfg, &c.received, c.onRTO, c.trySend, c.sendAck)
 	c.AddFlow(c.Flow)
 	return c

@@ -65,18 +65,6 @@ func TestTCPHandshakeTakesThreeRTTsWithTLS(t *testing.T) {
 	}
 }
 
-func TestTCPHandshakeOneRTTWithoutTLS(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TLS = false
-	h := newTCPHarness(t, cfg, link10M(40*time.Millisecond))
-	var at time.Duration
-	h.client.OnEstablished(func() { at = h.clock.Now().Duration() })
-	h.run(t, 2*time.Second)
-	if at < 40*time.Millisecond || at > 50*time.Millisecond {
-		t.Fatalf("established at %v, want ~1 RTT", at)
-	}
-}
-
 func TestTCPTransferCompletesAndGoodput(t *testing.T) {
 	h := newTCPHarness(t, DefaultConfig(), link10M(30*time.Millisecond))
 	ServeGet(h.lis, 2<<20)

@@ -26,13 +26,10 @@ func (c *Conn) HandleDatagram(dg netem.Datagram) {
 
 	if !c.Established() || seg.SYN || seg.Ctl != CtlNone {
 		consumed, done := c.Handshake(seg)
-		// The server completes the 3WHS on the client's bare ACK — its
-		// own segment without TLS, which answers it with a flight — or
-		// on data, which implies the handshake completed at the peer.
-		bareAck := seg.ACK && !c.cfg.TLS
-		if !consumed && (bareAck || seg.Len > 0 || seg.FIN) && c.Accept() {
+		// The TLS flights complete the handshake; so does data, which
+		// implies the handshake completed at the peer.
+		if !consumed && (seg.Len > 0 || seg.FIN) && c.Accept() {
 			done = true
-			consumed = bareAck && seg.Len == 0 && !seg.FIN
 		}
 		if done {
 			c.HandshakeDone()

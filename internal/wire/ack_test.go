@@ -122,7 +122,7 @@ func TestAckFrameRoundTripProperty(t *testing.T) {
 		if len(b) != fr.EncodedSize() {
 			return false
 		}
-		got, n, err := parseFrame(nil, b, false)
+		got, n, err := parseFrame(new(FrameArena), b)
 		if err != nil || n != len(b) {
 			return false
 		}
@@ -152,7 +152,7 @@ func TestParseAckGrowsRangesByDoubling(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	for n, b := range encoded {
 		scratch.reset()
-		got, _, err := parseFrame(&scratch, b, true)
+		got, _, err := parseFrame(&scratch, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -395,7 +395,7 @@ func TestParseAckErrors(t *testing.T) {
 		{[]byte{byte(TypeAck), 0}, ErrTruncated},
 	}
 	for i, c := range cases {
-		_, _, err := parseFrame(nil, c.b, false)
+		_, _, err := parseFrame(new(FrameArena), c.b)
 		if !errors.Is(err, c.want) || !strings.HasPrefix(err.Error(), "wire: decoding ACK frame: ") {
 			t.Errorf("case %d (%x): %v, want %v wrapped by frameErr", i, c.b, err, c.want)
 		}

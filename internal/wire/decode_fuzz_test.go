@@ -2,14 +2,16 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 )
 
 // fuzzSeedPackets builds one encodable packet per frame type (plus two
-// dense ACKs, a handshake packet and a single-path packet), the
-// native-fuzzing seed corpus for FuzzDecode and FuzzDecodeBorrowed.
+// dense ACKs, an ACK with two STREAM frames, a handshake packet and a
+// single-path packet), the native-fuzzing seed corpus for FuzzDecode
+// and FuzzDecodeBorrowed.
 func fuzzSeedPackets() []*Packet {
 	hdr := func(pn PacketNumber) Header {
 		return Header{ConnID: 0xfeed_beef_cafe_f00d, Multipath: true, PathID: 1, PacketNumber: pn}
@@ -29,7 +31,11 @@ func fuzzSeedPackets() []*Packet {
 		{Header: hdr(4), LargestAcked: 3, Frames: []Frame{denseAck(91, 0)}},
 		{Header: hdr(4), LargestAcked: 3, Frames: []Frame{denseAck(91, 45)}},
 		{Header: hdr(5), Frames: []Frame{&WindowUpdateFrame{StreamID: 3, Offset: 1 << 24}}},
-		{Header: hdr(6), Frames: []Frame{&BlockedFrame{StreamID: 3}}},
+		{Header: hdr(6), LargestAcked: 3, Frames: []Frame{
+			&AckFrame{Ranges: []AckRange{{Smallest: 1, Largest: 4}}},
+			&StreamFrame{StreamID: 3, Offset: 100, Data: []byte("a")},
+			&StreamFrame{StreamID: 5, Data: []byte{}, Fin: true},
+		}},
 		{Header: hdr(7), Frames: []Frame{&AddAddressFrame{AddrIndex: 1, Address: "server-v6"}}},
 		{Header: hdr(8), Frames: []Frame{&PathsFrame{Paths: []PathInfo{
 			{PathID: 0, SRTT: 30 * time.Millisecond},
@@ -79,26 +85,73 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzDecodeBorrowed asserts DecodeBorrowed never panics and agrees
-// exactly with Decode — same error, structurally identical packet —
-// and that the borrowed packet's aliases really point into the input
-// (mutating the buffer after a copying Decode must not change it,
-// while the borrowed decode is free to).
+// dirtyDecoder returns a Packet and FrameArena in the state a
+// connection's are in mid-transfer: they have decoded a packet holding a
+// 91-range ACK on path 1 and two STREAM frames. Every field of the
+// arena's frames is then overwritten with a stale value no parse
+// produces, so a parser that leaves a field of a reused frame unset
+// shows it even where it also skipped that field in the dirtying decode.
+func dirtyDecoder(t *testing.T) (*Packet, *FrameArena) {
+	ack := denseAck(91, 0)
+	ack.PathID = 1
+	b := (&Packet{Header: Header{ConnID: 7, Multipath: true, PathID: 1, PacketNumber: 20}, Frames: []Frame{
+		ack,
+		&StreamFrame{StreamID: 3, Offset: 1 << 20, Data: []byte("first"), Fin: true},
+		&StreamFrame{StreamID: 7, Offset: 9, Data: []byte("second")},
+	}}).EncodeTo(nil, nil)
+	p, arena := new(Packet), new(FrameArena)
+	if err := DecodeInto(p, arena, b, 19, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := range arena.acks {
+		a := &arena.acks[i]
+		a.PathID, a.AckDelay = 0xee, time.Hour
+		rs := a.Ranges[:cap(a.Ranges)]
+		for j := range rs {
+			rs[j] = AckRange{Smallest: 0xdead, Largest: 0xbeef}
+		}
+	}
+	for i := range arena.streams {
+		arena.streams[i] = StreamFrame{StreamID: 0xee, Offset: 0xee, Data: []byte("stale"), DataLen: 0xee, Fin: true}
+	}
+	p.LargestAcked = 0xee
+	return p, arena
+}
+
+// FuzzDecodeBorrowed asserts three decodes of the same input agree
+// exactly — same error, structurally identical packet: DecodeBorrowed;
+// Decode; and DecodeInto into the reused, dirty Packet and FrameArena
+// of dirtyDecoder, the shape core.Conn runs.
 func FuzzDecodeBorrowed(f *testing.F) {
 	for _, p := range fuzzSeedPackets() {
 		f.Add(p.EncodeTo(nil, nil), uint32(p.Header.PacketNumber))
 	}
 	f.Fuzz(func(t *testing.T, b []byte, largest uint32) {
-		owned, errOwned := Decode(append([]byte(nil), b...), PacketNumber(largest), nil)
+		owned, errOwned := Decode(b, PacketNumber(largest), nil)
 		borrowed, errBorrowed := DecodeBorrowed(append([]byte(nil), b...), PacketNumber(largest), nil)
-		if (errOwned == nil) != (errBorrowed == nil) {
-			t.Fatalf("Decode err=%v but DecodeBorrowed err=%v on %x", errOwned, errBorrowed, b)
+		reused, arena := dirtyDecoder(t)
+		errReused := DecodeInto(reused, arena, append([]byte(nil), b...), PacketNumber(largest), nil)
+		if (errOwned == nil) != (errBorrowed == nil) || (errReused == nil) != (errBorrowed == nil) {
+			t.Fatalf("Decode err=%v, DecodeBorrowed err=%v, reused DecodeInto err=%v on %x", errOwned, errBorrowed, errReused, b)
 		}
 		if errOwned != nil {
 			return
 		}
 		if !reflect.DeepEqual(owned, borrowed) {
-			t.Fatalf("DecodeBorrowed disagrees with Decode on %x:\nowned:    %#v\nborrowed: %#v", b, owned, borrowed)
+			t.Fatalf("DecodeBorrowed disagrees with Decode on %x:\nowned:    %s\nborrowed: %s", b, dump(owned), dump(borrowed))
+		}
+		if !reflect.DeepEqual(reused, borrowed) {
+			t.Fatalf("DecodeInto over reused storage disagrees with a fresh decode on %x:\nreused: %s\nfresh:  %s", b, dump(reused), dump(borrowed))
 		}
 	})
+}
+
+// dump renders a packet with the contents of its frames, not their
+// addresses.
+func dump(p *Packet) string {
+	s := fmt.Sprintf("%+v LargestAcked:%d", p.Header, p.LargestAcked)
+	for _, f := range p.Frames {
+		s += fmt.Sprintf("\n  %+v", f)
+	}
+	return s
 }

@@ -14,7 +14,6 @@ const (
 	TypePadding         FrameType = 0x00
 	TypeConnectionClose FrameType = 0x02
 	TypeWindowUpdate    FrameType = 0x04
-	TypeBlocked         FrameType = 0x05
 	TypePing            FrameType = 0x07
 	TypeAddAddress      FrameType = 0x10
 	TypePaths           FrameType = 0x11
@@ -147,18 +146,6 @@ func (f *WindowUpdateFrame) Append(b []byte) []byte {
 	return b
 }
 
-// BlockedFrame signals the sender is flow-control blocked.
-type BlockedFrame struct {
-	StreamID StreamID
-}
-
-func (f *BlockedFrame) Retransmittable() bool { return true }
-func (f *BlockedFrame) EncodedSize() int      { return 1 + VarintLen(uint64(f.StreamID)) }
-func (f *BlockedFrame) Append(b []byte) []byte {
-	b = append(b, byte(TypeBlocked))
-	return AppendVarint(b, uint64(f.StreamID))
-}
-
 // AddAddressFrame advertises one local address to the peer, enabling
 // e.g. a dual-stack server to expose its IPv6 address over an
 // IPv4-initiated connection (§3). Being encrypted and authenticated it
@@ -266,36 +253,24 @@ func (f *HandshakeFrame) Append(b []byte) []byte {
 }
 
 // parseFrame decodes the frame at the front of b, returning it and the
-// bytes consumed. With borrow set, STREAM and HANDSHAKE payloads alias
-// b (see DecodeBorrowed); otherwise they copy their bytes out of b.
-// STREAM and ACK frames — the steady-state traffic — are taken from
-// scratch (fresh when scratch is nil); the rare control frames are
-// always freshly allocated.
-func parseFrame(scratch *FrameArena, b []byte, borrow bool) (Frame, int, error) {
+// bytes consumed. STREAM and HANDSHAKE payloads alias b. STREAM and ACK
+// frames — the steady-state traffic — are taken from scratch; the rare
+// control frames are freshly allocated.
+func parseFrame(scratch *FrameArena, b []byte) (Frame, int, error) {
 	if len(b) == 0 {
 		return nil, 0, ErrTruncated
 	}
 	t := b[0]
 	switch {
 	case t&byte(TypeStream) != 0:
-		var f *StreamFrame
-		if scratch != nil {
-			f = scratch.streamFrame()
-		} else {
-			f = new(StreamFrame)
-		}
-		n, err := parseStreamFrame(f, b, borrow)
+		f := scratch.streamFrame()
+		n, err := parseStreamFrame(f, b)
 		if err != nil {
 			return nil, 0, err
 		}
 		return f, n, nil
 	case t&byte(TypeAck) != 0:
-		var f *AckFrame
-		if scratch != nil {
-			f = scratch.ackFrame()
-		} else {
-			f = new(AckFrame)
-		}
+		f := scratch.ackFrame()
 		n, err := parseAckFrame(f, b)
 		if err != nil {
 			return nil, 0, err
@@ -324,12 +299,6 @@ func parseFrame(scratch *FrameArena, b []byte, borrow bool) (Frame, int, error) 
 		}
 		off += n
 		return &WindowUpdateFrame{StreamID: StreamID(sid), Offset: lim}, off, nil
-	case TypeBlocked:
-		sid, n, err := ConsumeVarint(b[1:])
-		if err != nil {
-			return nil, 0, frameErr("BLOCKED", err)
-		}
-		return &BlockedFrame{StreamID: StreamID(sid)}, 1 + n, nil
 	case TypeAddAddress:
 		if len(b) < 2 {
 			return nil, 0, frameErr("ADD_ADDRESS", ErrTruncated)
@@ -408,12 +377,7 @@ func parseFrame(scratch *FrameArena, b []byte, borrow bool) (Frame, int, error) 
 			return nil, 0, frameErr("HANDSHAKE", err)
 		}
 		off += n
-		payload := p
-		if !borrow {
-			payload = make([]byte, len(p))
-			copy(payload, p)
-		}
-		return &HandshakeFrame{Message: HandshakeMessageType(b[1]), Payload: payload}, off, nil
+		return &HandshakeFrame{Message: HandshakeMessageType(b[1]), Payload: p}, off, nil
 	default:
 		return nil, 0, fmt.Errorf("wire: unknown frame type %#x", t)
 	}
@@ -421,7 +385,7 @@ func parseFrame(scratch *FrameArena, b []byte, borrow bool) (Frame, int, error) 
 
 // parseStreamFrame decodes the STREAM frame at the front of b into f
 // and returns the bytes consumed.
-func parseStreamFrame(f *StreamFrame, b []byte, borrow bool) (int, error) {
+func parseStreamFrame(f *StreamFrame, b []byte) (int, error) {
 	fin := b[0]&0x01 != 0
 	off := 1
 	sid, n, err := ConsumeVarint(b[off:])
@@ -444,11 +408,6 @@ func parseStreamFrame(f *StreamFrame, b []byte, borrow bool) (int, error) {
 		return 0, frameErr("STREAM", err)
 	}
 	off += n
-	if !borrow {
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		data = cp
-	}
 	*f = StreamFrame{StreamID: StreamID(sid), Offset: offset, Data: data, Fin: fin}
 	return off, nil
 }

@@ -16,7 +16,7 @@ func roundTrip(t *testing.T, f Frame) Frame {
 	if len(b) != f.EncodedSize() {
 		t.Fatalf("%T: EncodedSize %d != encoded %d", f, f.EncodedSize(), len(b))
 	}
-	got, n, err := parseFrame(nil, b, false)
+	got, n, err := parseFrame(new(FrameArena), b)
 	if err != nil {
 		t.Fatalf("%T: parse: %v", f, err)
 	}
@@ -61,7 +61,7 @@ func TestStreamFrameStructModeSizeMatchesDataMode(t *testing.T) {
 	if len(b) != structMode.EncodedSize() {
 		t.Fatal("struct-mode encoding size mismatch")
 	}
-	got, _, err := parseFrame(nil, b, false)
+	got, _, err := parseFrame(new(FrameArena), b)
 	if err != nil || got.(*StreamFrame).Len() != 1000 {
 		t.Fatalf("struct-mode parse: %v", err)
 	}
@@ -127,13 +127,6 @@ func TestWindowUpdateFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBlockedFrameRoundTrip(t *testing.T) {
-	got := roundTrip(t, &BlockedFrame{StreamID: 7}).(*BlockedFrame)
-	if got.StreamID != 7 {
-		t.Fatalf("got %+v", got)
-	}
-}
-
 func TestAddAddressFrameRoundTrip(t *testing.T) {
 	f := &AddAddressFrame{AddrIndex: 2, Address: "[2001:db8::1]:443"}
 	got := roundTrip(t, f).(*AddAddressFrame)
@@ -170,16 +163,19 @@ func TestHandshakeFrameRoundTrip(t *testing.T) {
 }
 
 func TestParseFrameErrors(t *testing.T) {
-	if _, _, err := parseFrame(nil, nil, false); err == nil {
+	if _, _, err := parseFrame(new(FrameArena), nil); err == nil {
 		t.Fatal("empty accepted")
 	}
-	if _, _, err := parseFrame(nil, []byte{0x3f}, false); err == nil {
-		t.Fatal("unknown type accepted")
+	// 0x05 (BLOCKED, removed) is unknown like any unassigned type.
+	for _, b := range [][]byte{{0x3f}, {0x05, 0x07}} {
+		if _, _, err := parseFrame(new(FrameArena), b); err == nil {
+			t.Fatalf("unknown type %#x accepted", b[0])
+		}
 	}
 	// Truncated STREAM frame.
 	f := &StreamFrame{StreamID: 1, Offset: 2, Data: []byte("abcdef")}
 	b := f.Append(nil)
-	if _, _, err := parseFrame(nil, b[:len(b)-3], false); err == nil {
+	if _, _, err := parseFrame(new(FrameArena), b[:len(b)-3]); err == nil {
 		t.Fatal("truncated stream frame accepted")
 	}
 }
@@ -191,7 +187,7 @@ func TestStreamFrameRoundTripProperty(t *testing.T) {
 		if len(b) != fr.EncodedSize() {
 			return false
 		}
-		got, n, err := parseFrame(nil, b, false)
+		got, n, err := parseFrame(new(FrameArena), b)
 		if err != nil || n != len(b) {
 			return false
 		}

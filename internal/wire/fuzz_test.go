@@ -29,7 +29,7 @@ func TestParseFrameArbitraryBytesNeverPanics(t *testing.T) {
 				t.Fatalf("parseFrame panicked on %x: %v", b, r)
 			}
 		}()
-		_, _, _ = parseFrame(nil, b, false)
+		_, _, _ = parseFrame(new(FrameArena), b)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {

@@ -95,28 +95,34 @@ func (p *Packet) EncodeTo(buf []byte, sealer Sealer) []byte {
 // Decode parses a serialized packet. largestReceived expands the
 // truncated packet number (pass InvalidPacketNumber on fresh paths). A
 // nil sealer expects the cleartext-with-filler format EncodeTo with a
-// nil sealer produces. Parsed frames own their payload bytes and b is left
-// untouched (a sealed payload is opened into fresh memory): b may be
-// reused freely after Decode returns.
+// nil sealer produces. Decode parses a private copy of b, so b is left
+// untouched and the frames own their payload bytes: b may be reused
+// freely after Decode returns.
 func Decode(b []byte, largestReceived PacketNumber, sealer Sealer) (*Packet, error) {
-	p := &Packet{Frames: make([]Frame, 0, 4)}
-	if err := decodeInto(p, nil, b, largestReceived, sealer, false); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return DecodeBorrowed(append([]byte(nil), b...), largestReceived, sealer)
 }
 
-// DecodeBorrowed parses like Decode into a fresh Packet, but borrows b
-// the way DecodeInto does: a sealed payload is opened in place,
-// overwriting b, and STREAM and HANDSHAKE frame payloads alias b
-// instead of being copied. The caller must own b and fully consume the
-// frames (or copy what it keeps) before reusing or pooling it.
+// DecodeBorrowed is DecodeInto into a fresh Packet and FrameArena: one
+// allocation holds both, with room for four frames, one ACK and one
+// STREAM frame, the shape of a data packet. Like DecodeInto it
+// borrows b: a sealed payload is opened in place, overwriting b, and
+// STREAM and HANDSHAKE frame payloads alias b. The caller must own b
+// and fully consume the frames (or copy what it keeps) before reusing
+// or pooling it.
 func DecodeBorrowed(b []byte, largestReceived PacketNumber, sealer Sealer) (*Packet, error) {
-	p := &Packet{Frames: make([]Frame, 0, 4)}
-	if err := decodeInto(p, nil, b, largestReceived, sealer, true); err != nil {
+	d := new(struct {
+		p       Packet
+		arena   FrameArena
+		frames  [4]Frame
+		ack     [1]AckFrame
+		streams [1]StreamFrame
+	})
+	d.p.Frames = d.frames[:0]
+	d.arena.acks, d.arena.streams = d.ack[:], d.streams[:]
+	if err := DecodeInto(&d.p, &d.arena, b, largestReceived, sealer); err != nil {
 		return nil, err
 	}
-	return p, nil
+	return &d.p, nil
 }
 
 // FrameArena is storage for the STREAM and ACK frames of one packet at
@@ -156,32 +162,18 @@ func (s *FrameArena) ackFrame() *AckFrame {
 	return &s.acks[s.nAcks-1]
 }
 
-// DecodeInto is the receive hot path: it parses b into p, reusing the
-// backing array of p.Frames and taking STREAM and ACK frames from
-// scratch, so a connection that keeps one Packet and one FrameArena
-// decodes its steady-state traffic without allocating. Like
-// DecodeBorrowed it borrows b: a sealed payload is opened in place and
-// frame payloads alias b. p, its frames and scratch are valid until the
-// next DecodeInto on the same p or scratch, and no longer than b; on
-// error p holds no frames.
+// DecodeInto is the one packet parser and the receive hot path: it
+// parses b into p, reusing the backing array of p.Frames and taking
+// STREAM and ACK frames from scratch, which is required, so a
+// connection that keeps one Packet and one FrameArena decodes its
+// steady-state traffic without allocating. It borrows b: a sealed
+// payload is opened in place and frame payloads alias b. p, its frames
+// and scratch are valid until the next DecodeInto on the same p or
+// scratch, and no longer than b; on error p holds no frames.
 //
 //mpq:noescape
 func DecodeInto(p *Packet, scratch *FrameArena, b []byte, largestReceived PacketNumber, sealer Sealer) error {
-	return decodeInto(p, scratch, b, largestReceived, sealer, true)
-}
-
-// errZeroLengthFrame guards the frame loop against a parser that
-// consumes nothing.
-var errZeroLengthFrame = errors.New("wire: zero-length frame parse")
-
-// decodeInto is the one packet parser behind Decode, DecodeBorrowed
-// and DecodeInto. Only borrow mode may write to b.
-//
-//mpq:noescape
-func decodeInto(p *Packet, scratch *FrameArena, b []byte, largestReceived PacketNumber, sealer Sealer, borrow bool) error {
-	if scratch != nil {
-		scratch.reset()
-	}
+	scratch.reset()
 	p.Header, p.Frames, p.LargestAcked = Header{}, p.Frames[:0], 0
 	hdr, hdrLen, err := ParseHeader(b, largestReceived)
 	if err != nil {
@@ -190,11 +182,7 @@ func decodeInto(p *Packet, scratch *FrameArena, b []byte, largestReceived Packet
 	payload := b[hdrLen:]
 	if !hdr.Handshake {
 		if sealer != nil {
-			var dst []byte
-			if borrow {
-				dst = payload[:0]
-			}
-			payload, err = sealer.OpenTo(dst, hdr.PathID, hdr.PacketNumber, b[:hdrLen], payload)
+			payload, err = sealer.OpenTo(payload[:0], hdr.PathID, hdr.PacketNumber, b[:hdrLen], payload)
 			if err != nil {
 				return err
 			}
@@ -206,7 +194,7 @@ func decodeInto(p *Packet, scratch *FrameArena, b []byte, largestReceived Packet
 		}
 	}
 	for len(payload) > 0 {
-		f, n, err := parseFrame(scratch, payload, borrow)
+		f, n, err := parseFrame(scratch, payload)
 		if err == nil && n == 0 {
 			err = errZeroLengthFrame
 		}
@@ -220,3 +208,7 @@ func decodeInto(p *Packet, scratch *FrameArena, b []byte, largestReceived Packet
 	p.Header = hdr
 	return nil
 }
+
+// errZeroLengthFrame guards the frame loop against a parser that
+// consumes nothing.
+var errZeroLengthFrame = errors.New("wire: zero-length frame parse")
