@@ -172,7 +172,7 @@ func grids(fs *flag.FlagSet, stdout, stderr io.Writer) func() int {
 			return fd, err
 		}
 
-		grid := func(class expdesign.Class, size uint64) (expdesign.FigureData, error) {
+		runGrid := func(class expdesign.Class, size uint64) (expdesign.FigureData, error) {
 			if *fromArt {
 				return loadGrid(class, size)
 			}
@@ -223,7 +223,11 @@ func grids(fs *flag.FlagSet, stdout, stderr io.Writer) func() int {
 			if *progress {
 				fmt.Fprintf(stderr, "  (%s grid took %v)\n", class.Name, watch.Elapsed().Round(time.Second))
 			}
-			if *sampleIvl > 0 {
+			return fd, nil
+		}
+		grid := func(class expdesign.Class, size uint64) (expdesign.FigureData, error) {
+			fd, err := runGrid(class, size)
+			if err == nil && *sampleIvl > 0 {
 				// One paper-style evolution figure per grid: the first
 				// scenario's MPQUIC run, sampled at the requested cadence.
 				for _, sr := range fd.Results {
@@ -235,7 +239,7 @@ func grids(fs *flag.FlagSet, stdout, stderr io.Writer) func() int {
 					}
 				}
 			}
-			return fd, nil
+			return fd, err
 		}
 		dump := func(fd expdesign.FigureData) {
 			if !*dumpCDF {

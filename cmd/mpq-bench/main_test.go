@@ -47,6 +47,19 @@ func TestHandoverIsFig11(t *testing.T) {
 	}
 }
 
+// A sampled grid rendered again from its artifacts prints what the run
+// printed, evolution figure included.
+func TestSampledGridRendersFromArtifacts(t *testing.T) {
+	args := []string{"-exp", "fig9", "-scenarios", "2", "-progress=false", "-sample", "50ms", "-artifacts", t.TempDir()}
+	ran, _, exit := invoke(args...)
+	if exit != 0 || !strings.Contains(ran, "per-path evolution") {
+		t.Fatalf("sampled grid: exit %d\n%s", exit, ran)
+	}
+	if out, stderr, exit := invoke(append(args, "-from-artifacts")...); exit != 0 || out != ran {
+		t.Errorf("-from-artifacts: exit %d, stderr %q, output differs from the run:\n%s", exit, stderr, out)
+	}
+}
+
 func TestTraceQlogIsJSONSeqAndDeterministic(t *testing.T) {
 	args := []string{"trace", "-size", "0.1", "-qlog", "-seed", "7"}
 	first, report, exit := invoke(args...)

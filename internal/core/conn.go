@@ -81,8 +81,8 @@ type Conn struct {
 
 	// deferring is set while HandleDatagram handles a datagram whose
 	// carrier announced another in the same clock step
-	// (netem.Datagram.More): trySend and resetTimer then only set held.
-	// held says a send or timer reset is owed; the next trySend pays it —
+	// (netem.Datagram.More): trySend then only sets held, which says a
+	// send and its timer reset are owed; the next trySend pays them —
 	// HandleDatagram calls one on the first datagram without More.
 	deferring bool
 	held      bool
@@ -530,7 +530,6 @@ func (c *Conn) receive(in *ingress) {
 		// still make sure an ack goes out so the sender settles.
 		p.ackMgr.ForceAck()
 		c.trySend()
-		c.resetTimer()
 		return
 	}
 	for _, f := range pkt.Frames {
@@ -540,7 +539,6 @@ func (c *Conn) receive(in *ingress) {
 		}
 	}
 	c.trySend()
-	c.resetTimer()
 }
 
 func (c *Conn) handleFrame(p *Path, f wire.Frame) {
@@ -833,7 +831,6 @@ func (c *Conn) onTimer() {
 		}
 	}
 	c.trySend()
-	c.resetTimer()
 }
 
 // onPathRTO handles a retransmission timeout on one path: all
@@ -890,7 +887,6 @@ func (c *Conn) FailPathsOn(local netem.Addr) int {
 			c.queuePathsFrame()
 		}
 		c.trySend()
-		c.resetTimer()
 	}
 	return n
 }
@@ -913,13 +909,11 @@ func (c *Conn) queuePathsFrame() {
 	}
 }
 
-// resetTimer re-arms the connection timer to the earliest deadline.
+// resetTimer re-arms the connection timer to the earliest deadline. It
+// ends every trySend pass, which never runs while HandleDatagram is
+// deferring.
 func (c *Conn) resetTimer() {
 	if c.closed {
-		return
-	}
-	if c.deferring {
-		c.held = true
 		return
 	}
 	deadline := time.Duration(1<<62 - 1)

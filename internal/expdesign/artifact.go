@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"maps"
 	"os"
 	"sort"
@@ -157,7 +158,9 @@ func (cp *Checkpoint) Close() error {
 // readArtifactFile parses a JSONL artifact into a key-indexed map. A
 // missing file yields an empty map and a malformed line (the tail of an
 // interrupted write) is skipped rather than failing the load; later
-// duplicates of a key win, matching append-order semantics.
+// duplicates of a key win, matching append-order semantics. A line has
+// no length limit: a sampled grid's record carries each run's time
+// series, tens of MB for a long lossy run.
 func readArtifactFile(path string) (map[artifactKey]ArtifactRecord, error) {
 	out := make(map[artifactKey]ArtifactRecord)
 	f, err := os.Open(path)
@@ -168,23 +171,20 @@ func readArtifactFile(path string) (map[artifactKey]ArtifactRecord, error) {
 		return nil, err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	r := bufio.NewReader(f)
+	for {
+		line, err := r.ReadBytes('\n')
 		var rec ArtifactRecord
-		if err := json.Unmarshal(line, &rec); err != nil || rec.V != ArtifactVersion {
-			continue
+		if json.Unmarshal(line, &rec) == nil && rec.V == ArtifactVersion {
+			out[rec.key()] = rec
 		}
-		out[rec.key()] = rec
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // LoadFigureData reads one or more grid artifact files (e.g. the

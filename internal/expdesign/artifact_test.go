@@ -1,6 +1,7 @@
 package expdesign
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -104,6 +105,27 @@ func TestCheckpointToleratesCorruptTail(t *testing.T) {
 	got := mustRunGrid(t, testGridConfig(path))
 	if !reflect.DeepEqual(got, reference) {
 		t.Fatal("resume over corrupt tail differs from uninterrupted run")
+	}
+}
+
+func TestCheckpointReadsLongRecords(t *testing.T) {
+	// A sampled grid writes each scenario's runs, time series included,
+	// on one line: tens of MB for a long lossy run.
+	rec := ArtifactRecord{V: ArtifactVersion, Size: 1, Reps: 1, Scenario: Scenario{ID: 7, Class: strings.Repeat("x", 20<<20)}}
+	line, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "grid.jsonl")
+	if err := os.WriteFile(path, append(line, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readArtifactFile(path)
+	if err != nil {
+		t.Fatalf("%d-byte record: %v", len(line), err)
+	}
+	if r, ok := got[rec.key()]; !ok || len(got) != 1 || r.Scenario.Class != rec.Scenario.Class {
+		t.Fatalf("%d-byte record not read back (%d records)", len(line), len(got))
 	}
 }
 

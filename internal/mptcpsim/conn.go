@@ -77,7 +77,7 @@ func newConn(nw *netem.Network, cfg Config, isClient bool, token uint32, locals,
 		remotes:  remotes,
 		olia:     cc.NewOlia(MSS),
 	}
-	c.Init(nw.Clock(), cfg.Config, &c.dataReceived, c.onTimer, c.trySend, c.sendAck)
+	c.Init(nw.Clock(), cfg.Config, &c.dataReceived, c.onSubflowRTO, c.trySend, c.sendAck)
 	return c
 }
 
@@ -184,10 +184,6 @@ func (c *Conn) SubflowByID(id uint8) *Subflow {
 	}
 	return nil
 }
-
-// Established reports whether the secure handshake completed: that of
-// the first subflow, which carries TLS.
-func (c *Conn) Established() bool { return c.subflows[0].Established() }
 
 // BytesReceived reports distinct data bytes received.
 func (c *Conn) BytesReceived() uint64 { return c.dataReceived.Size() }

@@ -277,3 +277,46 @@ func TestMPTCPPathOpenedNamesAddresses(t *testing.T) {
 		t.Fatalf("path_opened details %q, want %q", got, want)
 	}
 }
+
+func TestMPTCPJoinAcceptedByData(t *testing.T) {
+	// The join's third ACK is lost, so the server's subflow 1 stays in
+	// SYN-received while the client's is established. The request is
+	// written only then, and goes on subflow 1, the faster path: its
+	// first data segment completes the server's passive open, and its
+	// bytes count.
+	specs := [2]netem.PathSpec{
+		{CapacityMbps: 10, RTT: 40 * time.Millisecond, QueueDelay: 100 * time.Millisecond},
+		{CapacityMbps: 10, RTT: 10 * time.Millisecond, QueueDelay: 100 * time.Millisecond},
+	}
+	h := newMPHarness(t, DefaultConfig(), specs)
+	dropped := 0
+	h.tp.Net.Register(h.tp.ServerAddrs[1], netem.HandlerFunc(func(dg netem.Datagram) {
+		seg := dg.Payload.(*tcpsim.Segment)
+		if dropped == 0 && !seg.SYN && seg.Ctl == tcpsim.CtlNone && seg.Len == 0 {
+			dropped++
+			return
+		}
+		h.lis.HandleDatagram(dg)
+	}))
+	tcpsim.ServeGet(h.lis, 256<<10)
+	h.run(t, time.Second)
+	if dropped != 1 || !h.client.SubflowByID(1).Established() {
+		t.Fatalf("join's third ACK not dropped (%d) or client join not established", dropped)
+	}
+	srv := h.lis.Conns()[0]
+	sf1 := srv.SubflowByID(1)
+	if sf1.Established() {
+		t.Fatal("server subflow 1 established without its third ACK")
+	}
+	res := get(h.client, h.clock, 256<<10)
+	h.run(t, 30*time.Second)
+	if !sf1.Established() || sf1.Stats.EstablishedAt < time.Second {
+		t.Fatalf("server subflow 1 established at %v, want on the request after 1s", sf1.Stats.EstablishedAt)
+	}
+	if got := sf1.BytesReceived(); got < tcpsim.GetRequestSize {
+		t.Fatalf("server subflow 1 received %d bytes, want the %d-byte request", got, tcpsim.GetRequestSize)
+	}
+	if res.Size == 0 {
+		t.Fatal("download did not finish")
+	}
+}

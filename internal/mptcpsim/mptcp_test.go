@@ -56,7 +56,7 @@ func TestMPTCPEstablishesAndJoins(t *testing.T) {
 	var estAt time.Duration
 	h.client.OnEstablished(func() { estAt = h.clock.Now().Duration() })
 	h.run(t, 2*time.Second)
-	if !h.client.Established() {
+	if !h.client.subflows[0].Established() {
 		t.Fatal("not established")
 	}
 	// 3 RTTs (TCP 3WHS + TLS 1.2).

@@ -15,7 +15,7 @@ import (
 func (c *Conn) subflowEstablished(sf *Subflow) {
 	c.Trace(trace.Event{Type: trace.PathOpened, Path: sf.ID, Detail: string(sf.Local) + "->" + string(sf.Remote)})
 	if sf.ID != 0 {
-		c.trySend()
+		c.Send()
 		return
 	}
 	if c.isClient {
@@ -62,21 +62,12 @@ func (c *Conn) handleSegment(dg netem.Datagram, seg *tcpsim.Segment) {
 		c.pruneReinjectQueue()
 	}
 
-	if !sf.Established() || seg.SYN || seg.Ctl != tcpsim.CtlNone {
-		consumed, done := sf.Handshake(seg)
-		// Any further segment (the bare ACK, or data) completes the
-		// server-side 3WHS, and goes on to the ack and payload paths
-		// unless it is empty.
-		if !consumed && sf.Accept() {
-			done = true
-			consumed = seg.Len == 0 && !seg.ACK
-		}
-		if done {
-			c.subflowEstablished(sf)
-		}
-		if consumed {
-			return
-		}
+	consumed, done := sf.Handshake(seg)
+	if done {
+		c.subflowEstablished(sf)
+	}
+	if consumed {
+		return
 	}
 	if seg.ACK {
 		progress, lost := sf.OnAck(seg)
@@ -92,8 +83,7 @@ func (c *Conn) handleSegment(dg netem.Datagram, seg *tcpsim.Segment) {
 	if seg.Len > 0 || seg.DataFin {
 		c.processPayload(sf, seg)
 	}
-	c.trySend()
-	c.armTimer()
+	c.Send()
 }
 
 // processPayload puts a data segment's bytes into the stream at their
@@ -164,9 +154,6 @@ func (c *Conn) bestSubflow() *Subflow {
 }
 
 func (c *Conn) trySend() {
-	if c.Closed() || !c.Established() {
-		return
-	}
 	for {
 		sent := false
 		// 1. In-subflow retransmissions first, on their own subflow
@@ -239,13 +226,6 @@ func (c *Conn) trySend() {
 		}
 	}
 	c.maybeORP()
-	// Flush owed acknowledgments.
-	for _, sf := range c.subflows {
-		if sf.Established() && sf.AckQueued() {
-			c.sendAck(sf.Flow)
-		}
-	}
-	c.armTimer()
 }
 
 // maybeORP applies Opportunistic Retransmission and Penalization
@@ -254,7 +234,7 @@ func (c *Conn) trySend() {
 // another subflow) is reinjected on the idle subflow and the owner is
 // penalized with a halved window.
 func (c *Conn) maybeORP() {
-	if !c.cfg.ORP || c.Closed() {
+	if !c.cfg.ORP {
 		return
 	}
 	blocked := c.dataNxt < c.Written && c.dataNxt >= c.peerDataLimit
@@ -332,30 +312,12 @@ func (c *Conn) pruneReinjectQueue() {
 
 // --- timers ---
 
-func (c *Conn) onTimer() {
-	if c.Closed() || c.IdleExpired() {
-		return
-	}
-	for _, sf := range c.subflows {
-		if !sf.Established() {
-			continue
-		}
-		if sf.AckDue() {
-			c.sendAck(sf.Flow)
-		}
-		if sf.RTOExpired() {
-			c.onSubflowRTO(sf)
-		}
-	}
-	c.trySend()
-	c.armTimer()
-}
-
 // onSubflowRTO marks the subflow potentially failed, requeues its
 // outstanding data locally (in-sequence) AND reinjects it at the
 // connection level so other subflows can carry it — the Linux MPTCP
 // handover behavior the paper compares against (§4.3).
-func (c *Conn) onSubflowRTO(sf *Subflow) {
+func (c *Conn) onSubflowRTO(f *tcpsim.Flow) {
+	sf := c.SubflowByID(f.ID)
 	for _, r := range sf.OnRTO() {
 		c.Trace(trace.Event{Type: trace.PacketLost, Path: sf.ID, PN: r.TxSeq, Size: r.WireSize})
 		sf.requeueLocal(r)
@@ -369,16 +331,4 @@ func (c *Conn) onSubflowRTO(sf *Subflow) {
 		sf.potentiallyFailed = true
 		c.Trace(trace.Event{Type: trace.PathFailed, Path: sf.ID})
 	}
-}
-
-// armTimer points the connection timer at the earliest established
-// subflow's deadline.
-func (c *Conn) armTimer() {
-	deadline := tcpsim.Never
-	for _, sf := range c.subflows {
-		if sf.Established() {
-			deadline = min(deadline, sf.Deadline())
-		}
-	}
-	c.ArmTimer(deadline)
 }

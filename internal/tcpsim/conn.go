@@ -46,7 +46,7 @@ func newTCPConn(nw *netem.Network, cfg Config, local, remote netem.Addr) *Conn {
 	cub := cc.NewCubic(MSS, func() time.Duration { return clock.Now().Duration() })
 	cub.SetMaxCwnd(int(cfg.RecvWindow))
 	c := &Conn{Flow: NewFlow(nw, 0, local, remote, cub, true, func(seg *Segment) { seg.Window = cfg.RecvWindow })}
-	c.Init(clock, cfg, &c.received, c.onRTO, c.trySend, c.sendAck)
+	c.Init(clock, cfg, &c.received, c.onFlowRTO, c.trySend, c.sendAck)
 	c.AddFlow(c.Flow)
 	return c
 }

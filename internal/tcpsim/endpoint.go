@@ -15,7 +15,8 @@ import (
 // in each direction with a FIN, the receive window, the two
 // callbacks, the idle timeout and the close. The owner embeds it and
 // keeps what is its own: how stream bytes map onto its flows, what to
-// retransmit, and where its flows' deadlines lie.
+// retransmit, and what a flow's retransmission timeout means to it.
+// The Endpoint runs the connection timer over the owner's flows.
 type Endpoint struct {
 	cfg   Config
 	clock *sim.Clock
@@ -23,6 +24,7 @@ type Endpoint struct {
 	// data is the set in-order stream bytes land in: the flow's own
 	// received set for TCP, the connection-level one for MPTCP.
 	data *stream.IntervalSet
+	rto  func(*Flow) // the owner's response to a flow's retransmission timeout
 	send func()      // the owner's transmit loop
 	ack  func(*Flow) // the owner's bare acknowledgment on a flow
 
@@ -45,12 +47,13 @@ type Endpoint struct {
 }
 
 // Init readies the endpoint: data is where the owner puts in-order
-// stream bytes, timeout runs when the connection timer fires, send is
-// the owner's transmit loop and ack sends a bare acknowledgment on one
-// of its flows.
-func (e *Endpoint) Init(clock *sim.Clock, cfg Config, data *stream.IntervalSet, timeout, send func(), ack func(*Flow)) {
-	e.cfg, e.clock, e.data, e.send, e.ack = cfg, clock, data, send, ack
-	e.timer = sim.NewTimer(clock, timeout)
+// stream bytes, rto takes an established flow's retransmission timeout
+// (the flow's OnRTO and what the owner requeues), send is the owner's
+// transmit loop and ack sends a bare acknowledgment on one of its
+// flows.
+func (e *Endpoint) Init(clock *sim.Clock, cfg Config, data *stream.IntervalSet, rto func(*Flow), send func(), ack func(*Flow)) {
+	e.cfg, e.clock, e.data, e.rto, e.send, e.ack = cfg, clock, data, rto, send, ack
+	e.timer = sim.NewTimer(clock, e.onTimer)
 	e.lastRecv = e.now()
 }
 
@@ -86,13 +89,24 @@ func (e *Endpoint) OnData(fn func()) { e.onData = fn }
 func (e *Endpoint) Closed() bool { return e.closed }
 
 // HandshakeDone runs once the first flow's handshake finished: the
-// OnEstablished callback, then the owner's send.
+// OnEstablished callback, then Send.
 func (e *Endpoint) HandshakeDone() {
 	e.Trace(trace.Event{Type: trace.HandshakeDone})
 	if e.onEstablished != nil {
 		e.onEstablished()
 	}
+	e.Send()
+}
+
+// Send runs the owner's transmit loop once the first flow is
+// established and the connection open, then re-arms the connection
+// timer.
+func (e *Endpoint) Send() {
+	if e.closed || !e.flows[0].Established() {
+		return
+	}
 	e.send()
+	e.armTimer()
 }
 
 // --- application API ---
@@ -100,13 +114,13 @@ func (e *Endpoint) HandshakeDone() {
 // WriteSynthetic queues n stream bytes for transmission.
 func (e *Endpoint) WriteSynthetic(n uint64) {
 	e.Written += n
-	e.send()
+	e.Send()
 }
 
 // CloseWrite queues the FIN after all written data.
 func (e *Endpoint) CloseWrite() {
 	e.FinQueued = true
-	e.send()
+	e.Send()
 }
 
 // Readable reports in-order bytes available past the consumption point.
@@ -181,9 +195,31 @@ func (e *Endpoint) Advertise(seg *Segment) {
 
 // --- timer and close ---
 
-// IdleExpired closes the connection and reports true when the peer
-// has been silent for the idle timeout.
-func (e *Endpoint) IdleExpired() bool {
+// onTimer is the connection timer: it closes a connection the peer left
+// silent for the idle timeout; otherwise each established flow sends an
+// ack whose delay ran out and hands an expired retransmission timeout to
+// the owner, and Send transmits what that freed and re-arms the timer.
+func (e *Endpoint) onTimer() {
+	if e.closed || e.idleExpired() {
+		return
+	}
+	for _, f := range e.flows {
+		if !f.Established() {
+			continue
+		}
+		if f.AckDue() {
+			e.ack(f)
+		}
+		if f.RTOExpired() {
+			e.rto(f)
+		}
+	}
+	e.Send()
+}
+
+// idleExpired closes the connection and reports true when the peer has
+// been silent for the idle timeout.
+func (e *Endpoint) idleExpired() bool {
 	if e.cfg.IdleTimeout > 0 && e.now()-e.lastRecv >= e.cfg.IdleTimeout {
 		e.closeIdle()
 		return true
@@ -191,12 +227,15 @@ func (e *Endpoint) IdleExpired() bool {
 	return false
 }
 
-// ArmTimer points the connection timer at deadline (the earliest of
-// the owner's flows' Deadlines) or the idle timeout, whichever comes
-// first, or stops it when both are Never.
-func (e *Endpoint) ArmTimer(deadline time.Duration) {
-	if e.closed {
-		return
+// armTimer points the connection timer at the earliest Deadline of the
+// established flows or the idle timeout, whichever comes first, or
+// stops it when both are Never.
+func (e *Endpoint) armTimer() {
+	deadline := Never
+	for _, f := range e.flows {
+		if f.Established() {
+			deadline = min(deadline, f.Deadline())
+		}
 	}
 	if e.cfg.IdleTimeout > 0 {
 		deadline = min(deadline, e.lastRecv+e.cfg.IdleTimeout)

@@ -93,9 +93,9 @@ type Stats struct {
 // (cumulative ACK + SACK coverage, FACK loss marking, Karn's rule, RTO
 // collapse) and the receiver's delayed-ACK and SACK policy, all in the
 // flow's own sequence space. What the bytes mean (a byte stream with a
-// FIN, or DSS-mapped chunks of a shared stream), what to retransmit
-// and when timers fire belong to the owner, which learns the flow's
-// decisions from return values.
+// FIN, or DSS-mapped chunks of a shared stream) and what to retransmit
+// belong to the owner, which learns the flow's decisions from return
+// values; the owner's Endpoint runs the timer over its flows.
 type Flow struct {
 	// ID is the path number the flow carries in traces and samples:
 	// the MPTCP subflow ID, 0 for plain TCP.
@@ -248,12 +248,18 @@ func (f *Flow) onHandshakeTimeout() {
 	f.enter(f.state)
 }
 
-// Handshake advances the connection-setup state machine on a segment
-// that arrived before establishment or carries SYN or a TLS flight.
-// consumed reports a pure handshake message — nothing in it for the
-// ack and payload paths — and established that this segment finished
-// the handshake.
+// Handshake is the flow's verdict on a segment it received, in or
+// after connection setup. consumed reports a pure handshake message —
+// nothing in it for the ack and payload paths — and established that
+// this segment finished the handshake. Once established, only a SYN or
+// a TLS flight still concerns it. A segment that is neither, reaching a
+// flow still in SYN-received (a join's bare third ACK, or data when
+// that ACK was lost), completes the passive open and goes on to the
+// ack and payload paths.
 func (f *Flow) Handshake(seg *Segment) (consumed, established bool) {
+	if f.state == hsEstablished && !seg.SYN && seg.Ctl == CtlNone {
+		return false, false
+	}
 	switch {
 	case seg.SYN && seg.ACK: // client got SYN-ACK
 		if f.state != hsSynSent {
@@ -264,7 +270,8 @@ func (f *Flow) Handshake(seg *Segment) (consumed, established bool) {
 			f.enter(hsTLSClientHello)
 		} else {
 			f.sendHandshake(false, true, CtlNone)
-			established = f.establish()
+			f.establish()
+			return true, true
 		}
 	case seg.SYN: // server got SYN (or a retransmitted SYN)
 		if f.state == hsIdle {
@@ -284,7 +291,8 @@ func (f *Flow) Handshake(seg *Segment) (consumed, established bool) {
 	case seg.Ctl == CtlTLSClient2: // server
 		if f.state == hsTLSServerDone {
 			f.sendHandshake(false, true, CtlTLSServer2)
-			established = f.establish()
+			f.establish()
+			return true, true
 		} else if f.state == hsEstablished {
 			// Client flight was retransmitted: our final flight got
 			// lost; resend it.
@@ -293,29 +301,24 @@ func (f *Flow) Handshake(seg *Segment) (consumed, established bool) {
 	case seg.Ctl == CtlTLSServer2: // client
 		if f.state == hsTLSClientFin {
 			f.est.Update(f.now()-f.hsSentAt, 0)
-			established = f.establish()
+			f.establish()
+			return true, true
 		}
 	default:
-		return false, false
+		if f.state != hsSynReceived {
+			return false, false
+		}
+		f.establish()
+		return false, true
 	}
-	return true, established
+	return true, false
 }
 
-// Accept completes the passive open of a flow still in SYN-received,
-// on the owner's verdict that the segment at hand (the client's bare
-// ACK, or data, which implies the handshake completed at the peer)
-// does so. It reports whether the flow became established.
-func (f *Flow) Accept() bool { return f.state == hsSynReceived && f.establish() }
-
-func (f *Flow) establish() bool {
-	if f.state == hsEstablished {
-		return false
-	}
+func (f *Flow) establish() {
 	f.state = hsEstablished
 	f.hsTimer.Stop()
 	f.est.ResetBackoff()
 	f.Stats.EstablishedAt = f.now()
-	return true
 }
 
 // StopHandshake cancels the handshake timer of a closing owner.
@@ -540,7 +543,7 @@ func (f *Flow) FillAck(seg *Segment) {
 
 // --- timers ---
 
-// Deadline is the earliest instant the flow needs its owner's timer:
+// Deadline is the earliest instant the flow needs the connection timer:
 // the retransmission timeout while data is outstanding, or the
 // delayed-ack deadline; Never when neither is pending.
 func (f *Flow) Deadline() time.Duration {

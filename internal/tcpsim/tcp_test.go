@@ -184,3 +184,36 @@ func TestTCPKarnNoSampleFromRetransmission(t *testing.T) {
 		t.Fatal("no RTT samples at all")
 	}
 }
+
+func TestTCPLostFinalTLSFlightIsResent(t *testing.T) {
+	// The server's last TLS flight is lost once: it is established, the
+	// client is not. The client's handshake timer resends its flight 2,
+	// the server answers it with flight 2 again, and the GET completes.
+	h := newTCPHarness(t, DefaultConfig(), link10M(40*time.Millisecond))
+	finals, dropped := 0, false
+	h.net.Register("c:1", netem.HandlerFunc(func(dg netem.Datagram) {
+		if dg.Payload.(*Segment).Ctl == CtlTLSServer2 {
+			finals++
+			if !dropped {
+				dropped = true
+				return
+			}
+		}
+		h.client.HandleDatagram(dg)
+	}))
+	ServeGet(h.lis, 256<<10)
+	res := get(h.client, h.clock, 256<<10)
+	h.run(t, 30*time.Second)
+	if finals != 2 {
+		t.Fatalf("server sent its final flight %d time(s), want 2", finals)
+	}
+	if res.Size == 0 {
+		t.Fatal("download did not finish")
+	}
+	// Without the loss the client is established half an RTT after the
+	// server; with it, a handshake timeout and a round trip later.
+	srv := h.lis.Conns()[0]
+	if hs := res.HandshakeDone; hs <= srv.Stats.EstablishedAt+40*time.Millisecond {
+		t.Fatalf("client established at %v, server at %v: the lost flight cost nothing", hs, srv.Stats.EstablishedAt)
+	}
+}

@@ -24,19 +24,12 @@ func (c *Conn) HandleDatagram(dg netem.Datagram) {
 		c.peerLimit = lim
 	}
 
-	if !c.Established() || seg.SYN || seg.Ctl != CtlNone {
-		consumed, done := c.Handshake(seg)
-		// The TLS flights complete the handshake; so does data, which
-		// implies the handshake completed at the peer.
-		if !consumed && (seg.Len > 0 || seg.FIN) && c.Accept() {
-			done = true
-		}
-		if done {
-			c.HandshakeDone()
-		}
-		if consumed {
-			return
-		}
+	consumed, done := c.Handshake(seg)
+	if done {
+		c.HandshakeDone()
+	}
+	if consumed {
+		return
 	}
 
 	// ACK processing: cumulative ack, SACK blocks, loss detection.
@@ -50,8 +43,7 @@ func (c *Conn) HandleDatagram(dg netem.Datagram) {
 		c.Receive(seg, seg.FIN)
 		c.Delivered(c.Flow, before, seg.FIN, seg.End())
 	}
-	c.trySend()
-	c.ArmTimer(c.Deadline())
+	c.Send()
 }
 
 // requeue returns lost records' unacked bytes — above the cumulative ack
@@ -85,9 +77,6 @@ func (c *Conn) sendAck(*Flow) {
 // then new data, bounded by the congestion window and the peer's
 // receive window.
 func (c *Conn) trySend() {
-	if c.Closed() || !c.Established() {
-		return
-	}
 	for c.HasWindow(MSS + headerBase) {
 		var start, end uint64
 		rtx := false
@@ -108,7 +97,6 @@ func (c *Conn) trySend() {
 		c.ackFields(seg) // piggyback ack+window on every data segment
 		c.Transmit(seg)
 	}
-	c.ArmTimer(c.Deadline())
 }
 
 func (c *Conn) finInFlight() bool {
@@ -120,19 +108,9 @@ func (c *Conn) finInFlight() bool {
 	return false
 }
 
-// --- timers ---
-
-func (c *Conn) onRTO() {
-	if c.Closed() || !c.Established() || c.IdleExpired() {
-		return
-	}
-	if c.AckDue() {
-		c.sendAck(c.Flow)
-	}
-	if c.RTOExpired() {
-		c.requeue(c.OnRTO())
-		c.Trace(trace.Event{Type: trace.RTOFired, Cwnd: c.Cwnd()})
-		c.trySend()
-	}
-	c.ArmTimer(c.Deadline())
+// onFlowRTO takes the flow's retransmission timeout: everything
+// outstanding goes back to the rtx queue.
+func (c *Conn) onFlowRTO(*Flow) {
+	c.requeue(c.OnRTO())
+	c.Trace(trace.Event{Type: trace.RTOFired, Cwnd: c.Cwnd()})
 }

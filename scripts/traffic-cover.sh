@@ -8,9 +8,11 @@
 # (or by nothing): the first place to look for code to delete.
 #
 # The command set: mpq-bench -exp all and -exp dynamics (-scenarios
-# scenarios per class, default 8), the Fig. 11 handover under each
-# -mode (kill, flap, oscillate), run and trace on all four stacks, and
-# four mpq-live loopback pairs: 1 MB over one path, 10 MB over two, and
+# scenarios per class, default 8); the Fig. 5 grid with -sample,
+# -flight-recorder and -artifacts, then rendered again with
+# -from-artifacts; the Fig. 11 handover under each -mode (kill, flap,
+# oscillate); run, trace, trace -json and trace -qlog on all four
+# stacks; and four mpq-live loopback pairs: 1 MB over one path, 10 MB over two, and
 # both fault specs of chaos_smoke.sh (a blackholed second path; a
 # killed and restored single path). The live pairs are skipped, with a
 # notice, where the environment denies UDP sockets.
@@ -49,13 +51,20 @@ echo "== mpq-bench grids (-scenarios $scenarios)"
 for exp in all dynamics; do
     bench -exp "$exp" -scenarios "$scenarios" -progress=false
 done
-echo "== mpq-bench handover, run and trace"
+echo "== mpq-bench sampled grid with flight recorder and artifacts, then re-rendered"
+bench -exp fig5 -scenarios "$scenarios" -progress=false -sample 50ms \
+    -flight-recorder "$tmp/flight" -artifacts "$tmp/art"
+bench -exp fig5 -scenarios "$scenarios" -progress=false -sample 50ms \
+    -artifacts "$tmp/art" -from-artifacts
+echo "== mpq-bench handover, run and trace (text, JSON, qlog)"
 for mode in kill flap oscillate; do
     bench handover -mode "$mode"
 done
 for proto in tcp quic mptcp mpquic; do
     bench run -proto "$proto" -size 1
     bench trace -proto "$proto" -size 1
+    bench trace -proto "$proto" -size 1 -json
+    bench trace -proto "$proto" -size 1 -qlog
 done
 
 # live_pair <addrs> <size> [client flags...] — one server process, one
