@@ -55,9 +55,11 @@ type GridConfig struct {
 	Progress func(done, total int)
 	// SampleInterval, when positive, records per-path time series
 	// (cwnd, smoothed RTT, bytes in flight, cumulative bytes) for every
-	// run at this simulated-time cadence; each artifact carries its
-	// median run's series in RunMetrics.Series. Zero disables sampling
-	// and keeps artifacts byte-identical to sampling-free versions.
+	// run at this simulated-time cadence (halved, and the older ticks
+	// thinned to match, each time a run reaches 1024 ticks); each
+	// artifact carries its median run's series in RunMetrics.Series.
+	// Zero disables sampling and keeps artifacts byte-identical to
+	// sampling-free versions.
 	SampleInterval time.Duration
 	// FlightDir, when non-empty, arms a bounded flight recorder on
 	// every run and writes a post-mortem JSONL dump into this directory

@@ -83,6 +83,46 @@ func TestRunSamplingDeterministicAndPure(t *testing.T) {
 	}
 }
 
+// TestSampledSeriesIsBounded: a run that lasts several times
+// maxSeriesTicks sampling intervals keeps fewer than maxSeriesTicks
+// ticks, evenly spaced at a power-of-two multiple of the interval, from
+// the start of the run (the first tick after the server accepted) to
+// its end.
+func TestSampledSeriesIsBounded(t *testing.T) {
+	const ivl = 200 * time.Microsecond
+	res := RunWithOpts(obsScenario(), ProtoMPQUIC, 1<<20, 0, 11, RunOpts{SampleInterval: ivl})
+	if !res.Completed {
+		t.Fatalf("run did not complete: %+v", res)
+	}
+	if res.Elapsed < 3*maxSeriesTicks*ivl {
+		t.Fatalf("run lasted %v, want at least %v to reach the cap", res.Elapsed, 3*maxSeriesTicks*ivl)
+	}
+	var ticks []time.Duration
+	for _, s := range res.Metrics.Series {
+		if n := len(ticks); n == 0 || ticks[n-1] != s.T {
+			ticks = append(ticks, s.T)
+		}
+	}
+	if len(ticks) >= maxSeriesTicks || len(ticks) < 2 {
+		t.Fatalf("series holds %d ticks, want 2 to %d", len(ticks), maxSeriesTicks-1)
+	}
+	step := ticks[1] - ticks[0]
+	if n := step / ivl; step%ivl != 0 || n < 2 || n&(n-1) != 0 {
+		t.Fatalf("ticks %v apart, want a power-of-two multiple (> 1) of %v", step, ivl)
+	}
+	for i := 1; i < len(ticks); i++ {
+		if ticks[i]-ticks[i-1] != step {
+			t.Fatalf("ticks %v and %v are not %v apart", ticks[i-1], ticks[i], step)
+		}
+	}
+	if first := ticks[0]; first%step != 0 || first > res.Elapsed/20 {
+		t.Fatalf("first tick at %v, want a multiple of %v in the first twentieth of the %v run", first, step, res.Elapsed)
+	}
+	if last := ticks[len(ticks)-1]; last <= res.Elapsed-step {
+		t.Fatalf("last tick at %v, more than one interval (%v) before the run ended at %v", last, step, res.Elapsed)
+	}
+}
+
 // An armed flight recorder must not change the run and must stay
 // silent on a healthy run.
 func TestFlightRecorderPureAndSilentWhenHealthy(t *testing.T) {

@@ -288,7 +288,8 @@ type RunOpts struct {
 	// SampleInterval, when positive, snapshots the sender-side (server)
 	// connection's per-path transport state at this simulated-time
 	// cadence into RunResult.Metrics.Series. At a fixed cadence the
-	// series is byte-reproducible across same-seed runs.
+	// series is byte-reproducible across same-seed runs. A run longer
+	// than maxSeriesTicks intervals is sampled more sparsely (see run).
 	SampleInterval time.Duration
 	// Tracer, when non-nil, receives the run's protocol events from
 	// both endpoints plus the emulator's link lifecycle events.
@@ -337,6 +338,11 @@ func RunWithOpts(sc Scenario, proto Protocol, size uint64, startPath int, seed u
 func RunMPQUICVariant(sc Scenario, cfg core.Config, size uint64, startPath int, seed uint64) RunResult {
 	return run(sc, ProtoMPQUIC, cfg, size, startPath, seed, RunOpts{})
 }
+
+// maxSeriesTicks bounds a sampled run's time series: a run that lasts
+// longer than this many sampling intervals keeps fewer than this many
+// ticks, evenly spaced, however long it stalls (see run).
+const maxSeriesTicks = 1024
 
 // run is the one run body. cfg is the engine configuration of the
 // ProtoQUIC/ProtoMPQUIC case (ignored by the TCP stacks); its Tracer
@@ -429,16 +435,30 @@ func run(sc Scenario, proto Protocol, cfg core.Config, size uint64, startPath in
 
 	// The sampler is a recurring sim-clock timer polling the accepted
 	// server connection (the data sender in the GET grids). It only
-	// reads state, so the protocol schedule is untouched.
+	// reads state, so the protocol schedule is untouched. When a run
+	// reaches maxSeriesTicks ticks, every other tick is dropped and the
+	// interval doubles: the ticks kept are the multiples of the new
+	// interval, so the series stays even and still spans the run.
 	var series *trace.SeriesRecorder
 	if opts.SampleInterval > 0 {
 		series = trace.NewSeriesRecorder()
+		interval, ticks := opts.SampleInterval, 0
 		var st *sim.Timer
 		st = sim.NewTimer(clock, func() {
 			sample(series)
-			st.ResetAfter(opts.SampleInterval)
+			if ticks++; ticks == maxSeriesTicks {
+				interval, ticks = 2*interval, ticks/2
+				kept := series.Samples[:0]
+				for _, s := range series.Samples {
+					if s.T%interval == 0 {
+						kept = append(kept, s)
+					}
+				}
+				series.Samples = kept
+			}
+			st.ResetAfter(interval)
 		})
-		st.ResetAfter(opts.SampleInterval)
+		st.ResetAfter(interval)
 	}
 
 	err := clock.RunUntil(sim.Time(deadline))

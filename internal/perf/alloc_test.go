@@ -390,28 +390,36 @@ func TestStructCarrierAllocFree(t *testing.T) {
 // TestWireCryptoTransferAllocBudget is the end-to-end gate over all of
 // the above: wire serialization and AEAD on — the live packet path minus
 // the kernel. Before the allocation-free packet path this read 46, 3.4
-// while every timer re-arm still took a fresh event, and 1.4 while the
-// stream allocated every STREAM frame for recovery to keep; it now reads
-// about 0.3, none of it per packet. The budget leaves room for noise,
-// not for a per-packet allocation site coming back.
+// while every timer re-arm still took a fresh event, 1.4 while the
+// stream allocated every STREAM frame for recovery to keep, and 0.17
+// while each record, carrier and event of the first window was an
+// allocation of its own; with those in slabs it reads about 0.10, none
+// of it per packet. The budget, about 1.5 times that, leaves room for
+// noise, not for a per-packet allocation site coming back. Under -race
+// sync.Pool drops a quarter of the encode buffers put back, on purpose,
+// and the transfer reads about 0.57: that build keeps a budget of 1.
 func TestWireCryptoTransferAllocBudget(t *testing.T) {
-	const budget = 1
+	budget := 0.16
+	if RaceEnabled {
+		budget = 1
+	}
 	cfg := core.DefaultConfig()
 	cfg.WireSerialization = true
 	cfg.EnableCrypto = true
 	if perPkt := transferMallocsPerPacket(t, mpquicTransfer(cfg)); perPkt > budget {
-		t.Errorf("wire+AEAD transfer allocates %.2f/packet, budget %d", perPkt, budget)
+		t.Errorf("wire+AEAD transfer allocates %.2f/packet, budget %v", perPkt, budget)
 	}
 }
 
 // TestStructTransferAllocBudget is the same gate for struct mode, the
 // mode every grid runs: packets travel in carriers the network lends and
 // takes back, so the transfer allocates what is in flight at its peak,
-// not what it sends. This read 5.6 while every packet was copied out
-// into fresh memory and 0.40 while each lost frame built a temporary
-// interval set; it now reads about 0.34.
+// not what it sends, and that in slabs. This read 5.6 while every packet
+// was copied out into fresh memory, 0.40 while each lost frame built a
+// temporary interval set and 0.21 while each record and carrier was an
+// allocation of its own; it now reads about 0.11.
 func TestStructTransferAllocBudget(t *testing.T) {
-	const budget = 0.5
+	const budget = 0.17
 	if perPkt := transferMallocsPerPacket(t, mpquicTransfer(core.DefaultConfig())); perPkt > budget {
 		t.Errorf("struct-mode transfer allocates %.2f/packet, budget %v", perPkt, budget)
 	}
@@ -421,9 +429,10 @@ func TestStructTransferAllocBudget(t *testing.T) {
 // baseline: its flow lends segments that the network returns, builds
 // SACK blocks inside them and recycles the records it trims from its
 // scoreboard. This read 2.8 while each of those was allocated per
-// segment; it now reads about 0.15.
+// segment, and 0.09 while each record and segment of the first window
+// was still one allocation; with both in slabs it reads about 0.04.
 func TestTCPTransferAllocBudget(t *testing.T) {
-	const budget = 0.5
+	const budget = 0.055
 	if perPkt := transferMallocsPerPacket(t, stackTransfer(expdesign.ProtoTCP)); perPkt > budget {
 		t.Errorf("TCP transfer allocates %.2f/packet, budget %v", perPkt, budget)
 	}
@@ -432,10 +441,11 @@ func TestTCPTransferAllocBudget(t *testing.T) {
 // TestMPTCPTransferAllocBudget is the same gate for MPTCP, whose
 // subflows are the same flows, and whose scheduler ranks subflows in
 // connection scratch. This read 22.6 while the scheduler built two
-// slices, and sorted through a reflection swapper, on every call; it now
-// reads about 0.27.
+// slices, and sorted through a reflection swapper, on every call, and
+// 0.15 before records and segments came in slabs; it now reads about
+// 0.06.
 func TestMPTCPTransferAllocBudget(t *testing.T) {
-	const budget = 0.5
+	const budget = 0.085
 	if perPkt := transferMallocsPerPacket(t, stackTransfer(expdesign.ProtoMPTCP)); perPkt > budget {
 		t.Errorf("MPTCP transfer allocates %.2f/packet, budget %v", perPkt, budget)
 	}

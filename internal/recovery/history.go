@@ -1,5 +1,7 @@
 package recovery
 
+import "mpquic/internal/slab"
+
 // Settler is what a History asks of its records: whether the sender
 // has settled one, by acknowledgment or by declaring it lost.
 type Settler interface{ Settled() bool }
@@ -21,6 +23,8 @@ type Settler interface{ Settled() bool }
 // Reclaim. The owner calls Reclaim when it begins a call whose result
 // replaces the one that may still name the records trimmed before it,
 // so a record lives as long as it is in flight plus one such call.
+// Records come from a slab.List: a log that grows to k records in
+// flight costs O(log k + k/slab) allocations, not k.
 type History[R any, P interface {
 	*R
 	Settler
@@ -31,19 +35,13 @@ type History[R any, P interface {
 	head int
 	// retired holds the records trimmed since the last Reclaim, free
 	// the ones Next hands out.
-	retired, free []P
+	retired []P
+	free    slab.List[R]
 }
 
 // Next returns a record for the caller to fill in and Add: a recycled
-// one, or a new one.
-func (h *History[R, P]) Next() P {
-	if n := len(h.free); n > 0 {
-		p := h.free[n-1]
-		h.free = h.free[:n-1]
-		return p
-	}
-	return new(R)
-}
+// one, or a zero one from the current slab.
+func (h *History[R, P]) Next() P { return h.free.Get() }
 
 // Add appends a transmission to the log, which owns the record from
 // here on.
@@ -77,7 +75,9 @@ func (h *History[R, P]) Trim() {
 // Reclaim hands the records retired since the last Reclaim to Next: the
 // result that could name them is no longer valid.
 func (h *History[R, P]) Reclaim() {
-	h.free = append(h.free, h.retired...)
+	for _, p := range h.retired {
+		h.free.Put(p)
+	}
 	h.retired = h.retired[:0]
 }
 

@@ -8,12 +8,12 @@
 // bit-for-bit reproducible.
 //
 // The loop is allocation-free in steady state: executed events return to
-// a per-clock free list, and the one queue is a binary min-heap keyed by
-// (deadline, scheduling sequence), a concrete []*event with inlined
-// sift-up/sift-down (no container/heap interface dispatch). An event
-// scheduled for the current instant or the past takes the current
-// instant as its deadline, so it runs after every event already due
-// then.
+// a per-clock free list (a slab.List), and the one queue is a binary
+// min-heap keyed by (deadline, scheduling sequence), a concrete []*event
+// with inlined sift-up/sift-down (no container/heap interface
+// dispatch). An event scheduled for the current instant or the past
+// takes the current instant as its deadline, so it runs after every
+// event already due then.
 //
 // The heap holds only live events. Every event knows its heap slot, so a
 // Timer owns exactly one slot while armed however often it is re-armed:
@@ -36,6 +36,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"mpquic/internal/slab"
 )
 
 // Time is a virtual timestamp, measured as a duration since the start of
@@ -62,9 +64,9 @@ const Never = Time(math.MaxInt64)
 type event struct {
 	Key // the seq tie-break: FIFO among events with equal deadlines
 	fn  func()
-	// idx is the event's slot in Clock.heap, or -1 while it executes or
-	// sits on the free list. The sift helpers keep it current on every
-	// move.
+	// idx is the event's slot in Clock.heap, or -1 once it has left the
+	// heap to execute or to be stopped. The sift helpers keep it current
+	// on every move.
 	idx int
 }
 
@@ -81,8 +83,8 @@ func eventLess(a, b *event) bool {
 // the whole simulation is single-threaded by design (determinism).
 type Clock struct {
 	now     Time
-	heap    []*event // binary min-heap by (at, seq)
-	free    []*event // recycled event storage
+	heap    []*event         // binary min-heap by (at, seq)
+	free    slab.List[event] // recycled event storage
 	seq     uint64
 	running bool
 	stopped bool
@@ -121,24 +123,12 @@ func (c *Clock) Key(at Time) Key {
 	return k
 }
 
-// alloc takes an event from the free list, refilling it when empty.
+// alloc takes an event from the free list.
 func (c *Clock) alloc(k Key, fn func()) *event {
-	if len(c.free) == 0 {
-		c.refill()
-	}
-	n := len(c.free) - 1
-	e := c.free[n]
-	c.free[n] = nil
-	c.free = c.free[:n]
+	e := c.free.Get()
 	e.Key, e.fn = k, fn
 	return e
 }
-
-// refill is alloc's cold path, out of line so that the //mpq:noescape
-// callers alloc inlines into stay allocation-free.
-//
-//go:noinline
-func (c *Clock) refill() { c.free = append(c.free, &event{idx: -1}) }
 
 // release returns an executed or stopped event to the free list,
 // dropping its closure so captured state is collectable.
@@ -146,7 +136,7 @@ func (c *Clock) refill() { c.free = append(c.free, &event{idx: -1}) }
 //mpq:noescape
 func (c *Clock) release(e *event) {
 	e.fn = nil
-	c.free = append(c.free, e)
+	c.free.Put(e)
 }
 
 // At schedules fn to run at the absolute virtual time at. Scheduling in

@@ -1,0 +1,70 @@
+// Package slab is the free list the per-packet records of both
+// transport families come from: a sender's in-flight history
+// (recovery.History), struct-mode carriers (wire.PacketPool), TCP
+// segments (tcpsim.Flow.NewSegment) and the clock's events (sim.Clock).
+//
+// A connection's first window costs one record per packet in flight,
+// and records come back only as the window settles. Handing them out of
+// slabs, arrays that double from minSlabBytes to maxSlabBytes, makes
+// that warm-up cost a few allocations instead of one per record.
+package slab
+
+import "unsafe"
+
+// The first slab of a List takes about minSlabBytes, and each later one
+// twice the one before, up to maxSlabBytes. A record larger than that
+// gets a slab of its own.
+const (
+	minSlabBytes = 512
+	maxSlabBytes = 8 << 10
+)
+
+// List is a free list of *T. Get hands out the record Put back last;
+// when there is none, the list first lists every record of a new slab.
+// A record keeps its address for as long as anything holds it. The zero
+// List is ready to use. It is not safe for concurrent use.
+type List[T any] struct {
+	free []*T // records to hand out, last in, first out
+	next int  // records in the next slab; 0 before the first
+}
+
+// Get lends a record. A fresh one is zero; one that was Put back holds
+// whatever its last user left in it, so the caller resets what it reads.
+func (l *List[T]) Get() *T {
+	if len(l.free) == 0 {
+		l.grow()
+	}
+	n := len(l.free) - 1
+	p := l.free[n]
+	l.free = l.free[:n]
+	return p
+}
+
+// Put hands back a record Get lent, for a later Get. Nothing may use p
+// afterwards, and p must not be Put twice: two later Gets would share it.
+func (l *List[T]) Put(p *T) { l.free = append(l.free, p) }
+
+// Len reports how many records wait for a Get without a new slab.
+func (l *List[T]) Len() int { return len(l.free) }
+
+// grow lists the records of a new slab, the first of them last so that
+// Get hands them out in address order. It is Get's cold path and stays
+// out of line: wherever Get is inlined, the allocation is grow's, and a
+// //mpq:noescape caller of Get stays allocation-free.
+//
+//go:noinline
+func (l *List[T]) grow() {
+	var zero T
+	size := max(int(unsafe.Sizeof(zero)), 1)
+	if l.next == 0 {
+		l.next = max(minSlabBytes/size, 1)
+	}
+	s := make([]T, min(l.next, max(maxSlabBytes/size, 1)))
+	if cap(l.free) < len(s) {
+		l.free = make([]*T, 0, len(s))
+	}
+	for i := len(s) - 1; i >= 0; i-- {
+		l.free = append(l.free, &s[i])
+	}
+	l.next = 2 * len(s)
+}

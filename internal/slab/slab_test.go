@@ -1,0 +1,78 @@
+package slab
+
+import (
+	"math/bits"
+	"testing"
+	"unsafe"
+)
+
+// rec is a 64-byte record, the size of a TCP scoreboard record.
+type rec struct{ a [8]uint64 }
+
+func TestPutThenGetReturnsThePointer(t *testing.T) {
+	var l List[rec]
+	p := l.Get()
+	p.a[0] = 7
+	l.Put(p)
+	if q := l.Get(); q != p {
+		t.Fatalf("Get after Put returned %p, want %p", q, p)
+	} else if q.a[0] != 7 {
+		t.Fatalf("a record that came back holds %d, want what its user left (7)", q.a[0])
+	}
+}
+
+// TestNoRecordOutTwice interleaves gets and puts across several slabs
+// and requires every record out at one time to be distinct and every
+// fresh one to be zero.
+func TestNoRecordOutTwice(t *testing.T) {
+	var l List[rec]
+	out := make(map[*rec]bool)
+	var order []*rec
+	get := func() {
+		p := l.Get()
+		if out[p] {
+			t.Fatalf("record %p handed out while still out", p)
+		}
+		out[p] = true
+		order = append(order, p)
+	}
+	for round := 0; round < 100; round++ {
+		for i := 0; i < 10*round+1; i++ {
+			get()
+		}
+		// Put back every other record, oldest first.
+		kept := order[:0]
+		for i, p := range order {
+			if i%2 == 0 {
+				delete(out, p)
+				p.a[0]++
+				l.Put(p)
+			} else {
+				kept = append(kept, p)
+			}
+		}
+		order = kept
+	}
+	if len(out) < 500 {
+		t.Fatalf("only %d records out at the end; the test should span many slabs", len(out))
+	}
+}
+
+// TestGetsCostSlabsNotRecords: k gets from an empty list allocate
+// O(log k + k/slab) times — the slabs, doubling up to maxSlabBytes, and
+// the free list's backing array — not once per record.
+func TestGetsCostSlabsNotRecords(t *testing.T) {
+	perSlab := maxSlabBytes / int(unsafe.Sizeof(rec{}))
+	for _, k := range []int{1, 10, 100, 1000, 100000} {
+		allocs := testing.AllocsPerRun(5, func() {
+			var l List[rec]
+			for i := 0; i < k; i++ {
+				l.Get()
+			}
+		})
+		bound := 2*bits.Len(uint(k)) + k/perSlab
+		if allocs > float64(bound) {
+			t.Errorf("%d gets from an empty list allocate %.0f times, want at most %d", k, allocs, bound)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"mpquic/internal/recovery"
 	"mpquic/internal/rtt"
 	"mpquic/internal/sim"
+	"mpquic/internal/slab"
 	"mpquic/internal/stream"
 	"mpquic/internal/trace"
 )
@@ -49,9 +50,9 @@ const Never = time.Duration(1<<62 - 1)
 // Record tracks one transmitted segment for loss detection. The flow
 // keeps its records in a recovery.History, so a record lives as long as
 // its segment is outstanding plus one OnAck or OnRTO. What
-// the flow holds at its peak is one record per segment in flight: the
-// bools sit together to keep it in the 64-byte size class
-// (TestRecordStaysInTCPSizeClass).
+// the flow holds at its peak is one record per segment in flight, from
+// slabs of up to 8 KiB: the bools sit together to keep it at 64 bytes,
+// 128 to a slab (TestRecordStaysInTCPSizeClass).
 type Record struct {
 	TxSeq    uint64 // transmission order
 	SeqStart uint64
@@ -118,7 +119,7 @@ type Flow struct {
 	sndNxt  uint64
 	records recovery.History[Record, *Record] // the scoreboard, in transmission order
 	lost    []*Record                         // scratch: the list OnAck/OnRTO hand out
-	segs    []*Segment                        // the segments NewSegment lends again
+	segs    slab.List[Segment]                // the segments NewSegment lends
 
 	liveRtx       int // live retransmission records (out of seq order)
 	nextTxSeq     uint64

@@ -11,8 +11,9 @@ import (
 	"mpquic/internal/sim"
 )
 
-// The flow holds one Record per segment in flight; the DSS mapping must
-// not push plain TCP's into a larger size class than it had.
+// The flow holds one Record per segment in flight, taken from slabs of
+// up to 8 KiB: at 64 bytes a slab holds 128 records. The DSS mapping
+// must not make plain TCP's records larger, so that fewer fit a slab.
 func TestRecordStaysInTCPSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(Record{}); n > 64 {
 		t.Fatalf("Record is %d bytes, want <= 64", n)

@@ -110,16 +110,8 @@ type Segment struct {
 // NewSegment lends a zeroed segment from the flow's free list. Sending
 // it gives it to the network, which returns it through Return.
 func (f *Flow) NewSegment() *Segment {
-	var s *Segment
-	if n := len(f.segs); n > 0 {
-		s = f.segs[n-1]
-		f.segs[n-1] = nil
-		f.segs = f.segs[:n-1]
-		*s = Segment{}
-	} else {
-		s = new(Segment)
-	}
-	s.lender = f
+	s := f.segs.Get()
+	*s = Segment{lender: f}
 	return s
 }
 
@@ -131,7 +123,7 @@ func (s *Segment) Return() {
 		return
 	}
 	s.lender = nil
-	f.segs = append(f.segs, s)
+	f.segs.Put(s)
 }
 
 // WireSize is the segment's size inside its datagram: headers +

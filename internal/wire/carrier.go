@@ -1,5 +1,7 @@
 package wire
 
+import "mpquic/internal/slab"
+
 // Struct mode hands the peer the packet itself, so what it is handed
 // must be the peer's own: the sender builds every packet in scratch it
 // reuses for the next one. A carrier is the Packet that copy lives in.
@@ -38,41 +40,35 @@ func (p *Packet) Fill(hdr Header, largestAcked PacketNumber, frames []Frame) {
 // PacketPool is a free list of struct-mode carriers with one owner: a
 // datagram carrier that sees every exit of the packets it lent (in the
 // manner of GetPacketBuf and PutPacketBuf for Datagram.Raw, but not
-// shared between goroutines). Carriers keep the capacity of their frame
-// list and of their FrameArena across loans. The zero value is ready to
-// use.
+// shared between goroutines). Carriers come from slabs and keep the
+// capacity of their frame list and of their FrameArena across loans.
+// The zero value is ready to use.
 type PacketPool struct {
-	free []*Packet
+	carriers slab.List[carrier]
+}
+
+// carrier is a packet together with the room an ordinary data packet
+// fills — a few frames, an ACK and two STREAM frames among them — so
+// that a carrier costs the pool nothing beyond its share of a slab, and
+// its ACK ranges one allocation as they grow.
+type carrier struct {
+	Packet
+	pool    *PacketPool // the pool the carrier belongs to
+	frames  [4]Frame
+	acks    [1]AckFrame
+	streams [2]StreamFrame
 }
 
 // Get lends a carrier, to be filled with Fill and handed back with
 // Return once nothing reads it any more.
 func (pl *PacketPool) Get() *Packet {
-	var p *Packet
-	if n := len(pl.free); n > 0 {
-		p = pl.free[n-1]
-		pl.free[n-1] = nil
-		pl.free = pl.free[:n-1]
-	} else {
-		p = newCarrier()
+	c := pl.carriers.Get()
+	if c.pool == nil { // fresh from a slab
+		c.pool = pl
+		c.Frames = c.frames[:0]
+		c.own.acks, c.own.streams = c.acks[:], c.streams[:]
 	}
-	p.pool = pl
-	return p
-}
-
-// newCarrier allocates a packet together with the room an ordinary data
-// packet fills — a few frames, an ACK and two STREAM frames among them —
-// so that a carrier costs the pool one allocation, and its ACK ranges
-// another as they grow.
-func newCarrier() *Packet {
-	c := new(struct {
-		Packet
-		frames  [4]Frame
-		acks    [1]AckFrame
-		streams [2]StreamFrame
-	})
-	c.Frames = c.frames[:0]
-	c.own.acks, c.own.streams = c.acks[:], c.streams[:]
+	c.lent = c
 	return &c.Packet
 }
 
@@ -81,13 +77,13 @@ func newCarrier() *Packet {
 // sender that did not borrow, who may keep it), and one that already
 // came back must not be listed twice — two later loans would share it.
 func (p *Packet) Return() {
-	pl := p.pool
-	if pl == nil {
+	c := p.lent
+	if c == nil {
 		return
 	}
-	p.pool = nil
-	pl.free = append(pl.free, p)
+	p.lent = nil
+	c.pool.carriers.Put(c)
 }
 
 // Len reports how many carriers are in the pool, not out on loan.
-func (pl *PacketPool) Len() int { return len(pl.free) }
+func (pl *PacketPool) Len() int { return pl.carriers.Len() }

@@ -26,11 +26,12 @@ type Packet struct {
 	// the packet was built.
 	LargestAcked PacketNumber
 
-	// own and pool serve a Packet used as a struct-mode carrier
+	// own and lent serve a Packet used as a struct-mode carrier
 	// (carrier.go): the storage Fill copies ACK and STREAM frames into,
-	// and the PacketPool that has the packet out on loan, nil when none.
+	// and the carrier this packet is while its PacketPool has it out on
+	// loan, nil when none.
 	own  FrameArena
-	pool *PacketPool
+	lent *carrier
 }
 
 // IsRetransmittable reports whether any frame needs loss recovery.

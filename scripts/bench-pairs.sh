@@ -35,7 +35,7 @@ out=$(cd "$out" && pwd)
 
 run() { # run <checkout> <side> <seed>
     (cd "$1" && bash bench/run.sh --workload "$workload" --seed "$3" --trace 0 \
-        --out "$out/$workload-$2.jsonl") | grep -E '^(goodput_mbps|cpu_ns_per_pkt|allocs_per_pkt) ' |
+        --out "$out/$workload-$2.jsonl") | grep -E '^(goodput_mbps|cpu_ns_per_pkt|allocs_per_pkt|alloc_kb_per_pkt) ' |
         awk -v side="$2" -v seed="$3" '{ printf "  seed %s %-6s %-16s %s %s\n", seed, side, $1, $2, $3 }'
 }
 
