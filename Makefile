@@ -1,7 +1,7 @@
 # Convenience targets; see scripts/check.sh for the pre-commit gate and
 # bench/run.sh (BENCHMARK.json) for the repository benchmark.
 
-.PHONY: build test vet doclint fuzz-smoke bench bench-pairs sim-signature grid-signature live-smoke chaos-smoke traffic-cover check
+.PHONY: build test vet doclint fuzz-smoke bench bench-pairs sim-signature grid-signature live-smoke chaos-smoke traffic-cover live-profile check
 
 build:
 	go build ./...
@@ -66,6 +66,22 @@ chaos-smoke:
 # four loopback pairs; about a minute, binds sockets, not in CI).
 traffic-cover:
 	sh scripts/traffic-cover.sh
+
+# Where the allocations and the CPU of live GETs go: a CPU profile of
+# PROFCOUNT runs of TestLiveWarmServerAllocBytes (two-path 10 MiB GETs
+# over loopback, server and client in one process, one cold GET and
+# four warm ones a run), a memory profile of one more run with every
+# allocation sampled, and the top of each. The files stay in $(PROFDIR)
+# for `go tool pprof`. Binds loopback sockets.
+PROFDIR ?= .live-profile
+PROFCOUNT ?= 10
+live-profile:
+	mkdir -p $(PROFDIR)
+	go test -c -o $(PROFDIR)/mpquic.test .
+	$(PROFDIR)/mpquic.test -test.run '^TestLiveWarmServerAllocBytes$$' -test.count $(PROFCOUNT) -test.cpuprofile $(PROFDIR)/cpu.out
+	$(PROFDIR)/mpquic.test -test.run '^TestLiveWarmServerAllocBytes$$' -test.memprofilerate 1 -test.memprofile $(PROFDIR)/mem.out
+	go tool pprof -top -nodecount=25 $(PROFDIR)/mpquic.test $(PROFDIR)/cpu.out
+	go tool pprof -sample_index=alloc_space -top -nodecount=25 $(PROFDIR)/mpquic.test $(PROFDIR)/mem.out
 
 check:
 	sh scripts/check.sh

@@ -10,6 +10,7 @@ import (
 	"mpquic/internal/recovery"
 	"mpquic/internal/rtt"
 	"mpquic/internal/sim"
+	"mpquic/internal/slab"
 	"mpquic/internal/stream"
 	"mpquic/internal/trace"
 	"mpquic/internal/wire"
@@ -126,12 +127,15 @@ type Conn struct {
 	// acceptedBy is the Listener that created this (server-side)
 	// connection and forgets it again once it has closed.
 	acceptedBy *Listener
+	// sent is the free list every path space draws its records from:
+	// the connection's own when dialed, the listener's when accepted.
+	sent *slab.List[recovery.SentPacket]
 
 	Stats ConnStats
 }
 
 // newConn builds the common connection state.
-func newConn(net DatagramSender, role Role, connID wire.ConnectionID, cfg Config, localAddrs, remoteAddrs []netem.Addr) *Conn {
+func newConn(net DatagramSender, role Role, connID wire.ConnectionID, cfg Config, localAddrs, remoteAddrs []netem.Addr, sent *slab.List[recovery.SentPacket]) *Conn {
 	if !cfg.Multipath && cfg.MaxPaths > 1 {
 		cfg.MaxPaths = 1
 	}
@@ -147,6 +151,7 @@ func newConn(net DatagramSender, role Role, connID wire.ConnectionID, cfg Config
 		localAddrs:  localAddrs,
 		remoteAddrs: remoteAddrs,
 		connFC:      stream.NewFlowController(cfg.ConnWindow),
+		sent:        sent,
 		// Room for any ordinary packet; a longer frame list just
 		// allocates that once.
 		txFrames:    make([]wire.Frame, 0, 16),
@@ -272,7 +277,7 @@ func (c *Conn) newController() cc.Controller {
 
 // addPath creates and registers a path.
 func (c *Conn) addPath(id wire.PathID, local, remote netem.Addr) *Path {
-	p := newPath(id, local, remote, rtt.New(rtt.DefaultQUIC()), c.newController())
+	p := newPath(id, local, remote, recovery.NewSpaceOn(rtt.New(rtt.DefaultQUIC()), c.sent), c.newController())
 	c.paths = append(c.paths, p)
 	c.trace(trace.Event{Type: trace.PathOpened, Path: uint8(id), Detail: string(local) + "->" + string(remote)})
 	return p

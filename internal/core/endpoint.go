@@ -4,6 +4,8 @@ import (
 	"sort"
 
 	"mpquic/internal/netem"
+	"mpquic/internal/recovery"
+	"mpquic/internal/slab"
 	"mpquic/internal/wire"
 )
 
@@ -30,7 +32,7 @@ func Dial(nw DatagramSender, cfg Config, connID wire.ConnectionID, locals, remot
 	if len(locals) == 0 || len(remotes) == 0 {
 		panic("core: Dial needs at least one local and one remote address")
 	}
-	c := newConn(nw, RoleClient, connID, cfg, locals, remotes)
+	c := newConn(nw, RoleClient, connID, cfg, locals, remotes, new(slab.List[recovery.SentPacket]))
 	c.addPath(0, locals[0], remotes[0])
 	for _, a := range locals {
 		nw.Register(a, c)
@@ -61,6 +63,26 @@ type Listener struct {
 	// strayDrops counts well-formed non-handshake packets for a
 	// Connection ID the listener does not (or no longer) know.
 	strayDrops uint64
+
+	// sent is the free list the path spaces of every accepted
+	// connection draw their sent-packet records from, so a warm server
+	// finds a window's records waiting. recycle hands a forgotten
+	// connection's records back, then keeps at most sentKeep of them.
+	sent slab.List[recovery.SentPacket]
+	// forgotten holds the connections forgotten while HandleDatagram
+	// runs (dispatching): the handler that closed one may still use its
+	// spaces, so their records go back when HandleDatagram returns. A
+	// close outside it (idle timeout, the application's Close) is the
+	// last thing its call does, and the records go back at once.
+	dispatching bool
+	forgotten   []*Conn
+}
+
+// sentKeep is how many sent-packet records a listener keeps across
+// connections: the records cfg.ConnWindow bytes of full-size packets
+// take.
+func sentKeep(cfg Config) int {
+	return int((cfg.ConnWindow + wire.MaxPacketSize - 1) / wire.MaxPacketSize)
 }
 
 // Listen registers a server on the given addresses. nw is any
@@ -108,10 +130,13 @@ func (l *Listener) Conns() []*Conn {
 // to a connection that already closed, which must not resurrect it —
 // and is dropped and counted.
 func (l *Listener) HandleDatagram(dg netem.Datagram) {
+	l.dispatching = true
 	l.dispatch(dg)
 	if !dg.More {
 		l.release()
 	}
+	l.dispatching = false
+	l.recycle()
 }
 
 // release lets every connection left holding react, once the carrier
@@ -147,7 +172,7 @@ func (l *Listener) dispatch(dg netem.Datagram) {
 
 // accept creates the server side of a new connection.
 func (l *Listener) accept(cid wire.ConnectionID, from netem.Addr) *Conn {
-	c := newConn(l.nw, RoleServer, cid, l.cfg, l.addrs, []netem.Addr{from})
+	c := newConn(l.nw, RoleServer, cid, l.cfg, l.addrs, []netem.Addr{from}, &l.sent)
 	c.acceptedBy = l
 	l.conns[cid] = c
 	for _, fn := range l.onConn {
@@ -158,10 +183,32 @@ func (l *Listener) accept(cid wire.ConnectionID, from netem.Addr) *Conn {
 
 // forget drops a connection that has closed and whose application has
 // been told — or a long-running server keeps every connection it ever
-// served. Its drop count lives on in the listener's.
+// served. Its drop count lives on in the listener's, and its records go
+// back to sent.
 func (l *Listener) forget(c *Conn) {
 	delete(l.conns, c.connID)
 	l.corruptDrops += c.corruptDrops
+	l.forgotten = append(l.forgotten, c)
+	if !l.dispatching {
+		l.recycle()
+	}
+}
+
+// recycle hands the records of every forgotten connection's path spaces
+// back to sent and leaves what sent holds beyond sentKeep to the
+// collector.
+func (l *Listener) recycle() {
+	if len(l.forgotten) == 0 {
+		return
+	}
+	for i, c := range l.forgotten {
+		for _, p := range c.paths {
+			p.space.Release()
+		}
+		l.forgotten[i] = nil
+	}
+	l.forgotten = l.forgotten[:0]
+	l.sent.Shrink(sentKeep(l.cfg))
 }
 
 // CorruptDrops sums the undecodable-ingress drops across the listener

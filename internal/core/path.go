@@ -53,14 +53,14 @@ type Path struct {
 	AckedBytes  uint64
 }
 
-func newPath(id wire.PathID, local, remote netem.Addr, est *rtt.Estimator, ctrl cc.Controller) *Path {
+func newPath(id wire.PathID, local, remote netem.Addr, space *recovery.Space, ctrl cc.Controller) *Path {
 	return &Path{
 		ID:     id,
 		Local:  local,
 		Remote: remote,
-		space:  recovery.NewSpace(est),
+		space:  space,
 		ackMgr: recovery.NewAckManager(id),
-		est:    est,
+		est:    space.RTT(),
 		cc:     ctrl,
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"mpquic/internal/netem"
 	"mpquic/internal/recovery"
 	"mpquic/internal/sim"
+	"mpquic/internal/slab"
 	"mpquic/internal/wire"
 )
 
@@ -17,7 +18,7 @@ func newTestConn(t *testing.T, cfg Config) *Conn {
 	t.Helper()
 	clock := sim.NewClock()
 	nw := netem.New(clock, sim.NewRand(1))
-	c := newConn(nw, RoleClient, 1, cfg, []netem.Addr{"a0", "a1"}, []netem.Addr{"b0", "b1"})
+	c := newConn(nw, RoleClient, 1, cfg, []netem.Addr{"a0", "a1"}, []netem.Addr{"b0", "b1"}, new(slab.List[recovery.SentPacket]))
 	c.addPath(0, "a0", "b0")
 	c.addPath(1, "a1", "b1")
 	c.handshakeComplete = true
@@ -200,7 +201,7 @@ func TestScheduleAllocFree(t *testing.T) {
 func TestPathsAndStreamsKeepCreationOrder(t *testing.T) {
 	clock := sim.NewClock()
 	nw := netem.New(clock, sim.NewRand(1))
-	c := newConn(nw, RoleClient, 1, DefaultConfig(), []netem.Addr{"a0"}, []netem.Addr{"b0"})
+	c := newConn(nw, RoleClient, 1, DefaultConfig(), []netem.Addr{"a0"}, []netem.Addr{"b0"}, new(slab.List[recovery.SentPacket]))
 	c.handshakeComplete = true
 	c.addPath(0, "a0", "b0")
 	c.addPath(3, "a3", "b3") // IDs do not arrive sorted

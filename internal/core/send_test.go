@@ -5,7 +5,9 @@ import (
 	"time"
 
 	"mpquic/internal/netem"
+	"mpquic/internal/recovery"
 	"mpquic/internal/sim"
+	"mpquic/internal/slab"
 	"mpquic/internal/wire"
 )
 
@@ -25,7 +27,7 @@ func (n *captureNet) Clock() *sim.Clock                  { return n.clock }
 // sent after the sender has built its next ACK on that path.
 func TestStructModePeerOwnsItsAck(t *testing.T) {
 	nw := &captureNet{clock: sim.NewClock()}
-	c := newConn(nw, RoleServer, 1, DefaultConfig(), []netem.Addr{"b0"}, []netem.Addr{"a0"})
+	c := newConn(nw, RoleServer, 1, DefaultConfig(), []netem.Addr{"b0"}, []netem.Addr{"a0"}, new(slab.List[recovery.SentPacket]))
 	p := c.addPath(0, "b0", "a0")
 	// ackOf delivers a ping with the given packet number and returns the
 	// ACK frame of the packet it provokes.

@@ -185,7 +185,7 @@ func TestSocketDeathFailsOverMidTransfer(t *testing.T) {
 		live.WithTracer(&ec))
 	conn := dialOn(t, client, server, 2, 43)
 
-	const size = 32 << 20
+	const size = 128 << 20
 	res, err := live.Download(client, conn, size, 60*time.Second)
 	if err != nil {
 		t.Fatalf("transfer did not survive losing 1 of 2 sockets: %v", err)
@@ -237,7 +237,7 @@ func TestAllSocketsDeadReturnsErrAllPathsDown(t *testing.T) {
 	conn := dialOn(t, client, server, 2, 44)
 
 	start := time.Now()
-	_, err := live.Download(client, conn, 32<<20, 30*time.Second)
+	_, err := live.Download(client, conn, 128<<20, 30*time.Second)
 	if !errors.Is(err, live.ErrAllPathsDown) {
 		t.Fatalf("err = %v, want ErrAllPathsDown", err)
 	}
@@ -289,7 +289,7 @@ func TestKillAndRestoreRebinds(t *testing.T) {
 		live.WithTracer(&ec))
 	conn := dialOn(t, client, server, 1, 46)
 
-	const size = 32 << 20
+	const size = 128 << 20
 	res, err := live.Download(client, conn, size, 60*time.Second)
 	if err != nil {
 		t.Fatalf("transfer did not survive the kill/restore outage: %v", err)

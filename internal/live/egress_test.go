@@ -338,7 +338,7 @@ func TestRawSocketDeathFailsOverAndRebinds(t *testing.T) {
 	})
 	defer kill.Stop()
 
-	const size = 32 << 20
+	const size = 128 << 20
 	res, err := live.Download(client, conn, size, 60*time.Second)
 	if err != nil {
 		t.Fatalf("transfer did not survive losing a socket: %v", err)

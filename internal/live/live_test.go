@@ -102,7 +102,7 @@ func TestTwoPathTransfer(t *testing.T) {
 	server := startGetServer(t, 2)
 	client, conn := dial(t, server, 2, 2)
 
-	const size = 2 << 20
+	const size = 8 << 20
 	res, err := live.Download(client, conn, size, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)

@@ -23,8 +23,12 @@ type Settler interface{ Settled() bool }
 // Reclaim. The owner calls Reclaim when it begins a call whose result
 // replaces the one that may still name the records trimmed before it,
 // so a record lives as long as it is in flight plus one such call.
-// Records come from a slab.List: a log that grows to k records in
-// flight costs O(log k + k/slab) allocations, not k.
+//
+// Records come from, and go back to, the slab.List the owner hands
+// NewHistory: a log that grows to k records in flight costs
+// O(log k + k/slab) allocations, not k. The list may outlive the
+// history: every connection a core.Listener accepts draws from the
+// listener's, and Release hands its records back when it ends.
 type History[R any, P interface {
 	*R
 	Settler
@@ -34,9 +38,17 @@ type History[R any, P interface {
 	recs []P
 	head int
 	// retired holds the records trimmed since the last Reclaim, free
-	// the ones Next hands out.
+	// the list Next draws from and Reclaim and Release return to.
 	retired []P
-	free    slab.List[R]
+	free    *slab.List[R]
+}
+
+// NewHistory returns an empty history whose records come from free.
+func NewHistory[R any, P interface {
+	*R
+	Settler
+}](free *slab.List[R]) History[R, P] {
+	return History[R, P]{free: free}
 }
 
 // Next returns a record for the caller to fill in and Add: a recycled
@@ -79,6 +91,17 @@ func (h *History[R, P]) Reclaim() {
 		h.free.Put(p)
 	}
 	h.retired = h.retired[:0]
+}
+
+// Release hands every record back to the free list, settled or not,
+// retired or not, and empties the history. The owner calls it once no
+// call follows and nothing names a record any more.
+func (h *History[R, P]) Release() {
+	h.Reclaim()
+	for _, p := range h.Live() {
+		h.free.Put(p)
+	}
+	h.recs, h.head, h.retired = nil, 0, nil
 }
 
 // Episode is the one-decrease-per-window filter both senders put on

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mpquic/internal/rtt"
+	"mpquic/internal/slab"
 	"mpquic/internal/wire"
 )
 
@@ -91,12 +92,27 @@ type Space struct {
 	cutback                 Episode
 }
 
-// NewSpace builds a space feeding RTT samples into est.
-func NewSpace(est *rtt.Estimator) *Space {
+// NewSpace builds a space feeding RTT samples into est, with a free
+// list of its own.
+func NewSpace(est *rtt.Estimator) *Space { return NewSpaceOn(est, new(slab.List[SentPacket])) }
+
+// NewSpaceOn builds a space feeding RTT samples into est whose records
+// come from, and go back to, free: the list its connection lends every
+// path space (see History).
+func NewSpaceOn(est *rtt.Estimator, free *slab.List[SentPacket]) *Space {
 	return &Space{
 		est:          est,
+		history:      NewHistory[SentPacket](free),
 		largestAcked: wire.InvalidPacketNumber,
 	}
+}
+
+// Release hands every record the space holds back to its free list
+// (History.Release) and drops the result scratch that named them. The
+// space must not be used afterwards; its counters keep their values.
+func (s *Space) Release() {
+	s.history.Release()
+	s.ackedScratch, s.lostScratch, s.outScratch = nil, nil, nil
 }
 
 // NextPacketNumber allocates the next monotonically increasing PN.

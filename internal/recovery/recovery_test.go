@@ -6,6 +6,7 @@ import (
 
 	"mpquic/internal/perf"
 	"mpquic/internal/rtt"
+	"mpquic/internal/slab"
 	"mpquic/internal/wire"
 )
 
@@ -400,10 +401,14 @@ func TestSparseAckAccounting(t *testing.T) {
 
 // checkSpaceOps runs the program in ops — sends (through OnPacketSent
 // and RecordSent), sparse ACKs of any part of the outstanding window,
-// loss timers and RTOs — and checks after every call that the in-flight
-// accounting is what a recount finds and that at most
-// PacketThreshold-1 settled packets wait behind an unsettled front:
-// the bound that lets History trim only the front.
+// loss timers, RTOs, and the end of the space's connection — and checks
+// after every call that the in-flight accounting is what a recount
+// finds and that at most PacketThreshold-1 settled packets wait behind
+// an unsettled front: the bound that lets History trim only the front.
+// The space draws from a free list it shares with the spaces that come
+// after it: when its connection ends, Release must hand back exactly
+// the records it held, and the next space runs on them, whatever the
+// last one left in them.
 func checkSpaceOps(t *testing.T, ops []byte) {
 	t.Helper()
 	next := func(n int) int {
@@ -414,7 +419,8 @@ func checkSpaceOps(t *testing.T, ops []byte) {
 		ops = ops[1:]
 		return v % n
 	}
-	s := newSpace()
+	free := new(slab.List[SentPacket])
+	s := NewSpaceOn(rtt.New(rtt.DefaultQUIC()), free)
 	now := time.Duration(0)
 	check := func(op string) {
 		t.Helper()
@@ -440,7 +446,7 @@ func checkSpaceOps(t *testing.T, ops []byte) {
 	}
 	for len(ops) > 0 {
 		now += time.Duration(next(250)*8) * time.Microsecond
-		switch op := next(20); {
+		switch op := next(21); {
 		case op < 10:
 			for i := next(40); i >= 0; i-- {
 				if next(2) == 0 {
@@ -468,10 +474,43 @@ func checkSpaceOps(t *testing.T, ops []byte) {
 		case op < 19:
 			s.OnLossTimer(now)
 			check("loss timer")
-		default:
+		case op < 20:
 			s.OnRTO(now)
 			check("RTO")
+		default:
+			forget(t, s, free)
+			s = NewSpaceOn(rtt.New(rtt.DefaultQUIC()), free)
+			check("forget")
 		}
+	}
+}
+
+// forget releases s, whose connection has ended, and checks that its
+// records, live and retired, are the ones that now wait on top of free.
+func forget(t *testing.T, s *Space, free *slab.List[SentPacket]) {
+	t.Helper()
+	held := make(map[*SentPacket]bool)
+	for _, sp := range append(s.history.Live(), s.history.retired...) {
+		held[sp] = true
+	}
+	before := free.Len()
+	s.Release()
+	if got := free.Len() - before; got != len(held) {
+		t.Fatalf("Release handed back %d records, the space held %d", got, len(held))
+	}
+	top := make([]*SentPacket, len(held))
+	for i := range top {
+		top[i] = free.Get()
+		if !held[top[i]] {
+			t.Fatalf("Release handed back %p, which the space did not hold", top[i])
+		}
+		delete(held, top[i])
+	}
+	for i := len(top) - 1; i >= 0; i-- {
+		free.Put(top[i])
+	}
+	if len(s.history.Live()) != 0 || len(s.history.retired) != 0 {
+		t.Fatal("a released space still holds records")
 	}
 }
 

@@ -6,7 +6,9 @@
 // A connection's first window costs one record per packet in flight,
 // and records come back only as the window settles. Handing them out of
 // slabs, arrays that double from minSlabBytes to maxSlabBytes, makes
-// that warm-up cost a few allocations instead of one per record.
+// that warm-up cost a few allocations instead of one per record. A list
+// may outlive the connections that draw from it: a core.Listener shares
+// one among the connections it accepts and Shrinks it to a bound.
 package slab
 
 import "unsafe"
@@ -24,28 +26,47 @@ const (
 // A record keeps its address for as long as anything holds it. The zero
 // List is ready to use. It is not safe for concurrent use.
 type List[T any] struct {
-	free []*T // records to hand out, last in, first out
-	next int  // records in the next slab; 0 before the first
+	// free[:n] are the records to hand out, last in, first out; free[n:]
+	// is room for Put and may still name records out on loan. A fixed
+	// length is what makes Get cheap enough to inline.
+	free []*T
+	n    int
+	next int // records in the next slab; 0 before the first
 }
 
 // Get lends a record. A fresh one is zero; one that was Put back holds
 // whatever its last user left in it, so the caller resets what it reads.
 func (l *List[T]) Get() *T {
-	if len(l.free) == 0 {
+	if l.n == 0 {
 		l.grow()
 	}
-	n := len(l.free) - 1
-	p := l.free[n]
-	l.free = l.free[:n]
-	return p
+	l.n--
+	return l.free[l.n]
 }
 
 // Put hands back a record Get lent, for a later Get. Nothing may use p
 // afterwards, and p must not be Put twice: two later Gets would share it.
-func (l *List[T]) Put(p *T) { l.free = append(l.free, p) }
+func (l *List[T]) Put(p *T) {
+	if l.n == len(l.free) {
+		l.free = append(l.free, p)
+	} else {
+		l.free[l.n] = p
+	}
+	l.n++
+}
 
 // Len reports how many records wait for a Get without a new slab.
-func (l *List[T]) Len() int { return len(l.free) }
+func (l *List[T]) Len() int { return l.n }
+
+// Shrink keeps at most keep waiting records and leaves the rest to the
+// collector: the list names none of them afterwards, so a slab goes
+// once no record of it is named anywhere else.
+func (l *List[T]) Shrink(keep int) {
+	if len(l.free) > keep {
+		l.n = min(l.n, keep)
+		l.free = append([]*T(nil), l.free[:l.n]...)
+	}
+}
 
 // grow lists the records of a new slab, the first of them last so that
 // Get hands them out in address order. It is Get's cold path and stays
@@ -60,11 +81,12 @@ func (l *List[T]) grow() {
 		l.next = max(minSlabBytes/size, 1)
 	}
 	s := make([]T, min(l.next, max(maxSlabBytes/size, 1)))
-	if cap(l.free) < len(s) {
-		l.free = make([]*T, 0, len(s))
+	if len(l.free) < len(s) {
+		l.free = make([]*T, len(s))
 	}
-	for i := len(s) - 1; i >= 0; i-- {
-		l.free = append(l.free, &s[i])
+	for i := range s {
+		l.free[len(s)-1-i] = &s[i]
 	}
+	l.n = len(s)
 	l.next = 2 * len(s)
 }

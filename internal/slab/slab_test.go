@@ -76,3 +76,56 @@ func TestGetsCostSlabsNotRecords(t *testing.T) {
 		}
 	}
 }
+
+// TestShrinkKeepsTheBound: after Shrink(keep) at most keep records wait,
+// they are records that were waiting, and the list goes on lending and
+// taking back as before.
+func TestShrinkKeepsTheBound(t *testing.T) {
+	var l List[rec]
+	out := make([]*rec, 1000)
+	for i := range out {
+		out[i] = l.Get()
+	}
+	for _, p := range out {
+		l.Put(p)
+	}
+	// What waits: those, and the rest of the last slab.
+	waiting := make(map[*rec]bool)
+	for l.Len() > 0 {
+		waiting[l.Get()] = true
+	}
+	for p := range waiting {
+		l.Put(p)
+	}
+	for _, keep := range []int{2000, 300, 300, 10, 0} {
+		l.Shrink(keep)
+		if l.Len() > keep {
+			t.Fatalf("Shrink(%d) left %d records waiting", keep, l.Len())
+		}
+		got := make([]*rec, l.Len())
+		for i := range got {
+			if got[i] = l.Get(); !waiting[got[i]] {
+				t.Fatalf("after Shrink(%d) the list lends %p, which was not waiting", keep, got[i])
+			}
+		}
+		for _, p := range got {
+			l.Put(p)
+		}
+	}
+	if p := l.Get(); p == nil || waiting[p] {
+		t.Fatal("an emptied list must lend a fresh record")
+	}
+}
+
+// BenchmarkListGet is one Get and one Put of a record that waits, the
+// steady state of every slab user. Get is small enough to inline (see
+// List.free); `go build -gcflags=-m=2 ./internal/sim ./internal/recovery`
+// says so for each shape it is instantiated with.
+func BenchmarkListGet(b *testing.B) {
+	var l List[rec]
+	l.Put(l.Get())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		l.Put(l.Get())
+	}
+}

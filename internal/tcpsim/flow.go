@@ -118,6 +118,7 @@ type Flow struct {
 	// --- send scoreboard ---
 	sndNxt  uint64
 	records recovery.History[Record, *Record] // the scoreboard, in transmission order
+	recs    slab.List[Record]                 // the records the scoreboard draws
 	lost    []*Record                         // scratch: the list OnAck/OnRTO hand out
 	segs    slab.List[Segment]                // the segments NewSegment lends
 
@@ -158,6 +159,7 @@ func NewFlow(nw *netem.Network, id uint8, local, remote netem.Addr, ctl cc.Contr
 		est:    rtt.New(rtt.DefaultTCP()),
 		cc:     ctl,
 	}
+	f.records = recovery.NewHistory[Record](&f.recs)
 	f.hsTimer = sim.NewTimer(f.clock, f.onHandshakeTimeout)
 	return f
 }

@@ -2,6 +2,7 @@ package mpquic_test
 
 import (
 	"errors"
+	"math"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -119,6 +120,89 @@ func TestLiveFreshGetAllocsPerPacket(t *testing.T) {
 	t.Logf("%.3f mallocs per received packet (%d packets)", perPkt, pkts)
 	if perPkt > budget {
 		t.Errorf("a fresh two-path GET allocates %.3f per received packet, budget %v", perPkt, budget)
+	}
+}
+
+// TestLiveWarmServerAllocBytes pins what a warm server's next
+// connection costs the heap in bytes: once a first two-path 10 MiB GET
+// has been served and closed, a later one, server and client in one
+// process, allocates at most 60 bytes per packet the client received
+// (both sides counted, the GC off as above). It reads about 35. The
+// server's sent-packet records once came from fresh slabs for every
+// connection, and it read about 160; the connections a listener accepts
+// draw them from one free list now, which the first connection filled
+// and gave back when its client closed it.
+func TestLiveWarmServerAllocBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("moves 50 MiB over loopback")
+	}
+	if perf.RaceEnabled {
+		t.Skip("measures allocations, which -race adds to")
+	}
+	const budget = 60
+	cfg := mpquic.DefaultConfig()
+	cfg.EnableCrypto = true
+	cfg.IdleTimeout = 5 * time.Second
+
+	server := newLive(t, 2)
+	lis := server.Listen(cfg)
+	server.ServeGet(lis)
+	// The server's loop tells the test when it has handled a client's
+	// CONNECTION_CLOSE; the records go back before it handles anything
+	// else.
+	closed := make(chan struct{}, 1)
+	lis.OnConnection(func(c *mpquic.Conn) {
+		c.OnClosed(func(error) {
+			select {
+			case closed <- struct{}{}:
+			default: // nobody waits: the test has failed already
+			}
+		})
+	})
+	go server.Serve()
+
+	get := func(id uint64) uint64 {
+		client := newLive(t, 2)
+		defer client.Close()
+		conn := client.Dial(cfg, id, server.LocalAddrs()...)
+		res, err := client.DownloadWith(conn, 10<<20, mpquic.DownloadOpts{Deadline: 20 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Size != 10<<20 {
+			t.Fatalf("Size = %d, want %d", res.Size, 10<<20)
+		}
+		conn.Close()
+		if err := client.Driver().Flush(); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the server did not see the client close")
+		}
+		return conn.Stats.PacketsReceived
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// One P: the client's receive windows come from sync.Pools, and a
+	// Get on one P does not find what another P Put in its private slot.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	get(1) // the listener's free list fills with a window's records
+	// The client's reassembly window grows with how far one path runs
+	// ahead of the other, and in about one GET in five it outgrows the
+	// pooled sizes and costs 4 to 7 MB more: the least of four GETs is
+	// the server's cost.
+	least := math.Inf(1)
+	for id := uint64(2); id <= 5; id++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pkts := get(id)
+		runtime.ReadMemStats(&after)
+		least = min(least, float64(after.TotalAlloc-before.TotalAlloc)/float64(pkts))
+	}
+	t.Logf("%.1f bytes allocated per received packet, the least of four GETs", least)
+	if least > budget {
+		t.Errorf("a warm server's two-path GET allocates %.1f bytes per received packet, budget %v", least, budget)
 	}
 }
 
