@@ -935,7 +935,7 @@ func (c *Conn) resetTimer() {
 				deadline = d
 			}
 		}
-		if ad := p.ackMgr.AckDeadline(); ad != 0 && ad < deadline {
+		if ad := p.ackMgr.Deadline(); ad != 0 && ad < deadline {
 			deadline = ad
 		}
 	}

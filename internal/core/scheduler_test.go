@@ -269,8 +269,7 @@ func TestPathsAndStreamsKeepCreationOrder(t *testing.T) {
 	for _, s := range c.streams {
 		s.send.WriteSynthetic(10)
 	}
-	var acked pathSet
-	frames, _, _ := c.packFrames(c.paths[1], &acked)
+	frames, _, _ := c.packFrames(c.paths[1])
 	var packed []wire.StreamID
 	for _, f := range frames {
 		if sf, ok := f.(*wire.StreamFrame); ok {

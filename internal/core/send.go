@@ -30,19 +30,11 @@ func (c *Conn) trySend() {
 
 func (c *Conn) sendPass() {
 	c.sendHandshake()
-	var acked pathSet
-	c.sendPathCtrl(&acked)
-	c.sendData(&acked)
+	c.sendPathCtrl()
+	c.sendData()
 	c.sendTailReinjection()
-	c.sendPureAcks(&acked)
+	c.sendPureAcks()
 }
-
-// pathSet is an allocation-free set of path IDs, used as sendPass
-// scratch to record which paths already had an ACK bundled.
-type pathSet [4]uint64
-
-func (s *pathSet) add(id wire.PathID)      { s[id>>6] |= 1 << (id & 63) }
-func (s *pathSet) has(id wire.PathID) bool { return s[id>>6]&(1<<(id&63)) != 0 }
 
 // sendTailReinjection implements the TailReinjection extension: after
 // the scheduler pass, any path that still has congestion-window space
@@ -142,13 +134,13 @@ func (c *Conn) reinjectableFrames(frames []wire.Frame) []wire.Frame {
 // critical (a WINDOW_UPDATE stuck behind a full window would deadlock
 // the transfer; a PATHS frame stuck on a failed path would defeat
 // §4.3's fast handover).
-func (c *Conn) sendPathCtrl(ackedOn *pathSet) {
+func (c *Conn) sendPathCtrl() {
 	if !c.handshakeComplete {
 		return
 	}
 	for _, p := range c.paths {
 		for len(p.ctrl) > 0 {
-			frames, budget, room := c.startPacket(p, ackedOn)
+			frames, budget, room := c.startPacket(p)
 			frames, budget = takeCtrl(frames, &p.ctrl, budget)
 			c.sendPacket(p, frames, room-budget, false, true)
 		}
@@ -175,7 +167,7 @@ func (c *Conn) sendHandshake() {
 		frames := []wire.Frame{&wire.HandshakeFrame{Message: wire.HandshakeSHLO, Payload: c.shloPayload}}
 		// Bundle the ack of the CHLO so the client gets an immediate
 		// RTT sample.
-		if p0.ackMgr.ShouldSendAck(c.now()) {
+		if p0.ackMgr.Due(c.now()) {
 			if ack, _ := p0.buildAck(c.now()); ack != nil {
 				frames = append([]wire.Frame{ack}, frames...)
 			}
@@ -194,9 +186,8 @@ func (c *Conn) sendHandshakePacket(p *Path, hs *wire.HandshakeFrame) {
 }
 
 // sendData runs the scheduler loop, building packets until nothing is
-// pending or no path has window space, recording paths that had an
-// ACK bundled.
-func (c *Conn) sendData(ackedOn *pathSet) {
+// pending or no path has window space.
+func (c *Conn) sendData() {
 	if !c.handshakeComplete {
 		return
 	}
@@ -208,7 +199,7 @@ func (c *Conn) sendData(ackedOn *pathSet) {
 		if primary == nil {
 			return
 		}
-		frames, payload, hasData := c.packFrames(primary, ackedOn)
+		frames, payload, hasData := c.packFrames(primary)
 		if len(frames) == 0 {
 			return
 		}
@@ -237,25 +228,24 @@ func (p *Path) buildAck(now time.Duration) (*wire.AckFrame, int) {
 
 // startPacket starts the frame list of a protected packet on path p,
 // taking the send scratch back from the previous one: the path's ACK
-// when one is due and fits, noted in ackedOn. It returns the list, the
-// payload budget left and room, the budget an empty list would have
-// left: builders count budget down by every frame they add, so room
-// minus what is left when they stop is the size of the packet's frames,
-// and no frame is sized twice. (The ACK comes with its size, which the
-// ack manager keeps as its ranges change; txAckSize keeps it for a
-// duplicate, which leaves the ACK out.)
-func (c *Conn) startPacket(p *Path, ackedOn *pathSet) (frames []wire.Frame, budget, room int) {
+// when one is due and fits. It returns the list, the payload budget
+// left and room, the budget an empty list would have left: builders
+// count budget down by every frame they add, so room minus what is left
+// when they stop is the size of the packet's frames, and no frame is
+// sized twice. (The ACK comes with its size, which the ack manager keeps
+// as its ranges change; txAckSize keeps it for a duplicate, which leaves
+// the ACK out.)
+func (c *Conn) startPacket(p *Path) (frames []wire.Frame, budget, room int) {
 	room = wire.MaxPacketSize - c.headerSize(p, false) - wire.AEADOverhead
 	budget = room
 	frames = c.txFrames[:0]
 	c.txStreams = c.txStreams[:0]
 	c.txAckSize = 0
-	if now := c.now(); p.ackMgr.ShouldSendAck(now) {
+	if now := c.now(); p.ackMgr.Due(now) {
 		if ack, size := p.buildAck(now); ack != nil && size <= budget {
 			frames = append(frames, ack)
 			budget -= size
 			c.txAckSize = size
-			ackedOn.add(p.ID)
 		}
 	}
 	return frames, budget, room
@@ -312,8 +302,8 @@ func (c *Conn) hasSendableData() bool {
 // frames, then stream data under flow control. payload is the encoded
 // size of the frames together. STREAM frames are built in txStreams and,
 // like the list, are the connection's until the next startPacket.
-func (c *Conn) packFrames(p *Path, ackedOn *pathSet) (frames []wire.Frame, payload int, hasData bool) {
-	frames, budget, room := c.startPacket(p, ackedOn)
+func (c *Conn) packFrames(p *Path) (frames []wire.Frame, payload int, hasData bool) {
+	frames, budget, room := c.startPacket(p)
 	// Path-pinned control frames (WINDOW_UPDATE broadcast copies,
 	// PATHS frames).
 	frames, budget = takeCtrl(frames, &p.ctrl, budget)
@@ -372,12 +362,13 @@ func takeCtrl(frames []wire.Frame, queue *[]wire.Frame, budget int) ([]wire.Fram
 }
 
 // sendPureAcks emits ack-only packets for paths that still owe an ACK
-// after the data pass. Ack-only packets bypass the congestion window
-// and are not retransmittable.
-func (c *Conn) sendPureAcks(ackedOn *pathSet) {
+// after the data pass: building an ACK resets its path's rule, so a
+// path whose ACK went out earlier in the pass owes none. Ack-only
+// packets bypass the congestion window and are not retransmittable.
+func (c *Conn) sendPureAcks() {
 	now := c.now()
 	for _, p := range c.paths {
-		if ackedOn.has(p.ID) || !p.ackMgr.ShouldSendAck(now) {
+		if !p.ackMgr.Due(now) {
 			continue
 		}
 		if ack, size := p.buildAck(now); ack != nil {

@@ -87,8 +87,7 @@ func TestCopiesOfOnePacketShareNoFrame(t *testing.T) {
 		{"tail-reinjected", true, func(c *Conn, p0, p1 *Path) {
 			feedRTT(p0, 80*time.Millisecond)
 			feedRTT(p1, 20*time.Millisecond) // the faster path rescues the slower one's tail
-			var acked pathSet
-			frames, payload, _ := c.packFrames(p0, &acked)
+			frames, payload, _ := c.packFrames(p0)
 			c.sendPacket(p0, frames, payload, false, true)
 			c.sendTailReinjection()
 			if c.Stats.TailReinjections != 1 {

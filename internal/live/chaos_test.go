@@ -50,10 +50,21 @@ func dialOn(t *testing.T, d *live.Driver, server *live.Driver, nPaths int, connI
 	return core.Dial(d, liveConfig(nPaths), core.NewConnID(connID), d.LocalAddrs(), server.LocalAddrs())
 }
 
-// wallClock returns a faultnet clock anchored at the call.
-func wallClock() faultnet.Clock {
-	start := time.Now()
-	return func() time.Duration { return time.Since(start) }
+// wallClock returns a faultnet clock that reads 0 until start runs and
+// the wall time since then after. A test starts it right before its
+// download, so the fault script runs against the transfer however long
+// the setup took: a clock started with the injector lets a slow setup
+// fold a kill and its restore into one socket operation. The driver's
+// reader goroutines read the clock too.
+func wallClock() (clock faultnet.Clock, start func()) {
+	var t0 atomic.Pointer[time.Time]
+	clock = func() time.Duration {
+		if t := t0.Load(); t != nil {
+			return time.Since(*t)
+		}
+		return 0
+	}
+	return clock, func() { now := time.Now(); t0.Store(&now) }
 }
 
 // injectorWrapper adapts a faultnet injector to live.WithSocketWrapper.
@@ -175,8 +186,9 @@ func TestTransientErrorStorm(t *testing.T) {
 // failed and the socket lifecycle traced.
 func TestSocketDeathFailsOverMidTransfer(t *testing.T) {
 	server := startGetServer(t, 2)
+	clock, startClock := wallClock()
 	inj := faultnet.New(11,
-		faultnet.WithClock(wallClock()),
+		faultnet.WithClock(clock),
 		faultnet.WithScript(faultnet.KillAt(1, 60*time.Millisecond)))
 	var ec eventCollector
 	client := newChaosDriver(t, 2,
@@ -186,6 +198,7 @@ func TestSocketDeathFailsOverMidTransfer(t *testing.T) {
 	conn := dialOn(t, client, server, 2, 43)
 
 	const size = 128 << 20
+	startClock()
 	res, err := live.Download(client, conn, size, 60*time.Second)
 	if err != nil {
 		t.Fatalf("transfer did not survive losing 1 of 2 sockets: %v", err)
@@ -225,8 +238,9 @@ func TestSocketDeathFailsOverMidTransfer(t *testing.T) {
 // with the typed ErrAllPathsDown, not hang until the deadline.
 func TestAllSocketsDeadReturnsErrAllPathsDown(t *testing.T) {
 	server := startGetServer(t, 2)
+	clock, startClock := wallClock()
 	inj := faultnet.New(13,
-		faultnet.WithClock(wallClock()),
+		faultnet.WithClock(clock),
 		faultnet.WithScript(faultnet.Script{Events: []faultnet.Event{
 			{At: 40 * time.Millisecond, Path: 0, Op: faultnet.OpKill},
 			{At: 50 * time.Millisecond, Path: 1, Op: faultnet.OpKill},
@@ -236,6 +250,7 @@ func TestAllSocketsDeadReturnsErrAllPathsDown(t *testing.T) {
 		live.WithRebind(1, 10*time.Millisecond))
 	conn := dialOn(t, client, server, 2, 44)
 
+	startClock()
 	start := time.Now()
 	_, err := live.Download(client, conn, 128<<20, 30*time.Second)
 	if !errors.Is(err, live.ErrAllPathsDown) {
@@ -255,12 +270,14 @@ func TestAllSocketsDeadReturnsErrAllPathsDown(t *testing.T) {
 // deadline as ErrTimeout.
 func TestHandshakeUnderBlackhole(t *testing.T) {
 	server := startGetServer(t, 1)
+	clock, startClock := wallClock()
 	inj := faultnet.New(17,
-		faultnet.WithClock(wallClock()),
+		faultnet.WithClock(clock),
 		faultnet.WithScript(faultnet.Blackhole(0, 0, 0)))
 	client := newChaosDriver(t, 1, injectorWrapper(inj))
 	conn := dialOn(t, client, server, 1, 45)
 
+	startClock()
 	_, err := live.Download(client, conn, 1<<20, 500*time.Millisecond)
 	if !errors.Is(err, apps.ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
@@ -276,8 +293,9 @@ func TestHandshakeUnderBlackhole(t *testing.T) {
 // window closes, and the transfer must complete on the healed socket.
 func TestKillAndRestoreRebinds(t *testing.T) {
 	server := startGetServer(t, 1)
+	clock, startClock := wallClock()
 	inj := faultnet.New(19,
-		faultnet.WithClock(wallClock()),
+		faultnet.WithClock(clock),
 		faultnet.WithScript(faultnet.Script{Events: []faultnet.Event{
 			{At: 60 * time.Millisecond, Path: 0, Op: faultnet.OpKill},
 			{At: 250 * time.Millisecond, Path: 0, Op: faultnet.OpRestore},
@@ -290,6 +308,7 @@ func TestKillAndRestoreRebinds(t *testing.T) {
 	conn := dialOn(t, client, server, 1, 46)
 
 	const size = 128 << 20
+	startClock()
 	res, err := live.Download(client, conn, size, 60*time.Second)
 	if err != nil {
 		t.Fatalf("transfer did not survive the kill/restore outage: %v", err)

@@ -7,7 +7,7 @@ import (
 	"mpquic/internal/wire"
 )
 
-// Ack policy constants (quic-go era).
+// Ack policy constants (quic-go era), read only by AckDelay.
 const (
 	// AckEveryN retransmittable packets triggers an immediate ACK.
 	AckEveryN = 2
@@ -15,6 +15,44 @@ const (
 	// may be withheld.
 	MaxAckDelay = 25 * time.Millisecond
 )
+
+// AckDelay is the delayed-ACK rule both transport families follow, so
+// that QUIC's ACK frame and TCP's SACK blocks (§4.1) report at the same
+// moments: an ACK is owed at once on every AckEveryN-th packet that
+// wants one, or on one the receiver calls immediate, and otherwise
+// MaxAckDelay after the first packet it has not acked.
+type AckDelay struct {
+	pending  int           // packets received since the last ACK
+	queued   bool          // an ACK is owed now
+	deadline time.Duration // when a delayed ACK falls due; 0 = none
+}
+
+// Received counts a packet that wants an ACK, arriving at now.
+func (d *AckDelay) Received(now time.Duration, immediate bool) {
+	d.pending++
+	if d.pending >= AckEveryN || immediate {
+		d.queued = true
+	} else if d.deadline == 0 {
+		d.deadline = now + MaxAckDelay
+	}
+}
+
+// Due reports whether an ACK should go out at now.
+func (d *AckDelay) Due(now time.Duration) bool {
+	return d.queued || d.deadline != 0 && now >= d.deadline
+}
+
+// Deadline returns when a delayed ACK falls due: 0 while none is
+// pending, or while one is owed already.
+func (d *AckDelay) Deadline() time.Duration {
+	if d.queued {
+		return 0
+	}
+	return d.deadline
+}
+
+// Sent resets the rule as an ACK goes out.
+func (d *AckDelay) Sent() { *d = AckDelay{} }
 
 // AckManager tracks the receive half of one packet-number space and
 // builds ACK frames with up to wire.MaxAckRanges ranges — the rich loss
@@ -38,10 +76,8 @@ type AckManager struct {
 	floor           wire.PacketNumber
 	largestRecvTime time.Duration
 
-	// Pending-ack state.
-	unackedRetransmittable int
-	ackQueued              bool
-	ackDeadline            time.Duration // 0 = none
+	// When the retransmittable packets received owe an ACK.
+	AckDelay
 }
 
 // NewAckManager builds an ack manager for the given path's space.
@@ -104,17 +140,9 @@ func (a *AckManager) OnPacketReceived(pn wire.PacketNumber, retransmittable bool
 		a.largestRecvTime = now
 	}
 	if retransmittable {
-		a.unackedRetransmittable++
-		if a.unackedRetransmittable >= AckEveryN {
-			a.ackQueued = true
-		} else if a.ackDeadline == 0 {
-			a.ackDeadline = now + MaxAckDelay
-		}
 		// Out-of-order arrival signals loss upstream: ack immediately
 		// so the sender's fast retransmit can kick in.
-		if pn != r[0].Largest || len(r) > 1 {
-			a.ackQueued = true
-		}
+		a.Received(now, pn != r[0].Largest || len(r) > 1)
 	}
 	return true
 }
@@ -200,24 +228,8 @@ func (a *AckManager) makeRoom() {
 // packets, which real QUIC stacks ack without delay).
 func (a *AckManager) ForceAck() {
 	if a.HasACKablePackets() {
-		a.ackQueued = true
+		a.queued = true
 	}
-}
-
-// ShouldSendAck reports whether an ACK should go out now.
-func (a *AckManager) ShouldSendAck(now time.Duration) bool {
-	if a.ackQueued {
-		return true
-	}
-	return a.ackDeadline != 0 && now >= a.ackDeadline
-}
-
-// AckDeadline returns the pending delayed-ack deadline (0 = none).
-func (a *AckManager) AckDeadline() time.Duration {
-	if a.ackQueued {
-		return 0
-	}
-	return a.ackDeadline
 }
 
 // HasACKablePackets reports whether anything was ever received.
@@ -247,9 +259,7 @@ func (a *AckManager) BuildAckInto(f *wire.AckFrame, now time.Duration) int {
 	if len(r) == 0 {
 		return 0
 	}
-	a.ackQueued = false
-	a.ackDeadline = 0
-	a.unackedRetransmittable = 0
+	a.Sent()
 	*f = wire.AckFrame{PathID: a.pathID, Ranges: append(f.Ranges[:0], r...), AckDelay: max(now-a.largestRecvTime, 0)}
 	return f.EncodedSizeWith(a.rest)
 }

@@ -167,9 +167,9 @@ func runAckOps(ops []byte) (maxHeld int, err error) {
 		if l, ok := a.LargestReceived(); l != m.largestReceived || ok != m.hasReceived {
 			return maxHeld, fmt.Errorf("step %d: LargestReceived %d, %v; model %d, %v", step, l, ok, m.largestReceived, m.hasReceived)
 		}
-		if a.ShouldSendAck(now) != m.shouldSendAck(now) || a.AckDeadline() != m.pendingDeadline() || a.HasACKablePackets() != m.hasReceived {
-			return maxHeld, fmt.Errorf("step %d at %v: ShouldSendAck %v, AckDeadline %v, HasACKablePackets %v; model %v, %v, %v", step, now,
-				a.ShouldSendAck(now), a.AckDeadline(), a.HasACKablePackets(), m.shouldSendAck(now), m.pendingDeadline(), m.hasReceived)
+		if a.Due(now) != m.shouldSendAck(now) || a.Deadline() != m.pendingDeadline() || a.HasACKablePackets() != m.hasReceived {
+			return maxHeld, fmt.Errorf("step %d at %v: Due %v, Deadline %v, HasACKablePackets %v; model %v, %v, %v", step, now,
+				a.Due(now), a.Deadline(), a.HasACKablePackets(), m.shouldSendAck(now), m.pendingDeadline(), m.hasReceived)
 		}
 		maxHeld = max(maxHeld, len(a.held()))
 		if maxHeld > wire.MaxAckRanges {

@@ -197,18 +197,18 @@ func TestMonotonicPNEnforced(t *testing.T) {
 
 func TestAckManagerImmediateAckEverySecondPacket(t *testing.T) {
 	a := NewAckManager(0)
-	if a.ShouldSendAck(0) {
+	if a.Due(0) {
 		t.Fatal("fresh manager wants ack")
 	}
 	a.OnPacketReceived(0, true, 0)
-	if a.ShouldSendAck(0) {
+	if a.Due(0) {
 		t.Fatal("ack after single packet")
 	}
-	if a.AckDeadline() != MaxAckDelay {
-		t.Fatalf("deadline %v", a.AckDeadline())
+	if a.Deadline() != MaxAckDelay {
+		t.Fatalf("deadline %v", a.Deadline())
 	}
 	a.OnPacketReceived(1, true, time.Millisecond)
-	if !a.ShouldSendAck(time.Millisecond) {
+	if !a.Due(time.Millisecond) {
 		t.Fatal("no ack after 2 packets")
 	}
 }
@@ -216,10 +216,10 @@ func TestAckManagerImmediateAckEverySecondPacket(t *testing.T) {
 func TestAckManagerDelayedAckDeadline(t *testing.T) {
 	a := NewAckManager(0)
 	a.OnPacketReceived(0, true, 10*time.Millisecond)
-	if a.ShouldSendAck(20 * time.Millisecond) {
+	if a.Due(20 * time.Millisecond) {
 		t.Fatal("too early")
 	}
-	if !a.ShouldSendAck(10*time.Millisecond + MaxAckDelay) {
+	if !a.Due(10*time.Millisecond + MaxAckDelay) {
 		t.Fatal("delayed ack never fires")
 	}
 }
@@ -227,11 +227,11 @@ func TestAckManagerDelayedAckDeadline(t *testing.T) {
 func TestAckManagerOutOfOrderTriggersImmediateAck(t *testing.T) {
 	a := NewAckManager(0)
 	a.OnPacketReceived(5, true, 0)
-	if !a.ShouldSendAck(0) {
+	if !a.Due(0) {
 		// First packet is pn 5 → largest==5, single range; but a gap
 		// from 0 is unknowable. Receiving 3 after 5 must trigger.
 		a.OnPacketReceived(3, true, time.Millisecond)
-		if !a.ShouldSendAck(time.Millisecond) {
+		if !a.Due(time.Millisecond) {
 			t.Fatal("reordering did not trigger immediate ack")
 		}
 	}
@@ -257,7 +257,7 @@ func TestAckManagerBuildAckRangesAndDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Building resets policy state.
-	if a.ShouldSendAck(100 * time.Millisecond) {
+	if a.Due(100 * time.Millisecond) {
 		t.Fatal("state not reset")
 	}
 }
@@ -362,18 +362,18 @@ func TestSpaceAccessors(t *testing.T) {
 func TestForceAckAndHasACKable(t *testing.T) {
 	a := NewAckManager(0)
 	a.ForceAck() // nothing received yet: must stay quiet
-	if a.ShouldSendAck(0) {
+	if a.Due(0) {
 		t.Fatal("ForceAck with nothing received queued an ack")
 	}
 	if a.HasACKablePackets() {
 		t.Fatal("HasACKablePackets on empty manager")
 	}
 	a.OnPacketReceived(0, false, 0) // non-retransmittable: no ack owed
-	if a.ShouldSendAck(time.Hour) {
+	if a.Due(time.Hour) {
 		t.Fatal("non-retransmittable packet scheduled an ack")
 	}
 	a.ForceAck()
-	if !a.ShouldSendAck(0) || !a.HasACKablePackets() {
+	if !a.Due(0) || !a.HasACKablePackets() {
 		t.Fatal("ForceAck did not queue")
 	}
 }

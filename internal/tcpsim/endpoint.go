@@ -172,7 +172,7 @@ func (e *Endpoint) Delivered(f *Flow, before uint64, fin bool, finSeq uint64) {
 	if e.onData != nil && (e.data.Size() > before || fin) {
 		e.onData()
 	}
-	if f.AckQueued() {
+	if f.ackDelay.Due(e.now()) {
 		e.ack(f)
 	}
 }
@@ -207,7 +207,7 @@ func (e *Endpoint) onTimer() {
 		if !f.Established() {
 			continue
 		}
-		if f.AckDue() {
+		if f.ackDelay.Due(e.now()) {
 			e.ack(f)
 		}
 		if f.RTOExpired() {

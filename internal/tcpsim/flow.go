@@ -135,10 +135,8 @@ type Flow struct {
 	cutback       recovery.Episode
 
 	// --- receive side ---
-	received    stream.IntervalSet
-	unackedSegs int
-	ackQueued   bool
-	ackDeadline time.Duration
+	received stream.IntervalSet
+	ackDelay recovery.AckDelay // when the segments received owe an ACK
 
 	Stats Stats
 }
@@ -508,29 +506,18 @@ func (f *Flow) OnRTO() []*Record {
 // --- receive side ---
 
 // Receive ingests a data-bearing segment and decides when to
-// acknowledge it: at once for every second segment, out-of-order data
-// and a segment carrying the owner's FIN (fin), otherwise within 25 ms.
+// acknowledge it by the rule QUIC follows (recovery.AckDelay): out-of-order
+// data and a segment carrying the owner's FIN (fin) are acked at once.
 func (f *Flow) Receive(seg *Segment, fin bool) {
 	if seg.Len > 0 {
 		f.received.Add(seg.Seq, seg.End())
 	}
-	f.unackedSegs++
 	outOfOrder := false
 	if ivs := f.received.Intervals(); len(ivs) > 0 {
 		outOfOrder = f.received.FirstMissingFrom(0) < ivs[len(ivs)-1].End
 	}
-	if f.unackedSegs >= 2 || outOfOrder || fin {
-		f.ackQueued = true
-	} else if f.ackDeadline == 0 {
-		f.ackDeadline = f.now() + 25*time.Millisecond
-	}
+	f.ackDelay.Received(f.now(), outOfOrder || fin)
 }
-
-// AckQueued reports an acknowledgment owed now.
-func (f *Flow) AckQueued() bool { return f.ackQueued }
-
-// AckDue reports an expired delayed-ack deadline.
-func (f *Flow) AckDue() bool { return f.ackDeadline != 0 && f.now() >= f.ackDeadline }
 
 // FillAck writes the flow's cumulative ack and SACK blocks into seg
 // (every data segment piggybacks them) and clears the owed ack. The
@@ -539,9 +526,7 @@ func (f *Flow) FillAck(seg *Segment) {
 	seg.ACK = true
 	seg.AckNum = f.received.FirstMissingFrom(0)
 	seg.SACK = buildSACK(seg.sack[:0], f.received.Intervals(), seg.AckNum)
-	f.ackQueued = false
-	f.ackDeadline = 0
-	f.unackedSegs = 0
+	f.ackDelay.Sent()
 }
 
 // --- timers ---
@@ -554,8 +539,8 @@ func (f *Flow) Deadline() time.Duration {
 	if f.bytesInFlight > 0 {
 		d = f.rtoBase() + f.est.RTO()
 	}
-	if f.ackDeadline != 0 && f.ackDeadline < d {
-		d = f.ackDeadline
+	if ad := f.ackDelay.Deadline(); ad != 0 && ad < d {
+		d = ad
 	}
 	return d
 }

@@ -9,6 +9,7 @@ import (
 	"mpquic/internal/netem"
 	"mpquic/internal/recovery"
 	"mpquic/internal/sim"
+	"mpquic/internal/stream"
 )
 
 // The flow holds one Record per segment in flight, taken from slabs of
@@ -326,4 +327,116 @@ func FuzzFlowScoreboard(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		checkScoreboard(t, seed, 300)
 	})
+}
+
+// ackModel is the flow's delayed-ACK rule as it was before the flow
+// took recovery.AckDelay's: three fields of its own, with the ACK owed
+// at once on every second segment, on out-of-order data and on the
+// owner's FIN, and otherwise 25 ms after the first segment not acked.
+// received is its own copy of what arrived, to tell out of order.
+type ackModel struct {
+	received    stream.IntervalSet
+	unackedSegs int
+	ackQueued   bool
+	ackDeadline time.Duration
+}
+
+func (m *ackModel) receive(seg *Segment, fin bool, now time.Duration) {
+	if seg.Len > 0 {
+		m.received.Add(seg.Seq, seg.End())
+	}
+	m.unackedSegs++
+	outOfOrder := false
+	if ivs := m.received.Intervals(); len(ivs) > 0 {
+		outOfOrder = m.received.FirstMissingFrom(0) < ivs[len(ivs)-1].End
+	}
+	if m.unackedSegs >= 2 || outOfOrder || fin {
+		m.ackQueued = true
+	} else if m.ackDeadline == 0 {
+		m.ackDeadline = now + 25*time.Millisecond
+	}
+}
+
+func (m *ackModel) fillAck() { m.ackQueued, m.ackDeadline, m.unackedSegs = false, 0, 0 }
+
+// due is what the endpoint acted on: a queued ACK right after the
+// segment (Delivered), an expired deadline on the timer (onTimer).
+func (m *ackModel) due(now time.Duration) bool {
+	return m.ackQueued || m.ackDeadline != 0 && now >= m.ackDeadline
+}
+
+// deadline is the flow's timer deadline with nothing in flight. A
+// queued ACK went out before the timer was armed, so its deadline was
+// never read.
+func (m *ackModel) deadline() time.Duration {
+	if m.ackQueued || m.ackDeadline == 0 {
+		return Never
+	}
+	return m.ackDeadline
+}
+
+// checkAckRule drives a receiving flow through steps random in-order,
+// gapped, FIN-carrying and duplicate segments, FillAck calls and clock
+// steps drawn from seed, and holds it to ackModel after every step. It
+// returns how many steps found an ACK due.
+func checkAckRule(t *testing.T, seed uint64, steps int) (due int) {
+	t.Helper()
+	clock := sim.NewClock()
+	nw := netem.New(clock, sim.NewRand(seed))
+	cub := cc.NewCubic(MSS, func() time.Duration { return clock.Now().Duration() })
+	f := NewFlow(nw, 0, "s:1", "c:1", cub, false, func(*Segment) {})
+	var m ackModel
+	rng := sim.NewRand(seed * 977)
+	var top uint64 // end of the highest segment sent
+	for step := 0; step < steps; step++ {
+		seg := &Segment{}
+		fin := false
+		switch op := rng.Intn(100); {
+		case op < 40: // in order with the highest so far
+			seg.Seq, seg.Len = top, 1+rng.Intn(MSS)
+		case op < 55: // past a hole
+			seg.Seq, seg.Len = top+uint64(1+rng.Intn(3*MSS)), 1+rng.Intn(MSS)
+		case op < 62: // the owner's FIN, with or without data
+			seg.Seq, seg.Len, fin = top, rng.Intn(2)*(1+rng.Intn(MSS)), true
+		case op < 72: // a duplicate, or a hole filled in
+			seg.Seq, seg.Len = uint64(rng.Intn(int(top)+1)), 1+rng.Intn(MSS)
+		case op < 85:
+			f.FillAck(f.NewSegment())
+			m.fillAck()
+			seg = nil
+		default: // 1-40 ms, past a delayed ACK's deadline now and then
+			d := time.Duration(1+rng.Intn(40)) * time.Millisecond
+			if err := clock.RunUntil(clock.Now() + sim.Time(d)); err != nil {
+				t.Fatal(err)
+			}
+			seg = nil
+		}
+		now := clock.Now().Duration()
+		if seg != nil {
+			top = max(top, seg.End())
+			f.Receive(seg, fin)
+			m.receive(seg, fin, now)
+		}
+		if got, want := f.ackDelay.Due(now), m.due(now); got != want {
+			t.Fatalf("seed %d step %d at %v: Due %v, model %v", seed, step, now, got, want)
+		}
+		if got, want := f.Deadline(), m.deadline(); got != want {
+			t.Fatalf("seed %d step %d at %v: Deadline %v, model %v", seed, step, now, got, want)
+		}
+		if m.due(now) {
+			due++
+		}
+	}
+	return due
+}
+
+// TestFlowAckRuleModel pins when a TCP flow owes an ACK: the rule it
+// shares with QUIC's AckManager must ack exactly when the flow's own
+// rule did.
+func TestFlowAckRuleModel(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		if due := checkAckRule(t, seed, 2000); due < 200 {
+			t.Fatalf("seed %d found an ACK due in only %d steps", seed, due)
+		}
+	}
 }

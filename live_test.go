@@ -189,9 +189,9 @@ func TestLiveWarmServerAllocBytes(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	get(1) // the listener's free list fills with a window's records
 	// The client's reassembly window grows with how far one path runs
-	// ahead of the other, and in about one GET in five it outgrows the
-	// pooled sizes and costs 4 to 7 MB more: the least of four GETs is
-	// the server's cost.
+	// ahead of the other, and in about one GET in five it reaches a
+	// window class the pool has not held yet, whose first window costs
+	// 4 or 8 MiB more: the least of four GETs is the server's cost.
 	least := math.Inf(1)
 	for id := uint64(2); id <= 5; id++ {
 		var before, after runtime.MemStats

@@ -5,8 +5,9 @@
 # working tree, <pairs> times with seeds 1…<pairs>, alternating which
 # side runs first, each side appending to its own --out file, then
 # `--compare` of the two files (parent first, so "better" means this tree
-# is). Uses bench/ as it is on each side; run length and everything else
-# come from BENCHMARK.json's defaults.
+# is). Each run prints its six end-to-end metrics (BENCHMARK.json's
+# end_to_end) as it ends. Uses bench/ as it is on each side; run length
+# and everything else come from BENCHMARK.json's defaults.
 #
 #   git clone -q . /tmp/parent && git -C /tmp/parent checkout -q HEAD~1
 #   scripts/bench-pairs.sh /tmp/parent sim_grid_bulk 10
@@ -35,7 +36,8 @@ out=$(cd "$out" && pwd)
 
 run() { # run <checkout> <side> <seed>
     (cd "$1" && bash bench/run.sh --workload "$workload" --seed "$3" --trace 0 \
-        --out "$out/$workload-$2.jsonl") | grep -E '^(goodput_mbps|cpu_ns_per_pkt|allocs_per_pkt|alloc_kb_per_pkt) ' |
+        --out "$out/$workload-$2.jsonl") |
+        grep -E '^(setup_s|goodput_mbps|unit_ms_p50|cpu_ns_per_pkt|allocs_per_pkt|alloc_kb_per_pkt) ' |
         awk -v side="$2" -v seed="$3" '{ printf "  seed %s %-6s %-16s %s %s\n", seed, side, $1, $2, $3 }'
 }
 
