@@ -24,6 +24,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz='^FuzzAckFrameRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/wire
 	go test -run='^$$' -fuzz='^FuzzLiveIngress$$' -fuzztime=$(FUZZTIME) ./internal/live
 	go test -run='^$$' -fuzz='^FuzzRecvStream$$' -fuzztime=$(FUZZTIME) ./internal/stream
+	go test -run='^$$' -fuzz='^FuzzConnFrames$$' -fuzztime=$(FUZZTIME) ./internal/core
 	go test -run='^$$' -fuzz='^FuzzAckManager$$' -fuzztime=$(FUZZTIME) ./internal/recovery
 	go test -run='^$$' -fuzz='^FuzzSpaceHistory$$' -fuzztime=$(FUZZTIME) ./internal/recovery
 	go test -run='^$$' -fuzz='^FuzzFlowScoreboard$$' -fuzztime=$(FUZZTIME) ./internal/tcpsim

@@ -27,7 +27,7 @@ func serveGet(s *core.Stream) {
 	var req strings.Builder
 	served := false
 	s.OnData(func() {
-		if n := s.Readable(); n > 0 {
+		for n := s.Readable(); n > 0; n = s.Readable() {
 			_, data := s.Read(n)
 			req.Write(data)
 		}
@@ -104,7 +104,7 @@ func (g *GetClient) sendRequest() {
 	s := g.conn.OpenStream()
 	hsDone := g.now()
 	s.OnData(func() {
-		if n := s.Readable(); n > 0 {
+		for n := s.Readable(); n > 0; n = s.Readable() {
 			s.Read(n) // consume to keep flow-control credit moving
 		}
 		if s.Finished() && g.result == nil {

@@ -36,7 +36,7 @@ func NewEchoServerWithPathsHook(l *core.Listener, pathsHook func()) {
 		c.OnStreamOpen(func(s *core.Stream) {
 			replied := false
 			s.OnData(func() {
-				if n := s.Readable(); n > 0 {
+				for n := s.Readable(); n > 0; n = s.Readable() {
 					s.Read(n)
 				}
 				if s.Finished() && !replied {
@@ -89,7 +89,7 @@ func (r *ReqRespClient) fire() {
 	s := r.conn.OpenStream()
 	sentAt := r.clock.Now().Duration()
 	s.OnData(func() {
-		if n := s.Readable(); n > 0 {
+		for n := s.Readable(); n > 0; n = s.Readable() {
 			s.Read(n)
 		}
 		if s.Finished() {

@@ -69,6 +69,9 @@ type Conn struct {
 
 	connFC        *stream.FlowController
 	connRecvTotal uint64
+	// recvChunks counts the reassembly chunks the streams hold
+	// (stream.ChunkSize each); handleStreamFrame bounds it.
+	recvChunks int
 	// streams holds every stream in creation order, local and
 	// peer-opened interleaved as they appeared; Conn.stream finds one
 	// by ID the way Conn.path does.
@@ -676,18 +679,27 @@ func (c *Conn) handleStreamFrame(f *wire.StreamFrame) {
 			c.onStreamOpen(s)
 		}
 	}
-	// Check the stream window before reassembly sees the frame: the
-	// receive buffer is sized by the offsets it is handed, and a hostile
-	// offset must cost the peer its connection, not us the memory.
+	// Check the stream window before reassembly sees the frame: a
+	// hostile offset must cost the peer its connection, not us the
+	// memory.
 	end := f.Offset + uint64(f.Len())
 	if end > s.fc.RecvLimit() {
 		c.closeWithError(fmt.Errorf("core: flow control violated on stream %d", f.StreamID))
 		return
 	}
 	finBefore := s.recv.FinReceived()
+	held := s.recv.Chunks()
 	newBytes, err := s.recv.OnFrame(f)
+	c.recvChunks += s.recv.Chunks() - held
 	if err != nil {
 		c.closeWithError(err)
+		return
+	}
+	// Reassembly is charged by the chunks it holds, as Linux charges an
+	// skb's truesize to the receive buffer: flow control keeps an honest
+	// peer's unread spans within ConnWindow, half of this cap.
+	if c.recvChunks > int(2*c.cfg.ConnWindow/stream.ChunkSize) {
+		c.closeWithError(fmt.Errorf("core: stream %d: reassembly holds %d chunks", f.StreamID, c.recvChunks))
 		return
 	}
 	if newBytes > 0 {
@@ -703,9 +715,12 @@ func (c *Conn) handleStreamFrame(f *wire.StreamFrame) {
 	if s.onData != nil && (newBytes > 0 || (!finBefore && s.recv.FinReceived())) {
 		s.onData()
 		// The callback consumed or copied what it read (Stream.Read's
-		// contract), so once it has finished the stream the reassembly
-		// window is dead: recycle it for the next stream.
-		s.recv.Release()
+		// contract), so once it has finished the stream its last chunk
+		// is dead: hand it back for the next stream.
+		if s.recv.Finished() {
+			c.recvChunks -= s.recv.Chunks()
+			s.recv.Release()
+		}
 	}
 }
 
@@ -756,13 +771,18 @@ func (c *Conn) handleRemoteClose(f *wire.ConnectionCloseFrame) {
 
 // finishClose is the common tail of every way a connection ends: stop
 // the timer, tell the application (closeErr is nil for a local Close),
-// then let the accepting listener forget the connection.
+// hand back what reassembly holds, then let the accepting listener
+// forget the connection.
 func (c *Conn) finishClose() {
 	c.closed = true
 	c.timer.Stop()
 	if c.onClosed != nil {
 		c.onClosed(c.closeErr)
 	}
+	for _, s := range c.streams {
+		s.recv.Release()
+	}
+	c.recvChunks = 0
 	if c.acceptedBy != nil {
 		c.acceptedBy.forget(c)
 	}

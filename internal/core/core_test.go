@@ -96,7 +96,7 @@ func TestSinglePathRealDataEcho(t *testing.T) {
 	h.client.OnHandshakeComplete(func() {
 		s := h.client.OpenStream()
 		s.OnData(func() {
-			if n := s.Readable(); n > 0 {
+			for n := s.Readable(); n > 0; n = s.Readable() {
 				_, data := s.Read(n)
 				got = append(got, data...)
 			}
@@ -442,7 +442,7 @@ func TestForgedPacketDeliversNothing(t *testing.T) {
 	h.client.OnHandshakeComplete(func() {
 		s := h.client.OpenStream()
 		s.OnData(func() {
-			if n := s.Readable(); n > 0 {
+			for n := s.Readable(); n > 0; n = s.Readable() {
 				_, data := s.Read(n)
 				got = append(got, data...)
 			}

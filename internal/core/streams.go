@@ -43,13 +43,14 @@ func (s *Stream) Close() {
 func (s *Stream) Readable() uint64 { return s.recv.Readable() }
 
 // Read consumes up to n readable bytes, freeing flow-control credit.
-// data is nil for synthetic payloads; otherwise it aliases the
-// stream's reassembly window and is valid only until the connection
-// handles its next datagram: consume or copy it before returning. (Once
-// an OnData callback returns with the stream Finished, the window goes
-// back to the pool for the next stream.)
+// data is nil for synthetic payloads, and a synthetic Read takes all n.
+// Real bytes sit in stream.ChunkSize chunks and a Read ends where its
+// chunk does, so loop while Readable is not 0. data aliases the chunk
+// until the next Read, datagram or close: consume or copy it first.
 func (s *Stream) Read(n uint64) (uint64, []byte) {
+	held := s.recv.Chunks()
 	consumed, data := s.recv.Read(n)
+	s.conn.recvChunks += s.recv.Chunks() - held
 	if consumed > 0 {
 		s.fc.OnConsume(consumed)
 		s.conn.connFC.OnConsume(consumed)

@@ -64,7 +64,7 @@ func fuzzIngressSeeds() [][]byte {
 	flipped[len(flipped)/2] ^= 0x40
 	// One datagram delivering a stream the hostile way: out of order,
 	// duplicated, partially overlapping, and past a FIN — what the
-	// sliding reassembly window (stream.RecvStream) has to absorb.
+	// chunked reassembly (stream.RecvStream) has to absorb.
 	payload := make([]byte, 600)
 	reordered := (&wire.Packet{
 		Header: wire.Header{ConnID: 7, PacketNumber: 3},

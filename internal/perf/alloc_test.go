@@ -279,6 +279,44 @@ func TestIntervalSetEditsAllocFree(t *testing.T) {
 	}
 }
 
+// TestRecvStreamReassemblyAllocFree: once the chunk pool holds a
+// stream's reordering span, taking frames out of order (each pair
+// swapped, so the second fills a hole; now and then one straddles a
+// chunk boundary) and reading them back in the chunk-capped loop the
+// applications run allocates nothing: a chunk the read offset passes
+// goes back to the pool, and the next one comes from it.
+func TestRecvStreamReassemblyAllocFree(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("sync.Pool drops a quarter of what is put back under -race, on purpose")
+	}
+	data := make([]byte, 1350)
+	r := stream.NewRecvStream(3)
+	var (
+		off  uint64
+		a, b wire.StreamFrame
+	)
+	deliver := func() {
+		for i := 0; i < 32; i++ {
+			a = wire.StreamFrame{StreamID: 3, Offset: off + 1350, Data: data}
+			b = wire.StreamFrame{StreamID: 3, Offset: off, Data: data}
+			if _, err := r.OnFrame(&a); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.OnFrame(&b); err != nil {
+				t.Fatal(err)
+			}
+			for n := r.Readable(); n > 0; n = r.Readable() {
+				r.Read(n)
+			}
+			off += 2700
+		}
+	}
+	deliver() // the pool and the stream's chunk list grow to the span
+	if allocs := testing.AllocsPerRun(100, deliver); allocs > 0 {
+		t.Errorf("reordered OnFrame and Read allocate %.1f per 64 frames once the pool holds the span, want 0", allocs)
+	}
+}
+
 // TestAckManagerSteadyStateAllocFree: once a receiver holds
 // wire.MaxAckRanges ranges, taking packets — in order, after a hole
 // (which forgets the oldest range), reordered into a hole — and building

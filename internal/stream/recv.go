@@ -2,12 +2,23 @@ package stream
 
 import (
 	"fmt"
-	"math"
-	"math/bits"
+	"slices"
 	"sync"
 
 	"mpquic/internal/wire"
 )
+
+// ChunkSize is the unit of reassembly memory: a RecvStream stores the
+// real-mode bytes it receives in chunks of this size, and a connection
+// counts what its streams hold in them.
+const ChunkSize = 16 << 10
+
+type chunk [ChunkSize]byte
+
+// chunkPool is where every stream's chunks come from and go back to:
+// one chunk per ChunkSize of received bytes not yet read, whichever
+// stream, connection or goroutine held it last.
+var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
 
 // RecvStream reassembles STREAM frames arriving out of order — possibly
 // over different paths — using the (offset, length) information that
@@ -16,13 +27,14 @@ import (
 type RecvStream struct {
 	id       wire.StreamID
 	received IntervalSet
-	// buf is a sliding window over the real-mode bytes: buf[i] is
-	// stream offset base+i, with base <= readOffset, so memory is
-	// bounded by the span between the read offset and the highest
-	// offset received (at most the flow-control window), not by the
-	// length of the stream. nil until real data arrives.
-	buf        []byte
-	base       uint64
+	// chunks[i] holds stream offsets [(first+i)·ChunkSize, +ChunkSize)
+	// of real-mode bytes, or is nil while none of them has landed.
+	// first·ChunkSize <= readOffset, so memory follows the bytes
+	// received and not yet read, not the offsets a peer names; held
+	// counts the chunks that are not nil.
+	chunks     []*chunk
+	first      uint64
+	held       int
 	readOffset uint64
 	finOffset  uint64
 	hasFin     bool
@@ -55,94 +67,30 @@ func (r *RecvStream) OnFrame(f *wire.StreamFrame) (newBytes uint64, err error) {
 	r.received.Add(f.Offset, end)
 	newBytes = r.received.Size() - before
 	if f.Data != nil && end > r.readOffset {
-		r.reserve(end)
-		// Bytes below base were read already; a late duplicate
-		// straddling base contributes only its tail.
-		from := f.Offset
-		if from < r.base {
-			from = r.base
+		// Bytes below the read offset were read already; a late
+		// duplicate straddling it contributes only its tail.
+		from := max(f.Offset, r.readOffset)
+		for data := f.Data[from-f.Offset:]; len(data) > 0; {
+			n := copy(r.chunk(from/ChunkSize - r.first)[from%ChunkSize:], data)
+			data, from = data[n:], from+uint64(n)
 		}
-		copy(r.buf[from-r.base:end-r.base], f.Data[from-f.Offset:])
 	}
 	return newBytes, nil
 }
 
-// minRecvBuf is the smallest reassembly buffer allocated.
-const minRecvBuf = 16 << 10
-
-// windowPools recycles reassembly windows: class k holds buffers of
-// capacity minRecvBuf<<k, the capacities reserve grows to. A window that
-// is outgrown is dead the moment its bytes are copied out — Read's
-// slices are valid only until the next OnFrame, and growing happens
-// inside one — so it goes back at once and the next stream climbing the
-// same ladder, on this connection or a later one, takes it instead of
-// allocating. A stream's last window goes back through Release, once
-// its owner knows no slice of it is still in use.
-var windowPools [11]sync.Pool // 16 KiB to 16 MiB, the default flow-control window
-
-// windowClass returns the smallest class whose capacity is at least n.
-func windowClass(n uint64) int {
-	if n <= minRecvBuf {
-		return 0
+// chunk returns chunks[i], taking a zeroed chunk from the pool if no
+// byte has landed there yet. chunks[len:cap] is all nil.
+func (r *RecvStream) chunk(i uint64) *chunk {
+	if i >= uint64(len(r.chunks)) {
+		r.chunks = slices.Grow(r.chunks, int(i+1)-len(r.chunks))[:i+1]
 	}
-	return bits.Len64((n - 1) / minRecvBuf)
-}
-
-// getWindow returns a zeroed buffer of length n from the smallest class
-// that holds it: the capacity is at least n and less than 2n. When that
-// is more than limit, the rest of a stream whose length is known, or
-// when n is beyond the largest class, the buffer comes from no class and
-// has capacity 2n or limit, whichever is less.
-func getWindow(n, limit uint64) []byte {
-	k := windowClass(n)
-	if k >= len(windowPools) || minRecvBuf<<k > limit {
-		return make([]byte, n, min(2*n, limit))
+	if r.chunks[i] == nil {
+		c := chunkPool.Get().(*chunk)
+		clear(c[:]) // as a fresh one would be: no stream sees another's bytes
+		r.chunks[i] = c
+		r.held++
 	}
-	if p, ok := windowPools[k].Get().(*[]byte); ok {
-		b := (*p)[:minRecvBuf<<k]
-		clear(b) // as a fresh one would be: no stream sees another's bytes
-		return b[:n]
-	}
-	return make([]byte, n, minRecvBuf<<k)
-}
-
-// putWindow recycles an outgrown window, unless it came from no class.
-func putWindow(b []byte) {
-	if k := windowClass(uint64(cap(b))); k < len(windowPools) && cap(b) == minRecvBuf<<k {
-		windowPools[k].Put(&b)
-	}
-}
-
-// reserve makes buf cover stream offsets up to end. When the frame does
-// not fit, the unread bytes first slide to the front of the buffer;
-// only when the unread span itself (read offset to end) exceeds the
-// capacity does the buffer grow — to the pooled window class that holds
-// that span, less than twice it and never past the stream length once
-// the FIN is known — and the window it outgrew is recycled.
-func (r *RecvStream) reserve(end uint64) {
-	if end-r.base <= uint64(cap(r.buf)) {
-		if end-r.base > uint64(len(r.buf)) {
-			r.buf = r.buf[:end-r.base]
-		}
-		return
-	}
-	// Drop the consumed prefix.
-	unread := r.buf[min(r.readOffset-r.base, uint64(len(r.buf))):]
-	r.base = r.readOffset
-	need := end - r.base
-	if need <= uint64(cap(r.buf)) {
-		n := copy(r.buf[:cap(r.buf)], unread)
-		r.buf = r.buf[:max(uint64(n), need)]
-		return
-	}
-	limit := uint64(math.MaxUint64)
-	if r.hasFin {
-		limit = r.finOffset - r.base
-	}
-	grown := getWindow(need, limit)
-	copy(grown, unread)
-	putWindow(r.buf)
-	r.buf = grown
+	return r.chunks[i]
 }
 
 // Readable reports contiguous bytes available past the read offset.
@@ -151,37 +99,64 @@ func (r *RecvStream) Readable() uint64 {
 }
 
 // Read consumes up to n contiguous bytes and returns how many were
-// consumed plus the real-mode bytes (nil in synthetic mode). data
-// aliases the reassembly window and is valid until the next OnFrame,
-// which may slide or replace it: consume or copy it first.
+// consumed plus the real-mode bytes (nil in synthetic mode). Where the
+// stream holds real bytes, a Read ends at the end of the chunk it
+// starts in: callers loop while Readable is not 0. data aliases that
+// chunk and is valid until the next Read or Release: consume or copy
+// it first.
 func (r *RecvStream) Read(n uint64) (consumed uint64, data []byte) {
-	avail := r.Readable()
-	if n > avail {
-		n = avail
-	}
+	n = min(n, r.Readable())
 	if n == 0 {
 		return 0, nil
 	}
-	if at := r.readOffset - r.base; r.buf != nil && uint64(len(r.buf)) >= at+n {
-		data = r.buf[at : at+n]
+	r.drop()
+	if len(r.chunks) > 0 && r.chunks[0] != nil {
+		at := r.readOffset % ChunkSize
+		n = min(n, ChunkSize-at)
+		data = r.chunks[0][at : at+n]
 	}
 	r.readOffset += n
 	return n, data
 }
 
-// Release returns a finished stream's reassembly window to the pool, so
-// the next stream to climb the same ladder takes it instead of
-// allocating. The caller vouches that no slice Read returned is still
-// in use. Before the stream is Finished it does nothing; after it, the
-// stream reads and accepts late duplicates as before (neither touches
-// the window).
-func (r *RecvStream) Release() {
-	if !r.Finished() || r.buf == nil {
+// drop hands back the chunks the read offset has passed. The Read that
+// passes a chunk returns its last bytes, so the chunk goes back at the
+// next Read, not in that one.
+func (r *RecvStream) drop() {
+	k := r.readOffset/ChunkSize - r.first
+	if k == 0 {
 		return
 	}
-	putWindow(r.buf)
-	r.buf, r.base = nil, r.readOffset
+	r.first += k
+	k = min(k, uint64(len(r.chunks)))
+	for _, c := range r.chunks[:k] {
+		r.put(c)
+	}
+	n := copy(r.chunks, r.chunks[k:])
+	clear(r.chunks[n:])
+	r.chunks = r.chunks[:n]
 }
+
+func (r *RecvStream) put(c *chunk) {
+	if c != nil {
+		chunkPool.Put(c)
+		r.held--
+	}
+}
+
+// Release hands back every chunk the stream holds. The caller vouches
+// that no slice Read returned is still in use. The stream still counts
+// and accepts frames as before, and bytes whose chunk went back read as
+// nil data.
+func (r *RecvStream) Release() {
+	for _, c := range r.chunks {
+		r.put(c)
+	}
+	r.chunks = nil
+}
+
+// Chunks returns how many chunks the stream holds.
+func (r *RecvStream) Chunks() int { return r.held }
 
 // BytesReceived returns the total distinct bytes received so far.
 func (r *RecvStream) BytesReceived() uint64 { return r.received.Size() }

@@ -9,9 +9,9 @@ import (
 	"mpquic/internal/wire"
 )
 
-// recvModel is the obvious RecvStream the sliding window must be
+// recvModel is the obvious RecvStream the chunked one must be
 // indistinguishable from: the whole stream from offset 0 and one flag
-// per byte — what RecvStream itself kept before its buffer slid.
+// per byte.
 type recvModel struct {
 	data       []byte
 	have       []bool
@@ -71,8 +71,9 @@ func (m *recvModel) complete() bool {
 	return m.hasFin && m.covers(0, m.finOffset)
 }
 
-// recvOpsSource is the stream the op sequences below deliver: long
-// enough that the window slides and grows many times over.
+// recvOpsSource is the stream the op sequences below deliver: six
+// chunks, so frames and reads straddle chunk boundaries many times
+// over.
 var recvOpsSource = func() []byte {
 	b := make([]byte, 96<<10)
 	rand.New(rand.NewSource(1)).Read(b)
@@ -81,11 +82,11 @@ var recvOpsSource = func() []byte {
 
 // runRecvOps interprets ops, four bytes each, as a hostile delivery of
 // recvOpsSource — frames in any order, duplicated, partially
-// overlapping, below the read offset (straddling the window base), with
-// consistent and conflicting FINs, reads of any size in between — and
-// checks RecvStream against recvModel after every step. It then
-// delivers whatever is still missing and requires the bytes read to be
-// the bytes written. It reports the first divergence.
+// overlapping, below the read offset (straddling it), with consistent
+// and conflicting FINs, reads of any size in between — and checks
+// RecvStream against recvModel after every step. It then delivers
+// whatever is still missing and requires the bytes read to be the
+// bytes written. It reports the first divergence.
 func runRecvOps(ops []byte) error {
 	src := recvOpsSource
 	r := NewRecvStream(3)
@@ -93,7 +94,6 @@ func runRecvOps(ops []byte) error {
 	var (
 		got      []byte
 		frontier uint64 // frames scatter around the highest offset sent
-		maxSpan  uint64 // largest unread span seen
 	)
 	check := func(step string) error {
 		if r.Readable() != m.readable() || r.BytesReceived() != m.received ||
@@ -103,8 +103,12 @@ func runRecvOps(ops []byte) error {
 				step, r.Readable(), m.readable(), r.BytesReceived(), m.received, r.FinReceived(), m.hasFin,
 				r.readOffset, m.readOffset, complete(r), m.complete())
 		}
-		if limit := max(2*maxSpan, minRecvBuf); uint64(cap(r.buf)) > limit {
-			return fmt.Errorf("%s: cap(buf) = %d exceeds twice the largest unread span %d", step, cap(r.buf), maxSpan)
+		// The chunks held lie between the read offset and the highest
+		// offset received, plus the one a Read ending on a chunk
+		// boundary has passed but not yet handed back.
+		span := uint64(len(m.data)) - min(m.readOffset, uint64(len(m.data)))
+		if limit := (span+ChunkSize-1)/ChunkSize + 1; uint64(r.Chunks()) > limit {
+			return fmt.Errorf("%s: %d chunks held over an unread span of %d bytes, limit %d", step, r.Chunks(), span, limit)
 		}
 		return nil
 	}
@@ -116,20 +120,25 @@ func runRecvOps(ops []byte) error {
 		if (err != nil) != wantErr || gotNew != wantNew {
 			return fmt.Errorf("%s: new bytes %d err %v, model %d failed=%v", step, gotNew, err, wantNew, wantErr)
 		}
-		if err == nil && off+n > m.readOffset {
-			maxSpan = max(maxSpan, off+n-m.readOffset)
-		}
 		return check(step)
 	}
+	// read consumes n bytes, or all that is readable, one chunk-capped
+	// Read at a time, as the applications do.
 	read := func(n uint64) error {
-		want := min(n, m.readable())
-		consumed, data := r.Read(n)
-		if consumed != want || !bytes.Equal(data, m.data[m.readOffset:m.readOffset+want]) {
-			return fmt.Errorf("read %d at %d: consumed %d (model %d) or wrong bytes", n, m.readOffset, consumed, want)
+		for n = min(n, m.readable()); n > 0; {
+			want := min(n, ChunkSize-m.readOffset%ChunkSize)
+			consumed, data := r.Read(n)
+			if consumed != want || !bytes.Equal(data, m.data[m.readOffset:m.readOffset+want]) {
+				return fmt.Errorf("read %d at %d: consumed %d (model %d, to the chunk's end) or wrong bytes", n, m.readOffset, consumed, want)
+			}
+			got = append(got, data...)
+			m.readOffset += want
+			n -= want
+			if err := check(fmt.Sprintf("read %d", want)); err != nil {
+				return err
+			}
 		}
-		got = append(got, data...)
-		m.readOffset += want
-		return check(fmt.Sprintf("read %d", n))
+		return nil
 	}
 	for ; len(ops) >= 4; ops = ops[4:] {
 		kind, a, b, c := ops[0], uint64(ops[1]), uint64(ops[2]), uint64(ops[3])
@@ -183,8 +192,9 @@ func runRecvOps(ops []byte) error {
 	return nil
 }
 
-// recvOpsSeed is a fixed op sequence that slides, grows, re-reads below
-// the base and trips both FIN errors; it seeds the fuzzers.
+// recvOpsSeed is a fixed op sequence that straddles chunks, re-reads
+// below the read offset and trips both FIN errors; it seeds the
+// fuzzers.
 func recvOpsSeed() []byte {
 	ops := make([]byte, 4*4000)
 	rand.New(rand.NewSource(14)).Read(ops)
@@ -192,9 +202,9 @@ func recvOpsSeed() []byte {
 }
 
 // TestRecvStreamMatchesModel: random deliveries with reads interleaved
-// at random points — the sliding window must read back exactly what was
+// at random points — the chunked stream must read back exactly what was
 // written, agree with the whole-stream model on every counter and FIN
-// error, and never hold more than twice the largest unread span.
+// error, and never hold a chunk more than its unread span needs.
 func TestRecvStreamMatchesModel(t *testing.T) {
 	if err := runRecvOps(recvOpsSeed()); err != nil {
 		t.Fatalf("seed sequence: %v", err)

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"bytes"
-	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -374,48 +373,58 @@ func TestRecvStreamFinHandling(t *testing.T) {
 	}
 }
 
-// Release recycles the window of a finished stream, and only of a
-// finished one; the stream still answers reads and late duplicates.
-func TestRecvStreamReleaseRecyclesFinishedWindow(t *testing.T) {
-	const size = 40 << 10 // the window climbs to the 64 KiB class
+// A chunk goes back to the pool once the read offset has passed it, and
+// Release hands back the rest; a released stream still answers reads
+// and late duplicates, and the next stream takes the chunks back.
+func TestRecvStreamReleaseReturnsChunks(t *testing.T) {
+	const size = 2*ChunkSize + ChunkSize/2
 	data := make([]byte, size)
-	// finished returns a stream that took all of data, FIN last as in a
-	// GET, read it to the end, and was asked to Release before the end.
-	finished := func() *RecvStream {
-		r := NewRecvStream(3)
-		r.OnFrame(&wire.StreamFrame{StreamID: 3, Offset: size / 2, Data: data[size/2:]})
-		r.OnFrame(&wire.StreamFrame{StreamID: 3, Offset: 0, Data: data[:size/2]})
-		r.Release()
-		if r.buf == nil {
-			t.Fatal("Release took the window of an unfinished stream")
-		}
-		r.OnFrame(&wire.StreamFrame{StreamID: 3, Offset: size, Fin: true})
-		if n, _ := r.Read(size); n != size || !r.Finished() {
-			t.Fatalf("read %d of %d, finished %v", n, size, r.Finished())
-		}
-		return r
+	for i := range data {
+		data[i] = byte(i%251 + 1) // never 0, as a cleared chunk is
 	}
-	r := finished()
+	r := NewRecvStream(3)
+	r.OnFrame(&wire.StreamFrame{StreamID: 3, Offset: size / 2, Data: data[size/2:], Fin: true})
+	r.OnFrame(&wire.StreamFrame{StreamID: 3, Offset: 0, Data: data[:size/2]})
+	if r.Chunks() != 3 {
+		t.Fatalf("%d chunks held for %d bytes, want 3", r.Chunks(), size)
+	}
+	var got []byte
+	for r.Readable() > 0 {
+		_, b := r.Read(size)
+		got = append(got, b...)
+		// The chunk a Read ends in stays; the ones before it went back.
+		if want := 3 - int((r.readOffset-1)/ChunkSize); r.Chunks() != want {
+			t.Fatalf("at offset %d: %d chunks held, want %d", r.readOffset, r.Chunks(), want)
+		}
+	}
+	if !r.Finished() || !bytes.Equal(got, data) {
+		t.Fatalf("finished %v, read back %d of %d bytes intact: %v", r.Finished(), len(got), size, bytes.Equal(got, data))
+	}
+	last := r.chunks[0]
 	r.Release()
-	if r.buf != nil {
-		t.Fatal("a finished stream kept its window after Release")
+	if r.Chunks() != 0 || r.chunks != nil {
+		t.Fatalf("Release left %d chunks", r.Chunks())
 	}
-	if n, err := r.OnFrame(&wire.StreamFrame{StreamID: 3, Offset: 0, Data: data[:100]}); err != nil || n != 0 || r.buf != nil || r.Readable() != 0 {
-		t.Fatalf("late duplicate after Release: new %d, err %v, window %v, readable %d", n, err, r.buf != nil, r.Readable())
+	if n, err := r.OnFrame(&wire.StreamFrame{StreamID: 3, Offset: 0, Data: data[:100]}); err != nil || n != 0 || r.Chunks() != 0 || r.Readable() != 0 {
+		t.Fatalf("late duplicate after Release: new %d, err %v, chunks %d, readable %d", n, err, r.Chunks(), r.Readable())
 	}
-	// The next stream climbing to the same class takes the released
-	// window. Under the race detector sync.Pool drops a quarter of what
-	// is put back, so a few streams may have to try.
+	// The next stream takes the released chunk, cleared: sync.Pool hands
+	// out what was put last first. Under the race detector it drops a
+	// quarter of what is put back, so a few tries may be needed.
 	for try := 0; ; try++ {
-		r := finished()
-		win := &r.buf[:cap(r.buf)][0]
-		r.Release()
-		if got := getWindow(size, math.MaxUint64); &got[:cap(got)][0] == win {
+		next := NewRecvStream(5)
+		next.OnFrame(&wire.StreamFrame{StreamID: 5, Offset: 1, Data: data[:1]})
+		if c := next.chunks[0]; c[0] != 0 || c[ChunkSize-1] != 0 {
+			t.Fatal("a chunk from the pool carries another stream's bytes")
+		}
+		if next.chunks[0] == last {
 			break
 		}
 		if try == 20 {
-			t.Fatal("no released window came back from the pool")
+			t.Fatal("no released chunk came back from the pool")
 		}
+		last = next.chunks[0]
+		next.Release()
 	}
 }
 

@@ -75,7 +75,10 @@ func TestLiveFacadeTwoPathDownload(t *testing.T) {
 // received (both sides' allocations counted). The server's first window
 // holds about half the transfer, and its in-flight records once cost an
 // allocation each, about 0.55 per packet; they come in slabs now, and
-// the GET reads about 0.07.
+// the GET reads about 0.07. The client's reassembly chunks come from a
+// pool the warm-up GET filled, but a GET whose reordering span is larger
+// than the warm-up's takes the difference as new chunks, one allocation
+// per 16 KiB: the budget leaves room for that.
 func TestLiveFreshGetAllocsPerPacket(t *testing.T) {
 	if testing.Short() {
 		t.Skip("moves 20 MiB over loopback")
@@ -131,7 +134,9 @@ func TestLiveFreshGetAllocsPerPacket(t *testing.T) {
 // server's sent-packet records once came from fresh slabs for every
 // connection, and it read about 160; the connections a listener accepts
 // draw them from one free list now, which the first connection filled
-// and gave back when its client closed it.
+// and gave back when its client closed it. It runs on every P: a chunk
+// Put in another P's private pool slot costs one 16 KiB chunk, not a
+// reassembly window of the whole span.
 func TestLiveWarmServerAllocBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("moves 50 MiB over loopback")
@@ -184,14 +189,12 @@ func TestLiveWarmServerAllocBytes(t *testing.T) {
 		return conn.Stats.PacketsReceived
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	// One P: the client's receive windows come from sync.Pools, and a
-	// Get on one P does not find what another P Put in its private slot.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	get(1) // the listener's free list fills with a window's records
-	// The client's reassembly window grows with how far one path runs
-	// ahead of the other, and in about one GET in five it reaches a
-	// window class the pool has not held yet, whose first window costs
-	// 4 or 8 MiB more: the least of four GETs is the server's cost.
+	// The client reassembles in 16 KiB chunks from one pool, as many as
+	// the bytes one path has delivered ahead of the other. A GET whose
+	// reordering span is larger than any earlier GET's takes the
+	// difference as new chunks, several MB more in the first GETs of a
+	// process: the least of four GETs is the server's cost.
 	least := math.Inf(1)
 	for id := uint64(2); id <= 5; id++ {
 		var before, after runtime.MemStats
