@@ -1,6 +1,7 @@
 // Benchmark harness: one testing.B benchmark per table and figure of
-// the paper's evaluation, plus ablation benchmarks for the §3 design
-// choices. Each benchmark runs a (subsampled) grid and reports the
+// the paper's evaluation, plus the PATHS-frame ablation of §4.3 (the
+// other §3 knobs are judged over the grids by mpq-bench -exp
+// ablations). Each benchmark runs a (subsampled) grid and reports the
 // figure's headline statistics as custom metrics, so
 //
 //	go test -bench=Fig3 -benchmem
@@ -19,7 +20,6 @@ import (
 
 	"mpquic/internal/core"
 	"mpquic/internal/expdesign"
-	"mpquic/internal/netem"
 	"mpquic/internal/stats"
 )
 
@@ -171,153 +171,6 @@ func boolMetric(v bool) float64 {
 	return 0
 }
 
-// --- ablation benchmarks: the §3 design choices ---
-
-// ablationScenarios is a handcrafted scenario set chosen to expose the
-// design choices: strongly heterogeneous paths (where scheduling and
-// coupling decisions matter), a balanced pair (aggregation), and a
-// lossy asymmetric pair (recovery routing).
-func ablationScenarios() []expdesign.Scenario {
-	mk := func(id int, p0, p1 netem.PathSpec) expdesign.Scenario {
-		return expdesign.Scenario{ID: id, Class: "ablation", Paths: [2]netem.PathSpec{p0, p1}}
-	}
-	ms := time.Millisecond
-	return []expdesign.Scenario{
-		// Heterogeneous capacity and RTT: a scheduler that leans on
-		// the slow path pays for it.
-		mk(0, netem.PathSpec{CapacityMbps: 20, RTT: 15 * ms, QueueDelay: 50 * ms},
-			netem.PathSpec{CapacityMbps: 2, RTT: 150 * ms, QueueDelay: 150 * ms}),
-		// Balanced: aggregation potential 2x.
-		mk(1, netem.PathSpec{CapacityMbps: 8, RTT: 30 * ms, QueueDelay: 80 * ms},
-			netem.PathSpec{CapacityMbps: 8, RTT: 35 * ms, QueueDelay: 80 * ms}),
-		// Lossy slow path: retransmission routing and coupling matter.
-		mk(2, netem.PathSpec{CapacityMbps: 12, RTT: 25 * ms, QueueDelay: 60 * ms},
-			netem.PathSpec{CapacityMbps: 3, RTT: 80 * ms, QueueDelay: 100 * ms, LossRate: 0.01}),
-		// Extreme RTT asymmetry with a tight queue.
-		mk(3, netem.PathSpec{CapacityMbps: 10, RTT: 10 * ms, QueueDelay: 30 * ms},
-			netem.PathSpec{CapacityMbps: 5, RTT: 250 * ms, QueueDelay: 60 * ms}),
-	}
-}
-
-func runVariant(b *testing.B, cfg core.Config) (meanElapsed float64, completed int) {
-	b.Helper()
-	var el []float64
-	for _, sc := range ablationScenarios() {
-		res := expdesign.RunMPQUICVariant(sc, cfg, 4<<20, 0, 11)
-		if res.Completed {
-			completed++
-		}
-		el = append(el, res.Elapsed.Seconds())
-	}
-	return stats.Mean(el), completed
-}
-
-// BenchmarkAblationScheduler compares the paper's lowest-RTT scheduler
-// against round-robin (§3 argues round-robin is fragile with
-// heterogeneous paths).
-func BenchmarkAblationScheduler(b *testing.B) {
-	var lr, rr float64
-	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig()
-		lr, _ = runVariant(b, cfg)
-		cfg.Scheduler = core.SchedRoundRobin
-		rr, _ = runVariant(b, cfg)
-	}
-	b.ReportMetric(lr, "lowest_rtt_mean_s")
-	b.ReportMetric(rr, "round_robin_mean_s")
-}
-
-// BenchmarkAblationDuplication toggles the duplicate-on-fresh-path
-// phase of the scheduler (§3: duplication trades some overhead for
-// immediate use of new paths without head-of-line risk).
-func BenchmarkAblationDuplication(b *testing.B) {
-	var withDup, noDup float64
-	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig()
-		withDup, _ = runVariant(b, cfg)
-		cfg.Scheduler = core.SchedLowestRTTNoDup
-		noDup, _ = runVariant(b, cfg)
-	}
-	b.ReportMetric(withDup, "duplication_mean_s")
-	b.ReportMetric(noDup, "no_duplication_mean_s")
-}
-
-// BenchmarkAblationCongestionControl compares coupled OLIA against
-// running decoupled CUBIC on every path (§3: decoupled CUBIC on a
-// multipath connection is unfair; OLIA is the paper's choice).
-func BenchmarkAblationCongestionControl(b *testing.B) {
-	var olia, cubic float64
-	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig()
-		olia, _ = runVariant(b, cfg)
-		cfg.CC = core.CCCubic
-		cubic, _ = runVariant(b, cfg)
-	}
-	b.ReportMetric(olia, "olia_mean_s")
-	b.ReportMetric(cubic, "decoupled_cubic_mean_s")
-}
-
-// BenchmarkAblationWindowUpdateBroadcast toggles sending WINDOW_UPDATE
-// frames on all paths (§3: broadcast avoids receive-buffer blocking).
-func BenchmarkAblationWindowUpdateBroadcast(b *testing.B) {
-	var bcast, single float64
-	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig()
-		bcast, _ = runVariant(b, cfg)
-		cfg.WindowUpdateAllPaths = false
-		single, _ = runVariant(b, cfg)
-	}
-	b.ReportMetric(bcast, "wu_all_paths_mean_s")
-	b.ReportMetric(single, "wu_single_path_mean_s")
-}
-
-// BenchmarkAblationBLEST compares the paper's lowest-RTT scheduler
-// against the BLEST-inspired blocking-estimation scheduler (extension;
-// BLEST is cited as related work [16]) on a window-constrained,
-// heterogeneous scenario where blocking estimation should help.
-func BenchmarkAblationBLEST(b *testing.B) {
-	var lowest, blest float64
-	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig()
-		cfg.ConnWindow = 512 << 10
-		cfg.StreamWindow = 512 << 10
-		lowest, _ = runVariant(b, cfg)
-		cfg.Scheduler = core.SchedBLEST
-		blest, _ = runVariant(b, cfg)
-	}
-	b.ReportMetric(lowest, "lowest_rtt_mean_s")
-	b.ReportMetric(blest, "blest_mean_s")
-}
-
-// BenchmarkAblationLIAvsOLIA compares the two coupled congestion
-// controllers (the comparison §3 leaves to further study).
-func BenchmarkAblationLIAvsOLIA(b *testing.B) {
-	var olia, lia float64
-	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig()
-		olia, _ = runVariant(b, cfg)
-		cfg.CC = core.CCLia
-		lia, _ = runVariant(b, cfg)
-	}
-	b.ReportMetric(olia, "olia_mean_s")
-	b.ReportMetric(lia, "lia_mean_s")
-}
-
-// BenchmarkAblationTailReinjection measures the completion-tail
-// extension on the blackholed-path scenario its test pins down.
-func BenchmarkAblationTailReinjection(b *testing.B) {
-	var with, without float64
-	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig()
-		cfg.TailReinjection = true
-		with, _ = runVariant(b, cfg)
-		cfg.TailReinjection = false
-		without, _ = runVariant(b, cfg)
-	}
-	b.ReportMetric(with, "tail_reinjection_mean_s")
-	b.ReportMetric(without, "no_reinjection_mean_s")
-}
-
 // BenchmarkStructVsWireNullSealer is the measurement behind the
 // decision to keep struct mode (DESIGN.md, "Substitutions"): the same
 // MPQUIC downloads — eight scenarios of a class, 4 MiB each — with
@@ -377,29 +230,6 @@ func BenchmarkGridStacks(b *testing.B) {
 			b.ReportMetric(float64(pkts)/float64(b.N), "pkts/op")
 		})
 	}
-}
-
-// BenchmarkAblationZeroRTT quantifies the 0-RTT resumption extension
-// on Fig. 9's short-transfer workload, where §4.2 shows handshake
-// latency dominates.
-func BenchmarkAblationZeroRTT(b *testing.B) {
-	run := func(zeroRTT bool) float64 {
-		var el []float64
-		for _, sc := range ablationScenarios() {
-			cfg := core.DefaultConfig()
-			cfg.ZeroRTT = zeroRTT
-			res := expdesign.RunMPQUICVariant(sc, cfg, expdesign.ShortTransfer, 0, 13)
-			el = append(el, res.Elapsed.Seconds())
-		}
-		return stats.Median(el)
-	}
-	var zero, one float64
-	for i := 0; i < b.N; i++ {
-		zero = run(true)
-		one = run(false)
-	}
-	b.ReportMetric(zero*1000, "zero_rtt_median_ms")
-	b.ReportMetric(one*1000, "one_rtt_median_ms")
 }
 
 // BenchmarkAblationPathsFrame measures the §4.3 handover recovery

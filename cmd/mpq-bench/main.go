@@ -21,6 +21,10 @@
 // bandwidth (WiFi fading), and periodically flaky paths. They use the
 // same checkpoint/shard machinery as the paper grids.
 //
+// -exp ablations, run only when named, judges each configuration knob
+// against the paper's default, seed-paired with the grid's MPQUIC runs:
+// one row per knob × class × size (expdesign.RunAblations).
+//
 // Observability (see OBSERVABILITY.md): -sample records per-path
 // cwnd/RTT time series into the artifacts and prints one paper-style
 // evolution figure per grid; -flight-recorder arms a bounded
@@ -35,6 +39,7 @@
 //	mpq-bench -full -exp fig4            # paper-scale grid for one figure
 //	mpq-bench -cdf -exp fig5             # also dump raw CDF series for plotting
 //	mpq-bench -exp dynamics              # the three dynamic grids
+//	mpq-bench -exp ablations -reps 3     # every knob against the default
 //	mpq-bench -exp dyn-bursty -artifacts out    # one dynamic grid, checkpointed
 //	mpq-bench -full -artifacts out       # checkpointed: ^C and re-run to resume
 //	mpq-bench -full -artifacts out -shard 1/4   # second quarter of each grid
@@ -109,7 +114,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 // grids regenerates the paper's tables and figures.
 func grids(fs *flag.FlagSet, stdout, stderr io.Writer) func() int {
 	var (
-		exp       = fs.String("exp", "all", "experiment: all, table1, fig3..fig11, dynamics, dyn-bursty, dyn-osc, dyn-flaky")
+		exp       = fs.String("exp", "all", "experiment: all, table1, fig3..fig11, dynamics, dyn-bursty, dyn-osc, dyn-flaky, ablations")
 		scenarios = fs.Int("scenarios", 40, "scenarios per class (paper: 253)")
 		reps      = fs.Int("reps", 1, "repetitions per point, median taken (paper: 3)")
 		workers   = fs.Int("workers", 0, "parallel simulations (default GOMAXPROCS)")
@@ -138,6 +143,10 @@ func grids(fs *flag.FlagSet, stdout, stderr io.Writer) func() int {
 		}
 		if *fromArt && *artifacts == "" {
 			fmt.Fprintln(stderr, "-from-artifacts requires -artifacts")
+			return 2
+		}
+		if *exp == "ablations" && (*artifacts != "" || *shard != "" || *flightDir != "" || *sampleIvl > 0) {
+			fmt.Fprintln(stderr, "-exp ablations runs no grid: -artifacts, -shard, -flight-recorder and -sample do not apply")
 			return 2
 		}
 		if *artifacts != "" && !*fromArt {
@@ -172,14 +181,13 @@ func grids(fs *flag.FlagSet, stdout, stderr io.Writer) func() int {
 			return fd, err
 		}
 
-		runGrid := func(class expdesign.Class, size uint64) (expdesign.FigureData, error) {
-			if *fromArt {
-				return loadGrid(class, size)
-			}
+		// progressFrom starts a stopwatch and returns it with a callback
+		// that prints scenarios done, with an ETA, to stderr.
+		progressFrom := func() (*perf.Stopwatch, func(done, total int)) {
 			watch := perf.NewStopwatch()
 			resumed := 0
 			first := true
-			prog := func(done, total int) {
+			return watch, func(done, total int) {
 				if !*progress {
 					return
 				}
@@ -197,9 +205,16 @@ func grids(fs *flag.FlagSet, stdout, stderr io.Writer) func() int {
 				}
 				fmt.Fprint(stderr, line)
 				if done == total {
-					fmt.Fprintln(os.Stderr)
+					fmt.Fprintln(stderr)
 				}
 			}
+		}
+
+		runGrid := func(class expdesign.Class, size uint64) (expdesign.FigureData, error) {
+			if *fromArt {
+				return loadGrid(class, size)
+			}
+			watch, prog := progressFrom()
 			cfg := expdesign.GridConfig{
 				Class:          class,
 				Scenarios:      *scenarios,
@@ -321,6 +336,14 @@ func grids(fs *flag.FlagSet, stdout, stderr io.Writer) func() int {
 			{"dyn-osc", expdesign.OscillatingGrid, "Oscillating bandwidth (WiFi fading), 20 MB, low-BDP"},
 			{"dyn-flaky", expdesign.FlakyPathGrid, "Flaky path (periodic outages), 20 MB, low-BDP"},
 		}
+		// Ablations (beyond the paper's figures): not part of -exp all.
+		if *exp == "ablations" {
+			_, prog := progressFrom()
+			cells := expdesign.RunAblations(expdesign.Knobs, *scenarios, *reps, *workers, prog)
+			fmt.Fprint(stdout, expdesign.ReportAblations(expdesign.Knobs, cells, *reps))
+			return 0
+		}
+
 		known := map[string]bool{"all": true, "table1": true, "dynamics": true}
 		for i := 3; i <= 11; i++ {
 			known[fmt.Sprintf("fig%d", i)] = true

@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"regexp"
 	"strings"
 	"testing"
+
+	"mpquic/internal/expdesign"
 )
 
 // invoke runs one command line in-process, the way main does.
@@ -130,6 +133,7 @@ func TestMisuseExitsTwo(t *testing.T) {
 		{[]string{"handover", "-mode", "melt"}, "-mode"},
 		{[]string{"-no-such-flag"}, "-no-such-flag"},
 		{[]string{"-exp", "fig99"}, "fig99"},
+		{[]string{"-exp", "ablations", "-shard", "0/2"}, "-shard"},
 		{[]string{"run", "-start", "2"}, "-start"},
 		{[]string{"run", "-size", "-1"}, "-size"},
 		{[]string{"run", "-size", "0"}, "-size"},
@@ -150,6 +154,40 @@ func TestMisuseExitsTwo(t *testing.T) {
 	} {
 		if out, stderr, exit := invoke(c.args...); exit != 2 || out != "" || !strings.Contains(stderr, c.names) {
 			t.Errorf("%v: exit %d, stdout %q, stderr %q; want 2 with a message naming %s on stderr only", c.args, exit, out, stderr, c.names)
+		}
+	}
+}
+
+// -exp ablations prints one row per knob × class × size, then one
+// verdict per knob.
+func TestAblationsPrintsEveryCell(t *testing.T) {
+	out, _, exit := invoke("-exp", "ablations", "-scenarios", "1", "-reps", "1", "-progress=false")
+	if exit != 0 {
+		t.Fatalf("-exp ablations: exit %d\n%s", exit, out)
+	}
+	classes := []expdesign.Class{expdesign.LowBDPNoLoss, expdesign.LowBDPLosses, expdesign.HighBDPNoLoss, expdesign.HighBDPLosses}
+	rows := 0
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) < 4 {
+			continue
+		}
+		for _, k := range expdesign.Knobs {
+			for _, c := range classes {
+				for _, size := range []string{"20 MB", "256 KB"} {
+					if f[0] == k.Name && f[1] == c.Name && f[2]+" "+f[3] == size {
+						rows++
+					}
+				}
+			}
+		}
+	}
+	if want := len(expdesign.Knobs) * len(classes) * 2; rows != want {
+		t.Errorf("%d rows, want %d:\n%s", rows, want, out)
+	}
+	for _, k := range expdesign.Knobs {
+		if !regexp.MustCompile(`(?m)^  ` + regexp.QuoteMeta(k.Name) + ` +moves [0-8] of 8 cells: `).MatchString(out) {
+			t.Errorf("no verdict for %s:\n%s", k.Name, out)
 		}
 	}
 }

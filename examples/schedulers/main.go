@@ -1,6 +1,6 @@
 // Schedulers: compare the paper's lowest-RTT scheduler (with and
-// without its duplication phase) against round-robin and the
-// BLEST-inspired extension on a heterogeneous two-path network.
+// without its duplication phase) against round-robin on a
+// heterogeneous two-path network.
 //
 //	go run ./examples/schedulers
 package main
@@ -37,9 +37,6 @@ func main() {
 	rr := base
 	rr.Scheduler = mpquic.SchedRoundRobin
 
-	blest := base
-	blest.Scheduler = mpquic.SchedBLEST
-
 	fmt.Println("GET 8 MB over 15 Mbps/20 ms + 4 Mbps/120 ms:")
 	for _, v := range []struct {
 		name string
@@ -48,7 +45,6 @@ func main() {
 		{"lowest-RTT + duplication (paper default)", base},
 		{"lowest-RTT, no duplication", noDup},
 		{"round-robin", rr},
-		{"BLEST-inspired (extension)", blest},
 	} {
 		el := run(v.cfg)
 		if el == 0 {

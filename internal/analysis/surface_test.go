@@ -60,13 +60,12 @@ var surfaceKeep = map[string]string{
 // non-test code reads and no json tag exports, and the reader that
 // keeps it anyway. A key is "<import path>.<type>.<field>".
 var fieldKeep = map[string]string{
-	"mpquic/internal/analysis.Package.Types":          "TestProductionSurface walks each package's scope and imports",
-	"mpquic/internal/core.ConnStats.TailReinjections": "the send and extensions tests count the tail reinjections",
-	"mpquic/internal/core.Listener.strayDrops":        "core_test counts stray packets through export_test.go",
-	"mpquic/internal/mptcpsim.Stats.Penalizations":    "the mptcpsim tests check that penalization fires, and only when it should",
-	"mpquic/internal/mptcpsim.Stats.Reinjections":     "the mptcpsim tests check that reinjection fires",
-	"mpquic/internal/mptcpsim.Subflow.DataBytesSent":  "the mptcpsim tests check that every subflow carries data",
-	"mpquic/internal/tcpsim.Stats.FastRetransmit":     "the tcpsim tests check that fast retransmit fires",
+	"mpquic/internal/analysis.Package.Types":         "TestProductionSurface walks each package's scope and imports",
+	"mpquic/internal/core.Listener.strayDrops":       "core_test counts stray packets through export_test.go",
+	"mpquic/internal/mptcpsim.Stats.Penalizations":   "the mptcpsim tests check that penalization fires, and only when it should",
+	"mpquic/internal/mptcpsim.Stats.Reinjections":    "the mptcpsim tests check that reinjection fires",
+	"mpquic/internal/mptcpsim.Subflow.DataBytesSent": "the mptcpsim tests check that every subflow carries data",
+	"mpquic/internal/tcpsim.Stats.FastRetransmit":    "the tcpsim tests check that fast retransmit fires",
 }
 
 // TestProductionSurface fails on a declaration that only tests need

@@ -32,11 +32,6 @@ const (
 	// SchedRoundRobin rotates across available paths — the fragile
 	// alternative §3 argues against.
 	SchedRoundRobin
-	// SchedBLEST is a blocking-estimation scheduler inspired by BLEST
-	// (Ferlin et al. [16], cited in §3): it skips a slower path when
-	// the data parked there would outlive the send window and block
-	// the faster path. An extension beyond the paper's scheduler.
-	SchedBLEST
 )
 
 func (k SchedulerKind) String() string {
@@ -47,8 +42,6 @@ func (k SchedulerKind) String() string {
 		return "lowest-rtt-nodup"
 	case SchedRoundRobin:
 		return "round-robin"
-	case SchedBLEST:
-		return "blest"
 	default:
 		return "unknown"
 	}
@@ -137,20 +130,6 @@ type Config struct {
 	// Tracer receives structured protocol events (qlog-style). Nil
 	// disables tracing.
 	Tracer trace.Tracer
-
-	// TailReinjection is an extension beyond the paper (§5 future
-	// work): when a path has window space but nothing new to send,
-	// un-acknowledged stream data outstanding on other paths is
-	// duplicated onto it, cutting the lossy-path completion tail.
-	// Off by default to stay faithful to the paper's scheduler.
-	TailReinjection bool
-
-	// ZeroRTT models Google QUIC's repeat-connection handshake: the
-	// client holds a cached server config (represented by the shared
-	// HandshakeSeed), derives keys immediately, and places request
-	// data in its very first flight. Both endpoints must enable it.
-	// Off by default — the paper evaluates the 1-RTT handshake.
-	ZeroRTT bool
 }
 
 // DefaultConfig returns the paper's MPQUIC configuration.

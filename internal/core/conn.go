@@ -29,8 +29,7 @@ type ConnStats struct {
 	// Retransmissions counts stream frames whose data was requeued
 	// after a loss declaration; each will be resent (possibly on a
 	// different path — retransmissions are not path-pinned, §3).
-	Retransmissions  uint64
-	TailReinjections uint64
+	Retransmissions uint64
 }
 
 // Conn is one (Multipath) QUIC connection endpoint.
@@ -288,30 +287,15 @@ func (c *Conn) addPath(id wire.PathID, local, remote netem.Addr) *Path {
 
 // --- handshake ---
 
-// startClientHandshake queues the CHLO on path 0. With 0-RTT enabled
-// the client derives keys from the cached server config right away and
-// completes locally — application data rides the first flight.
+// startClientHandshake queues the CHLO on path 0.
 func (c *Conn) startClientHandshake() {
 	c.hsClient = crypto.NewClientHandshake(c.cfg.HandshakeSeed)
 	c.chloPending = true
-	if c.cfg.ZeroRTT {
-		c.deriveKeys(crypto.ResumptionSecret(c.cfg.HandshakeSeed))
-		c.completeHandshake()
-		return
-	}
 	c.trySend()
 }
 
 func (c *Conn) handleHandshakeFrame(p *Path, f *wire.HandshakeFrame) {
 	switch f.Message {
-	case wire.HandshakeCHLO0RTT:
-		if c.role != RoleServer || !c.cfg.ZeroRTT {
-			return // no cached config: a real stack would force 1-RTT
-		}
-		if !c.handshakeComplete {
-			c.deriveKeys(crypto.ResumptionSecret(c.cfg.HandshakeSeed))
-			c.completeHandshake()
-		}
 	case wire.HandshakeCHLO:
 		if c.role != RoleServer {
 			return
@@ -658,8 +642,6 @@ func (c *Conn) requeueFrames(frames []wire.Frame) {
 				if !c.handshakeComplete {
 					c.chloPending = true
 				}
-			case wire.HandshakeCHLO0RTT:
-				c.chloPending = true // the server still needs it
 			case wire.HandshakeSHLO:
 				c.shloPending = true
 			}

@@ -28,8 +28,6 @@ func (c *Conn) schedule() (primary *Path, duplicates []*Path) {
 		return c.scheduleRoundRobin(candidates), nil
 	case SchedLowestRTTNoDup:
 		return c.scheduleLowestRTT(candidates), nil
-	case SchedBLEST:
-		return c.scheduleBLEST(candidates), nil
 	default:
 		primary = c.scheduleLowestRTT(candidates)
 		if primary == nil {
@@ -90,61 +88,6 @@ func (c *Conn) scheduleLowestRTT(candidates []*Path) *Path {
 		}
 	}
 	return nil
-}
-
-// scheduleBLEST applies blocking estimation before falling back to a
-// slower path: data parked on the slow path for one slow-path RTT must
-// not exhaust the connection-level send window that the fast path
-// could otherwise consume — if it would, the scheduler waits for the
-// fast path instead of risking head-of-line blocking.
-func (c *Conn) scheduleBLEST(candidates []*Path) *Path {
-	var fast *Path
-	for _, p := range candidates {
-		if !p.est.HasSample() {
-			continue
-		}
-		if fast == nil || p.est.SmoothedRTT() < fast.est.SmoothedRTT() {
-			fast = p
-		}
-	}
-	if fast == nil {
-		// No measured path yet: behave like lowest-RTT.
-		return c.scheduleLowestRTT(candidates)
-	}
-	if fast.cwndAvailable(wire.MaxPacketSize) {
-		return fast
-	}
-	// The fast path is window-limited; consider slower paths.
-	var slow *Path
-	for _, p := range candidates {
-		if p == fast || !p.cwndAvailable(wire.MaxPacketSize) || !p.est.HasSample() {
-			continue
-		}
-		if slow == nil || p.est.SmoothedRTT() < slow.est.SmoothedRTT() {
-			slow = p
-		}
-	}
-	if slow == nil {
-		// Unmeasured paths may still carry data directly.
-		for _, p := range candidates {
-			if !p.est.HasSample() && p.cwndAvailable(wire.MaxPacketSize) {
-				return p
-			}
-		}
-		return nil
-	}
-	// Blocking estimate: bytes the fast path could send while the
-	// slow-path packet is in flight.
-	fastRTT := fast.est.SmoothedRTT()
-	slowRTT := slow.est.SmoothedRTT()
-	if fastRTT <= 0 {
-		return slow
-	}
-	fastShare := float64(fast.cc.Cwnd()) * float64(slowRTT) / float64(fastRTT)
-	if float64(c.connFC.SendAllowance()) < fastShare+float64(wire.MaxPacketSize) {
-		return nil // sending on the slow path would block the fast one
-	}
-	return slow
 }
 
 // scheduleRoundRobin rotates among paths with window space.

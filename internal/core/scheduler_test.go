@@ -141,29 +141,6 @@ func TestScheduleRoundRobinRotates(t *testing.T) {
 	}
 }
 
-func TestScheduleBLESTWaitsInsteadOfBlocking(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Scheduler = SchedBLEST
-	cfg.ConnWindow = 64 << 10 // tiny send window
-	c := newTestConn(t, cfg)
-	p0, p1 := c.paths[0], c.paths[1]
-	feedRTT(p0, 10*time.Millisecond)
-	feedRTT(p1, 500*time.Millisecond)
-	// Fast path full; slow path free; the fast path could push the
-	// whole 64 KB window within one slow-path RTT → BLEST waits.
-	c.fillCwnd(p0)
-	primary, _ := c.schedule()
-	if primary != nil {
-		t.Fatalf("BLEST used the blocking slow path (%v)", primary.ID)
-	}
-	// With an ample window it uses the slow path.
-	c.connFC.UpdateSendLimit(1 << 30)
-	primary, _ = c.schedule()
-	if primary != p1 {
-		t.Fatal("BLEST refused a safe slow path")
-	}
-}
-
 // TestScheduleAllocFree pins the scheduler's per-packet cost: the
 // candidate and duplicate lists are connection-owned scratch, so a
 // decision allocates nothing — neither with both paths measured, nor

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"mpquic/internal/netem"
-	"mpquic/internal/recovery"
 	"mpquic/internal/trace"
 	"mpquic/internal/wire"
 )
@@ -32,101 +31,7 @@ func (c *Conn) sendPass() {
 	c.sendHandshake()
 	c.sendPathCtrl()
 	c.sendData()
-	c.sendTailReinjection()
 	c.sendPureAcks()
-}
-
-// sendTailReinjection implements the TailReinjection extension: after
-// the scheduler pass, any path that still has congestion-window space
-// has nothing of its own to carry — so it duplicates stream data still
-// outstanding on *other* paths. A lossy or slow path then no longer
-// dictates the completion tail, and window-stalled transfers borrow
-// idle capacity (the MPQUIC analog of MPTCP's opportunistic
-// retransmission). Each packet is reinjected at most once.
-func (c *Conn) sendTailReinjection() {
-	if !c.cfg.TailReinjection || !c.handshakeComplete || !c.dataIdle() {
-		return
-	}
-	for _, p := range c.paths {
-		if p.potentiallyFailed || p.remotePF {
-			continue
-		}
-		for p.cwndAvailable(wire.MaxPacketSize) {
-			sp := c.oldestReinjectable(p)
-			if sp == nil {
-				break
-			}
-			sp.Reinjected = true
-			frames := c.reinjectableFrames(sp.Frames)
-			c.Stats.TailReinjections++
-			c.sendPacket(p, frames, framesSize(frames), false, true)
-		}
-	}
-}
-
-// dataIdle reports that every stream's data (and retransmissions) has
-// been handed to the network — the transfer is in its completion tail,
-// where duplicates cannot delay first-time transmissions.
-func (c *Conn) dataIdle() bool {
-	for _, s := range c.streams {
-		if s.send.HasData() {
-			return false
-		}
-	}
-	return true
-}
-
-// oldestReinjectable finds the oldest outstanding, not-yet-reinjected
-// data packet on a path *slower* than target. Duplicating onto a
-// slower path would queue redundant copies behind the very stragglers
-// they are meant to rescue, so only faster paths qualify as targets.
-func (c *Conn) oldestReinjectable(target *Path) *recovery.SentPacket {
-	var oldest *recovery.SentPacket
-	for _, q := range c.paths {
-		if q == target {
-			continue
-		}
-		if q.est.HasSample() && target.est.HasSample() &&
-			q.est.SmoothedRTT() <= target.est.SmoothedRTT() {
-			continue // only rescue data stuck on slower paths
-		}
-		for _, sp := range q.space.Outstanding() {
-			if sp.Reinjected || !sp.Retransmittable {
-				continue
-			}
-			if !hasStreamFrame(sp.Frames) {
-				continue
-			}
-			// Outstanding is oldest-first: no later packet on q is older.
-			if oldest == nil || sp.SentTime < oldest.SentTime {
-				oldest = sp
-			}
-			break
-		}
-	}
-	return oldest
-}
-
-func hasStreamFrame(frames []wire.Frame) bool {
-	for _, f := range frames {
-		if _, ok := f.(*wire.StreamFrame); ok {
-			return true
-		}
-	}
-	return false
-}
-
-// reinjectableFrames keeps only the stream frames of a packet (acks
-// and control frames belong to their original context), listed in
-// txDupFrames.
-func (c *Conn) reinjectableFrames(frames []wire.Frame) []wire.Frame {
-	out := c.txDupFrames[:0]
-	for _, f := range frames {
-		if sf, ok := f.(*wire.StreamFrame); ok {
-			out = append(out, sf)
-		}
-	}
-	return out
 }
 
 // sendPathCtrl flushes path-pinned control queues on their own paths.
@@ -156,11 +61,7 @@ func (c *Conn) sendHandshake() {
 	}
 	if c.chloPending && c.role == RoleClient {
 		c.chloPending = false
-		msg := wire.HandshakeCHLO
-		if c.cfg.ZeroRTT {
-			msg = wire.HandshakeCHLO0RTT
-		}
-		c.sendHandshakePacket(p0, &wire.HandshakeFrame{Message: msg, Payload: c.hsClient.CHLO()})
+		c.sendHandshakePacket(p0, &wire.HandshakeFrame{Message: wire.HandshakeCHLO, Payload: c.hsClient.CHLO()})
 	}
 	if c.shloPending && c.role == RoleServer {
 		c.shloPending = false
@@ -339,7 +240,7 @@ func (c *Conn) packFrames(p *Path) (frames []wire.Frame, payload int, hasData bo
 }
 
 // framesSize is the encoded size of a frame list whose builder kept no
-// count (handshake, close and reinjection packets).
+// count (handshake and close packets).
 func framesSize(frames []wire.Frame) int {
 	n := 0
 	for _, f := range frames {

@@ -120,17 +120,6 @@ func combineShares(client, server [32]byte) []byte {
 	return h.Sum(nil)
 }
 
-// ResumptionSecret models 0-RTT resumption à la Google QUIC: a client
-// holding a cached server config can derive the connection secret
-// without waiting for the SHLO. Both sides derive it from the shared
-// cached state (modeled by the seed).
-func ResumptionSecret(seed uint64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], seed)
-	h := sha256.Sum256(append([]byte("mpquic-resumption:"), b[:]...))
-	return h[:]
-}
-
 // SessionKeys derives both directions' packet protection keys from the
 // completed handshake secret.
 func SessionKeys(secret []byte) (clientToServer, serverToClient Keys) {

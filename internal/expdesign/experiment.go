@@ -164,9 +164,6 @@ func shardScenarios(cfg GridConfig) []Scenario {
 // only this shard's scenarios run. The returned FigureData covers this
 // shard only — merge shard artifacts with LoadFigureData.
 func RunGrid(cfg GridConfig) (FigureData, error) {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	if cfg.Reps <= 0 {
 		cfg.Reps = Repetitions
 	}
@@ -201,8 +198,6 @@ func RunGrid(cfg GridConfig) (FigureData, error) {
 		cfg.Progress(done, len(scenarios))
 	}
 
-	var wg sync.WaitGroup
-	var mu sync.Mutex
 	var persistErr error
 	// Workers complete scenarios in wall-clock order, which is not
 	// deterministic; the checkpoint must append in scenario order so
@@ -212,43 +207,57 @@ func RunGrid(cfg GridConfig) (FigureData, error) {
 	// persisted (written indexes into pending, which is ascending).
 	written := 0
 	completed := make([]bool, len(scenarios))
-	jobs := make(chan int)
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				sr := runScenario(cfg, scenarios[i])
-				results[i] = sr
-				mu.Lock()
-				completed[i] = true
-				if cp != nil {
-					for written < len(pending) && completed[pending[written]] {
-						if err := cp.Append(cfg, results[pending[written]]); err != nil && persistErr == nil {
-							persistErr = err
-						}
-						written++
-					}
+	parallel(len(pending), cfg.Workers, func(j int) {
+		results[pending[j]] = runScenario(cfg, scenarios[pending[j]])
+	}, func(j int) {
+		completed[pending[j]] = true
+		if cp != nil {
+			for written < len(pending) && completed[pending[written]] {
+				if err := cp.Append(cfg, results[pending[written]]); err != nil && persistErr == nil {
+					persistErr = err
 				}
-				done++
-				// Progress runs under the lock: callbacks see done
-				// strictly increasing and need no locking of their own.
-				if cfg.Progress != nil {
-					cfg.Progress(done, len(scenarios))
-				}
-				mu.Unlock()
+				written++
 			}
-		}()
-	}
-	for _, i := range pending {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+		}
+		// Progress runs under the lock: callbacks see done strictly
+		// increasing and need no locking of their own.
+		if done++; cfg.Progress != nil {
+			cfg.Progress(done, len(scenarios))
+		}
+	})
 	if persistErr != nil {
 		return FigureData{}, persistErr
 	}
 	return FigureData{Class: cfg.Class.Name, Size: cfg.Size, Results: results}, nil
+}
+
+// parallel calls do(i) for each i in [0, n), in order, on workers
+// goroutines (GOMAXPROCS when workers ≤ 0), and after(i) under one lock
+// as each do returns, so after sees completions one at a time.
+func parallel(n, workers int, do, after func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	jobs := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				do(i)
+				mu.Lock()
+				after(i)
+				mu.Unlock()
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
 }
 
 // TimeRatios extracts the Fig. 3/5/8/9 CDF inputs: for each of the

@@ -1,8 +1,10 @@
 package expdesign
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -331,10 +333,9 @@ func RunWithOpts(sc Scenario, proto Protocol, size uint64, startPath int, seed u
 }
 
 // RunMPQUICVariant runs one MPQUIC download with a custom engine
-// configuration — the hook the ablation benchmarks use to toggle the
-// §3 design choices (scheduler kind, duplication, congestion-control
-// coupling, WINDOW_UPDATE broadcast). A cfg with Multipath off runs
-// single-path, under the multipath deadline.
+// configuration: each knob of RunAblations, and the wire-mode and crypto
+// runs of bench/, internal/perf and BenchmarkStructVsWireNullSealer. A
+// cfg with Multipath off runs single-path, under the multipath deadline.
 func RunMPQUICVariant(sc Scenario, cfg core.Config, size uint64, startPath int, seed uint64) RunResult {
 	return run(sc, ProtoMPQUIC, cfg, size, startPath, seed, RunOpts{})
 }
@@ -525,25 +526,20 @@ func acceptedConn(lis *core.Listener) func() *core.Conn {
 // RunOpts). FlightDump callbacks receive the actual repetition index;
 // the returned (median) run carries its own repetition's Series.
 func RunMedian(sc Scenario, proto Protocol, size uint64, startPath int, reps int, baseSeed uint64, opts RunOpts) RunResult {
-	if reps <= 0 {
-		reps = 1
-	}
-	results := make([]RunResult, reps)
-	for i := 0; i < reps; i++ {
+	return medianOf(reps, func(rep int) RunResult {
 		o := opts
-		o.rep = i
-		results[i] = RunWithOpts(sc, proto, size, startPath, baseSeed+uint64(i)*7919, o)
+		o.rep = rep
+		return RunWithOpts(sc, proto, size, startPath, baseSeed+uint64(rep)*7919, o)
+	})
+}
+
+// medianOf runs repetitions 0..reps-1 (at least one) and returns the
+// median-elapsed run, the earlier repetition first among equals.
+func medianOf(reps int, runRep func(rep int) RunResult) RunResult {
+	results := make([]RunResult, max(reps, 1))
+	for i := range results {
+		results[i] = runRep(i)
 	}
-	// Median by elapsed time.
-	best := results[0]
-	if reps > 1 {
-		sorted := append([]RunResult(nil), results...)
-		for i := 1; i < len(sorted); i++ {
-			for j := i; j > 0 && sorted[j].Elapsed < sorted[j-1].Elapsed; j-- {
-				sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-			}
-		}
-		best = sorted[len(sorted)/2]
-	}
-	return best
+	slices.SortStableFunc(results, func(a, b RunResult) int { return cmp.Compare(a.Elapsed, b.Elapsed) })
+	return results[len(results)/2]
 }

@@ -49,10 +49,6 @@ type SentPacket struct {
 	SentTime time.Duration
 	// Retransmittable mirrors wire.Packet.IsRetransmittable.
 	Retransmittable bool
-	// Reinjected marks packets whose frames were proactively
-	// duplicated onto another path (tail reinjection), so each packet
-	// is reinjected at most once.
-	Reinjected bool
 
 	settled bool                                // acked or declared lost
 	inline  [sentInlineFrames]wire.Frame        // backs Frames of RecordSent packets
@@ -65,7 +61,7 @@ func (sp *SentPacket) Settled() bool { return sp.settled }
 // Space tracks the sent half of one packet-number space.
 //
 // The slices a Space returns — AckResult.NewlyAcked and Lost, the
-// OnLossTimer and OnRTO results, Outstanding — are scratch the Space
+// OnLossTimer and OnRTO results — are scratch the Space
 // owns, valid until the next call of the method that produced them
 // (OnAck, OnLossTimer and OnRTO share theirs); callers consume them on
 // the spot. The settled SentPackets they point to stay intact at least
@@ -81,7 +77,6 @@ type Space struct {
 	// Result scratch, see the type comment.
 	ackedScratch []*SentPacket
 	lostScratch  []*SentPacket
-	outScratch   []*SentPacket
 
 	nextPN        wire.PacketNumber
 	largestAcked  wire.PacketNumber
@@ -112,7 +107,7 @@ func NewSpaceOn(est *rtt.Estimator, free *slab.List[SentPacket]) *Space {
 // space must not be used afterwards; its counters keep their values.
 func (s *Space) Release() {
 	s.history.Release()
-	s.ackedScratch, s.lostScratch, s.outScratch = nil, nil, nil
+	s.ackedScratch, s.lostScratch = nil, nil
 }
 
 // NextPacketNumber allocates the next monotonically increasing PN.
@@ -158,7 +153,7 @@ func (s *Space) OnPacketSent(sp *SentPacket) {
 // itself carries, and a STREAM frame is kept as the SentPacket's own
 // copy: neither the frames slice nor a STREAM frame in it is retained,
 // so the caller may reuse both at once, and two packets recorded from
-// one frame list (a duplicate, a reinjection) share no STREAM frame.
+// one frame list (an original and its duplicate) share no STREAM frame.
 // Other retransmittable frames are immutable once built and are kept
 // by reference.
 func (s *Space) RecordSent(pn wire.PacketNumber, frames []wire.Frame, size int, now time.Duration) {
@@ -341,17 +336,4 @@ func (s *Space) OldestUnackedSentTime() (time.Duration, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Outstanding returns the unsettled packets (oldest first) in
-// Space-owned scratch, valid until the next Outstanding call.
-func (s *Space) Outstanding() []*SentPacket {
-	out := s.outScratch[:0]
-	for _, sp := range s.history.Live() {
-		if !sp.settled {
-			out = append(out, sp)
-		}
-	}
-	s.outScratch = out
-	return out
 }

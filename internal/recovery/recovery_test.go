@@ -171,13 +171,24 @@ func TestAckAfterLossIsNoop(t *testing.T) {
 	}
 }
 
+// outstanding returns the unsettled packets, oldest first.
+func outstanding(s *Space) []*SentPacket {
+	var out []*SentPacket
+	for _, sp := range s.history.Live() {
+		if !sp.settled {
+			out = append(out, sp)
+		}
+	}
+	return out
+}
+
 func TestOutstandingAndTrim(t *testing.T) {
 	s := newSpace()
 	for i := 0; i < 100; i++ {
 		sent(s, 100, time.Duration(i)*time.Millisecond)
 	}
 	s.OnAck(&wire.AckFrame{Ranges: []wire.AckRange{{Smallest: 0, Largest: 89}}}, 200*time.Millisecond)
-	out := s.Outstanding()
+	out := outstanding(s)
 	if len(out) != 10 || out[0].PN != 90 {
 		t.Fatalf("outstanding %d, first %v", len(out), out[0].PN)
 	}
@@ -391,7 +402,7 @@ func TestSparseAckAccounting(t *testing.T) {
 	if len(res.NewlyAcked) != 131 || len(res.Lost) != 50 {
 		t.Fatalf("acked %d lost %d, want 131 and 50", len(res.NewlyAcked), len(res.Lost))
 	}
-	if got := len(s.Outstanding()); got != 19 {
+	if got := len(outstanding(s)); got != 19 {
 		t.Fatalf("outstanding %d, want 19 (packets 181..199)", got)
 	}
 	if s.BytesInFlight() != 1900 {
@@ -457,7 +468,7 @@ func checkSpaceOps(t *testing.T, ops []byte) {
 			}
 			check("send")
 		case op < 18:
-			out := s.Outstanding()
+			out := outstanding(s)
 			if len(out) == 0 {
 				continue
 			}
@@ -601,7 +612,7 @@ func TestRecordSentOwnsItsStreamFrames(t *testing.T) {
 	}
 	clear(frames)
 
-	sp := s.Outstanding()[0]
+	sp := outstanding(s)[0]
 	if len(sp.Frames) != 4 || sp.Frames[1] != wire.Frame(ping) {
 		t.Fatalf("recorded %d frames %v, want the three STREAM frames and the PING", len(sp.Frames), sp.Frames)
 	}

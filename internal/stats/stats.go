@@ -104,3 +104,17 @@ func BoxOf(xs []float64) Box {
 		N:      len(xs),
 	}
 }
+
+// SignTest is the exact two-sided sign test of paired observations,
+// ties dropped: the probability, under a fair coin, of a split at least
+// as uneven as faster against slower. It is 1 when there are no pairs.
+func SignTest(faster, slower int) float64 {
+	n := faster + slower
+	lgamma := func(x int) float64 { v, _ := math.Lgamma(float64(x)); return v }
+	tail := 0.0
+	for i := 0; i <= min(faster, slower); i++ {
+		// C(n, i)/2^n, in logs so large n neither overflows nor underflows.
+		tail += math.Exp(lgamma(n+1) - lgamma(i+1) - lgamma(n-i+1) - float64(n)*math.Ln2)
+	}
+	return math.Min(1, 2*tail)
+}

@@ -101,3 +101,20 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestSignTest(t *testing.T) {
+	for _, c := range []struct {
+		faster, slower int
+		want           float64
+	}{
+		{8, 0, 0.0078125},
+		{0, 8, 0.0078125},
+		{5, 5, 1},
+		{0, 0, 1},
+		{20, 60, 8.58e-6},
+	} {
+		if got := SignTest(c.faster, c.slower); math.Abs(got-c.want) > 0.01*c.want {
+			t.Errorf("SignTest(%d, %d) = %g, want %g", c.faster, c.slower, got, c.want)
+		}
+	}
+}

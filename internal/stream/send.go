@@ -154,7 +154,7 @@ func (s *SendStream) fill(f *wire.StreamFrame, iv Interval) {
 func (s *SendStream) OnFrameAcked(offset uint64, n int, fin bool) {
 	s.acked.Add(offset, offset+uint64(n))
 	// Data that was queued for retransmission but acked via another
-	// copy (duplication, cross-path reinjection) needn't be resent.
+	// copy (a duplicate, or the original acked late) needn't be resent.
 	s.rtx.Remove(offset, offset+uint64(n))
 	if fin {
 		s.finAcked = true

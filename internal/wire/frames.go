@@ -228,10 +228,6 @@ type HandshakeMessageType uint8
 const (
 	HandshakeCHLO HandshakeMessageType = 1 // client hello (with key share)
 	HandshakeSHLO HandshakeMessageType = 2 // server hello (completes keys)
-	// HandshakeCHLO0RTT is a client hello under a cached server
-	// config: the client already derived keys and may attach 0-RTT
-	// application data in the same flight.
-	HandshakeCHLO0RTT HandshakeMessageType = 3
 )
 
 // HandshakeFrame carries the emulated crypto handshake. Its payload

@@ -81,13 +81,12 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 // SinglePathConfig returns the plain-QUIC baseline configuration.
 func SinglePathConfig() Config { return core.DefaultSinglePathConfig() }
 
-// Scheduler kinds (ablations of §3's design choices, plus the BLEST
-// extension).
+// Scheduler kinds: the paper's, and the ablations of §3's design
+// choices.
 const (
 	SchedLowestRTT      = core.SchedLowestRTT
 	SchedLowestRTTNoDup = core.SchedLowestRTTNoDup
 	SchedRoundRobin     = core.SchedRoundRobin
-	SchedBLEST          = core.SchedBLEST
 )
 
 // Congestion controller kinds.

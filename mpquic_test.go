@@ -110,12 +110,9 @@ func TestFacadeSchedulerAndCCVariants(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"blest", func(c *Config) { c.Scheduler = SchedBLEST }},
 		{"round-robin", func(c *Config) { c.Scheduler = SchedRoundRobin }},
 		{"lia", func(c *Config) { c.CC = CCLia }},
 		{"reno", func(c *Config) { c.CC = CCReno }},
-		{"zero-rtt", func(c *Config) { c.ZeroRTT = true }},
-		{"tail-reinjection", func(c *Config) { c.TailReinjection = true }},
 	} {
 		cfg := DefaultConfig()
 		v.mut(&cfg)

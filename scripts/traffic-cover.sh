@@ -8,7 +8,8 @@
 # (or by nothing): the first place to look for code to delete.
 #
 # The command set: mpq-bench -exp all and -exp dynamics (-scenarios
-# scenarios per class, default 8); the Fig. 5 grid with -sample,
+# scenarios per class, default 8); -exp ablations at 2 scenarios, which
+# runs every configuration knob; the Fig. 5 grid with -sample,
 # -flight-recorder and -artifacts, then rendered again with
 # -from-artifacts; the Fig. 11 handover under each -mode (kill, flap,
 # oscillate); run, trace, trace -json and trace -qlog on all four
@@ -51,6 +52,8 @@ echo "== mpq-bench grids (-scenarios $scenarios)"
 for exp in all dynamics; do
     bench -exp "$exp" -scenarios "$scenarios" -progress=false
 done
+echo "== mpq-bench ablations (-scenarios 2)"
+bench -exp ablations -scenarios 2 -progress=false
 echo "== mpq-bench sampled grid with flight recorder and artifacts, then re-rendered"
 bench -exp fig5 -scenarios "$scenarios" -progress=false -sample 50ms \
     -flight-recorder "$tmp/flight" -artifacts "$tmp/art"
