@@ -39,6 +39,7 @@ type Conn struct {
 	clock  *sim.Clock
 	net    DatagramSender
 	lender packetLender // net again, when it lends struct-mode packets; else nil
+	raw    rawLender    // net again, when it lends wire-mode bytes; else nil
 	connID wire.ConnectionID
 
 	// paths holds every path in creation order — the order the
@@ -160,6 +161,7 @@ func newConn(net DatagramSender, role Role, connID wire.ConnectionID, cfg Config
 		txDupFrames: make([]wire.Frame, 0, 16),
 	}
 	c.lender, _ = net.(packetLender)
+	c.raw, _ = net.(rawLender)
 	c.lastRecvTime = c.now()
 	if role == RoleClient {
 		c.nextStreamID = FirstClientStream

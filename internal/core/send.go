@@ -335,7 +335,14 @@ func (c *Conn) sendPacket(p *Path, frames []wire.Frame, payload int, handshake, 
 			sealer = c.sealSend
 		}
 		pkt := wire.Packet{Header: hdr, Frames: frames, LargestAcked: largestAcked} // stays on the stack
-		dg.Raw = pkt.EncodeTo(wire.GetPacketBuf(), sealer)
+		var buf []byte
+		if c.raw != nil {
+			buf = c.raw.LendRaw(p.Local)
+		}
+		if buf == nil {
+			buf = wire.GetPacketBuf()
+		}
+		dg.Raw = pkt.EncodeTo(buf, sealer)
 	} else {
 		// The peer receives the packet itself, so it gets one of its own:
 		// on loan from a carrier that takes it back after delivery, or

@@ -52,10 +52,13 @@ func DeriveKeys(secret []byte, label string) Keys {
 // connection it belongs to: calls must not overlap.
 type Sealer struct {
 	aead cipher.AEAD
-	iv   [ivSize]byte
+	// ivLo is the IV's low 8 bytes, the part the packet's number
+	// changes, as a number.
+	ivLo uint64
 	// nonce is per-call scratch. A local array would escape through
 	// the cipher.AEAD interface call and cost one allocation per
-	// packet; the Sealer is on the heap anyway.
+	// packet; the Sealer is on the heap anyway. Its first 4 bytes are
+	// the IV's, set once.
 	nonce [ivSize]byte
 	// MultipathNonce controls whether the Path ID participates in the
 	// nonce. Disabling it (single-path mode, or the insecure strawman
@@ -74,20 +77,21 @@ func NewSealer(k Keys, multipathNonce bool) (*Sealer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("crypto: %w", err)
 	}
-	s := &Sealer{aead: aead, iv: k.IV, MultipathNonce: multipathNonce}
+	s := &Sealer{aead: aead, ivLo: binary.BigEndian.Uint64(k.IV[ivSize-8:]), nonce: k.IV, MultipathNonce: multipathNonce}
 	return s, nil
 }
 
 // setNonce builds the per-packet nonce into s.nonce: IV ⊕
 // (PathID<<56 ‖ PacketNumber) over the low 8 bytes of the 12-byte IV.
+// One 8-byte store and no load of s.nonce: a load across the bytes the
+// last call stored would wait for its stores to drain (a
+// store-forwarding stall on every packet).
 func (s *Sealer) setNonce(path wire.PathID, pn wire.PacketNumber) {
-	s.nonce = s.iv
 	v := uint64(pn)
 	if s.MultipathNonce {
 		v |= uint64(path) << 56
 	}
-	lo := s.nonce[ivSize-8:]
-	binary.BigEndian.PutUint64(lo, binary.BigEndian.Uint64(lo)^v)
+	binary.BigEndian.PutUint64(s.nonce[ivSize-8:], s.ivLo^v)
 }
 
 // Seal is SealTo with a nil dst.

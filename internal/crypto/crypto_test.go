@@ -136,6 +136,39 @@ func nonceFor(s *Sealer, path wire.PathID, pn wire.PacketNumber) []byte {
 	return n[:]
 }
 
+// The nonce is the IV with its low 8 bytes XORed with PathID<<56 ‖
+// PacketNumber (without the multipath nonce, the packet number alone),
+// byte for byte, for any order of calls: each call builds it from the
+// IV, not from the last call's nonce.
+func TestNonceBytesFollowTheFormula(t *testing.T) {
+	k := DeriveKeys([]byte("nonce formula"), "s2c")
+	cases := []struct {
+		path wire.PathID
+		pn   wire.PacketNumber
+	}{
+		{0, 0}, {0, 1}, {1, 1}, {3, 1000}, {0, 1000}, {255, 1<<56 - 1}, {7, 0x0102030405}, {0, 0},
+	}
+	for _, multipath := range []bool{true, false} {
+		s, err := NewSealer(k, multipath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cases {
+			want := k.IV
+			xor := [8]byte{byte(c.pn >> 56), byte(c.pn >> 48), byte(c.pn >> 40), byte(c.pn >> 32), byte(c.pn >> 24), byte(c.pn >> 16), byte(c.pn >> 8), byte(c.pn)}
+			if multipath {
+				xor[0] |= byte(c.path)
+			}
+			for i := range xor {
+				want[4+i] ^= xor[i]
+			}
+			if got := nonceFor(s, c.path, c.pn); !bytes.Equal(got, want[:]) {
+				t.Fatalf("multipath=%v, path %d, pn %#x: nonce %x, want %x", multipath, c.path, c.pn, got, want)
+			}
+		}
+	}
+}
+
 func TestMultipathNonceUniqueAcrossPaths(t *testing.T) {
 	seal, _ := handshakeSealers(t)
 	// Same PN on different paths must give different nonces (the §3

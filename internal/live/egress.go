@@ -3,16 +3,20 @@ package live
 import (
 	"net"
 	"net/netip"
+	"unsafe"
 
 	"mpquic/internal/wire"
 )
 
-// Batched egress. flush queues each datagram on its socket's batch;
-// writeBatch writes a socket's batch in order, one write per message.
-// Where the socket is the driver's own *net.UDPConn on Linux, each run
-// of equal-size datagrams to one peer is one UDP_SEGMENT message
-// (writeRun, offload_linux.go), which crosses the kernel's UDP stack
-// once; every other datagram — all of them behind a SocketWrapper
+// Batched egress. Send queues each datagram on its socket's batch, in
+// the batch's run buffer (runbuf.go): core encodes most of them there
+// already (LendRaw), so a batch's datagrams lie back to back, each
+// run of them one slice. writeBatch writes a socket's batch in order,
+// one write per message, when the batch is full and at the end of each
+// step. Where the socket is the driver's own *net.UDPConn on Linux,
+// each run of equal-size datagrams to one peer is one UDP_SEGMENT
+// message (writeRun, offload_linux.go), which crosses the kernel's UDP
+// stack once; every other datagram — all of them behind a SocketWrapper
 // (faultnet, instrumentation) or on another GOOS — is one
 // WriteToUDPAddrPort. Both ways count every datagram the same: a
 // refused datagram goes through noteWriteErr and the rest of the batch
@@ -25,15 +29,39 @@ const (
 	gsoMaxSegs     = 64    // segments in one message on every kernel that has UDP_SEGMENT
 )
 
-// A batch never holds more datagrams than one message may carry.
-const _ = uint(gsoMaxSegs - egressBatchMax)
+// A batch never holds more datagrams than one message may carry, and a
+// full batch of the longest datagrams fits its buffer.
+const (
+	_ = uint(gsoMaxSegs - egressBatchMax)
+	_ = uint(runBufLen - egressBatchMax*maxSegment)
+)
 
-// egressBatch is one socket's queued datagrams. The buffers stay the
-// driver's until writeBatch returns them to the pool, after the write.
+// egressBatch is one socket's queued datagrams: datagram i is
+// rb.b[end[i-1]:end[i]] (from 0 for the first), bound for to[i]. The
+// buffer is the driver's from the first datagram of a Run or Flush to
+// its end (releaseEgress).
 type egressBatch struct {
-	n    int
-	bufs [egressBatchMax][]byte
-	to   [egressBatchMax]netip.AddrPort
+	rb  *runBuf
+	n   int
+	end [egressBatchMax]int32
+	to  [egressBatchMax]netip.AddrPort
+}
+
+// tail is where the next datagram goes in q.rb.b.
+func (q *egressBatch) tail() int {
+	if q.n == 0 {
+		return 0
+	}
+	return int(q.end[q.n-1])
+}
+
+// dgram returns datagram i.
+func (q *egressBatch) dgram(i int) []byte {
+	start := int32(0)
+	if i > 0 {
+		start = q.end[i-1]
+	}
+	return q.rb.b[start:q.end[i]]
 }
 
 // sockWriter is one socket's binding to its conn, made once per conn:
@@ -51,25 +79,79 @@ func (w *sockWriter) bind(box *connBox) {
 	*w = sockWriter{box: box, uc: uc, gso: offload && uc != nil}
 }
 
-// queue appends one datagram to s's batch and writes the batch out
-// once it is full.
+// queue appends one datagram to s's batch — in place when it was
+// encoded into the bytes LendRaw lent, copied in otherwise — and
+// writes the batch out once it is full: 64 datagrams, or no room left
+// for a full one.
 //
 //mpq:noescape
 func (d *Driver) queue(s *pathSocket, b []byte, to netip.AddrPort) {
 	q := &s.out
-	q.bufs[q.n], q.to[q.n] = b, to
+	if q.rb == nil {
+		q.rb = getRunBuf()
+	}
+	at := q.tail()
+	if len(b) > len(q.rb.b)-at {
+		// Only a datagram longer than any the stack sends gets here.
+		d.writeBatch(s)
+		at = 0
+		if len(b) > len(q.rb.b) {
+			// Longer than a UDP datagram: the kernel would refuse it.
+			d.Stats.EgressWrites++
+			d.Stats.WriteErrors++
+			d.recycle(b)
+			return
+		}
+	}
+	if unsafe.SliceData(b) != &q.rb.b[at] {
+		copy(q.rb.b[at:], b)
+		d.recycle(b)
+	}
+	q.end[q.n], q.to[q.n] = int32(at+len(b)), to
 	q.n++
-	if q.n == egressBatchMax {
+	if q.n == egressBatchMax || len(q.rb.b)-q.tail() < maxSegment {
 		d.writeBatch(s)
 	}
 }
 
+// recycle hands the wire pool back a buffer Send was given, unless it
+// is bytes LendRaw lent, which are a batch buffer's.
+//
+//mpq:noescape
+func (d *Driver) recycle(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	for _, s := range d.socks {
+		if rb := s.out.rb; rb != nil {
+			if base := uintptr(unsafe.Pointer(&rb.b[0])); p >= base && p < base+uintptr(len(rb.b)) {
+				return
+			}
+		}
+	}
+	wire.PutPacketBuf(b)
+}
+
+// releaseEgress gives every empty batch's buffer back to the free
+// list: Run does when it returns, Flush after its writes.
+//
+//mpq:noescape
+func (d *Driver) releaseEgress() {
+	for _, s := range d.socks {
+		if q := &s.out; q.rb != nil && q.n == 0 {
+			putRunBuf(q.rb)
+			q.rb = nil
+		}
+	}
+}
+
 // writeBatch writes s's queued batch on the conn s holds now and
-// recycles the buffers. The writer is rebound only when a rebind
-// swapped the conn since its last write, so steady state allocates
-// nothing; a new conn starts with a clean write-failure count. A run
-// the kernel refuses is written again one datagram per write, so each
-// of its datagrams is counted alone.
+// empties it. The writer is rebound only when a rebind swapped the
+// conn since its last write, so steady state allocates nothing; a new
+// conn starts with a clean write-failure count. A run the kernel
+// refuses is written again one datagram per write, so each of its
+// datagrams is counted alone.
 //
 //mpq:noescape
 func (d *Driver) writeBatch(s *pathSocket) {
@@ -92,18 +174,15 @@ func (d *Driver) writeBatch(s *pathSocket) {
 			continue
 		}
 		for end := i + k; i < end; i++ {
-			_, err := box.c.WriteToUDPAddrPort(q.bufs[i], q.to[i])
+			b := q.dgram(i)
+			_, err := box.c.WriteToUDPAddrPort(b, q.to[i])
 			d.Stats.EgressWrites++
 			if err != nil {
 				d.noteWriteErr(s, err)
 			} else {
-				d.noteSent(s, len(q.bufs[i]))
+				d.noteSent(s, len(b))
 			}
 		}
-	}
-	for i := range q.bufs[:q.n] {
-		wire.PutPacketBuf(q.bufs[i])
-		q.bufs[i] = nil
 	}
 	q.n = 0
 }
@@ -112,11 +191,11 @@ func (d *Driver) writeBatch(s *pathSocket) {
 // UDP_SEGMENT message: those that follow it to the same peer at its
 // size, then at most one shorter non-empty one, within gsoMaxBytes.
 func gsoRun(q *egressBatch, i int) int {
-	size := len(q.bufs[i])
+	size := len(q.dgram(i))
 	total := size
 	j := i + 1
 	for ; j < q.n; j++ {
-		l := len(q.bufs[j])
+		l := len(q.dgram(j))
 		if q.to[j] != q.to[i] || l > size || l == 0 || total+l > gsoMaxBytes {
 			break
 		}

@@ -295,8 +295,10 @@ func (d *Driver) handleSockEvent(s *pathSocket, kind sockEventKind, err error) {
 // wire loss (NoRoute). Persistent socket errors additionally climb a
 // small per-conn counter; at the threshold the conn is closed, which
 // wakes the blocked reader and hands recovery to its rebind ladder —
-// the write side never rebinds, it only nudges. Kept out of the
-// inliner so flush stays //mpq:noescape.
+// the write side never rebinds, it only nudges — and the socket's paths
+// go potentially failed at the end of the step (flush): a write may
+// happen inside a Send, where the stack must not be re-entered. Kept
+// out of the inliner so flush stays //mpq:noescape.
 //
 //go:noinline
 func (d *Driver) noteWriteErr(s *pathSocket, err error) {
@@ -311,7 +313,7 @@ func (d *Driver) noteWriteErr(s *pathSocket, err error) {
 	s.writeFails++
 	if s.writeFails == writeFailThreshold {
 		s.loadConn().Close()
-		d.failPaths(s)
+		s.writeFailed = true
 	}
 }
 

@@ -1,15 +1,18 @@
 package live
 
 // FuzzLiveIngress pushes arbitrary bytes through the same path a real
-// datagram takes from a reader goroutine into the protocol: ingest →
-// handler HandleDatagram → wire decode. The properties under test are
-// the live driver's corruption contract (fault.go): no input may panic
-// the stack, every pooled buffer is recycled, and any datagram whose
-// header does not even parse is counted as a corrupt drop rather than
-// vanishing. Runs socket-free — the driver under test is a literal with
-// a synthetic path slot, so the fuzzer needs no UDP permissions.
+// read takes from a reader goroutine into the protocol: ingest → run
+// cut into datagrams → handler HandleDatagram → wire decode. The
+// properties under test are the live driver's corruption contract
+// (fault.go): no input may panic the stack, every datagram of a run is
+// counted in PacketsIn and BytesIn, every run buffer comes back to its
+// socket, and any datagram whose header does not even parse is counted
+// as a corrupt drop rather than vanishing. Runs socket-free — the
+// driver under test is a literal with a synthetic path slot, so the
+// fuzzer needs no UDP permissions.
 
 import (
+	"bytes"
 	"net/netip"
 	"testing"
 	"time"
@@ -21,17 +24,18 @@ import (
 	"mpquic/internal/wire"
 )
 
-// fuzzIngressDriver builds a minimal socket-less driver whose ingest
-// path is fully functional: batch scratch, clock and a registered
-// listener handler, but no bound socket and no reader goroutines.
-func fuzzIngressDriver() (*Driver, *pathSocket, *core.Listener) {
+// socketlessDriver builds a minimal socket-less driver whose ingest
+// path is fully functional — batch scratch of the real sizes, clock,
+// run buffers — but with no bound socket and no reader goroutines.
+func socketlessDriver() (*Driver, *pathSocket) {
 	d := &Driver{
 		clock:      sim.NewClock(),
-		recvCh:     make(chan packetIn, 4),
+		remotes:    make(map[netem.Addr]netip.AddrPort),
+		recvCh:     make(chan packetIn, recvQueueLen),
 		wakeCh:     make(chan struct{}, 1),
 		closeCh:    make(chan struct{}),
-		inBatch:    make([]packetIn, 0, 4),
-		deliveries: make([]delivery, 4),
+		inBatch:    make([]packetIn, 0, ingressBatchCap),
+		deliveries: make([]delivery, ingressBatchCap),
 		lastFor:    make([]netem.Handler, 0, 1),
 		addrNames:  make(map[netip.AddrPort]netem.Addr),
 		start:      time.Now(),
@@ -39,7 +43,43 @@ func fuzzIngressDriver() (*Driver, *pathSocket, *core.Listener) {
 	}
 	s := &pathSocket{idx: 0, local: "127.0.0.1:9"}
 	d.socks = []*pathSocket{s}
-	d.byLocal = map[netem.Addr]*pathSocket{s.local: s}
+	d.takeRunBufs()
+	return d, s
+}
+
+// handOver does what a reader does with a read of data: it takes one
+// of s's free run buffers, puts data in it as one read cut into
+// seg-byte datagrams (seg 0: junk), and queues the read for the loop.
+func handOver(t *testing.T, d *Driver, s *pathSocket, from netip.AddrPort, data []byte, seg int) {
+	t.Helper()
+	var rb *runBuf
+	select {
+	case rb = <-s.free:
+	default:
+		t.Fatal("no free run buffer: one was not handed back")
+	}
+	n, seg := cut(copy(rb.b[:], data), seg)
+	rb.reads[0] = runRead{from: from, n: int32(n), seg: int32(seg)}
+	rb.refs.Store(1)
+	d.pending.Add(int64(rb.reads[0].datagrams()))
+	d.recvCh <- packetIn{s: s, rb: rb}
+}
+
+// step runs the loop's ingest on what is queued, the rest of a cut run
+// first, as Run would.
+func step(d *Driver) error {
+	p := d.carry
+	d.carry = packetIn{}
+	if p.rb == nil {
+		p = <-d.recvCh
+	}
+	return d.ingest(p)
+}
+
+// fuzzIngressDriver is socketlessDriver with a listener registered on
+// its path slot.
+func fuzzIngressDriver() (*Driver, *pathSocket, *core.Listener) {
+	d, s := socketlessDriver()
 	cfg := core.DefaultSinglePathConfig()
 	cfg.MaxPaths = 1
 	cfg.WireSerialization = true
@@ -105,20 +145,15 @@ func FuzzLiveIngress(f *testing.F) {
 		// Open connection 7 first: only a handshake packet creates a
 		// connection, and the input should reach the frame handlers of
 		// an established one, not stop at the listener's door.
-		hello := append(wire.GetPacketBuf(), chlo...)
-		if err := d.ingest(packetIn{s: s, from: from, buf: hello}); err != nil || len(lis.Conns()) != 1 {
+		handOver(t, d, s, from, chlo, len(chlo))
+		if err := step(d); err != nil || len(lis.Conns()) != 1 {
 			t.Fatalf("set-up CHLO: err=%v, %d connections", err, len(lis.Conns()))
 		}
-		// A pooled buffer, exactly as readOne hands them over: a read
-		// keeps what fits.
-		buf := wire.GetPacketBuf()
-		if len(in) > cap(buf) {
-			in = in[:cap(buf)]
-		}
-		buf = append(buf, in...)
-
+		// A read of one datagram keeps what fits in 1500 bytes.
+		in = in[:min(len(in), maxSegment)]
 		before := lis.CorruptDrops()
-		if err := d.ingest(packetIn{s: s, from: from, buf: buf}); err != nil {
+		handOver(t, d, s, from, in, len(in))
+		if err := step(d); err != nil {
 			t.Fatalf("ingest returned a driver-fatal error for arbitrary input: %v", err)
 		}
 		if d.Stats.PacketsIn != 2 {
@@ -133,10 +168,40 @@ func FuzzLiveIngress(f *testing.F) {
 				t.Fatalf("unparsable header not counted as corrupt drop (input %x)", in)
 			}
 		}
-		// Any response the handler queued is discarded here — there is
-		// no socket — but the buffers must still return to the pool.
-		for i := range d.egress {
-			wire.PutPacketBuf(d.egress[i].Raw)
+
+		// The same bytes as runs: three whole segments and a short last
+		// one, a segment size past the run's length, and junk. Each
+		// datagram is counted once, with its length.
+		run := append(bytes.Repeat(in, 3), in[:len(in)/2]...)
+		for _, c := range []struct {
+			data        []byte
+			seg         int
+			dgrams, len int
+		}{
+			{run, len(in), 3 + min(len(in)/2, 1), len(run)},
+			{in, len(in) + 7, 1, len(in)},
+			{run, 0, 1, 0},
+		} {
+			if len(c.data) == 0 {
+				c.dgrams = 1 // an empty read is one empty datagram
+			}
+			st := d.Stats
+			handOver(t, d, s, from, c.data, c.seg)
+			for d.PendingIngress() > 0 {
+				if err := step(d); err != nil {
+					t.Fatalf("ingest returned a driver-fatal error for a run: %v", err)
+				}
+			}
+			if got, bytes := d.Stats.PacketsIn-st.PacketsIn, d.Stats.BytesIn-st.BytesIn; got != uint64(c.dgrams) || bytes != uint64(c.len) {
+				t.Fatalf("a read of %d bytes in %d-byte segments: %d datagrams of %d bytes in, want %d of %d", len(c.data), c.seg, got, bytes, c.dgrams, c.len)
+			}
 		}
+		if len(s.free) != runBufsPerSocket {
+			t.Fatalf("%d of %d run buffers back", len(s.free), runBufsPerSocket)
+		}
+		// Any response the handler queued is discarded here — there is
+		// no socket — and its batch buffer goes back to the free list.
+		s.out.n = 0
+		d.releaseEgress()
 	})
 }

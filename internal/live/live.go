@@ -20,8 +20,8 @@
 //     wake-up;
 //  2. block on socket readability until that wall deadline (a select
 //     over the reader channel and the timer);
-//  3. on wake-up, drain every datagram the readers have queued into
-//     one batch, advance the sim clock once to wall-elapsed time with
+//  3. on wake-up, drain the datagrams the readers have queued — up to
+//     256, cutting a run when it passes that — into one batch, advance the sim clock once to wall-elapsed time with
 //     Clock.RunUntil (firing every due protocol timer), and inject the
 //     whole batch via netem.Handler.HandleDatagram. The batch arrives
 //     at one sim instant, so every datagram but the last one for each
@@ -32,11 +32,12 @@
 //     sets More, only from the batch it actually drained, and every
 //     handler's last datagram of a step carries More=false, whatever
 //     that datagram turns out to be;
-//  4. flush all egress datagrams queued during the step to their
-//     sockets in one pass: each socket's datagrams go out in order, one
-//     write per message; on Linux each run of equal-size datagrams to
-//     one peer is one UDP_SEGMENT message, which crosses the kernel's
-//     UDP stack once.
+//  4. write every socket's egress batch: each Send during the step
+//     queued its datagram on its socket's batch (written at once when
+//     full), and each socket's datagrams go out in order, one write per
+//     message; on Linux each run of equal-size datagrams to one peer is
+//     one UDP_SEGMENT message, which crosses the kernel's UDP stack
+//     once.
 //
 // Virtual time therefore advances only through RunUntil and always to
 // the current wall-elapsed duration: sim time is a monotone map of
@@ -49,20 +50,21 @@
 //
 // # Packet buffers
 //
-// Every datagram, in either direction, travels in a wire.GetPacketBuf
-// buffer with one owner at a time, and the driver is the only code
-// here that calls wire.PutPacketBuf. Ingress: a reader draws a buffer
-// per datagram — it reads into it, or copies one segment of a run it
-// read into its run buffer — and passes it to the loop with the
-// channel send; the loop recycles it as soon as HandleDatagram returns
-// (handlers borrow and consume frames synchronously — the contract
-// core.RawDatagram documents). Egress: the encoder's buffer becomes
-// the driver's at Send and is recycled after the write that carried it
-// returns. Each datagram, a run's segments one by one, truncates at
-// the buffer's 1500 bytes; no peer sends more than wire.MaxPacketSize,
-// so a longer datagram is junk and fails to decode like any other, and
-// a run of longer segments reaches the stack as one empty datagram
-// instead of being cut into pieces.
+// Datagrams travel in run buffers (runbuf.go), one owner at a time,
+// from a free list the process keeps across drivers. Ingress: a reader
+// reads a run of datagrams (one UDP_GRO read) or a single datagram into
+// its socket's buffer and hands the loop the read with one channel
+// send; the loop cuts the run into its datagrams and hands each to
+// HandleDatagram where it lies (handlers borrow and consume frames
+// synchronously — the contract core.RawDatagram documents), then hands
+// the read back. A datagram keeps at most 1500 bytes, as a wire pool
+// buffer would: no peer sends more than wire.MaxPacketSize, so a longer
+// datagram is junk and fails to decode like any other, and a run of
+// longer segments reaches the stack as one empty datagram instead of
+// being cut into pieces. Egress: the driver lends core the free tail of
+// the path socket's batch buffer (LendRaw), core encodes the packet
+// there, and Send counts it into the batch in place; a datagram encoded
+// elsewhere is copied in and its wire pool buffer recycled.
 // Steady state performs zero allocations per packet in both
 // directions, pinned by internal/perf's live-loop allocation tests.
 //
@@ -78,23 +80,22 @@
 //
 // # Concurrency
 //
-// One goroutine per socket blocks in a read and hands (buffer, source)
-// pairs, one per datagram, to the driver loop over a channel;
+// One goroutine per socket blocks in a read and hands each read — a
+// run of datagrams in a run buffer — to the driver loop over a channel;
 // everything else — clock, connections, handlers, egress — is touched
 // only by the goroutine inside Run. This preserves the single-threaded
 // discipline the protocol core was built under, which is why the stack
 // needs no locks to be race-clean. On Linux a socket the driver reads
 // itself has UDP_GRO set, and its goroutine reads a run of datagrams
-// at a time with ReadMsgUDPAddrPort into a 64 KiB buffer it holds from
-// start to exit (a package pool keeps them across drivers); a socket
-// behind a SocketWrapper, and every other platform, reads one datagram
-// per ReadFromUDPAddrPort. Egress writes happen on the Run goroutine,
-// through the standard library, which waits out EAGAIN: on Linux the
-// driver's own socket writes each run of up to 64 datagrams as one
-// UDP_SEGMENT message with WriteMsgUDPAddrPort, copied into a run
-// buffer from the same pool, and each other datagram with
-// WriteToUDPAddrPort; a socket behind a SocketWrapper, and every other
-// platform, writes each datagram with WriteToUDPAddrPort.
+// at a time with ReadMsgUDPAddrPort; a socket behind a SocketWrapper,
+// and every other platform, reads one datagram per ReadFromUDPAddrPort.
+// Egress writes happen on the Run goroutine, through the standard
+// library, which waits out EAGAIN: on Linux the driver's own socket
+// writes each run of up to 64 datagrams as one UDP_SEGMENT message with
+// WriteMsgUDPAddrPort, a slice of its batch buffer, and each other
+// datagram with WriteToUDPAddrPort; a socket behind a SocketWrapper,
+// and every other platform, writes each datagram with
+// WriteToUDPAddrPort.
 //
 // This package is the audited wall-clock exception to the walltime
 // analyzer (see internal/analysis): it is the one place besides
@@ -108,13 +109,13 @@ import (
 	"net/netip"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mpquic/internal/core"
 	"mpquic/internal/netem"
 	"mpquic/internal/sim"
 	"mpquic/internal/trace"
-	"mpquic/internal/wire"
 )
 
 // ErrClosed is returned by Run when the driver is closed before the
@@ -135,12 +136,16 @@ const coalesce = time.Millisecond
 // between a burst and loss; the OS clamps to its own limits.
 const DefaultSocketBuffer = 1 << 22
 
-// recvQueueLen bounds datagrams in flight between the reader
-// goroutines and the driver loop.
-const recvQueueLen = 1024
+// recvQueueLen bounds the reads in flight between the reader
+// goroutines and the driver loop. Their bytes are bounded by the
+// sockets' run buffers (runbuf.go); the count only needs room for every
+// single-datagram read those buffers pack.
+const recvQueueLen = 512
 
 // ingressBatchCap bounds how many queued datagrams one clock step
-// injects; the remainder is picked up by the next loop iteration.
+// injects; the remainder is picked up by the next loop iteration, a run
+// the bound cuts first. A step's one ACK per path covers at most this
+// many packets.
 const ingressBatchCap = 256
 
 // Option tunes a Driver at construction.
@@ -154,22 +159,30 @@ func WithSocketBuffer(b int) Option {
 }
 
 // packetIn is one message crossing from a reader goroutine into the
-// driver loop: a received datagram (kind == evData) or a socket health
-// transition (see fault.go). For datagrams, buf is a wire pool buffer;
-// ownership transfers with the message, and the loop recycles it once
-// the handler consumed it. For events, buf is nil and err carries the
-// cause where one exists.
+// driver loop: a read (kind == evData) or a socket health transition
+// (see fault.go). A read is rb.reads[i], one reference to rb that
+// transfers with the message; the loop hands it back (release) once
+// the handler consumed the read's datagrams. For events, rb is nil and
+// err carries the cause where one exists.
 type packetIn struct {
 	s    *pathSocket
-	from netip.AddrPort
-	buf  []byte
+	rb   *runBuf
+	i    int32
 	kind sockEventKind
 	err  error
 }
 
-// delivery is ingest's note on one slot of its batch: the handler the
-// datagram goes to (nil for a socket event, or when nobody listens) and
-// whether a later datagram of the same batch goes to that handler too.
+// datagrams counts the datagrams p carries: none for an event.
+func (p *packetIn) datagrams() int {
+	if p.rb == nil {
+		return 0
+	}
+	return p.rb.reads[p.i].datagrams()
+}
+
+// delivery is ingest's note on one read of its batch: the handler the
+// datagrams go to (nil for a socket event, or when nobody listens) and
+// whether a later read of the same batch goes to that handler too.
 type delivery struct {
 	h    netem.Handler
 	more bool
@@ -187,9 +200,9 @@ type Stats struct {
 	WriteErrors uint64 `json:"write_errors"` // egress dropped: socket write failed (treated as loss)
 
 	// EgressDiscards counts egress datagrams discarded unsent because a
-	// fatal error earlier in the same flush aborted the batch (the
-	// remainder is dropped deliberately, and visibly, instead of being
-	// written after the driver has decided to die).
+	// fatal error earlier in the same step will end Run (the remainder
+	// is dropped deliberately, and visibly, instead of being written
+	// after the driver has decided to die).
 	EgressDiscards uint64 `json:"egress_discards"`
 
 	// Socket health ladder counters (see fault.go).
@@ -248,24 +261,26 @@ type Driver struct {
 	//mpq:confined run-loop
 	clock *sim.Clock
 
-	// socks and byLocal map the address identities the core stack uses
-	// for its paths onto real UDP sockets. Core identifies a path by
-	// its (local, remote) netem.Addr pair; in live mode those strings
-	// are literal "ip:port" addresses. Path IDs map through position:
+	// socks maps the address identities the core stack uses for its
+	// paths onto real UDP sockets. Core identifies a path by its
+	// (local, remote) netem.Addr pair; in live mode those strings are
+	// literal "ip:port" addresses. Path IDs map through position:
 	// core.Dial pairs locals[i] with remotes[i] as path i, and socks
 	// keeps bind order, so socks[i] is the local endpoint of path i
 	// (the paper's WiFi+LTE dual-homing is two loopback ports in the
-	// tests). Both are fixed after NewDriver: a rebind swaps a slot's
-	// conn pointer, not the slot.
-	socks   []*pathSocket
-	byLocal map[netem.Addr]*pathSocket
+	// tests). It is fixed after NewDriver: a rebind swaps a slot's conn
+	// pointer, not the slot.
+	socks []*pathSocket
 	// remotes caches resolved egress destinations, so the per-packet
 	// egress path allocates nothing. Servers need no remote table up
 	// front: remotes are learned per-datagram from the ingress source.
 	//mpq:confined run-loop
 	remotes map[netem.Addr]netip.AddrPort
+	// sendErr latches a misconfiguration Send found (a struct-mode
+	// payload) until the next flush returns it; the datagrams sent
+	// after it are discarded.
 	//mpq:confined run-loop
-	egress []netem.Datagram
+	sendErr error
 
 	sockBuf int
 
@@ -282,7 +297,10 @@ type Driver struct {
 	fatal error
 
 	// Crossings: how reader goroutines, Wake and Close reach the loop.
+	// pending counts the datagrams in reads handed over and not yet
+	// injected.
 	recvCh  chan packetIn
+	pending atomic.Int64
 	wakeCh  chan struct{}
 	closeCh chan struct{}
 	closeMu sync.Once
@@ -295,6 +313,10 @@ type Driver struct {
 	// socket). Both are ingest's scratch.
 	//mpq:confined run-loop
 	deliveries []delivery
+	// carry is the rest of a read the last step cut at ingressBatchCap:
+	// the next step's first.
+	//mpq:confined run-loop
+	carry packetIn
 	//mpq:confined run-loop
 	lastFor []netem.Handler
 	//mpq:confined run-loop
@@ -322,7 +344,6 @@ func NewDriver(localAddrs []string, opts ...Option) (*Driver, error) {
 	}
 	d := &Driver{
 		clock:      sim.NewClock(),
-		byLocal:    make(map[netem.Addr]*pathSocket, len(localAddrs)),
 		remotes:    make(map[netem.Addr]netip.AddrPort),
 		sockBuf:    DefaultSocketBuffer,
 		rebindMax:  DefaultRebindMax,
@@ -359,9 +380,9 @@ func NewDriver(localAddrs []string, opts ...Option) (*Driver, error) {
 		s := &pathSocket{idx: i, local: netem.Addr(lap.String()), ap: lap}
 		s.storeConn(c)
 		d.socks = append(d.socks, s)
-		d.byLocal[s.local] = s
 	}
 	d.lastFor = make([]netem.Handler, 0, len(d.socks))
+	d.takeRunBufs()
 	for _, s := range d.socks {
 		d.readers.Add(1)
 		go d.readLoop(s)
@@ -398,25 +419,84 @@ func (d *Driver) LocalAddrs() []netem.Addr {
 //
 //mpq:confined run-loop
 func (d *Driver) Register(addr netem.Addr, h netem.Handler) {
-	if s := d.byLocal[addr]; s != nil {
+	if s := d.socket(addr); s != nil {
 		s.handler = h
 	}
 }
 
-// Send implements core.DatagramSender: the datagram is queued and
-// flushed to its socket when the current event batch finishes (egress
-// order is preserved per socket). The payload must be wire-serialized.
+// socket returns the path socket bound to addr, nil when none is. A
+// scan: a handful of string compares, cheaper than hashing.
+//
+//mpq:noescape
+func (d *Driver) socket(addr netem.Addr) *pathSocket {
+	for _, s := range d.socks {
+		if s.local == addr {
+			return s
+		}
+	}
+	return nil
+}
+
+// Send implements core.DatagramSender: the datagram joins its socket's
+// batch, which goes out when full or when the current event batch
+// finishes (egress order is preserved per socket). The payload must be
+// wire-serialized. A payload encoded into the bytes LendRaw lent is
+// already in place; any other is copied in and its wire pool buffer
+// recycled.
 //
 //mpq:confined run-loop
 //mpq:noescape
 func (d *Driver) Send(dg netem.Datagram) {
-	d.egress = append(d.egress, dg)
+	b := dg.Raw
+	if d.sendErr != nil {
+		// A misconfiguration found earlier in the step ends Run: the
+		// rest is discarded unsent, counted so the loss is visible.
+		d.Stats.EgressDiscards++
+		d.recycle(b)
+		return
+	}
+	if b == nil {
+		d.sendErr = structModeErr(dg)
+		return
+	}
+	s := d.socket(dg.From)
+	var to netip.AddrPort
+	ok := s != nil
+	if ok {
+		to, ok = d.peer(s, dg.To)
+	}
+	if !ok {
+		d.Stats.NoRoute++
+		d.recycle(b)
+		return
+	}
+	d.queue(s, b, to)
+}
+
+// LendRaw lends the free tail of the batch buffer of the socket bound
+// to from — length 0, capacity 1500 — for core to encode a datagram
+// into and Send (see core's rawLender). Nil when no socket is bound to
+// from. Nothing but that Send may be queued on the socket in between.
+//
+//mpq:confined run-loop
+//mpq:noescape
+func (d *Driver) LendRaw(from netem.Addr) []byte {
+	s := d.socket(from)
+	if s == nil {
+		return nil
+	}
+	q := &s.out
+	if q.rb == nil {
+		q.rb = getRunBuf()
+	}
+	at := q.tail()
+	return q.rb.b[at : at : at+maxSegment]
 }
 
 // PendingIngress reports datagrams received by the readers but not yet
 // injected (safe from any goroutine; tests use it to observe bursts
 // queue up before a step).
-func (d *Driver) PendingIngress() int { return len(d.recvCh) }
+func (d *Driver) PendingIngress() int { return int(d.pending.Load()) }
 
 // Wake nudges a blocked Run iteration from any goroutine: the loop
 // advances the clock, flushes egress and re-checks its until
@@ -452,18 +532,17 @@ func (d *Driver) addrName(ap netip.AddrPort) netem.Addr {
 //mpq:entry reader
 func (d *Driver) readLoop(s *pathSocket) {
 	defer d.readers.Done()
-	// An unwrapped socket has UDP_GRO set (listenPath), and its reader
-	// reads runs of datagrams into a run buffer.
-	var rb *runBuf
-	if offload && d.wrap == nil {
-		rb = runBufs.Get().(*runBuf)
-		defer runBufs.Put(rb)
-	}
+	var r runReader
+	defer func() {
+		if r.rb != nil {
+			d.release(s, r.rb)
+		}
+	}()
 	conn := s.loadConn()
 	transient := 0 // consecutive transient read errors on this conn
 	attempts := 0  // rebind attempts since the last successful read
 	for {
-		status, err := d.readOne(s, conn, rb)
+		status, err := d.readOne(s, conn, &r)
 		if status == readOK {
 			transient, attempts = 0, 0
 			continue
@@ -499,30 +578,52 @@ const (
 	readPersistent            // conn is gone: rebind ladder
 )
 
-// readOne performs one blocking read and hands the datagram to the
-// driver loop. Buffer ownership transfers with the channel send; every
-// other exit recycles the buffer. With a run buffer, a plain socket is
-// read by readRun instead.
-func (d *Driver) readOne(s *pathSocket, conn UDPConn, rb *runBuf) (readStatus, error) {
-	if uc, ok := conn.(*net.UDPConn); ok && rb != nil {
-		return d.readRun(s, uc, rb)
+// readOne performs one blocking read into the reader's run buffer and
+// hands the read to the driver loop with one channel send. An unwrapped
+// socket has UDP_GRO set (listenPath) and is read by readRun, a run of
+// datagrams at a time; any other reads one datagram.
+func (d *Driver) readOne(s *pathSocket, conn UDPConn, r *runReader) (readStatus, error) {
+	uc, runs := conn.(*net.UDPConn)
+	runs = runs && offload && d.wrap == nil
+	window := maxSegment
+	if runs {
+		window = maxRun
 	}
-	buf := wire.GetPacketBuf()
-	b := buf[:cap(buf)]
-	n, from, err := conn.ReadFromUDPAddrPort(b)
-	if err == nil {
-		// Unmap 4-in-6 so the string identity matches the literal
-		// "ip:port" the peer's sockets are bound to.
-		from = netip.AddrPortFrom(from.Addr().Unmap(), from.Port())
-		select {
-		case d.recvCh <- packetIn{s: s, from: from, buf: b[:n]}:
-			return readOK, nil
-		case <-d.closeCh:
-			// Shutdown mid-handoff: fall through to the recycle.
-		}
+	rb := d.room(s, r, window)
+	if rb == nil {
+		return readClosed, nil
 	}
-	wire.PutPacketBuf(b)
-	return d.readFailed(s, err)
+	b := rb.b[r.off : r.off+window]
+	var n, seg int
+	var from netip.AddrPort
+	var err error
+	if runs {
+		n, seg, from, err = readRun(uc, rb, b)
+	} else {
+		n, from, err = conn.ReadFromUDPAddrPort(b)
+		seg = n
+	}
+	if err != nil {
+		return d.readFailed(s, err)
+	}
+	n, seg = cut(n, seg)
+	// Unmap 4-in-6 so the string identity matches the literal "ip:port"
+	// the peer's sockets are bound to.
+	from = netip.AddrPortFrom(from.Addr().Unmap(), from.Port())
+	i := r.k
+	rb.reads[i] = runRead{from: from, off: int32(r.off), n: int32(n), seg: int32(seg)}
+	r.off += n
+	r.k++
+	rb.refs.Add(1)
+	d.pending.Add(int64(rb.reads[i].datagrams()))
+	select {
+	case d.recvCh <- packetIn{s: s, rb: rb, i: int32(i)}:
+		return readOK, nil
+	case <-d.closeCh:
+		// Shutdown mid-handoff: the read goes back unread.
+		rb.refs.Add(-1)
+		return readClosed, nil
+	}
 }
 
 // readFailed classifies a read that delivered nothing: err is the
@@ -541,8 +642,9 @@ func (d *Driver) readFailed(s *pathSocket, err error) (readStatus, error) {
 }
 
 // Run drives the loop until the until condition reports true (checked
-// after every batch of work), a terminal error occurs, or the driver
-// is closed (ErrClosed). A nil until runs until Close — server mode.
+// after every batch of work, but not between the two steps a cut run
+// spans), a terminal error occurs, or the driver is closed (ErrClosed).
+// A nil until runs until Close — server mode.
 //
 // The first Run call pins the wall epoch: sim time 0 is that moment.
 // Run may be called again after returning (e.g. one Run per transfer
@@ -556,6 +658,8 @@ func (d *Driver) Run(until func() bool) error {
 		d.start = time.Now()
 	}
 	defer d.UpdateSocketStats()
+	defer d.dropCarry()
+	defer d.releaseEgress()
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
 		select {
@@ -569,7 +673,7 @@ func (d *Driver) Run(until func() bool) error {
 		if err := d.flush(); err != nil {
 			return err
 		}
-		if until != nil && until() {
+		if d.carry.rb == nil && until != nil && until() {
 			return nil
 		}
 		if d.fatal != nil {
@@ -577,6 +681,14 @@ func (d *Driver) Run(until func() bool) error {
 			// until condition above still wins if the same batch that
 			// killed the last socket also completed the work.
 			return d.fatal
+		}
+		if p := d.carry; p.rb != nil {
+			// The rest of a run the last step cut is this step's first.
+			d.carry = packetIn{}
+			if err := d.ingest(p); err != nil {
+				return err
+			}
+			continue
 		}
 		// Arm the wake-up at the wall image of the next sim deadline,
 		// quantized up to the coalescing grid. An already-armed timer
@@ -637,34 +749,39 @@ func quantize(dl time.Duration) time.Duration {
 	return (dl + coalesce - 1) / coalesce * coalesce
 }
 
-// ingest drains every datagram already queued by the readers into one
-// batch, advances the clock once, and injects the whole batch — the
-// batched-ingress half of the fast lane: one wake-up, one clock step,
-// one reaction per handler, one egress flush for the entire burst.
+// ingest drains the reads already queued by the readers, up to
+// ingressBatchCap datagrams, into one batch, advances the clock once,
+// and injects the whole batch — the batched-ingress half of the fast
+// lane: one wake-up, one clock step, one reaction per handler, one
+// egress flush for the entire burst.
 //
 //mpq:noescape
 func (d *Driver) ingest(first packetIn) error {
 	batch := append(d.inBatch[:0], first)
+	n := first.datagrams()
 drain:
-	for len(batch) < cap(batch) {
+	for n < ingressBatchCap && len(batch) < cap(batch) {
 		select {
 		case q := <-d.recvCh:
 			batch = append(batch, q)
+			n += q.datagrams()
 		default:
 			break drain
 		}
 	}
 	d.inBatch = batch[:0] // retain the scratch backing array
 	if err := d.advance(); err != nil {
-		recycleBatch(batch)
+		for i := range batch {
+			d.drop(&batch[i])
+		}
 		return err
 	}
 	d.Stats.IngressBatches++
-	if n := uint64(len(batch)); n > d.Stats.MaxBatch {
+	if n := uint64(min(n, ingressBatchCap)); n > d.Stats.MaxBatch {
 		d.Stats.MaxBatch = n
 	}
-	// Walking backwards, the first datagram met for a handler is its
-	// last of this step; every earlier one is followed by More.
+	// Walking backwards, the first read met for a handler holds its
+	// last datagram of this step; every earlier one is followed by More.
 	to := d.deliveries[:len(batch)]
 	last := d.lastFor[:0]
 	for i := len(batch) - 1; i >= 0; i-- {
@@ -687,24 +804,24 @@ drain:
 			last = append(last, h)
 		}
 	}
+	// Only the batch's last read can take the step past its bound: the
+	// drain stops there.
+	left := ingressBatchCap
 	for i := range batch {
 		p := &batch[i]
-		if p.kind != evData {
+		switch {
+		case p.kind != evData:
 			// A socket health transition riding the ingress crossing;
 			// fold it into stats/traces/PF state (fault.go).
 			d.handleSockEvent(p.s, p.kind, p.err)
-		} else if to[i].h == nil {
-			d.Stats.NoHandler++
-		} else {
-			d.Stats.PacketsIn++
-			d.Stats.BytesIn += uint64(len(p.buf))
-			// The handler borrows the buffer and consumes the frames
-			// synchronously (see core.RawDatagram).
-			dg := core.RawDatagram(d.addrName(p.from), p.s.local, p.buf)
-			dg.More = to[i].more
-			to[i].h.HandleDatagram(dg)
+		case to[i].h == nil:
+			k := p.datagrams()
+			d.Stats.NoHandler += uint64(k)
+			left -= k
+			d.drop(p)
+		default:
+			left = d.inject(p, to[i], left)
 		}
-		wire.PutPacketBuf(p.buf) // nil for a socket event
 		*p = packetIn{}
 	}
 	if d.fatal != nil {
@@ -715,16 +832,65 @@ drain:
 	return nil
 }
 
-// recycleBatch returns the buffers of a batch that will not be
-// injected to the pool (error exits only).
+// inject hands p's datagrams to their handler, each where it lies in
+// the run buffer, until the step's budget left runs out, and returns
+// what is left of it. Every datagram but the run's last carries More,
+// and that one carries the handler's mark; when the budget cuts the
+// run, the rest becomes the next step's first read (carry).
 //
 //mpq:noescape
-func recycleBatch(batch []packetIn) {
-	for i := range batch {
-		wire.PutPacketBuf(batch[i].buf)
-		batch[i] = packetIn{}
+func (d *Driver) inject(p *packetIn, to delivery, left int) int {
+	rd := &p.rb.reads[p.i]
+	run := p.rb.b[rd.off : rd.off+rd.n]
+	seg := int(rd.seg)
+	from := d.addrName(rd.from)
+	taken := 0
+	for {
+		k := len(run)
+		if seg > 0 && seg < k {
+			k = seg
+		}
+		// The handler borrows the datagram and consumes the frames
+		// synchronously (see core.RawDatagram); capped, so nothing it
+		// appends reaches the next datagram of the run.
+		dg := core.RawDatagram(from, p.s.local, run[:k:k])
+		run = run[k:]
+		left--
+		taken++
+		dg.More = to.more || len(run) > 0 && left > 0
+		d.Stats.PacketsIn++
+		d.Stats.BytesIn += uint64(k)
+		to.h.HandleDatagram(dg)
+		if len(run) == 0 || left <= 0 {
+			break
+		}
 	}
+	d.pending.Add(-int64(taken))
+	if len(run) == 0 {
+		d.release(p.s, p.rb)
+		return left
+	}
+	rd.off += rd.n - int32(len(run))
+	rd.n = int32(len(run))
+	d.carry = *p
+	return left
 }
+
+// drop hands back a read that will not be injected, uncounted: an
+// error exit, a socket nobody listens on.
+//
+//mpq:noescape
+func (d *Driver) drop(p *packetIn) {
+	if p.rb != nil {
+		d.pending.Add(-int64(p.datagrams()))
+		d.release(p.s, p.rb)
+	}
+	*p = packetIn{}
+}
+
+// dropCarry drops the rest of a cut run when Run returns an error
+// before the next step took it.
+func (d *Driver) dropCarry() { d.drop(&d.carry) }
 
 // advance moves sim time forward to the current wall-elapsed
 // duration, firing every protocol timer due on the way. Sim time
@@ -750,70 +916,37 @@ func structModeErr(dg netem.Datagram) error {
 	return fmt.Errorf("live: struct-mode payload %s->%s; endpoints must enable Config.WireSerialization", dg.From, dg.To)
 }
 
-// flush writes every egress datagram queued during the step to the
-// socket owning its From address, in one pass over the persistent
-// scratch slice: consecutive datagrams from one path reuse the socket
-// and resolved-remote lookups, and each datagram joins its socket's
-// batch (egress.go). Write failures are packet loss (counted, not
-// fatal), as a real wire would drop them.
+// flush writes every socket's batch, and returns the misconfiguration
+// a Send of the step found, if any. Write failures are packet loss
+// (counted, not fatal), as a real wire would drop them; a socket whose
+// writes keep failing has its paths failed here, outside any Send
+// (noteWriteErr), and what they send then waits for the next flush.
 //
 //mpq:noescape
 func (d *Driver) flush() error {
-	if len(d.egress) == 0 {
-		return nil
-	}
-	var (
-		lastFrom netem.Addr
-		lastSock *pathSocket
-		lastTo   netem.Addr
-		lastAP   netip.AddrPort
-		lastOK   bool
-	)
-	var firstErr error
-	for i := range d.egress {
-		dg := d.egress[i]
-		d.egress[i] = netem.Datagram{} // drop the payload reference
-		if firstErr != nil {
-			// Fatal misconfiguration already detected: the rest of the
-			// batch is discarded unsent, counted so the loss is visible.
-			d.Stats.EgressDiscards++
-			wire.PutPacketBuf(dg.Raw)
-			continue
-		}
-		b := dg.Raw
-		if b == nil {
-			firstErr = structModeErr(dg)
-			continue
-		}
-		if dg.From != lastFrom || lastSock == nil {
-			lastFrom = dg.From
-			lastSock = d.byLocal[dg.From]
-		}
-		if dg.To != lastTo || !lastOK {
-			lastTo = dg.To
-			lastAP, lastOK = d.remoteAddrPort(dg.To)
-		}
-		if lastSock != nil && lastOK {
-			d.queue(lastSock, b, lastAP)
-		} else {
-			d.Stats.NoRoute++
-			wire.PutPacketBuf(b)
-		}
-	}
-	// Every socket's last batch, and with it whatever preceded a fatal
-	// error, goes out before flush returns.
 	for _, s := range d.socks {
 		d.writeBatch(s)
 	}
-	d.egress = d.egress[:0]
-	return firstErr
+	for _, s := range d.socks {
+		if s.writeFailed {
+			s.writeFailed = false
+			d.failPaths(s)
+		}
+	}
+	err := d.sendErr
+	d.sendErr = nil
+	return err
 }
 
 // Flush writes any queued egress immediately (e.g. a CONNECTION_CLOSE
 // sent after Run returned).
 //
 //mpq:confined run-loop
-func (d *Driver) Flush() error { return d.flush() }
+func (d *Driver) Flush() error {
+	err := d.flush()
+	d.releaseEgress()
+	return err
+}
 
 // UpdateSocketStats refreshes Stats.RcvQueueDrops from the kernel and
 // Stats.CorruptDrops from the registered protocol handlers
@@ -849,6 +982,8 @@ func (d *Driver) Close() error {
 	d.closeMu.Do(func() {
 		close(d.closeCh)
 		d.closeSockets()
+		d.readers.Wait()
+		d.reclaimRunBufs()
 	})
 	d.readers.Wait()
 	return nil

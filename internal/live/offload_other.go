@@ -4,25 +4,22 @@ package live
 
 import (
 	"net"
-	"sync"
+	"net/netip"
 )
 
-// Builds without segmentation offload read one datagram per call
-// straight into a pool buffer (readOne), so no reader draws a run
-// buffer, and write one datagram per call, so no writer groups a run.
+// Builds without segmentation offload read one datagram per call into
+// a run buffer (readOne), so no reader reads a run, and write one
+// datagram per call, so no writer groups a run.
 
 const offload = false
 
-type runBuf struct{}
-
-var runBufs = sync.Pool{New: func() any { return new(runBuf) }}
-
 func enableGRO(*net.UDPConn) {}
 
-// readRun is never reached here: readOne calls it only with a run
-// buffer, and no reader draws one.
-func (d *Driver) readRun(s *pathSocket, c *net.UDPConn, _ *runBuf) (readStatus, error) {
-	return d.readOne(s, c, nil)
+// readRun is never reached here: readOne calls it only for a socket
+// that reads runs, and none does.
+func readRun(c *net.UDPConn, _ *runBuf, b []byte) (n, seg int, from netip.AddrPort, err error) {
+	n, from, err = c.ReadFromUDPAddrPort(b)
+	return n, n, from, err
 }
 
 // writeRun is never reached here: writeBatch calls it only for a

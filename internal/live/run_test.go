@@ -1,0 +1,127 @@
+package live
+
+import (
+	"encoding/binary"
+	"net/netip"
+	"testing"
+	"time"
+
+	"mpquic/internal/core"
+	"mpquic/internal/netem"
+	"mpquic/internal/wire"
+)
+
+// stepLog records, for every datagram the loop delivers, the clock step
+// it came in, its More mark and the sequence number in its first bytes.
+type stepLog struct {
+	d    *Driver
+	seen []struct {
+		step uint64
+		more bool
+		seq  uint16
+	}
+}
+
+func (l *stepLog) HandleDatagram(dg netem.Datagram) {
+	l.seen = append(l.seen, struct {
+		step uint64
+		more bool
+		seq  uint16
+	}{l.d.Stats.IngressBatches, dg.More, binary.BigEndian.Uint16(dg.Raw)})
+}
+
+// Five queued runs of 60 datagrams are more than one step may inject:
+// the first step takes 256, cutting the last run after 16, and the
+// next takes the 44 left of it, each step's last datagram without
+// More. Every datagram arrives once, in order, and every run buffer
+// goes back to its socket.
+func TestBatchedStepCutsARun(t *testing.T) {
+	d, s := socketlessDriver()
+	h := &stepLog{d: d}
+	s.handler = h
+	from := netip.MustParseAddrPort("127.0.0.1:5000")
+	const runs, perRun, seg = 5, 60, 10
+	for r := 0; r < runs; r++ {
+		run := make([]byte, perRun*seg)
+		for i := 0; i < perRun; i++ {
+			binary.BigEndian.PutUint16(run[i*seg:], uint16(r*perRun+i))
+		}
+		handOver(t, d, s, from, run, seg)
+	}
+	if got := d.PendingIngress(); got != runs*perRun {
+		t.Fatalf("PendingIngress = %d, want %d datagrams", got, runs*perRun)
+	}
+	for d.PendingIngress() > 0 {
+		if err := step(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(h.seen) != runs*perRun || d.Stats.PacketsIn != runs*perRun || d.Stats.BytesIn != runs*perRun*seg {
+		t.Fatalf("%d datagrams delivered, Stats = %+v; want %d of %d bytes", len(h.seen), d.Stats, runs*perRun, seg)
+	}
+	if d.Stats.IngressBatches != 2 || d.Stats.MaxBatch != ingressBatchCap {
+		t.Fatalf("%d steps, the largest of %d datagrams; want 2, the first of %d", d.Stats.IngressBatches, d.Stats.MaxBatch, ingressBatchCap)
+	}
+	for i, dg := range h.seen {
+		first := i < ingressBatchCap
+		wantStep := uint64(1)
+		if !first {
+			wantStep = 2
+		}
+		last := i == ingressBatchCap-1 || i == len(h.seen)-1
+		if dg.seq != uint16(i) || dg.step != wantStep || dg.more == last {
+			t.Fatalf("datagram %d: sequence %d, step %d, More=%v; want %d, %d, %v", i, dg.seq, dg.step, dg.more, i, wantStep, !last)
+		}
+	}
+	if len(s.free) != runBufsPerSocket {
+		t.Fatalf("%d of %d run buffers back", len(s.free), runBufsPerSocket)
+	}
+}
+
+// A driver draws its sockets' run buffers from the process's free list
+// and gives every one back: its batch buffer when a Flush is done with
+// it, and at Close the ones its readers hold and the ones whose reads
+// still wait in its queue. So a fresh driver per transfer allocates
+// none.
+func TestBatchedDriverHandsRunBuffersBack(t *testing.T) {
+	const n = 20
+	// exchange sends n datagrams from d's first socket to its second,
+	// where they wait unread.
+	exchange := func(d *Driver) {
+		addrs := d.LocalAddrs()
+		for i := 0; i < n; i++ {
+			d.Send(core.RawDatagram(addrs[0], addrs[1], wire.GetPacketBuf()[:100]))
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for d.PendingIngress() < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("PendingIngress = %d, want %d", d.PendingIngress(), n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	locals := []string{"127.0.0.1:0", "127.0.0.1:0"}
+	warm, err := NewDriver(locals)
+	if err != nil {
+		t.Skipf("UDP sockets unavailable: %v", err)
+	}
+	exchange(warm)
+	warm.Close()
+	free := len(runBufFree)
+	d, err := NewDriver(locals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if got, want := len(runBufFree), free-2*runBufsPerSocket; got != want {
+		t.Fatalf("free list holds %d run buffers after NewDriver, want %d", got, want)
+	}
+	exchange(d)
+	d.Close()
+	if got := len(runBufFree); got != free {
+		t.Fatalf("free list holds %d run buffers after Close, want %d", got, free)
+	}
+}

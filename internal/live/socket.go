@@ -18,7 +18,7 @@ type connBox struct{ c UDPConn }
 // knows about it. The slot outlives any single socket — a reader's
 // rebind ladder may replace the conn — but the identity (idx, local,
 // ap) is fixed at bind time, which is what keeps the driver's socks
-// slice and byLocal map immutable after construction.
+// slice immutable after construction.
 //
 // The reader goroutine that owns the slot touches only the identity
 // and the atomic conn; the rest is the run loop's.
@@ -30,6 +30,9 @@ type pathSocket struct {
 	idx   int            // path index (bind order): names the socket in traces and fault scripts
 	local netem.Addr     // the actually-bound "ip:port", the path identity
 	ap    netip.AddrPort // the same address as a value, for /proc matching and rebinding
+	// free holds the slot's ingress run buffers nobody holds: its
+	// reader takes them, and the last hand-back returns them (runbuf.go).
+	free chan *runBuf
 
 	// handler receives the socket's ingress (nil until Register).
 	//mpq:confined run-loop
@@ -41,12 +44,22 @@ type pathSocket struct {
 	// conn the writer is bound to.
 	//mpq:confined run-loop
 	writeFails int
+	// writeFailed marks a conn closed for failing writes whose paths
+	// flush has yet to fail.
+	//mpq:confined run-loop
+	writeFailed bool
 	// w is the socket's binding to the batched write path and out the
 	// datagrams queued for its next write (egress.go).
 	//mpq:confined run-loop
 	w sockWriter
 	//mpq:confined run-loop
 	out egressBatch
+	// peerName and peerAP cache the last destination the socket
+	// resolved: a path socket sends to one peer, mostly.
+	//mpq:confined run-loop
+	peerName netem.Addr
+	//mpq:confined run-loop
+	peerAP netip.AddrPort
 }
 
 // loadConn returns the active socket.
@@ -101,6 +114,21 @@ func (d *Driver) remoteAddrPort(addr netem.Addr) (netip.AddrPort, bool) {
 	ap = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 	d.remotes[addr] = ap
 	return ap, true
+}
+
+// peer resolves the destination to for a datagram from s, through the
+// socket's one-entry cache.
+//
+//mpq:noescape
+func (d *Driver) peer(s *pathSocket, to netem.Addr) (netip.AddrPort, bool) {
+	if to == s.peerName && to != "" {
+		return s.peerAP, true
+	}
+	ap, ok := d.remoteAddrPort(to)
+	if ok {
+		s.peerName, s.peerAP = to, ap
+	}
+	return ap, ok
 }
 
 // closeSockets closes every slot's active socket, unblocking reader

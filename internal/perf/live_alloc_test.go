@@ -13,11 +13,14 @@ import (
 
 // Allocation parity for the live fast lane: the batched UDP driver
 // must move packets with the same zero-garbage discipline the sim hot
-// path has. Both directions draw 1500-byte buffers from the wire pool:
-// egress returns them after the socket write, ingress after the
-// handler. Steady state on both sides is allocation-free — this test
-// pins it end to end across two real loopback sockets, for flushes of
-// one datagram and for batched flushes of sixteen.
+// path has. Both directions move bytes in run buffers from the
+// driver's free list: a reader reads into its socket's and the loop
+// hands each read back after the handler; egress queues each datagram
+// in its socket's batch buffer, here copied in from the wire pool
+// buffer the test sends, which Send returns. Steady state on both
+// sides is allocation-free — this test pins it end to end across two
+// real loopback sockets, for flushes of one datagram and for batched
+// flushes of sixteen.
 
 // nullHandler consumes datagrams without touching them: the driver's
 // per-packet overhead measured in isolation from protocol work. It
@@ -65,8 +68,8 @@ func TestLiveDriverAllocPerPacketSteadyState(t *testing.T) {
 	h := &nullHandler{pending: receiver.PendingIngress}
 	receiver.Register(rxAddr, h)
 
-	// The receiver loop runs in server mode: ingest batches recycle
-	// pool buffers as fast as the reader draws them, which is the
+	// The receiver loop runs in server mode: ingest batches hand run
+	// buffers back as fast as the reader fills them, which is the
 	// steady state whose allocation count we are pinning. Its work is
 	// included in the measurement (AllocsPerRun counts all
 	// goroutines).

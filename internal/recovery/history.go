@@ -28,36 +28,38 @@ type Settler interface{ Settled() bool }
 // NewHistory: a log that grows to k records in flight costs
 // O(log k + k/slab) allocations, not k. The list may outlive the
 // history: every connection a core.Listener accepts draws from the
-// listener's, and Release hands its records back when it ends.
+// listener's, and Release hands its records back when it ends, with
+// the log's two arrays, which the next history starts from.
 type History[R any, P interface {
 	*R
 	Settler
 }] struct {
 	// recs[head:] is the log; recs[:head] is the trimmed, dead prefix
 	// of the backing array.
-	recs []P
+	recs []*R
 	head int
 	// retired holds the records trimmed since the last Reclaim, free
 	// the list Next draws from and Reclaim and Release return to.
-	retired []P
+	retired []*R
 	free    *slab.List[R]
 }
 
-// NewHistory returns an empty history whose records come from free.
+// NewHistory returns an empty history whose records, and the arrays
+// that list them, come from free.
 func NewHistory[R any, P interface {
 	*R
 	Settler
 }](free *slab.List[R]) History[R, P] {
-	return History[R, P]{free: free}
+	return History[R, P]{recs: free.TakeLog(), retired: free.TakeLog(), free: free}
 }
 
 // Next returns a record for the caller to fill in and Add: a recycled
 // one, or a zero one from the current slab.
-func (h *History[R, P]) Next() P { return h.free.Get() }
+func (h *History[R, P]) Next() *R { return h.free.Get() }
 
 // Add appends a transmission to the log, which owns the record from
 // here on.
-func (h *History[R, P]) Add(p P) {
+func (h *History[R, P]) Add(p *R) {
 	if len(h.recs) == cap(h.recs) && 2*h.head >= len(h.recs) {
 		// Half the backing array is trimmed prefix: move the log down
 		// into it instead of growing the array. Each record moves at
@@ -71,11 +73,11 @@ func (h *History[R, P]) Add(p P) {
 
 // Live returns the log, oldest first; settled records linger in it
 // until trimmed. The slice is valid until the next Add.
-func (h *History[R, P]) Live() []P { return h.recs[h.head:] }
+func (h *History[R, P]) Live() []*R { return h.recs[h.head:] }
 
 // Trim drops the settled front of the log and retires it.
 func (h *History[R, P]) Trim() {
-	for h.head < len(h.recs) && h.recs[h.head].Settled() {
+	for h.head < len(h.recs) && P(h.recs[h.head]).Settled() {
 		h.retired = append(h.retired, h.recs[h.head])
 		h.head++
 	}
@@ -94,13 +96,16 @@ func (h *History[R, P]) Reclaim() {
 }
 
 // Release hands every record back to the free list, settled or not,
-// retired or not, and empties the history. The owner calls it once no
-// call follows and nothing names a record any more.
+// retired or not, with the log's arrays, and empties the history. The
+// owner calls it once no call follows and nothing names a record any
+// more.
 func (h *History[R, P]) Release() {
 	h.Reclaim()
 	for _, p := range h.Live() {
 		h.free.Put(p)
 	}
+	h.free.PutLog(h.recs)
+	h.free.PutLog(h.retired)
 	h.recs, h.head, h.retired = nil, 0, nil
 }
 

@@ -98,15 +98,19 @@ func NewSpaceOn(est *rtt.Estimator, free *slab.List[SentPacket]) *Space {
 	return &Space{
 		est:          est,
 		history:      NewHistory[SentPacket](free),
+		ackedScratch: free.TakeLog(),
+		lostScratch:  free.TakeLog(),
 		largestAcked: wire.InvalidPacketNumber,
 	}
 }
 
 // Release hands every record the space holds back to its free list
-// (History.Release) and drops the result scratch that named them. The
+// (History.Release), with the result scratch that named them. The
 // space must not be used afterwards; its counters keep their values.
 func (s *Space) Release() {
 	s.history.Release()
+	s.history.free.PutLog(s.ackedScratch)
+	s.history.free.PutLog(s.lostScratch)
 	s.ackedScratch, s.lostScratch = nil, nil
 }
 

@@ -8,7 +8,9 @@
 // slabs, arrays that double from minSlabBytes to maxSlabBytes, makes
 // that warm-up cost a few allocations instead of one per record. A list
 // may outlive the connections that draw from it: a core.Listener shares
-// one among the connections it accepts and Shrinks it to a bound.
+// one among the connections it accepts and Shrinks it to a bound. The
+// arrays that listed a connection's records (its logs) go back to the
+// list with them, so the next connection does not grow its own anew.
 package slab
 
 import "unsafe"
@@ -32,6 +34,8 @@ type List[T any] struct {
 	free []*T
 	n    int
 	next int // records in the next slab; 0 before the first
+	// logs holds the emptied arrays PutLog took, for TakeLog.
+	logs [][]*T
 }
 
 // Get lends a record. A fresh one is zero; one that was Put back holds
@@ -55,18 +59,70 @@ func (l *List[T]) Put(p *T) {
 	l.n++
 }
 
+// PutLog hands back an array that listed records, for a later TakeLog
+// to start a log from. It is emptied: the list keeps no record alive
+// through it.
+func (l *List[T]) PutLog(log []*T) {
+	if cap(log) == 0 {
+		return
+	}
+	clear(log[:cap(log)])
+	l.logs = append(l.logs, log[:0])
+}
+
+// TakeLog returns the largest array PutLog handed back, empty, or nil
+// when there is none.
+func (l *List[T]) TakeLog() []*T {
+	best := -1
+	for i, log := range l.logs {
+		if best < 0 || cap(log) > cap(l.logs[best]) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	log := l.logs[best]
+	last := len(l.logs) - 1
+	l.logs[best], l.logs[last] = l.logs[last], nil
+	l.logs = l.logs[:last]
+	return log
+}
+
 // Len reports how many records wait for a Get without a new slab.
 func (l *List[T]) Len() int { return l.n }
 
 // Shrink keeps at most keep waiting records and leaves the rest to the
 // collector: the list names none of them afterwards, so a slab goes
-// once no record of it is named anywhere else.
+// once no record of it is named anywhere else. Of the logs, it keeps
+// the largest while their room totals at most logKeep*keep records.
 func (l *List[T]) Shrink(keep int) {
 	if len(l.free) > keep {
 		l.n = min(l.n, keep)
 		l.free = append([]*T(nil), l.free[:l.n]...)
 	}
+	room := 0
+	for _, log := range l.logs {
+		room += cap(log)
+	}
+	for room > logKeep*keep {
+		small := 0
+		for i, log := range l.logs {
+			if cap(log) < cap(l.logs[small]) {
+				small = i
+			}
+		}
+		room -= cap(l.logs[small])
+		last := len(l.logs) - 1
+		l.logs[small], l.logs[last] = l.logs[last], nil
+		l.logs = l.logs[:last]
+	}
 }
+
+// logKeep bounds the room Shrink keeps in logs, in records per record
+// kept: a connection's logs — each path's in-flight log, the records it
+// retired and the results of one ACK — list its window a few times.
+const logKeep = 4
 
 // grow lists the records of a new slab, the first of them last so that
 // Get hands them out in address order. It is Get's cold path and stays

@@ -117,6 +117,51 @@ func TestShrinkKeepsTheBound(t *testing.T) {
 	}
 }
 
+// TestLogsComeBackEmptyLargestFirst: a log handed back comes back
+// empty, cleared to its capacity, largest first, and Shrink keeps the
+// largest while their room totals at most logKeep records per record
+// kept.
+func TestLogsComeBackEmptyLargestFirst(t *testing.T) {
+	var l List[rec]
+	if log := l.TakeLog(); log != nil {
+		t.Fatalf("an empty list lends a log of %d", cap(log))
+	}
+	for _, n := range []int{10, 40, 20} {
+		log := make([]*rec, n)
+		for i := range log {
+			log[i] = l.Get()
+		}
+		l.PutLog(log[:n/2])
+	}
+	l.PutLog(nil)
+	for _, want := range []int{40, 20, 10} {
+		log := l.TakeLog()
+		if len(log) != 0 || cap(log) != want {
+			t.Fatalf("TakeLog lent len %d cap %d, want an empty log of %d", len(log), cap(log), want)
+		}
+		for i, p := range log[:cap(log)] {
+			if p != nil {
+				t.Fatalf("entry %d of a log of %d still names a record", i, want)
+			}
+		}
+	}
+	if log := l.TakeLog(); log != nil {
+		t.Fatalf("a fourth TakeLog lent a log of %d", cap(log))
+	}
+	for _, n := range []int{10, 40, 20} {
+		l.PutLog(make([]*rec, n))
+	}
+	l.Shrink(15) // room for 60: the logs of 40 and 20
+	for _, want := range []int{40, 20} {
+		if log := l.TakeLog(); cap(log) != want {
+			t.Fatalf("after Shrink, TakeLog lent a log of %d, want %d", cap(log), want)
+		}
+	}
+	if log := l.TakeLog(); log != nil {
+		t.Fatalf("Shrink kept a log of %d past its bound", cap(log))
+	}
+}
+
 // BenchmarkListGet is one Get and one Put of a record that waits, the
 // steady state of every slab user. Get is small enough to inline (see
 // List.free); `go build -gcflags=-m=2 ./internal/sim ./internal/recovery`

@@ -32,12 +32,13 @@ GOOS=linux GOARCH=386 go vet ./internal/live
 GOOS=darwin GOARCH=arm64 go vet ./internal/live
 GOOS=windows go build ./...
 
-# The offload path as a 32-bit binary, since vetting it does not run
-# the narrower cmsg layout. Skipped, loudly, where the host cannot exec
+# The offload path and the run hand-off as a 32-bit binary, since
+# vetting it does not run the narrower cmsg layout or a run's length
+# and offset arithmetic. Skipped, loudly, where the host cannot exec
 # 386 binaries; the vet above has already compiled the tests.
 if GOOS=linux GOARCH=386 go test -count=1 -run '^$' ./internal/live >/dev/null 2>&1; then
     echo "== go test linux/386 (live offload)"
-    GOOS=linux GOARCH=386 go test -count=1 -run 'Offload|Batched|GROJunk|Interleaved' ./internal/live
+    GOOS=linux GOARCH=386 go test -count=1 -run 'Offload|Batched|GROJunk|Interleaved|RunSegment|FuzzLiveIngress' ./internal/live
 else
     echo "== go test linux/386 (skipped: host cannot run 386 binaries)"
 fi
