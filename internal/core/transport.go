@@ -83,7 +83,8 @@ var (
 // socket's reader.
 //
 // More is left false; a carrier injecting a batch at one instant sets
-// it on all but each handler's last datagram (see netem.Datagram.More).
+// it on a datagram when the batch's next one goes to the same handler,
+// as live.Driver does (see netem.Datagram.More).
 func RawDatagram(from, to netem.Addr, b []byte) netem.Datagram {
 	return netem.Datagram{
 		From: from,

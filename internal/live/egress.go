@@ -4,8 +4,6 @@ import (
 	"net"
 	"net/netip"
 	"unsafe"
-
-	"mpquic/internal/wire"
 )
 
 // Batched egress. Send queues each datagram on its socket's batch, in
@@ -80,9 +78,9 @@ func (w *sockWriter) bind(box *connBox) {
 }
 
 // queue appends one datagram to s's batch — in place when it was
-// encoded into the bytes LendRaw lent, copied in otherwise — and
-// writes the batch out once it is full: 64 datagrams, or no room left
-// for a full one.
+// encoded into the bytes LendRaw lent, copied in otherwise, the
+// caller's bytes left as they were — and writes the batch out once it
+// is full: 64 datagrams, or no room left for a full one.
 //
 //mpq:noescape
 func (d *Driver) queue(s *pathSocket, b []byte, to netip.AddrPort) {
@@ -99,38 +97,17 @@ func (d *Driver) queue(s *pathSocket, b []byte, to netip.AddrPort) {
 			// Longer than a UDP datagram: the kernel would refuse it.
 			d.Stats.EgressWrites++
 			d.Stats.WriteErrors++
-			d.recycle(b)
 			return
 		}
 	}
 	if unsafe.SliceData(b) != &q.rb.b[at] {
 		copy(q.rb.b[at:], b)
-		d.recycle(b)
 	}
 	q.end[q.n], q.to[q.n] = int32(at+len(b)), to
 	q.n++
 	if q.n == egressBatchMax || len(q.rb.b)-q.tail() < maxSegment {
 		d.writeBatch(s)
 	}
-}
-
-// recycle hands the wire pool back a buffer Send was given, unless it
-// is bytes LendRaw lent, which are a batch buffer's.
-//
-//mpq:noescape
-func (d *Driver) recycle(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	p := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
-	for _, s := range d.socks {
-		if rb := s.out.rb; rb != nil {
-			if base := uintptr(unsafe.Pointer(&rb.b[0])); p >= base && p < base+uintptr(len(rb.b)) {
-				return
-			}
-		}
-	}
-	wire.PutPacketBuf(b)
 }
 
 // releaseEgress gives every empty batch's buffer back to the free

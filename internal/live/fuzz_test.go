@@ -5,14 +5,16 @@ package live
 // cut into datagrams → handler HandleDatagram → wire decode. The
 // properties under test are the live driver's corruption contract
 // (fault.go): no input may panic the stack, every datagram of a run is
-// counted in PacketsIn and BytesIn, every run buffer comes back to its
-// socket, and any datagram whose header does not even parse is counted
-// as a corrupt drop rather than vanishing. Runs socket-free — the
-// driver under test is a literal with a synthetic path slot, so the
-// fuzzer needs no UDP permissions.
+// counted in PacketsIn and BytesIn, every step's last datagram carries
+// More=false, every run buffer comes back to its socket, and any
+// datagram whose header does not even parse is counted as a corrupt
+// drop rather than vanishing. Runs socket-free — the driver under test
+// is a literal with a synthetic path slot, so the fuzzer needs no UDP
+// permissions.
 
 import (
 	"bytes"
+	"fmt"
 	"net/netip"
 	"testing"
 	"time"
@@ -25,26 +27,25 @@ import (
 )
 
 // socketlessDriver builds a minimal socket-less driver whose ingest
-// path is fully functional — batch scratch of the real sizes, clock,
-// run buffers — but with no bound socket and no reader goroutines.
-func socketlessDriver() (*Driver, *pathSocket) {
+// path is fully functional — the real queue size, clock, run buffers —
+// but with no bound socket and no reader goroutines: n path slots,
+// built the way NewDriver builds them.
+func socketlessDriver(n int) *Driver {
 	d := &Driver{
-		clock:      sim.NewClock(),
-		remotes:    make(map[netem.Addr]netip.AddrPort),
-		recvCh:     make(chan packetIn, recvQueueLen),
-		wakeCh:     make(chan struct{}, 1),
-		closeCh:    make(chan struct{}),
-		inBatch:    make([]packetIn, 0, ingressBatchCap),
-		deliveries: make([]delivery, ingressBatchCap),
-		lastFor:    make([]netem.Handler, 0, 1),
-		addrNames:  make(map[netip.AddrPort]netem.Addr),
-		start:      time.Now(),
-		started:    true,
+		clock:     sim.NewClock(),
+		remotes:   make(map[netem.Addr]netip.AddrPort),
+		recvCh:    make(chan packetIn, recvQueueLen),
+		wakeCh:    make(chan struct{}, 1),
+		closeCh:   make(chan struct{}),
+		addrNames: make(map[netip.AddrPort]netem.Addr),
+		start:     time.Now(),
+		started:   true,
 	}
-	s := &pathSocket{idx: 0, local: "127.0.0.1:9"}
-	d.socks = []*pathSocket{s}
+	for i := range n {
+		d.socks = append(d.socks, &pathSocket{idx: i, local: netem.Addr(fmt.Sprintf("127.0.0.1:%d", 9+i))})
+	}
 	d.takeRunBufs()
-	return d, s
+	return d
 }
 
 // handOver does what a reader does with a read of data: it takes one
@@ -76,15 +77,47 @@ func step(d *Driver) error {
 	return d.ingest(p)
 }
 
+// moreMarks forwards every datagram to h and notes its More mark.
+type moreMarks struct {
+	h           netem.Handler
+	n, final    int  // datagrams seen, and those without More
+	lastWasMore bool // the last one's mark
+}
+
+func (m *moreMarks) HandleDatagram(dg netem.Datagram) {
+	m.n++
+	if !dg.More {
+		m.final++
+	}
+	m.lastWasMore = dg.More
+	m.h.HandleDatagram(dg)
+}
+
 // fuzzIngressDriver is socketlessDriver with a listener registered on
-// its path slot.
-func fuzzIngressDriver() (*Driver, *pathSocket, *core.Listener) {
-	d, s := socketlessDriver()
+// its path slot, behind a handler that notes the More marks.
+func fuzzIngressDriver() (*Driver, *pathSocket, *core.Listener, *moreMarks) {
+	d := socketlessDriver(1)
+	s := d.socks[0]
 	cfg := core.DefaultSinglePathConfig()
 	cfg.MaxPaths = 1
 	cfg.WireSerialization = true
 	lis := core.Listen(d, cfg, []netem.Addr{s.local})
-	return d, s, lis
+	marks := &moreMarks{h: lis}
+	d.Register(s.local, marks)
+	return d, s, lis, marks
+}
+
+// markedStep is step, checked against the More contract: the step's
+// datagrams all go to one handler, so it delivers exactly one without
+// More, its last.
+func markedStep(t *testing.T, d *Driver, m *moreMarks) error {
+	t.Helper()
+	n, final := m.n, m.final
+	err := step(d)
+	if m.n > n && (m.lastWasMore || m.final != final+1) {
+		t.Fatalf("a step of %d datagrams delivered %d without More, the last with More=%v; want one, the last", m.n-n, m.final-final, m.lastWasMore)
+	}
+	return err
 }
 
 // fuzzIngressSeeds is the seed corpus: packets a live peer would
@@ -140,20 +173,20 @@ func FuzzLiveIngress(f *testing.F) {
 		Frames: []wire.Frame{&wire.HandshakeFrame{Message: wire.HandshakeCHLO, Payload: crypto.NewClientHandshake(1).CHLO()}},
 	}).EncodeTo(nil, nil)
 	f.Fuzz(func(t *testing.T, in []byte) {
-		d, s, lis := fuzzIngressDriver()
+		d, s, lis, marks := fuzzIngressDriver()
 		from := netip.MustParseAddrPort("127.0.0.1:5000")
 		// Open connection 7 first: only a handshake packet creates a
 		// connection, and the input should reach the frame handlers of
 		// an established one, not stop at the listener's door.
 		handOver(t, d, s, from, chlo, len(chlo))
-		if err := step(d); err != nil || len(lis.Conns()) != 1 {
+		if err := markedStep(t, d, marks); err != nil || len(lis.Conns()) != 1 {
 			t.Fatalf("set-up CHLO: err=%v, %d connections", err, len(lis.Conns()))
 		}
 		// A read of one datagram keeps what fits in 1500 bytes.
 		in = in[:min(len(in), maxSegment)]
 		before := lis.CorruptDrops()
 		handOver(t, d, s, from, in, len(in))
-		if err := step(d); err != nil {
+		if err := markedStep(t, d, marks); err != nil {
 			t.Fatalf("ingest returned a driver-fatal error for arbitrary input: %v", err)
 		}
 		if d.Stats.PacketsIn != 2 {
@@ -188,7 +221,7 @@ func FuzzLiveIngress(f *testing.F) {
 			st := d.Stats
 			handOver(t, d, s, from, c.data, c.seg)
 			for d.PendingIngress() > 0 {
-				if err := step(d); err != nil {
+				if err := markedStep(t, d, marks); err != nil {
 					t.Fatalf("ingest returned a driver-fatal error for a run: %v", err)
 				}
 			}

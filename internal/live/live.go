@@ -20,18 +20,19 @@
 //     wake-up;
 //  2. block on socket readability until that wall deadline (a select
 //     over the reader channel and the timer);
-//  3. on wake-up, drain the datagrams the readers have queued — up to
-//     256, cutting a run when it passes that — into one batch, advance the sim clock once to wall-elapsed time with
+//  3. on wake-up, advance the sim clock once to wall-elapsed time with
 //     Clock.RunUntil (firing every due protocol timer), and inject the
-//     whole batch via netem.Handler.HandleDatagram. The batch arrives
-//     at one sim instant, so every datagram but the last one for each
-//     distinct handler carries netem.Datagram.More: the handler consumes
-//     it in full and holds its reaction (sends, timer re-arm) for the
-//     one that follows. An endpoint thus answers a burst once — one ACK
-//     per path per step — instead of once per datagram. Only the driver
-//     sets More, only from the batch it actually drained, and every
-//     handler's last datagram of a step carries More=false, whatever
-//     that datagram turns out to be;
+//     reads queued by then via netem.Handler.HandleDatagram, each as it
+//     leaves the queue — up to 256 datagrams, cutting a run when it
+//     passes that. They arrive at one sim instant, so a datagram the
+//     step's next one follows to the same handler carries
+//     netem.Datagram.More: the handler consumes it in full and holds
+//     its reaction (sends, timer re-arm) for the one that follows. An
+//     endpoint thus answers a burst once — one ACK per path per step —
+//     instead of once per datagram (every production driver has one
+//     handler: core registers all of a carrier's addresses with one
+//     endpoint). Every handler's last datagram of a step carries
+//     More=false, whatever that datagram turns out to be;
 //  4. write every socket's egress batch: each Send during the step
 //     queued its datagram on its socket's batch (written at once when
 //     full), and each socket's datagrams go out in order, one write per
@@ -64,7 +65,8 @@
 // being cut into pieces. Egress: the driver lends core the free tail of
 // the path socket's batch buffer (LendRaw), core encodes the packet
 // there, and Send counts it into the batch in place; a datagram encoded
-// elsewhere is copied in and its wire pool buffer recycled.
+// elsewhere is copied in and left to its owner, so no live code hands
+// the wire pool anything.
 // Steady state performs zero allocations per packet in both
 // directions, pinned by internal/perf's live-loop allocation tests.
 //
@@ -178,14 +180,6 @@ func (p *packetIn) datagrams() int {
 		return 0
 	}
 	return p.rb.reads[p.i].datagrams()
-}
-
-// delivery is ingest's note on one read of its batch: the handler the
-// datagrams go to (nil for a socket event, or when nobody listens) and
-// whether a later read of the same batch goes to that handler too.
-type delivery struct {
-	h    netem.Handler
-	more bool
 }
 
 // Stats counts driver-level activity (socket I/O, not protocol state;
@@ -306,19 +300,10 @@ type Driver struct {
 	closeMu sync.Once
 	readers sync.WaitGroup
 
-	//mpq:confined run-loop
-	inBatch []packetIn
-	// deliveries[i] goes with inBatch[i]; lastFor collects the handlers
-	// whose last datagram of the batch has been found (at most one per
-	// socket). Both are ingest's scratch.
-	//mpq:confined run-loop
-	deliveries []delivery
 	// carry is the rest of a read the last step cut at ingressBatchCap:
 	// the next step's first.
 	//mpq:confined run-loop
 	carry packetIn
-	//mpq:confined run-loop
-	lastFor []netem.Handler
 	//mpq:confined run-loop
 	addrNames map[netip.AddrPort]netem.Addr
 
@@ -351,8 +336,6 @@ func NewDriver(localAddrs []string, opts ...Option) (*Driver, error) {
 		recvCh:     make(chan packetIn, recvQueueLen),
 		wakeCh:     make(chan struct{}, 1),
 		closeCh:    make(chan struct{}),
-		inBatch:    make([]packetIn, 0, ingressBatchCap),
-		deliveries: make([]delivery, ingressBatchCap),
 		addrNames:  make(map[netip.AddrPort]netem.Addr),
 	}
 	for _, o := range opts {
@@ -381,7 +364,6 @@ func NewDriver(localAddrs []string, opts ...Option) (*Driver, error) {
 		s.storeConn(c)
 		d.socks = append(d.socks, s)
 	}
-	d.lastFor = make([]netem.Handler, 0, len(d.socks))
 	d.takeRunBufs()
 	for _, s := range d.socks {
 		d.readers.Add(1)
@@ -409,13 +391,13 @@ func (d *Driver) LocalAddrs() []netem.Addr {
 }
 
 // Register implements core.DatagramSender: ingress datagrams arriving
-// on the socket bound to addr are dispatched to h, from the next clock
-// step on when called from inside one. Addresses registered with the
-// same h share one reaction per step (see netem.Datagram.More). The
-// loop tells handlers apart with ==, so h must be of a comparable type
-// (a pointer, as core's endpoints are): wrap a netem.HandlerFunc in a
-// struct registered by pointer. An address no socket owns is ignored:
-// no datagram could ever arrive on it.
+// on the socket bound to addr are dispatched to h, from the next read
+// the loop takes when called from inside a step. Addresses registered
+// with the same h share one reaction per step (see netem.Datagram.More).
+// The loop tells handlers apart with ==, so h must be of a comparable
+// type (a pointer, as core's endpoints are): wrap a netem.HandlerFunc
+// in a struct registered by pointer. An address no socket owns is
+// ignored: no datagram could ever arrive on it.
 //
 //mpq:confined run-loop
 func (d *Driver) Register(addr netem.Addr, h netem.Handler) {
@@ -441,8 +423,8 @@ func (d *Driver) socket(addr netem.Addr) *pathSocket {
 // batch, which goes out when full or when the current event batch
 // finishes (egress order is preserved per socket). The payload must be
 // wire-serialized. A payload encoded into the bytes LendRaw lent is
-// already in place; any other is copied in and its wire pool buffer
-// recycled.
+// already in place; any other is copied in, and the caller's buffer is
+// never touched again: the driver neither keeps nor recycles it.
 //
 //mpq:confined run-loop
 //mpq:noescape
@@ -452,7 +434,6 @@ func (d *Driver) Send(dg netem.Datagram) {
 		// A misconfiguration found earlier in the step ends Run: the
 		// rest is discarded unsent, counted so the loss is visible.
 		d.Stats.EgressDiscards++
-		d.recycle(b)
 		return
 	}
 	if b == nil {
@@ -467,7 +448,6 @@ func (d *Driver) Send(dg netem.Datagram) {
 	}
 	if !ok {
 		d.Stats.NoRoute++
-		d.recycle(b)
 		return
 	}
 	d.queue(s, b, to)
@@ -749,97 +729,79 @@ func quantize(dl time.Duration) time.Duration {
 	return (dl + coalesce - 1) / coalesce * coalesce
 }
 
-// ingest drains the reads already queued by the readers, up to
-// ingressBatchCap datagrams, into one batch, advances the clock once,
-// and injects the whole batch — the batched-ingress half of the fast
-// lane: one wake-up, one clock step, one reaction per handler, one
-// egress flush for the entire burst.
+// ingest advances the clock once and injects first and the reads queued
+// when it starts, up to ingressBatchCap datagrams — the batched-ingress
+// half of the fast lane: one wake-up, one clock step, one reaction per
+// handler, one egress flush for the entire burst. Each read leaves the
+// queue before the one ahead of it goes in, whose last More it decides.
 //
 //mpq:noescape
 func (d *Driver) ingest(first packetIn) error {
-	batch := append(d.inBatch[:0], first)
-	n := first.datagrams()
-drain:
-	for n < ingressBatchCap && len(batch) < cap(batch) {
-		select {
-		case q := <-d.recvCh:
-			batch = append(batch, q)
-			n += q.datagrams()
-		default:
-			break drain
-		}
-	}
-	d.inBatch = batch[:0] // retain the scratch backing array
+	queued := len(d.recvCh)
 	if err := d.advance(); err != nil {
-		for i := range batch {
-			d.drop(&batch[i])
-		}
+		d.drop(&first)
 		return err
 	}
 	d.Stats.IngressBatches++
-	if n := uint64(min(n, ingressBatchCap)); n > d.Stats.MaxBatch {
-		d.Stats.MaxBatch = n
-	}
-	// Walking backwards, the first read met for a handler holds its
-	// last datagram of this step; every earlier one is followed by More.
-	to := d.deliveries[:len(batch)]
-	last := d.lastFor[:0]
-	for i := len(batch) - 1; i >= 0; i-- {
-		to[i] = delivery{}
-		if batch[i].kind != evData {
-			continue
-		}
-		h := batch[i].s.handler
-		if h == nil {
-			continue
-		}
-		to[i].h = h
-		for _, seen := range last {
-			if seen == h {
-				to[i].more = true
-				break
+	left := ingressBatchCap
+	p, h := first, first.handler()
+	for {
+		// A read the budget does not outlast is the step's last.
+		var next packetIn
+		var nh netem.Handler
+		took := false
+		if queued > 0 && left > p.datagrams() {
+			select {
+			case next = <-d.recvCh:
+				queued--
+				took, nh = true, next.handler()
+			default:
+				queued = 0
 			}
 		}
-		if !to[i].more {
-			last = append(last, h)
-		}
-	}
-	// Only the batch's last read can take the step past its bound: the
-	// drain stops there.
-	left := ingressBatchCap
-	for i := range batch {
-		p := &batch[i]
 		switch {
 		case p.kind != evData:
 			// A socket health transition riding the ingress crossing;
 			// fold it into stats/traces/PF state (fault.go).
 			d.handleSockEvent(p.s, p.kind, p.err)
-		case to[i].h == nil:
+		case h == nil:
 			k := p.datagrams()
 			d.Stats.NoHandler += uint64(k)
 			left -= k
-			d.drop(p)
+			d.drop(&p)
 		default:
-			left = d.inject(p, to[i], left)
+			left = d.inject(&p, h, took && nh == h, left)
 		}
-		*p = packetIn{}
+		if !took {
+			break
+		}
+		p, h = next, nh
 	}
-	if d.fatal != nil {
-		// The batch marked the last live socket failed: nothing can
-		// move packets any more, so Run must surface it.
-		return d.fatal
+	if n := uint64(min(ingressBatchCap-left, ingressBatchCap)); n > d.Stats.MaxBatch {
+		d.Stats.MaxBatch = n
 	}
-	return nil
+	// A step that marked the last live socket failed ends Run: nothing
+	// can move packets any more.
+	return d.fatal
 }
 
-// inject hands p's datagrams to their handler, each where it lies in
-// the run buffer, until the step's budget left runs out, and returns
-// what is left of it. Every datagram but the run's last carries More,
-// and that one carries the handler's mark; when the budget cuts the
-// run, the rest becomes the next step's first read (carry).
+// handler returns the handler p's datagrams go to: nil for a socket
+// event, or when nobody listens.
+func (p *packetIn) handler() netem.Handler {
+	if p.kind != evData {
+		return nil
+	}
+	return p.s.handler
+}
+
+// inject hands p's datagrams to h, each where it lies in the run
+// buffer, until the step's budget left runs out, and returns what is
+// left of it. Every datagram but the run's last carries More, and that
+// one carries more; when the budget cuts the run, the rest becomes the
+// next step's first read (carry).
 //
 //mpq:noescape
-func (d *Driver) inject(p *packetIn, to delivery, left int) int {
+func (d *Driver) inject(p *packetIn, h netem.Handler, more bool, left int) int {
 	rd := &p.rb.reads[p.i]
 	run := p.rb.b[rd.off : rd.off+rd.n]
 	seg := int(rd.seg)
@@ -857,10 +819,10 @@ func (d *Driver) inject(p *packetIn, to delivery, left int) int {
 		run = run[k:]
 		left--
 		taken++
-		dg.More = to.more || len(run) > 0 && left > 0
+		dg.More = more || len(run) > 0 && left > 0
 		d.Stats.PacketsIn++
 		d.Stats.BytesIn += uint64(k)
-		to.h.HandleDatagram(dg)
+		h.HandleDatagram(dg)
 		if len(run) == 0 || left <= 0 {
 			break
 		}

@@ -125,31 +125,6 @@ func TestBatchMarksMoreOnAllButTheLastDatagram(t *testing.T) {
 	}
 }
 
-// Distinct handlers are told apart: each gets its own last datagram in
-// every step it takes part in.
-func TestBatchMarksMorePerHandler(t *testing.T) {
-	const each = 200
-	d := newDriverOpts(t, 2)
-	logs := [2]*moreLog{{d: d}, {d: d}}
-	d.Register(d.LocalAddrs()[0], logs[0])
-	d.Register(d.LocalAddrs()[1], logs[1])
-	blastAt(t, d, 0, each, make([]byte, 100))
-	blastAt(t, d, 1, each, make([]byte, 100))
-	awaitPending(t, d, 2*each*9/10)
-	if err := d.Run(func() bool { return len(logs[0].seen)+len(logs[1].seen) >= 2*each*9/10 }); err != nil {
-		t.Fatal(err)
-	}
-	for i, l := range logs {
-		if len(l.seen) == 0 {
-			t.Fatalf("socket %d delivered nothing", i)
-		}
-		checkMoreContract(t, string(d.LocalAddrs()[i]), l.seen)
-	}
-	if d.Stats.MaxBatch < 2 {
-		t.Fatal("no step injected more than one datagram")
-	}
-}
-
 // A full batch of data packets on two paths, waiting in the reader
 // queue when the loop steps, is acknowledged by one ACK frame per path
 // — not by one for every second packet.

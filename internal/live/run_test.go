@@ -36,7 +36,8 @@ func (l *stepLog) HandleDatagram(dg netem.Datagram) {
 // More. Every datagram arrives once, in order, and every run buffer
 // goes back to its socket.
 func TestBatchedStepCutsARun(t *testing.T) {
-	d, s := socketlessDriver()
+	d := socketlessDriver(1)
+	s := d.socks[0]
 	h := &stepLog{d: d}
 	s.handler = h
 	from := netip.MustParseAddrPort("127.0.0.1:5000")
@@ -75,6 +76,54 @@ func TestBatchedStepCutsARun(t *testing.T) {
 	}
 	if len(s.free) != runBufsPerSocket {
 		t.Fatalf("%d of %d run buffers back", len(s.free), runBufsPerSocket)
+	}
+}
+
+// Reads queued A, A, B, A — two datagrams each, on two sockets with
+// their own handlers — make one step. A datagram carries More only when
+// the step's next datagram goes to its handler: so both handlers' last
+// datagrams of the step carry More=false, and so does A's second read,
+// which B's read follows.
+func TestBatchedMoreFollowsTheNextDatagram(t *testing.T) {
+	d := socketlessDriver(2)
+	a, b := d.socks[0], d.socks[1]
+	logs := map[*pathSocket]*stepLog{a: {d: d}, b: {d: d}}
+	d.Register(a.local, logs[a])
+	d.Register(b.local, logs[b])
+	from := netip.MustParseAddrPort("127.0.0.1:5000")
+	const seg = 10
+	for i, s := range []*pathSocket{a, a, b, a} {
+		run := make([]byte, 2*seg)
+		binary.BigEndian.PutUint16(run, uint16(2*i))
+		binary.BigEndian.PutUint16(run[seg:], uint16(2*i+1))
+		handOver(t, d, s, from, run, seg)
+	}
+	if err := step(d); err != nil {
+		t.Fatal(err)
+	}
+	if d.Stats.IngressBatches != 1 || d.Stats.PacketsIn != 8 || d.PendingIngress() != 0 {
+		t.Fatalf("%d steps injected %d datagrams, %d left; want one step of all 8", d.Stats.IngressBatches, d.Stats.PacketsIn, d.PendingIngress())
+	}
+	for _, c := range []struct {
+		s    *pathSocket
+		seqs []uint16
+		more []bool
+	}{
+		{a, []uint16{0, 1, 2, 3, 6, 7}, []bool{true, true, true, false, true, false}},
+		{b, []uint16{4, 5}, []bool{true, false}},
+	} {
+		seen := logs[c.s].seen
+		if len(seen) != len(c.seqs) {
+			t.Fatalf("%s: %d datagrams, want %d", c.s.local, len(seen), len(c.seqs))
+		}
+		for i, dg := range seen {
+			if dg.seq != c.seqs[i] || dg.more != c.more[i] {
+				t.Errorf("%s: datagram %d is %d with More=%v, want %d with More=%v", c.s.local, i, dg.seq, dg.more, c.seqs[i], c.more[i])
+			}
+		}
+		if len(c.s.free) != runBufsPerSocket {
+			t.Errorf("%s: %d of %d run buffers back", c.s.local, len(c.s.free), runBufsPerSocket)
+		}
 	}
 }
 

@@ -22,8 +22,9 @@ func GetPacketBuf() []byte {
 
 // PutPacketBuf returns a GetPacketBuf buffer to the pool. Only the
 // buffer's current owner may call it, once: the encoder until the
-// datagram is sent, then whatever carries it (netem.Network,
-// live.Driver), after the handler or the socket write returned.
+// datagram is sent, then the carrier that takes it back after the
+// handler returned — netem.Network, the one production caller; the
+// live driver encodes into bytes of its own and recycles nothing.
 // Nothing may touch b (or anything aliasing it, e.g. frames decoded
 // in place) afterwards. A slice of any other capacity did not come
 // from GetPacketBuf and is left to the garbage collector.
