@@ -27,7 +27,7 @@ func TestExitStatus(t *testing.T) {
 		want               string // substring of the combined output
 	}{
 		{"noescape violation", filepath.Join(fixtures, "escapebroken"), "./...", 1, "in //mpq:noescape func escapebroken.leak"},
-		{"analyzer findings", filepath.Join(fixtures, "livebroken"), ".", 1, "poolsafety: b is used after wire.PutPacketBuf"},
+		{"analyzer findings", filepath.Join(fixtures, "livebroken"), ".", 1, "blocking: blocking channel receive in run-loop code"},
 		{"clean package", filepath.Join("..", "..", "internal", "rtt"), ".", 0, "0 //mpq:noescape function(s) clean"},
 	}
 	for _, tc := range cases {

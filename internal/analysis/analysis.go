@@ -14,8 +14,6 @@
 //	walltime     no wall-clock reads outside the perf harness
 //	globalrand   no math/rand or crypto/rand; use the seeded sim PRNG
 //	maporder     a map is ranged over only to sort its keys or clear it
-//	poolsafety   no use of a pooled packet buffer, or of any slice of
-//	             it, after PutPacketBuf
 //	confine      //mpq:confined members touched only from their
 //	             goroutine domain, rooted at //mpq:entry functions
 //	blocking     run-loop-domain code never blocks outside the
@@ -78,7 +76,7 @@ func (d Diagnostic) Format(fset *token.FileSet) string {
 // All returns the mpq-vet analyzer suite in a fixed order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Walltime, GlobalRand, MapOrder, PoolSafety,
+		Walltime, GlobalRand, MapOrder,
 		Confine, Blocking, Annotation,
 	}
 }

@@ -9,13 +9,12 @@ import (
 )
 
 // pinnedFixture names, per rule, a deliberately broken testdata package
-// the rule must flag. The three live-lane rules share livebroken, a
+// the rule must flag. The two live-lane rules share livebroken, a
 // miniature of the driver loop with every regression they exist for.
 var pinnedFixture = map[string]string{
 	"walltime":   "walltime",
 	"globalrand": "globalrand",
 	"maporder":   "maporder",
-	"poolsafety": "livebroken",
 	"confine":    "livebroken",
 	"blocking":   "livebroken",
 	"annotation": "annotation",
@@ -58,7 +57,7 @@ func TestLiveInvariantsPinned(t *testing.T) {
 // order mpq-vet -list prints.
 func TestSuiteRegistry(t *testing.T) {
 	want := []string{
-		"walltime", "globalrand", "maporder", "poolsafety",
+		"walltime", "globalrand", "maporder",
 		"confine", "blocking", "annotation",
 	}
 	all := analysis.All()

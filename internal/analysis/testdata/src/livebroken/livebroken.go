@@ -1,16 +1,12 @@
 // Package livebroken is a deliberately broken miniature of the live
-// driver loop. TestLiveInvariantsPinned asserts that confine,
-// poolsafety and blocking EACH flag at least one of the bugs below —
-// if an analyzer regresses into passing everything, that test fails.
+// driver loop. TestLiveInvariantsPinned asserts that confine and
+// blocking EACH flag at least one of the bugs below — if an analyzer
+// regresses into passing everything, that test fails.
 // (No // want comments: the meta-test checks per-analyzer diagnostic
 // counts, not positions.)
 package livebroken
 
-import (
-	"sync"
-
-	"mpquic/internal/wire"
-)
+import "sync"
 
 type driver struct {
 	//mpq:confined run-loop
@@ -20,17 +16,14 @@ type driver struct {
 }
 
 // Run reintroduces every regression the analyzers exist to prevent:
-// it blocks outside a waitpoint, takes a lock on the hot path, and
-// touches a recycled packet buffer.
+// it blocks outside a waitpoint and takes a lock on the hot path.
 //
 //mpq:entry run-loop
 func (d *driver) Run() {
 	for {
-		b := <-d.recvCh // blocking: bare receive, no waitpoint
-		d.mu.Lock()     // blocking: mutex on the hot path
+		<-d.recvCh  // blocking: bare receive, no waitpoint
+		d.mu.Lock() // blocking: mutex on the hot path
 		d.stats++
-		wire.PutPacketBuf(b)
-		_ = b[0] // poolsafety: use after recycle
 		d.mu.Unlock()
 	}
 }

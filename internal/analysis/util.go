@@ -7,13 +7,12 @@ import (
 
 // Well-known package paths the analyzers reason about.
 const (
-	wirePkgPath = "mpquic/internal/wire"
 	perfPkgPath = "mpquic/internal/perf"
 	livePkgPath = "mpquic/internal/live"
 )
 
 // pkgFunc reports whether call invokes the function fn from the
-// package with import path pkgPath (e.g. time.Now, wire.PutPacketBuf).
+// package with import path pkgPath (e.g. time.Now, time.Sleep).
 // It resolves through the type checker, so aliased imports are seen.
 func pkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, fn string) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)

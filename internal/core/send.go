@@ -340,7 +340,7 @@ func (c *Conn) sendPacket(p *Path, frames []wire.Frame, payload int, handshake, 
 			buf = c.raw.LendRaw(p.Local)
 		}
 		if buf == nil {
-			buf = wire.GetPacketBuf()
+			buf = netem.RawBuffer()
 		}
 		dg.Raw = pkt.EncodeTo(buf, sealer)
 	} else {

@@ -53,17 +53,19 @@ type packetLender interface {
 // into — length 0, capacity for a full packet — and that Send then
 // finds in place (live.Driver: the free tail of that socket's batch
 // buffer). A connection asks once, when it is made. From a lender,
-// sendPacket encodes into the loan, and into a wire pool buffer when
-// the lender returns nil; from any other sender, always into a wire
-// pool buffer, which Send takes over. Nothing may be sent from the same
-// address between the loan and its Send.
+// sendPacket encodes into the loan, and into netem.RawBuffer bytes when
+// the lender returns nil; from any other sender, always into
+// netem.RawBuffer bytes, which Send takes over. Core never recycles
+// them. Nothing may be sent from the same address between the loan and
+// its Send.
 type rawLender interface {
 	LendRaw(from netem.Addr) []byte
 }
 
 // The emulated network is the canonical DatagramSender, and lends
 // struct-mode packets; it does not lend bytes, so in wire mode the
-// simulator encodes into the wire pool.
+// simulator encodes into netem.RawBuffer bytes, which the network takes
+// back at the datagram's exit.
 var (
 	_ DatagramSender = (*netem.Network)(nil)
 	_ packetLender   = (*netem.Network)(nil)
@@ -78,9 +80,8 @@ var (
 // HandleDatagram only borrows b: the endpoint decodes in place and
 // consumes every frame before it returns, and never recycles. Whoever
 // delivered the datagram owns b and takes it back once the handler
-// returned: netem.Network hands its wire pool buffer back with
-// wire.PutPacketBuf, live.Driver its slice of a run buffer to the
-// socket's reader.
+// returned: netem.Network returns RawBuffer bytes to its pool,
+// live.Driver its slice of a run buffer to the socket's reader.
 //
 // More is left false; a carrier injecting a batch at one instant sets
 // it on a datagram when the batch's next one goes to the same handler,

@@ -4,6 +4,8 @@ import (
 	"net"
 	"net/netip"
 	"unsafe"
+
+	"mpquic/internal/netem"
 )
 
 // Batched egress. Send queues each datagram on its socket's batch, in
@@ -31,7 +33,7 @@ const (
 // full batch of the longest datagrams fits its buffer.
 const (
 	_ = uint(gsoMaxSegs - egressBatchMax)
-	_ = uint(runBufLen - egressBatchMax*maxSegment)
+	_ = uint(runBufLen - egressBatchMax*netem.MTU)
 )
 
 // egressBatch is one socket's queued datagrams: datagram i is
@@ -105,7 +107,7 @@ func (d *Driver) queue(s *pathSocket, b []byte, to netip.AddrPort) {
 	}
 	q.end[q.n], q.to[q.n] = int32(at+len(b)), to
 	q.n++
-	if q.n == egressBatchMax || len(q.rb.b)-q.tail() < maxSegment {
+	if q.n == egressBatchMax || len(q.rb.b)-q.tail() < netem.MTU {
 		d.writeBatch(s)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"mpquic/internal/core"
 	"mpquic/internal/live"
 	"mpquic/internal/netem"
-	"mpquic/internal/wire"
 )
 
 // Batched egress on real sockets: a flush of many datagrams writes each
@@ -58,7 +57,7 @@ func sendSeq(d *live.Driver, to netem.Addr, seq uint64, size int) {
 
 // sendSeqFrom is sendSeq from the driver's socket bound to from.
 func sendSeqFrom(d *live.Driver, from, to netem.Addr, seq uint64, size int) {
-	buf := wire.GetPacketBuf()[:size]
+	buf := make([]byte, size)
 	binary.BigEndian.PutUint64(buf, seq)
 	d.Send(core.RawDatagram(from, to, buf))
 }
@@ -67,7 +66,7 @@ func sendSeqFrom(d *live.Driver, from, to netem.Addr, seq uint64, size int) {
 // eight and seq's low byte in the rest, so a torn or shifted datagram
 // shows.
 func sendFilled(d *live.Driver, to netem.Addr, seq uint64, size int) {
-	buf := wire.GetPacketBuf()[:size]
+	buf := make([]byte, size)
 	for i := range buf {
 		buf[i] = byte(seq)
 	}
@@ -352,7 +351,7 @@ func TestRawSocketDeathFailsOverAndRebinds(t *testing.T) {
 	}
 	// One more datagram from the rebound socket: it goes out through a
 	// writer bound to the new conn.
-	client.Send(core.RawDatagram(client.LocalAddrs()[1], server.LocalAddrs()[1], wire.GetPacketBuf()[:64]))
+	client.Send(core.RawDatagram(client.LocalAddrs()[1], server.LocalAddrs()[1], make([]byte, 64)))
 	if err := client.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -182,8 +182,8 @@ func FuzzLiveIngress(f *testing.F) {
 		if err := markedStep(t, d, marks); err != nil || len(lis.Conns()) != 1 {
 			t.Fatalf("set-up CHLO: err=%v, %d connections", err, len(lis.Conns()))
 		}
-		// A read of one datagram keeps what fits in 1500 bytes.
-		in = in[:min(len(in), maxSegment)]
+		// A read of one datagram keeps what fits in netem.MTU bytes.
+		in = in[:min(len(in), netem.MTU)]
 		before := lis.CorruptDrops()
 		handOver(t, d, s, from, in, len(in))
 		if err := markedStep(t, d, marks); err != nil {

@@ -4,6 +4,8 @@ import (
 	"syscall"
 	"testing"
 	"unsafe"
+
+	"mpquic/internal/netem"
 )
 
 // aligned returns n zero bytes aligned for a cmsghdr.
@@ -47,9 +49,9 @@ func TestRunSegment(t *testing.T) {
 		{"another level only", 1400, other, 0, 1400},
 		{"length past the buffer", 1400, bad, 0, 1400},
 		{"truncated run", 6000, gro, syscall.MSG_TRUNC, 0},
-		{"segment over a pool buffer", 6000, groCmsg(syscall.IPPROTO_UDP, udpGRO, maxSegment+1), 0, 0},
+		{"segment over a pool buffer", 6000, groCmsg(syscall.IPPROTO_UDP, udpGRO, netem.MTU+1), 0, 0},
 		{"negative segment", 6000, groCmsg(syscall.IPPROTO_UDP, udpGRO, -5), 0, 0},
-		{"largest segment", 6000, groCmsg(syscall.IPPROTO_UDP, udpGRO, maxSegment), 0, maxSegment},
+		{"largest segment", 6000, groCmsg(syscall.IPPROTO_UDP, udpGRO, netem.MTU), 0, netem.MTU},
 	} {
 		if got := runSegment(c.n, c.oob, c.flags); got != c.want {
 			t.Errorf("%s: runSegment = %d, want %d", c.name, got, c.want)

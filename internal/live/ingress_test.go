@@ -191,11 +191,10 @@ func (j *junkInjector) Trace(ev trace.Event) {
 	}
 }
 
-// Ingress buffers are one MTU (the wire pool's 1500 bytes), so a read
-// keeps at most that much of a datagram. No peer sends more than
-// wire.MaxPacketSize; a 2000-byte datagram is junk, and what is left of
-// it must be dropped and counted like any other undecodable packet
-// while the transfer around it completes untouched.
+// A read keeps at most netem.MTU (1500) bytes of a datagram. No peer
+// sends more than wire.MaxPacketSize; a 2000-byte datagram is junk, and
+// what is left of it must be dropped and counted like any other
+// undecodable packet while the transfer around it completes untouched.
 func TestOversizedJunkMidTransferDroppedAndCounted(t *testing.T) {
 	server := startGetServer(t, 1)
 	client := newDriver(t, 1)

@@ -58,15 +58,16 @@
 // send; the loop cuts the run into its datagrams and hands each to
 // HandleDatagram where it lies (handlers borrow and consume frames
 // synchronously — the contract core.RawDatagram documents), then hands
-// the read back. A datagram keeps at most 1500 bytes, as a wire pool
-// buffer would: no peer sends more than wire.MaxPacketSize, so a longer
-// datagram is junk and fails to decode like any other, and a run of
-// longer segments reaches the stack as one empty datagram instead of
-// being cut into pieces. Egress: the driver lends core the free tail of
-// the path socket's batch buffer (LendRaw), core encodes the packet
-// there, and Send counts it into the batch in place; a datagram encoded
-// elsewhere is copied in and left to its owner, so no live code hands
-// the wire pool anything.
+// the read back. A datagram keeps at most netem.MTU bytes, the longest
+// the simulator carries: no peer sends more than wire.MaxPacketSize,
+// so a longer datagram is junk and fails to decode like any other, and
+// a run of longer segments reaches the stack as one empty datagram
+// instead of being cut into pieces. Egress: the driver lends core the
+// free tail of the path socket's batch buffer (LendRaw), core encodes
+// the packet there, and Send counts it into the batch in place; a
+// datagram encoded elsewhere is copied in and left to its owner.
+// Whoever lends the bytes takes them back, so the driver recycles no
+// caller's buffer.
 // Steady state performs zero allocations per packet in both
 // directions, pinned by internal/perf's live-loop allocation tests.
 //
@@ -454,7 +455,7 @@ func (d *Driver) Send(dg netem.Datagram) {
 }
 
 // LendRaw lends the free tail of the batch buffer of the socket bound
-// to from — length 0, capacity 1500 — for core to encode a datagram
+// to from — length 0, capacity netem.MTU — for core to encode a datagram
 // into and Send (see core's rawLender). Nil when no socket is bound to
 // from. Nothing but that Send may be queued on the socket in between.
 //
@@ -470,7 +471,7 @@ func (d *Driver) LendRaw(from netem.Addr) []byte {
 		q.rb = getRunBuf()
 	}
 	at := q.tail()
-	return q.rb.b[at : at : at+maxSegment]
+	return q.rb.b[at : at : at+netem.MTU]
 }
 
 // PendingIngress reports datagrams received by the readers but not yet
@@ -565,7 +566,7 @@ const (
 func (d *Driver) readOne(s *pathSocket, conn UDPConn, r *runReader) (readStatus, error) {
 	uc, runs := conn.(*net.UDPConn)
 	runs = runs && offload && d.wrap == nil
-	window := maxSegment
+	window := netem.MTU
 	if runs {
 		window = maxRun
 	}

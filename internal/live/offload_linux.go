@@ -7,6 +7,8 @@ import (
 	"net/netip"
 	"syscall"
 	"unsafe"
+
+	"mpquic/internal/netem"
 )
 
 // Segmentation offload, both directions, on the driver's own
@@ -103,7 +105,7 @@ func enableGRO(c *net.UDPConn) {
 
 // runSegment returns the length a read of n bytes is cut by: the
 // UDP_GRO segment size, n for a read of one datagram, and 0 for junk:
-// a run whose segments no 1500-byte buffer holds, or one the kernel cut
+// a run whose segments are longer than netem.MTU, or one the kernel cut
 // short (MSG_TRUNC). Junk reaches the stack as one empty datagram (see
 // cut), which it drops and counts as undecodable, rather than as
 // pieces.
@@ -113,7 +115,7 @@ func runSegment(n int, oob []byte, flags int) int {
 	switch seg := groSegment(oob); {
 	case seg == 0:
 		return n
-	case seg < 0 || seg > maxSegment || flags&syscall.MSG_TRUNC != 0:
+	case seg < 0 || seg > netem.MTU || flags&syscall.MSG_TRUNC != 0:
 		return 0
 	default:
 		return seg

@@ -8,7 +8,6 @@ import (
 
 	"mpquic/internal/core"
 	"mpquic/internal/netem"
-	"mpquic/internal/wire"
 )
 
 // stepLog records, for every datagram the loop delivers, the clock step
@@ -139,7 +138,7 @@ func TestBatchedDriverHandsRunBuffersBack(t *testing.T) {
 	exchange := func(d *Driver) {
 		addrs := d.LocalAddrs()
 		for i := 0; i < n; i++ {
-			d.Send(core.RawDatagram(addrs[0], addrs[1], wire.GetPacketBuf()[:100]))
+			d.Send(core.RawDatagram(addrs[0], addrs[1], make([]byte, 100)))
 		}
 		if err := d.Flush(); err != nil {
 			t.Fatal(err)

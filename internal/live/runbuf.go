@@ -3,6 +3,8 @@ package live
 import (
 	"net/netip"
 	"sync/atomic"
+
+	"mpquic/internal/netem"
 )
 
 // Run buffers: the one kind of buffer the driver moves bytes in, both
@@ -32,7 +34,6 @@ import (
 // Close, and an egress buffer for as long as Run or a Flush needs it.
 
 const (
-	maxSegment       = 1500    // the longest datagram the driver keeps: the wire pool's buffer
 	maxRun           = 1 << 16 // the window of a run read: the largest UDP payload
 	runBufLen        = 2 * maxRun
 	runBufReads      = 256 // reads one buffer can hold
@@ -73,14 +74,14 @@ func (r *runRead) datagrams() int {
 
 // cut normalises what a read returned: n bytes cut into seg-byte
 // datagrams, seg 0 for junk. Junk is one empty datagram; a read of one
-// datagram (seg ≥ n) keeps at most maxSegment bytes of it, as a
-// 1500-byte buffer would have.
+// datagram (seg ≥ n) keeps at most netem.MTU bytes of it, the longest
+// datagram the simulator carries.
 func cut(n, seg int) (int, int) {
 	switch {
 	case seg == 0:
 		return 0, 0
 	case seg >= n:
-		n = min(n, maxSegment)
+		n = min(n, netem.MTU)
 		return n, n
 	default:
 		return n, seg

@@ -93,8 +93,8 @@ func listenPath(idx int, addr *net.UDPAddr, sockBuf int, wrap SocketWrapper) (UD
 		return wrap(idx, pc), lap, nil
 	}
 	// Receive offload only where the driver's own reader reads the
-	// socket: a wrapper reads into one 1500-byte buffer, which a run
-	// would overflow.
+	// socket: a wrapper reads into one netem.MTU-byte window, which a
+	// run would overflow.
 	enableGRO(pc)
 	return pc, lap, nil
 }

@@ -28,6 +28,7 @@ package netem
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"mpquic/internal/sim"
@@ -473,12 +474,34 @@ type Lent interface {
 	Return()
 }
 
+// rawPool holds the bytes wire-mode datagrams travel the simulator in,
+// as array pointers so that Get and Put are allocation-free (a
+// *[MTU]byte fits in an interface without boxing).
+var rawPool = sync.Pool{New: func() any { return new([MTU]byte) }}
+
+// RawBuffer returns empty bytes with room for one datagram, capacity
+// MTU, for a sender whose carrier lends none to encode a wire-mode
+// datagram into. Once sent they are the network's, as a lent packet
+// is: reclaim takes them back at the datagram's exit, whoever carried
+// it there.
+//
+//mpq:noescape
+func RawBuffer() []byte {
+	return rawPool.Get().(*[MTU]byte)[:0]
+}
+
 // reclaim is the one place the simulator recycles what a datagram
-// travelled in, run once at every exit of the network: the Raw buffer
-// rejoins the wire pool (which turns away what is not its own, see
-// wire.PutPacketBuf) and a lent payload returns to its lender.
+// travelled in, run once at every exit of the network: Raw bytes of
+// capacity MTU rejoin the pool behind RawBuffer (any others are left
+// to the garbage collector) and a lent payload returns to its lender.
+// Nothing may touch either afterwards, frames decoded in place from
+// Raw included.
+//
+//mpq:noescape
 func (n *Network) reclaim(dg Datagram) {
-	wire.PutPacketBuf(dg.Raw)
+	if cap(dg.Raw) == MTU {
+		rawPool.Put((*[MTU]byte)(dg.Raw[:MTU]))
+	}
 	if p, ok := dg.Payload.(Lent); ok {
 		p.Return()
 	}

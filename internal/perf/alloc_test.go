@@ -31,12 +31,12 @@ func samplePayloadLen() int {
 
 func TestPacketEncodeAllocFree(t *testing.T) {
 	pkt := SamplePacket(make([]byte, samplePayloadLen()))
+	buf := make([]byte, 0, netem.MTU)
 	allocs := testing.AllocsPerRun(100, func() {
-		buf := pkt.EncodeTo(wire.GetPacketBuf(), nil)
-		wire.PutPacketBuf(buf)
+		buf = pkt.EncodeTo(buf[:0], nil)
 	})
 	if allocs > 0 {
-		t.Errorf("pooled encode allocates %.1f/op, want 0", allocs)
+		t.Errorf("EncodeTo into a reused buffer allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -145,7 +145,7 @@ func TestDecodeIntoAllocFree(t *testing.T) {
 }
 
 // TestDenseAckCodecAllocFree: a 91-range ACK, the mean on the wire-mode
-// benchmark (sim_wire_crypto), encodes into a pooled buffer and decodes
+// benchmark (sim_wire_crypto), encodes into a reused buffer and decodes
 // into a warmed FrameArena without allocating.
 func TestDenseAckCodecAllocFree(t *testing.T) {
 	ack := &wire.AckFrame{PathID: 1, AckDelay: time.Millisecond}
@@ -156,10 +156,11 @@ func TestDenseAckCodecAllocFree(t *testing.T) {
 		largest = r.Smallest - 2 - wire.PacketNumber(i%3)
 	}
 	pkt := &wire.Packet{Header: SamplePacket(nil).Header, LargestAcked: 9_950, Frames: []wire.Frame{ack}}
+	buf := make([]byte, 0, netem.MTU)
 	if allocs := testing.AllocsPerRun(100, func() {
-		wire.PutPacketBuf(pkt.EncodeTo(wire.GetPacketBuf(), nil))
+		buf = pkt.EncodeTo(buf[:0], nil)
 	}); allocs > 0 {
-		t.Errorf("pooled encode of a 91-range ACK allocates %.1f/op, want 0", allocs)
+		t.Errorf("EncodeTo of a 91-range ACK into a reused buffer allocates %.1f/op, want 0", allocs)
 	}
 
 	enc := pkt.EncodeTo(nil, nil)
@@ -185,12 +186,12 @@ func TestSealOpenInPlaceAllocFree(t *testing.T) {
 	seal, open := testSealers(t)
 	pkt := dataPacket()
 	sealed := pkt.EncodeTo(nil, seal)
+	buf := make([]byte, 0, netem.MTU)
 	allocs := testing.AllocsPerRun(100, func() {
-		buf := pkt.EncodeTo(wire.GetPacketBuf(), seal)
-		wire.PutPacketBuf(buf)
+		buf = pkt.EncodeTo(buf[:0], seal)
 	})
 	if allocs > 0 {
-		t.Errorf("pooled encode + in-place seal allocates %.1f/op, want 0", allocs)
+		t.Errorf("EncodeTo + in-place seal into a reused buffer allocates %.1f/op, want 0", allocs)
 	}
 
 	var (
@@ -434,8 +435,9 @@ func TestStructCarrierAllocFree(t *testing.T) {
 // allocation of its own; with those in slabs it reads about 0.10, none
 // of it per packet. The budget, about 1.5 times that, leaves room for
 // noise, not for a per-packet allocation site coming back. Under -race
-// sync.Pool drops a quarter of the encode buffers put back, on purpose,
-// and the transfer reads about 0.57: that build keeps a budget of 1.
+// sync.Pool drops a quarter of what is put back, on purpose — netem's
+// datagram bytes and stream's chunks — and the transfer reads about
+// 0.57: that build keeps a budget of 1.
 func TestWireCryptoTransferAllocBudget(t *testing.T) {
 	budget := 0.16
 	if RaceEnabled {
@@ -540,7 +542,7 @@ func TestUnconsumedDatagramRecyclesAllocFree(t *testing.T) {
 	} {
 		send := func() {
 			for i := 0; i < tc.burst; i++ {
-				buf := pkt.EncodeTo(wire.GetPacketBuf(), nil)
+				buf := pkt.EncodeTo(netem.RawBuffer(), nil)
 				if tc.corrupt {
 					buf = buf[:1] // the flags byte promises a header that is not there
 				}

@@ -18,9 +18,9 @@ import (
 // hands each read back after the handler; egress queues each datagram
 // in its socket's batch buffer. The test encodes into the bytes
 // sender.LendRaw lends, the path core's sendPacket takes: the driver
-// recycles no caller's buffer, so a wire pool buffer sent here would
-// be taken from the pool and never come back, a cost core's live
-// egress does not pay. Steady state on both sides is allocation-free —
+// recycles no caller's buffer, so netem.RawBuffer bytes sent here
+// would be taken from netem's pool and never come back, a cost core's
+// live egress does not pay. Steady state on both sides is allocation-free —
 // this test pins it end to end across two real loopback sockets, for
 // flushes of one datagram and for batched flushes of sixteen.
 

@@ -38,9 +38,9 @@ func (p *Packet) Fill(hdr Header, largestAcked PacketNumber, frames []Frame) {
 }
 
 // PacketPool is a free list of struct-mode carriers with one owner: a
-// datagram carrier that sees every exit of the packets it lent (in the
-// manner of GetPacketBuf and PutPacketBuf for Datagram.Raw, but not
-// shared between goroutines). Carriers come from slabs and keep the
+// datagram carrier that sees every exit of the packets it lent (as
+// netem's pool sees every exit of Datagram.Raw, but not shared between
+// goroutines). Carriers come from slabs and keep the
 // capacity of their frame list and of their FrameArena across loans.
 // The zero value is ready to use.
 type PacketPool struct {

@@ -65,11 +65,11 @@ type Sealer interface {
 }
 
 // EncodeTo appends the serialized packet to buf and returns the
-// extended buffer, allocating only if buf lacks capacity. Pair with
-// GetPacketBuf/PutPacketBuf for an allocation-free encode path. A nil
-// sealer leaves the payload in cleartext but still appends AEADOverhead
-// filler bytes on protected packets so sizes stay identical in both
-// modes.
+// extended buffer, allocating only if buf lacks capacity: into a reused
+// or lent buffer with room for a full packet the encode is
+// allocation-free. A nil sealer leaves the payload in cleartext but
+// still appends AEADOverhead filler bytes on protected packets so sizes
+// stay identical in both modes.
 //
 //mpq:noescape
 func (p *Packet) EncodeTo(buf []byte, sealer Sealer) []byte {
@@ -89,7 +89,7 @@ func (p *Packet) EncodeTo(buf []byte, sealer Sealer) []byte {
 		return buf
 	}
 	// Seal the frames over themselves: the ciphertext lands where the
-	// plaintext was and the tag behind it (pooled buffers have room).
+	// plaintext was and the tag behind it (a full-packet buffer has room).
 	return sealer.SealTo(buf[:hdrEnd], p.Header.PathID, p.Header.PacketNumber, buf[start:hdrEnd], buf[hdrEnd:])
 }
 

@@ -75,7 +75,7 @@ func TestLiveFacadeTwoPathDownload(t *testing.T) {
 // received (both sides' allocations counted). The server's first window
 // holds about half the transfer, and its in-flight records once cost an
 // allocation each, about 0.55 per packet; they come in slabs now, and
-// the GET read about 0.12, much of it the wire pool's buffers, which
+// the GET read about 0.12, much of it pooled datagram buffers, which
 // both directions drew one per datagram. The driver encodes and reads
 // into run buffers the warm-up GET's drivers left on a free list now,
 // and the GET reads about 0.05 (0.046–0.075 over 15 runs on 2 cores).
@@ -142,7 +142,7 @@ func TestLiveFreshGetAllocsPerPacket(t *testing.T) {
 // now, which the first connection filled and gave back when its client
 // closed it, and it read about 35. The arrays that list those records
 // go back with them now, and each fresh client driver once allocated a
-// 1024-datagram reader queue and the wire pool's buffers; it takes run
+// 1024-datagram reader queue and pooled datagram buffers; it takes run
 // buffers from a free list and queues reads. It runs on every P: a
 // chunk Put in another P's private pool slot costs one 16 KiB chunk
 // (2 bytes per packet), not a reassembly window of the whole span, and
