@@ -1,7 +1,9 @@
 // Command mpq-vet is the repository's invariant gate (internal/analysis),
 // wired into `make check`, scripts/check.sh and CI. Over one load of a
-// package pattern it runs the determinism, pool-safety and
-// live-concurrency analyzers, then the compiler-assisted escape gate:
+// package pattern it runs the six analyzers — walltime, globalrand and
+// maporder (determinism), confine and blocking (live concurrency), and
+// annotation (the //mpq: directives) — then the compiler-assisted
+// escape gate:
 // `go build -gcflags=-m` over the same pattern must report nothing
 // escaping to the heap inside a function annotated //mpq:noescape,
 // which makes the hot path's 0-allocs/packet property a build gate

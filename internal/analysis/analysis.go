@@ -14,9 +14,10 @@
 //	walltime     no wall-clock reads outside the perf harness
 //	globalrand   no math/rand or crypto/rand; use the seeded sim PRNG
 //	maporder     a map is ranged over only to sort its keys or clear it
-//	confine      //mpq:confined members touched only from their
-//	             goroutine domain, rooted at //mpq:entry functions
-//	blocking     run-loop-domain code never blocks outside the
+//	confine      only code the run loop reaches, and nothing else,
+//	             touches what is marked //mpq:confined (the loop
+//	             roots at each function marked //mpq:entry)
+//	blocking     code the run loop reaches never blocks outside the
 //	             //mpq:waitpoint
 //	annotation   every //mpq: directive is well-formed and anchored
 //	             where its analyzer will actually see it

@@ -8,25 +8,24 @@ import (
 )
 
 // The live fast lane's invariants are declared in the source with
-// //mpq: directives. Four exist, each read by exactly one check:
+// //mpq: directives. Four exist, none takes an argument, and each is
+// read by exactly one check:
 //
-//	//mpq:confined <domain>   on a struct field (or package var): only
-//	                          code in that goroutine domain may touch
-//	                          it. On a func/method: its body executes
-//	                          in that domain AND only code already in
-//	                          that domain may call it. (confine)
-//	//mpq:entry <domain>      on a func/method: a domain root — the
-//	                          calling goroutine *becomes* that domain
-//	                          for the duration of the call (live.Run is
-//	                          the run-loop entry; readLoop the reader
-//	                          entry). Callable from anywhere. (confine,
-//	                          blocking)
-//	//mpq:noescape            on a func/method: the escape gate fails
-//	                          the build if the compiler reports
-//	                          anything in its body escaping to the heap.
-//	//mpq:waitpoint           on (or above) a statement: the designated
-//	                          blocking site of a run-loop function;
-//	                          exempts it from the blocking analyzer.
+//	//mpq:confined    on a struct field (or package var): only code
+//	                  the run loop reaches, and nothing else does, may
+//	                  touch it. On a func/method: its body runs on the
+//	                  loop AND only code already there may call it.
+//	                  (confine)
+//	//mpq:entry       on a func/method: a run-loop root — the calling
+//	                  goroutine *becomes* the loop for the duration of
+//	                  the call (live.Run). Callable from anywhere.
+//	                  (confine, blocking)
+//	//mpq:noescape    on a func/method: the escape gate fails the build
+//	                  if the compiler reports anything in its body
+//	                  escaping to the heap.
+//	//mpq:waitpoint   on (or above) a statement: the designated blocking
+//	                  site of a run-loop function; exempts it from the
+//	                  blocking analyzer.
 //
 // mpqDirectiveSpecs (annotation.go) is the one table of legal shapes;
 // collectAnnotations checks every directive against it while indexing,
@@ -38,7 +37,7 @@ const mpqPrefix = "mpq:"
 // mpqDirective is one parsed //mpq: comment line.
 type mpqDirective struct {
 	name string // "confined", "entry", ...
-	args []string
+	args string // what follows the name; no directive takes any
 	pos  token.Pos
 }
 
@@ -46,7 +45,7 @@ type mpqDirective struct {
 // false when the comment is not an //mpq: directive at all. A nested
 // "//" starts an inline rationale and ends the directive:
 //
-//	//mpq:confined run-loop // the loop owns all protocol state
+//	//mpq:confined // the loop owns all protocol state
 func parseMpqComment(c *ast.Comment) (d mpqDirective, ok bool) {
 	text := strings.TrimPrefix(c.Text, "//")
 	if !strings.HasPrefix(text, mpqPrefix) {
@@ -60,7 +59,7 @@ func parseMpqComment(c *ast.Comment) (d mpqDirective, ok bool) {
 	d.pos = c.Slash
 	if len(fields) > 0 {
 		d.name = fields[0]
-		d.args = fields[1:]
+		d.args = strings.Join(fields[1:], " ")
 	}
 	return d, true
 }
@@ -76,14 +75,13 @@ type lineKey struct {
 // confine, blocking and the escape gate consume, plus the malformed
 // ones for the annotation analyzer to report.
 type annotations struct {
-	// fieldDomain maps a confined struct field (or package var) to its
-	// goroutine domain name.
-	fieldDomain map[types.Object]string
-	// funcDomain maps a //mpq:confined function to its domain: body
-	// runs there, and callers must already be there.
-	funcDomain map[*types.Func]string
-	// funcEntry maps a //mpq:entry function to the domain it roots.
-	funcEntry map[*types.Func]string
+	// confined holds the fields, package vars and functions marked
+	// //mpq:confined: only the run loop may touch or call them.
+	confined map[types.Object]bool
+	// loopRoot holds the functions whose body runs on the run loop
+	// whoever calls them: those marked //mpq:entry, and the confined
+	// ones.
+	loopRoot map[*types.Func]bool
 	// noescape holds the //mpq:noescape functions, in source order.
 	noescape []NoescapeFunc
 	// waitpoints holds the lines covered by //mpq:waitpoint (the
@@ -107,10 +105,9 @@ func (pkg *Package) annotations() *annotations {
 // comment group is left over afterwards is free-standing.
 func collectAnnotations(pkg *Package) *annotations {
 	ann := &annotations{
-		fieldDomain: make(map[types.Object]string),
-		funcDomain:  make(map[*types.Func]string),
-		funcEntry:   make(map[*types.Func]string),
-		waitpoints:  make(map[lineKey]bool),
+		confined:   make(map[types.Object]bool),
+		loopRoot:   make(map[*types.Func]bool),
+		waitpoints: make(map[lineKey]bool),
 	}
 	for _, f := range pkg.Files {
 		// anchored holds each anchored comment group's well-formed
@@ -195,14 +192,15 @@ func (ann *annotations) wellFormed(cg *ast.CommentGroup, kind anchorKind) []mpqD
 // name, arity and anchor.
 func (ann *annotations) record(fset *token.FileSet, d mpqDirective, decl ast.Node, obj types.Object) {
 	fn, _ := obj.(*types.Func)
-	switch {
-	case d.name == "confined" && fn != nil:
-		ann.funcDomain[fn] = d.args[0]
-	case d.name == "confined":
-		ann.fieldDomain[obj] = d.args[0]
-	case d.name == "entry":
-		ann.funcEntry[fn] = d.args[0]
-	case d.name == "noescape":
+	switch d.name {
+	case "confined":
+		ann.confined[obj] = true
+		if fn != nil {
+			ann.loopRoot[fn] = true
+		}
+	case "entry":
+		ann.loopRoot[fn] = true
+	case "noescape":
 		if body := decl.(*ast.FuncDecl).Body; body != nil {
 			start, end := fset.Position(body.Lbrace), fset.Position(body.Rbrace)
 			ann.noescape = append(ann.noescape, NoescapeFunc{

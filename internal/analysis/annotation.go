@@ -7,15 +7,15 @@ import (
 )
 
 // Annotation validates the //mpq: directives themselves: a directive
-// that is misspelled, has the wrong number of arguments or sits on the
-// wrong kind of declaration would otherwise be silently ignored by the
+// that is misspelled, has an argument or sits on the wrong kind of
+// declaration would otherwise be silently ignored by the
 // consuming analyzers — the most dangerous failure mode for an
 // annotation-driven checker. The judging happens while the package's
 // directive index is built (collectAnnotations); this analyzer reports
 // what that walk rejected.
 var Annotation = &Analyzer{
 	Name: "annotation",
-	Doc: "validate //mpq: directives: known name, right arity, legal anchor " +
+	Doc: "validate //mpq: directives: known name, no argument, legal anchor " +
 		"(a misspelled invariant must not silently stop being checked)",
 	Run: func(pass *Pass) {
 		for _, p := range pass.annotations().problems {
@@ -36,18 +36,17 @@ const (
 
 // mpqDirectiveSpec describes one legal directive shape.
 type mpqDirectiveSpec struct {
-	argc    int
 	onFunc  bool
 	onField bool
 	onFree  bool
-	usage   string
+	anchor  string // where the directive goes, for messages
 }
 
 var mpqDirectiveSpecs = map[string]mpqDirectiveSpec{
-	"confined":  {argc: 1, onFunc: true, onField: true, usage: "//mpq:confined <domain> on a func, struct field or package var"},
-	"entry":     {argc: 1, onFunc: true, usage: "//mpq:entry <domain> on a func"},
-	"noescape":  {argc: 0, onFunc: true, usage: "//mpq:noescape on a func"},
-	"waitpoint": {argc: 0, onFree: true, usage: "//mpq:waitpoint on (or above) a statement inside a function body"},
+	"confined":  {onFunc: true, onField: true, anchor: "a func, struct field or package var"},
+	"entry":     {onFunc: true, anchor: "a func"},
+	"noescape":  {onFunc: true, anchor: "a func"},
+	"waitpoint": {onFree: true, anchor: "(or above) a statement inside a function body"},
 }
 
 // checkDirective judges one parsed directive against its anchor and
@@ -57,16 +56,15 @@ func checkDirective(d mpqDirective, kind anchorKind) string {
 	if !known {
 		return fmt.Sprintf("unknown //mpq: directive %q; known directives: %s", d.name, knownDirectiveNames())
 	}
-	if len(d.args) != spec.argc {
-		return fmt.Sprintf("//mpq:%s takes %d argument(s), got %d; usage: %s",
-			d.name, spec.argc, len(d.args), spec.usage)
+	usage := fmt.Sprintf("//mpq:%s on %s", d.name, spec.anchor)
+	if d.args != "" {
+		return fmt.Sprintf("//mpq:%s takes no argument, got %q; usage: %s", d.name, d.args, usage)
 	}
 	legal := (kind == anchorFunc && spec.onFunc) ||
 		(kind == anchorMember && spec.onField) ||
 		(kind == anchorFree && spec.onFree)
 	if !legal {
-		return fmt.Sprintf("//mpq:%s is misplaced here (it would be silently ignored); usage: %s",
-			d.name, spec.usage)
+		return fmt.Sprintf("//mpq:%s is misplaced here (it would be silently ignored); usage: %s", d.name, usage)
 	}
 	return ""
 }

@@ -5,12 +5,11 @@ import (
 	"go/types"
 )
 
-// Blocking enforces the driver-loop blocking discipline: code in the
-// run-loop goroutine domain (see confine.go) must never block outside
-// its one designated wait point, or every queued packet behind the
-// stall pays the latency — exactly the per-packet stalls PR 8's
-// batched loop removed. Inside functions whose domain set includes
-// run-loop, the analyzer flags
+// Blocking enforces the driver-loop blocking discipline: code the run
+// loop reaches (see confine.go) must never block outside its one
+// designated wait point, or every queued packet behind the stall pays
+// the latency — exactly the per-packet stalls the batched loop
+// removed. Inside functions the run loop reaches, the analyzer flags
 //
 //   - channel sends/receives outside a select (`<-ch`, `ch <- v`),
 //     `range ch`, and selects without a default clause, unless the
@@ -21,12 +20,12 @@ import (
 //     readers own those, not the loop.
 //
 // go-launched literals inside run-loop functions run on their own
-// goroutine and are exempt, as is everything in other domains (the
-// reader goroutines block in ReadFromUDPAddrPort by design).
+// goroutine and are exempt, as is everything only other goroutines
+// reach (the reader goroutines block in ReadFromUDPAddrPort by design).
 var Blocking = &Analyzer{
 	Name: "blocking",
 	Doc: "forbid blocking channel ops, mutex acquisition and blocking syscalls " +
-		"in run-loop-domain code outside the //mpq:waitpoint",
+		"in code the run loop reaches outside the //mpq:waitpoint",
 	Run: runBlocking,
 }
 
@@ -46,12 +45,12 @@ var udpIfaceReadMethods = []string{
 }
 
 func runBlocking(pass *Pass) {
-	g := pass.domainGraph()
-	if len(g.ann.funcEntry) == 0 && len(g.ann.funcDomain) == 0 {
-		return // no declared domains, nothing to police
+	g := pass.reachGraph()
+	if len(g.ann.loopRoot) == 0 {
+		return // no run loop, nothing to police
 	}
 	for _, u := range g.units {
-		if u.domains[runLoopDomain] {
+		if u.reach&onLoop != 0 {
 			checkBlocking(pass, g, u)
 		}
 	}
@@ -59,7 +58,7 @@ func runBlocking(pass *Pass) {
 
 // checkBlocking walks one run-loop unit. Select statements are handled
 // as a whole (their comm clauses are not re-flagged individually).
-func checkBlocking(pass *Pass, g *domainGraph, u *domainUnit) {
+func checkBlocking(pass *Pass, g *reachGraph, u *codeUnit) {
 	info := pass.Info
 	// inSelectComm holds the channel operations that are a select's
 	// comm clauses; they are judged via the select, not on their own.
@@ -120,7 +119,7 @@ func markCommOps(comm ast.Stmt, set map[ast.Node]bool) {
 }
 
 // checkBlockingCall flags the call-shaped blockers.
-func checkBlockingCall(pass *Pass, g *domainGraph, call *ast.CallExpr) {
+func checkBlockingCall(pass *Pass, g *reachGraph, call *ast.CallExpr) {
 	info := pass.Info
 	if g.ann.onWaitpoint(pass.Fset, call.Pos()) {
 		return
@@ -132,7 +131,7 @@ func checkBlockingCall(pass *Pass, g *domainGraph, call *ast.CallExpr) {
 	if methodOn(info, call, "sync", "Mutex", "Lock") ||
 		methodOn(info, call, "sync", "RWMutex", "Lock", "RLock") {
 		pass.Reportf(call.Pos(),
-			"mutex acquisition in run-loop code; the loop owns its state — cross domains with channels, not locks")
+			"mutex acquisition in run-loop code; the loop owns its state — cross goroutines with channels, not locks")
 		return
 	}
 	if methodOn(info, call, "sync", "WaitGroup", "Wait") {

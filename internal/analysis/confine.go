@@ -3,74 +3,70 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"maps"
-	"sort"
-	"strings"
 )
-
-// anyDomain is the implicit domain of code that may run on any
-// goroutine: exported functions without an //mpq: annotation (callers
-// are unknown) and function literals launched with `go`.
-const anyDomain = "any goroutine"
-
-// runLoopDomain is the one domain name with extra semantics: the
-// blocking analyzer forbids blocking operations inside it (see
-// blocking.go). confine itself treats all domain names uniformly.
-const runLoopDomain = "run-loop"
 
 // Confine proves the goroutine-confinement discipline the live driver
 // documents in prose: only the Run goroutine touches protocol state.
-// A struct field annotated `//mpq:confined <domain>` may be accessed
-// only by code whose computed domain set is exactly {domain}; a
-// function so annotated may additionally be called only from that
-// domain. Domains are rooted by `//mpq:entry <domain>` functions (the
-// calling goroutine becomes the domain — live.Run roots run-loop, the
-// socket readLoop roots reader) and flow down the intra-package call
-// graph. Exported functions without an annotation root the implicit
-// any-goroutine domain, as do `go`-launched function literals.
-// Unannotated members (channels, atomics, sync primitives) are the
-// cross-domain touch points and are not policed.
+// A struct field or package var annotated `//mpq:confined` may be
+// accessed only by code the run loop reaches and nothing else does; a
+// function so annotated may additionally be called only from there.
+// The run loop is rooted at `//mpq:entry` functions (the calling
+// goroutine becomes the loop — live.Run) and at the confined functions,
+// and flows down the intra-package call graph. Everything else roots
+// at an exported unannotated function (callers are unknown) or a
+// `go`-launched function or literal (it runs on a goroutine of its
+// own). Unannotated members (channels, atomics, sync primitives) are
+// the crossings and are not policed.
 var Confine = &Analyzer{
 	Name: "confine",
-	Doc: "forbid access to //mpq:confined members from code reachable outside " +
-		"their goroutine domain; domains root at //mpq:entry functions",
+	Doc: "forbid code reachable outside the run loop (rooted at each //mpq:entry) " +
+		"from touching what is marked //mpq:confined",
 	Run: runConfine,
 }
 
-// domainUnit is one analyzable code region with a single domain set: a
+// reach says where a unit's code may run: on the run loop, elsewhere,
+// or both. It is empty for code nothing reaches.
+type reach uint8
+
+const (
+	onLoop    reach = 1 << iota // reachable from a loop root (annotations.loopRoot)
+	elsewhere                   // reachable from an exported function or a go statement
+)
+
+// codeUnit is one analyzable code region with a single reach: a
 // declared function body (minus go-launched literals) or one
-// go-launched literal (always any-domain).
-type domainUnit struct {
+// go-launched literal (always elsewhere).
+type codeUnit struct {
 	fn       *types.Func // nil for go-launched literals
 	body     *ast.BlockStmt
 	detached []*ast.FuncLit // go-launched literals excluded from this unit
-	domains  map[string]bool
+	reach    reach
 }
 
-// domainGraph is the package's call-graph-with-domains, shared by the
-// confine and blocking analyzers.
-type domainGraph struct {
+// reachGraph is the package's call graph with each unit's reach,
+// shared by the confine and blocking analyzers.
+type reachGraph struct {
 	ann   *annotations
-	units []*domainUnit
-	byFn  map[*types.Func]*domainUnit
+	units []*codeUnit
+	byFn  map[*types.Func]*codeUnit
 }
 
-// domainGraph returns pkg's call-graph-with-domains, built on first
+// reachGraph returns pkg's call graph with reaches, built on first
 // use and shared by confine and blocking.
-func (pkg *Package) domainGraph() *domainGraph {
+func (pkg *Package) reachGraph() *reachGraph {
 	if pkg.graph == nil {
-		pkg.graph = buildDomainGraph(pkg)
+		pkg.graph = buildReachGraph(pkg)
 	}
 	return pkg.graph
 }
 
-// buildDomainGraph constructs the units, seeds their domains, and
-// propagates domains down intra-package call edges to a fixpoint.
-func buildDomainGraph(pkg *Package) *domainGraph {
-	g := &domainGraph{ann: pkg.annotations(), byFn: make(map[*types.Func]*domainUnit)}
+// buildReachGraph constructs the units, seeds their reach, and
+// propagates it down intra-package call edges to a fixpoint.
+func buildReachGraph(pkg *Package) *reachGraph {
+	g := &reachGraph{ann: pkg.annotations(), byFn: make(map[*types.Func]*codeUnit)}
 
 	// Pass 1: one unit per declared function, plus one per go-launched
-	// literal (those run on their own fresh goroutine: any-domain).
+	// literal (those run on their own fresh goroutine: elsewhere).
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -81,7 +77,7 @@ func buildDomainGraph(pkg *Package) *domainGraph {
 			if obj == nil {
 				continue
 			}
-			unit := &domainUnit{fn: obj, body: fd.Body, domains: make(map[string]bool)}
+			unit := &codeUnit{fn: obj, body: fd.Body}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if gs, ok := n.(*ast.GoStmt); ok {
 					if lit, ok := ast.Unparen(gs.Call.Fun).(*ast.FuncLit); ok {
@@ -94,34 +90,29 @@ func buildDomainGraph(pkg *Package) *domainGraph {
 			g.byFn[obj] = unit
 		}
 	}
-	for _, u := range append([]*domainUnit(nil), g.units...) {
+	for _, u := range append([]*codeUnit(nil), g.units...) {
 		for _, lit := range u.detached {
-			g.units = append(g.units, &domainUnit{
-				body:    lit.Body,
-				domains: map[string]bool{anyDomain: true},
-			})
+			g.units = append(g.units, &codeUnit{body: lit.Body, reach: elsewhere})
 		}
 	}
 
-	// Pass 2: seed domains. Annotated functions are roots; exported
-	// unannotated functions may be called from any goroutine.
+	// Pass 2: seed. Annotated functions are the run loop's roots;
+	// exported unannotated functions may be called from any goroutine.
 	for _, u := range g.units {
 		if u.fn == nil {
 			continue
 		}
 		switch {
-		case g.ann.funcDomain[u.fn] != "":
-			u.domains[g.ann.funcDomain[u.fn]] = true
-		case g.ann.funcEntry[u.fn] != "":
-			u.domains[g.ann.funcEntry[u.fn]] = true
+		case g.ann.loopRoot[u.fn]:
+			u.reach = onLoop
 		case u.fn.Exported():
-			u.domains[anyDomain] = true
+			u.reach = elsewhere
 		}
 	}
 
-	// Pass 3: propagate caller domains to unannotated callees until a
-	// fixpoint. Annotated functions are roots: caller domains stop
-	// there. A `go`-launched named function roots any-domain unless
+	// Pass 3: propagate caller reach to unannotated callees until a
+	// fixpoint. Annotated functions are roots: caller reach stops
+	// there. A `go`-launched named function runs elsewhere unless
 	// annotated (the spawned goroutine has no caller discipline).
 	edges := make(map[*types.Func][]*types.Func)
 	for _, u := range g.units {
@@ -129,47 +120,27 @@ func buildDomainGraph(pkg *Package) *domainGraph {
 		if u.fn != nil {
 			edges[u.fn] = callees.called
 		} else {
-			// Detached literal: its callees inherit any-domain.
-			for _, callee := range callees.called {
-				if uu := g.byFn[callee]; uu != nil && !g.isRoot(callee) {
-					uu.domains[anyDomain] = true
-				}
-			}
+			// Detached literal: its callees run elsewhere.
+			callees.spawned = append(callees.spawned, callees.called...)
 		}
 		for _, spawned := range callees.spawned {
-			if uu := g.byFn[spawned]; uu != nil && !g.isRoot(spawned) {
-				uu.domains[anyDomain] = true
+			if !g.ann.loopRoot[spawned] {
+				g.byFn[spawned].reach |= elsewhere
 			}
 		}
 	}
-	changed := true
-	for changed {
+	for changed := true; changed; {
 		changed = false
 		for _, u := range g.units {
-			if u.fn == nil {
-				continue
-			}
 			for _, callee := range edges[u.fn] {
-				if g.isRoot(callee) {
-					continue
+				if cu := g.byFn[callee]; !g.ann.loopRoot[callee] && cu.reach|u.reach != cu.reach {
+					cu.reach |= u.reach
+					changed = true
 				}
-				cu := g.byFn[callee]
-				if cu == nil {
-					continue
-				}
-				n := len(cu.domains)
-				maps.Copy(cu.domains, u.domains)
-				changed = changed || len(cu.domains) != n
 			}
 		}
 	}
 	return g
-}
-
-// isRoot reports whether fn's domain is fixed by an annotation (caller
-// domains do not flow into it).
-func (g *domainGraph) isRoot(fn *types.Func) bool {
-	return g.ann.funcDomain[fn] != "" || g.ann.funcEntry[fn] != ""
 }
 
 // calleeSet separates normal call/reference edges from go-spawned
@@ -182,7 +153,7 @@ type calleeSet struct {
 // walk visits the unit's own code in ast.Inspect order: its body minus
 // the go-launched literals, which are units of their own. visit is
 // never handed nil.
-func (u *domainUnit) walk(visit func(ast.Node) bool) {
+func (u *codeUnit) walk(visit func(ast.Node) bool) {
 	ast.Inspect(u.body, func(n ast.Node) bool {
 		if n == nil {
 			return false
@@ -196,9 +167,9 @@ func (u *domainUnit) walk(visit func(ast.Node) bool) {
 	})
 }
 
-// calleesOf collects the same-package functions a unit calls or
-// references.
-func (g *domainGraph) calleesOf(pkg *Package, u *domainUnit) calleeSet {
+// calleesOf collects the same-package functions with a body that a
+// unit calls or references.
+func (g *reachGraph) calleesOf(pkg *Package, u *codeUnit) calleeSet {
 	var out calleeSet
 	var goCalls []ast.Expr
 	u.walk(func(n ast.Node) bool {
@@ -215,10 +186,7 @@ func (g *domainGraph) calleesOf(pkg *Package, u *domainUnit) calleeSet {
 			return true
 		}
 		fn, ok := pkg.Info.Uses[id].(*types.Func)
-		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != pkg.PkgPath {
-			return true
-		}
-		if g.byFn[fn] == nil {
+		if !ok || g.byFn[fn] == nil {
 			return true
 		}
 		spawned := false
@@ -250,42 +218,24 @@ func usesIdent(e ast.Node, id *ast.Ident) bool {
 	return found
 }
 
-// domainsOutside returns the sorted domains in set other than want, or
-// nil if the set is empty or exactly {want}.
-func domainsOutside(set map[string]bool, want string) []string {
-	keys := make([]string, 0, len(set))
-	for d := range set {
-		keys = append(keys, d)
-	}
-	sort.Strings(keys)
-	out := keys[:0]
-	for _, d := range keys {
-		if d != want {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 func runConfine(pass *Pass) {
-	g := pass.domainGraph()
-	if len(g.ann.fieldDomain) == 0 && len(g.ann.funcDomain) == 0 {
+	g := pass.reachGraph()
+	if len(g.ann.confined) == 0 {
 		return // nothing confined in this package
 	}
 	for _, u := range g.units {
-		g.checkUnit(pass, u)
+		if u.reach&elsewhere != 0 {
+			g.checkUnit(pass, u)
+		}
 	}
 }
 
-// checkUnit flags accesses to confined members from a unit whose
-// domain set reaches outside the member's domain. Units with an empty
-// domain set (unexported, never called) are skipped: nothing is known
-// about the goroutine they run on, and they are dead code until a
-// caller appears and gives them a domain.
-func (g *domainGraph) checkUnit(pass *Pass, u *domainUnit) {
-	if len(u.domains) == 0 {
-		return
-	}
+// checkUnit flags accesses to confined members from a unit reachable
+// outside the run loop. Units nothing reaches (unexported, never
+// called) are skipped: nothing is known about the goroutine they run
+// on, and they are dead code until a caller appears and gives them a
+// reach.
+func (g *reachGraph) checkUnit(pass *Pass, u *codeUnit) {
 	// Composite-literal field keys (struct construction) are exempt:
 	// the value is not yet shared when it is being built.
 	literalKey := make(map[*ast.Ident]bool)
@@ -298,36 +248,19 @@ func (g *domainGraph) checkUnit(pass *Pass, u *domainUnit) {
 				}
 			}
 		case *ast.Ident:
-			if !literalKey[n] {
-				g.checkIdent(pass, u, n)
+			obj := pass.Info.Uses[n]
+			if literalKey[n] || !g.ann.confined[obj] {
+				break
 			}
+			if _, fn := obj.(*types.Func); fn {
+				pass.Reportf(n.Pos(),
+					"confined function %s is called from code reachable outside the run loop", n.Name)
+				break
+			}
+			pass.Reportf(n.Pos(),
+				"confined member %s is accessed from code reachable outside the run loop; "+
+					"cross with a channel or an atomic, or move the access into the run loop", n.Name)
 		}
 		return true
 	})
-}
-
-// checkIdent applies the confinement rules to one identifier use.
-func (g *domainGraph) checkIdent(pass *Pass, u *domainUnit, id *ast.Ident) {
-	obj := pass.Info.Uses[id]
-	if obj == nil {
-		return
-	}
-	if dom, confined := g.ann.fieldDomain[obj]; confined {
-		if outside := domainsOutside(u.domains, dom); len(outside) > 0 {
-			pass.Reportf(id.Pos(),
-				"confined member %s (domain %s) is accessed from code reachable outside its domain (%s); "+
-					"cross with a channel or an atomic, or move the access into the %s domain",
-				id.Name, dom, strings.Join(outside, ", "), dom)
-		}
-		return
-	}
-	if fn, isFn := obj.(*types.Func); isFn {
-		if dom := g.ann.funcDomain[fn]; dom != "" {
-			if outside := domainsOutside(u.domains, dom); len(outside) > 0 {
-				pass.Reportf(id.Pos(),
-					"confined function %s (domain %s) is called from code reachable outside its domain (%s)",
-					fn.Name(), dom, strings.Join(outside, ", "))
-			}
-		}
-	}
 }

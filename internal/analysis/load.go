@@ -27,7 +27,7 @@ type Package struct {
 
 	// Built on first use, once per load (annotate.go, confine.go).
 	ann   *annotations
-	graph *domainGraph
+	graph *reachGraph
 }
 
 // listedPkg is the subset of `go list -json` output the loader needs.

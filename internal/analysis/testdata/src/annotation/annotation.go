@@ -1,28 +1,31 @@
 // Package annotation exercises the //mpq: directive validator: a
-// misspelled, mis-placed or mis-aritied directive would be silently
-// ignored by the consuming analyzers, so each is an error here.
+// misspelled or mis-placed directive, or one with an argument, would be
+// silently ignored by the consuming analyzers, so each is an error
+// here.
 package annotation
 
 type state struct {
 	//mpq:crossing // want `unknown //mpq: directive "crossing"`
 	free chan []byte
-	//mpq:confined run-loop // the clean member form, with a rationale
+	//mpq:confined // the clean member form, with a rationale
 	counter int
 }
 
-//mpq:confinned run-loop // want `unknown //mpq: directive "confinned"`
+//mpq:confinned // want `unknown //mpq: directive "confinned"`
 var typo int
 
-//mpq:confined // want `//mpq:confined takes 1 argument`
-var missingArg int
+// The forms that named a goroutine domain: the run loop is implied.
+//
+//mpq:confined run-loop // want `//mpq:confined takes no argument, got "run-loop"`
+var namedDomain int
 
-//mpq:entry run-loop extra // want `//mpq:entry takes 1 argument`
-func arityEntry() {}
+//mpq:entry reader // want `//mpq:entry takes no argument, got "reader"`
+func namedEntry() {}
 
 //mpq:noescape // want `//mpq:noescape is misplaced here`
 var misplacedNoescape int
 
-//mpq:entry run-loop // want `//mpq:entry is misplaced here`
+//mpq:entry // want `//mpq:entry is misplaced here`
 var misplacedEntry int
 
 //mpq:waitpoint // want `//mpq:waitpoint is misplaced here`
@@ -35,7 +38,7 @@ func waitpointOnFunc(ch chan int) {
 //mpq:noescape
 func cleanNoescape() {}
 
-//mpq:entry run-loop
+//mpq:entry
 func cleanEntry() {}
 
 //mpq:bogus // want `unknown //mpq: directive "bogus"`

@@ -26,7 +26,7 @@ type loop struct {
 // Run's select is the designated wait point: exempt despite having no
 // default clause.
 //
-//mpq:entry run-loop
+//mpq:entry
 func (l *loop) Run() {
 	for {
 		//mpq:waitpoint
@@ -39,8 +39,8 @@ func (l *loop) Run() {
 	}
 }
 
-// handle inherits {run-loop} from Run; every blocking construct in it
-// is an error.
+// handle is reached from Run, so it runs on the loop; every blocking
+// construct in it is an error.
 func (l *loop) handle(v int) {
 	l.ch <- v                    // want `blocking channel send in run-loop code`
 	<-l.done                     // want `blocking channel receive in run-loop code`
@@ -79,7 +79,7 @@ func (l *loop) readIface(b []byte) {
 	l.isock.ReadFromUDPAddrPort(b) // want `blocking socket read in run-loop code`
 }
 
-// Idle blocks freely: it is not in the run-loop domain.
+// Idle blocks freely: the run loop does not reach it.
 func (l *loop) Idle() {
 	<-l.done
 	l.mu.Lock()

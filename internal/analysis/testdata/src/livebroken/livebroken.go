@@ -9,7 +9,7 @@ package livebroken
 import "sync"
 
 type driver struct {
-	//mpq:confined run-loop
+	//mpq:confined
 	stats  int
 	mu     sync.Mutex
 	recvCh chan []byte
@@ -18,7 +18,7 @@ type driver struct {
 // Run reintroduces every regression the analyzers exist to prevent:
 // it blocks outside a waitpoint and takes a lock on the hot path.
 //
-//mpq:entry run-loop
+//mpq:entry
 func (d *driver) Run() {
 	for {
 		<-d.recvCh  // blocking: bare receive, no waitpoint
@@ -28,7 +28,7 @@ func (d *driver) Run() {
 	}
 }
 
-// Poke touches run-loop state from the any-goroutine domain.
+// Poke touches run-loop state from any goroutine.
 func (d *driver) Poke() {
 	d.stats++ // confine: confined member outside its domain
 }

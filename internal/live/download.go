@@ -17,7 +17,7 @@ import (
 // deadline); exceeding it returns apps.ErrTimeout, and a connection
 // that dies first returns *apps.AbortError.
 //
-//mpq:entry run-loop
+//mpq:entry
 func Download(d *Driver, client *core.Conn, size uint64, deadline time.Duration) (apps.GetResult, error) {
 	now := func() time.Duration { return d.clock.Now().Duration() }
 	get := apps.NewGetClient(client, size, now, nil)
@@ -35,7 +35,7 @@ func Download(d *Driver, client *core.Conn, size uint64, deadline time.Duration)
 // done() still false; a deadline is not an error — the caller asks
 // whatever it was waiting for how it ended.
 //
-//mpq:entry run-loop
+//mpq:entry
 func (d *Driver) DriveUntil(ctx context.Context, deadline time.Duration, done func() bool) error {
 	timedOut := false
 	if deadline > 0 {

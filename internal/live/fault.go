@@ -105,7 +105,7 @@ func WithSocketWrapper(w SocketWrapper) Option {
 // flowing through the endpoint's own tracer; giving both the same
 // tracer interleaves them on one timeline.
 //
-//mpq:confined run-loop
+//mpq:confined
 func WithTracer(t trace.Tracer) Option {
 	return func(d *Driver) { d.tracer = t }
 }
@@ -149,7 +149,7 @@ func (d *Driver) closing() bool {
 	}
 }
 
-// postEvent hands a health transition to the run loop. Reader domain:
+// postEvent hands a health transition to the run loop. Reader goroutine:
 // blocking on the sanctioned recvCh crossing is the readers' job.
 func (d *Driver) postEvent(p packetIn) {
 	select {
@@ -228,7 +228,7 @@ func errDetail(err error) string {
 // trace emits a driver-level event on the attached tracer, stamped
 // with the current sim time.
 //
-//mpq:confined run-loop
+//mpq:confined
 func (d *Driver) trace(ev trace.Event) {
 	if d.tracer == nil {
 		return

@@ -66,16 +66,8 @@ func handOver(t *testing.T, d *Driver, s *pathSocket, from netip.AddrPort, data 
 	d.recvCh <- packetIn{s: s, rb: rb}
 }
 
-// step runs the loop's ingest on what is queued, the rest of a cut run
-// first, as Run would.
-func step(d *Driver) error {
-	p := d.carry
-	d.carry = packetIn{}
-	if p.rb == nil {
-		p = <-d.recvCh
-	}
-	return d.ingest(p)
-}
+// step runs the loop's ingest on what is queued, as Run would.
+func step(d *Driver) error { return d.ingest(<-d.recvCh) }
 
 // moreMarks forwards every datagram to h and notes its More mark.
 type moreMarks struct {
@@ -107,15 +99,19 @@ func fuzzIngressDriver() (*Driver, *pathSocket, *core.Listener, *moreMarks) {
 	return d, s, lis, marks
 }
 
-// markedStep is step, checked against the More contract: the step's
-// datagrams all go to one handler, so it delivers exactly one without
-// More, its last.
-func markedStep(t *testing.T, d *Driver, m *moreMarks) error {
+// markedStep is step, checked against the More contract and the cap:
+// the step's datagrams all go to one handler, so it delivers exactly
+// one without More, its last; and its last read, of last datagrams,
+// follows fewer than ingressBatchCap.
+func markedStep(t *testing.T, d *Driver, m *moreMarks, last int) error {
 	t.Helper()
 	n, final := m.n, m.final
 	err := step(d)
 	if m.n > n && (m.lastWasMore || m.final != final+1) {
 		t.Fatalf("a step of %d datagrams delivered %d without More, the last with More=%v; want one, the last", m.n-n, m.final-final, m.lastWasMore)
+	}
+	if m.n-n-last >= ingressBatchCap {
+		t.Fatalf("a step of %d datagrams held %d before its last read; want fewer than %d", m.n-n, m.n-n-last, ingressBatchCap)
 	}
 	return err
 }
@@ -179,14 +175,14 @@ func FuzzLiveIngress(f *testing.F) {
 		// connection, and the input should reach the frame handlers of
 		// an established one, not stop at the listener's door.
 		handOver(t, d, s, from, chlo, len(chlo))
-		if err := markedStep(t, d, marks); err != nil || len(lis.Conns()) != 1 {
+		if err := markedStep(t, d, marks, 1); err != nil || len(lis.Conns()) != 1 {
 			t.Fatalf("set-up CHLO: err=%v, %d connections", err, len(lis.Conns()))
 		}
 		// A read of one datagram keeps what fits in netem.MTU bytes.
 		in = in[:min(len(in), netem.MTU)]
 		before := lis.CorruptDrops()
 		handOver(t, d, s, from, in, len(in))
-		if err := markedStep(t, d, marks); err != nil {
+		if err := markedStep(t, d, marks, 1); err != nil {
 			t.Fatalf("ingest returned a driver-fatal error for arbitrary input: %v", err)
 		}
 		if d.Stats.PacketsIn != 2 {
@@ -220,10 +216,8 @@ func FuzzLiveIngress(f *testing.F) {
 			}
 			st := d.Stats
 			handOver(t, d, s, from, c.data, c.seg)
-			for d.PendingIngress() > 0 {
-				if err := markedStep(t, d, marks); err != nil {
-					t.Fatalf("ingest returned a driver-fatal error for a run: %v", err)
-				}
+			if err := markedStep(t, d, marks, c.dgrams); err != nil {
+				t.Fatalf("ingest returned a driver-fatal error for a run: %v", err)
 			}
 			if got, bytes := d.Stats.PacketsIn-st.PacketsIn, d.Stats.BytesIn-st.BytesIn; got != uint64(c.dgrams) || bytes != uint64(c.len) {
 				t.Fatalf("a read of %d bytes in %d-byte segments: %d datagrams of %d bytes in, want %d of %d", len(c.data), c.seg, got, bytes, c.dgrams, c.len)

@@ -22,9 +22,10 @@
 //     over the reader channel and the timer);
 //  3. on wake-up, advance the sim clock once to wall-elapsed time with
 //     Clock.RunUntil (firing every due protocol timer), and inject the
-//     reads queued by then via netem.Handler.HandleDatagram, each as it
-//     leaves the queue — up to 256 datagrams, cutting a run when it
-//     passes that. They arrive at one sim instant, so a datagram the
+//     reads queued by then via netem.Handler.HandleDatagram, each whole
+//     as it leaves the queue, for as long as fewer than 256 datagrams
+//     came before it: a step holds at most 255 datagrams and one more
+//     read. They arrive at one sim instant, so a datagram the
 //     step's next one follows to the same handler carries
 //     netem.Datagram.More: the handler consumes it in full and holds
 //     its reaction (sends, timer re-arm) for the one that follows. An
@@ -141,14 +142,15 @@ const DefaultSocketBuffer = 1 << 22
 
 // recvQueueLen bounds the reads in flight between the reader
 // goroutines and the driver loop. Their bytes are bounded by the
-// sockets' run buffers (runbuf.go); the count only needs room for every
-// single-datagram read those buffers pack.
+// sockets' run buffers (runbuf.go), which may pack more small reads:
+// a reader then waits in the hand-off, as it waits for a buffer, and
+// the kernel's socket buffer holds the backlog.
 const recvQueueLen = 512
 
-// ingressBatchCap bounds how many queued datagrams one clock step
-// injects; the remainder is picked up by the next loop iteration, a run
-// the bound cuts first. A step's one ACK per path covers at most this
-// many packets.
+// ingressBatchCap bounds a clock step: it takes the next queued read,
+// whole, while fewer datagrams than this came before it, so its one ACK
+// per path covers at most 255 packets and one read (on loopback, at
+// most gsoMaxSegs). The next loop iteration picks up the remainder.
 const ingressBatchCap = 256
 
 // Option tunes a Driver at construction.
@@ -247,13 +249,13 @@ type Stats struct {
 // Setup (NewDriver, Dial/Listen, Register) happens before Run; the
 // goroutine calling Run then owns all protocol state until Run
 // returns. Close and Wake may be called from any goroutine. That
-// discipline is machine-checked: the run loop's fields below carry
-// //mpq:confined annotations that mpq-vet's confine and blocking
+// discipline is machine-checked: the run loop's fields below are
+// marked //mpq:confined, which mpq-vet's confine and blocking
 // analyzers enforce (see DESIGN.md, "Live concurrency invariants");
 // the unannotated ones are the crossings — immutable after setup, or
 // a channel, a sync primitive, an atomic.
 type Driver struct {
-	//mpq:confined run-loop
+	//mpq:confined
 	clock *sim.Clock
 
 	// socks maps the address identities the core stack uses for its
@@ -269,12 +271,12 @@ type Driver struct {
 	// remotes caches resolved egress destinations, so the per-packet
 	// egress path allocates nothing. Servers need no remote table up
 	// front: remotes are learned per-datagram from the ingress source.
-	//mpq:confined run-loop
+	//mpq:confined
 	remotes map[netem.Addr]netip.AddrPort
 	// sendErr latches a misconfiguration Send found (a struct-mode
 	// payload) until the next flush returns it; the datagrams sent
 	// after it are discarded.
-	//mpq:confined run-loop
+	//mpq:confined
 	sendErr error
 
 	sockBuf int
@@ -285,10 +287,10 @@ type Driver struct {
 	rebindMax  int
 	rebindBase time.Duration
 
-	//mpq:confined run-loop
+	//mpq:confined
 	tracer trace.Tracer
 	// fatal latches the error that must end Run (all sockets failed).
-	//mpq:confined run-loop
+	//mpq:confined
 	fatal error
 
 	// Crossings: how reader goroutines, Wake and Close reach the loop.
@@ -301,19 +303,15 @@ type Driver struct {
 	closeMu sync.Once
 	readers sync.WaitGroup
 
-	// carry is the rest of a read the last step cut at ingressBatchCap:
-	// the next step's first.
-	//mpq:confined run-loop
-	carry packetIn
-	//mpq:confined run-loop
+	//mpq:confined
 	addrNames map[netip.AddrPort]netem.Addr
 
-	//mpq:confined run-loop
+	//mpq:confined
 	start time.Time
-	//mpq:confined run-loop
+	//mpq:confined
 	started bool
 
-	//mpq:confined run-loop
+	//mpq:confined
 	Stats Stats
 }
 
@@ -323,7 +321,7 @@ var _ core.DatagramSender = (*Driver)(nil)
 // free port; see Driver.LocalAddrs for the bound result) and starts
 // its reader goroutines. The caller owns the driver until Close.
 //
-//mpq:confined run-loop
+//mpq:confined
 func NewDriver(localAddrs []string, opts ...Option) (*Driver, error) {
 	if len(localAddrs) == 0 {
 		return nil, fmt.Errorf("live: need at least one local address")
@@ -377,7 +375,7 @@ func NewDriver(localAddrs []string, opts ...Option) (*Driver, error) {
 // Before Run it sits at the epoch; during Run it tracks wall-elapsed
 // time since Run started.
 //
-//mpq:confined run-loop
+//mpq:confined
 func (d *Driver) Clock() *sim.Clock { return d.clock }
 
 // LocalAddrs returns the actually-bound local path addresses in bind
@@ -400,7 +398,7 @@ func (d *Driver) LocalAddrs() []netem.Addr {
 // in a struct registered by pointer. An address no socket owns is
 // ignored: no datagram could ever arrive on it.
 //
-//mpq:confined run-loop
+//mpq:confined
 func (d *Driver) Register(addr netem.Addr, h netem.Handler) {
 	if s := d.socket(addr); s != nil {
 		s.handler = h
@@ -427,7 +425,7 @@ func (d *Driver) socket(addr netem.Addr) *pathSocket {
 // already in place; any other is copied in, and the caller's buffer is
 // never touched again: the driver neither keeps nor recycles it.
 //
-//mpq:confined run-loop
+//mpq:confined
 //mpq:noescape
 func (d *Driver) Send(dg netem.Datagram) {
 	b := dg.Raw
@@ -459,7 +457,7 @@ func (d *Driver) Send(dg netem.Datagram) {
 // into and Send (see core's rawLender). Nil when no socket is bound to
 // from. Nothing but that Send may be queued on the socket in between.
 //
-//mpq:confined run-loop
+//mpq:confined
 //mpq:noescape
 func (d *Driver) LendRaw(from netem.Addr) []byte {
 	s := d.socket(from)
@@ -508,9 +506,8 @@ func (d *Driver) addrName(ap netip.AddrPort) netem.Addr {
 // transient errors in place, and walks the rebind ladder (fault.go)
 // on persistent failures. It exits on driver close or when the slot's
 // ladder is exhausted — a dead socket never takes the driver down
-// while siblings are alive.
-//
-//mpq:entry reader
+// while siblings are alive. NewDriver runs it on a goroutine of its
+// own, never on the run loop.
 func (d *Driver) readLoop(s *pathSocket) {
 	defer d.readers.Done()
 	var r runReader
@@ -623,8 +620,8 @@ func (d *Driver) readFailed(s *pathSocket, err error) (readStatus, error) {
 }
 
 // Run drives the loop until the until condition reports true (checked
-// after every batch of work, but not between the two steps a cut run
-// spans), a terminal error occurs, or the driver is closed (ErrClosed).
+// after every batch of work), a terminal error occurs, or the driver is
+// closed (ErrClosed).
 // A nil until runs until Close — server mode.
 //
 // The first Run call pins the wall epoch: sim time 0 is that moment.
@@ -632,14 +629,13 @@ func (d *Driver) readFailed(s *pathSocket, err error) (readStatus, error) {
 // on a client driver); later calls keep the original epoch so sim
 // time stays monotone across them.
 //
-//mpq:entry run-loop
+//mpq:entry
 func (d *Driver) Run(until func() bool) error {
 	if !d.started {
 		d.started = true
 		d.start = time.Now()
 	}
 	defer d.UpdateSocketStats()
-	defer d.dropCarry()
 	defer d.releaseEgress()
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
@@ -654,7 +650,7 @@ func (d *Driver) Run(until func() bool) error {
 		if err := d.flush(); err != nil {
 			return err
 		}
-		if d.carry.rb == nil && until != nil && until() {
+		if until != nil && until() {
 			return nil
 		}
 		if d.fatal != nil {
@@ -662,14 +658,6 @@ func (d *Driver) Run(until func() bool) error {
 			// until condition above still wins if the same batch that
 			// killed the last socket also completed the work.
 			return d.fatal
-		}
-		if p := d.carry; p.rb != nil {
-			// The rest of a run the last step cut is this step's first.
-			d.carry = packetIn{}
-			if err := d.ingest(p); err != nil {
-				return err
-			}
-			continue
 		}
 		// Arm the wake-up at the wall image of the next sim deadline,
 		// quantized up to the coalescing grid. An already-armed timer
@@ -731,10 +719,11 @@ func quantize(dl time.Duration) time.Duration {
 }
 
 // ingest advances the clock once and injects first and the reads queued
-// when it starts, up to ingressBatchCap datagrams — the batched-ingress
-// half of the fast lane: one wake-up, one clock step, one reaction per
-// handler, one egress flush for the entire burst. Each read leaves the
-// queue before the one ahead of it goes in, whose last More it decides.
+// when it starts, each whole, while the reads taken leave room under
+// ingressBatchCap datagrams — the batched-ingress half of the fast
+// lane: one wake-up, one clock step, one reaction per handler, one
+// egress flush for the entire burst. Each read leaves the queue before
+// the one ahead of it goes in, whose last More it decides.
 //
 //mpq:noescape
 func (d *Driver) ingest(first packetIn) error {
@@ -744,14 +733,15 @@ func (d *Driver) ingest(first packetIn) error {
 		return err
 	}
 	d.Stats.IngressBatches++
-	left := ingressBatchCap
+	taken := 0
 	p, h := first, first.handler()
 	for {
-		// A read the budget does not outlast is the step's last.
+		// A read that fills the step to the cap is its last.
 		var next packetIn
 		var nh netem.Handler
 		took := false
-		if queued > 0 && left > p.datagrams() {
+		k := p.datagrams()
+		if queued > 0 && taken+k < ingressBatchCap {
 			select {
 			case next = <-d.recvCh:
 				queued--
@@ -766,19 +756,18 @@ func (d *Driver) ingest(first packetIn) error {
 			// fold it into stats/traces/PF state (fault.go).
 			d.handleSockEvent(p.s, p.kind, p.err)
 		case h == nil:
-			k := p.datagrams()
 			d.Stats.NoHandler += uint64(k)
-			left -= k
 			d.drop(&p)
 		default:
-			left = d.inject(&p, h, took && nh == h, left)
+			d.inject(&p, h, took && nh == h)
 		}
+		taken += k
 		if !took {
 			break
 		}
 		p, h = next, nh
 	}
-	if n := uint64(min(ingressBatchCap-left, ingressBatchCap)); n > d.Stats.MaxBatch {
+	if n := uint64(taken); n > d.Stats.MaxBatch {
 		d.Stats.MaxBatch = n
 	}
 	// A step that marked the last live socket failed ends Run: nothing
@@ -796,18 +785,15 @@ func (p *packetIn) handler() netem.Handler {
 }
 
 // inject hands p's datagrams to h, each where it lies in the run
-// buffer, until the step's budget left runs out, and returns what is
-// left of it. Every datagram but the run's last carries More, and that
-// one carries more; when the budget cuts the run, the rest becomes the
-// next step's first read (carry).
+// buffer, and then hands the read back. Every datagram but the read's
+// last carries More, and that one carries more.
 //
 //mpq:noescape
-func (d *Driver) inject(p *packetIn, h netem.Handler, more bool, left int) int {
+func (d *Driver) inject(p *packetIn, h netem.Handler, more bool) {
 	rd := &p.rb.reads[p.i]
 	run := p.rb.b[rd.off : rd.off+rd.n]
 	seg := int(rd.seg)
 	from := d.addrName(rd.from)
-	taken := 0
 	for {
 		k := len(run)
 		if seg > 0 && seg < k {
@@ -818,25 +804,16 @@ func (d *Driver) inject(p *packetIn, h netem.Handler, more bool, left int) int {
 		// appends reaches the next datagram of the run.
 		dg := core.RawDatagram(from, p.s.local, run[:k:k])
 		run = run[k:]
-		left--
-		taken++
-		dg.More = more || len(run) > 0 && left > 0
+		dg.More = more || len(run) > 0
 		d.Stats.PacketsIn++
 		d.Stats.BytesIn += uint64(k)
 		h.HandleDatagram(dg)
-		if len(run) == 0 || left <= 0 {
+		if len(run) == 0 {
 			break
 		}
 	}
-	d.pending.Add(-int64(taken))
-	if len(run) == 0 {
-		d.release(p.s, p.rb)
-		return left
-	}
-	rd.off += rd.n - int32(len(run))
-	rd.n = int32(len(run))
-	d.carry = *p
-	return left
+	d.pending.Add(-int64(rd.datagrams()))
+	d.release(p.s, p.rb)
 }
 
 // drop hands back a read that will not be injected, uncounted: an
@@ -850,10 +827,6 @@ func (d *Driver) drop(p *packetIn) {
 	}
 	*p = packetIn{}
 }
-
-// dropCarry drops the rest of a cut run when Run returns an error
-// before the next step took it.
-func (d *Driver) dropCarry() { d.drop(&d.carry) }
 
 // advance moves sim time forward to the current wall-elapsed
 // duration, firing every protocol timer due on the way. Sim time
@@ -904,7 +877,7 @@ func (d *Driver) flush() error {
 // Flush writes any queued egress immediately (e.g. a CONNECTION_CLOSE
 // sent after Run returned).
 //
-//mpq:confined run-loop
+//mpq:confined
 func (d *Driver) Flush() error {
 	err := d.flush()
 	d.releaseEgress()
@@ -917,15 +890,14 @@ func (d *Driver) Flush() error {
 // when reading stats without having driven the loop. Not safe
 // concurrently with a running Run (it writes Stats).
 //
-//mpq:confined run-loop
+//mpq:confined
 func (d *Driver) UpdateSocketStats() {
 	// Sum the kernel's receive-queue overflow counters (sockstats.go)
 	// and the undecodable-ingress drops across the distinct handlers;
 	// several locals usually share one handler, deduped by identity.
-	var kernel, corrupt uint64
+	var corrupt uint64
 	var seen []netem.Handler
 	for _, s := range d.socks {
-		kernel += procUDPDrops(s.ap)
 		if s.handler == nil || slices.Contains(seen, s.handler) {
 			continue
 		}
@@ -934,7 +906,7 @@ func (d *Driver) UpdateSocketStats() {
 			corrupt += cd.CorruptDrops()
 		}
 	}
-	d.Stats.RcvQueueDrops = kernel
+	d.Stats.RcvQueueDrops = procUDPDrops(d.socks)
 	d.Stats.CorruptDrops = corrupt
 }
 

@@ -29,12 +29,12 @@ func (l *stepLog) HandleDatagram(dg netem.Datagram) {
 	}{l.d.Stats.IngressBatches, dg.More, binary.BigEndian.Uint16(dg.Raw)})
 }
 
-// Five queued runs of 60 datagrams are more than one step may inject:
-// the first step takes 256, cutting the last run after 16, and the
-// next takes the 44 left of it, each step's last datagram without
-// More. Every datagram arrives once, in order, and every run buffer
-// goes back to its socket.
-func TestBatchedStepCutsARun(t *testing.T) {
+// Five queued runs of 60 datagrams make one step of 300: a step takes
+// each read whole while fewer than ingressBatchCap datagrams came
+// before it, so it passes the cap by less than one read instead of
+// cutting a run. Every datagram arrives once, in order, with More on
+// all but the last, and every run buffer goes back to its socket.
+func TestBatchedStepTakesWholeReads(t *testing.T) {
 	d := socketlessDriver(1)
 	s := d.socks[0]
 	h := &stepLog{d: d}
@@ -51,26 +51,19 @@ func TestBatchedStepCutsARun(t *testing.T) {
 	if got := d.PendingIngress(); got != runs*perRun {
 		t.Fatalf("PendingIngress = %d, want %d datagrams", got, runs*perRun)
 	}
-	for d.PendingIngress() > 0 {
-		if err := step(d); err != nil {
-			t.Fatal(err)
-		}
+	if err := step(d); err != nil {
+		t.Fatal(err)
 	}
-	if len(h.seen) != runs*perRun || d.Stats.PacketsIn != runs*perRun || d.Stats.BytesIn != runs*perRun*seg {
-		t.Fatalf("%d datagrams delivered, Stats = %+v; want %d of %d bytes", len(h.seen), d.Stats, runs*perRun, seg)
+	if len(h.seen) != runs*perRun || d.Stats.PacketsIn != runs*perRun || d.Stats.BytesIn != runs*perRun*seg || d.PendingIngress() != 0 {
+		t.Fatalf("%d datagrams delivered, %d left, Stats = %+v; want %d of %d bytes, none left", len(h.seen), d.PendingIngress(), d.Stats, runs*perRun, seg)
 	}
-	if d.Stats.IngressBatches != 2 || d.Stats.MaxBatch != ingressBatchCap {
-		t.Fatalf("%d steps, the largest of %d datagrams; want 2, the first of %d", d.Stats.IngressBatches, d.Stats.MaxBatch, ingressBatchCap)
+	if d.Stats.IngressBatches != 1 || d.Stats.MaxBatch != runs*perRun {
+		t.Fatalf("%d steps, the largest of %d datagrams; want 1 of %d", d.Stats.IngressBatches, d.Stats.MaxBatch, runs*perRun)
 	}
 	for i, dg := range h.seen {
-		first := i < ingressBatchCap
-		wantStep := uint64(1)
-		if !first {
-			wantStep = 2
-		}
-		last := i == ingressBatchCap-1 || i == len(h.seen)-1
-		if dg.seq != uint16(i) || dg.step != wantStep || dg.more == last {
-			t.Fatalf("datagram %d: sequence %d, step %d, More=%v; want %d, %d, %v", i, dg.seq, dg.step, dg.more, i, wantStep, !last)
+		last := i == len(h.seen)-1
+		if dg.seq != uint16(i) || dg.step != 1 || dg.more == last {
+			t.Fatalf("datagram %d: sequence %d, step %d, More=%v; want %d, 1, %v", i, dg.seq, dg.step, dg.more, i, !last)
 		}
 	}
 	if len(s.free) != runBufsPerSocket {

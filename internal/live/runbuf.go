@@ -57,8 +57,8 @@ type runBuf struct {
 
 // runRead is one read in a run buffer: the sender and the bytes
 // b[off:off+n], cut into seg-byte datagrams (the last may be shorter).
-// n == 0 is one empty datagram. The loop advances off and n when a step
-// takes part of the run.
+// n == 0 is one empty datagram. The reader writes it before the
+// hand-off; the loop only reads it, and injects the read whole.
 type runRead struct {
 	from        netip.AddrPort
 	off, n, seg int32

@@ -25,7 +25,7 @@ type connBox struct{ c UDPConn }
 type pathSocket struct {
 	// conn is the active socket, swapped atomically by the owning
 	// reader's rebind ladder and read by the run loop's writes: a
-	// crossing between the two domains.
+	// crossing between the two goroutines.
 	conn  atomic.Pointer[connBox]
 	idx   int            // path index (bind order): names the socket in traces and fault scripts
 	local netem.Addr     // the actually-bound "ip:port", the path identity
@@ -35,30 +35,30 @@ type pathSocket struct {
 	free chan *runBuf
 
 	// handler receives the socket's ingress (nil until Register).
-	//mpq:confined run-loop
+	//mpq:confined
 	handler netem.Handler
 	// failed marks a socket whose rebind ladder is exhausted.
-	//mpq:confined run-loop
+	//mpq:confined
 	failed bool
 	// writeFails counts consecutive persistent write errors on the
 	// conn the writer is bound to.
-	//mpq:confined run-loop
+	//mpq:confined
 	writeFails int
 	// writeFailed marks a conn closed for failing writes whose paths
 	// flush has yet to fail.
-	//mpq:confined run-loop
+	//mpq:confined
 	writeFailed bool
 	// w is the socket's binding to the batched write path and out the
 	// datagrams queued for its next write (egress.go).
-	//mpq:confined run-loop
+	//mpq:confined
 	w sockWriter
-	//mpq:confined run-loop
+	//mpq:confined
 	out egressBatch
 	// peerName and peerAP cache the last destination the socket
 	// resolved: a path socket sends to one peer, mostly.
-	//mpq:confined run-loop
+	//mpq:confined
 	peerName netem.Addr
-	//mpq:confined run-loop
+	//mpq:confined
 	peerAP netip.AddrPort
 }
 

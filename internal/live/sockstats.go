@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/netip"
 	"os"
+	"slices"
 	"strconv"
 )
 
@@ -16,23 +17,37 @@ import (
 // overflowed" apart from "the network lost packets". On platforms
 // without procfs the counter reads as zero.
 
-// procUDPDrops returns the kernel drop counter for the socket bound to
-// ap, or zero when it cannot be determined.
-func procUDPDrops(ap netip.AddrPort) uint64 {
-	path := "/proc/net/udp"
-	if ap.Addr().Is6() && !ap.Addr().Is4In6() {
-		path = "/proc/net/udp6"
+// procUDPDrops sums the kernel drop counters of socks, reading each
+// address family's table once; zero where a table cannot be read.
+func procUDPDrops(socks []*pathSocket) uint64 {
+	var want [2][]string // the sockets of /proc/net/udp, of /proc/net/udp6
+	for _, s := range socks {
+		i := 0
+		if s.ap.Addr().Is6() && !s.ap.Addr().Is4In6() {
+			i = 1
+		}
+		want[i] = append(want[i], procLocalHex(s.ap))
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0
-	}
-	want := procLocalHex(ap)
 	var total uint64
-	for _, line := range bytes.Split(data, []byte("\n")) {
+	for i, path := range [2]string{"/proc/net/udp", "/proc/net/udp6"} {
+		if len(want[i]) == 0 {
+			continue
+		}
+		if data, err := os.ReadFile(path); err == nil {
+			total += udpDrops(data, want[i])
+		}
+	}
+	return total
+}
+
+// udpDrops sums the trailing drops column of the lines of a
+// /proc/net/udp[6] table whose local_address is one of want.
+func udpDrops(table []byte, want []string) uint64 {
+	var total uint64
+	for _, line := range bytes.Split(table, []byte("\n")) {
 		fields := bytes.Fields(line)
 		// sl local rem st queues tr retrnsmt uid timeout inode ref ptr drops
-		if len(fields) < 13 || string(fields[1]) != want {
+		if len(fields) < 13 || !slices.Contains(want, string(fields[1])) {
 			continue
 		}
 		if n, err := strconv.ParseUint(string(fields[len(fields)-1]), 10, 64); err == nil {
